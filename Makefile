@@ -86,6 +86,15 @@ bench-wal:
 	$(GO) test -run xxx -bench 'BenchmarkWALAppend|BenchmarkWALReplay' -benchmem ./internal/wal/
 	$(GO) test -run xxx -bench BenchmarkHTTPIngestWAL -benchmem ./internal/live/
 
+# bench-cut is the generation-size sweep for the epoch cut: one
+# Engine.Snapshot folding 2 500 new records into 50 k, 200 k and 800 k
+# published ones. Only the row copy may grow with the generation; the
+# sort, the interning and (bench-wal's business) the checkpoint follow
+# the delta. DESIGN.md §8 records the sweep.
+.PHONY: bench-cut
+bench-cut:
+	$(GO) test -run xxx -bench BenchmarkEpochCut -benchtime 10x -benchmem ./internal/live/
+
 # bench-lint times a full fourteen-analyzer run over the module tree
 # twice — cold (parse + type-check + analyze everything) and warm
 # (every package replayed from the content-hash cache) — and records

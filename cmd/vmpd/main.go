@@ -72,8 +72,9 @@ func main() {
 	// The WAL replays BEFORE it is attached (so replayed records are
 	// not appended back to the log they came from) and before the
 	// listener opens (so no query can observe the pre-replay state);
-	// the snapshot after attach republishes the recovered generation
-	// and compacts the replayed segments into a fresh checkpoint.
+	// the snapshot after attach republishes the recovered generation,
+	// and folds the replayed segments into a fresh checkpoint if they
+	// have outgrown the old one.
 	var wlog *wal.Log
 	if *walDir != "" {
 		policy, err := wal.ParsePolicy(*walFsync)
@@ -156,8 +157,9 @@ func main() {
 	}
 	log.Printf("vmpd: drained; final epoch %d holds %d records", g.Epoch, g.Records)
 	if wlog != nil {
-		// After Close's final epoch the WAL holds one fresh checkpoint
-		// and no live segments; close flushes and releases the files.
+		// Close's final epoch is in the WAL — as a fresh checkpoint, or
+		// as segments on top of the last one; close flushes and releases
+		// the files.
 		if err := wlog.Close(); err != nil {
 			log.Printf("vmpd: wal close: %v", err)
 		}

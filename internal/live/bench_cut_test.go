@@ -1,0 +1,63 @@
+package live
+
+import (
+	"fmt"
+	"testing"
+
+	"vmp/internal/simclock"
+	"vmp/internal/telemetry"
+)
+
+// BenchmarkEpochCut is the generation-size sweep: one op is one
+// Engine.Snapshot folding a fixed 2 500-record delta into a published
+// generation of 50 k, 200 k or 800 k records (no WAL; the checkpoint
+// has its own cadence and its own bench). A cut whose comparing,
+// hashing and interning are proportional to the delta leaves only the
+// row copy to grow with the generation, so ns/op divided by the sizes'
+// ratio is the figure to watch. The engine is rebuilt, outside the
+// timer, whenever cuts have grown the generation a tenth past its
+// nominal size.
+func BenchmarkEpochCut(b *testing.B) {
+	const delta = 2500
+	ingest := func(e *Engine, recs []telemetry.ViewRecord) {
+		for lo := 0; lo < len(recs); lo += delta {
+			batch := recs[lo:min(lo+delta, len(recs))]
+			for {
+				res, err := e.Ingest(batch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Backpressured == 0 {
+					break
+				}
+				e.Flush()
+			}
+		}
+	}
+	for _, size := range []int{50_000, 200_000, 800_000} {
+		b.Run(fmt.Sprintf("gen=%dk", size/1000), func(b *testing.B) {
+			recs := genRecords(size + delta)
+			var e *Engine
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if e != nil && e.Generation().Records > size+size/10 {
+					e.Close()
+					e = nil
+				}
+				if e == nil {
+					e = NewEngine(Config{Shards: 8, Clock: simclock.NewManual(simclock.StudyStart)})
+					ingest(e, recs[:size])
+					e.Snapshot()
+				}
+				ingest(e, recs[size:])
+				e.Flush()
+				b.StartTimer()
+				e.Snapshot()
+			}
+			b.StopTimer()
+			e.Close()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(size), "ns/gen-record")
+		})
+	}
+}

@@ -162,8 +162,7 @@ type Engine struct {
 
 	// snapMu serializes epoch snapshots and consumer shutdown.
 	snapMu  sync.Mutex
-	base    []telemetry.ViewRecord // published generation's records
-	stopped bool                   // guarded by snapMu
+	stopped bool // guarded by snapMu
 
 	gen atomic.Pointer[Generation]
 	wg  sync.WaitGroup
@@ -465,19 +464,22 @@ func (e *Engine) Flush() {
 }
 
 // Snapshot cuts an epoch: it concurrently flushes every shard's queue,
-// takes the pending buffers, merges them with the published
-// generation's records, freezes the merge into a new Dataset, and
-// publishes it. Records admitted before Snapshot is called are always
-// included; records racing with it land in this epoch or the next.
+// takes the pending buffers, sorts them, merges them into the
+// published generation's Dataset, and publishes the result. Only the
+// new records are compared, hashed and interned; the published rows
+// are carried over by copy. Records admitted before Snapshot is called
+// are always included; records racing with it land in this epoch or
+// the next.
 func (e *Engine) Snapshot() *Generation {
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
+	prev := e.gen.Load()
 	if e.stopped {
-		return e.gen.Load()
+		return prev
 	}
 	start := e.clock.Now()
 	sp := e.tracer.Start("epoch.cut", 0)
-	e.tracer.Emit("epoch_cut", obs.KV("epoch", e.gen.Load().Epoch+1))
+	e.tracer.Emit("epoch_cut", obs.KV("epoch", prev.Epoch+1))
 	fsp := e.tracer.Start("epoch.flush", sp.ID())
 	// Admission is held off across the bounds reading, the flush, and
 	// the pending take: the generation cut here contains exactly the
@@ -492,30 +494,31 @@ func (e *Engine) Snapshot() *Generation {
 	}
 	e.flushShards()
 	parts := make([][]telemetry.ViewRecord, len(e.shards))
-	n := len(e.base)
-	delta := 0
+	n := 0
 	for i, sh := range e.shards {
 		parts[i] = sh.take()
-		delta += len(parts[i])
 		n += len(parts[i])
 	}
 	e.ingestMu.Unlock()
-	fsp.End(obs.KV("shards", int64(len(e.shards))))
-	msp := e.tracer.Start("epoch.merge", sp.ID())
-	merged := make([]telemetry.ViewRecord, 0, n)
-	merged = append(merged, e.base...)
+	// Every stage span of the cut carries the same two sizes, so a
+	// trace shows which stage's time follows which.
+	sizes := []obs.Attr{obs.KV("delta", int64(n)), obs.KV("records", int64(prev.Records+n))}
+	fsp.End(sizes...)
+	ssp := e.tracer.Start("epoch.sort", sp.ID())
+	delta := make([]telemetry.ViewRecord, 0, n)
 	for _, p := range parts {
-		merged = append(merged, p...)
+		delta = append(delta, p...)
 	}
 	// Canonical order, not arrival order: the same record set produces
 	// the same generation — and byte-identical query answers — no
 	// matter how ingestion interleaved across shards.
-	telemetry.CanonicalSort(merged)
-	ds := telemetry.NewDataset(merged)
-	msp.End(obs.KV("records", int64(ds.Len())), obs.KV("delta", int64(delta)))
-	e.base = ds.All()
+	telemetry.CanonicalSort(delta)
+	ssp.End(sizes...)
+	msp := e.tracer.Start("epoch.merge", sp.ID())
+	ds := prev.Dataset.Merge(delta)
+	msp.End(sizes...)
 	g := &Generation{
-		Epoch:   e.gen.Load().Epoch + 1,
+		Epoch:   prev.Epoch + 1,
 		Records: ds.Len(),
 		Created: start,
 		Dataset: ds,
@@ -528,18 +531,40 @@ func (e *Engine) Snapshot() *Generation {
 	e.queueDepth.Set(int64(e.queuedBatches()))
 	e.snapLatency.Observe(e.clock.Now().Sub(start).Seconds())
 	e.tracer.Emit("generation_published",
-		obs.KV("epoch", g.Epoch), obs.KV("records", int64(g.Records)), obs.KV("delta", int64(delta)))
+		obs.KV("epoch", g.Epoch), obs.KV("records", int64(g.Records)), obs.KV("delta", int64(n)))
 	if w != nil {
-		// Fold the WAL forward to the published generation. A failed
-		// commit is counted, not fatal: the WAL keeps its segments and
-		// the previous checkpoint, so it grows but loses nothing.
-		if err := w.Commit(g.Epoch, ds.All(), bounds, sp.ID()); err != nil {
-			e.walErrors.Add(1)
-			e.tracer.Emit("wal_commit_error", obs.KV("epoch", g.Epoch))
-		}
+		e.checkpoint(w, g, bounds, sp.ID(), sizes)
 	}
 	sp.End(obs.KV("epoch", g.Epoch), obs.KV("records", int64(g.Records)))
 	return g
+}
+
+// checkpointCounter is implemented by a WAL that can tell how many
+// checkpoints it has written (*wal.Log does). Commit reports only
+// failure, and most commits write nothing — the log has to earn a
+// checkpoint — so the count is how the epoch.checkpoint span knows
+// which kind it timed.
+type checkpointCounter interface{ Checkpoints() int64 }
+
+// checkpoint hands the published generation to the WAL under an
+// epoch.checkpoint span. A failed commit is counted, not fatal: the
+// WAL keeps its segments and the previous checkpoint, so it grows but
+// loses nothing.
+func (e *Engine) checkpoint(w WAL, g *Generation, bounds []uint64, parent obs.SpanID, sizes []obs.Attr) {
+	sp := e.tracer.Start("epoch.checkpoint", parent)
+	cc, counts := w.(checkpointCounter)
+	before := int64(0)
+	if counts {
+		before = cc.Checkpoints()
+	}
+	if err := w.Commit(g.Epoch, g.Dataset.All(), bounds, sp.ID()); err != nil {
+		e.walErrors.Add(1)
+		e.tracer.Emit("wal_commit_error", obs.KV("epoch", g.Epoch))
+	}
+	if counts {
+		sizes = append(sizes[:len(sizes):len(sizes)], obs.KV("written", cc.Checkpoints()-before))
+	}
+	sp.End(sizes...)
 }
 
 // Run snapshots on the configured cadence until ctx is done. The

@@ -51,8 +51,9 @@ func TestEngineTraceDeterministic(t *testing.T) {
 	if err := json.Unmarshal(a, &snap); err != nil {
 		t.Fatal(err)
 	}
-	// 4 ingest rounds: admit + consume each; plus epoch cut/flush/merge.
-	wantStages := map[string]int64{"ingest.admit": 4, "shard.consume": 4, "epoch.cut": 1, "epoch.flush": 1, "epoch.merge": 1}
+	// 4 ingest rounds: admit + consume each; plus the cut and its
+	// stages (no WAL here, so no epoch.checkpoint).
+	wantStages := map[string]int64{"ingest.admit": 4, "shard.consume": 4, "epoch.cut": 1, "epoch.flush": 1, "epoch.sort": 1, "epoch.merge": 1, "epoch.checkpoint": 0}
 	got := map[string]int64{}
 	for _, st := range snap.Stages {
 		got[st.Name] = st.Count
@@ -89,6 +90,58 @@ func TestEngineTraceDeterministic(t *testing.T) {
 	}
 	if admitted != 4 || published != 1 {
 		t.Fatalf("events: %d admitted, %d published (%+v)", admitted, published, snap.Events)
+	}
+}
+
+// TestCutStagesTraced pins the cut's stage vocabulary: every cut is
+// epoch.flush, epoch.sort, epoch.merge and — with a WAL — an
+// epoch.checkpoint, each a child of epoch.cut carrying the cut's delta
+// and record count, and epoch.checkpoint says whether the log wrote a
+// checkpoint or had not earned one.
+func TestCutStagesTraced(t *testing.T) {
+	tr := obs.NewTracer(simclock.NewManual(simclock.StudyStart), 256)
+	e := newTestEngine(t, Config{Shards: 2, Trace: tr, WAL: openTestWAL(t, t.TempDir(), 2)})
+	recs := genRecords(1100)
+	mustIngest(t, e, recs[:1000])
+	e.Snapshot() // a log without a checkpoint writes one
+	mustIngest(t, e, recs[1000:])
+	e.Snapshot() // 100 records more have not earned the next
+
+	snap := tr.Snapshot()
+	cuts := map[uint64]int{} // epoch.cut span ID → which cut
+	for _, sp := range snap.Spans {
+		if sp.Name == "epoch.cut" {
+			cuts[sp.ID] = len(cuts)
+		}
+	}
+	want := []struct{ delta, records, written int64 }{
+		{delta: 1000, records: 1000, written: 1},
+		{delta: 100, records: 1100, written: 0},
+	}
+	seen := map[string]int{}
+	for _, sp := range snap.Spans {
+		switch sp.Name {
+		case "epoch.flush", "epoch.sort", "epoch.merge", "epoch.checkpoint":
+		default:
+			continue
+		}
+		cut, ok := cuts[sp.Parent]
+		if !ok {
+			t.Fatalf("%s span %d is not a child of an epoch.cut: %+v", sp.Name, sp.ID, sp)
+		}
+		seen[sp.Name]++
+		if sp.Attrs["delta"] != want[cut].delta || sp.Attrs["records"] != want[cut].records {
+			t.Fatalf("cut %d %s: attrs %v, want delta %d records %d", cut, sp.Name, sp.Attrs, want[cut].delta, want[cut].records)
+		}
+		written, ok := sp.Attrs["written"]
+		if isCkpt := sp.Name == "epoch.checkpoint"; ok != isCkpt || (isCkpt && written != want[cut].written) {
+			t.Fatalf("cut %d %s: written=%d (present %v), want %d on epoch.checkpoint only", cut, sp.Name, written, ok, want[cut].written)
+		}
+	}
+	for _, name := range []string{"epoch.flush", "epoch.sort", "epoch.merge", "epoch.checkpoint"} {
+		if seen[name] != 2 {
+			t.Fatalf("%d %s spans over two cuts (all: %v)", seen[name], name, seen)
+		}
 	}
 }
 

@@ -267,3 +267,84 @@ func TestWALAppendErrorRejectsBatchWhole(t *testing.T) {
 		t.Fatalf("%d records enqueued despite WAL failure", g.Records)
 	}
 }
+
+// TestWALCrashAfterSkippedCheckpoints is the kill-point test for the
+// checkpoint cadence: one large epoch earns the log its checkpoint,
+// then K small epochs are cut whose commits write nothing — their
+// records live only in segments the old checkpoint does not cover —
+// more batches are acked and never cut, and the engine is dropped.
+// Recovery must publish exactly the acked set, and its own cut must not
+// rewrite a checkpoint the log has not earned.
+func TestWALCrashAfterSkippedCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	recs := genRecords(4000)
+
+	reg := obs.NewRegistry()
+	wlog, err := wal.Open(wal.Options{
+		Dir: dir, Shards: 4, Policy: wal.PolicyBatch,
+		Clock: simclock.NewManual(simclock.StudyStart), Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = wlog.Close() })
+	crashed := NewEngine(Config{Shards: 4, Clock: simclock.NewManual(simclock.StudyStart), Metrics: reg, WAL: wlog})
+	mustIngest(t, crashed, recs[:3000])
+	crashed.Snapshot()
+	if wlog.Checkpoints() != 1 {
+		t.Fatalf("the first epoch wrote %d checkpoints, want 1", wlog.Checkpoints())
+	}
+	const skippedEpochs = 5
+	for k := 0; k < skippedEpochs; k++ {
+		mustIngest(t, crashed, recs[3000+100*k:3100+100*k])
+		if g := crashed.Snapshot(); g.Records != 3100+100*k {
+			t.Fatalf("epoch %d publishes %d records", k+2, g.Records)
+		}
+	}
+	snap := reg.Snapshot()
+	if wlog.Checkpoints() != 1 || snap.Counters["wal_checkpoint_skipped_total"] != skippedEpochs {
+		t.Fatalf("%d small epochs: %d checkpoints written, %d skipped", skippedEpochs,
+			wlog.Checkpoints(), snap.Counters["wal_checkpoint_skipped_total"])
+	}
+	if snap.Counters["live_wal_errors_total"] != 0 {
+		t.Fatalf("a skipped checkpoint was counted as a WAL error (%d)", snap.Counters["live_wal_errors_total"])
+	}
+	mustIngest(t, crashed, recs[3500:]) // acked, never cut
+	crashed.AttachWAL(nil)              // as in the kill-point test: no shutdown epoch reaches the log
+	defer crashed.Close()
+	if err := wlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	control := newTestEngine(t, Config{Shards: 4})
+	mustIngest(t, control, recs)
+	control.Snapshot()
+
+	wlog2 := openTestWAL(t, dir, 4)
+	rebuilt := newTestEngine(t, Config{Shards: 4})
+	replayInto(t, wlog2, rebuilt)
+	rebuilt.AttachWAL(wlog2)
+	rebuilt.Snapshot()
+	if !bytes.Equal(genJSONL(t, rebuilt.Generation()), genJSONL(t, control.Generation())) {
+		t.Fatal("recovery across skipped checkpoints does not publish exactly the acked records")
+	}
+	if wlog2.Checkpoints() != 0 {
+		t.Fatal("the recovery cut rewrote a checkpoint the log had not earned")
+	}
+	// The recovered log keeps folding forward: enough new bytes, and
+	// the next cut checkpoints and a second recovery still agrees.
+	more := genRecords(9000)[4000:]
+	mustIngest(t, rebuilt, more)
+	mustIngest(t, control, more)
+	rebuilt.Snapshot()
+	control.Snapshot()
+	if wlog2.Checkpoints() != 1 {
+		t.Fatalf("%d checkpoints after the log outgrew the old one, want 1", wlog2.Checkpoints())
+	}
+	again := newTestEngine(t, Config{Shards: 4})
+	replayInto(t, wlog2, again)
+	again.Snapshot()
+	if !bytes.Equal(genJSONL(t, again.Generation()), genJSONL(t, control.Generation())) {
+		t.Fatal("replay of the re-checkpointed log differs from the control")
+	}
+}

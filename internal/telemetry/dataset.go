@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"maps"
 	"sort"
 	"sync"
 
@@ -15,8 +16,9 @@ import (
 // Columns let the analytics hot loops replace per-record string keys
 // and map lookups with ID-indexed slice accumulation.
 type DimColumn struct {
-	names []string // id → dimension value
-	offs  []int32  // record i owns ids[offs[i]:offs[i+1]]
+	names []string         // id → dimension value
+	index map[string]int32 // dimension value → id
+	offs  []int32          // record i owns ids[offs[i]:offs[i+1]]
 	ids   []int32
 }
 
@@ -29,36 +31,92 @@ func (c *DimColumn) Name(id int32) string { return c.names[id] }
 // IDs returns record i's dimension-value IDs as a read-only view.
 func (c *DimColumn) IDs(i int) []int32 { return c.ids[c.offs[i]:c.offs[i+1]] }
 
-// dimBuilder accumulates a DimColumn one record at a time.
-type dimBuilder struct {
-	index map[string]int32
-	col   DimColumn
+// nameTable interns names on top of a predecessor's table without
+// disturbing it. IDs already handed out stay valid: the names slice is
+// clipped, so the first new name reallocates it, and the index map is
+// cloned the first time a new name appears. A build that meets no new
+// name shares both with its predecessor.
+type nameTable struct {
+	names  []string
+	index  map[string]int32
+	shared bool // index still belongs to the predecessor
 }
 
-func newDimBuilder(n int) *dimBuilder {
-	b := &dimBuilder{index: make(map[string]int32)}
-	b.col.offs = make([]int32, 1, n+1)
-	return b
+func extendNames(names []string, index map[string]int32) nameTable {
+	return nameTable{names: names[:len(names):len(names)], index: index, shared: true}
 }
 
-func (b *dimBuilder) intern(name string) int32 {
-	id, ok := b.index[name]
-	if !ok {
-		id = int32(len(b.col.names))
-		b.index[name] = id
-		b.col.names = append(b.col.names, name)
+// intern returns name's ID, assigning the next one if name is new.
+func (t *nameTable) intern(name string) (id int32, added bool) {
+	if id, ok := t.index[name]; ok {
+		return id, false
 	}
+	if t.shared {
+		index := make(map[string]int32, len(t.index)+1)
+		maps.Copy(index, t.index)
+		t.index, t.shared = index, false
+	}
+	id = int32(len(t.names))
+	t.index[name] = id
+	t.names = append(t.names, name)
+	return id, true
+}
+
+// colBuilder fills one DimColumn of a Dataset under construction: rows
+// of the predecessor's column are copied in bulk, new rows interned.
+type colBuilder struct {
+	nameTable
+	old  *DimColumn
+	offs []int32 // final length from the start; row i is closed by writing offs[i+1]
+	ids  []int32
+}
+
+// extendCol starts a column of rows rows that can take old's IDs plus
+// at most newIDs more.
+func extendCol(old *DimColumn, rows, newIDs int) colBuilder {
+	return colBuilder{
+		nameTable: extendNames(old.names, old.index),
+		old:       old,
+		offs:      make([]int32, rows+1),
+		ids:       make([]int32, 0, len(old.ids)+newIDs),
+	}
+}
+
+// copyRows makes the predecessor's rows [lo, hi) rows [at, at+hi-lo).
+func (c *colBuilder) copyRows(at, lo, hi int) {
+	src := c.old.offs
+	shift := int32(len(c.ids)) - src[lo]
+	c.ids = append(c.ids, c.old.ids[src[lo]:src[hi]]...)
+	dst := c.offs[at+1 : at+1+hi-lo]
+	for k, off := range src[lo+1 : hi+1] {
+		dst[k] = off + shift
+	}
+}
+
+// add appends one value to the row under construction.
+func (c *colBuilder) add(name string) int32 {
+	id, _ := c.intern(name)
+	c.addID(id)
 	return id
 }
 
-// add appends one value to the current record.
-func (b *dimBuilder) add(name string) { b.col.ids = append(b.col.ids, b.intern(name)) }
+// addID appends an already-interned ID to the row under construction.
+func (c *colBuilder) addID(id int32) { c.ids = append(c.ids, id) }
 
-// addID appends an already-interned ID to the current record.
-func (b *dimBuilder) addID(id int32) { b.col.ids = append(b.col.ids, id) }
+// endRow closes row at.
+func (c *colBuilder) endRow(at int) { c.offs[at+1] = int32(len(c.ids)) }
 
-// endRecord closes the current record's ID run.
-func (b *dimBuilder) endRecord() { b.col.offs = append(b.col.offs, int32(len(b.col.ids))) }
+// column returns the finished column. It shares nothing with the
+// builder or the predecessor except name tables no new name touched,
+// so a retired generation's columns are collectable, and every slice
+// is exactly as long as its backing array.
+func (c *colBuilder) column() *DimColumn {
+	ids := c.ids
+	if len(ids) < cap(ids) {
+		ids = append(make([]int32, 0, len(ids)), ids...)
+	}
+	return &DimColumn{names: c.names, index: c.index, offs: c.offs, ids: ids}
+}
 
 // Dataset is an immutable, timestamp-sorted, read-optimized view of a
 // record set: the analysis substrate the figure suite runs over.
@@ -108,60 +166,161 @@ func NewDataset(recs []ViewRecord) *Dataset {
 			return recs[i].Timestamp.Before(recs[j].Timestamp)
 		})
 	}
-	n := len(recs)
-	d := &Dataset{
-		records:    recs,
-		views:      make([]float64, n),
-		viewHours:  make([]float64, n),
-		pubIDs:     make([]int32, n),
+	empty := &DimColumn{offs: []int32{0}}
+	base := &Dataset{
+		protocol: empty, platform: empty, cdn: empty, model: empty,
 		windows:    make(map[windowKey][2]int),
 		deviceCols: make(map[string]*DimColumn),
 	}
-	d.pubIndex = make(map[string]int32)
-	pubIndex := d.pubIndex
-	protocols := newDimBuilder(n)
-	platforms := newDimBuilder(n)
-	cdns := newDimBuilder(n)
-	models := newDimBuilder(n)
-	protoByURL := make(map[string]int32) // URL-level protocol memo
-	for i := range recs {
-		r := &recs[i]
-		d.views[i] = r.Views()
-		d.viewHours[i] = r.ViewHours()
-		pid, ok := pubIndex[r.Publisher]
-		if !ok {
-			pid = int32(len(d.pubNames))
-			pubIndex[r.Publisher] = pid
-			d.pubNames = append(d.pubNames, r.Publisher)
-		}
-		d.pubIDs[i] = pid
-		protoID, ok := protoByURL[r.URL]
-		if !ok {
-			protoID = protocols.intern(manifest.InferProtocol(r.URL).String())
-			protoByURL[r.URL] = protoID
-		}
-		protocols.addID(protoID)
-		protocols.endRecord()
-		if m, ok := device.ByName(r.Device); ok {
-			platforms.add(m.Platform.String())
-			mid := models.intern(m.Name)
-			models.addID(mid)
-			for int(mid) >= len(d.modelPlatform) {
-				d.modelPlatform = append(d.modelPlatform, -1)
-			}
-			d.modelPlatform[mid] = platforms.index[m.Platform.String()]
-		}
-		platforms.endRecord()
-		models.endRecord()
-		for _, c := range r.CDNs {
-			cdns.add(c)
-		}
-		cdns.endRecord()
+	return base.Merge(recs)
+}
+
+// Merge returns the dataset holding d's records and delta's, taking
+// ownership of delta, which must be in CanonicalSort order — as d's
+// records must be for the result to be. It is the epoch cut: the cost
+// of comparing, hashing and interning is proportional to delta, and d's
+// rows are carried over by bulk copy. A record of delta goes after the
+// records of d it compares equal to.
+//
+// IDs d handed out mean the same in the result; names first seen in
+// delta get the next IDs. That numbering can differ from the one
+// NewDataset would give the same records, and no answer may depend on
+// it: the analyses accumulate per ID in record order and emit by name.
+// d is not modified and the result does not keep it reachable; with
+// nothing to add, the result is d itself.
+func (d *Dataset) Merge(delta []ViewRecord) *Dataset {
+	if len(delta) == 0 {
+		return d
 	}
-	d.protocol = &protocols.col
-	d.platform = &platforms.col
-	d.cdn = &cdns.col
-	d.model = &models.col
+	b := newDatasetBuilder(d, delta)
+	lo := 0
+	for i := range delta {
+		hi := lo + mergePoint(d.records[lo:], &delta[i])
+		b.copyRows(lo, hi)
+		b.addRow(&delta[i])
+		lo = hi
+	}
+	b.copyRows(lo, len(d.records))
+	return b.dataset()
+}
+
+// mergePoint returns how many leading records of the sorted run recs
+// do not sort after r. It gallops: a delta that lands in a few places
+// of a long base costs a few comparisons per landing, not a walk.
+func mergePoint(recs []ViewRecord, r *ViewRecord) int {
+	step := 1
+	for step < len(recs) && CompareRecords(&recs[step-1], r) <= 0 {
+		step *= 2
+	}
+	lo, hi := step/2, min(step, len(recs))
+	return lo + sort.Search(hi-lo, func(i int) bool { return CompareRecords(&recs[lo+i], r) > 0 })
+}
+
+// datasetBuilder assembles a Dataset row by row, each row either
+// copied from the predecessor or interned from a new record. Every
+// per-record column is allocated once at its final length.
+type datasetBuilder struct {
+	base *Dataset
+	out  *Dataset
+	row  int  // rows written so far
+	own  bool // out.records is the new records' own slice: the predecessor was empty
+
+	pubs                           nameTable
+	protocol, platform, cdn, model colBuilder
+	modelPlatform                  []int32
+	protoByURL                     map[string]int32 // URL-level protocol memo
+}
+
+func newDatasetBuilder(base *Dataset, delta []ViewRecord) *datasetBuilder {
+	n := len(base.records) + len(delta)
+	cdns := 0
+	for i := range delta {
+		cdns += len(delta[i].CDNs)
+	}
+	b := &datasetBuilder{
+		base: base,
+		out: &Dataset{
+			views:      make([]float64, n),
+			viewHours:  make([]float64, n),
+			pubIDs:     make([]int32, n),
+			windows:    make(map[windowKey][2]int),
+			deviceCols: make(map[string]*DimColumn),
+		},
+		own:           len(base.records) == 0,
+		pubs:          extendNames(base.pubNames, base.pubIndex),
+		protocol:      extendCol(base.protocol, n, len(delta)),
+		platform:      extendCol(base.platform, n, len(delta)),
+		cdn:           extendCol(base.cdn, n, cdns),
+		model:         extendCol(base.model, n, len(delta)),
+		modelPlatform: base.modelPlatform[:len(base.modelPlatform):len(base.modelPlatform)],
+		protoByURL:    make(map[string]int32),
+	}
+	if b.own {
+		b.out.records = delta
+	} else {
+		b.out.records = make([]ViewRecord, n)
+	}
+	return b
+}
+
+// copyRows appends the predecessor's rows [lo, hi).
+func (b *datasetBuilder) copyRows(lo, hi int) {
+	if lo == hi {
+		return
+	}
+	at := b.row
+	copy(b.out.records[at:], b.base.records[lo:hi])
+	copy(b.out.views[at:], b.base.views[lo:hi])
+	copy(b.out.viewHours[at:], b.base.viewHours[lo:hi])
+	copy(b.out.pubIDs[at:], b.base.pubIDs[lo:hi])
+	b.protocol.copyRows(at, lo, hi)
+	b.platform.copyRows(at, lo, hi)
+	b.cdn.copyRows(at, lo, hi)
+	b.model.copyRows(at, lo, hi)
+	b.row += hi - lo
+}
+
+// addRow appends a new record.
+func (b *datasetBuilder) addRow(r *ViewRecord) {
+	at := b.row
+	if !b.own {
+		b.out.records[at] = *r
+	}
+	b.out.views[at] = r.Views()
+	b.out.viewHours[at] = r.ViewHours()
+	b.out.pubIDs[at], _ = b.pubs.intern(r.Publisher)
+	protoID, ok := b.protoByURL[r.URL]
+	if !ok {
+		protoID, _ = b.protocol.intern(manifest.InferProtocol(r.URL).String())
+		b.protoByURL[r.URL] = protoID
+	}
+	b.protocol.addID(protoID)
+	b.protocol.endRow(at)
+	if m, ok := device.ByName(r.Device); ok {
+		platformID := b.platform.add(m.Platform.String())
+		mid, added := b.model.intern(m.Name)
+		b.model.addID(mid)
+		if added {
+			b.modelPlatform = append(b.modelPlatform, platformID)
+		}
+	}
+	b.platform.endRow(at)
+	b.model.endRow(at)
+	for _, c := range r.CDNs {
+		b.cdn.add(c)
+	}
+	b.cdn.endRow(at)
+	b.row++
+}
+
+func (b *datasetBuilder) dataset() *Dataset {
+	d := b.out
+	d.pubNames, d.pubIndex = b.pubs.names, b.pubs.index
+	d.protocol = b.protocol.column()
+	d.platform = b.platform.column()
+	d.cdn = b.cdn.column()
+	d.model = b.model.column()
+	d.modelPlatform = b.modelPlatform
 	return d
 }
 

@@ -80,11 +80,7 @@ func TestBacklogCountsClosedSegments(t *testing.T) {
 	if segs != len(files) {
 		t.Fatalf("backlog segments = %d, want %d on-disk files", segs, len(files))
 	}
-	var disk int64
-	for _, p := range files {
-		disk += fileSize(t, p)
-	}
-	if bytes != disk {
+	if disk := segmentBytes(t, dir); bytes != disk {
 		t.Fatalf("backlog bytes = %d, want %d on disk", bytes, disk)
 	}
 }

@@ -29,14 +29,20 @@ import (
 //
 // The file is written to a temp name, fsynced, renamed into place,
 // and the directory fsynced — so a crash anywhere in Commit leaves
-// either the old checkpoint or the new one, both intact. Checkpoint
-// names carry a WAL-internal monotonic ID (engine epochs restart at
-// zero each boot, so they cannot order files across restarts); the
-// epoch inside is metadata.
+// either the old checkpoint or the new one, both intact. Writing one
+// costs the whole generation, so Commit does it only when the log has
+// grown as large as the checkpoint it would replace (see Commit).
+// Checkpoint names carry a WAL-internal monotonic ID (engine epochs
+// restart at zero each boot, so they cannot order files across
+// restarts); the epoch inside is metadata.
 const (
 	ckptVersion      = 1
 	ckptHeaderMin    = 5
 	ckptChunkRecords = 8192
+	// ckptBytesPerRecord sizes the encode buffer of a log's first
+	// checkpoint; later ones go by the density of the one before.
+	// Canonically sorted generations have measured 82–123 B/record.
+	ckptBytesPerRecord = 128
 )
 
 var ckptMagic = []byte{'V', 'W', 'C', 'K'}
@@ -100,18 +106,21 @@ func parseCheckpoint(data []byte) (*ckptHeader, error) {
 	return &h, nil
 }
 
-// loadCheckpointBounds reads just what Open needs from the latest
-// checkpoint: its per-shard bounds, CRC-verified.
-func loadCheckpointBounds(path string) ([]uint64, error) {
+// loadCheckpointHeader reads what Open needs from the latest
+// checkpoint, CRC-verified: its per-shard bounds, and its size and
+// record count for the cadence rule.
+func (l *Log) loadCheckpointHeader(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
+		return fmt.Errorf("wal: %w", err)
 	}
 	h, err := parseCheckpoint(data)
 	if err != nil {
-		return nil, fmt.Errorf("%w (%s)", err, path)
+		return fmt.Errorf("%w (%s)", err, path)
 	}
-	return h.bounds, nil
+	l.cpBounds = h.bounds
+	l.ckptBytes, l.ckptRecords = int64(len(data)), int64(h.total)
+	return nil
 }
 
 // replayCheckpoint streams a checkpoint's records through fn one frame
@@ -151,10 +160,11 @@ func replayCheckpoint(path string, dec *wire.Decoder, fn func(recs []record.View
 	return h, nil
 }
 
-// encodeCheckpoint builds the full checkpoint file image.
-func encodeCheckpoint(epoch int64, records []record.ViewRecord, bounds []uint64) ([]byte, error) {
+// encodeCheckpoint builds the full checkpoint file image in a buffer
+// presized for perRecord bytes a record.
+func encodeCheckpoint(epoch int64, records []record.ViewRecord, bounds []uint64, perRecord int64) ([]byte, error) {
 	enc := wire.NewEncoder()
-	buf := make([]byte, 0, 1<<16+len(records)*32)
+	buf := make([]byte, 0, 1<<16+int64(len(records))*perRecord)
 	buf = append(buf, ckptMagic...)
 	buf = append(buf, ckptVersion)
 	buf = binary.AppendUvarint(buf, uint64(epoch))
@@ -177,13 +187,23 @@ func encodeCheckpoint(epoch int64, records []record.ViewRecord, bounds []uint64)
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli)), nil
 }
 
-// Commit folds the log forward to a published generation: it writes
-// records (the generation's full contents) as a new checkpoint, then
-// deletes every segment whose records the checkpoint covers — the
-// epoch-boundary truncation. bounds must be the Bounds() reading the
-// engine took under its admission lock before flushing the epoch, so
-// "covered" is exact: seq <= bounds[i] is in records, seq > bounds[i]
-// is not.
+// Commit offers the log a published generation to fold forward to.
+// bounds must be the Bounds() reading the engine took under its
+// admission lock before flushing the epoch, so "covered" is exact:
+// seq <= bounds[i] is in records, seq > bounds[i] is not.
+//
+// A checkpoint costs the whole generation — encode, write, fsync — and
+// an epoch adds a sliver of it, so Commit writes one only when the log
+// has earned it: when the segment bytes appended since the last
+// checkpoint have reached that checkpoint's size. Then it writes
+// records as a new checkpoint and deletes every segment the checkpoint
+// covers — the truncation. Otherwise it returns without touching the
+// disk: the segments stay, and replay recovers the same records from
+// the old checkpoint plus them. Rewriting on doubling keeps the total
+// checkpoint work linear in the bytes logged, and bounds both the disk
+// the log holds and the segment bytes a boot replays at about twice
+// the checkpoint. A log without a checkpoint has earned one at once;
+// an idle epoch (nothing appended) never has.
 //
 // Commit is degradation-safe: any failure leaves the previous
 // checkpoint and all segments intact, so the log keeps growing but
@@ -192,41 +212,50 @@ func encodeCheckpoint(epoch int64, records []record.ViewRecord, bounds []uint64)
 // lock); appends may run concurrently.
 func (l *Log) Commit(epoch int64, records []record.ViewRecord, bounds []uint64, parent obs.SpanID) error {
 	sp := l.tracer.Start("wal.truncate", parent)
-	truncated, err := l.commit(epoch, records, bounds)
+	written, truncated, err := l.commit(epoch, records, bounds)
 	if err != nil {
 		sp.End(obs.KV("error", 1))
 		return err
 	}
-	sp.End(obs.KV("epoch", epoch), obs.KV("records", int64(len(records))), obs.KV("truncated", truncated))
+	sp.End(obs.KV("epoch", epoch), obs.KV("records", int64(len(records))), obs.KV("written", written), obs.KV("truncated", truncated))
 	return nil
 }
 
-func (l *Log) commit(epoch int64, records []record.ViewRecord, bounds []uint64) (int64, error) {
+// commit returns whether it wrote a checkpoint (1 or 0, as a span
+// attribute) and how many log entries it truncated.
+func (l *Log) commit(epoch int64, records []record.ViewRecord, bounds []uint64) (written, truncated int64, err error) {
 	l.mu.Lock()
 	if len(bounds) != len(l.shards) {
 		l.mu.Unlock()
-		return 0, fmt.Errorf("wal: commit with %d bounds for %d shards", len(bounds), len(l.shards))
+		return 0, 0, fmt.Errorf("wal: commit with %d bounds for %d shards", len(bounds), len(l.shards))
 	}
-	if l.lastCommit != nil && boundsEqual(bounds, l.lastCommit) {
-		// Nothing appended since the last commit: the checkpoint on
-		// disk already describes this generation. Idle epochs must not
-		// rewrite it.
+	if l.sinceCkpt < l.ckptBytes {
 		l.mu.Unlock()
-		return 0, nil
+		l.ckptsSkip.Add(1)
+		return 0, 0, nil
 	}
 	id := l.nextCkptID
+	// Appends that race the write below stay counted. Those between the
+	// engine's Bounds reading and here count as covered though they are
+	// not: a batch or two, which only delays the next checkpoint.
+	covered := l.sinceCkpt
+	perRecord := int64(ckptBytesPerRecord)
+	if l.ckptRecords > 0 {
+		perRecord = l.ckptBytes/l.ckptRecords + 1
+	}
 	l.mu.Unlock()
 
 	// Build and persist the new checkpoint without holding mu —
 	// appends continue while the generation is written out.
-	img, err := encodeCheckpoint(epoch, records, bounds)
+	img, err := encodeCheckpoint(epoch, records, bounds, perRecord+perRecord/8)
 	if err != nil {
-		return 0, fmt.Errorf("wal: encoding checkpoint: %w", err)
+		return 0, 0, fmt.Errorf("wal: encoding checkpoint: %w", err)
 	}
 	path := filepath.Join(l.dir, fmt.Sprintf("checkpoint-%016x.ckpt", id))
 	if err := writeFileDurable(path, img); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
+	l.ckptsDone.Add(1)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -234,13 +263,13 @@ func (l *Log) commit(epoch int64, records []record.ViewRecord, bounds []uint64) 
 	l.ckpts = []ckptInfo{{id: id, path: path}}
 	l.nextCkptID = id + 1
 	l.cpBounds = append([]uint64(nil), bounds...)
-	l.lastCommit = append([]uint64(nil), bounds...)
+	l.ckptBytes, l.ckptRecords = int64(len(img)), int64(len(records))
+	l.sinceCkpt -= covered
 
 	// Everything at or below the bounds is durable in the checkpoint;
 	// drop the segments (and superseded checkpoints) that carried it.
 	// Removal failures are reported but cannot lose data — replay
 	// filters seq <= bounds anyway.
-	truncated := int64(0)
 	var firstErr error
 	for i, sh := range l.shards {
 		keep := sh.segs[:0]
@@ -254,7 +283,6 @@ func (l *Log) commit(epoch int64, records []record.ViewRecord, bounds []uint64) 
 				// next append starts a fresh file above the bound.
 				err := sh.f.Close()
 				sh.f = nil
-				sh.size = 0
 				if err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("wal: closing shard %d segment: %w", i, err)
 				}
@@ -287,19 +315,7 @@ func (l *Log) commit(epoch int64, records []record.ViewRecord, bounds []uint64) 
 		}
 	}
 	l.truncated.Add(truncated)
-	return truncated, firstErr
-}
-
-func boundsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return 1, truncated, firstErr
 }
 
 // writeFileDurable writes data at path atomically and durably: temp

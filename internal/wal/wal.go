@@ -16,17 +16,19 @@
 // PolicyOff never syncs (the OS page cache still survives a process
 // kill, but not a kernel crash).
 //
-// Each published epoch folds the log forward: Commit writes the new
-// generation as a checkpoint (atomically, via tmp + rename), then
-// truncates every segment whose records the checkpoint covers. On
-// boot, Replay streams the latest checkpoint and every surviving
-// segment record back through the caller — in vmpd, the normal
-// Engine.Ingest path, where telemetry.CanonicalSort makes replay
-// order-insensitive — before the HTTP listener opens. A torn final
-// record (the expected aftermath of a crash mid-append) stops a
-// shard's replay cleanly at the last good sequence, logged and
-// counted, never with a panic. DESIGN.md §11 specifies the formats
-// and the crash matrix.
+// Published epochs fold the log forward once it has earned it: when the
+// segment bytes appended since the last checkpoint reach that
+// checkpoint's size, Commit writes the new generation as a checkpoint
+// (atomically, via tmp + rename) and truncates every segment whose
+// records it covers; until then Commit touches nothing and the
+// segments carry the difference. On boot, Replay streams the latest
+// checkpoint and every surviving segment record back through the
+// caller — in vmpd, the normal Engine.Ingest path, where
+// telemetry.CanonicalSort makes replay order-insensitive — before the
+// HTTP listener opens. A torn final record (the expected aftermath of
+// a crash mid-append) stops a shard's replay cleanly at the last good
+// sequence, logged and counted, never with a panic. DESIGN.md §11
+// specifies the formats and the crash matrix.
 package wal
 
 import (
@@ -138,11 +140,13 @@ func (o Options) withDefaults() Options {
 
 // segmentInfo is one segment file's place in a shard's log. Records in
 // a segment carry the contiguous sequences [first, last]; last < first
-// means the segment is empty.
+// means the segment is empty. size is the file's length, tracked from
+// Open's scan and every append so nothing has to stat it again.
 type segmentInfo struct {
 	path  string
 	first uint64
 	last  uint64
+	size  int64
 }
 
 // shardLog is one shard's append state: its closed and active
@@ -152,15 +156,14 @@ type shardLog struct {
 	idx     int
 	dir     string
 	segs    []segmentInfo
-	f       *os.File // active segment handle; nil when no segment is open
-	size    int64
-	dirty   bool // written since the last fsync
+	f       *os.File // active segment (the last of segs); nil when no segment is open
+	dirty   bool     // written since the last fsync
 	nextSeq uint64
 }
 
 // staleShard is a shard directory left over from a previous run with a
-// higher shard count. Replay still reads it; the first Commit removes
-// it — by then its records are covered by the published generation.
+// higher shard count. Replay still reads it; the next checkpoint
+// removes it — its records are in the generation that one holds.
 type staleShard struct {
 	idx  int
 	dir  string
@@ -184,8 +187,13 @@ type Log struct {
 	ckpts      []ckptInfo // on-disk checkpoints, ascending by id
 	nextCkptID uint64
 	cpBounds   []uint64 // per-shard bounds of the latest checkpoint
-	lastCommit []uint64 // bounds of the last Commit (skip no-op commits)
 	closed     bool
+
+	// The checkpoint cadence rule's inputs: what the latest checkpoint
+	// holds, and the segment bytes a replay must read on top of it.
+	ckptBytes   int64
+	ckptRecords int64
+	sinceCkpt   int64
 
 	quit chan struct{} // stops the PolicyInterval sync loop
 	done chan struct{}
@@ -196,6 +204,8 @@ type Log struct {
 	appended  *obs.Counter // wal_appended_total: records appended
 	replayed  *obs.Counter // wal_replayed_total: records replayed
 	truncated *obs.Counter // wal_truncated_total: log entries (sequences) truncated
+	ckptsDone *obs.Counter // wal_checkpoints_total: checkpoints written
+	ckptsSkip *obs.Counter // wal_checkpoint_skipped_total: commits the log had not earned a checkpoint for
 	fsyncs    *obs.Counter // wal_fsync_total: fsync syscalls issued
 	tornTails *obs.Counter // wal_torn_tail_total: torn tails recovered
 	errors    *obs.Counter // wal_errors_total: background sync failures
@@ -228,6 +238,8 @@ func Open(opts Options) (*Log, error) {
 		appended:  opts.Metrics.Counter("wal_appended_total"),
 		replayed:  opts.Metrics.Counter("wal_replayed_total"),
 		truncated: opts.Metrics.Counter("wal_truncated_total"),
+		ckptsDone: opts.Metrics.Counter("wal_checkpoints_total"),
+		ckptsSkip: opts.Metrics.Counter("wal_checkpoint_skipped_total"),
 		fsyncs:    opts.Metrics.Counter("wal_fsync_total"),
 		tornTails: opts.Metrics.Counter("wal_torn_tail_total"),
 		errors:    opts.Metrics.Counter("wal_errors_total"),
@@ -280,12 +292,9 @@ func (l *Log) scanDir() error {
 	sort.Slice(l.ckpts, func(i, j int) bool { return l.ckpts[i].id < l.ckpts[j].id })
 	if n := len(l.ckpts); n > 0 {
 		l.nextCkptID = l.ckpts[n-1].id + 1
-		bounds, err := loadCheckpointBounds(l.ckpts[n-1].path)
-		if err != nil {
+		if err := l.loadCheckpointHeader(l.ckpts[n-1].path); err != nil {
 			return err
 		}
-		l.cpBounds = bounds
-		l.lastCommit = append([]uint64(nil), bounds...)
 	}
 
 	l.shards = make([]*shardLog, l.opts.Shards)
@@ -298,6 +307,11 @@ func (l *Log) scanDir() error {
 		segs, err := l.scanShard(idx, dir)
 		if err != nil {
 			return err
+		}
+		for _, seg := range segs {
+			if seg.last > l.bound(idx) {
+				l.sinceCkpt += seg.size
+			}
 		}
 		if idx < len(l.shards) {
 			sh := l.shards[idx]
@@ -351,7 +365,11 @@ func (l *Log) scanShard(idx int, dir string) ([]segmentInfo, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wal: bad segment name %q in %s", name, dir)
 		}
-		segs = append(segs, segmentInfo{path: filepath.Join(dir, name), first: first})
+		fi, err := e.Info()
+		if err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
+		}
+		segs = append(segs, segmentInfo{path: filepath.Join(dir, name), first: first, size: fi.Size()})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
 	for i := range segs {
@@ -364,22 +382,22 @@ func (l *Log) scanShard(idx int, dir string) ([]segmentInfo, error) {
 			segs[i].last = segs[i+1].first - 1
 			continue
 		}
-		last, err := l.recoverTail(idx, segs[i])
-		if err != nil {
+		if err := l.recoverTail(idx, &segs[i]); err != nil {
 			return nil, err
 		}
-		segs[i].last = last
 	}
 	return segs, nil
 }
 
 // recoverTail scans the final segment of a shard, truncates a torn
-// tail, and returns the last durable sequence (first-1 when empty).
-func (l *Log) recoverTail(idx int, seg segmentInfo) (uint64, error) {
+// tail, and sets the segment's last durable sequence (first-1 when
+// empty) and surviving size.
+func (l *Log) recoverTail(idx int, seg *segmentInfo) error {
 	data, err := os.ReadFile(seg.path)
 	if err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
+		return fmt.Errorf("wal: %w", err)
 	}
+	seg.size = int64(len(data))
 	last := seg.first - 1
 	torn, err := DecodeSegment(data, nil, func(seq uint64, _ []record.ViewRecord) error {
 		if seq != last+1 {
@@ -389,17 +407,19 @@ func (l *Log) recoverTail(idx int, seg segmentInfo) (uint64, error) {
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return err
 	}
+	seg.last = last
 	if torn != nil {
 		if err := os.Truncate(seg.path, torn.Off); err != nil {
-			return 0, fmt.Errorf("wal: truncating torn tail of %s: %w", seg.path, err)
+			return fmt.Errorf("wal: truncating torn tail of %s: %w", seg.path, err)
 		}
+		seg.size = torn.Off
 		l.tornTails.Add(1)
 		l.tracer.Emit("wal_torn_tail",
 			obs.KV("shard", int64(idx)), obs.KV("offset", torn.Off), obs.KV("last_seq", int64(last)))
 	}
-	return last, nil
+	return nil
 }
 
 // Bounds returns the last sequence assigned to each shard. The live
@@ -482,12 +502,14 @@ func (l *Log) appendLocked(sh *shardLog, part []record.ViewRecord) error {
 			// open truncates it, so the sequence is not consumed.
 			return fmt.Errorf("wal: shard %d append: %w", sh.idx, err)
 		}
+		active := &sh.segs[len(sh.segs)-1]
 		sh.nextSeq = seq + 1
-		sh.size += int64(len(buf))
 		sh.dirty = true
-		sh.segs[len(sh.segs)-1].last = seq
+		active.last = seq
+		active.size += int64(len(buf))
+		l.sinceCkpt += int64(len(buf))
 		part = part[n:]
-		if sh.size >= l.opts.SegmentBytes {
+		if active.size >= l.opts.SegmentBytes {
 			if err := l.rotateLocked(sh); err != nil { //vmp:alloc segment create/rotate is amortized over SegmentBytes of appends
 				return err
 			}
@@ -508,7 +530,6 @@ func (l *Log) openSegment(sh *shardLog) error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	sh.f = f
-	sh.size = 0
 	sh.segs = append(sh.segs, segmentInfo{path: path, first: sh.nextSeq, last: sh.nextSeq - 1})
 	return nil
 }
@@ -526,7 +547,6 @@ func (l *Log) rotateLocked(sh *shardLog) error {
 	}
 	err := sh.f.Close()
 	sh.f = nil
-	sh.size = 0
 	if err != nil {
 		return fmt.Errorf("wal: closing segment: %w", err)
 	}
@@ -570,33 +590,29 @@ func (l *Log) syncLocked(parent obs.SpanID) error {
 // Backlog reports the log's replay debt: how many segment files exist
 // (active and closed, across live and stale shards) and how many bytes
 // they hold — everything a boot-time Replay would have to stream
-// before the listener opens. Active segments report their tracked
-// write offset; closed segments are stat'ed, and one that cannot be
-// stat'ed (racing a concurrent Commit truncation) contributes its file
-// to the count but no bytes.
+// before the listener opens. Both come from the sizes tracked at Open
+// and on every append: the sampler calls this on each tick, and must
+// not stat the directory under the lock appends wait on.
 func (l *Log) Backlog() (segments int, bytes int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	count := func(segs []segmentInfo, active *os.File, activeSize int64) {
-		for i, seg := range segs {
-			segments++
-			if active != nil && i == len(segs)-1 {
-				bytes += activeSize
-				continue
-			}
-			if fi, err := os.Stat(seg.path); err == nil {
-				bytes += fi.Size()
-			}
+	count := func(segs []segmentInfo) {
+		segments += len(segs)
+		for _, seg := range segs {
+			bytes += seg.size
 		}
 	}
 	for _, sh := range l.shards {
-		count(sh.segs, sh.f, sh.size)
+		count(sh.segs)
 	}
 	for _, st := range l.stale {
-		count(st.segs, nil, 0)
+		count(st.segs)
 	}
 	return segments, bytes
 }
+
+// Checkpoints returns how many checkpoints this Log has written.
+func (l *Log) Checkpoints() int64 { return l.ckptsDone.Load() }
 
 // PublishGauges refreshes the log's backlog gauges from Backlog. The
 // obs sampler calls it on every sampling pass.

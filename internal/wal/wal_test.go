@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -176,7 +177,7 @@ func TestReopenContinuesSequences(t *testing.T) {
 	}
 
 	l2 := openLog(t, dir, Options{Policy: PolicyBatch})
-	if got := l2.Bounds(); !boundsEqual(got, before) {
+	if got := l2.Bounds(); !slices.Equal(got, before) {
 		t.Fatalf("reopen bounds = %v, want %v", got, before)
 	}
 	more := genRecords(100)
@@ -265,7 +266,7 @@ func TestCommitBoundsSurviveReopen(t *testing.T) {
 	// take its sequence floor from the checkpoint, or fresh appends
 	// would be filtered as checkpoint-covered on the next replay.
 	l2 := openLog(t, dir, Options{Policy: PolicyBatch})
-	if got := l2.Bounds(); !boundsEqual(got, before) {
+	if got := l2.Bounds(); !slices.Equal(got, before) {
 		t.Fatalf("reopen bounds = %v, want %v", got, before)
 	}
 	more := genRecords(150)

@@ -43,6 +43,12 @@ stage lint-cache-guard sh -c '"${GO:-go}" run ./cmd/vmplint -cache -json ./... |
 stage race      make race
 stage smoke     make smoke
 stage smoke-crash make smoke-crash
+# bench/ is a module of its own (vmp/bench, replacing vmp with the
+# tree around it), so the root `go test ./...` never reaches it: its
+# tests, and one -quick pass of the benchmark with its byte-exact
+# answer gate on all four workloads, run here.
+stage bench-test sh -c 'cd bench && "${GO:-go}" test ./...'
+stage bench-quick bash bench/run.sh -quick
 # bench-wire-report materializes the wire-path benchmark numbers as a
 # CI artifact: codec encode/decode, JSONL scan, and the HTTP loopback
 # ingest variants that back BENCH_live_ingest.json. The stage fails
