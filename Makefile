@@ -4,7 +4,7 @@ GO ?= go
 # project's own invariant analyzers, and the race detector across the
 # whole module.
 .PHONY: verify
-verify: build test fmt-check vet lint race
+verify: build test fmt-check vet vet-bench lint race
 
 .PHONY: build
 build:
@@ -21,6 +21,15 @@ fmt-check:
 .PHONY: vet
 vet:
 	$(GO) vet ./...
+
+# bench/ is a module of its own (vmp/bench, replacing vmp with this
+# directory), so build, test and vet above never reach it. It compiles
+# against live.WAL, wal.Options and the query functions; vetting it
+# here — compile and type-check, no run — is what tells a change to
+# those that it has stopped the benchmark building.
+.PHONY: vet-bench
+vet-bench:
+	$(GO) vet -C bench ./...
 
 # lint runs the in-repo analyzer suite (cmd/vmplint): nondeterminism,
 # maporder, frozenwrite, lockdiscipline, errcheck, atomicdiscipline,

@@ -83,7 +83,6 @@ func main() {
 		}
 		wlog, err = wal.Open(wal.Options{
 			Dir:          *walDir,
-			Shards:       *shards,
 			Policy:       policy,
 			SyncEvery:    *walSync,
 			SegmentBytes: *walSegment,

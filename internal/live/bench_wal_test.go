@@ -50,7 +50,6 @@ func benchHTTPIngestWAL(b *testing.B, policy wal.Policy) {
 		var err error
 		wlog, err = wal.Open(wal.Options{
 			Dir:    dir,
-			Shards: 8,
 			Policy: policy,
 			Clock:  simclock.NewManual(simclock.StudyStart),
 		})

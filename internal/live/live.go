@@ -35,16 +35,18 @@ import (
 var ErrClosed = errors.New("live: engine closed")
 
 // WAL is the durability hook the engine drives — satisfied by
-// *wal.Log. AppendBatch persists an admitted batch's per-shard parts
-// before the records enter the shard queues: an error means the batch
-// must be rejected whole (the handler returns 503 and the client
-// retries), so acknowledgement implies the WAL has the records.
-// Bounds reports the last sequence appended per shard; the engine
-// reads it under the same admission lock that quiesces appends while
-// an epoch flushes, making the reading exact. Commit hands a freshly
-// published generation back so the WAL can checkpoint it and truncate
-// the segments it covers; a Commit error is counted, not fatal — the
-// WAL keeps growing but loses nothing.
+// *wal.Log. AppendBatch persists an admitted batch — handed over as
+// its parts, one per engine shard, which the log keeps together as one
+// entry — before the records enter the shard queues: an error means
+// the batch must be rejected whole (the handler returns 503 and the
+// client retries), so acknowledgement implies the WAL has the records.
+// Bounds reports the last sequence appended, as a vector the engine
+// only carries from Bounds to Commit (*wal.Log's has one element); the
+// engine reads it under the same admission lock that quiesces appends
+// while an epoch flushes, making the reading exact. Commit hands a
+// freshly published generation back so the WAL can checkpoint it and
+// truncate the segments it covers; a Commit error is counted, not
+// fatal — the WAL keeps growing but loses nothing.
 type WAL interface {
 	AppendBatch(parts [][]telemetry.ViewRecord, parent obs.SpanID) error
 	Bounds() []uint64

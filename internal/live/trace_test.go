@@ -100,7 +100,7 @@ func TestEngineTraceDeterministic(t *testing.T) {
 // checkpoint or had not earned one.
 func TestCutStagesTraced(t *testing.T) {
 	tr := obs.NewTracer(simclock.NewManual(simclock.StudyStart), 256)
-	e := newTestEngine(t, Config{Shards: 2, Trace: tr, WAL: openTestWAL(t, t.TempDir(), 2)})
+	e := newTestEngine(t, Config{Shards: 2, Trace: tr, WAL: openTestWAL(t, t.TempDir())})
 	recs := genRecords(1100)
 	mustIngest(t, e, recs[:1000])
 	e.Snapshot() // a log without a checkpoint writes one

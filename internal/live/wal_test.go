@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
 	"vmp/internal/obs"
@@ -22,11 +23,10 @@ import (
 
 var _ WAL = (*wal.Log)(nil)
 
-func openTestWAL(t *testing.T, dir string, shards int) *wal.Log {
+func openTestWAL(t *testing.T, dir string) *wal.Log {
 	t.Helper()
 	l, err := wal.Open(wal.Options{
 		Dir:    dir,
-		Shards: shards,
 		Policy: wal.PolicyBatch,
 		Clock:  simclock.NewManual(simclock.StudyStart),
 	})
@@ -111,7 +111,7 @@ func TestWALKillPointCrashConsistency(t *testing.T) {
 	dir := t.TempDir()
 	recs := genRecords(2000)
 
-	wlog := openTestWAL(t, dir, 4)
+	wlog := openTestWAL(t, dir)
 	crashed := NewEngine(Config{Shards: 4, Clock: simclock.NewManual(simclock.StudyStart), WAL: wlog})
 	srv := httptest.NewServer(NewServer(crashed).Handler())
 	for lo := 0; lo < len(recs); lo += 500 {
@@ -138,7 +138,7 @@ func TestWALKillPointCrashConsistency(t *testing.T) {
 
 	// Recovery: reopen the directory, replay through Ingest, attach,
 	// cut the boot epoch — vmpd's exact boot sequence.
-	wlog2 := openTestWAL(t, dir, 4)
+	wlog2 := openTestWAL(t, dir)
 	rebuilt := newTestEngine(t, Config{Shards: 4})
 	replayInto(t, wlog2, rebuilt)
 	rebuilt.AttachWAL(wlog2)
@@ -167,13 +167,78 @@ func TestWALKillPointCrashConsistency(t *testing.T) {
 	}
 }
 
+// TestWALSurvivesShardCountChange: the log knows nothing of the engine's
+// shards — a batch is one record whatever parts it was admitted in — so
+// a daemon killed with one -shards value and booted with another
+// recovers the same generation, crash window and checkpoint both, and
+// the log it appends to afterwards is still one stream.
+func TestWALSurvivesShardCountChange(t *testing.T) {
+	dir := t.TempDir()
+	recs := genRecords(2400)
+
+	wlog := openTestWAL(t, dir)
+	crashed := NewEngine(Config{Shards: 8, Clock: simclock.NewManual(simclock.StudyStart), WAL: wlog})
+	mustIngest(t, crashed, recs[:1200])
+	crashed.Snapshot() // the log's first checkpoint, cut under 8 shards
+	for lo := 1200; lo < 2000; lo += 400 {
+		mustIngest(t, crashed, recs[lo:lo+400]) // acked, never cut
+	}
+	crashed.AttachWAL(nil)
+	defer crashed.Close()
+	if err := wlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	control := newTestEngine(t, Config{Shards: 8})
+	mustIngest(t, control, recs)
+	control.Snapshot()
+
+	for _, shards := range []int{3, 16} {
+		wlog2 := openTestWAL(t, dir)
+		rebuilt := newTestEngine(t, Config{Shards: shards})
+		calls := 0
+		if _, err := wlog2.Replay(func(batch []telemetry.ViewRecord) error {
+			calls++
+			mustIngest(t, rebuilt, batch)
+			return nil
+		}, 0); err != nil {
+			t.Fatal(err)
+		}
+		// One checkpoint frame (1200 < 8192 records), then each acked
+		// batch whole. The first boot's cut may fold them into a new
+		// checkpoint, so only that boot's count is fixed.
+		if shards == 3 && calls != 1+2 {
+			t.Fatalf("replay made %d deliveries, want the checkpoint and 2 whole batches", calls)
+		}
+		rebuilt.AttachWAL(wlog2)
+		rebuilt.Snapshot()
+		if shards == 16 {
+			// The second boot also takes what the first one was still owed.
+			mustIngest(t, rebuilt, recs[2000:])
+			rebuilt.Snapshot()
+			if !bytes.Equal(genJSONL(t, rebuilt.Generation()), genJSONL(t, control.Generation())) {
+				t.Fatal("generation after two re-sharded boots differs from the control")
+			}
+		} else if rebuilt.Generation().Records != 2000 {
+			t.Fatalf("%d shards: recovered %d records, want the 2000 acked", shards, rebuilt.Generation().Records)
+		}
+		rebuilt.AttachWAL(nil)
+		if err := wlog2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if dirs, _ := filepath.Glob(filepath.Join(dir, "shard-*")); len(dirs) != 0 {
+			t.Fatalf("the log grew per-shard directories: %v", dirs)
+		}
+	}
+}
+
 // TestWALReplayIdempotent pins replay idempotence at the engine level:
 // replaying the same WAL twice into two fresh engines publishes
 // byte-identical generations.
 func TestWALReplayIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	recs := genRecords(1200)
-	wlog := openTestWAL(t, dir, 4)
+	wlog := openTestWAL(t, dir)
 	e := newTestEngine(t, Config{Shards: 4, WAL: wlog})
 	mustIngest(t, e, recs[:700])
 	e.Snapshot() // commit + truncate: replay must cross the checkpoint
@@ -206,7 +271,6 @@ func TestWALCommitTruncatesOnEpoch(t *testing.T) {
 	reg := obs.NewRegistry()
 	wlog, err := wal.Open(wal.Options{
 		Dir:     dir,
-		Shards:  4,
 		Policy:  wal.PolicyBatch,
 		Clock:   simclock.NewManual(simclock.StudyStart),
 		Metrics: reg,
@@ -245,7 +309,7 @@ type errWAL struct{}
 func (w *errWAL) AppendBatch([][]telemetry.ViewRecord, obs.SpanID) error {
 	return errors.New("disk on fire")
 }
-func (w *errWAL) Bounds() []uint64                                                 { return make([]uint64, 4) }
+func (w *errWAL) Bounds() []uint64                                                 { return make([]uint64, 1) }
 func (w *errWAL) Commit(int64, []telemetry.ViewRecord, []uint64, obs.SpanID) error { return nil }
 
 // TestWALAppendErrorRejectsBatchWhole: a WAL append failure must
@@ -281,7 +345,7 @@ func TestWALCrashAfterSkippedCheckpoints(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	wlog, err := wal.Open(wal.Options{
-		Dir: dir, Shards: 4, Policy: wal.PolicyBatch,
+		Dir: dir, Policy: wal.PolicyBatch,
 		Clock: simclock.NewManual(simclock.StudyStart), Metrics: reg,
 	})
 	if err != nil {
@@ -320,7 +384,7 @@ func TestWALCrashAfterSkippedCheckpoints(t *testing.T) {
 	mustIngest(t, control, recs)
 	control.Snapshot()
 
-	wlog2 := openTestWAL(t, dir, 4)
+	wlog2 := openTestWAL(t, dir)
 	rebuilt := newTestEngine(t, Config{Shards: 4})
 	replayInto(t, wlog2, rebuilt)
 	rebuilt.AttachWAL(wlog2)

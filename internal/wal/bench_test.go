@@ -11,8 +11,8 @@ import (
 )
 
 // benchAppend measures AppendBatch throughput under one fsync policy:
-// one op = one 2000-record batch landed across 4 shards, durable to
-// whatever degree the policy promises. The log is recycled every 200
+// one op = one 2000-record batch of 4 shard parts landed as one log
+// record, durable to whatever degree the policy promises. The log is recycled every 200
 // ops outside the timer so segment accumulation doesn't turn this into
 // a filesystem benchmark. The spread between the three policies is the
 // durability tax EXPERIMENTS.md tracks.
@@ -30,7 +30,6 @@ func benchAppend(b *testing.B, policy Policy) {
 		gen++
 		l, err = Open(Options{
 			Dir:    dir,
-			Shards: 4,
 			Policy: policy,
 			Clock:  simclock.NewManual(simclock.StudyStart),
 		})
@@ -72,7 +71,7 @@ func BenchmarkWALAppendBatch(b *testing.B) { benchAppend(b, PolicyBatch) }
 func BenchmarkWALAppendInterval(b *testing.B) { benchAppend(b, PolicyInterval) }
 
 // BenchmarkWALAppendOff never fsyncs — the page-cache-only floor that
-// isolates the WAL's CPU cost (framing, CRC, one write per record).
+// isolates the WAL's CPU cost (framing, CRC, one write per batch).
 func BenchmarkWALAppendOff(b *testing.B) { benchAppend(b, PolicyOff) }
 
 // BenchmarkWALReplay measures boot-time recovery: decode and deliver
@@ -83,7 +82,6 @@ func BenchmarkWALReplay(b *testing.B) {
 	dir := b.TempDir()
 	l, err := Open(Options{
 		Dir:    dir,
-		Shards: 4,
 		Policy: PolicyOff,
 		Clock:  simclock.NewManual(simclock.StudyStart),
 	})

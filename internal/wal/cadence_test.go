@@ -152,16 +152,19 @@ func TestOpenRestoresCheckpointDebt(t *testing.T) {
 // Open's scan, torn tail cut off, without a stat per call.
 func TestBacklogAfterReopen(t *testing.T) {
 	dir := t.TempDir()
-	l := openLog(t, dir, Options{Shards: 2, Policy: PolicyOff, SegmentBytes: 4096})
-	if err := l.AppendBatch(partition(genRecords(1500), 2), 0); err != nil {
-		t.Fatal(err)
+	l := openLog(t, dir, Options{Policy: PolicyOff, SegmentBytes: 4096})
+	recs := genRecords(1500)
+	for lo := 0; lo < len(recs); lo += 100 {
+		if err := l.AppendBatch(partition(recs[lo:lo+100], 2), 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	files := segmentFiles(t, dir)
-	// A torn append on the final segment of the last shard: Open cuts
-	// it off, and the tracked size must be what is left.
+	// A torn append on the final segment: Open cuts it off, and the
+	// tracked size must be what is left.
 	tail := files[len(files)-1]
 	data, err := os.ReadFile(tail)
 	if err != nil {
@@ -170,7 +173,7 @@ func TestBacklogAfterReopen(t *testing.T) {
 	if err := os.WriteFile(tail, append(data, 0xde, 0xad, 0xbe), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l2 := openLog(t, dir, Options{Shards: 2, Policy: PolicyOff, SegmentBytes: 4096})
+	l2 := openLog(t, dir, Options{Policy: PolicyOff, SegmentBytes: 4096})
 	segs, n := l2.Backlog()
 	if segs != len(files) || n != segmentBytes(t, dir) {
 		t.Fatalf("backlog after reopen = %d segments, %d bytes; disk has %d, %d", segs, n, len(files), segmentBytes(t, dir))

@@ -21,9 +21,10 @@ import (
 //	u8 version      — 1
 //	uvarint epoch   — engine epoch that published the generation
 //	uvarint total   — record count across all frames
-//	uvarint nshards — shard count at commit time
-//	nshards×uvarint — per-shard WAL bounds: segment records with
-//	                  seq <= bounds[i] are in this checkpoint
+//	uvarint nshards — bound count: 1 (the field predates the single
+//	                  segment stream, when each shard had a log)
+//	nshards×uvarint — WAL bounds: segment records with
+//	                  seq <= bounds[0] are in this checkpoint
 //	frames          — the generation's records as wire binary frames
 //	u32le crc32c    — Castagnoli CRC over every preceding byte
 //
@@ -98,7 +99,7 @@ func parseCheckpoint(data []byte) (*ckptHeader, error) {
 	h.bounds = make([]uint64, nshards)
 	for i := range h.bounds {
 		if h.bounds[i], n = binary.Uvarint(rest); n <= 0 {
-			return nil, fmt.Errorf("wal: checkpoint: bad bound varint for shard %d", i)
+			return nil, fmt.Errorf("wal: checkpoint: bad bound varint %d", i)
 		}
 		rest = rest[n:]
 	}
@@ -107,8 +108,9 @@ func parseCheckpoint(data []byte) (*ckptHeader, error) {
 }
 
 // loadCheckpointHeader reads what Open needs from the latest
-// checkpoint, CRC-verified: its per-shard bounds, and its size and
-// record count for the cadence rule.
+// checkpoint, CRC-verified: its bound, and its size and record count
+// for the cadence rule. A checkpoint with several bounds was written
+// over per-shard logs, and its bounds say nothing about this stream.
 func (l *Log) loadCheckpointHeader(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -118,7 +120,10 @@ func (l *Log) loadCheckpointHeader(path string) error {
 	if err != nil {
 		return fmt.Errorf("%w (%s)", err, path)
 	}
-	l.cpBounds = h.bounds
+	if len(h.bounds) != 1 {
+		return fmt.Errorf("wal: checkpoint %s carries %d shard bounds, written by the per-shard layout; this log is one segment stream", path, len(h.bounds))
+	}
+	l.cpBound = h.bounds[0]
 	l.ckptBytes, l.ckptRecords = int64(len(data)), int64(h.total)
 	return nil
 }
@@ -190,7 +195,7 @@ func encodeCheckpoint(epoch int64, records []record.ViewRecord, bounds []uint64,
 // Commit offers the log a published generation to fold forward to.
 // bounds must be the Bounds() reading the engine took under its
 // admission lock before flushing the epoch, so "covered" is exact:
-// seq <= bounds[i] is in records, seq > bounds[i] is not.
+// seq <= bounds[0] is in records, seq > bounds[0] is not.
 //
 // A checkpoint costs the whole generation — encode, write, fsync — and
 // an epoch adds a sliver of it, so Commit writes one only when the log
@@ -225,10 +230,11 @@ func (l *Log) Commit(epoch int64, records []record.ViewRecord, bounds []uint64, 
 // attribute) and how many log entries it truncated.
 func (l *Log) commit(epoch int64, records []record.ViewRecord, bounds []uint64) (written, truncated int64, err error) {
 	l.mu.Lock()
-	if len(bounds) != len(l.shards) {
+	if len(bounds) != 1 {
 		l.mu.Unlock()
-		return 0, 0, fmt.Errorf("wal: commit with %d bounds for %d shards", len(bounds), len(l.shards))
+		return 0, 0, fmt.Errorf("wal: commit with %d bounds; the log is one stream and has one", len(bounds))
 	}
+	bound := bounds[0]
 	if l.sinceCkpt < l.ckptBytes {
 		l.mu.Unlock()
 		l.ckptsSkip.Add(1)
@@ -262,7 +268,7 @@ func (l *Log) commit(epoch int64, records []record.ViewRecord, bounds []uint64) 
 	old := l.ckpts
 	l.ckpts = []ckptInfo{{id: id, path: path}}
 	l.nextCkptID = id + 1
-	l.cpBounds = append([]uint64(nil), bounds...)
+	l.cpBound = bound
 	l.ckptBytes, l.ckptRecords = int64(len(img)), int64(len(records))
 	l.sinceCkpt -= covered
 
@@ -271,44 +277,31 @@ func (l *Log) commit(epoch int64, records []record.ViewRecord, bounds []uint64) 
 	// Removal failures are reported but cannot lose data — replay
 	// filters seq <= bounds anyway.
 	var firstErr error
-	for i, sh := range l.shards {
-		keep := sh.segs[:0]
-		for j, seg := range sh.segs {
-			if seg.last > bounds[i] || seg.last < seg.first {
-				keep = append(keep, seg)
-				continue
-			}
-			if j == len(sh.segs)-1 && sh.f != nil {
-				// The active segment is fully covered: close it so the
-				// next append starts a fresh file above the bound.
-				err := sh.f.Close()
-				sh.f = nil
-				if err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("wal: closing shard %d segment: %w", i, err)
-				}
-			}
-			if err := os.Remove(seg.path); err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("wal: %w", err)
-				}
-				keep = append(keep, seg)
-				continue
-			}
-			truncated += int64(seg.last - seg.first + 1)
+	keep := l.segs[:0]
+	for j, seg := range l.segs {
+		if seg.last > bound || seg.last < seg.first {
+			keep = append(keep, seg)
+			continue
 		}
-		sh.segs = keep
+		if j == len(l.segs)-1 && l.f != nil {
+			// The active segment is fully covered: close it so the
+			// next append starts a fresh file above the bound.
+			err := l.f.Close()
+			l.f, l.dirty = nil, false
+			if err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("wal: closing segment: %w", err)
+			}
+		}
+		if err := os.Remove(seg.path); err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("wal: %w", err)
+			}
+			keep = append(keep, seg)
+			continue
+		}
+		truncated += int64(seg.last - seg.first + 1)
 	}
-	for _, st := range l.stale {
-		for _, seg := range st.segs {
-			if seg.last >= seg.first {
-				truncated += int64(seg.last - seg.first + 1)
-			}
-		}
-		if err := os.RemoveAll(st.dir); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("wal: %w", err)
-		}
-	}
-	l.stale = nil
+	l.segs = keep
 	for _, c := range old {
 		if err := os.Remove(c.path); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("wal: %w", err)

@@ -15,13 +15,16 @@ import (
 // the scan actually reached, and everything before a torn tail is
 // delivered — the crash-recovery contract replay is built on.
 func FuzzDecodeSegment(f *testing.F) {
-	intact := buildSegment(f, [][]record.ViewRecord{genRecords(9)[:4], genRecords(9)[4:]})
+	intact := buildSegment(f, testChunk, one(genRecords(9)[:4]), one(genRecords(9)[4:]))
 	f.Add(intact)
 	f.Add(truncatedSeed(f))
 	f.Add(corruptCRCSeed(f))
 	f.Add(maxSeqSeed(f))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x80}, 40))
+	// What AppendBatch writes: several frames to a record, and a batch
+	// past the chunk size carried into a second record.
+	f.Add(buildSegment(f, 6, partition(genRecords(9), 3)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		delivered := 0

@@ -15,27 +15,27 @@ type ReplayStats struct {
 	CheckpointRecords int64 // records delivered from the checkpoint
 	SegmentRecords    int64 // records delivered from segments
 	SkippedRecords    int64 // segment records filtered as checkpoint-covered
-	TornTails         int   // shards whose final segment stopped at a torn record
+	TornTails         int   // 1 if the final segment stopped at a torn record
 }
 
 // Delivered is the total record count handed to fn.
 func (s ReplayStats) Delivered() int64 { return s.CheckpointRecords + s.SegmentRecords }
 
 // Replay streams everything the log holds through fn: first the
-// latest checkpoint (the last published generation), then every
-// surviving segment record above the checkpoint's bounds, shard by
-// shard in sequence order. In vmpd, fn is the normal Engine.Ingest
-// path, and telemetry.CanonicalSort makes the delivery order
-// irrelevant to the generation that results — which is what lets
-// per-shard logs replay independently.
+// latest checkpoint (the last published generation) a frame at a time,
+// then every surviving segment record above the checkpoint's bound in
+// sequence order — one call per record, so each acknowledged batch
+// arrives whole, the records of all its shard parts together. In vmpd,
+// fn is the normal Engine.Ingest path, which partitions the batch among
+// whatever shards the engine has now; telemetry.CanonicalSort makes the
+// delivery order irrelevant to the generation that results.
 //
 // The slice passed to fn is only valid for the duration of the call
 // (it shares the decoder's reuse contract); fn must copy what it
 // keeps, which Engine.Ingest does.
 //
-// A torn final record in a shard's last segment — the signature of a
-// crash mid-append — stops that shard's replay cleanly at the last
-// good sequence, counted and logged, never a panic or an error. Any
+// A torn final record in the last segment — the signature of a crash
+// mid-append — stops replay cleanly at the last good sequence, counted and logged, never a panic or an error. Any
 // other inconsistency (a sequence gap, corruption inside a closed
 // segment, a CRC-valid record that does not parse) is a hard error:
 // the log is not trustworthy and the operator must decide.
@@ -60,13 +60,6 @@ func (l *Log) Replay(fn func(recs []record.ViewRecord) error, parent obs.SpanID)
 	return stats, nil
 }
 
-// replaySource is one shard's worth of segment files to read.
-type replaySource struct {
-	idx   int
-	bound uint64
-	segs  []segmentInfo
-}
-
 func (l *Log) replay(fn func(recs []record.ViewRecord) error) (ReplayStats, error) {
 	// Snapshot the file lists under mu; the reads below run unlocked.
 	l.mu.Lock()
@@ -75,13 +68,8 @@ func (l *Log) replay(fn func(recs []record.ViewRecord) error) (ReplayStats, erro
 		c := l.ckpts[n-1]
 		ckpt = &c
 	}
-	sources := make([]replaySource, 0, len(l.shards)+len(l.stale))
-	for i, sh := range l.shards {
-		sources = append(sources, replaySource{idx: i, bound: l.bound(i), segs: append([]segmentInfo(nil), sh.segs...)})
-	}
-	for _, st := range l.stale {
-		sources = append(sources, replaySource{idx: st.idx, bound: l.bound(st.idx), segs: append([]segmentInfo(nil), st.segs...)})
-	}
+	bound := l.cpBound
+	segs := append([]segmentInfo(nil), l.segs...)
 	l.mu.Unlock()
 
 	var stats ReplayStats
@@ -96,26 +84,11 @@ func (l *Log) replay(fn func(recs []record.ViewRecord) error) (ReplayStats, erro
 		}
 		stats.Epoch = h.epoch
 	}
-	for _, src := range sources {
-		torn, err := l.replayShard(src, dec, fn, &stats)
-		if err != nil {
-			return stats, err
-		}
-		if torn {
-			stats.TornTails++
-		}
-	}
-	return stats, nil
-}
-
-// replayShard streams one shard's segments through fn in sequence
-// order, filtering records the checkpoint already covers.
-func (l *Log) replayShard(src replaySource, dec *wire.Decoder, fn func(recs []record.ViewRecord) error, stats *ReplayStats) (bool, error) {
-	for si, seg := range src.segs {
+	for si, seg := range segs {
 		if seg.last < seg.first {
 			continue // empty active segment
 		}
-		if seg.last <= src.bound {
+		if seg.last <= bound {
 			// Entirely covered by the checkpoint (Commit failed to
 			// remove it, or crashed before it could): skip the file.
 			stats.SkippedRecords += int64(seg.last - seg.first + 1)
@@ -123,15 +96,15 @@ func (l *Log) replayShard(src replaySource, dec *wire.Decoder, fn func(recs []re
 		}
 		data, err := os.ReadFile(seg.path)
 		if err != nil {
-			return false, fmt.Errorf("wal: %w", err)
+			return stats, fmt.Errorf("wal: %w", err)
 		}
 		expected := seg.first
 		torn, err := DecodeSegment(data, dec, func(seq uint64, recs []record.ViewRecord) error {
 			if seq != expected {
-				return fmt.Errorf("wal: shard %d %s: sequence %d where %d expected", src.idx, seg.path, seq, expected)
+				return fmt.Errorf("wal: %s: sequence %d where %d expected", seg.path, seq, expected)
 			}
 			expected++
-			if seq <= src.bound {
+			if seq <= bound {
 				stats.SkippedRecords += int64(len(recs))
 				return nil
 			}
@@ -139,19 +112,22 @@ func (l *Log) replayShard(src replaySource, dec *wire.Decoder, fn func(recs []re
 			return fn(recs)
 		})
 		if err != nil {
-			return false, err
+			return stats, err
 		}
 		if torn != nil {
-			if si != len(src.segs)-1 {
+			if si != len(segs)-1 {
 				// A torn record below the tail cannot be a crashed
 				// append: the next segment exists, so the log was
 				// written past this point.
-				return false, fmt.Errorf("wal: shard %d %s: %s at offset %d in a non-final segment", src.idx, seg.path, torn.Reason, torn.Off)
+				return stats, fmt.Errorf("wal: %s: %s at offset %d in a non-final segment", seg.path, torn.Reason, torn.Off)
 			}
-			l.tracer.Emit("wal_replay_torn",
-				obs.KV("shard", int64(src.idx)), obs.KV("offset", torn.Off), obs.KV("last_seq", int64(expected-1)))
-			return true, nil
+			l.tracer.Emit("wal_replay_torn", obs.KV("offset", torn.Off), obs.KV("last_seq", int64(expected-1)))
+			stats.TornTails++
+		} else if si != len(segs)-1 && expected != seg.last+1 {
+			// Ends on a record boundary, but short of the sequence the
+			// next segment's name says it was written up to.
+			return stats, fmt.Errorf("wal: %s: ends at sequence %d, the next segment starts at %d", seg.path, expected-1, seg.last+1)
 		}
 	}
-	return false, nil
+	return stats, nil
 }

@@ -17,9 +17,10 @@ import (
 //
 //	u32le  length   — byte count of everything after the CRC field
 //	u32le  crc32c   — Castagnoli CRC over those length bytes
-//	uvarint seq     — per-shard monotonic sequence number
+//	uvarint seq     — the log's monotonic sequence number
 //	frames          — one or more wire binary frames (internal/wire),
-//	                  exactly as Encoder.AppendFrame lays them out
+//	                  exactly as Encoder.AppendFrame lays them out:
+//	                  one admitted batch, a frame per engine shard part
 //
 // The CRC covers the sequence number and the frame bytes, so a torn
 // write — a crash mid-record — is detected no matter where it lands:
@@ -52,7 +53,7 @@ type Torn struct {
 // contract: it is valid only until the next record is decoded, so fn
 // must copy what it keeps. A nil dec verifies framing and CRCs without
 // decoding the frame payloads (fn sees each sequence with nil records)
-// — the cheap scan Open uses to find a shard's last durable sequence.
+// — the cheap scan Open uses to find the log's last durable sequence.
 //
 // A truncated or CRC-failing tail returns a non-nil *Torn with a nil
 // error: every record before it was delivered, and the caller decides
@@ -111,22 +112,56 @@ func DecodeSegment(data []byte, dec *wire.Decoder, fn func(seq uint64, recs []re
 	return nil, nil
 }
 
-// appendRecord appends one framed record (header, CRC, sequence,
-// frames) for recs to dst and returns the extended slice. enc's
-// scratch is reused across calls.
+// appendBatch appends one batch to dst as records starting at sequence
+// seq, and returns the extended slice, the next unused sequence and the
+// view records encoded. Every non-empty part becomes a wire frame (cut
+// at chunk records) and the frames go back to back into one record: one
+// sequence, one CRC. Only a batch of more than chunk view records spans
+// several records — a frame that would take the open record past chunk
+// starts the next — which keeps every record far below MaxRecordBytes
+// however much a client posts at once. An empty batch appends nothing.
+// enc's scratch is reused across calls.
 //
 //vmp:hotpath
-func appendRecord(dst []byte, enc *wire.Encoder, seq uint64, recs []record.ViewRecord) ([]byte, error) {
-	base := len(dst)
-	var hdr [recordHeaderBytes]byte
-	dst = append(dst, hdr[:]...)
-	dst = binary.AppendUvarint(dst, seq)
-	dst, err := enc.AppendFrame(dst, recs)
-	if err != nil {
-		return dst[:base], err
+func appendBatch(dst []byte, enc *wire.Encoder, seq uint64, chunk int, parts [][]record.ViewRecord) ([]byte, uint64, int64, error) {
+	start := len(dst)
+	base, held := -1, 0 // the open record's offset in dst and the view records in it
+	total := int64(0)
+	for _, part := range parts {
+		for len(part) > 0 {
+			n := min(len(part), chunk)
+			if base >= 0 && held+n > chunk {
+				sealRecord(dst, base)
+				base = -1
+			}
+			if base < 0 {
+				base, held = len(dst), 0
+				var hdr [recordHeaderBytes]byte
+				dst = append(dst, hdr[:]...)
+				dst = binary.AppendUvarint(dst, seq)
+				seq++
+			}
+			var err error
+			if dst, err = enc.AppendFrame(dst, part[:n]); err != nil {
+				return dst[:start], seq, 0, err
+			}
+			held += n
+			total += int64(n)
+			part = part[n:]
+		}
 	}
+	if base >= 0 {
+		sealRecord(dst, base)
+	}
+	return dst, seq, total, nil
+}
+
+// sealRecord fills in the length and CRC of the record that starts at
+// dst[base] and runs to the end of dst.
+//
+//vmp:hotpath
+func sealRecord(dst []byte, base int) {
 	body := dst[base+recordHeaderBytes:]
 	binary.LittleEndian.PutUint32(dst[base:], uint32(len(body)))
 	binary.LittleEndian.PutUint32(dst[base+4:], crc32.Checksum(body, castagnoli))
-	return dst, nil
 }

@@ -17,20 +17,28 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files and fuzz seed corpus")
 
-// buildSegment encodes batches as consecutive segment records with
-// sequences 1..len(batches) — the raw bytes a shard file would hold.
-func buildSegment(t testing.TB, batches [][]record.ViewRecord) []byte {
+// buildSegment encodes batches — each a list of shard parts — as
+// consecutive segment records from sequence 1, the raw bytes a segment
+// file would hold. A batch of more than chunk view records spans
+// several records, as it does in AppendBatch.
+func buildSegment(t testing.TB, chunk int, batches ...[][]record.ViewRecord) []byte {
 	t.Helper()
 	enc := wire.NewEncoder()
 	var data []byte
-	for i, b := range batches {
+	seq := uint64(1)
+	for _, parts := range batches {
 		var err error
-		if data, err = appendRecord(data, enc, uint64(i+1), b); err != nil {
+		if data, seq, _, err = appendBatch(data, enc, seq, chunk, parts); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return data
 }
+
+// one is a batch with a single shard part.
+func one(recs []record.ViewRecord) [][]record.ViewRecord { return [][]record.ViewRecord{recs} }
+
+const testChunk = 1 << 14
 
 // decodeCount runs DecodeSegment and returns how many records were
 // delivered and the torn tail, failing on hard errors.
@@ -49,7 +57,9 @@ func decodeCount(t *testing.T, data []byte) (int, *Torn) {
 
 func TestDecodeSegmentDamageMatrix(t *testing.T) {
 	recs := genRecords(30)
-	data := buildSegment(t, [][]record.ViewRecord{recs[:10], recs[10:20], recs[20:]})
+	// Every record is a batch of three frames with an empty part among
+	// them, the shape AppendBatch writes.
+	data := buildSegment(t, testChunk, partition(recs[:10], 3), append(partition(recs[10:20], 2), nil), partition(recs[20:], 3))
 	intactN, torn := decodeCount(t, data)
 	if torn != nil || intactN != 30 {
 		t.Fatalf("intact segment: %d records, torn %v", intactN, torn)
@@ -132,28 +142,51 @@ func TestDecodeSegmentCRCValidCorruptionIsHardError(t *testing.T) {
 // segment must keep decoding, and today's encoder must keep producing
 // exactly those bytes. If this fails, the format changed — which needs
 // a version bump and migration thinking, not a golden refresh.
+//
+// golden.segment holds two one-part batches and is the file the
+// per-shard log wrote: one record layout, before and after the single
+// stream. golden_batch.segment pins what the stream adds on top of it —
+// a record of three frames, and a batch too large for one record
+// (chunk 4) continued under the next sequence.
 func TestGoldenSegment(t *testing.T) {
 	recs := genRecords(12)
-	data := buildSegment(t, [][]record.ViewRecord{recs[:5], recs[5:]})
-	path := filepath.Join("testdata", "golden.segment")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
+	for _, g := range []struct {
+		file    string
+		data    []byte
+		entries int
+	}{
+		{"golden.segment", buildSegment(t, testChunk, one(recs[:5]), one(recs[5:])), 2},
+		{"golden_batch.segment", buildSegment(t, 4, partition(recs[:4], 3), partition(recs[4:], 4)), 3},
+	} {
+		path := filepath.Join("testdata", g.file)
+		if *update {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, g.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create)", err)
 		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create)", err)
-	}
-	if !bytes.Equal(data, want) {
-		t.Fatalf("segment encoding changed: %d bytes now vs %d golden", len(data), len(want))
-	}
-	n, torn := decodeCount(t, want)
-	if torn != nil || n != 12 {
-		t.Fatalf("golden segment decodes to %d records, torn %v", n, torn)
+		if !bytes.Equal(g.data, want) {
+			t.Fatalf("%s: segment encoding changed: %d bytes now vs %d golden", g.file, len(g.data), len(want))
+		}
+		var seqs []uint64
+		n := 0
+		torn, err := DecodeSegment(want, wire.NewDecoder(), func(seq uint64, recs []record.ViewRecord) error {
+			seqs = append(seqs, seq)
+			n += len(recs)
+			return nil
+		})
+		if err != nil || torn != nil || n != 12 {
+			t.Fatalf("%s decodes to %d records, torn %v, err %v", g.file, n, torn, err)
+		}
+		if len(seqs) != g.entries || seqs[0] != 1 || seqs[len(seqs)-1] != uint64(g.entries) {
+			t.Fatalf("%s holds sequences %v, want 1..%d", g.file, seqs, g.entries)
+		}
 	}
 }
 
@@ -164,7 +197,7 @@ func TestGoldenCorruptSegment(t *testing.T) {
 	path := filepath.Join("testdata", "corrupt.segment")
 	if *update {
 		recs := genRecords(12)
-		data := buildSegment(t, [][]record.ViewRecord{recs[:5], recs[5:]})
+		data := buildSegment(t, testChunk, one(recs[:5]), one(recs[5:]))
 		data[len(data)-3] ^= 0x40 // CRC-breaking flip inside the final body
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -210,10 +243,10 @@ func TestTornTailRecoveredOnOpen(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			l := openLog(t, dir, Options{Shards: 1, Policy: PolicyBatch})
+			l := openLog(t, dir, Options{Policy: PolicyBatch})
 			recs := genRecords(300)
 			for lo := 0; lo < 300; lo += 100 {
-				if err := l.AppendBatch([][]record.ViewRecord{recs[lo : lo+100]}, 0); err != nil {
+				if err := l.AppendBatch(partition(recs[lo:lo+100], 4), 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -230,7 +263,7 @@ func TestTornTailRecoveredOnOpen(t *testing.T) {
 			// truncated away, counted, and the log is immediately
 			// appendable again at the right sequence.
 			reg := obs.NewRegistry()
-			l2 := openLog(t, dir, Options{Shards: 1, Policy: PolicyBatch, Metrics: reg})
+			l2 := openLog(t, dir, Options{Policy: PolicyBatch, Metrics: reg})
 			if n := reg.Snapshot().Counters["wal_torn_tail_total"]; n != 1 {
 				t.Fatalf("wal_torn_tail_total = %d, want 1", n)
 			}
@@ -244,7 +277,7 @@ func TestTornTailRecoveredOnOpen(t *testing.T) {
 			if !bytes.Equal(canonBytes(t, got), canonBytes(t, recs[:200])) {
 				t.Fatal("replay after recovery is not the durable prefix")
 			}
-			if err := l2.AppendBatch([][]record.ViewRecord{recs[200:]}, 0); err != nil {
+			if err := l2.AppendBatch(partition(recs[200:], 4), 0); err != nil {
 				t.Fatal(err)
 			}
 			got2, _ := replayAll(t, l2)
@@ -256,31 +289,42 @@ func TestTornTailRecoveredOnOpen(t *testing.T) {
 }
 
 func TestReplayCorruptClosedSegmentIsHardError(t *testing.T) {
-	dir := t.TempDir()
-	// Tiny segments: three appends land in separate files.
-	l := openLog(t, dir, Options{Shards: 1, Policy: PolicyBatch, SegmentBytes: 1})
-	recs := genRecords(300)
-	for lo := 0; lo < 300; lo += 100 {
-		if err := l.AppendBatch([][]record.ViewRecord{recs[lo : lo+100]}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	segs := segmentFiles(t, dir)
-	if len(segs) < 2 {
-		t.Fatalf("wanted multiple segments, got %v", segs)
-	}
-	data, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-3] ^= 0x40
-	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Corruption below the tail cannot be a crashed append: replay
-	// must refuse rather than silently drop interior records.
-	if _, err := l.Replay(func([]record.ViewRecord) error { return nil }, 0); err == nil {
-		t.Fatal("replay accepted a corrupt non-final segment")
+	for _, tc := range []struct {
+		name   string
+		mutate func(data []byte) []byte
+	}{
+		{"corrupt crc", func(data []byte) []byte { data[len(data)-3] ^= 0x40; return data }},
+		// Cut at a record boundary nothing is torn, but the records the
+		// next segment's name vouches for are missing.
+		{"records missing", func(data []byte) []byte { return data[:0] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			// Tiny segments: three appends land in separate files.
+			l := openLog(t, dir, Options{Policy: PolicyBatch, SegmentBytes: 1})
+			recs := genRecords(300)
+			for lo := 0; lo < 300; lo += 100 {
+				if err := l.AppendBatch(partition(recs[lo:lo+100], 4), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			segs := segmentFiles(t, dir)
+			if len(segs) < 2 {
+				t.Fatalf("wanted multiple segments, got %v", segs)
+			}
+			data, err := os.ReadFile(segs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(segs[0], tc.mutate(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// Damage below the tail cannot be a crashed append: replay
+			// must refuse rather than silently drop interior records.
+			if _, err := l.Replay(func([]record.ViewRecord) error { return nil }, 0); err == nil {
+				t.Fatal("replay accepted a damaged non-final segment")
+			}
+		})
 	}
 }
 
@@ -307,12 +351,12 @@ func TestWriteFuzzSeedCorpus(t *testing.T) {
 }
 
 func truncatedSeed(t testing.TB) []byte {
-	data := buildSegment(t, [][]record.ViewRecord{genRecords(6)[:3], genRecords(6)[3:]})
+	data := buildSegment(t, testChunk, one(genRecords(6)[:3]), one(genRecords(6)[3:]))
 	return data[:len(data)-7]
 }
 
 func corruptCRCSeed(t testing.TB) []byte {
-	data := buildSegment(t, [][]record.ViewRecord{genRecords(4)})
+	data := buildSegment(t, testChunk, one(genRecords(4)))
 	data[len(data)-2] ^= 0xff
 	return data
 }

@@ -1,20 +1,32 @@
-// Package wal is the serving plane's durability subsystem: a per-shard
+// Package wal is the serving plane's durability subsystem: one
 // append-only write-ahead log in front of internal/live's in-memory
 // shard queues, so a crash between admission and the next epoch cannot
 // lose a batch the daemon acknowledged.
 //
-// Each admitted sub-batch is appended to its shard's active segment as
-// a length-prefixed, CRC32C-checksummed record carrying a per-shard
-// monotonic sequence number and the batch itself as internal/wire
-// binary frames — the same encoding the ingest wire path speaks, and
-// the same monotonic-sequence framing discipline the obs event
-// pipeline uses to make a truncated prefix detectable. Appends are
-// made durable by a configurable fsync policy: PolicyBatch syncs
-// before the append returns (an acknowledged batch survives kill -9
-// and power loss), PolicyInterval group-commits on a background
-// cadence (ack precedes durability by at most one interval), and
-// PolicyOff never syncs (the OS page cache still survives a process
-// kill, but not a kernel crash).
+// The log is a single stream of segment files. Each admitted batch is
+// appended to the active segment as one length-prefixed,
+// CRC32C-checksummed record carrying the log's next sequence number and
+// the batch itself as internal/wire binary frames, one per non-empty
+// shard part, back to back — the same encoding the ingest wire path
+// speaks, and the same monotonic-sequence framing discipline the obs
+// event pipeline uses to make a truncated prefix detectable. A batch
+// costs one write and, by the fsync policy, at most one fsync:
+// PolicyBatch syncs before the append returns (an acknowledged batch
+// survives kill -9 and power loss), PolicyInterval group-commits on a
+// background cadence (ack precedes durability by at most one interval),
+// and PolicyOff never syncs (the OS page cache still survives a process
+// kill, but not a kernel crash). How the engine partitions records
+// among its shards is not the log's business: replay hands each batch
+// back whole and Engine.Ingest partitions it again.
+//
+// Two failures make the log stop rather than guess. A write that fails
+// part-way is cut back out of the segment, so the next record never
+// lands behind garbage; if the cut fails too, the segment is sealed and
+// every later append returns the error. A failed fsync is sticky for
+// the same reason — the kernel may have dropped the dirty pages, and a
+// later fsync would report success for data that is not on disk — so
+// the log refuses appends until it is reopened and recovery has decided
+// what survived.
 //
 // Published epochs fold the log forward once it has earned it: when the
 // segment bytes appended since the last checkpoint reach that
@@ -26,9 +38,9 @@
 // caller — in vmpd, the normal Engine.Ingest path, where
 // telemetry.CanonicalSort makes replay order-insensitive — before the
 // HTTP listener opens. A torn final record (the expected aftermath of
-// a crash mid-append) stops a shard's replay cleanly at the last good
-// sequence, logged and counted, never with a panic. DESIGN.md §11
-// specifies the formats and the crash matrix.
+// a crash mid-append) stops replay cleanly at the last good sequence,
+// logged and counted, never with a panic. DESIGN.md §11 specifies the
+// formats and the crash matrix.
 package wal
 
 import (
@@ -56,12 +68,11 @@ var ErrClosed = errors.New("wal: log closed")
 type Policy int
 
 const (
-	// PolicyBatch syncs every shard file a batch touched before
-	// AppendBatch returns: an acknowledged batch is durable against
-	// kill -9 and power loss.
+	// PolicyBatch syncs the active segment before AppendBatch returns:
+	// an acknowledged batch is durable against kill -9 and power loss.
 	PolicyBatch Policy = iota
 	// PolicyInterval group-commits: appends return after write(), and
-	// a background loop syncs dirty shard files every SyncEvery. The
+	// a background loop syncs the active segment every SyncEvery. The
 	// acknowledgement-to-durability window is at most one interval.
 	PolicyInterval
 	// PolicyOff never syncs. Appends still write() synchronously, so
@@ -96,25 +107,21 @@ func (p Policy) String() string {
 }
 
 // Options parameterizes a Log. The zero value of every field gets a
-// sensible default: 8 shards, PolicyBatch, 25 ms group-commit
-// cadence, 16 MiB segments, the wall clock, a fresh registry, and a
-// disabled tracer.
+// sensible default: PolicyBatch, 25 ms group-commit cadence, 16 MiB
+// segments, the wall clock, a fresh registry, and a disabled tracer.
 type Options struct {
 	Dir          string         // log directory, created if absent
-	Shards       int            // shard count for new appends
+	Shards       int            // ignored: the log is one stream whatever the engine's shard count
 	Policy       Policy         // fsync policy
 	SyncEvery    time.Duration  // group-commit cadence for PolicyInterval
 	SegmentBytes int64          // active-segment rotation threshold
-	ChunkRecords int            // records per appended record (frame)
+	ChunkRecords int            // view records per log record; a larger batch spans several
 	Clock        simclock.Clock // time source for fsync latency
 	Metrics      *obs.Registry  // counter/histogram destination
 	Trace        *obs.Tracer    // span/event destination (nil = disabled)
 }
 
 func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = 8
-	}
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = 25 * time.Millisecond
 	}
@@ -138,8 +145,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// segmentInfo is one segment file's place in a shard's log. Records in
-// a segment carry the contiguous sequences [first, last]; last < first
+// segmentInfo is one segment file's place in the log. Records in a
+// segment carry the contiguous sequences [first, last]; last < first
 // means the segment is empty. size is the file's length, tracked from
 // Open's scan and every append so nothing has to stat it again.
 type segmentInfo struct {
@@ -149,44 +156,40 @@ type segmentInfo struct {
 	size  int64
 }
 
-// shardLog is one shard's append state: its closed and active
-// segments, the open handle on the active one, and the next sequence
-// to assign. All fields are guarded by the owning Log's mu.
-type shardLog struct {
-	idx     int
-	dir     string
-	segs    []segmentInfo
-	f       *os.File // active segment (the last of segs); nil when no segment is open
-	dirty   bool     // written since the last fsync
-	nextSeq uint64
+// segFile is what the log asks of its active segment. *os.File is the
+// implementation; tests substitute one whose writes and fsyncs fail.
+type segFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
-// staleShard is a shard directory left over from a previous run with a
-// higher shard count. Replay still reads it; the next checkpoint
-// removes it — its records are in the generation that one holds.
-type staleShard struct {
-	idx  int
-	dir  string
-	segs []segmentInfo
+func createSegment(path string) (segFile, error) {
+	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
 }
 
-// Log is a per-shard write-ahead log rooted at one directory. Append
-// methods are safe for concurrent use with Sync, Commit, and Replay;
-// the live engine additionally serializes AppendBatch and Bounds under
-// its admission lock, which is what makes a Bounds reading coherent
-// with the batches flushed into an epoch.
+// Log is a write-ahead log rooted at one directory. Append methods are
+// safe for concurrent use with Sync, Commit, and Replay; the live
+// engine additionally serializes AppendBatch and Bounds under its
+// admission lock, which is what makes a Bounds reading coherent with
+// the batches flushed into an epoch.
 type Log struct {
 	opts   Options
 	dir    string
 	clock  simclock.Clock
 	tracer *obs.Tracer
+	create func(path string) (segFile, error) // createSegment outside tests
 
 	mu         sync.Mutex
-	shards     []*shardLog
-	stale      []staleShard
+	segs       []segmentInfo // closed segments and, last, the active one
+	f          segFile       // active segment (the last of segs); nil when none is open
+	dirty      bool          // written since the last fsync
+	nextSeq    uint64
+	failed     error      // set once by a failed fsync or an uncut torn write; refuses every later append
 	ckpts      []ckptInfo // on-disk checkpoints, ascending by id
 	nextCkptID uint64
-	cpBounds   []uint64 // per-shard bounds of the latest checkpoint
+	cpBound    uint64 // bound of the latest checkpoint: sequences at or below it are in it
 	closed     bool
 
 	// The checkpoint cadence rule's inputs: what the latest checkpoint
@@ -208,19 +211,21 @@ type Log struct {
 	ckptsSkip *obs.Counter // wal_checkpoint_skipped_total: commits the log had not earned a checkpoint for
 	fsyncs    *obs.Counter // wal_fsync_total: fsync syscalls issued
 	tornTails *obs.Counter // wal_torn_tail_total: torn tails recovered
-	errors    *obs.Counter // wal_errors_total: background sync failures
+	errors    *obs.Counter // wal_errors_total: appends refused or failed, and background sync failures
 	fsyncSec  *obs.Histogram
 	backSegs  *obs.Gauge // wal_backlog_segments: live segment files
 	backBytes *obs.Gauge // wal_backlog_bytes: bytes not yet folded into a checkpoint
 }
 
 // Open opens (creating if needed) the log rooted at opts.Dir: it
-// loads the latest checkpoint's bounds, indexes every shard's
-// segments, scans each shard's final segment to find its last durable
-// sequence — truncating any torn tail left by a crash mid-append, so
-// new appends never land after garbage — and starts the group-commit
-// loop when the policy asks for one. Open does not replay; call
-// Replay before the first append to stream surviving records back.
+// loads the latest checkpoint's bound, indexes the segments, scans the
+// final one to find the last durable sequence — truncating any torn
+// tail left by a crash mid-append, so new appends never land after
+// garbage — and starts the group-commit loop when the policy asks for
+// one. A directory still holding the shard-NNNN/ subdirectories of the
+// per-shard layout is refused: their records are acknowledged data this
+// log would not replay. Open does not replay; call Replay before the
+// first append to stream surviving records back.
 func Open(opts Options) (*Log, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -234,6 +239,8 @@ func Open(opts Options) (*Log, error) {
 		dir:       opts.Dir,
 		clock:     opts.Clock,
 		tracer:    opts.Trace,
+		create:    createSegment,
+		nextSeq:   1,
 		enc:       wire.NewEncoder(),
 		appended:  opts.Metrics.Counter("wal_appended_total"),
 		replayed:  opts.Metrics.Counter("wal_replayed_total"),
@@ -258,14 +265,14 @@ func Open(opts Options) (*Log, error) {
 	return l, nil
 }
 
-// scanDir indexes checkpoints and shard segments, removes leftover
-// checkpoint temp files, and recovers each shard's tail.
+// scanDir indexes checkpoints and segments, removes leftover
+// checkpoint temp files, and recovers the log's tail.
 func (l *Log) scanDir() error {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	var shardDirs []int
+	var shardDirs []string
 	for _, e := range entries {
 		name := e.Name()
 		switch {
@@ -282,12 +289,22 @@ func (l *Log) scanDir() error {
 			}
 			l.ckpts = append(l.ckpts, ckptInfo{id: id, path: filepath.Join(l.dir, name)})
 		case e.IsDir() && strings.HasPrefix(name, "shard-"):
-			idx, err := strconv.Atoi(strings.TrimPrefix(name, "shard-"))
-			if err != nil || idx < 0 {
-				return fmt.Errorf("wal: bad shard directory %q", name)
+			shardDirs = append(shardDirs, name)
+		case strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".wal"):
+			first, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".wal"), 16, 64)
+			if err != nil {
+				return fmt.Errorf("wal: bad segment name %q in %s", name, l.dir)
 			}
-			shardDirs = append(shardDirs, idx)
+			fi, err := e.Info()
+			if err != nil {
+				return fmt.Errorf("wal: %w", err)
+			}
+			l.segs = append(l.segs, segmentInfo{path: filepath.Join(l.dir, name), first: first, size: fi.Size()})
 		}
+	}
+	if len(shardDirs) > 0 {
+		return fmt.Errorf("wal: %s holds per-shard log directories (%s) written by an older layout; this log is one segment stream and would not replay them — drain them with the release that wrote them, or move them aside",
+			l.dir, strings.Join(shardDirs, ", "))
 	}
 	sort.Slice(l.ckpts, func(i, j int) bool { return l.ckpts[i].id < l.ckpts[j].id })
 	if n := len(l.ckpts); n > 0 {
@@ -296,103 +313,52 @@ func (l *Log) scanDir() error {
 			return err
 		}
 	}
-
-	l.shards = make([]*shardLog, l.opts.Shards)
-	for i := range l.shards {
-		l.shards[i] = &shardLog{idx: i, dir: l.shardDir(i), nextSeq: 1}
-	}
-	sort.Ints(shardDirs)
-	for _, idx := range shardDirs {
-		dir := l.shardDir(idx)
-		segs, err := l.scanShard(idx, dir)
-		if err != nil {
+	sort.Slice(l.segs, func(i, j int) bool { return l.segs[i].first < l.segs[j].first })
+	for i := range l.segs {
+		if i+1 < len(l.segs) {
+			// Closed segments hold the contiguous run up to the next
+			// segment's first sequence; replay verifies record by record.
+			if l.segs[i+1].first <= l.segs[i].first {
+				return fmt.Errorf("wal: segments %s and %s overlap", l.segs[i].path, l.segs[i+1].path)
+			}
+			l.segs[i].last = l.segs[i+1].first - 1
+			continue
+		}
+		if err := l.recoverTail(&l.segs[i]); err != nil {
 			return err
 		}
-		for _, seg := range segs {
-			if seg.last > l.bound(idx) {
-				l.sinceCkpt += seg.size
+	}
+	if n := len(l.segs); n > 0 {
+		tail := l.segs[n-1]
+		l.nextSeq = tail.last + 1
+		if tail.size == 0 {
+			// Nothing of the final segment survived. The next append
+			// creates a segment of this very name, so the husk goes.
+			if err := os.Remove(tail.path); err != nil {
+				return fmt.Errorf("wal: removing empty segment: %w", err)
 			}
+			l.segs = l.segs[:n-1]
 		}
-		if idx < len(l.shards) {
-			sh := l.shards[idx]
-			sh.segs = segs
-			if n := len(segs); n > 0 {
-				sh.nextSeq = segs[n-1].last + 1
-			}
-			if b := l.bound(idx); sh.nextSeq <= b {
-				// Every segment was truncated past this point; sequences
-				// must stay above the checkpoint bound or replay would
-				// filter fresh appends out.
-				sh.nextSeq = b + 1
-			}
-		} else {
-			l.stale = append(l.stale, staleShard{idx: idx, dir: dir, segs: segs})
+	}
+	if l.nextSeq <= l.cpBound {
+		// Every segment was truncated past this point; sequences must
+		// stay above the checkpoint bound or replay would filter fresh
+		// appends out.
+		l.nextSeq = l.cpBound + 1
+	}
+	for _, seg := range l.segs {
+		if seg.last > l.cpBound {
+			l.sinceCkpt += seg.size
 		}
 	}
 	return nil
 }
 
-// bound returns the latest checkpoint's bound for shard idx (0 when
-// the checkpoint predates the shard).
-func (l *Log) bound(idx int) uint64 {
-	if idx < len(l.cpBounds) {
-		return l.cpBounds[idx]
-	}
-	return 0
-}
-
-func (l *Log) shardDir(idx int) string {
-	return filepath.Join(l.dir, fmt.Sprintf("shard-%04d", idx))
-}
-
-// scanShard indexes one shard directory's segments and recovers the
-// final segment's tail: its records are scanned (CRC-checked, frames
-// skipped), a torn tail is physically truncated away — counted and
-// logged as a wal_torn_tail event — and the segment's last sequence is
-// established from what survives.
-func (l *Log) scanShard(idx int, dir string) ([]segmentInfo, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	var segs []segmentInfo
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".wal") {
-			continue
-		}
-		first, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".wal"), 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("wal: bad segment name %q in %s", name, dir)
-		}
-		fi, err := e.Info()
-		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		segs = append(segs, segmentInfo{path: filepath.Join(dir, name), first: first, size: fi.Size()})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
-	for i := range segs {
-		if i+1 < len(segs) {
-			// Closed segments hold the contiguous run up to the next
-			// segment's first sequence; replay verifies record by record.
-			if segs[i+1].first <= segs[i].first {
-				return nil, fmt.Errorf("wal: shard %d: segments %s and %s overlap", idx, segs[i].path, segs[i+1].path)
-			}
-			segs[i].last = segs[i+1].first - 1
-			continue
-		}
-		if err := l.recoverTail(idx, &segs[i]); err != nil {
-			return nil, err
-		}
-	}
-	return segs, nil
-}
-
-// recoverTail scans the final segment of a shard, truncates a torn
-// tail, and sets the segment's last durable sequence (first-1 when
-// empty) and surviving size.
-func (l *Log) recoverTail(idx int, seg *segmentInfo) error {
+// recoverTail scans the log's final segment, truncates a torn tail —
+// counted, and logged as a wal_torn_tail event — and sets the
+// segment's last durable sequence (first-1 when empty) and surviving
+// size. Frames are CRC-checked but not decoded.
+func (l *Log) recoverTail(seg *segmentInfo) error {
 	data, err := os.ReadFile(seg.path)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -401,7 +367,7 @@ func (l *Log) recoverTail(idx int, seg *segmentInfo) error {
 	last := seg.first - 1
 	torn, err := DecodeSegment(data, nil, func(seq uint64, _ []record.ViewRecord) error {
 		if seq != last+1 {
-			return fmt.Errorf("wal: shard %d %s: sequence %d after %d", idx, seg.path, seq, last)
+			return fmt.Errorf("wal: %s: sequence %d after %d", seg.path, seq, last)
 		}
 		last = seq
 		return nil
@@ -416,199 +382,193 @@ func (l *Log) recoverTail(idx int, seg *segmentInfo) error {
 		}
 		seg.size = torn.Off
 		l.tornTails.Add(1)
-		l.tracer.Emit("wal_torn_tail",
-			obs.KV("shard", int64(idx)), obs.KV("offset", torn.Off), obs.KV("last_seq", int64(last)))
+		l.tracer.Emit("wal_torn_tail", obs.KV("offset", torn.Off), obs.KV("last_seq", int64(last)))
 	}
 	return nil
 }
 
-// Bounds returns the last sequence assigned to each shard. The live
-// engine reads it under its admission lock while cutting an epoch, so
-// the result is exact: every record with seq <= Bounds()[i] is in the
+// Bounds returns the last sequence assigned, as a one-element vector
+// (the live.WAL contract predates the single stream). The live engine
+// reads it under its admission lock while cutting an epoch, so the
+// result is exact: every record with seq <= Bounds()[0] is in the
 // generation being published, and nothing beyond is.
 func (l *Log) Bounds() []uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	bounds := make([]uint64, len(l.shards))
-	for i, sh := range l.shards {
-		bounds[i] = sh.nextSeq - 1
-	}
-	return bounds
+	return []uint64{l.nextSeq - 1}
 }
 
-// AppendBatch durably appends each non-empty parts[i] to shard
-// i mod Shards. Parts larger than ChunkRecords are split across
-// records; under PolicyBatch every touched file is fsynced before the
-// call returns. An error means nothing should be acknowledged: the
-// caller rejects the batch and the client retries it whole.
+// AppendBatch appends the non-empty parts of one admitted batch as one
+// record (see appendBatch for the oversized case) with one write, and
+// under PolicyBatch fsyncs it before returning. An error means nothing
+// should be acknowledged: the caller rejects the batch and the client
+// retries it whole.
 //
 //vmp:hotpath
 func (l *Log) AppendBatch(parts [][]record.ViewRecord, parent obs.SpanID) error {
 	sp := l.tracer.Start("wal.append", parent)
-	total := int64(0)
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		sp.End(obs.KV("closed", 1))
-		return ErrClosed
-	}
-	for i, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		if err := l.appendLocked(l.shards[i%len(l.shards)], part); err != nil {
-			l.mu.Unlock()
-			sp.End(obs.KV("error", 1))
-			return err
-		}
-		total += int64(len(part))
-	}
-	if l.opts.Policy == PolicyBatch {
-		if err := l.syncLocked(sp.ID()); err != nil {
-			l.mu.Unlock()
-			sp.End(obs.KV("error", 1))
-			return err
-		}
-	}
+	records, bytes, err := l.appendLocked(parts, sp.ID())
 	l.mu.Unlock()
-	l.appended.Add(total)
-	sp.End(obs.KV("records", total))
+	if err != nil {
+		if err != ErrClosed {
+			l.errors.Add(1)
+		}
+		sp.End(obs.KV("error", 1))
+		return err
+	}
+	l.appended.Add(records)
+	sp.End(obs.KV("records", records), obs.KV("bytes", bytes))
 	return nil
 }
 
-// appendLocked writes part to sh as one or more records. Caller holds
-// mu.
+// appendLocked encodes, writes and (PolicyBatch) syncs one batch, and
+// returns its record and byte counts. Sequences are consumed only by a
+// write that landed whole. Caller holds mu.
 //
 //vmp:hotpath
-func (l *Log) appendLocked(sh *shardLog, part []record.ViewRecord) error {
-	for len(part) > 0 {
-		n := len(part)
-		if n > l.opts.ChunkRecords {
-			n = l.opts.ChunkRecords
-		}
-		if sh.f == nil {
-			if err := l.openSegment(sh); err != nil { //vmp:alloc segment create/rotate is amortized over SegmentBytes of appends
-				return err
-			}
-		}
-		seq := sh.nextSeq
-		buf, err := appendRecord(l.buf[:0], l.enc, seq, part[:n])
-		l.buf = buf
-		if err != nil {
-			return err
-		}
-		if _, err := sh.f.Write(buf); err != nil {
-			// A partial write leaves a torn tail; recovery on the next
-			// open truncates it, so the sequence is not consumed.
-			return fmt.Errorf("wal: shard %d append: %w", sh.idx, err)
-		}
-		active := &sh.segs[len(sh.segs)-1]
-		sh.nextSeq = seq + 1
-		sh.dirty = true
-		active.last = seq
-		active.size += int64(len(buf))
-		l.sinceCkpt += int64(len(buf))
-		part = part[n:]
-		if active.size >= l.opts.SegmentBytes {
-			if err := l.rotateLocked(sh); err != nil { //vmp:alloc segment create/rotate is amortized over SegmentBytes of appends
-				return err
-			}
+func (l *Log) appendLocked(parts [][]record.ViewRecord, parent obs.SpanID) (records, bytes int64, err error) {
+	if l.closed {
+		return 0, 0, ErrClosed
+	}
+	if l.failed != nil {
+		return 0, 0, l.failed
+	}
+	esp := l.tracer.Start("wal.encode", parent)
+	buf, next, records, err := appendBatch(l.buf[:0], l.enc, l.nextSeq, l.opts.ChunkRecords, parts)
+	l.buf = buf
+	bytes = int64(len(buf))
+	esp.End(obs.KV("bytes", bytes))
+	if err != nil || bytes == 0 {
+		return 0, 0, err
+	}
+	if l.f == nil {
+		if err := l.openSegment(); err != nil { //vmp:alloc segment create/rotate is amortized over SegmentBytes of appends
+			return 0, 0, err
 		}
 	}
-	return nil
+	active := &l.segs[len(l.segs)-1]
+	wsp := l.tracer.Start("wal.write", parent)
+	_, err = l.f.Write(buf)
+	wsp.End(obs.KV("bytes", bytes))
+	if err != nil {
+		return 0, 0, l.cutTornWrite(active, err)
+	}
+	l.nextSeq = next
+	l.dirty = true
+	active.last = next - 1
+	active.size += bytes
+	l.sinceCkpt += bytes
+	if l.opts.Policy == PolicyBatch {
+		if err := l.syncLocked(parent); err != nil {
+			return 0, 0, err
+		}
+	}
+	if active.size >= l.opts.SegmentBytes {
+		if err := l.rotateLocked(); err != nil { //vmp:alloc segment create/rotate is amortized over SegmentBytes of appends
+			return 0, 0, err
+		}
+	}
+	return records, bytes, nil
+}
+
+// cutTornWrite handles a write that failed: whatever part of the
+// record reached the O_APPEND file is cut back off, so the next append
+// lands after the last good record and not after bytes recovery would
+// truncate along with everything behind them. If the cut fails too the
+// segment is sealed and the log stops taking appends; recovery cuts the
+// tail when the directory is next opened. Caller holds mu.
+func (l *Log) cutTornWrite(active *segmentInfo, werr error) error {
+	if terr := l.f.Truncate(active.size); terr != nil {
+		_ = l.f.Close() // sealed; the errors worth reporting are the two below
+		l.f = nil
+		l.failed = fmt.Errorf("wal: append failed (%w) and its torn tail could not be cut (%w); the log refuses appends until reopened", werr, terr)
+		l.tracer.Emit("wal_failed")
+		return l.failed
+	}
+	return fmt.Errorf("wal: append: %w", werr)
 }
 
 // openSegment creates and opens a fresh active segment named after
-// the next sequence the shard will assign.
-func (l *Log) openSegment(sh *shardLog) error {
-	if err := os.MkdirAll(sh.dir, 0o755); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	path := filepath.Join(sh.dir, fmt.Sprintf("seg-%016x.wal", sh.nextSeq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+// the next sequence the log will assign.
+func (l *Log) openSegment() error {
+	path := filepath.Join(l.dir, fmt.Sprintf("seg-%016x.wal", l.nextSeq))
+	f, err := l.create(path)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	sh.f = f
-	sh.segs = append(sh.segs, segmentInfo{path: path, first: sh.nextSeq, last: sh.nextSeq - 1})
+	l.f = f
+	l.segs = append(l.segs, segmentInfo{path: path, first: l.nextSeq, last: l.nextSeq - 1})
 	return nil
 }
 
 // rotateLocked closes the active segment so the next append starts a
 // fresh one; a final sync flushes whatever the policy had not yet.
-func (l *Log) rotateLocked(sh *shardLog) error {
-	if sh.f == nil {
-		return nil
-	}
-	if sh.dirty && l.opts.Policy != PolicyOff {
-		if err := l.syncShard(sh); err != nil {
+func (l *Log) rotateLocked() error {
+	if l.dirty && l.opts.Policy != PolicyOff {
+		if err := l.syncActive(); err != nil {
 			return err
 		}
 	}
-	err := sh.f.Close()
-	sh.f = nil
+	err := l.f.Close()
+	l.f = nil
 	if err != nil {
 		return fmt.Errorf("wal: closing segment: %w", err)
 	}
 	return nil
 }
 
-// syncShard fsyncs one shard's active segment and clears its dirty
-// flag. Caller holds mu.
-func (l *Log) syncShard(sh *shardLog) error {
+// syncActive fsyncs the active segment and clears the dirty flag. A
+// failure is final for this Log: the kernel may have dropped the dirty
+// pages and marked them clean, so a retried fsync can succeed without
+// the data being on disk. Caller holds mu.
+func (l *Log) syncActive() error {
 	start := l.clock.Now()
-	if err := sh.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync shard %d: %w", sh.idx, err)
+	if err := l.f.Sync(); err != nil {
+		l.failed = fmt.Errorf("wal: fsync: %w; the log refuses appends until reopened", err)
+		l.tracer.Emit("wal_failed")
+		return l.failed
 	}
-	sh.dirty = false
+	l.dirty = false
 	l.fsyncs.Add(1)
 	l.fsyncSec.Observe(l.clock.Now().Sub(start).Seconds())
 	return nil
 }
 
-// syncLocked fsyncs every dirty shard file under one wal.fsync span.
-// Caller holds mu.
+// syncLocked fsyncs the active segment, if it is dirty, under a
+// wal.fsync span. Caller holds mu.
 //
 //vmp:hotpath
 func (l *Log) syncLocked(parent obs.SpanID) error {
+	if l.failed != nil {
+		return l.failed
+	}
 	sp := l.tracer.Start("wal.fsync", parent)
 	n := int64(0)
-	for _, sh := range l.shards {
-		if sh.f == nil || !sh.dirty {
-			continue
-		}
-		if err := l.syncShard(sh); err != nil {
+	if l.f != nil && l.dirty {
+		if err := l.syncActive(); err != nil {
 			sp.End(obs.KV("error", 1))
 			return err
 		}
-		n++
+		n = 1
 	}
 	sp.End(obs.KV("files", n))
 	return nil
 }
 
 // Backlog reports the log's replay debt: how many segment files exist
-// (active and closed, across live and stale shards) and how many bytes
-// they hold — everything a boot-time Replay would have to stream
-// before the listener opens. Both come from the sizes tracked at Open
-// and on every append: the sampler calls this on each tick, and must
-// not stat the directory under the lock appends wait on.
+// (active and closed) and how many bytes they hold — everything a
+// boot-time Replay would have to stream before the listener opens. Both
+// come from the sizes tracked at Open and on every append: the sampler
+// calls this on each tick, and must not stat the directory under the
+// lock appends wait on.
 func (l *Log) Backlog() (segments int, bytes int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	count := func(segs []segmentInfo) {
-		segments += len(segs)
-		for _, seg := range segs {
-			bytes += seg.size
-		}
+	for _, seg := range l.segs {
+		bytes += seg.size
 	}
-	for _, sh := range l.shards {
-		count(sh.segs)
-	}
-	for _, st := range l.stale {
-		count(st.segs)
-	}
-	return segments, bytes
+	return len(l.segs), bytes
 }
 
 // Checkpoints returns how many checkpoints this Log has written.
@@ -622,8 +582,8 @@ func (l *Log) PublishGauges() {
 	l.backBytes.Set(bytes)
 }
 
-// Sync forces an fsync of every dirty shard file — the group-commit
-// step, also usable directly by tests and shutdown paths.
+// Sync forces an fsync of the active segment if it is dirty — the
+// group-commit step, also usable directly by tests and shutdown paths.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -644,18 +604,21 @@ func (l *Log) syncLoop() {
 			return
 		case <-tick.C:
 			if err := l.Sync(); err != nil {
-				// The data is still in the OS cache and the next tick
-				// retries; count it so operators see a sick disk.
+				// The failure is sticky (see syncActive): appends are
+				// refused from here on and there is nothing left to
+				// sync. Count it so operators see a sick disk.
 				l.errors.Add(1)
 				l.tracer.Emit("wal_sync_error")
+				return
 			}
 		}
 	}
 }
 
-// Close stops the group-commit loop, syncs everything dirty, and
-// closes the shard files. The log directory remains valid for a later
-// Open. Close is idempotent; appends after it return ErrClosed.
+// Close stops the group-commit loop, syncs the active segment if it is
+// dirty, and closes it. The log directory remains valid for a later
+// Open. Close is idempotent; appends after it return ErrClosed. A log
+// that had stopped on a write or fsync failure reports that failure.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -670,20 +633,16 @@ func (l *Log) Close() error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var first error
-	for _, sh := range l.shards {
-		if sh.f == nil {
-			continue
-		}
-		if sh.dirty && l.opts.Policy != PolicyOff {
-			if err := l.syncShard(sh); err != nil && first == nil {
-				first = err
-			}
-		}
-		if err := sh.f.Close(); err != nil && first == nil {
-			first = fmt.Errorf("wal: closing shard %d: %w", sh.idx, err)
-		}
-		sh.f = nil
+	first := l.failed
+	if l.f == nil {
+		return first
 	}
+	if first == nil && l.dirty && l.opts.Policy != PolicyOff {
+		first = l.syncActive()
+	}
+	if err := l.f.Close(); err != nil && first == nil {
+		first = fmt.Errorf("wal: closing segment: %w", err)
+	}
+	l.f = nil
 	return first
 }

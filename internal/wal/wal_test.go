@@ -3,8 +3,10 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,8 +40,8 @@ func genRecords(n int) []record.ViewRecord {
 }
 
 // partition splits records round-robin into the per-shard shape
-// AppendBatch takes. Any deterministic partition works: replay order
-// is canonicalized downstream.
+// AppendBatch takes. Any deterministic partition works: the log keeps
+// the parts of a batch together and replay hands them back as one.
 func partition(recs []record.ViewRecord, shards int) [][]record.ViewRecord {
 	parts := make([][]record.ViewRecord, shards)
 	for i := range recs {
@@ -51,9 +53,6 @@ func partition(recs []record.ViewRecord, shards int) [][]record.ViewRecord {
 func openLog(t *testing.T, dir string, opts Options) *Log {
 	t.Helper()
 	opts.Dir = dir
-	if opts.Shards == 0 {
-		opts.Shards = 4
-	}
 	if opts.Clock == nil {
 		opts.Clock = simclock.NewManual(simclock.StudyStart)
 	}
@@ -95,7 +94,7 @@ func canonBytes(t *testing.T, recs []record.ViewRecord) []byte {
 
 func segmentFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "shard-*", "seg-*.wal"))
+	paths, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +194,10 @@ func TestCommitCheckpointsAndTruncates(t *testing.T) {
 	reg := obs.NewRegistry()
 	l := openLog(t, dir, Options{Policy: PolicyBatch, Metrics: reg})
 	recs := genRecords(800)
-	if err := l.AppendBatch(partition(recs, 4), 0); err != nil {
-		t.Fatal(err)
+	for lo := 0; lo < len(recs); lo += 200 {
+		if err := l.AppendBatch(partition(recs[lo:lo+200], 4), 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	bounds := l.Bounds()
 	if err := l.Commit(1, recs, bounds, 0); err != nil {
@@ -208,7 +209,7 @@ func TestCommitCheckpointsAndTruncates(t *testing.T) {
 	if ckpts := checkpointFiles(t, dir); len(ckpts) != 1 {
 		t.Fatalf("checkpoints = %v, want exactly one", ckpts)
 	}
-	// One AppendBatch = one log entry per non-empty shard part; the
+	// One AppendBatch = one log entry whatever its parts; the
 	// truncation counter counts entries (sequences), not view records.
 	if n := reg.Snapshot().Counters["wal_truncated_total"]; n != 4 {
 		t.Fatalf("wal_truncated_total = %d, want 4 entries", n)
@@ -282,18 +283,64 @@ func TestCommitBoundsSurviveReopen(t *testing.T) {
 	}
 }
 
+// TestSegmentRotation: the active segment is closed by the append that
+// takes it to SegmentBytes, never before, and the next append starts a
+// file named after its own first sequence — so the names alone say
+// which sequences each file holds, which is what Open and Commit go by.
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	// Tiny segments force rotation on nearly every append.
-	l := openLog(t, dir, Options{Shards: 2, Policy: PolicyOff, SegmentBytes: 1024})
-	recs := genRecords(2000)
+	const threshold = 8 << 10
+	l := openLog(t, dir, Options{Policy: PolicyOff, SegmentBytes: threshold})
+	recs := genRecords(4000)
+	grew := int64(0) // bytes in the active segment
 	for lo := 0; lo < len(recs); lo += 100 {
+		before := len(segmentFiles(t, dir))
 		if err := l.AppendBatch(partition(recs[lo:lo+100], 2), 0); err != nil {
 			t.Fatal(err)
 		}
+		files := segmentFiles(t, dir)
+		if grew == 0 {
+			if len(files) != before+1 {
+				t.Fatalf("append %d after a rotation: %d segment files, want a new one beside %d", lo/100, len(files), before)
+			}
+		} else if len(files) != before {
+			t.Fatalf("append %d: a segment of %d bytes was rotated away below the %d threshold", lo/100, grew, threshold)
+		}
+		if grew = fileSize(t, files[len(files)-1]); grew >= threshold {
+			grew = 0 // this append closed it
+		}
 	}
-	if n := len(segmentFiles(t, dir)); n < 4 {
-		t.Fatalf("%d segment files under a 1 KiB rotation threshold, expected several", n)
+	files := segmentFiles(t, dir)
+	if len(files) < 4 {
+		t.Fatalf("%d segment files under an 8 KiB rotation threshold, expected several", len(files))
+	}
+	for _, p := range files[:len(files)-1] {
+		if fileSize(t, p) < threshold {
+			t.Fatalf("closed segment %s holds %d bytes, below the threshold", p, fileSize(t, p))
+		}
+	}
+	// Names carry first sequences: 40 appends, one sequence each.
+	next := uint64(1)
+	for _, p := range files {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("seg-%016x.wal", next); filepath.Base(p) != want {
+			t.Fatalf("segment %s, want %s", filepath.Base(p), want)
+		}
+		if _, err := DecodeSegment(data, nil, func(seq uint64, _ []record.ViewRecord) error {
+			if seq != next {
+				return fmt.Errorf("%s: sequence %d where %d expected", p, seq, next)
+			}
+			next++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if next != 41 || l.Bounds()[0] != 40 {
+		t.Fatalf("segments end at sequence %d with bounds %v, want 40", next-1, l.Bounds())
 	}
 	got, _ := replayAll(t, l)
 	if !bytes.Equal(canonBytes(t, got), canonBytes(t, recs)) {
@@ -301,32 +348,159 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
-func TestShardCountShrinkReplaysStaleDirs(t *testing.T) {
-	dir := t.TempDir()
-	l := openLog(t, dir, Options{Shards: 8, Policy: PolicyBatch})
-	recs := genRecords(640)
-	if err := l.AppendBatch(partition(recs, 8), 0); err != nil {
+// TestAppendBatchOneRecordOneWriteOneFsync is the single stream's cost
+// contract: however many shard parts a batch has, it consumes one
+// sequence, costs one write to one file and — under PolicyBatch — adds
+// exactly one to wal_fsync_total.
+func TestAppendBatchOneRecordOneWriteOneFsync(t *testing.T) {
+	for _, k := range []int{1, 3, 8} {
+		t.Run(fmt.Sprintf("parts=%d", k), func(t *testing.T) {
+			dir := t.TempDir()
+			reg := obs.NewRegistry()
+			l := openLog(t, dir, Options{Policy: PolicyBatch, Metrics: reg})
+			calls := countFileCalls(l)
+			// Eight shard slots, k of them non-empty.
+			parts := make([][]record.ViewRecord, 8)
+			copy(parts, partition(genRecords(40*k), k))
+			for round := 0; round < 3; round++ {
+				seq := l.Bounds()[0]
+				fsyncs := reg.Snapshot().Counters["wal_fsync_total"]
+				writes, syncs := calls.writes, calls.syncs
+				size := segmentBytes(t, dir)
+				if err := l.AppendBatch(parts, 0); err != nil {
+					t.Fatal(err)
+				}
+				if got := l.Bounds()[0]; got != seq+1 {
+					t.Fatalf("round %d: sequence went %d -> %d, want one consumed", round, seq, got)
+				}
+				if got := reg.Snapshot().Counters["wal_fsync_total"] - fsyncs; got != 1 || calls.syncs-syncs != 1 {
+					t.Fatalf("round %d: wal_fsync_total +%d, %d Sync calls, want 1 and 1", round, got, calls.syncs-syncs)
+				}
+				if calls.writes-writes != 1 {
+					t.Fatalf("round %d: %d writes, want 1", round, calls.writes-writes)
+				}
+				files := segmentFiles(t, dir)
+				if len(files) != 1 || segmentBytes(t, dir) <= size {
+					t.Fatalf("round %d: files %v holding %d bytes (was %d), want the one file grown", round, files, segmentBytes(t, dir), size)
+				}
+			}
+		})
+	}
+}
+
+// TestReplayDeliversBatchesWhole: one callback per acknowledged batch,
+// carrying the records of all its parts, in append order.
+func TestReplayDeliversBatchesWhole(t *testing.T) {
+	l := openLog(t, t.TempDir(), Options{Policy: PolicyOff})
+	recs := genRecords(700)
+	batches := [][]record.ViewRecord{recs[:100], recs[100:350], recs[350:351], recs[351:]}
+	for i, b := range batches {
+		if err := l.AppendBatch(partition(b, 1+3*i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got [][]record.ViewRecord
+	if _, err := l.Replay(func(recs []record.ViewRecord) error {
+		got = append(got, append([]record.ViewRecord(nil), recs...))
+		return nil
+	}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Close(); err != nil {
+	if len(got) != len(batches) {
+		t.Fatalf("replay made %d callbacks for %d batches", len(got), len(batches))
+	}
+	for i := range batches {
+		if !bytes.Equal(canonBytes(t, got[i]), canonBytes(t, batches[i])) {
+			t.Fatalf("callback %d carries %d records, not batch %d's %d", i, len(got[i]), i, len(batches[i]))
+		}
+	}
+}
+
+// TestOversizedBatchSpansRecords: a batch past ChunkRecords is carried
+// in several records — still one write and one fsync — and replays
+// complete.
+func TestOversizedBatchSpansRecords(t *testing.T) {
+	reg := obs.NewRegistry()
+	l := openLog(t, t.TempDir(), Options{Policy: PolicyBatch, ChunkRecords: 50, Metrics: reg})
+	calls := countFileCalls(l)
+	recs := genRecords(330)
+	if err := l.AppendBatch(partition(recs, 3), 0); err != nil { // parts of 110: frames of 50, 50, 10
 		t.Fatal(err)
 	}
-	// Reopen narrower: shards 4..7 become stale directories. Their
-	// records still replay, and the first commit retires them.
-	l2 := openLog(t, dir, Options{Shards: 4, Policy: PolicyBatch})
-	got, _ := replayAll(t, l2)
+	if got := l.Bounds()[0]; got < 330/50 {
+		t.Fatalf("330 records under a 50-record chunk took %d sequences", got)
+	}
+	if calls.writes != 1 || calls.syncs != 1 {
+		t.Fatalf("%d writes, %d fsyncs for one batch", calls.writes, calls.syncs)
+	}
+	perCall := 0
+	var got []record.ViewRecord
+	if _, err := l.Replay(func(recs []record.ViewRecord) error {
+		perCall = max(perCall, len(recs))
+		got = append(got, recs...)
+		return nil
+	}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if perCall > 50 {
+		t.Fatalf("a record of %d view records under ChunkRecords 50", perCall)
+	}
 	if !bytes.Equal(canonBytes(t, got), canonBytes(t, recs)) {
-		t.Fatal("stale shard directories were not replayed")
+		t.Fatal("replay of an oversized batch is not the batch")
 	}
-	if err := l2.Commit(1, got, l2.Bounds(), 0); err != nil {
+}
+
+// TestOpenRefusesPerShardLayout: a directory written by the per-shard
+// log holds acknowledged records this log would never replay. Open must
+// say so, naming what it found, rather than start an empty stream
+// beside them.
+func TestOpenRefusesPerShardLayout(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"shard-0000", "shard-0005"} {
+		if err := os.MkdirAll(filepath.Join(dir, name), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "shard-0005", "seg-0000000000000001.wal"), []byte("acked"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if dirs, _ := filepath.Glob(filepath.Join(dir, "shard-000[4-7]")); len(dirs) != 0 {
-		t.Fatalf("stale shard dirs survive a commit: %v", dirs)
+	_, err := Open(Options{Dir: dir})
+	if err == nil {
+		t.Fatal("Open accepted a directory of per-shard logs")
 	}
-	got2, _ := replayAll(t, l2)
-	if !bytes.Equal(canonBytes(t, got2), canonBytes(t, recs)) {
-		t.Fatal("post-commit replay lost stale-shard records")
+	for _, name := range []string{"shard-0000", "shard-0005"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("error does not name %s: %v", name, err)
+		}
+	}
+	if files := segmentFiles(t, dir); len(files) != 0 {
+		t.Fatalf("the refused Open left %v behind", files)
+	}
+
+	// The same for a checkpoint whose bounds are per shard: nothing in
+	// it says where this stream's sequences stand.
+	dir = t.TempDir()
+	img, err := encodeCheckpoint(1, genRecords(10), []uint64{3, 1, 4, 1}, ckptBytesPerRecord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint-0000000000000000.ckpt"), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Options{Dir: dir}); err == nil || !strings.Contains(err.Error(), "4 shard bounds") {
+		t.Fatalf("Open of a per-shard checkpoint = %v, want a refusal naming its 4 bounds", err)
+	}
+}
+
+// TestCommitWantsOneBound: the bounds vector is the stream's single
+// sequence; anything else is a caller from the per-shard days.
+func TestCommitWantsOneBound(t *testing.T) {
+	l := openLog(t, t.TempDir(), Options{Policy: PolicyOff})
+	if got := l.Bounds(); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("empty log bounds = %v, want [0]", got)
+	}
+	if err := l.Commit(1, nil, make([]uint64, 4), 0); err == nil {
+		t.Fatal("Commit accepted four bounds")
 	}
 }
 
@@ -379,5 +553,61 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("sometimes"); err == nil {
 		t.Fatal("ParsePolicy accepted garbage")
+	}
+}
+
+// TestAppendStagesTraced pins the append's stage vocabulary: wal.encode,
+// wal.write and wal.fsync are children of wal.append, which says how
+// many records and bytes the batch was — so a trace can tell whether a
+// slow ack was spent encoding, in write(2) or in fsync.
+func TestAppendStagesTraced(t *testing.T) {
+	dir := t.TempDir()
+	tr := obs.NewTracer(simclock.NewManual(simclock.StudyStart), 64)
+	l := openLog(t, dir, Options{Policy: PolicyBatch, Trace: tr})
+	if err := l.AppendBatch(partition(genRecords(120), 4), 0); err != nil {
+		t.Fatal(err)
+	}
+	size := segmentBytes(t, dir)
+	var parent uint64
+	children := map[string]int64{}
+	snap := tr.Snapshot()
+	for _, sp := range snap.Spans {
+		if sp.Name == "wal.append" {
+			parent = sp.ID
+			if sp.Attrs["records"] != 120 || sp.Attrs["bytes"] != size {
+				t.Fatalf("wal.append attrs %v, want 120 records and %d bytes", sp.Attrs, size)
+			}
+		}
+	}
+	for _, sp := range snap.Spans {
+		if sp.Name != "wal.append" {
+			if sp.Parent != parent {
+				t.Fatalf("%s is not a child of wal.append: %+v", sp.Name, sp)
+			}
+			children[sp.Name] = sp.Attrs["bytes"]
+		}
+	}
+	if len(children) != 3 || children["wal.encode"] != size || children["wal.write"] != size {
+		t.Fatalf("children of wal.append: %v, want wal.encode and wal.write with %d bytes, and wal.fsync", children, size)
+	}
+	if _, ok := children["wal.fsync"]; !ok {
+		t.Fatalf("no wal.fsync among %v", children)
+	}
+}
+
+// TestAppendBatchDoesNotAllocate: with tracing off, the steady-state
+// append — encode into the reused buffer, one write — allocates nothing.
+func TestAppendBatchDoesNotAllocate(t *testing.T) {
+	l := openLog(t, t.TempDir(), Options{Policy: PolicyOff})
+	parts := partition(genRecords(400), 8)
+	if err := l.AppendBatch(parts, 0); err != nil { // sizes the buffers, creates the segment
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := l.AppendBatch(parts, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("AppendBatch allocates %.1f times per batch", allocs)
 	}
 }

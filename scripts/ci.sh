@@ -22,6 +22,7 @@ stage build     make build
 stage test      make test
 stage fmt-check make fmt-check
 stage vet       make vet
+stage vet-bench make vet-bench
 # lint is one vmplint invocation that gates the build AND materializes
 # the machine-readable artifacts: the console report goes to the build
 # log while -json-out/-sarif-out write lint_report.json (for scripts)
