@@ -104,6 +104,16 @@ bench-wal:
 bench-cut:
 	$(GO) test -run xxx -bench BenchmarkEpochCut -benchtime 10x -benchmem ./internal/live/
 
+# bench-query is the generation-size sweep for the query functions: the
+# serving mix (six shares, top publishers, one window) asked of 50 k,
+# 200 k and 800 k records. cold — a Dataset nobody has asked before —
+# is a scan and grows with the generation; warm — the same Dataset
+# asked again — is answered from what the first asking left on it and
+# must be flat. DESIGN.md §8 records the sweep.
+.PHONY: bench-query
+bench-query:
+	$(GO) test -run xxx -bench 'BenchmarkQuery$$' -benchmem ./internal/live/
+
 # bench-lint times a full fourteen-analyzer run over the module tree
 # twice — cold (parse + type-check + analyze everything) and warm
 # (every package replayed from the content-hash cache) — and records

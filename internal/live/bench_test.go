@@ -2,11 +2,13 @@ package live
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"vmp/internal/obs"
 	"vmp/internal/simclock"
+	"vmp/internal/telemetry"
 )
 
 // benchIngest measures admission + micro-batched append throughput:
@@ -105,11 +107,57 @@ func BenchmarkIngestSampled(b *testing.B) {
 	b.ReportMetric(float64(500*b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
+// BenchmarkQuery is the generation-size sweep for the query functions:
+// one op is the serving mix asked once — share × {protocol, platform,
+// cdn} × {viewhours, views}, top publishers, one window — over a
+// Dataset of 50 k, 200 k or 800 k records. cold asks a Dataset nobody
+// has asked before (made by merging one record, outside the timer), so
+// every answer is a scan and ns/op grows with the size; warm asks
+// the same Dataset again, so every answer is already on it and ns/op
+// must be flat in the size.
+func BenchmarkQuery(b *testing.B) {
+	mix := func(b *testing.B, ds *telemetry.Dataset) {
+		for _, dim := range queryDims {
+			for _, by := range []string{"viewhours", "views"} {
+				if _, err := ShareOver(ds, dim, by); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		TopPublishersOver(ds, 10)
+		WindowOver(ds, simclock.DayTime(20), 7)
+	}
+	for _, size := range []int{50_000, 200_000, 800_000} {
+		recs := genRecords(size + 1)
+		telemetry.CanonicalSort(recs)
+		base := telemetry.NewDataset(recs[:size:size])
+		b.Run(fmt.Sprintf("cold/%dk", size/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ds := base.Merge([]telemetry.ViewRecord{recs[size]})
+				b.StartTimer()
+				mix(b, ds)
+			}
+		})
+		b.Run(fmt.Sprintf("warm/%dk", size/1000), func(b *testing.B) {
+			mix(b, base)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mix(b, base)
+			}
+		})
+	}
+}
+
 // BenchmarkQueryUnderIngest measures query latency on the published
 // generation while a writer goroutine streams batches and a
-// snapshotter cuts epochs — the serving plane's steady state. Queries
-// read the atomic generation pointer and share no lock with the
-// append path, so ingest stalls cannot show up in these numbers.
+// snapshotter cuts epochs — the serving plane's steady state: a
+// generation's first asking of each dimension scans it, every asking
+// until the next cut is answered from the Dataset. Queries read the
+// atomic generation pointer and share no lock with the append path, so
+// ingest stalls cannot show up in these numbers.
 func BenchmarkQueryUnderIngest(b *testing.B) {
 	e := NewEngine(Config{Shards: 8, QueueDepth: 64, Clock: simclock.NewManual(simclock.StudyStart)})
 	defer e.Close()

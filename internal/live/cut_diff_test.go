@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -26,31 +27,37 @@ func rebuild(all []telemetry.ViewRecord) *telemetry.Dataset {
 	return telemetry.NewDataset(sorted)
 }
 
-// diffQueries is the serving plane's query vocabulary at the shapes the
-// bench gates on: share × {protocol, platform, cdn} × {viewhours,
-// views}, top publishers, one window.
-func diffQueries(t *testing.T, ds *telemetry.Dataset) [][]byte {
-	t.Helper()
-	var out [][]byte
-	add := func(v any, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := MarshalResponse(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, b)
+// askMix asks ds the serving plane's query vocabulary at the shapes the
+// bench gates on — share × {protocol, platform, cdn} × {viewhours,
+// views}, top publishers, one window — and returns each answer's
+// canonical bytes and how it was come by.
+func askMix(ds *telemetry.Dataset) (answers [][]byte, how []telemetry.Derivation, err error) {
+	add := func(v any, h telemetry.Derivation) {
+		b, merr := MarshalResponse(v)
+		err = errors.Join(err, merr)
+		answers, how = append(answers, b), append(how, h)
 	}
-	for _, dim := range []string{"protocol", "platform", "cdn"} {
+	for _, dim := range queryDims {
 		for _, by := range []string{"viewhours", "views"} {
-			add(ShareOver(ds, dim, by))
+			resp, h, serr := shareOver(ds, dim, by)
+			if serr != nil {
+				return nil, nil, serr
+			}
+			add(resp, h)
 		}
 	}
-	add(TopPublishersOver(ds, 10), nil)
-	add(WindowOver(ds, simclock.DayTime(20), 7), nil)
-	return out
+	add(topPublishersOver(ds, 10))
+	add(windowOver(ds, simclock.DayTime(20), 7))
+	return answers, how, err
+}
+
+func diffQueries(t *testing.T, ds *telemetry.Dataset) ([][]byte, []telemetry.Derivation) {
+	t.Helper()
+	answers, how, err := askMix(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return answers, how
 }
 
 // rowNames resolves row i of a column to dimension values: IDs may be
@@ -122,10 +129,18 @@ func requireSameDataset(t *testing.T, cut int, got, want *telemetry.Dataset) {
 			t.Fatalf("cut %d: window %v bounds [%d,%d), rebuild has [%d,%d)", cut, snap, glo, ghi, wlo, whi)
 		}
 	}
-	gq, wq := diffQueries(t, got), diffQueries(t, want)
-	for i := range wq {
-		if !bytes.Equal(gq[i], wq[i]) {
-			t.Fatalf("cut %d: query %d answers\n%s, rebuild answers\n%s", cut, i, gq[i], wq[i])
+	// Every query is asked twice of the cut's dataset: the first asking
+	// scans it, the second is answered from what the first left on it.
+	wq, _ := diffQueries(t, want)
+	for _, asking := range []string{"first", "second"} {
+		gq, how := diffQueries(t, got)
+		for i := range wq {
+			if !bytes.Equal(gq[i], wq[i]) {
+				t.Fatalf("cut %d: query %d, %s asking, answers\n%s, rebuild answers\n%s", cut, i, asking, gq[i], wq[i])
+			}
+			if asking == "second" && how[i] != telemetry.DerivedHit {
+				t.Fatalf("cut %d: query %d, second asking, was not answered from the dataset (how=%v)", cut, i, how[i])
+			}
 		}
 	}
 }

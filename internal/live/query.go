@@ -18,17 +18,37 @@ import (
 // vmpstudy from a JSONL file — that shared code path is what the CI
 // smoke stage's byte-identical online/offline comparison rests on.
 
+// Every answer here is a function of an immutable Dataset and a small
+// key, so each is computed once per dataset and kept on it
+// (telemetry.Dataset.Derived): the first asking scans, every later one
+// pays for the answer alone, and an epoch cut — which publishes a fresh
+// Dataset — starts empty without anything being invalidated. Responses
+// are therefore shared between callers and are read-only.
+
+// queryDims is the closed set of share dimensions, in key order.
+var queryDims = [...]string{"protocol", "platform", "cdn"}
+
 // DimColumn resolves a query dimension name on a dataset.
 func DimColumn(ds *telemetry.Dataset, dim string) (*telemetry.DimColumn, error) {
-	switch dim {
-	case "protocol":
-		return ds.ProtocolCol(), nil
-	case "platform":
-		return ds.PlatformCol(), nil
-	case "cdn":
-		return ds.CDNCol(), nil
+	i, err := dimIndex(dim)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("live: unknown dimension %q (want protocol, platform, or cdn)", dim)
+	return dimColumns(ds)[i], nil
+}
+
+// dimColumns returns ds's columns in queryDims order.
+func dimColumns(ds *telemetry.Dataset) [len(queryDims)]*telemetry.DimColumn {
+	return [...]*telemetry.DimColumn{ds.ProtocolCol(), ds.PlatformCol(), ds.CDNCol()}
+}
+
+func dimIndex(dim string) (int, error) {
+	for i, name := range queryDims {
+		if dim == name {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("live: unknown dimension %q (want protocol, platform, or cdn)", dim)
 }
 
 // Share is one dimension value's slice of the total.
@@ -45,22 +65,46 @@ type ShareResponse struct {
 	Shares  []Share `json:"shares"`
 }
 
+// shareKey is a share answer's slot on its dataset: 2×dimension index,
+// +1 for by=views. Six values, whatever a client sends.
+type shareKey uint8
+
 // ShareOver computes each dimension value's percentage of total
 // view-hours (by "viewhours", the paper's primary measure) or views
 // (by "views") over the whole dataset. A record splits its measure
 // evenly across its dimension values, exactly as the offline
 // share-of analyses attribute multi-CDN views. Output is sorted by
-// key, ascending, so rendering is deterministic.
+// key, ascending, so rendering is deterministic. The response is
+// computed once per dataset and shared: callers must not modify it.
 func ShareOver(ds *telemetry.Dataset, dim, by string) (*ShareResponse, error) {
-	col, err := DimColumn(ds, dim)
+	resp, _, err := shareOver(ds, dim, by)
+	return resp, err
+}
+
+// shareOver is ShareOver, also reporting whether the dataset already
+// held the answer. dim and by are validated before they become a key,
+// so a bad parameter never takes a slot, and by="" is by="viewhours".
+func shareOver(ds *telemetry.Dataset, dim, by string) (*ShareResponse, telemetry.Derivation, error) {
+	di, err := dimIndex(dim)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	useViews, err := byViews(by)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	resp := &ShareResponse{Dim: dim, By: byName(useViews), Records: ds.Len()}
+	key := shareKey(2 * di)
+	if useViews {
+		key++
+	}
+	v, how := ds.Derived(key, func() any { return scanShare(ds, di, useViews) })
+	return v.(*ShareResponse), how, nil
+}
+
+// scanShare is the one pass over every record behind a share answer.
+func scanShare(ds *telemetry.Dataset, di int, useViews bool) *ShareResponse {
+	col := dimColumns(ds)[di]
+	resp := &ShareResponse{Dim: queryDims[di], By: byName(useViews), Records: ds.Len()}
 	nKeys := col.Cardinality()
 	keyVal := make([]float64, nKeys)
 	keySeen := make([]bool, nKeys)
@@ -87,14 +131,14 @@ func ShareOver(ds *telemetry.Dataset, dim, by string) (*ShareResponse, error) {
 	}
 	if total == 0 {
 		resp.Shares = []Share{}
-		return resp, nil
+		return resp
 	}
 	resp.Shares = make([]Share, 0, len(keyOrder))
 	for _, k := range keyOrder {
 		resp.Shares = append(resp.Shares, Share{Key: col.Name(k), Pct: 100 * keyVal[k] / total})
 	}
 	sort.Slice(resp.Shares, func(i, j int) bool { return resp.Shares[i].Key < resp.Shares[j].Key })
-	return resp, nil
+	return resp
 }
 
 func byViews(by string) (bool, error) {
@@ -129,13 +173,38 @@ type TopPublishersResponse struct {
 	Top     []TopPublisher `json:"top"`
 }
 
+// pubRanking is every publisher of a dataset in rank order. It is what
+// a dataset keeps of top-publishers: any n is a prefix of it, so n is
+// not part of the key and cannot be used to grow the table.
+type pubRanking struct {
+	total float64
+	rows  []TopPublisher
+}
+
+type rankingKey struct{}
+
 // TopPublishersOver ranks publishers by total view-hours over the
 // whole dataset, ties broken by name ascending — the same total order
-// the offline exclusion analyses use.
+// the offline exclusion analyses use. Top is a read-only view of a
+// ranking computed once per dataset: callers must not modify it.
 func TopPublishersOver(ds *telemetry.Dataset, n int) *TopPublishersResponse {
+	resp, _ := topPublishersOver(ds, n)
+	return resp
+}
+
+func topPublishersOver(ds *telemetry.Dataset, n int) (*TopPublishersResponse, telemetry.Derivation) {
 	if n <= 0 {
 		n = 10
 	}
+	v, how := ds.Derived(rankingKey{}, func() any { return rankPublishers(ds) })
+	rank := v.(*pubRanking)
+	k := min(n, len(rank.rows))
+	return &TopPublishersResponse{N: n, Records: ds.Len(), Total: rank.total, Top: rank.rows[:k:k]}, how
+}
+
+// rankPublishers is the one pass over every record, and the sort,
+// behind every top-publishers answer.
+func rankPublishers(ds *telemetry.Dataset) *pubRanking {
 	nPubs := ds.NumPublishers()
 	vh := make([]float64, nPubs)
 	total := 0.0
@@ -155,19 +224,15 @@ func TopPublishersOver(ds *telemetry.Dataset, n int) *TopPublishersResponse {
 		}
 		return ds.PublisherName(a) < ds.PublisherName(b)
 	})
-	resp := &TopPublishersResponse{N: n, Records: ds.Len(), Total: total, Top: []TopPublisher{}}
-	for i := 0; i < n && i < len(ids); i++ {
+	rank := &pubRanking{total: total, rows: make([]TopPublisher, 0, nPubs)}
+	for _, id := range ids {
 		pct := 0.0
 		if total > 0 {
-			pct = 100 * vh[ids[i]] / total
+			pct = 100 * vh[id] / total
 		}
-		resp.Top = append(resp.Top, TopPublisher{
-			Publisher: ds.PublisherName(ids[i]),
-			ViewHours: vh[ids[i]],
-			Pct:       pct,
-		})
+		rank.rows = append(rank.rows, TopPublisher{Publisher: ds.PublisherName(id), ViewHours: vh[id], Pct: pct})
 	}
-	return resp
+	return rank
 }
 
 // WindowResponse is the /v1/query/window payload: the macroscopic
@@ -184,11 +249,36 @@ type WindowResponse struct {
 	DistinctGeos     int     `json:"distinct_geos"`
 }
 
+// windowKey is a window answer's slot: the start as an instant (so one
+// moment written in two zones is one key) and the length in days.
+type windowKey struct {
+	sec  int64
+	nsec int
+	days int
+}
+
 // WindowOver computes macro stats for the window [start, start+days).
+// The response is computed once per dataset for each of a bounded
+// number of distinct windows and shared: callers must not modify it.
 func WindowOver(ds *telemetry.Dataset, start time.Time, days int) *WindowResponse {
+	resp, _ := windowOver(ds, start, days)
+	return resp
+}
+
+// windowOver is WindowOver, also reporting how the answer was come by.
+// Both halves of the key are the client's, so it goes through the
+// capped part of the dataset's table: past the cap a window is scanned
+// for its caller and not kept.
+func windowOver(ds *telemetry.Dataset, start time.Time, days int) (*WindowResponse, telemetry.Derivation) {
 	if days <= 0 {
 		days = 1
 	}
+	key := windowKey{sec: start.Unix(), nsec: start.Nanosecond(), days: days}
+	v, how := ds.DerivedCapped(key, func() any { return scanWindow(ds, start, days) })
+	return v.(*WindowResponse), how
+}
+
+func scanWindow(ds *telemetry.Dataset, start time.Time, days int) *WindowResponse {
 	snap := simclock.Snapshot{Start: start, Days: days}
 	m := analytics.MacroDataset(ds, snap, days)
 	return &WindowResponse{

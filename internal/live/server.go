@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
 
 	"vmp/internal/obs"
+	"vmp/internal/telemetry"
 	"vmp/internal/wire"
 )
 
@@ -26,6 +28,12 @@ type Server struct {
 	qLatency   map[string]*obs.Histogram
 	ackBinary  *obs.Histogram // ingest.ack SLO: POST arrival → 202, binary frames
 	ackJSONL   *obs.Histogram // ingest.ack SLO: POST arrival → 202, JSONL
+
+	// memo counts how query answers were come by, indexed by
+	// telemetry.Derivation: computed (miss), found on the generation's
+	// Dataset (hit), or computed and not kept because the Dataset's
+	// window-key slots were all taken (uncached).
+	memo [telemetry.DerivedUncached + 1]*obs.Counter
 
 	// decoders recycles wire decoders across ingest requests; a
 	// decoder's scratch is only reused after IngestSpan has copied the
@@ -55,6 +63,9 @@ func NewServer(e *Engine) *Server {
 		ackBinary:  reg.Histogram("live_ingest_ack_binary_seconds", ackLatencyBounds),
 		ackJSONL:   reg.Histogram("live_ingest_ack_jsonl_seconds", ackLatencyBounds),
 	}
+	s.memo[telemetry.DerivedMiss] = reg.Counter("live_query_memo_misses_total")
+	s.memo[telemetry.DerivedHit] = reg.Counter("live_query_memo_hits_total")
+	s.memo[telemetry.DerivedUncached] = reg.Counter("live_query_memo_uncached_total")
 	for _, ep := range []string{"share", "top-publishers", "window"} {
 		s.qLatency[ep] = reg.Histogram("live_query_"+ep+"_seconds", queryLatencyBounds)
 	}
@@ -64,7 +75,8 @@ func NewServer(e *Engine) *Server {
 
 // Handler returns the serving plane's HTTP surface:
 //
-//	POST /v1/views                — JSONL ingest; 202 accepted,
+//	POST /v1/views                — ingest, binary batch frames or JSONL,
+//	                                optionally gzip'd; 202 accepted,
 //	                                429 + Retry-After on backpressure
 //	POST /v1/snapshot             — force an epoch cut
 //	GET  /v1/query/share          — ?dim=protocol|platform|cdn&by=viewhours|views
@@ -81,9 +93,9 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/views", s.handleViews)
 	mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
-	mux.HandleFunc("/v1/query/share", s.query("share", s.shareResponse))
-	mux.HandleFunc("/v1/query/top-publishers", s.query("top-publishers", s.topResponse))
-	mux.HandleFunc("/v1/query/window", s.query("window", s.windowResponse))
+	mux.HandleFunc("/v1/query/share", s.query("share", shareResponse))
+	mux.HandleFunc("/v1/query/top-publishers", s.query("top-publishers", topResponse))
+	mux.HandleFunc("/v1/query/window", s.query("window", windowResponse))
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	obs.Mount(mux, s.engine.Metrics(), s.tracer, s.engine.Series())
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -199,8 +211,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // query wraps a response builder with method checking, latency
-// observation, a per-request span, and canonical serialization.
-func (s *Server) query(name string, build func(*http.Request) (any, error)) http.HandlerFunc {
+// observation, a per-request span, and canonical serialization. The
+// generation is loaded once, here: the answer, the span's epoch and
+// its memo attribute all describe that generation, whatever is
+// published while the response is on its way out.
+func (s *Server) query(name string, build func(*telemetry.Dataset, url.Values) (any, telemetry.Derivation, error)) http.HandlerFunc {
 	hist := s.qLatency[name]
 	clock := s.engine.clock
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -210,12 +225,14 @@ func (s *Server) query(name string, build func(*http.Request) (any, error)) http
 		}
 		sp := s.tracer.Start("query."+name, 0)
 		start := clock.Now()
-		resp, err := build(r)
+		g := s.engine.Generation()
+		resp, how, err := build(g.Dataset, r.URL.Query())
 		if err != nil {
 			sp.End(obs.KV("ok", 0))
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
+		s.memo[how].Add(1)
 		buf, err := MarshalResponse(resp)
 		if err != nil {
 			sp.End(obs.KV("ok", 0))
@@ -228,53 +245,52 @@ func (s *Server) query(name string, build func(*http.Request) (any, error)) http
 			return
 		}
 		hist.Observe(clock.Now().Sub(start).Seconds())
-		sp.End(obs.KV("ok", 1), obs.KV("epoch", s.engine.Generation().Epoch))
+		sp.End(obs.KV("ok", 1), obs.KV("epoch", g.Epoch),
+			obs.KV("memo", boolAttr(how == telemetry.DerivedHit)))
 	}
 }
 
-func (s *Server) shareResponse(r *http.Request) (any, error) {
-	dim := r.URL.Query().Get("dim")
+func shareResponse(ds *telemetry.Dataset, q url.Values) (any, telemetry.Derivation, error) {
+	dim := q.Get("dim")
 	if dim == "" {
 		dim = "protocol"
 	}
-	g := s.engine.Generation()
-	return ShareOver(g.Dataset, dim, r.URL.Query().Get("by"))
+	return shareOver(ds, dim, q.Get("by"))
 }
 
-func (s *Server) topResponse(r *http.Request) (any, error) {
+func topResponse(ds *telemetry.Dataset, q url.Values) (any, telemetry.Derivation, error) {
 	n := 10
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
+	if s := q.Get("n"); s != "" {
+		v, err := strconv.Atoi(s)
 		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("live: bad n %q", q)
+			return nil, 0, fmt.Errorf("live: bad n %q", s)
 		}
 		n = v
 	}
-	g := s.engine.Generation()
-	return TopPublishersOver(g.Dataset, n), nil
+	resp, how := topPublishersOver(ds, n)
+	return resp, how, nil
 }
 
-func (s *Server) windowResponse(r *http.Request) (any, error) {
-	q := r.URL.Query()
+func windowResponse(ds *telemetry.Dataset, q url.Values) (any, telemetry.Derivation, error) {
 	startStr := q.Get("start")
 	if startStr == "" {
-		return nil, fmt.Errorf("live: window query requires start=RFC3339 (or YYYY-MM-DD)")
+		return nil, 0, fmt.Errorf("live: window query requires start=RFC3339 (or YYYY-MM-DD)")
 	}
 	start, err := time.Parse(time.RFC3339, startStr)
 	if err != nil {
 		start, err = time.Parse("2006-01-02", startStr)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("live: bad start %q", startStr)
+		return nil, 0, fmt.Errorf("live: bad start %q", startStr)
 	}
 	days := 2
 	if d := q.Get("days"); d != "" {
 		v, err := strconv.Atoi(d)
 		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("live: bad days %q", d)
+			return nil, 0, fmt.Errorf("live: bad days %q", d)
 		}
 		days = v
 	}
-	g := s.engine.Generation()
-	return WindowOver(g.Dataset, start, days), nil
+	resp, how := windowOver(ds, start, days)
+	return resp, how, nil
 }

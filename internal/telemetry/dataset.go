@@ -3,7 +3,6 @@ package telemetry
 import (
 	"maps"
 	"sort"
-	"sync"
 
 	"vmp/internal/device"
 	"vmp/internal/manifest"
@@ -141,14 +140,7 @@ type Dataset struct {
 	model         *DimColumn // device model of records with a known device
 	modelPlatform []int32    // platform ID per model ID, parallel to model.names
 
-	mu         sync.RWMutex
-	windows    map[windowKey][2]int
-	deviceCols map[string]*DimColumn
-}
-
-type windowKey struct {
-	start int64
-	days  int
+	derived derivedTable
 }
 
 // Freeze returns an immutable, analysis-optimized snapshot of the
@@ -167,11 +159,7 @@ func NewDataset(recs []ViewRecord) *Dataset {
 		})
 	}
 	empty := &DimColumn{offs: []int32{0}}
-	base := &Dataset{
-		protocol: empty, platform: empty, cdn: empty, model: empty,
-		windows:    make(map[windowKey][2]int),
-		deviceCols: make(map[string]*DimColumn),
-	}
+	base := &Dataset{protocol: empty, platform: empty, cdn: empty, model: empty}
 	return base.Merge(recs)
 }
 
@@ -240,11 +228,9 @@ func newDatasetBuilder(base *Dataset, delta []ViewRecord) *datasetBuilder {
 	b := &datasetBuilder{
 		base: base,
 		out: &Dataset{
-			views:      make([]float64, n),
-			viewHours:  make([]float64, n),
-			pubIDs:     make([]int32, n),
-			windows:    make(map[windowKey][2]int),
-			deviceCols: make(map[string]*DimColumn),
+			views:     make([]float64, n),
+			viewHours: make([]float64, n),
+			pubIDs:    make([]int32, n),
 		},
 		own:           len(base.records) == 0,
 		pubs:          extendNames(base.pubNames, base.pubIndex),
@@ -374,17 +360,19 @@ func (d *Dataset) PlatformCol() *DimColumn { return d.platform }
 // CDNCol returns the CDN dimension (every CDN used during the view).
 func (d *Dataset) CDNCol() *DimColumn { return d.cdn }
 
+// deviceColKey is the derived-value key of one platform's DeviceCol.
+type deviceColKey string
+
 // DeviceCol returns the device-model dimension restricted to one
 // platform category (the within-platform splits of Fig 10): records on
-// other platforms contribute no values. Columns are built lazily and
-// memoized per platform name.
+// other platforms contribute no values. Columns are built lazily, once
+// per platform name.
 func (d *Dataset) DeviceCol(platform string) *DimColumn {
-	d.mu.RLock()
-	col, ok := d.deviceCols[platform]
-	d.mu.RUnlock()
-	if ok {
-		return col
-	}
+	col, _ := d.Derived(deviceColKey(platform), func() any { return d.buildDeviceCol(platform) })
+	return col.(*DimColumn)
+}
+
+func (d *Dataset) buildDeviceCol(platform string) *DimColumn {
 	var platformID int32 = -1
 	for id, name := range d.platform.names {
 		if name == platform {
@@ -392,7 +380,7 @@ func (d *Dataset) DeviceCol(platform string) *DimColumn {
 			break
 		}
 	}
-	col = &DimColumn{names: d.model.names, offs: make([]int32, 1, len(d.records)+1)}
+	col := &DimColumn{names: d.model.names, offs: make([]int32, 1, len(d.records)+1)}
 	for i := range d.records {
 		for _, mid := range d.model.IDs(i) {
 			if d.modelPlatform[mid] == platformID {
@@ -401,28 +389,12 @@ func (d *Dataset) DeviceCol(platform string) *DimColumn {
 		}
 		col.offs = append(col.offs, int32(len(col.ids)))
 	}
-	d.mu.Lock()
-	if prev, ok := d.deviceCols[platform]; ok {
-		col = prev
-	} else {
-		d.deviceCols[platform] = col
-	}
-	d.mu.Unlock()
 	return col
 }
 
 // WindowBounds returns the half-open record-index range [lo, hi) whose
-// timestamps fall inside the snapshot. Partitions are memoized per
-// snapshot, so repeated figure passes over the same schedule pay the
-// binary search once.
+// timestamps fall inside the snapshot: two binary searches.
 func (d *Dataset) WindowBounds(snap simclock.Snapshot) (lo, hi int) {
-	k := windowKey{start: snap.Start.UnixNano(), days: snap.Days}
-	d.mu.RLock()
-	b, ok := d.windows[k]
-	d.mu.RUnlock()
-	if ok {
-		return b[0], b[1]
-	}
 	lo = sort.Search(len(d.records), func(i int) bool {
 		return !d.records[i].Timestamp.Before(snap.Start)
 	})
@@ -430,9 +402,6 @@ func (d *Dataset) WindowBounds(snap simclock.Snapshot) (lo, hi int) {
 	hi = sort.Search(len(d.records), func(i int) bool {
 		return !d.records[i].Timestamp.Before(end)
 	})
-	d.mu.Lock()
-	d.windows[k] = [2]int{lo, hi}
-	d.mu.Unlock()
 	return lo, hi
 }
 

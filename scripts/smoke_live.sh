@@ -60,7 +60,10 @@ stop_vmpd() {
 
 # drive_and_query ADDR TAG [vmpgen encode flags...]: stream the slice
 # into the daemon at ADDR, verify the ingest counter covers it, cut an
-# epoch, and save the query answers under TAG.
+# epoch, and save the query answers under TAG. Every endpoint is asked
+# twice: the first answer is a scan of the generation, the second is
+# read back from it, and the two must be the same bytes (the first of
+# each is what is later held to offline vmpstudy).
 drive_and_query() {
 	addr="$1"
 	tag="$2"
@@ -88,8 +91,31 @@ drive_and_query() {
 		;;
 	esac
 
-	curl -sf "http://$addr/v1/query/share?dim=protocol" >"$DIR/${tag}_share.json"
-	curl -sf "http://$addr/v1/query/top-publishers?n=10" >"$DIR/${tag}_top.json"
+	for ask in "" again_; do
+		curl -sf "http://$addr/v1/query/share?dim=protocol" >"$DIR/${ask}${tag}_share.json"
+		curl -sf "http://$addr/v1/query/top-publishers?n=10" >"$DIR/${ask}${tag}_top.json"
+		curl -sf "http://$addr/v1/query/window?start=2016-01-01&days=3" >"$DIR/${ask}${tag}_window.json"
+	done
+	for q in share top window; do
+		cmp "$DIR/${tag}_$q.json" "$DIR/again_${tag}_$q.json" || {
+			echo "smoke: $q answered differently the second time it was asked ($tag)" >&2
+			exit 1
+		}
+	done
+
+	echo "smoke: checking the second askings were answered from the generation ($tag)"
+	METRICS=$(curl -sf "http://$addr/v1/metrics")
+	case "$METRICS" in
+	*'"live_query_memo_hits_total":0'*)
+		echo "smoke: no query was answered from the generation's memo: $METRICS" >&2
+		exit 1
+		;;
+	*'"live_query_memo_hits_total":'*) ;;
+	*)
+		echo "smoke: live_query_memo_hits_total missing from /v1/metrics: $METRICS" >&2
+		exit 1
+		;;
+	esac
 }
 
 # check_ack_quantiles ADDR HIST: require the ingest.ack histogram HIST
@@ -212,6 +238,10 @@ cmp "$DIR/online_share.json" "$DIR/binary_share.json" || {
 }
 cmp "$DIR/online_top.json" "$DIR/binary_top.json" || {
 	echo "smoke: binary-ingest top-publishers answer differs from JSONL ingest" >&2
+	exit 1
+}
+cmp "$DIR/online_window.json" "$DIR/binary_window.json" || {
+	echo "smoke: binary-ingest window answer differs from JSONL ingest" >&2
 	exit 1
 }
 
