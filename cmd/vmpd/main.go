@@ -1,7 +1,7 @@
-// Command vmpd runs the live serving plane: sharded streaming ingest
-// of JSON-lines view records, epoch snapshots merged into immutable
-// queryable generations, and the query API — the online counterpart of
-// the offline vmpstudy pipeline. A freshly cut epoch answers
+// Command vmpd runs the live serving plane: streaming ingest of view
+// records (binary batch frames or JSON lines), epoch snapshots merged
+// into immutable queryable generations, and the query API — the online
+// counterpart of the offline vmpstudy pipeline. A freshly cut epoch answers
 // /v1/query/* byte-identically to vmpstudy over the same records.
 //
 // Usage:
@@ -32,9 +32,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8474", "listen address")
-		shards      = flag.Int("shards", 8, "hash partitions for ingest")
-		queueDepth  = flag.Int("queue-depth", 64, "queued batches per shard before backpressure")
-		batchMax    = flag.Int("batch-max", 4096, "records coalesced into one append")
+		queueDepth  = flag.Int("queue-depth", 64, "queued batches before backpressure")
 		epoch       = flag.Duration("epoch", 5*time.Second, "snapshot cadence")
 		retryAfter  = flag.Duration("retry-after", 500*time.Millisecond, "retry hint on backpressure")
 		drain       = flag.Duration("drain-timeout", 10*time.Second, "in-flight request drain deadline on shutdown")
@@ -57,9 +55,7 @@ func main() {
 	metrics := obs.NewRegistry()
 	series := obs.NewSeriesRing(*seriesDepth)
 	engine := live.NewEngine(live.Config{
-		Shards:     *shards,
 		QueueDepth: *queueDepth,
-		BatchMax:   *batchMax,
 		EpochEvery: *epoch,
 		RetryAfter: *retryAfter,
 		Clock:      clk,
@@ -143,7 +139,7 @@ func main() {
 		Handler:           server.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	log.Printf("vmpd: listening on %s (%d shards, %s epochs)", *addr, *shards, *epoch)
+	log.Printf("vmpd: listening on %s (%s epochs)", *addr, *epoch)
 	err := graceful.RunNotify(srv, nil, *drain, nil, func(phase string) {
 		tracer.Emit("graceful_" + phase)
 	})
@@ -172,8 +168,8 @@ func main() {
 }
 
 // preload streams a JSONL file into the engine, retrying batches the
-// shard queues reject; the consumers are already running, so
-// backpressure clears itself. The waits between retries ride ctx, so
+// queue rejects; the consumer is already running, so backpressure
+// clears itself. The waits between retries ride ctx, so
 // shutdown interrupts a stalled preload instead of hanging on it.
 func preload(ctx context.Context, engine *live.Engine, path string) (int, error) {
 	f, err := os.Open(path)
@@ -194,8 +190,8 @@ func preload(ctx context.Context, engine *live.Engine, path string) (int, error)
 	return len(recs), nil
 }
 
-// ingestAll admits one batch, waiting out backpressure: the consumers
-// are already running, so full queues clear themselves. The waits ride
+// ingestAll admits one batch, waiting out backpressure: the consumer
+// is already running, so a full queue clears itself. The waits ride
 // ctx so shutdown interrupts a stalled ingest. This is also the WAL
 // replay sink — replay hands batches here before the listener opens.
 func ingestAll(ctx context.Context, engine *live.Engine, recs []telemetry.ViewRecord) error {

@@ -256,7 +256,7 @@ func newDriver(encoding string, compress bool, seed uint64) (*driver, error) {
 }
 
 // drive streams recs to url's /v1/views endpoint in batches. A 429
-// means the server's shard queues are full; the batch is retried
+// means the server's ingest queue is full; the batch is retried
 // unchanged after the Retry-After hint — admission is atomic on the
 // server, so retries never duplicate records, and the body was
 // encoded once before the first attempt, so retries cost no encode

@@ -1,7 +1,7 @@
 // Command vmptop is the operator's live view of a vmpd (or
 // vmpcollector) daemon: it polls the /v1/series flight recorder and
-// renders a compact terminal dashboard — ingest rate, shard queue
-// depths, epoch cadence, WAL backlog, latency quantiles, and Go
+// renders a compact terminal dashboard — ingest rate, queue
+// depth, epoch cadence, WAL backlog, latency quantiles, and Go
 // runtime health — refreshing in place on every poll.
 //
 // Usage:
@@ -28,7 +28,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -120,13 +119,8 @@ func render(url string, snap *obs.SeriesSnapshot) string {
 		p.Counters["live_ingest_backpressured_total"],
 		p.Counters["live_ingest_rejected_total"]+p.Counters["collector_rejected_total"])
 
-	if _, ok := p.Gauges["live_queue_depth_batches"]; ok {
-		name, depth := maxShardDepth(p.Gauges)
-		fmt.Fprintf(&b, "queues    %d batches queued", p.Gauges["live_queue_depth_batches"])
-		if name != "" {
-			fmt.Fprintf(&b, "   deepest shard %s (%d)", name, depth)
-		}
-		b.WriteByte('\n')
+	if depth, ok := p.Gauges["live_queue_depth_batches"]; ok {
+		fmt.Fprintf(&b, "queues    %d batches queued\n", depth)
 		fmt.Fprintf(&b, "epochs    epoch %d   %s cuts/s   generation %d records, age %s\n",
 			p.Gauges["live_generation_epoch"],
 			fmtRate(p.Rates["live_snapshots_total"]),
@@ -167,29 +161,6 @@ func render(url string, snap *obs.SeriesSnapshot) string {
 		p.Gauges["go_goroutines"], p.Gauges["go_gc_runs"],
 		(time.Duration(p.Gauges["go_gc_pause_total_ns"]) * time.Nanosecond).String())
 	return b.String()
-}
-
-// maxShardDepth finds the deepest per-shard queue gauge; ties break
-// toward the lexicographically smallest shard name so the readout is
-// stable across frames.
-func maxShardDepth(gauges map[string]int64) (string, int64) {
-	names := make([]string, 0, len(gauges))
-	for name := range gauges {
-		if strings.HasPrefix(name, "live_shard_") && strings.HasSuffix(name, "_queue_depth_batches") {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	best, depth := "", int64(-1)
-	for _, name := range names {
-		if gauges[name] > depth {
-			best, depth = name, gauges[name]
-		}
-	}
-	if best == "" {
-		return "", 0
-	}
-	return strings.TrimSuffix(strings.TrimPrefix(best, "live_shard_"), "_queue_depth_batches"), depth
 }
 
 // fmtRate renders a per-second rate with enough precision for both

@@ -16,8 +16,9 @@ import (
 //     by os.Rename is flagged (WriteFile never syncs), and an
 //     os.Create/os.OpenFile handle must see a Sync call before its
 //     path is renamed — and the rename must be followed by a directory
-//     fsync (a Sync on an *os.File opened after the rename), or the
-//     rename itself can vanish in a crash.
+//     fsync (a Sync on an *os.File opened after the rename, or a call
+//     to a same-package helper whose body makes one), or the rename
+//     itself can vanish in a crash.
 //  2. Ack after append: a handler body must not write an HTTP 202
 //     (StatusAccepted) before the call that reaches the WAL append —
 //     an ack the log has not seen is a record a crash can lose.
@@ -124,13 +125,17 @@ func (p *Pass) checkFsyncBody(body *ast.BlockStmt) {
 				}
 				return true
 			}
-			if sel, ok := v.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sync" && len(v.Args) == 0 {
-				if t := p.Info.TypeOf(sel.X); t != nil && isOSFile(t) {
-					allSyncs = append(allSyncs, v.Pos())
-					if obj := p.rootIdentObject(sel.X); obj != nil {
-						syncs[obj] = append(syncs[obj], v.Pos())
-					}
+			if file := p.osFileSynced(v); file != nil {
+				allSyncs = append(allSyncs, v.Pos())
+				if obj := p.rootIdentObject(file); obj != nil {
+					syncs[obj] = append(syncs[obj], v.Pos())
 				}
+				return true
+			}
+			if n := p.graph().byObj[p.calleeObject(v)]; n != nil && n.decl.Body != nil && p.syncsOSFile(n.decl.Body) {
+				// A helper that opens a directory and syncs it
+				// (wal.syncDir): no handle here to pair with a write.
+				allSyncs = append(allSyncs, v.Pos())
 				return true
 			}
 			if p.isAcceptedWriteHeader(v) {
@@ -186,6 +191,31 @@ func (p *Pass) checkFsyncBody(body *ast.BlockStmt) {
 		p.Reportf(appendPos,
 			"WAL append happens after the HTTP 202 was already written; append (and sync per policy) before acking, or a crash loses a batch the client believes durable")
 	}
+}
+
+// osFileSynced returns the receiver of call when call is Sync() on an
+// *os.File, nil otherwise.
+func (p *Pass) osFileSynced(call *ast.CallExpr) ast.Expr {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Sync" || len(call.Args) != 0 {
+		return nil
+	}
+	if t := p.Info.TypeOf(sel.X); t == nil || !isOSFile(t) {
+		return nil
+	}
+	return sel.X
+}
+
+// syncsOSFile reports whether body itself calls Sync on an *os.File.
+func (p *Pass) syncsOSFile(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && p.osFileSynced(call) != nil {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // isAcceptedWriteHeader reports whether call is WriteHeader with a

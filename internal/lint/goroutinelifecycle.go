@@ -51,8 +51,8 @@ func runGoroutineLifecycle(p *Pass) {
 }
 
 // packageFuncBodies maps every function and method declared in the
-// package to its body, so `go e.runShard(sh)` can be checked against
-// runShard's own select loop.
+// package to its body, so `go e.consume()` can be checked against
+// consume's own select loop.
 func (p *Pass) packageFuncBodies() map[types.Object]*ast.BlockStmt {
 	out := make(map[types.Object]*ast.BlockStmt)
 	for _, f := range p.Files {

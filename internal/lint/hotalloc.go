@@ -8,8 +8,8 @@ import (
 )
 
 // HotAlloc is the static complement to the AllocsPerRun pinning tests:
-// a function annotated //vmp:hotpath (the wire decode loop, shard
-// consume, Span.Start, histogram observe) may not contain allocating
+// a function annotated //vmp:hotpath (the wire decode loop, the ingest
+// consumer, Span.Start, histogram observe) may not contain allocating
 // constructs unless each one is individually approved with
 // //vmp:alloc <reason> on its line or the line above. The alloc tests
 // catch a regression after the fact on the paths they happen to

@@ -9,7 +9,7 @@ import (
 // tree. Every package's summary (summary.go) carries its observed
 // lock-order edges — "class B was acquired (directly or through a
 // call, local or cross-package) while class A was held" — where a
-// class is a mutex field of a named type (vmp/internal/live.shard.mu)
+// class is a mutex field of a named type (vmp/internal/live.Engine.pendingMu)
 // or a package-level mutex variable. The whole-program Finish hook
 // assembles the edges into one directed graph; a cycle means two code
 // paths acquire the same locks in opposite orders, which is a
@@ -23,8 +23,8 @@ import (
 // out from under the held lock).
 //
 // Edges observed in _test.go bodies are excluded: tests deliberately
-// hold production locks to wedge a component (a consumer stalled on
-// its shard mutex) and then drive the system single-schedule, which
+// hold production locks to wedge a component (the consumer stalled on
+// the pending-list mutex) and then drive the system single-schedule, which
 // inverts the production order on purpose without ever racing it. The
 // order contract this analyzer enforces is the production one.
 var LockOrder = &Analyzer{

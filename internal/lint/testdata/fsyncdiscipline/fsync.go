@@ -99,6 +99,72 @@ func saveGood(path string, data []byte) error {
 	return dir.Close()
 }
 
+// saveGoodHelper leaves the directory fsync to a same-package helper.
+func saveGoodHelper(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		_ = f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		_ = f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+func syncDir(path string) error {
+	dir, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	if err := dir.Sync(); err != nil {
+		_ = dir.Close()
+		return err
+	}
+	return dir.Close()
+}
+
+// saveHelperNoSync calls a helper after the rename, but not one that
+// fsyncs anything.
+func saveHelperNoSync(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		_ = f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		_ = f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil { // want fsyncdiscipline "not followed by a directory fsync"
+		return err
+	}
+	return statDir(filepath.Dir(path))
+}
+
+func statDir(path string) error {
+	_, err := os.Stat(path)
+	return err
+}
+
 // handleBad acks before the append: a crash between the two loses a
 // batch the client believes durable.
 func handleBad(l *Log, w http.ResponseWriter, r *http.Request) {

@@ -46,7 +46,7 @@ func BenchmarkEpochCut(b *testing.B) {
 					e = nil
 				}
 				if e == nil {
-					e = NewEngine(Config{Shards: 8, Clock: simclock.NewManual(simclock.StudyStart)})
+					e = NewEngine(Config{Clock: simclock.NewManual(simclock.StudyStart)})
 					ingest(e, recs[:size])
 					e.Snapshot()
 				}

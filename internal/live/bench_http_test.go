@@ -76,7 +76,7 @@ func benchHTTPIngest(b *testing.B, binary, compress bool) {
 		client *http.Client
 	)
 	boot := func() {
-		e = NewEngine(Config{Shards: 8, QueueDepth: 64, Clock: simclock.NewManual(simclock.StudyStart)})
+		e = NewEngine(Config{QueueDepth: 64, Clock: simclock.NewManual(simclock.StudyStart)})
 		srv = httptest.NewServer(NewServer(e).Handler())
 		client = srv.Client()
 	}

@@ -20,7 +20,7 @@ import (
 // overhead quoted in EXPERIMENTS.md.
 func benchIngest(b *testing.B, traced bool) {
 	recs := genRecords(500)
-	cfg := Config{Shards: 8, QueueDepth: 64, Clock: simclock.NewManual(simclock.StudyStart)}
+	cfg := Config{QueueDepth: 64, Clock: simclock.NewManual(simclock.StudyStart)}
 	newEngine := func() *Engine {
 		if traced {
 			cfg.Trace = obs.NewTracer(cfg.Clock, 4096)
@@ -71,7 +71,7 @@ func BenchmarkIngestTraced(b *testing.B) { benchIngest(b, true) }
 // atomics the hot path already owns.
 func BenchmarkIngestSampled(b *testing.B) {
 	recs := genRecords(500)
-	cfg := Config{Shards: 8, QueueDepth: 64, Clock: simclock.NewManual(simclock.StudyStart)}
+	cfg := Config{QueueDepth: 64, Clock: simclock.NewManual(simclock.StudyStart)}
 	newWorld := func() (*Engine, context.CancelFunc) {
 		cfg.Series = obs.NewSeriesRing(600)
 		e := NewEngine(cfg)
@@ -159,7 +159,7 @@ func BenchmarkQuery(b *testing.B) {
 // atomic generation pointer and share no lock with the append path, so
 // ingest stalls cannot show up in these numbers.
 func BenchmarkQueryUnderIngest(b *testing.B) {
-	e := NewEngine(Config{Shards: 8, QueueDepth: 64, Clock: simclock.NewManual(simclock.StudyStart)})
+	e := NewEngine(Config{QueueDepth: 64, Clock: simclock.NewManual(simclock.StudyStart)})
 	defer e.Close()
 	if _, err := e.Ingest(genRecords(50000)); err != nil {
 		b.Fatal(err)

@@ -56,7 +56,7 @@ func benchHTTPIngestWAL(b *testing.B, policy wal.Policy) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e = NewEngine(Config{Shards: 8, QueueDepth: 64, Clock: simclock.NewManual(simclock.StudyStart), WAL: wlog})
+		e = NewEngine(Config{QueueDepth: 64, Clock: simclock.NewManual(simclock.StudyStart), WAL: wlog})
 		srv = httptest.NewServer(NewServer(e).Handler())
 		client = srv.Client()
 	}

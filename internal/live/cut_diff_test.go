@@ -199,7 +199,7 @@ func TestCutMatchesRebuild(t *testing.T) {
 	const cuts = 40
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
-		e := newTestEngine(t, Config{Shards: 1 + rng.Intn(8)})
+		e := newTestEngine(t, Config{})
 		var all []telemetry.ViewRecord
 		for cut := 0; cut < cuts; cut++ {
 			delta := randomDelta(rng, cut, cuts, all)

@@ -1,18 +1,16 @@
 // Package live is the serving plane of the reproduction: the
-// always-on, horizontally partitioned backend the paper's management
-// plane runs as, layered on the frozen columnar telemetry.Dataset.
+// always-on backend the paper's management plane runs as, layered on
+// the frozen columnar telemetry.Dataset.
 //
-// Records stream into N hash-partitioned shards (by publisher/session
-// key), each with a bounded ingest queue drained by one consumer
-// goroutine that coalesces queued batches into micro-batched appends.
-// Admission is explicit: a batch whose shard queues are full is
-// rejected whole with a retry-after hint and counted — never silently
-// dropped, never partially applied.
+// Admitted batches enter one bounded queue drained by one consumer
+// goroutine into a pending list. Admission is explicit: a batch that
+// finds the queue full is rejected whole with a retry-after hint and
+// counted — never silently dropped, never partially applied.
 //
-// An epoch snapshot manager concurrently drains all shards on a
-// configurable cadence, merges the new records with the previous
-// generation, and publishes an immutable Generation (epoch number +
-// frozen Dataset) behind an atomic pointer. Readers load the pointer
+// An epoch snapshot manager drains the queue on a configurable
+// cadence, merges the new records with the previous generation, and
+// publishes an immutable Generation (epoch number + frozen Dataset)
+// behind an atomic pointer. Readers load the pointer
 // and run PR 1's analytics over a consistent view that never changes
 // after publication; writers keep appending to the next epoch. There
 // is no lock shared between the query path and the append path.
@@ -35,11 +33,12 @@ import (
 var ErrClosed = errors.New("live: engine closed")
 
 // WAL is the durability hook the engine drives — satisfied by
-// *wal.Log. AppendBatch persists an admitted batch — handed over as
-// its parts, one per engine shard, which the log keeps together as one
-// entry — before the records enter the shard queues: an error means
-// the batch must be rejected whole (the handler returns 503 and the
-// client retries), so acknowledgement implies the WAL has the records.
+// *wal.Log. AppendBatch persists an admitted batch before it enters
+// the queue. The engine hands it over as a one-element parts vector
+// (the signature dates from a partitioned engine), valid only for the
+// call. An error means the batch must be rejected whole (the handler
+// returns 503 and the client retries), so acknowledgement implies the
+// WAL has the records.
 // Bounds reports the last sequence appended, as a vector the engine
 // only carries from Bounds to Commit (*wal.Log's has one element); the
 // engine reads it under the same admission lock that quiesces appends
@@ -54,15 +53,15 @@ type WAL interface {
 }
 
 // Config parameterizes an Engine. The zero value gets sensible
-// defaults: 8 shards, 64 queued batches per shard, 4096-record
-// micro-batches, 5 s epochs, 500 ms retry-after, the wall clock, a
-// fresh metrics registry, and a *disabled* tracer — tracing costs one
-// atomic load per instrumentation site until a daemon opts in by
-// supplying an enabled obs.Tracer.
+// defaults: 64 queued batches, 5 s epochs, 500 ms retry-after, the wall
+// clock, a fresh metrics registry, and a *disabled* tracer — tracing
+// costs one atomic load per instrumentation site until a daemon opts in
+// by supplying an enabled obs.Tracer. Shards and BatchMax are kept only
+// because the benchmark module still sets them.
 type Config struct {
-	Shards     int             // hash partitions
-	QueueDepth int             // queued batches per shard before backpressure
-	BatchMax   int             // records coalesced into one pending append
+	Shards     int             // ignored: there is one queue and one consumer
+	QueueDepth int             // queued batches before backpressure
+	BatchMax   int             // ignored: the consumer does not coalesce
 	EpochEvery time.Duration   // snapshot cadence used by Run
 	RetryAfter time.Duration   // hint returned with a backpressure rejection
 	Clock      simclock.Clock  // time source (inject a manual clock in tests)
@@ -73,14 +72,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 4096
 	}
 	if c.EpochEvery <= 0 {
 		c.EpochEvery = 5 * time.Second
@@ -112,34 +105,12 @@ type Generation struct {
 	Dataset *telemetry.Dataset
 }
 
-// batchMsg is one admitted sub-batch in flight to a shard consumer.
-// It carries the admission span's ID so the consumer's coalesced
-// append links under the same trace as the handler that admitted it.
+// batchMsg is one admitted batch in flight to the consumer. It carries
+// the admission span's ID so the consume span links under the same
+// trace as the handler that admitted it.
 type batchMsg struct {
 	recs   []telemetry.ViewRecord
 	parent obs.SpanID
-}
-
-// shard is one ingest partition: a bounded queue of admitted batches
-// and the pending buffer its consumer goroutine appends them to.
-type shard struct {
-	ch    chan batchMsg
-	flush chan chan struct{} // snapshot-time drain requests, acked
-	quit  chan struct{}
-
-	mu      sync.Mutex
-	pending []telemetry.ViewRecord
-}
-
-// take swaps out the pending buffer.
-//
-//vmp:hotpath
-func (sh *shard) take() []telemetry.ViewRecord {
-	sh.mu.Lock()
-	p := sh.pending
-	sh.pending = nil
-	sh.mu.Unlock()
-	return p
 }
 
 // Engine is the live serving engine. All methods are safe for
@@ -148,19 +119,28 @@ type Engine struct {
 	cfg    Config
 	clock  simclock.Clock
 	tracer *obs.Tracer
-	shards []*shard
 
-	// ingestMu serializes admission: with the consumers only ever
-	// draining, holding it across the capacity check and the sends
-	// makes batch admission atomic — a batch is enqueued everywhere or
-	// rejected whole, so retries never duplicate records. It also
-	// serializes admission against the epoch cut: Snapshot holds it
-	// across the WAL bounds reading, the shard flush, and the pending
-	// take, so a generation contains exactly the records at or below
-	// the bounds it commits.
+	ch    chan batchMsg      // admitted batches, QueueDepth deep
+	flush chan chan struct{} // snapshot-time drain requests, acked
+	quit  chan struct{}
+
+	// ingestMu serializes admission: with the consumer only ever
+	// draining, holding it across the capacity check and the send makes
+	// admission atomic — a batch is logged and enqueued or rejected
+	// whole, so retries never duplicate records. It also serializes
+	// admission against the epoch cut: Snapshot holds it across the WAL
+	// bounds reading, the queue flush, and the pending take, so a
+	// generation contains exactly the records at or below the bounds it
+	// commits.
 	ingestMu sync.Mutex
-	closed   bool // guarded by ingestMu
-	wal      WAL  // guarded by ingestMu; nil when durability is off
+	closed   bool                      // guarded by ingestMu
+	wal      WAL                       // guarded by ingestMu; nil when durability is off
+	walParts [1][]telemetry.ViewRecord // guarded by ingestMu; AppendBatch's argument
+
+	// pending holds the consumed batches — their slice headers, not
+	// copies of their records — until the next cut takes them.
+	pendingMu sync.Mutex
+	pending   [][]telemetry.ViewRecord // guarded by pendingMu
 
 	// snapMu serializes epoch snapshots and consumer shutdown.
 	snapMu  sync.Mutex
@@ -179,12 +159,11 @@ type Engine struct {
 	genRecords    *obs.Gauge
 	genEpoch      *obs.Gauge
 	genAgeMS      *obs.Gauge
-	shardDepth    []*obs.Gauge // one queue-depth gauge per shard
 }
 
-// NewEngine starts an engine: one consumer goroutine per shard, and an
-// empty generation published so queries are serveable immediately.
-// Call Close to drain and stop it.
+// NewEngine starts an engine: the consumer goroutine, and an empty
+// generation published so queries are serveable immediately. Call
+// Close to drain and stop it.
 func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
@@ -192,6 +171,9 @@ func NewEngine(cfg Config) *Engine {
 		clock:         cfg.Clock,
 		tracer:        cfg.Trace,
 		wal:           cfg.WAL,
+		ch:            make(chan batchMsg, cfg.QueueDepth),
+		flush:         make(chan chan struct{}),
+		quit:          make(chan struct{}),
 		ingested:      cfg.Metrics.Counter("live_ingest_records_total"),
 		backpressured: cfg.Metrics.Counter("live_ingest_backpressured_total"),
 		walErrors:     cfg.Metrics.Counter("live_wal_errors_total"),
@@ -203,18 +185,8 @@ func NewEngine(cfg Config) *Engine {
 		genEpoch:      cfg.Metrics.Gauge("live_generation_epoch"),
 		genAgeMS:      cfg.Metrics.Gauge("live_generation_age_ms"),
 	}
-	e.shards = make([]*shard, cfg.Shards)
-	e.shardDepth = make([]*obs.Gauge, cfg.Shards)
-	for i := range e.shards {
-		e.shards[i] = &shard{
-			ch:    make(chan batchMsg, cfg.QueueDepth),
-			flush: make(chan chan struct{}),
-			quit:  make(chan struct{}),
-		}
-		e.shardDepth[i] = cfg.Metrics.Gauge(fmt.Sprintf("live_shard_%03d_queue_depth_batches", i))
-		e.wg.Add(1)
-		go e.runShard(e.shards[i])
-	}
+	e.wg.Add(1)
+	go e.consume()
 	e.gen.Store(&Generation{Epoch: 0, Created: e.clock.Now(), Dataset: telemetry.NewDataset(nil)})
 	return e
 }
@@ -231,19 +203,13 @@ func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 func (e *Engine) Series() *obs.SeriesRing { return e.cfg.Series }
 
 // PublishGauges refreshes the engine's operational levels in its
-// registry: total and per-shard queue depths, and the published
-// generation's epoch, record count, and age. It is the engine's
-// obs.Sampler source — called on the sampling cadence so every series
-// point and every scrape carries current levels, not just the values
-// last touched by an ingest or snapshot.
+// registry: the queue depth, and the published generation's epoch,
+// record count, and age. It is the engine's obs.Sampler source —
+// called on the sampling cadence so every series point and every
+// scrape carries current levels, not just the values last touched by
+// an ingest or snapshot.
 func (e *Engine) PublishGauges() {
-	total := 0
-	for i, sh := range e.shards {
-		n := len(sh.ch)
-		total += n
-		e.shardDepth[i].Set(int64(n))
-	}
-	e.queueDepth.Set(int64(total))
+	e.queueDepth.Set(int64(len(e.ch)))
 	g := e.gen.Load()
 	e.genEpoch.Set(g.Epoch)
 	e.genRecords.Set(int64(g.Records))
@@ -267,206 +233,138 @@ func (e *Engine) AttachWAL(w WAL) {
 // immutable; callers may retain it across epochs.
 func (e *Engine) Generation() *Generation { return e.gen.Load() }
 
-// shardOf hash-partitions a record by publisher and video (the session
-// key): FNV-1a, inlined so admission stays allocation-free, and
-// deterministic so a record set always shards the same way.
-//
-//vmp:hotpath
-func (e *Engine) shardOf(r *telemetry.ViewRecord) int {
-	const offset32, prime32 = 2166136261, 16777619
-	h := uint32(offset32)
-	for i := 0; i < len(r.Publisher); i++ {
-		h ^= uint32(r.Publisher[i])
-		h *= prime32
-	}
-	h ^= '/'
-	h *= prime32
-	for i := 0; i < len(r.VideoID); i++ {
-		h ^= uint32(r.VideoID[i])
-		h *= prime32
-	}
-	return int(h % uint32(len(e.shards)))
-}
-
-// queuedBatches sums the queue depth across shards. Lock-free and
-// advisory: concurrent consumers may drain while it counts.
-func (e *Engine) queuedBatches() int {
-	n := 0
-	for _, sh := range e.shards {
-		n += len(sh.ch)
-	}
-	return n
-}
-
 // Result reports what happened to one Ingest batch.
 type Result struct {
 	Accepted      int
-	Backpressured int           // rejected for full queues (whole batch)
+	Backpressured int           // rejected for a full queue (whole batch)
 	RetryAfter    time.Duration // when to retry, if backpressured
 }
 
-// Ingest admits a batch into the shard queues. Admission is atomic: if
-// any target shard's queue is full the whole batch is rejected with
-// Backpressured set and a RetryAfter hint, and no record is enqueued —
-// the caller retries the identical batch without duplication. Ingest
-// never blocks on a full queue and never blocks queries.
+// Ingest admits a batch into the queue. Admission is atomic: if the
+// queue is full the whole batch is rejected with Backpressured set and
+// a RetryAfter hint, and no record is enqueued — the caller retries
+// the identical batch without duplication. Ingest never blocks on a
+// full queue and never blocks queries. The engine keeps its own copy
+// of recs; the caller may reuse the slice once Ingest returns.
 func (e *Engine) Ingest(recs []telemetry.ViewRecord) (Result, error) {
 	return e.IngestSpan(recs, 0)
 }
 
 // IngestSpan is Ingest with a trace parent: the admission span — and
-// the shard consume spans downstream of it — link under parent, so an
-// HTTP handler's batch span owns the whole per-stage decomposition
-// (scan → admit → shard queue → coalesced consume). With tracing
-// disabled it is exactly Ingest.
+// the consume span downstream of it — link under parent, so an HTTP
+// handler's batch span owns the whole per-stage decomposition (scan →
+// admit → queue → consume). With tracing disabled it is exactly
+// Ingest.
 func (e *Engine) IngestSpan(recs []telemetry.ViewRecord, parent obs.SpanID) (Result, error) {
 	if len(recs) == 0 {
 		return Result{}, nil
 	}
 	sp := e.tracer.Start("ingest.admit", parent)
-	parts := make([][]telemetry.ViewRecord, len(e.shards))
-	for i := range recs {
-		s := e.shardOf(&recs[i])
-		parts[s] = append(parts[s], recs[i])
-	}
+	n := int64(len(recs))
+	// The one copy the engine owes its caller (an HTTP handler's recs
+	// are decoder scratch), made before the lock to keep the hold short.
+	batch := make([]telemetry.ViewRecord, len(recs))
+	copy(batch, recs)
 	e.ingestMu.Lock()
 	if e.closed {
 		e.ingestMu.Unlock()
-		sp.End(obs.KV("records", int64(len(recs))), obs.KV("closed", 1))
+		sp.End(obs.KV("records", n), obs.KV("closed", 1))
 		return Result{}, ErrClosed
 	}
-	for si, part := range parts {
-		if len(part) > 0 && len(e.shards[si].ch) == cap(e.shards[si].ch) {
-			e.ingestMu.Unlock()
-			e.backpressured.Add(int64(len(recs)))
-			sp.End(obs.KV("records", int64(len(recs))), obs.KV("backpressured", int64(len(recs))))
-			e.tracer.Emit("batch_rejected", obs.KV("records", int64(len(recs))), obs.KV("shard", int64(si)))
-			return Result{Backpressured: len(recs), RetryAfter: e.cfg.RetryAfter}, nil
-		}
+	if len(e.ch) == cap(e.ch) {
+		e.ingestMu.Unlock()
+		e.backpressured.Add(n)
+		sp.End(obs.KV("records", n), obs.KV("backpressured", n))
+		e.tracer.Emit("batch_rejected", obs.KV("records", n))
+		return Result{Backpressured: len(recs), RetryAfter: e.cfg.RetryAfter}, nil
 	}
 	if e.wal != nil {
 		// Durability precedes acknowledgement: the batch reaches the
-		// WAL (fsynced, under PolicyBatch) before any record enters a
-		// shard queue. An append failure rejects the batch whole —
-		// nothing was enqueued, so the client's retry is exact.
-		if err := e.wal.AppendBatch(parts, sp.ID()); err != nil {
+		// WAL (fsynced, under PolicyBatch) before it enters the queue.
+		// An append failure rejects the batch whole — nothing was
+		// enqueued, so the client's retry is exact.
+		e.walParts[0] = batch
+		err := e.wal.AppendBatch(e.walParts[:], sp.ID())
+		e.walParts[0] = nil
+		if err != nil {
 			e.ingestMu.Unlock()
 			e.walErrors.Add(1)
-			sp.End(obs.KV("records", int64(len(recs))), obs.KV("wal_error", 1))
-			e.tracer.Emit("wal_append_error", obs.KV("records", int64(len(recs))))
+			sp.End(obs.KV("records", n), obs.KV("wal_error", 1))
+			e.tracer.Emit("wal_append_error", obs.KV("records", n))
 			return Result{}, fmt.Errorf("live: wal append: %w", err)
 		}
 	}
-	shards := int64(0)
-	for si, part := range parts {
-		if len(part) > 0 {
-			// Cannot block: consumers only drain, and the capacity
-			// check above ran under the same ingestMu hold.
-			e.shards[si].ch <- batchMsg{recs: part, parent: sp.ID()}
-			shards++
-		}
-	}
+	// Cannot block: the consumer only drains, and the capacity check
+	// above ran under the same ingestMu hold.
+	e.ch <- batchMsg{recs: batch, parent: sp.ID()}
 	e.ingestMu.Unlock()
-	e.ingested.Add(int64(len(recs)))
-	e.queueDepth.Set(int64(e.queuedBatches()))
-	sp.End(obs.KV("records", int64(len(recs))), obs.KV("shards", shards))
-	e.tracer.Emit("batch_admitted", obs.KV("records", int64(len(recs))), obs.KV("shards", shards))
+	e.ingested.Add(n)
+	e.queueDepth.Set(int64(len(e.ch)))
+	sp.End(obs.KV("records", n))
+	e.tracer.Emit("batch_admitted", obs.KV("records", n))
 	return Result{Accepted: len(recs)}, nil
 }
 
-// runShard is a shard's consumer: it drains the queue, coalescing
-// whatever is immediately available (up to BatchMax records) into one
-// micro-batched append so a burst pays one lock acquisition, not one
-// per POST.
-func (e *Engine) runShard(sh *shard) {
+// consume is the engine's one consumer goroutine: it moves admitted
+// batches from the queue to the pending list, and on a flush request
+// empties the queue before acking. Close cuts a final epoch — which
+// flushes — before it closes quit, so nothing is queued by then.
+func (e *Engine) consume() {
 	defer e.wg.Done()
 	for {
 		select {
-		case m := <-sh.ch:
-			e.appendCoalesced(sh, m)
-		case ack := <-sh.flush:
-			e.drainShard(sh)
+		case m := <-e.ch:
+			e.appendPending(m)
+		case ack := <-e.flush:
+			for len(e.ch) > 0 {
+				e.appendPending(<-e.ch)
+			}
 			close(ack)
-		case <-sh.quit:
-			e.drainShard(sh)
+		case <-e.quit:
 			return
 		}
 	}
 }
 
-// appendCoalesced appends a queued batch plus anything else already
-// queued. The consume span links under the first batch's admission
-// span; further coalesced batches are counted in its attrs.
+// appendPending hands one queued batch to the pending list.
 //
 //vmp:hotpath
-func (e *Engine) appendCoalesced(sh *shard, m batchMsg) {
-	sp := e.tracer.Start("shard.consume", m.parent)
-	batch := m.recs
-	coalesced := int64(1)
-	for len(batch) < e.cfg.BatchMax {
-		select {
-		case more := <-sh.ch:
-			batch = append(batch, more.recs...)
-			coalesced++
-			continue
-		default:
-		}
-		break
-	}
-	sh.mu.Lock()
-	sh.pending = append(sh.pending, batch...)
-	sh.mu.Unlock()
-	e.batchSizes.Observe(float64(len(batch)))
-	sp.End(obs.KV("records", int64(len(batch))), obs.KV("coalesced", coalesced))
+func (e *Engine) appendPending(m batchMsg) {
+	sp := e.tracer.Start("ingest.consume", m.parent)
+	e.pendingMu.Lock()
+	e.pending = append(e.pending, m.recs)
+	e.pendingMu.Unlock()
+	e.batchSizes.Observe(float64(len(m.recs)))
+	sp.End(obs.KV("records", int64(len(m.recs))))
 }
 
-// drainShard empties the queue into the pending buffer.
-//
-//vmp:hotpath
-func (e *Engine) drainShard(sh *shard) {
-	for {
-		select {
-		case m := <-sh.ch:
-			e.appendCoalesced(sh, m)
-		default:
-			return
-		}
-	}
+// flushQueue asks the consumer to empty the queue into the pending
+// list and waits for its ack. Caller holds snapMu. It creates no spans
+// of its own: the Flush quiesce path must not race span IDs with the
+// consumer it is waiting on, and Snapshot wraps it in an epoch.flush
+// span instead.
+func (e *Engine) flushQueue() {
+	ack := make(chan struct{})
+	e.flush <- ack
+	<-ack
 }
 
-// flushShards asks every consumer to drain its queue into the pending
-// buffer and waits for all acks. Caller holds snapMu. It creates no
-// spans of its own: the Flush quiesce path must not race span IDs
-// with the consumers it is waiting on, and Snapshot wraps it in an
-// epoch.flush span instead.
-func (e *Engine) flushShards() {
-	acks := make([]chan struct{}, len(e.shards))
-	for i, sh := range e.shards {
-		ack := make(chan struct{})
-		acks[i] = ack
-		sh.flush <- ack
-	}
-	for _, ack := range acks {
-		<-ack
-	}
-}
-
-// Flush forces every shard consumer to drain its queue into the
-// pending buffer without cutting an epoch. When it returns, every
-// batch admitted before the call has been appended and the consumers
-// are idle — the quiesce point the deterministic-trace tests and
-// drain paths rely on. Flush does not publish a generation.
+// Flush forces the consumer to empty the queue into the pending list
+// without cutting an epoch. When it returns, every batch admitted
+// before the call has been appended and the consumer is idle — the
+// quiesce point the deterministic-trace tests and drain paths rely on.
+// Flush does not publish a generation.
 func (e *Engine) Flush() {
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
 	if e.stopped {
 		return
 	}
-	e.flushShards()
+	e.flushQueue()
 }
 
-// Snapshot cuts an epoch: it concurrently flushes every shard's queue,
-// takes the pending buffers, sorts them, merges them into the
+// Snapshot cuts an epoch: it flushes the queue, takes the pending
+// batches, concatenates and sorts them, merges them into the
 // published generation's Dataset, and publishes the result. Only the
 // new records are compared, hashed and interned; the published rows
 // are carried over by copy. Records admitted before Snapshot is called
@@ -494,26 +392,30 @@ func (e *Engine) Snapshot() *Generation {
 	if w != nil {
 		bounds = w.Bounds()
 	}
-	e.flushShards()
-	parts := make([][]telemetry.ViewRecord, len(e.shards))
-	n := 0
-	for i, sh := range e.shards {
-		parts[i] = sh.take()
-		n += len(parts[i])
-	}
+	e.flushQueue()
+	e.pendingMu.Lock()
+	batches := e.pending
+	e.pending = nil
+	e.pendingMu.Unlock()
 	e.ingestMu.Unlock()
+	n := 0
+	for _, b := range batches {
+		n += len(b)
+	}
 	// Every stage span of the cut carries the same two sizes, so a
 	// trace shows which stage's time follows which.
 	sizes := []obs.Attr{obs.KV("delta", int64(n)), obs.KV("records", int64(prev.Records+n))}
 	fsp.End(sizes...)
 	ssp := e.tracer.Start("epoch.sort", sp.ID())
+	// Capacity exactly n: the first cut's Merge adopts this array as the
+	// generation's, and every spare slot would be 328 resident bytes.
 	delta := make([]telemetry.ViewRecord, 0, n)
-	for _, p := range parts {
-		delta = append(delta, p...)
+	for _, b := range batches {
+		delta = append(delta, b...)
 	}
 	// Canonical order, not arrival order: the same record set produces
 	// the same generation — and byte-identical query answers — no
-	// matter how ingestion interleaved across shards.
+	// matter how ingestion interleaved.
 	telemetry.CanonicalSort(delta)
 	ssp.End(sizes...)
 	msp := e.tracer.Start("epoch.merge", sp.ID())
@@ -530,7 +432,7 @@ func (e *Engine) Snapshot() *Generation {
 	e.genRecords.Set(int64(ds.Len()))
 	e.genEpoch.Set(g.Epoch)
 	e.genAgeMS.Set(0)
-	e.queueDepth.Set(int64(e.queuedBatches()))
+	e.queueDepth.Set(int64(len(e.ch)))
 	e.snapLatency.Observe(e.clock.Now().Sub(start).Seconds())
 	e.tracer.Emit("generation_published",
 		obs.KV("epoch", g.Epoch), obs.KV("records", int64(g.Records)), obs.KV("delta", int64(n)))
@@ -588,7 +490,7 @@ func (e *Engine) Run(ctx context.Context) {
 
 // Close drains and stops the engine: no further batches are admitted,
 // everything already admitted is flushed into a final published
-// generation, and the shard consumers exit. Close is idempotent and
+// generation, and the consumer exits. Close is idempotent and
 // returns the final generation.
 func (e *Engine) Close() *Generation {
 	e.ingestMu.Lock()
@@ -602,9 +504,7 @@ func (e *Engine) Close() *Generation {
 	e.snapMu.Lock()
 	if !e.stopped {
 		e.stopped = true
-		for _, sh := range e.shards {
-			close(sh.quit)
-		}
+		close(e.quit)
 		e.wg.Wait()
 	}
 	e.snapMu.Unlock()

@@ -11,8 +11,7 @@ import (
 	"vmp/internal/telemetry"
 )
 
-// genRecords builds a deterministic, shard-spreading record set: many
-// publishers, mixed protocols/devices/CDNs, and deliberately colliding
+// genRecords builds a deterministic record set: many publishers, mixed protocols/devices/CDNs, and deliberately colliding
 // timestamps so canonical ordering (not arrival order) is what makes
 // generations reproducible.
 func genRecords(n int) []telemetry.ViewRecord {
@@ -68,25 +67,8 @@ func mustIngest(t *testing.T, e *Engine, recs []telemetry.ViewRecord) {
 	}
 }
 
-func TestShardOfDeterministicAndSpread(t *testing.T) {
-	e := newTestEngine(t, Config{Shards: 8})
-	recs := genRecords(2000)
-	seen := make(map[int]int)
-	for i := range recs {
-		s1 := e.shardOf(&recs[i])
-		s2 := e.shardOf(&recs[i])
-		if s1 != s2 {
-			t.Fatalf("shardOf not deterministic: %d vs %d", s1, s2)
-		}
-		seen[s1]++
-	}
-	if len(seen) < 4 {
-		t.Fatalf("2000 records landed on only %d of 8 shards", len(seen))
-	}
-}
-
 func TestIngestSnapshotIncludesEverything(t *testing.T) {
-	e := newTestEngine(t, Config{Shards: 4})
+	e := newTestEngine(t, Config{})
 	recs := genRecords(3000)
 	mustIngest(t, e, recs)
 	g := e.Snapshot()
@@ -99,13 +81,13 @@ func TestIngestSnapshotIncludesEverything(t *testing.T) {
 }
 
 // TestGenerationCanonical ingests the same record set in two different
-// arrival orders on engines with different shard counts and expects
-// byte-identical query answers: the generation depends on the record
-// set, not on how ingestion interleaved.
+// arrival orders and expects byte-identical query answers: the
+// generation depends on the record set, not on how ingestion
+// interleaved.
 func TestGenerationCanonical(t *testing.T) {
 	recs := genRecords(2500)
-	shareBytes := func(shards int, reverse bool) []byte {
-		e := newTestEngine(t, Config{Shards: shards})
+	shareBytes := func(reverse bool) []byte {
+		e := newTestEngine(t, Config{})
 		in := make([]telemetry.ViewRecord, len(recs))
 		copy(in, recs)
 		if reverse {
@@ -130,11 +112,7 @@ func TestGenerationCanonical(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	first := shareBytes(1, false)
-	if !bytes.Equal(first, shareBytes(8, false)) {
-		t.Fatal("answers differ across shard counts")
-	}
-	if !bytes.Equal(first, shareBytes(5, true)) {
+	if !bytes.Equal(shareBytes(false), shareBytes(true)) {
 		t.Fatal("answers differ across arrival orders")
 	}
 }
@@ -152,7 +130,7 @@ func TestOfflineOnlineEquivalence(t *testing.T) {
 	telemetry.CanonicalSort(offline)
 	ods := telemetry.NewDataset(offline)
 
-	e := newTestEngine(t, Config{Shards: 8})
+	e := newTestEngine(t, Config{})
 	mustIngest(t, e, recs)
 	g := e.Snapshot()
 
@@ -205,7 +183,7 @@ func TestOfflineOnlineEquivalence(t *testing.T) {
 // ingests and epochs and expects its answers to stay byte-identical:
 // publication is immutable.
 func TestSnapshotConsistency(t *testing.T) {
-	e := newTestEngine(t, Config{Shards: 4})
+	e := newTestEngine(t, Config{})
 	mustIngest(t, e, genRecords(2000))
 	g1 := e.Snapshot()
 
@@ -242,19 +220,17 @@ func TestSnapshotConsistency(t *testing.T) {
 	}
 }
 
-// TestBackpressureRejectsWholeBatch fills a 1-shard, depth-1 queue
-// while the consumer is blocked and expects the third batch to be
+// TestBackpressureRejectsWholeBatch fills a depth-1 queue while the consumer is blocked and expects the third batch to be
 // rejected whole with a retry-after hint — and a concurrent query to
 // proceed, because the append path and the query path share no lock.
 func TestBackpressureRejectsWholeBatch(t *testing.T) {
-	e := newTestEngine(t, Config{Shards: 1, QueueDepth: 1, RetryAfter: 250 * time.Millisecond})
-	sh := e.shards[0]
+	e := newTestEngine(t, Config{QueueDepth: 1, RetryAfter: 250 * time.Millisecond})
 
-	sh.mu.Lock() // block the consumer's append
+	e.pendingMu.Lock() // block the consumer's append
 	released := false
 	defer func() {
 		if !released {
-			sh.mu.Unlock()
+			e.pendingMu.Unlock()
 		}
 	}()
 
@@ -263,8 +239,8 @@ func TestBackpressureRejectsWholeBatch(t *testing.T) {
 		t.Fatalf("first batch: %+v, %v", res, err)
 	}
 	// Wait for the consumer to pull batch 1 off the queue and block on
-	// the held shard mutex.
-	for i := 0; len(sh.ch) != 0; i++ {
+	// the held pending mutex.
+	for i := 0; len(e.ch) != 0; i++ {
 		if i > 2000 { // ~2s of millisecond sleeps
 			t.Fatal("consumer never pulled the first batch")
 		}
@@ -301,7 +277,7 @@ func TestBackpressureRejectsWholeBatch(t *testing.T) {
 	}
 
 	released = true
-	sh.mu.Unlock()
+	e.pendingMu.Unlock()
 	// After releasing, everything admitted must drain into the epoch.
 	g := e.Snapshot()
 	if g.Records != 20 {
@@ -309,8 +285,41 @@ func TestBackpressureRejectsWholeBatch(t *testing.T) {
 	}
 }
 
+// TestFirstCutAdoptsExactCapacity pins the sizing rule behind
+// heap_bytes_per_record: Dataset.Merge adopts the first delta's array
+// as the generation's record array, spare capacity included, so the
+// cut must build that delta at exactly the drained length.
+func TestFirstCutAdoptsExactCapacity(t *testing.T) {
+	e := newTestEngine(t, Config{})
+	recs := genRecords(1300)
+	for _, n := range []int{500, 1, 299, 500} { // uneven batches
+		mustIngest(t, e, recs[:n])
+		recs = recs[n:]
+	}
+	all := e.Snapshot().Dataset.All()
+	if len(all) != 1300 || cap(all) != len(all) {
+		t.Fatalf("first generation: len %d cap %d, want both 1300", len(all), cap(all))
+	}
+}
+
+// TestIngestAllocs holds admission to its budget: one copy of the
+// batch, plus whatever the queue and pending list amortize. The
+// partitioned engine this one replaced spent 83 allocations here.
+func TestIngestAllocs(t *testing.T) {
+	e := newTestEngine(t, Config{QueueDepth: 1 << 10})
+	batch := genRecords(500)
+	got := testing.AllocsPerRun(200, func() {
+		if res, err := e.Ingest(batch); err != nil || res.Accepted != len(batch) {
+			t.Fatalf("ingest: %+v, %v", res, err)
+		}
+	})
+	if got > 8 {
+		t.Fatalf("Ingest of 500 records allocates %.0f times, want <= 8", got)
+	}
+}
+
 func TestIngestAfterClose(t *testing.T) {
-	e := NewEngine(Config{Shards: 2, Clock: simclock.NewManual(simclock.StudyStart)})
+	e := NewEngine(Config{Clock: simclock.NewManual(simclock.StudyStart)})
 	mustIngest(t, e, genRecords(100))
 	g := e.Close()
 	if g.Records != 100 {
@@ -329,7 +338,7 @@ func TestIngestAfterClose(t *testing.T) {
 }
 
 func TestRunCadence(t *testing.T) {
-	e := newTestEngine(t, Config{Shards: 2, EpochEvery: 5 * time.Millisecond})
+	e := newTestEngine(t, Config{EpochEvery: 5 * time.Millisecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go e.Run(ctx)

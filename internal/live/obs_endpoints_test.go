@@ -16,7 +16,7 @@ import (
 // checks each landed exactly one observation in its own ingest.ack
 // histogram — the encoding split the SLO contract promises.
 func TestServerAckHistograms(t *testing.T) {
-	_, srv, e := newTestServer(t, Config{Shards: 4})
+	_, srv, e := newTestServer(t, Config{})
 	all := genRecords(200)
 
 	resp := postViews(t, srv.Client(), srv.URL, all[:100])
@@ -56,7 +56,7 @@ func TestServerAckHistograms(t *testing.T) {
 // quiet server and checks the Prometheus exposition carries exactly
 // the JSON snapshot's values — two renderings of one registry.
 func TestMetricsEndpointsAgree(t *testing.T) {
-	_, srv, e := newTestServer(t, Config{Shards: 4})
+	_, srv, e := newTestServer(t, Config{})
 	resp := postViews(t, srv.Client(), srv.URL, genRecords(500))
 	resp.Body.Close()
 	e.Snapshot()
@@ -102,7 +102,7 @@ func TestMetricsEndpointsAgree(t *testing.T) {
 // the way the sampler does, and reads it back through /v1/series.
 func TestSeriesEndpoint(t *testing.T) {
 	ring := obs.NewSeriesRing(8)
-	_, srv, e := newTestServer(t, Config{Shards: 4, Series: ring})
+	_, srv, e := newTestServer(t, Config{Series: ring})
 	resp := postViews(t, srv.Client(), srv.URL, genRecords(300))
 	resp.Body.Close()
 	e.Snapshot()
@@ -131,7 +131,7 @@ func TestSeriesEndpoint(t *testing.T) {
 // TestPublishGauges pins the sampler-source contract: queue depths,
 // generation identity, and age all land in the registry.
 func TestPublishGauges(t *testing.T) {
-	e := newTestEngine(t, Config{Shards: 4})
+	e := newTestEngine(t, Config{})
 	if _, err := e.Ingest(genRecords(100)); err != nil {
 		t.Fatal(err)
 	}
@@ -147,15 +147,8 @@ func TestPublishGauges(t *testing.T) {
 	if snap.Gauges["live_generation_age_ms"] < 0 {
 		t.Fatalf("live_generation_age_ms = %d, want >= 0", snap.Gauges["live_generation_age_ms"])
 	}
-	// After the snapshot drained the queues, total and per-shard
-	// depths are zero — and every shard has its own gauge.
+	// The snapshot drained the queue.
 	if snap.Gauges["live_queue_depth_batches"] != 0 {
 		t.Fatalf("live_queue_depth_batches = %d, want 0", snap.Gauges["live_queue_depth_batches"])
-	}
-	for i := 0; i < 4; i++ {
-		name := "live_shard_00" + strconv.Itoa(i) + "_queue_depth_batches"
-		if _, ok := snap.Gauges[name]; !ok {
-			t.Fatalf("missing per-shard gauge %s", name)
-		}
 	}
 }

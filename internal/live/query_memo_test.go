@@ -80,7 +80,7 @@ func TestMemoHammer(t *testing.T) {
 		}()
 	}
 	rng := rand.New(rand.NewSource(7))
-	e := newTestEngine(t, Config{Shards: 4})
+	e := newTestEngine(t, Config{})
 	var all []telemetry.ViewRecord
 	for cut := 0; cut < cuts; cut++ {
 		delta := randomDelta(rng, cut, cuts, all)
@@ -291,7 +291,7 @@ func counters(e *Engine) (hits, misses, uncached int64) {
 // renderings carry the counters.
 func TestServerMemoCountersAndSpans(t *testing.T) {
 	tr := obs.NewTracer(simclock.NewManual(simclock.StudyStart), 256)
-	_, srv, e := newTestServer(t, Config{Shards: 2, Trace: tr})
+	_, srv, e := newTestServer(t, Config{Trace: tr})
 	client := srv.Client()
 	mustIngest(t, e, genRecords(2000))
 	e.Snapshot()
@@ -390,7 +390,7 @@ func (w *cutOnWrite) Write(b []byte) (int, error) {
 // the generation the answer was read from.
 func TestQuerySpanNamesTheAnsweringEpoch(t *testing.T) {
 	tr := obs.NewTracer(simclock.NewManual(simclock.StudyStart), 64)
-	e := newTestEngine(t, Config{Shards: 2, Trace: tr})
+	e := newTestEngine(t, Config{Trace: tr})
 	mustIngest(t, e, genRecords(500))
 	answering := e.Snapshot().Epoch
 	mustIngest(t, e, genRecords(50))

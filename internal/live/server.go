@@ -36,9 +36,9 @@ type Server struct {
 	memo [telemetry.DerivedUncached + 1]*obs.Counter
 
 	// decoders recycles wire decoders across ingest requests; a
-	// decoder's scratch is only reused after IngestSpan has copied the
-	// batch into per-shard slices, which happens before the handler
-	// returns it to the pool.
+	// decoder's scratch is only reused after IngestSpan has taken its
+	// own copy of the batch, which happens before the handler returns
+	// it to the pool.
 	decoders sync.Pool
 }
 
@@ -207,7 +207,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		snap.Counters["live_ingest_backpressured_total"],
 		snap.Counters["live_ingest_rejected_total"],
 		snap.Counters["live_ingest_scan_errors_total"],
-		s.engine.queuedBatches())
+		len(s.engine.ch))
 }
 
 // query wraps a response builder with method checking, latency

@@ -40,7 +40,7 @@ func postViews(t *testing.T, client *http.Client, url string, recs []telemetry.V
 }
 
 func TestServerIngestAndQuery(t *testing.T) {
-	_, srv, e := newTestServer(t, Config{Shards: 4})
+	_, srv, e := newTestServer(t, Config{})
 	recs := genRecords(1500)
 	resp := postViews(t, srv.Client(), srv.URL, recs)
 	body, _ := io.ReadAll(resp.Body)
@@ -114,7 +114,7 @@ func TestServerIngestAndQuery(t *testing.T) {
 }
 
 func TestServerBadRequests(t *testing.T) {
-	_, srv, _ := newTestServer(t, Config{Shards: 2})
+	_, srv, _ := newTestServer(t, Config{})
 	for path, wantStatus := range map[string]int{
 		"/v1/query/share?dim=bogus":                http.StatusBadRequest,
 		"/v1/query/top-publishers?n=-1":            http.StatusBadRequest,
@@ -151,7 +151,7 @@ func TestServerBadRequests(t *testing.T) {
 }
 
 func TestServerOversizedLine(t *testing.T) {
-	_, srv, e := newTestServer(t, Config{Shards: 2})
+	_, srv, e := newTestServer(t, Config{})
 	var buf bytes.Buffer
 	if err := telemetry.EncodeJSONL(&buf, genRecords(3)); err != nil {
 		t.Fatal(err)
@@ -177,13 +177,12 @@ func TestServerOversizedLine(t *testing.T) {
 }
 
 func TestServerBackpressure429(t *testing.T) {
-	_, srv, e := newTestServer(t, Config{Shards: 1, QueueDepth: 1, RetryAfter: 1500 * time.Millisecond})
-	sh := e.shards[0]
-	sh.mu.Lock()
+	_, srv, e := newTestServer(t, Config{QueueDepth: 1, RetryAfter: 1500 * time.Millisecond})
+	e.pendingMu.Lock() // stall the consumer
 	released := false
 	defer func() {
 		if !released {
-			sh.mu.Unlock()
+			e.pendingMu.Unlock()
 		}
 	}()
 
@@ -193,7 +192,7 @@ func TestServerBackpressure429(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first batch = %s", resp.Status)
 	}
-	for i := 0; len(sh.ch) != 0; i++ {
+	for i := 0; len(e.ch) != 0; i++ {
 		if i > 2000 { // ~2s of millisecond sleeps
 			t.Fatal("consumer never pulled the first batch")
 		}
@@ -217,7 +216,7 @@ func TestServerBackpressure429(t *testing.T) {
 		t.Fatalf("backpressure body = %s", body)
 	}
 	released = true
-	sh.mu.Unlock()
+	e.pendingMu.Unlock()
 }
 
 // TestServerMixedWorkloadRace drives concurrent ingest, queries,
@@ -226,7 +225,7 @@ func TestServerBackpressure429(t *testing.T) {
 // contract — then closes the loop by checking no admitted record was
 // lost.
 func TestServerMixedWorkloadRace(t *testing.T) {
-	_, srv, e := newTestServer(t, Config{Shards: 4, QueueDepth: 16})
+	_, srv, e := newTestServer(t, Config{QueueDepth: 16})
 	client := srv.Client()
 
 	const writers, batches, per = 4, 10, 50
@@ -366,7 +365,7 @@ func gzipBytes(t *testing.T, b []byte) []byte {
 // type or content coding the server does not speak is a 415, not a
 // scan error, and admits nothing.
 func TestServerUnknownContentType(t *testing.T) {
-	_, srv, e := newTestServer(t, Config{Shards: 2})
+	_, srv, e := newTestServer(t, Config{})
 	frame := encodeBinary(t, genRecords(5))
 	for _, tc := range []struct{ name, ct, ce string }{
 		{"unknown_media_type", "application/xml", ""},
@@ -394,7 +393,7 @@ func TestServerUnknownContentType(t *testing.T) {
 // scan-error counter, and admits none of the batch, so a client retry
 // of the full body is exact.
 func TestServerTruncatedBinaryFrame(t *testing.T) {
-	_, srv, e := newTestServer(t, Config{Shards: 2})
+	_, srv, e := newTestServer(t, Config{})
 	frame := encodeBinary(t, genRecords(50))
 	for _, tc := range []struct {
 		name string
@@ -429,8 +428,8 @@ func TestServerTruncatedBinaryFrame(t *testing.T) {
 // the query surface answers identically to a JSONL-only twin server
 // fed the same records.
 func TestServerMixedEncodingsOneConnection(t *testing.T) {
-	_, srv, e := newTestServer(t, Config{Shards: 4})
-	_, refSrv, refEngine := newTestServer(t, Config{Shards: 4})
+	_, srv, e := newTestServer(t, Config{})
+	_, refSrv, refEngine := newTestServer(t, Config{})
 	client := srv.Client()
 
 	all := genRecords(400)
@@ -502,7 +501,7 @@ func getBody(t *testing.T, client *http.Client, url string) []byte {
 }
 
 func TestServerHealthz(t *testing.T) {
-	_, srv, _ := newTestServer(t, Config{Shards: 1})
+	_, srv, _ := newTestServer(t, Config{})
 	resp, err := srv.Client().Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)

@@ -12,16 +12,15 @@ import (
 )
 
 // TestEngineTraceDeterministic pins the tentpole contract: a fixed
-// ingest schedule against a single-sharded engine on a frozen manual
-// clock renders byte-identical trace JSON across runs. One shard makes
-// span-ID assignment a fixed alternation (admit, then its consume),
-// and Flush() quiesces the consumer before every Snapshot so no
-// consumer-side Start can race the epoch spans.
+// ingest schedule on a frozen manual clock renders byte-identical
+// trace JSON across runs. A Flush() after every Ingest makes span-ID
+// assignment a fixed alternation (admit, then its consume), and
+// quiesces the consumer before the Snapshot so no consumer-side Start
+// can race the epoch spans.
 func TestEngineTraceDeterministic(t *testing.T) {
 	run := func() []byte {
 		tr := obs.NewTracer(simclock.NewManual(simclock.StudyStart), 256)
 		e := NewEngine(Config{
-			Shards:     1,
 			QueueDepth: 64,
 			Clock:      simclock.NewManual(simclock.StudyStart),
 			Trace:      tr,
@@ -53,7 +52,7 @@ func TestEngineTraceDeterministic(t *testing.T) {
 	}
 	// 4 ingest rounds: admit + consume each; plus the cut and its
 	// stages (no WAL here, so no epoch.checkpoint).
-	wantStages := map[string]int64{"ingest.admit": 4, "shard.consume": 4, "epoch.cut": 1, "epoch.flush": 1, "epoch.sort": 1, "epoch.merge": 1, "epoch.checkpoint": 0}
+	wantStages := map[string]int64{"ingest.admit": 4, "ingest.consume": 4, "epoch.cut": 1, "epoch.flush": 1, "epoch.sort": 1, "epoch.merge": 1, "epoch.checkpoint": 0}
 	got := map[string]int64{}
 	for _, st := range snap.Stages {
 		got[st.Name] = st.Count
@@ -69,7 +68,7 @@ func TestEngineTraceDeterministic(t *testing.T) {
 		byID[sp.ID] = sp
 	}
 	for _, sp := range snap.Spans {
-		if sp.Name == "shard.consume" {
+		if sp.Name == "ingest.consume" {
 			if p, ok := byID[sp.Parent]; !ok || p.Name != "ingest.admit" {
 				t.Fatalf("consume span %d not parented to an admit span: %+v", sp.ID, sp)
 			}
@@ -100,7 +99,7 @@ func TestEngineTraceDeterministic(t *testing.T) {
 // checkpoint or had not earned one.
 func TestCutStagesTraced(t *testing.T) {
 	tr := obs.NewTracer(simclock.NewManual(simclock.StudyStart), 256)
-	e := newTestEngine(t, Config{Shards: 2, Trace: tr, WAL: openTestWAL(t, t.TempDir())})
+	e := newTestEngine(t, Config{Trace: tr, WAL: openTestWAL(t, t.TempDir())})
 	recs := genRecords(1100)
 	mustIngest(t, e, recs[:1000])
 	e.Snapshot() // a log without a checkpoint writes one
@@ -150,18 +149,21 @@ func TestCutStagesTraced(t *testing.T) {
 // attribute.
 func TestIngestBackpressureTraced(t *testing.T) {
 	tr := obs.NewTracer(simclock.NewManual(simclock.StudyStart), 64)
-	e := newTestEngine(t, Config{Shards: 1, QueueDepth: 1, BatchMax: 1 << 20, Trace: tr})
-	// Occupy the consumer and fill the queue: the first batch may be
-	// picked up immediately, so keep sending until one is rejected.
+	e := newTestEngine(t, Config{QueueDepth: 1, Trace: tr})
+	// Stall the consumer: it holds at most one batch and the queue one
+	// more, so the third send at the latest is rejected.
+	e.pendingMu.Lock()
 	recs := genRecords(200)
 	var rejected bool
-	for i := 0; i < 1000 && !rejected; i++ {
+	for i := 0; i < 3 && !rejected; i++ {
 		res, err := e.Ingest(recs)
 		if err != nil {
+			e.pendingMu.Unlock()
 			t.Fatal(err)
 		}
 		rejected = res.Backpressured > 0
 	}
+	e.pendingMu.Unlock()
 	if !rejected {
 		t.Fatal("queue of depth 1 never backpressured")
 	}
@@ -187,7 +189,7 @@ func TestIngestBackpressureTraced(t *testing.T) {
 // full span vocabulary and /debug/vmp serves the combined snapshot.
 func TestServerTraceEndpoint(t *testing.T) {
 	tr := obs.NewTracer(simclock.NewManual(simclock.StudyStart), 256)
-	_, srv, e := newTestServer(t, Config{Shards: 2, QueueDepth: 64, Trace: tr})
+	_, srv, e := newTestServer(t, Config{QueueDepth: 64, Trace: tr})
 	client := srv.Client()
 
 	resp := postViews(t, client, srv.URL, genRecords(50))

@@ -2,11 +2,14 @@ package live
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"vmp/internal/obs"
@@ -112,7 +115,7 @@ func TestWALKillPointCrashConsistency(t *testing.T) {
 	recs := genRecords(2000)
 
 	wlog := openTestWAL(t, dir)
-	crashed := NewEngine(Config{Shards: 4, Clock: simclock.NewManual(simclock.StudyStart), WAL: wlog})
+	crashed := NewEngine(Config{Clock: simclock.NewManual(simclock.StudyStart), WAL: wlog})
 	srv := httptest.NewServer(NewServer(crashed).Handler())
 	for lo := 0; lo < len(recs); lo += 500 {
 		if code := postBinary(t, srv.URL, recs[lo:lo+500]); code != http.StatusAccepted {
@@ -132,14 +135,14 @@ func TestWALKillPointCrashConsistency(t *testing.T) {
 	}
 
 	// The no-crash control: same records, no WAL, one epoch.
-	control := newTestEngine(t, Config{Shards: 4})
+	control := newTestEngine(t, Config{})
 	mustIngest(t, control, recs)
 	control.Snapshot()
 
 	// Recovery: reopen the directory, replay through Ingest, attach,
 	// cut the boot epoch — vmpd's exact boot sequence.
 	wlog2 := openTestWAL(t, dir)
-	rebuilt := newTestEngine(t, Config{Shards: 4})
+	rebuilt := newTestEngine(t, Config{})
 	replayInto(t, wlog2, rebuilt)
 	rebuilt.AttachWAL(wlog2)
 	rebuilt.Snapshot()
@@ -167,68 +170,187 @@ func TestWALKillPointCrashConsistency(t *testing.T) {
 	}
 }
 
-// TestWALSurvivesShardCountChange: the log knows nothing of the engine's
-// shards — a batch is one record whatever parts it was admitted in — so
-// a daemon killed with one -shards value and booted with another
-// recovers the same generation, crash window and checkpoint both, and
-// the log it appends to afterwards is still one stream.
-func TestWALSurvivesShardCountChange(t *testing.T) {
+// partition splits a batch round-robin into n parts, the shape the
+// partitioned engine before this one handed AppendBatch. Any split
+// does: the log keeps a batch's parts together as one record, a frame
+// a part.
+func partition(recs []telemetry.ViewRecord, n int) [][]telemetry.ViewRecord {
+	parts := make([][]telemetry.ViewRecord, n)
+	for i := range recs {
+		parts[i%n] = append(parts[i%n], recs[i])
+	}
+	return parts
+}
+
+// TestWALWrittenInPartsRecovers is the upgrade pin: a directory written
+// by the partitioned engine — eight frames to a record, a checkpoint
+// from its first cut, an acked tail it never cut — boots into the same
+// generation as a control that took the records directly, and goes on
+// taking appends.
+func TestWALWrittenInPartsRecovers(t *testing.T) {
 	dir := t.TempDir()
 	recs := genRecords(2400)
 
 	wlog := openTestWAL(t, dir)
-	crashed := NewEngine(Config{Shards: 8, Clock: simclock.NewManual(simclock.StudyStart), WAL: wlog})
-	mustIngest(t, crashed, recs[:1200])
-	crashed.Snapshot() // the log's first checkpoint, cut under 8 shards
-	for lo := 1200; lo < 2000; lo += 400 {
-		mustIngest(t, crashed, recs[lo:lo+400]) // acked, never cut
+	appendInParts := func(lo, hi int) {
+		for ; lo < hi; lo += 400 {
+			if err := wlog.AppendBatch(partition(recs[lo:lo+400], 8), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	crashed.AttachWAL(nil)
-	defer crashed.Close()
+	appendInParts(0, 1200)
+	cut := append([]telemetry.ViewRecord(nil), recs[:1200]...)
+	telemetry.CanonicalSort(cut)
+	if err := wlog.Commit(1, cut, wlog.Bounds(), 0); err != nil {
+		t.Fatal(err)
+	}
+	appendInParts(1200, 2000) // acked, never cut
 	if err := wlog.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	control := newTestEngine(t, Config{Shards: 8})
-	mustIngest(t, control, recs)
+	control := newTestEngine(t, Config{})
+	mustIngest(t, control, recs[:2000])
 	control.Snapshot()
 
-	for _, shards := range []int{3, 16} {
-		wlog2 := openTestWAL(t, dir)
-		rebuilt := newTestEngine(t, Config{Shards: shards})
-		calls := 0
-		if _, err := wlog2.Replay(func(batch []telemetry.ViewRecord) error {
-			calls++
-			mustIngest(t, rebuilt, batch)
-			return nil
-		}, 0); err != nil {
-			t.Fatal(err)
+	wlog2 := openTestWAL(t, dir)
+	rebuilt := newTestEngine(t, Config{})
+	calls := 0
+	if _, err := wlog2.Replay(func(batch []telemetry.ViewRecord) error {
+		calls++
+		mustIngest(t, rebuilt, batch)
+		return nil
+	}, 0); err != nil {
+		t.Fatal(err)
+	}
+	// One checkpoint frame (1200 < 8192 records), then each acked batch
+	// whole, however many frames it was written in.
+	if calls != 1+2 {
+		t.Fatalf("replay made %d deliveries, want the checkpoint and 2 whole batches", calls)
+	}
+	rebuilt.AttachWAL(wlog2)
+	rebuilt.Snapshot()
+	if !bytes.Equal(genJSONL(t, rebuilt.Generation()), genJSONL(t, control.Generation())) {
+		t.Fatal("generation recovered from a log written in parts differs from the control")
+	}
+	mustIngest(t, rebuilt, recs[2000:])
+	mustIngest(t, control, recs[2000:])
+	if !bytes.Equal(genJSONL(t, rebuilt.Snapshot()), genJSONL(t, control.Snapshot())) {
+		t.Fatal("generations differ after appending to the recovered log")
+	}
+	rebuilt.AttachWAL(nil)
+}
+
+// TestGoldenMultiFrameSegmentRecovers boots over the checked-in segment
+// whose records hold three and four frames (internal/wal's
+// golden_batch.segment: bytes written before the engine stopped
+// partitioning, not by today's encoder).
+func TestGoldenMultiFrameSegmentRecovers(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "wal", "testdata", "golden_batch.segment"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "seg-0000000000000001.wal"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	control := newTestEngine(t, Config{})
+	if _, err := wal.DecodeSegment(data, wire.NewDecoder(), func(_ uint64, recs []telemetry.ViewRecord) error {
+		mustIngest(t, control, recs)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	control.Snapshot()
+
+	rebuilt := newTestEngine(t, Config{})
+	replayInto(t, openTestWAL(t, dir), rebuilt)
+	rebuilt.Snapshot()
+	if n := rebuilt.Generation().Records; n != 12 {
+		t.Fatalf("recovered %d records from the golden segment, want 12", n)
+	}
+	if !bytes.Equal(genJSONL(t, rebuilt.Generation()), genJSONL(t, control.Generation())) {
+		t.Fatal("generation recovered from the golden segment differs from the control")
+	}
+}
+
+// partsWAL records the parts vector of every AppendBatch.
+type partsWAL struct {
+	calls [][][]telemetry.ViewRecord
+}
+
+func (w *partsWAL) AppendBatch(parts [][]telemetry.ViewRecord, _ obs.SpanID) error {
+	held := make([][]telemetry.ViewRecord, len(parts))
+	for i, p := range parts {
+		held[i] = append([]telemetry.ViewRecord(nil), p...)
+	}
+	w.calls = append(w.calls, held)
+	return nil
+}
+func (w *partsWAL) Bounds() []uint64 { return []uint64{uint64(len(w.calls))} }
+func (w *partsWAL) Commit(int64, []telemetry.ViewRecord, []uint64, obs.SpanID) error {
+	return nil
+}
+
+// TestOneFramePerBatch: the engine hands the WAL each admitted batch as
+// one part, in arrival order, and so a real log writes one wire frame
+// per record.
+func TestOneFramePerBatch(t *testing.T) {
+	recs := genRecords(1300)
+	sizes := []int{500, 1, 299, 500}
+
+	ingestSizes := func(e *Engine) {
+		lo := 0
+		for _, n := range sizes {
+			mustIngest(t, e, recs[lo:lo+n])
+			lo += n
 		}
-		// One checkpoint frame (1200 < 8192 records), then each acked
-		// batch whole. The first boot's cut may fold them into a new
-		// checkpoint, so only that boot's count is fixed.
-		if shards == 3 && calls != 1+2 {
-			t.Fatalf("replay made %d deliveries, want the checkpoint and 2 whole batches", calls)
+	}
+
+	stub := &partsWAL{}
+	ingestSizes(newTestEngine(t, Config{WAL: stub}))
+	if len(stub.calls) != len(sizes) {
+		t.Fatalf("%d appends for %d batches", len(stub.calls), len(sizes))
+	}
+	lo := 0
+	for i, parts := range stub.calls {
+		if len(parts) != 1 || !reflect.DeepEqual(parts[0], recs[lo:lo+sizes[i]]) {
+			t.Fatalf("batch %d reached the WAL as %d parts, or out of order", i, len(parts))
 		}
-		rebuilt.AttachWAL(wlog2)
-		rebuilt.Snapshot()
-		if shards == 16 {
-			// The second boot also takes what the first one was still owed.
-			mustIngest(t, rebuilt, recs[2000:])
-			rebuilt.Snapshot()
-			if !bytes.Equal(genJSONL(t, rebuilt.Generation()), genJSONL(t, control.Generation())) {
-				t.Fatal("generation after two re-sharded boots differs from the control")
-			}
-		} else if rebuilt.Generation().Records != 2000 {
-			t.Fatalf("%d shards: recovered %d records, want the 2000 acked", shards, rebuilt.Generation().Records)
+		lo += sizes[i]
+	}
+
+	dir := t.TempDir()
+	wlog := openTestWAL(t, dir)
+	e := newTestEngine(t, Config{WAL: wlog})
+	ingestSizes(e)
+	e.AttachWAL(nil)
+	if err := wlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "seg-0000000000000001.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Record: u32 length, u32 crc, then uvarint sequence and frames,
+	// each frame a u32 payload length and the payload (DESIGN §11, §10).
+	records := 0
+	for len(data) > 0 {
+		body := data[8 : 8+binary.LittleEndian.Uint32(data)]
+		data = data[8+len(body):]
+		_, n := binary.Uvarint(body)
+		frames := 0
+		for body = body[n:]; len(body) > 0; frames++ {
+			body = body[4+binary.LittleEndian.Uint32(body):]
 		}
-		rebuilt.AttachWAL(nil)
-		if err := wlog2.Close(); err != nil {
-			t.Fatal(err)
+		if frames != 1 {
+			t.Fatalf("segment record %d holds %d frames, want 1", records, frames)
 		}
-		if dirs, _ := filepath.Glob(filepath.Join(dir, "shard-*")); len(dirs) != 0 {
-			t.Fatalf("the log grew per-shard directories: %v", dirs)
-		}
+		records++
+	}
+	if records != len(sizes) {
+		t.Fatalf("%d segment records for %d batches", records, len(sizes))
 	}
 }
 
@@ -239,7 +361,7 @@ func TestWALReplayIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	recs := genRecords(1200)
 	wlog := openTestWAL(t, dir)
-	e := newTestEngine(t, Config{Shards: 4, WAL: wlog})
+	e := newTestEngine(t, Config{WAL: wlog})
 	mustIngest(t, e, recs[:700])
 	e.Snapshot() // commit + truncate: replay must cross the checkpoint
 	mustIngest(t, e, recs[700:])
@@ -247,7 +369,7 @@ func TestWALReplayIdempotent(t *testing.T) {
 
 	var gens [][]byte
 	for i := 0; i < 2; i++ {
-		re := newTestEngine(t, Config{Shards: 4})
+		re := newTestEngine(t, Config{})
 		replayInto(t, wlog, re)
 		re.Snapshot()
 		gens = append(gens, genJSONL(t, re.Generation()))
@@ -255,7 +377,7 @@ func TestWALReplayIdempotent(t *testing.T) {
 	if !bytes.Equal(gens[0], gens[1]) {
 		t.Fatal("double replay published different generations")
 	}
-	control := newTestEngine(t, Config{Shards: 4})
+	control := newTestEngine(t, Config{})
 	mustIngest(t, control, recs)
 	control.Snapshot()
 	if !bytes.Equal(gens[0], genJSONL(t, control.Generation())) {
@@ -279,7 +401,7 @@ func TestWALCommitTruncatesOnEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = wlog.Close() })
-	e := newTestEngine(t, Config{Shards: 4, Metrics: reg, WAL: wlog})
+	e := newTestEngine(t, Config{Metrics: reg, WAL: wlog})
 	recs := genRecords(900)
 	mustIngest(t, e, recs)
 	g := e.Snapshot()
@@ -293,7 +415,7 @@ func TestWALCommitTruncatesOnEpoch(t *testing.T) {
 	if snap.Counters["live_wal_errors_total"] != 0 {
 		t.Fatalf("wal errors during clean run: %d", snap.Counters["live_wal_errors_total"])
 	}
-	re := newTestEngine(t, Config{Shards: 4})
+	re := newTestEngine(t, Config{})
 	replayInto(t, wlog, re)
 	re.Snapshot()
 	if !bytes.Equal(genJSONL(t, re.Generation()), genJSONL(t, g2gen(e))) {
@@ -317,7 +439,7 @@ func (w *errWAL) Commit(int64, []telemetry.ViewRecord, []uint64, obs.SpanID) err
 // the client's retry cannot duplicate records.
 func TestWALAppendErrorRejectsBatchWhole(t *testing.T) {
 	reg := obs.NewRegistry()
-	e := newTestEngine(t, Config{Shards: 4, Metrics: reg, WAL: &errWAL{}})
+	e := newTestEngine(t, Config{Metrics: reg, WAL: &errWAL{}})
 	srv := httptest.NewServer(NewServer(e).Handler())
 	defer srv.Close()
 	if code := postBinary(t, srv.URL, genRecords(100)); code != http.StatusServiceUnavailable {
@@ -352,7 +474,7 @@ func TestWALCrashAfterSkippedCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = wlog.Close() })
-	crashed := NewEngine(Config{Shards: 4, Clock: simclock.NewManual(simclock.StudyStart), Metrics: reg, WAL: wlog})
+	crashed := NewEngine(Config{Clock: simclock.NewManual(simclock.StudyStart), Metrics: reg, WAL: wlog})
 	mustIngest(t, crashed, recs[:3000])
 	crashed.Snapshot()
 	if wlog.Checkpoints() != 1 {
@@ -380,12 +502,12 @@ func TestWALCrashAfterSkippedCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	control := newTestEngine(t, Config{Shards: 4})
+	control := newTestEngine(t, Config{})
 	mustIngest(t, control, recs)
 	control.Snapshot()
 
 	wlog2 := openTestWAL(t, dir)
-	rebuilt := newTestEngine(t, Config{Shards: 4})
+	rebuilt := newTestEngine(t, Config{})
 	replayInto(t, wlog2, rebuilt)
 	rebuilt.AttachWAL(wlog2)
 	rebuilt.Snapshot()
@@ -405,7 +527,7 @@ func TestWALCrashAfterSkippedCheckpoints(t *testing.T) {
 	if wlog2.Checkpoints() != 1 {
 		t.Fatalf("%d checkpoints after the log outgrew the old one, want 1", wlog2.Checkpoints())
 	}
-	again := newTestEngine(t, Config{Shards: 4})
+	again := newTestEngine(t, Config{})
 	replayInto(t, wlog2, again)
 	again.Snapshot()
 	if !bytes.Equal(genJSONL(t, again.Generation()), genJSONL(t, control.Generation())) {

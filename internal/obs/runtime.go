@@ -4,7 +4,7 @@ package obs
 // ctx-guarded sampler goroutine that, on a fixed cadence, publishes Go
 // runtime health (heap, GC, goroutines, scheduler shape) into the
 // registry, asks each registered source to publish its plane-internal
-// gauges (shard queue depths, WAL backlog, generation age), and then
+// gauges (queue depth, WAL backlog, generation age), and then
 // records one registry snapshot into the series ring — so the
 // /v1/series flight recorder and the /metrics exposition always agree,
 // because they are views of the same sampled registry.

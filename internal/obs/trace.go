@@ -4,8 +4,8 @@ package obs
 // substrate: lightweight spans with parent links and a structured
 // event log, both appended lock-free into bounded rings. Metrics
 // (obs.go) answer "how much, how fast, in aggregate"; spans answer
-// "where did THIS batch spend its time" — admission, shard queue,
-// coalesced consume, epoch freeze, merge, publish — and events record
+// "where did THIS batch spend its time" — admission, queue,
+// consume, epoch flush, sort, merge — and events record
 // the discrete decisions (batch admitted/rejected, epoch cut,
 // generation published) with WAL-style monotonic sequence numbers.
 //
@@ -37,7 +37,7 @@ import (
 type SpanID uint64
 
 // Attr is one integer-valued span or event attribute (record counts,
-// epoch numbers, shard indices — the vocabulary of this pipeline is
+// epoch numbers, byte sizes — the vocabulary of this pipeline is
 // counts, so attributes are int64 and stay allocation-free).
 type Attr struct {
 	Key string

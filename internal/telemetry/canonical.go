@@ -8,7 +8,7 @@ import (
 
 // CompareRecords is a total order on view records: timestamp first,
 // then every identifying and measure field. Its purpose is serving-
-// plane determinism — records that arrive interleaved across shards
+// plane determinism — records that arrive interleaved across requests
 // sort into one canonical sequence, so a generation built from a
 // record set is identical no matter the arrival order, and float
 // accumulations over it are reproducible to the last ulp. Records that

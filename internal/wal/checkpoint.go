@@ -333,7 +333,13 @@ func writeFileDurable(path string, data []byte) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	dir, err := os.Open(filepath.Dir(path))
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory, which is what makes a name created in it
+// or renamed into it survive a crash: fsyncing the file alone does not.
+func syncDir(path string) error {
+	dir, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}

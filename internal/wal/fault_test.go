@@ -309,3 +309,66 @@ func TestReopenOverEmptySegment(t *testing.T) {
 		t.Fatal("replay is not the one acked batch")
 	}
 }
+
+// TestDirectoryIsSyncedBeforeASegmentIsUsed: the fsync that backs an
+// ack covers a segment's bytes, not its name. Unless the policy is off,
+// the directory must be fsynced when a segment is created, before the
+// append that asked for it writes anything; if that fails the append is
+// refused, no segment is left behind, and the next append starts over.
+func TestDirectoryIsSyncedBeforeASegmentIsUsed(t *testing.T) {
+	for _, policy := range []Policy{PolicyBatch, PolicyInterval, PolicyOff} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			reg := obs.NewRegistry()
+			// One batch fills a segment, so every append creates one.
+			l := openLog(t, dir, Options{Policy: policy, SyncEvery: time.Hour, SegmentBytes: 1, Metrics: reg})
+			fl := countFileCalls(l)
+			dirSyncs := 0
+			l.syncDir = func(path string) error {
+				dirSyncs++
+				// Every earlier segment took one write; this one none yet.
+				if files := segmentFiles(t, dir); path != dir || len(files) != fl.writes+1 {
+					t.Errorf("directory sync %d of %s: %d segments after %d writes", dirSyncs, path, len(files), fl.writes)
+				}
+				if dirSyncs == 2 {
+					return errInjected
+				}
+				return syncDir(path)
+			}
+			recs := genRecords(240)
+			var acked []record.ViewRecord
+			for i, lo := 0, 0; lo < len(recs); i, lo = i+1, lo+60 {
+				err := l.AppendBatch(partition(recs[lo:lo+60], 3), 0)
+				if refused := policy != PolicyOff && i == 1; (err != nil) != refused {
+					t.Fatalf("append %d: %v", i, err)
+				} else if refused {
+					if segs, _ := l.Backlog(); segs != 1 || len(segmentFiles(t, dir)) != 1 {
+						t.Fatalf("the refused append left a segment behind: %d tracked, %v on disk", segs, segmentFiles(t, dir))
+					}
+					continue
+				}
+				acked = append(acked, recs[lo:lo+60]...)
+			}
+			counters := reg.Snapshot().Counters
+			switch policy {
+			case PolicyOff:
+				if dirSyncs != 0 {
+					t.Errorf("%d directory syncs under fsync=off", dirSyncs)
+				}
+			default:
+				if dirSyncs != 4 || counters["wal_errors_total"] != 1 {
+					t.Errorf("%d directory syncs, %d errors counted; want 4 (one failed, one retried) and 1", dirSyncs, counters["wal_errors_total"])
+				}
+				if counters["wal_fsync_total"] != 3 {
+					t.Errorf("wal_fsync_total = %d, want one per acked batch and none for the directory", counters["wal_fsync_total"])
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, got, _ := reopenAndReplay(t, dir); !bytes.Equal(canonBytes(t, got), canonBytes(t, acked)) {
+				t.Fatalf("replayed %d records, acked %d: not the same set", len(got), len(acked))
+			}
+		})
+	}
+}

@@ -25,9 +25,8 @@ func (s ReplayStats) Delivered() int64 { return s.CheckpointRecords + s.SegmentR
 // latest checkpoint (the last published generation) a frame at a time,
 // then every surviving segment record above the checkpoint's bound in
 // sequence order — one call per record, so each acknowledged batch
-// arrives whole, the records of all its shard parts together. In vmpd,
-// fn is the normal Engine.Ingest path, which partitions the batch among
-// whatever shards the engine has now; telemetry.CanonicalSort makes the
+// arrives whole, the records of all its parts together. In vmpd, fn is
+// the normal Engine.Ingest path; telemetry.CanonicalSort makes the
 // delivery order irrelevant to the generation that results.
 //
 // The slice passed to fn is only valid for the duration of the call

@@ -20,7 +20,8 @@ import (
 //	uvarint seq     — the log's monotonic sequence number
 //	frames          — one or more wire binary frames (internal/wire),
 //	                  exactly as Encoder.AppendFrame lays them out:
-//	                  one admitted batch, a frame per engine shard part
+//	                  one admitted batch, a frame per part handed to
+//	                  AppendBatch (one, from today's engine)
 //
 // The CRC covers the sequence number and the frame bytes, so a torn
 // write — a crash mid-record — is detected no matter where it lands:

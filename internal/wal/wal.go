@@ -1,23 +1,24 @@
 // Package wal is the serving plane's durability subsystem: one
 // append-only write-ahead log in front of internal/live's in-memory
-// shard queues, so a crash between admission and the next epoch cannot
+// queue, so a crash between admission and the next epoch cannot
 // lose a batch the daemon acknowledged.
 //
 // The log is a single stream of segment files. Each admitted batch is
 // appended to the active segment as one length-prefixed,
 // CRC32C-checksummed record carrying the log's next sequence number and
 // the batch itself as internal/wire binary frames, one per non-empty
-// shard part, back to back — the same encoding the ingest wire path
-// speaks, and the same monotonic-sequence framing discipline the obs
+// part, back to back (the engine hands over one part; the several-part
+// records of the partitioned engine before it still replay) — the same
+// encoding the ingest wire path speaks, and the same
+// monotonic-sequence framing discipline the obs
 // event pipeline uses to make a truncated prefix detectable. A batch
 // costs one write and, by the fsync policy, at most one fsync:
 // PolicyBatch syncs before the append returns (an acknowledged batch
 // survives kill -9 and power loss), PolicyInterval group-commits on a
 // background cadence (ack precedes durability by at most one interval),
 // and PolicyOff never syncs (the OS page cache still survives a process
-// kill, but not a kernel crash). How the engine partitions records
-// among its shards is not the log's business: replay hands each batch
-// back whole and Engine.Ingest partitions it again.
+// kill, but not a kernel crash). Replay hands each batch back whole,
+// whatever parts it was written in.
 //
 // Two failures make the log stop rather than guess. A write that fails
 // part-way is cut back out of the segment, so the next record never
@@ -175,11 +176,12 @@ func createSegment(path string) (segFile, error) {
 // admission lock, which is what makes a Bounds reading coherent with
 // the batches flushed into an epoch.
 type Log struct {
-	opts   Options
-	dir    string
-	clock  simclock.Clock
-	tracer *obs.Tracer
-	create func(path string) (segFile, error) // createSegment outside tests
+	opts    Options
+	dir     string
+	clock   simclock.Clock
+	tracer  *obs.Tracer
+	create  func(path string) (segFile, error) // createSegment outside tests
+	syncDir func(path string) error            // the package's syncDir outside tests; openSegment's only
 
 	mu         sync.Mutex
 	segs       []segmentInfo // closed segments and, last, the active one
@@ -240,6 +242,7 @@ func Open(opts Options) (*Log, error) {
 		clock:     opts.Clock,
 		tracer:    opts.Trace,
 		create:    createSegment,
+		syncDir:   syncDir,
 		nextSeq:   1,
 		enc:       wire.NewEncoder(),
 		appended:  opts.Metrics.Counter("wal_appended_total"),
@@ -490,12 +493,24 @@ func (l *Log) cutTornWrite(active *segmentInfo, werr error) error {
 }
 
 // openSegment creates and opens a fresh active segment named after
-// the next sequence the log will assign.
+// the next sequence the log will assign. Unless the policy is off, the
+// directory is fsynced before the segment is used: the append that
+// asked for it is acknowledged on the strength of the file's fsync,
+// which says nothing of the file's name. If that fails the segment is
+// withdrawn, and the next append starts over. Not a wal_fsync_total
+// fsync: that counter is one per acknowledged batch.
 func (l *Log) openSegment() error {
 	path := filepath.Join(l.dir, fmt.Sprintf("seg-%016x.wal", l.nextSeq))
 	f, err := l.create(path)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
+	}
+	if l.opts.Policy != PolicyOff {
+		if err := l.syncDir(l.dir); err != nil {
+			_ = f.Close()       // the sync error is the one worth reporting
+			_ = os.Remove(path) // left behind, it fails the next create, and Open clears it
+			return err
+		}
 	}
 	l.f = f
 	l.segs = append(l.segs, segmentInfo{path: path, first: l.nextSeq, last: l.nextSeq - 1})

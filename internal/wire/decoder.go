@@ -30,7 +30,7 @@ var errTruncated = errors.New("wire: truncated frame")
 // Ownership contract: the slice DecodeAll returns (and the structs in
 // it) is valid only until the next DecodeAll call on the same
 // decoder. Both ingest paths copy records out synchronously (the live
-// engine partitions into per-shard slices inside Ingest, the
+// engine takes its own copy of the batch inside Ingest, the
 // collector's Store.Append copies into its backing array), which is
 // what makes the reuse safe. A Decoder is not safe for concurrent
 // use; pool decoders per request instead.

@@ -48,7 +48,7 @@ stage smoke-crash make smoke-crash
 # tree around it), so the root `go test ./...` never reaches it: its
 # tests, and one -quick pass of the benchmark with its byte-exact
 # answer gate on all four workloads, run here.
-stage bench-test sh -c 'cd bench && "${GO:-go}" test ./...'
+stage bench-test make test-bench
 stage bench-quick bash bench/run.sh -quick
 # bench-wire-report materializes the wire-path benchmark numbers as a
 # CI artifact: codec encode/decode, JSONL scan, and the HTTP loopback
