@@ -80,16 +80,27 @@ bench-obs:
 	$(GO) test -run xxx -bench 'BenchmarkLiveIngest|BenchmarkIngestTraced|BenchmarkIngestSampled' -benchmem -benchtime 3s -count 3 ./internal/live/
 
 # bench-wire measures the wire path end to end: the binary codec in
-# isolation (encode/decode records/s, allocs), the JSONL scan it
-# replaces, and the four HTTP loopback ingest variants (jsonl/binary ×
-# plain/gzip). The headline numbers live in BENCH_live_ingest.json;
-# the binary HTTP path must stay within 2× of BenchmarkLiveIngest's
-# in-process admission rate.
+# isolation (encode/decode records/s, allocs), the JSONL scan beside
+# it (warm decoder in internal/wire, a decoder per call in
+# internal/telemetry), and the four HTTP loopback ingest variants
+# (jsonl/binary × plain/gzip). The headline numbers live in
+# BENCH_live_ingest.json; the binary HTTP path must stay within 2× of
+# BenchmarkLiveIngest's in-process admission rate.
 .PHONY: bench-wire
 bench-wire:
-	$(GO) test -run xxx -bench 'BenchmarkWireEncode|BenchmarkWireDecode' -benchmem ./internal/wire/
+	$(GO) test -run xxx -bench 'BenchmarkWireEncode|BenchmarkWireDecode|BenchmarkDecoderScanJSONL' -benchmem ./internal/wire/
 	$(GO) test -run xxx -bench BenchmarkScanJSONL -benchmem ./internal/telemetry/
 	$(GO) test -run xxx -bench BenchmarkHTTPIngest -benchmem ./internal/live/
+
+# fuzz-wire gives each wire decoder ten seconds of native fuzzing: the
+# JSONL arm against encoding/json as the model, the frame decoder
+# against its round-trip fixed point. The seed corpora already run
+# under `go test`; this is the search beyond them (scripts/ci.sh, not
+# `make verify`).
+.PHONY: fuzz-wire
+fuzz-wire:
+	$(GO) test -run xxx -fuzz FuzzScanJSONL -fuzztime 10s ./internal/wire
+	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire
 
 # bench-wal measures the durability tax: WAL-backed append throughput
 # under each fsync policy (batch, interval, off) plus raw replay

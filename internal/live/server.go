@@ -25,6 +25,8 @@ type Server struct {
 
 	rejected   *obs.Counter
 	scanErrors *obs.Counter
+	oversize   *obs.Counter // bodies past wire.MaxBodyBytes, on the wire or inflated: 413s
+	fallback   *obs.Counter // JSONL lines the fast parser handed to encoding/json
 	qLatency   map[string]*obs.Histogram
 	ackBinary  *obs.Histogram // ingest.ack SLO: POST arrival → 202, binary frames
 	ackJSONL   *obs.Histogram // ingest.ack SLO: POST arrival → 202, JSONL
@@ -35,10 +37,10 @@ type Server struct {
 	// window-key slots were all taken (uncached).
 	memo [telemetry.DerivedUncached + 1]*obs.Counter
 
-	// decoders recycles wire decoders across ingest requests; a
-	// decoder's scratch is only reused after IngestSpan has taken its
-	// own copy of the batch, which happens before the handler returns
-	// it to the pool.
+	// decoders recycles wire decoders across ingest requests, binary
+	// and JSONL alike; a decoder's scratch is only reused after
+	// IngestSpan has taken its own copy of the batch, which happens
+	// before the handler returns it to the pool.
 	decoders sync.Pool
 }
 
@@ -59,6 +61,8 @@ func NewServer(e *Engine) *Server {
 		tracer:     e.Tracer(),
 		rejected:   reg.Counter("live_ingest_rejected_total"),
 		scanErrors: reg.Counter("live_ingest_scan_errors_total"),
+		oversize:   reg.Counter("live_ingest_oversize_total"),
+		fallback:   reg.Counter("live_ingest_jsonl_fallback_total"),
 		qLatency:   make(map[string]*obs.Histogram),
 		ackBinary:  reg.Histogram("live_ingest_ack_binary_seconds", ackLatencyBounds),
 		ackJSONL:   reg.Histogram("live_ingest_ack_jsonl_seconds", ackLatencyBounds),
@@ -77,7 +81,8 @@ func NewServer(e *Engine) *Server {
 //
 //	POST /v1/views                — ingest, binary batch frames or JSONL,
 //	                                optionally gzip'd; 202 accepted,
-//	                                429 + Retry-After on backpressure
+//	                                429 + Retry-After on backpressure,
+//	                                413 past wire.MaxBodyBytes
 //	POST /v1/snapshot             — force an epoch cut
 //	GET  /v1/query/share          — ?dim=protocol|platform|cdn&by=viewhours|views
 //	GET  /v1/query/top-publishers — ?n=10
@@ -115,11 +120,15 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) {
 	ssp := s.tracer.Start("ingest.scan", root.ID())
 	dec := s.decoders.Get().(*wire.Decoder)
 	defer s.decoders.Put(dec)
+	// Two bounds, one constant: MaxBytesReader on what the connection
+	// delivers, DecodeBody on what that inflates to.
+	r.Body = http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)
 	batch, bad, info, err := wire.DecodeBody(r.Header, r.Body, dec)
 	ssp.End(obs.KV("records", int64(len(batch))), obs.KV("bad", int64(bad)),
 		obs.KV("binary", boolAttr(info.Binary)), obs.KV("gzip", boolAttr(info.Gzip)),
-		obs.KV("bytes", info.Bytes))
+		obs.KV("bytes", info.Bytes), obs.KV("fallback", int64(info.Fallback)))
 	s.rejected.Add(int64(bad))
+	s.fallback.Add(int64(info.Fallback))
 	if errors.Is(err, wire.ErrUnsupportedMedia) {
 		// Negotiation failure: no body bytes were consumed, nothing to
 		// count against the batch — the client simply spoke a media
@@ -129,15 +138,21 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err != nil {
-		// Cut-short stream (oversized line, truncated or corrupt binary
-		// frame, bad gzip, transport error): reject the whole batch so
-		// a retry is exact, and count the event.
+		// Cut-short stream (oversized line or body, truncated or corrupt
+		// binary frame, bad gzip, transport error): reject the whole
+		// batch so a retry is exact, and count the event.
+		status := http.StatusBadRequest
+		var onWire *http.MaxBytesError
+		if errors.Is(err, wire.ErrBodyTooLarge) || errors.As(err, &onWire) {
+			status = http.StatusRequestEntityTooLarge
+			s.oversize.Add(1)
+		}
 		s.scanErrors.Add(1)
 		s.rejected.Add(int64(len(batch)))
 		s.tracer.Emit("batch_rejected",
 			obs.KV("records", int64(len(batch)+bad)), obs.KV("scan_error", 1))
 		root.End(obs.KV("rejected", int64(len(batch)+bad)), obs.KV("scan_error", 1))
-		http.Error(w, fmt.Sprintf("read error: %v", err), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("read error: %v", err), status)
 		return
 	}
 	res, err := s.engine.IngestSpan(batch, root.ID())

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -513,5 +514,123 @@ func TestServerHealthz(t *testing.T) {
 	}
 	if testing.Verbose() {
 		fmt.Println("healthz ok")
+	}
+}
+
+// blanks is an endless JSONL body of blank lines; io.LimitReader cuts
+// it to size.
+type blanks struct{}
+
+var blankLine = append(bytes.Repeat([]byte{' '}, 4095), '\n')
+
+func (blanks) Read(p []byte) (n int, err error) {
+	for n < len(p) {
+		n += copy(p[n:], blankLine)
+	}
+	return n, nil
+}
+
+// oneDecoder makes the server's pool hand out a single decoder, so
+// consecutive requests provably decode on the same scratch.
+func oneDecoder(s *Server) {
+	dec := wire.NewDecoder()
+	s.decoders.New = func() any { return dec }
+}
+
+// TestServerBodyCap: a body past wire.MaxBodyBytes — a small gzip body
+// that inflates past it, or a plain one that is simply that long — is
+// a 413 that admits nothing and is counted once, and the decoder it
+// was cut short on decodes the next body correctly.
+func TestServerBodyCap(t *testing.T) {
+	s, srv, e := newTestServer(t, Config{})
+	oneDecoder(s)
+	recs := genRecords(40)
+	var jsonl bytes.Buffer
+	if err := telemetry.EncodeJSONL(&jsonl, recs); err != nil {
+		t.Fatal(err)
+	}
+	oversize := e.Metrics().Counter("live_ingest_oversize_total")
+
+	// One gzip member of records, then the same 1 MiB member of blank
+	// lines over and over: gzip readers concatenate members.
+	bomb := gzipBytes(t, jsonl.Bytes())
+	blank := gzipBytes(t, bytes.Repeat(blankLine, 256))
+	for i := 0; i <= wire.MaxBodyBytes>>20; i++ {
+		bomb = append(bomb, blank...)
+	}
+	if len(bomb) > 1<<20 {
+		t.Fatalf("gzip bomb is %d bytes on the wire; want it under 1 MiB", len(bomb))
+	}
+	resp := postRaw(t, srv.Client(), srv.URL, wire.ContentTypeJSONL, "gzip", bomb)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("gzip bomb = %s, want 413", resp.Status)
+	}
+	if got := oversize.Load(); got != 1 {
+		t.Fatalf("live_ingest_oversize_total = %d after the gzip bomb, want 1", got)
+	}
+
+	// The plain body goes to the handler directly: the bound on the
+	// connection's bytes is http.MaxBytesReader's, loopback or not.
+	req := httptest.NewRequest(http.MethodPost, "/v1/views",
+		io.MultiReader(bytes.NewReader(jsonl.Bytes()), io.LimitReader(blanks{}, wire.MaxBodyBytes)))
+	req.Header.Set("Content-Type", wire.ContentTypeJSONL)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("plain oversized body = %d, want 413", rec.Code)
+	}
+	if got := oversize.Load(); got != 2 {
+		t.Fatalf("live_ingest_oversize_total = %d after both, want 2", got)
+	}
+	if got := e.Metrics().Counter("live_ingest_records_total").Load(); got != 0 {
+		t.Fatalf("oversized bodies admitted %d records", got)
+	}
+
+	resp = postRaw(t, srv.Client(), srv.URL, wire.ContentTypeJSONL, "", jsonl.Bytes())
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("good body after the oversized ones = %s", resp.Status)
+	}
+	telemetry.CanonicalSort(recs)
+	if g := e.Snapshot(); !reflect.DeepEqual(g.Dataset.All(), recs) {
+		t.Fatalf("generation after the oversized bodies has %d records, want exactly the %d posted", g.Records, len(recs))
+	}
+}
+
+// TestServerJSONLSlotReuseDoesNotAlias: lines the fast parser does not
+// vouch for are decoded by encoding/json all the same, the scrape says
+// how many there were, and decoding them on a reused decoder leaves
+// earlier admissions alone. An ampersand in a URL is the everyday
+// case: json.Marshal escapes it.
+func TestServerJSONLSlotReuseDoesNotAlias(t *testing.T) {
+	s, srv, e := newTestServer(t, Config{})
+	oneDecoder(s)
+	fallback := e.Metrics().Counter("live_ingest_jsonl_fallback_total")
+
+	// Body A is canonical and leaves CDN views in the decoder's slots;
+	// body B's lines all take the fallback, with longer lists. A's
+	// records, already admitted, must not change under B's decode.
+	a := genRecords(60)
+	b := genRecords(60)
+	for i := range b {
+		b[i].URL += "?a=1&b=2"
+		b[i].CDNs = []string{"W", "X", "Y", "Z"}
+		b[i].Bitrates = []int{9, 8, 7, 6}
+	}
+	for i, recs := range [][]telemetry.ViewRecord{a, b} {
+		resp := postViews(t, srv.Client(), srv.URL, recs)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("body %d = %s", i, resp.Status)
+		}
+		if got, want := fallback.Load(), int64(i*len(b)); got != want {
+			t.Fatalf("live_ingest_jsonl_fallback_total = %d after body %d, want %d", got, i, want)
+		}
+	}
+	want := append(append([]telemetry.ViewRecord(nil), a...), b...)
+	telemetry.CanonicalSort(want)
+	if g := e.Snapshot(); !reflect.DeepEqual(g.Dataset.All(), want) {
+		t.Fatal("the generation is not the two bodies' records: a fallback decode rewrote an admitted batch")
 	}
 }

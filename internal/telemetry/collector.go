@@ -63,12 +63,15 @@ type Collector struct {
 	ingested   *obs.Counter
 	rejected   *obs.Counter
 	scanErrors *obs.Counter
+	oversize   *obs.Counter   // bodies past wire.MaxBodyBytes, on the wire or inflated: 413s
+	fallback   *obs.Counter   // JSONL lines the fast parser handed to encoding/json
 	ackBinary  *obs.Histogram // ingest.ack SLO: POST arrival → 202, binary frames
 	ackJSONL   *obs.Histogram // ingest.ack SLO: POST arrival → 202, JSONL
 
-	// decoders recycles wire decoders across ingest requests; a
-	// decoder's scratch is only reused after Store.Append has copied
-	// the batch, which happens before the handler returns it.
+	// decoders recycles wire decoders across ingest requests, binary
+	// and JSONL alike; a decoder's scratch is only reused after
+	// Store.Append has copied the batch, which happens before the
+	// handler returns it.
 	decoders sync.Pool
 }
 
@@ -101,6 +104,8 @@ func NewCollectorObs(store *Store, reg *obs.Registry, tr *obs.Tracer) *Collector
 		ingested:   reg.Counter("collector_ingested_total"),
 		rejected:   reg.Counter("collector_rejected_total"),
 		scanErrors: reg.Counter("collector_scan_errors_total"),
+		oversize:   reg.Counter("collector_ingest_oversize_total"),
+		fallback:   reg.Counter("collector_ingest_jsonl_fallback_total"),
 		ackBinary:  reg.Histogram("collector_ingest_ack_binary_seconds", ackBounds),
 		ackJSONL:   reg.Histogram("collector_ingest_ack_jsonl_seconds", ackBounds),
 	}
@@ -132,7 +137,9 @@ func (c *Collector) Tracer() *obs.Tracer { return c.tracer }
 
 // Handler returns the collector's HTTP handler:
 //
-//	POST /v1/views   — body is JSON-lines ViewRecords; returns 202
+//	POST /v1/views   — body is JSON-lines ViewRecords or binary batch
+//	                   frames, optionally gzip'd; returns 202, or 413
+//	                   past wire.MaxBodyBytes
 //	GET  /v1/stats   — ingestion counters as JSON
 //	GET  /v1/summary — per-protocol and per-device view-hour shares
 func (c *Collector) Handler() http.Handler {
@@ -154,26 +161,36 @@ func (c *Collector) handleViews(w http.ResponseWriter, r *http.Request) {
 	ssp := c.tracer.Start("ingest.scan", root.ID())
 	dec := c.decoders.Get().(*wire.Decoder)
 	defer c.decoders.Put(dec)
+	// Two bounds, one constant: MaxBytesReader on what the connection
+	// delivers, DecodeBody on what that inflates to.
+	r.Body = http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)
 	batch, bad, info, err := wire.DecodeBody(r.Header, r.Body, dec)
 	ssp.End(obs.KV("records", int64(len(batch))), obs.KV("bad", int64(bad)),
 		obs.KV("binary", boolAttr(info.Binary)), obs.KV("gzip", boolAttr(info.Gzip)),
-		obs.KV("bytes", info.Bytes))
+		obs.KV("bytes", info.Bytes), obs.KV("fallback", int64(info.Fallback)))
+	c.fallback.Add(int64(info.Fallback))
 	if errors.Is(err, wire.ErrUnsupportedMedia) {
 		root.End(obs.KV("unsupported_media", 1))
 		http.Error(w, err.Error(), http.StatusUnsupportedMediaType)
 		return
 	}
 	if err != nil {
-		// The batch was cut short (oversized line, truncated or corrupt
-		// binary frame, bad gzip, transport error): reject it whole,
-		// and surface the event on the stats counters so a misbehaving
-		// sensor is visible, not silent.
+		// The batch was cut short (oversized line or body, truncated or
+		// corrupt binary frame, bad gzip, transport error): reject it
+		// whole, and surface the event on the stats counters so a
+		// misbehaving sensor is visible, not silent.
+		status := http.StatusBadRequest
+		var onWire *http.MaxBytesError
+		if errors.Is(err, wire.ErrBodyTooLarge) || errors.As(err, &onWire) {
+			status = http.StatusRequestEntityTooLarge
+			c.oversize.Add(1)
+		}
 		c.scanErrors.Add(1)
 		c.rejected.Add(int64(len(batch) + bad))
 		c.tracer.Emit("batch_rejected",
 			obs.KV("records", int64(len(batch)+bad)), obs.KV("scan_error", 1))
 		root.End(obs.KV("rejected", int64(len(batch)+bad)), obs.KV("scan_error", 1))
-		http.Error(w, fmt.Sprintf("read error: %v", err), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("read error: %v", err), status)
 		return
 	}
 	stsp := c.tracer.Start("ingest.store", root.ID())

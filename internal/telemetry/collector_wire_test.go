@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -120,6 +121,115 @@ func TestCollectorBinaryIngest(t *testing.T) {
 	}
 	if got := c.Store().Len(); got != len(recs) {
 		t.Fatalf("rejected frame changed the store: %d records", got)
+	}
+}
+
+// blankLine is 4 KiB of JSONL that says nothing.
+var blankLine = append(bytes.Repeat([]byte{' '}, 4095), '\n')
+
+func gzipBytes(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func jsonlBytes(t *testing.T, recs []ViewRecord) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := EncodeJSONL(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestCollectorBodyCap: the collector holds the live server's bound. A
+// gzip body well under 1 MiB that inflates past wire.MaxBodyBytes is a
+// 413, counted once, stores nothing — its leading records included —
+// and the decoder it was cut short on decodes the next body correctly.
+func TestCollectorBodyCap(t *testing.T) {
+	c := NewCollector(nil)
+	dec := wire.NewDecoder()
+	c.decoders.New = func() any { return dec }
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	recs := wireRecs(40)
+	jsonl := jsonlBytes(t, recs)
+
+	// One gzip member of records, then the same 1 MiB member of blank
+	// lines over and over: gzip readers concatenate members.
+	bomb := gzipBytes(t, jsonl)
+	blank := gzipBytes(t, bytes.Repeat(blankLine, 256))
+	for i := 0; i <= wire.MaxBodyBytes>>20; i++ {
+		bomb = append(bomb, blank...)
+	}
+	if len(bomb) > 1<<20 {
+		t.Fatalf("gzip bomb is %d bytes on the wire; want it under 1 MiB", len(bomb))
+	}
+	resp := postWire(t, srv, wire.ContentTypeJSONL, "gzip", bomb)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("gzip bomb = %s, want 413", resp.Status)
+	}
+	if got := c.oversize.Load(); got != 1 {
+		t.Fatalf("collector_ingest_oversize_total = %d, want 1", got)
+	}
+	if got := c.Store().Len(); got != 0 {
+		t.Fatalf("oversized body stored %d records", got)
+	}
+
+	resp = postWire(t, srv, wire.ContentTypeJSONL, "", jsonl)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("good body after the oversized one = %s", resp.Status)
+	}
+	if !reflect.DeepEqual(c.Store().All(), recs) {
+		t.Fatalf("store after the oversized body has %d records, want exactly the %d posted", c.Store().Len(), len(recs))
+	}
+}
+
+// TestCollectorJSONLSlotReuseDoesNotAlias is wire's
+// TestJSONLSlotReuseDoesNotAlias through the collector: body A's lines
+// take the fast parser and leave CDN views in the one pooled decoder's
+// slots; body B's all go to encoding/json (json.Marshal escapes the
+// ampersand) with longer lists. A's records, already stored, must not
+// change, and the fallback counter says what happened.
+func TestCollectorJSONLSlotReuseDoesNotAlias(t *testing.T) {
+	c := NewCollector(nil)
+	dec := wire.NewDecoder()
+	c.decoders.New = func() any { return dec }
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+
+	a, b := wireRecs(60), wireRecs(60)
+	for i := range a {
+		a[i].CDNs = []string{"A", "B"}
+		b[i].URL += "?a=1&b=2"
+		b[i].CDNs = []string{"W", "X", "Y", "Z"}
+		b[i].Bitrates = []int{9, 8, 7, 6}
+	}
+	for i, recs := range [][]ViewRecord{a, b} {
+		resp := postWire(t, srv, wire.ContentTypeJSONL, "", jsonlBytes(t, recs))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("body %d = %s", i, resp.Status)
+		}
+		if got, want := c.fallback.Load(), int64(i*len(b)); got != want {
+			t.Fatalf("collector_ingest_jsonl_fallback_total = %d after body %d, want %d", got, i, want)
+		}
+	}
+	// The store orders by timestamp and the two bodies share theirs.
+	got, want := c.Store().All(), append(a, b...)
+	CanonicalSort(got)
+	CanonicalSort(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the store is not the two bodies' records: a fallback decode rewrote a stored batch")
 	}
 }
 

@@ -19,23 +19,27 @@ const MaxFrameRecords = 1 << 20
 // errTruncated reports a stream that ended mid-frame.
 var errTruncated = errors.New("wire: truncated frame")
 
-// Decoder parses binary frame streams straight into the columnar
+// Decoder parses ingest bodies — binary frame streams (DecodeAll) and
+// JSON lines (ScanJSONL) — straight into the columnar
 // []record.ViewRecord layout: no intermediate per-record structs, no
-// per-field allocations. The record slice, frame buffer, and table
-// scratch are reused across DecodeAll calls and distinct string
-// values are interned in a persistent cache, so a steady decode loop
-// over similar batches allocates only the per-call CDN/bitrate
-// arenas — zero allocations per record.
+// per-field allocations. The record slice, frame and line buffers, and
+// table scratch are reused across calls and distinct string values are
+// interned in a persistent cache, so a steady decode loop over similar
+// batches allocates only the per-call CDN/bitrate arenas — zero
+// allocations per record, in either encoding.
 //
-// Ownership contract: the slice DecodeAll returns (and the structs in
-// it) is valid only until the next DecodeAll call on the same
-// decoder. Both ingest paths copy records out synchronously (the live
-// engine takes its own copy of the batch inside Ingest, the
+// Ownership contract: the slice a decode returns (and the structs in
+// it) is valid only until the next DecodeAll or ScanJSONL call on the
+// same decoder. Both ingest paths copy records out synchronously (the
+// live engine takes its own copy of the batch inside Ingest, the
 // collector's Store.Append copies into its backing array), which is
-// what makes the reuse safe. A Decoder is not safe for concurrent
-// use; pool decoders per request instead.
+// what makes the reuse safe. What a copied record still shares with
+// the decoder is never rewritten: interned strings are immutable and
+// the CDN/bitrate arenas are allocated per call. A Decoder is not safe
+// for concurrent use; pool decoders per request instead.
 type Decoder struct {
 	frame  []byte              //vmp:scratch reused frame buffer, valid until the next DecodeAll
+	line   []byte              //vmp:scratch reused JSONL line buffer, valid until the next ScanJSONL
 	recs   []record.ViewRecord //vmp:scratch reused record slice handed to callers per the ownership contract
 	names  []string            //vmp:scratch per-frame string table scratch
 	intern map[string]string
@@ -73,7 +77,7 @@ func (d *Decoder) internBytes(b []byte) string {
 }
 
 // DecodeAll reads every frame from r and returns the decoded records.
-// The returned slice is valid until the next DecodeAll call; see the
+// The returned slice is valid until the decoder's next decode; see the
 // type comment. Any framing or layout violation — a truncated frame,
 // an unknown version or flag, an out-of-range table ID, trailing
 // bytes — fails the whole stream: ingest handlers reject the batch so
@@ -102,7 +106,7 @@ func (d *Decoder) DecodeAll(r io.Reader) ([]record.ViewRecord, error) {
 		}
 		d.frame = d.frame[:n]
 		if _, err := io.ReadFull(r, d.frame); err != nil {
-			return nil, fmt.Errorf("%w: payload short of %d bytes", errTruncated, n)
+			return nil, fmt.Errorf("%w: payload short of %d bytes: %w", errTruncated, n, err)
 		}
 		if err := d.decodeFrame(d.frame, &st); err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"vmp/internal/telemetry"
@@ -59,5 +60,29 @@ func FuzzDecodeFrame(f *testing.F) {
 		if !bytes.Equal(f1, f2) {
 			t.Fatalf("encode∘decode is not a fixed point: %d vs %d bytes", len(f1), len(f2))
 		}
+	})
+}
+
+// FuzzScanJSONL throws arbitrary bytes at the JSONL arm. encoding/json
+// is the model (oracleScanJSONL): whichever arm a line takes, the
+// records, their order and the bad count must be the model's, and
+// nothing panics. Each input is decoded twice on one decoder, so the
+// second pass runs over slots, arena hints and an intern cache the
+// first one dirtied.
+func FuzzScanJSONL(f *testing.F) {
+	f.Add(jsonlBody(f, canonicalCorpus()[:12]))
+	for _, line := range hostileLines {
+		f.Add([]byte(line))
+	}
+	f.Add([]byte(strings.Join(hostileLines[:40], "\n")))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= wire.MaxLineBytes {
+			t.Skip("the model has no line cap")
+		}
+		dec := wire.NewDecoder()
+		checkAgainstOracle(t, dec, data)
+		checkAgainstOracle(t, dec, data)
 	})
 }

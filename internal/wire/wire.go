@@ -15,11 +15,17 @@
 // reusing its scratch buffers across batches; see Decoder for the
 // buffer-ownership contract. DESIGN.md §10 specifies the layout.
 //
+// JSON lines decode through the same Decoder under the same contract
+// (Decoder.ScanJSONL): a line parser specialized to the ViewRecord
+// schema takes the shape encoding/json itself emits, and every other
+// line goes to encoding/json, which stays the definition of what a
+// line means.
+//
 // Transport negotiation lives here too: DecodeBody picks the decoder
 // from Content-Type (application/vnd.vmp.batch versus the JSONL
-// fallback) and transparently decompresses Content-Encoding: gzip, so
-// vmpd's serving plane and the vmpcollector backend share one decode
-// path.
+// fallback), transparently decompresses Content-Encoding: gzip, and
+// cuts a body off at MaxBodyBytes, so vmpd's serving plane and the
+// vmpcollector backend share one decode path and one bound.
 package wire
 
 import "errors"

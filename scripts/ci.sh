@@ -42,6 +42,10 @@ stage lint-tests sh -c '"${GO:-go}" run ./cmd/vmplint -cache -tests -only nondet
 # change the bytes and fail the build.
 stage lint-cache-guard sh -c '"${GO:-go}" run ./cmd/vmplint -cache -json ./... | cmp - lint_report.json'
 stage race      make race
+# fuzz-wire searches past the seed corpora `make test` already runs:
+# ten seconds each on the JSONL arm (encoding/json is the model) and
+# the binary frame decoder. Native fuzzing; nothing to download.
+stage fuzz-wire make fuzz-wire
 stage smoke     make smoke
 stage smoke-crash make smoke-crash
 # bench/ is a module of its own (vmp/bench, replacing vmp with the

@@ -202,6 +202,16 @@ echo "smoke: booting vmpd on $ADDR (JSONL run)"
 boot_vmpd "$ADDR"
 drive_and_query "$ADDR" online
 check_ack_quantiles "$ADDR" live_ingest_ack_jsonl_seconds
+
+echo "smoke: checking every vmpgen JSONL line took the fast parser"
+METRICS=$(curl -sf "http://$ADDR/v1/metrics")
+case "$METRICS" in
+*'"live_ingest_jsonl_fallback_total":0'[,}]*) ;;
+*)
+	echo "smoke: vmpgen's own JSONL fell back to encoding/json (live_ingest_jsonl_fallback_total != 0): $METRICS" >&2
+	exit 1
+	;;
+esac
 check_prom "$ADDR"
 check_series "$ADDR"
 
