@@ -144,10 +144,14 @@ bench-lint:
 
 # smoke boots the live serving plane end to end: vmpd ingests a vmpgen
 # slice over HTTP and must answer queries byte-identically to vmpstudy
-# computing them offline from the same file.
+# computing them offline from the same file, and a vmpd -load/-dump
+# round trip (the store-and-forward role) must lose and change nothing.
+# Then examples/live-pipeline — sensors into live.Server in one process
+# — must print the numbers it always has.
 .PHONY: smoke
 smoke:
 	sh scripts/smoke_live.sh
+	sh scripts/smoke_example.sh
 
 # smoke-crash kill -9s a WAL-backed vmpd twice — once after a fully
 # acked stream, once mid-stream against vmpgen's acked ledger — and

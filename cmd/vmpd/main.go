@@ -4,11 +4,18 @@
 // counterpart of the offline vmpstudy pipeline. A freshly cut epoch answers
 // /v1/query/* byte-identically to vmpstudy over the same records.
 //
+// Started without -wal-dir it is also the store-and-forward collector —
+// the streaming-analytics backend of §3 at its simplest: -load preloads
+// a JSONL dataset, POST /v1/views accumulates, and -dump writes
+// everything held to a JSONL file after the SIGINT/SIGTERM drain.
+//
 // Usage:
 //
 //	vmpd -addr :8474 -epoch 5s
 //	vmpgen -stride 24 -post http://localhost:8474
 //	curl http://localhost:8474/v1/query/share?dim=protocol
+//	vmpd -load views.jsonl -dump views.out.jsonl     # store and forward
+//	vmpgen -stride 8 | curl --data-binary @- http://localhost:8474/v1/views
 package main
 
 import (

@@ -1,12 +1,12 @@
 // Command vmpgen generates the synthetic view-record dataset as JSON
-// lines — the wire format the collector ingests and ReadDataset
-// parses. With -post it doubles as the load driver for the live
-// serving plane: instead of (or besides) writing a file, it streams
-// the dataset to a vmpd or vmpcollector ingest endpoint in batches,
-// honoring 429 backpressure responses by waiting out the server's
-// Retry-After hint and retrying the identical batch. -encode binary
-// posts the compact binary batch frames (internal/wire) instead of
-// JSONL, and -compress gzips either encoding on the wire.
+// lines — the wire format vmpd ingests and ReadDataset parses. With
+// -post it doubles as the load driver for the live serving plane:
+// instead of (or besides) writing a file, it streams the dataset to a
+// vmpd ingest endpoint in batches, honoring 429 backpressure responses
+// by waiting out the server's Retry-After hint and retrying the
+// identical batch. -encode binary posts the compact binary batch
+// frames (internal/wire) instead of JSONL, and -compress gzips either
+// encoding on the wire.
 //
 // Usage:
 //
@@ -17,19 +17,15 @@ package main
 
 import (
 	"bufio"
-	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"time"
 
 	"vmp"
@@ -44,7 +40,7 @@ func main() {
 		seed       = flag.Uint64("seed", 0, "population seed (0 = default)")
 		stride     = flag.Int("stride", 1, "use every k-th snapshot (1 = full study)")
 		out        = flag.String("o", "", "output file (default stdout; with -post, default none)")
-		post       = flag.String("post", "", "base URL of a /v1/views ingest endpoint to stream the dataset to")
+		post       = flag.String("post", "", "base URL of a vmpd to stream the dataset to (its /v1/views)")
 		postBatch  = flag.Int("post-batch", 2000, "records per POST batch")
 		postTries  = flag.Int("post-retries", 100, "max retries per batch on backpressure")
 		postVerify = flag.Bool("post-verify", false, "after -post, check the server's /v1/metrics ingest counter covers every posted record")
@@ -116,11 +112,9 @@ func main() {
 	}
 }
 
-// verifyIngest reads the server's /v1/metrics snapshot and checks its
-// ingest counter accounts for every record this driver posted. It
-// accepts either daemon's counter name (vmpd's live engine or the
-// plain collector), and ≥ rather than == because other drivers may
-// have posted concurrently.
+// verifyIngest reads vmpd's /v1/metrics snapshot and checks its ingest
+// counter accounts for every record this driver posted: ≥ rather than
+// == because other drivers may have posted concurrently.
 func verifyIngest(url string, posted int64) error {
 	client := &http.Client{Timeout: 10 * time.Second}
 	resp, err := client.Get(url + "/v1/metrics")
@@ -136,103 +130,27 @@ func verifyIngest(url string, posted int64) error {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		return fmt.Errorf("verify: decoding /v1/metrics: %w", err)
 	}
-	for _, name := range []string{"live_ingest_records_total", "collector_ingested_total"} {
-		if n, ok := snap.Counters[name]; ok {
-			if n >= posted {
-				return nil
-			}
-			return fmt.Errorf("verify: %s is %d, expected >= %d", name, n, posted)
-		}
+	n, ok := snap.Counters["live_ingest_records_total"]
+	if !ok {
+		return fmt.Errorf("verify: no live_ingest_records_total in /v1/metrics snapshot")
 	}
-	return fmt.Errorf("verify: no ingest counter in /v1/metrics snapshot")
+	if n < posted {
+		return fmt.Errorf("verify: live_ingest_records_total is %d, expected >= %d", n, posted)
+	}
+	return nil
 }
 
-// batchEncoder turns record batches into POST bodies. One buffer and
-// one wire encoder are reused for every batch of the drive, and each
-// batch is encoded exactly once no matter how many times backpressure
-// makes the driver retry it — the retry loop reuses the encoded bytes.
-// encodes counts encode calls so the tests can pin that contract.
-type batchEncoder struct {
-	binary   bool
-	compress bool
-	buf      bytes.Buffer
-	gz       *gzip.Writer
-	enc      *wire.Encoder
-	frame    []byte
-	encodes  int
-}
-
-func newBatchEncoder(encoding string, compress bool) (*batchEncoder, error) {
-	be := &batchEncoder{compress: compress}
-	switch encoding {
-	case "jsonl":
-	case "binary":
-		be.binary = true
-		be.enc = wire.NewEncoder()
-	default:
-		return nil, fmt.Errorf("vmpgen: unknown -encode %q (want jsonl or binary)", encoding)
-	}
-	return be, nil
-}
-
-// contentType returns the Content-Type the encoding negotiates.
-func (be *batchEncoder) contentType() string {
-	if be.binary {
-		return wire.ContentTypeBinary
-	}
-	return wire.ContentTypeJSONL
-}
-
-// encode renders one batch. The returned bytes alias the encoder's
-// buffer and are valid until the next encode call.
-func (be *batchEncoder) encode(recs []telemetry.ViewRecord) ([]byte, error) {
-	be.encodes++
-	be.buf.Reset()
-	var w io.Writer = &be.buf
-	if be.compress {
-		if be.gz == nil {
-			be.gz = gzip.NewWriter(&be.buf)
-		} else {
-			be.gz.Reset(&be.buf)
-		}
-		w = be.gz
-	}
-	if be.binary {
-		var err error
-		be.frame, err = be.enc.AppendFrame(be.frame[:0], recs)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := w.Write(be.frame); err != nil {
-			return nil, err
-		}
-	} else if err := telemetry.EncodeJSONL(w, recs); err != nil {
-		return nil, err
-	}
-	if be.compress {
-		// Close flushes the gzip trailer; losing it truncates the body.
-		if err := be.gz.Close(); err != nil {
-			return nil, err
-		}
-	}
-	return be.buf.Bytes(), nil
-}
-
-// driver streams a dataset to an ingest endpoint. The wait hook is
-// the backpressure sleep (simclock.Wait in production); tests inject
-// a counter to drive retries without real delays.
+// driver streams a dataset to an ingest endpoint through the module's
+// ingest client (wire.Client), which owns the encoding, the content
+// negotiation and the 429 retry loop; the driver adds the batching,
+// the acked ledger and the client-side latency summary. Tests replace
+// client.Wait, the backpressure sleep, with a counter to drive retries
+// without real delays.
 type driver struct {
-	be     *batchEncoder
-	client *http.Client
-	jitter *rand.Rand
+	client *wire.Client
+	label  string // "jsonl", "binary+gzip", …: the encoding, for the exit line
 	clock  simclock.Clock
-	wait   func(context.Context, time.Duration) error
 	acked  io.Writer // when set, every 202-acked batch is appended as JSONL
-
-	// retryAfterHint is the wait post computed from the last 429
-	// response, kept here so drive's retry loop stays free of response
-	// plumbing.
-	retryAfterHint time.Duration
 
 	// rtts collects every POST attempt's round-trip time (202s and
 	// 429s alike) and waited the total Retry-After sleep, for the
@@ -242,28 +160,26 @@ type driver struct {
 }
 
 func newDriver(encoding string, compress bool, seed uint64) (*driver, error) {
-	be, err := newBatchEncoder(encoding, compress)
-	if err != nil {
-		return nil, err
+	if encoding != "jsonl" && encoding != "binary" {
+		return nil, fmt.Errorf("vmpgen: unknown -encode %q (want jsonl or binary)", encoding)
 	}
-	return &driver{
-		be:     be,
-		client: &http.Client{Timeout: 30 * time.Second},
-		jitter: rand.New(rand.NewSource(int64(seed))),
-		clock:  simclock.Wall(),
-		wait:   simclock.Wait,
-	}, nil
+	d := &driver{label: encoding, clock: simclock.Wall()}
+	if compress {
+		d.label += "+gzip"
+	}
+	d.client = wire.NewClient(&http.Client{Timeout: 30 * time.Second}, encoding == "binary", compress, int64(seed))
+	d.client.Attempt = func(rtt time.Duration) { d.rtts = append(d.rtts, rtt) }
+	d.client.Wait = func(ctx context.Context, hint time.Duration) error {
+		d.waited += hint
+		return simclock.Wait(ctx, hint)
+	}
+	return d, nil
 }
 
-// drive streams recs to url's /v1/views endpoint in batches. A 429
-// means the server's ingest queue is full; the batch is retried
-// unchanged after the Retry-After hint — admission is atomic on the
-// server, so retries never duplicate records, and the body was
-// encoded once before the first attempt, so retries cost no encode
-// work. The hint is capped (a confused server cannot stall the driver
-// for minutes at a time) and jittered from a seeded generator, so
-// concurrent drivers desynchronize without run-to-run nondeterminism;
-// the wait itself rides ctx and aborts when the caller is cancelled.
+// drive streams recs to url's /v1/views endpoint in batches. Each batch
+// is encoded once and sent until the server takes it: a 429 (the ingest
+// queue is full) is retried unchanged after the Retry-After hint, at
+// most retries times — see wire.Client.Send for the contract.
 func (d *driver) drive(ctx context.Context, url string, recs []telemetry.ViewRecord, batch, retries int) error {
 	if batch <= 0 {
 		batch = 2000
@@ -275,44 +191,25 @@ func (d *driver) drive(ctx context.Context, url string, recs []telemetry.ViewRec
 		if hi > len(recs) {
 			hi = len(recs)
 		}
-		body, err := d.be.encode(recs[lo:hi])
+		body, err := d.client.Encode(recs[lo:hi])
 		if err != nil {
 			return err
 		}
-		for attempt := 0; ; attempt++ {
-			attemptStart := d.clock.Now()
-			status, err := d.post(ctx, url, body)
-			if err != nil {
-				return err
-			}
-			d.rtts = append(d.rtts, d.clock.Now().Sub(attemptStart))
-			if status == http.StatusAccepted {
-				if d.acked != nil {
-					if err := telemetry.EncodeJSONL(d.acked, recs[lo:hi]); err != nil {
-						return fmt.Errorf("acked ledger: %w", err)
-					}
-				}
-				posted += hi - lo
-				break
-			}
-			if status != http.StatusTooManyRequests {
-				return fmt.Errorf("POST /v1/views: status %d", status)
-			}
-			backpressured++
-			if attempt >= retries {
-				return fmt.Errorf("batch at record %d still backpressured after %d retries", lo, retries)
-			}
-			d.waited += d.retryAfterHint
-			if err := d.wait(ctx, d.retryAfterHint); err != nil {
-				return err
+		denied, err := d.client.Send(ctx, url+"/v1/views", body, retries)
+		backpressured += denied
+		if err != nil {
+			return fmt.Errorf("batch at record %d: %w", lo, err)
+		}
+		if d.acked != nil {
+			if err := telemetry.EncodeJSONL(d.acked, recs[lo:hi]); err != nil {
+				return fmt.Errorf("acked ledger: %w", err)
 			}
 		}
+		posted += hi - lo
 	}
 	elapsed := d.clock.Now().Sub(start)
-	fmt.Fprintf(os.Stderr, "vmpgen: posted %d records in %v (%.0f records/s, %d backpressure waits, %s%s)\n",
-		posted, elapsed.Round(time.Millisecond), float64(posted)/elapsed.Seconds(), backpressured,
-		map[bool]string{true: "binary", false: "jsonl"}[d.be.binary],
-		map[bool]string{true: "+gzip", false: ""}[d.be.compress])
+	fmt.Fprintf(os.Stderr, "vmpgen: posted %d records in %v (%.0f records/s, %d backpressure waits, %s)\n",
+		posted, elapsed.Round(time.Millisecond), float64(posted)/elapsed.Seconds(), backpressured, d.label)
 	fmt.Fprintln(os.Stderr, "vmpgen: "+d.latencySummary(backpressured))
 	return nil
 }
@@ -352,49 +249,6 @@ func quantileDur(sorted []time.Duration, q float64) time.Duration {
 		idx = 0
 	}
 	return sorted[idx]
-}
-
-// post sends one encoded batch and returns the status code. On a 429
-// it parses the Retry-After hint into d.retryAfterHint.
-func (d *driver) post(ctx context.Context, url string, body []byte) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/views", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", d.be.contentType())
-	if d.be.compress {
-		req.Header.Set("Content-Encoding", "gzip")
-	}
-	resp, err := d.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	_ = resp.Body.Close()
-	if resp.StatusCode == http.StatusTooManyRequests {
-		d.retryAfterHint = retryAfter(resp, d.jitter)
-	}
-	return resp.StatusCode, nil
-}
-
-// retryAfterCap bounds how long a single Retry-After hint can stall
-// the driver; a server hinting longer is simply retried sooner.
-const retryAfterCap = 5 * time.Second
-
-// retryAfter extracts the server's Retry-After hint (whole seconds per
-// RFC 9110), defaulting to half a second, capping at retryAfterCap,
-// and adding up to 25% seeded jitter so retry storms decorrelate.
-func retryAfter(resp *http.Response, jitter *rand.Rand) time.Duration {
-	d := 500 * time.Millisecond
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		if secs, err := strconv.Atoi(s); err == nil && secs > 0 {
-			d = time.Duration(secs) * time.Second
-		}
-	}
-	if d > retryAfterCap {
-		d = retryAfterCap
-	}
-	return d + time.Duration(jitter.Int63n(int64(d)/4+1))
 }
 
 func fatal(err error) {

@@ -77,7 +77,7 @@ func newTestDriver(t *testing.T, encoding string, compress bool, waits *int) *dr
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.wait = func(ctx context.Context, _ time.Duration) error {
+	d.client.Wait = func(ctx context.Context, _ time.Duration) error {
 		*waits++
 		return ctx.Err()
 	}
@@ -110,8 +110,8 @@ func TestDriveEncodesOncePerBatch(t *testing.T) {
 			}
 
 			const batches = 3 // ceil(25/10)
-			if d.be.encodes != batches {
-				t.Fatalf("encoded %d times for %d batches; retries must reuse the encoded body", d.be.encodes, batches)
+			if d.client.Encodes != batches {
+				t.Fatalf("encoded %d times for %d batches; retries must reuse the encoded body", d.client.Encodes, batches)
 			}
 			if bp.accepted != batches {
 				t.Fatalf("server accepted %d batches, want %d", bp.accepted, batches)
@@ -180,20 +180,20 @@ func TestDriveBinaryGzipRoundTrip(t *testing.T) {
 }
 
 // TestEncodeSteadyStateAllocs pins the buffer-reuse contract directly:
-// after warmup, re-encoding a batch through the shared batchEncoder
-// stays allocation-free for the binary path, so retries (which skip
-// encode entirely) cannot scale allocations either.
+// after warmup, re-encoding a batch through the driver's client stays
+// allocation-free for the binary path, so retries (which skip encode
+// entirely) cannot scale allocations either.
 func TestEncodeSteadyStateAllocs(t *testing.T) {
 	recs := genRecords(500)
-	be, err := newBatchEncoder("binary", false)
+	d, err := newDriver("binary", false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := be.encode(recs); err != nil {
+	if _, err := d.client.Encode(recs); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := be.encode(recs); err != nil {
+		if _, err := d.client.Encode(recs); err != nil {
 			t.Fatal(err)
 		}
 	})

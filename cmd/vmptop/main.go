@@ -1,8 +1,8 @@
-// Command vmptop is the operator's live view of a vmpd (or
-// vmpcollector) daemon: it polls the /v1/series flight recorder and
-// renders a compact terminal dashboard — ingest rate, queue
-// depth, epoch cadence, WAL backlog, latency quantiles, and Go
-// runtime health — refreshing in place on every poll.
+// Command vmptop is the operator's live view of a vmpd daemon: it
+// polls the /v1/series flight recorder and renders a compact terminal
+// dashboard — ingest rate, queue depth, epoch cadence, WAL backlog,
+// latency quantiles, and Go runtime health — refreshing in place on
+// every poll.
 //
 // Usage:
 //
@@ -114,10 +114,10 @@ func render(url string, snap *obs.SeriesSnapshot) string {
 		url, p.Seq, snap.SamplesTotal, p.Time)
 
 	fmt.Fprintf(&b, "ingest    %s rec/s   acked %d   backpressured %d   rejected %d\n",
-		fmtRate(p.Rates["live_ingest_records_total"]+p.Rates["collector_ingested_total"]),
-		p.Counters["live_ingest_records_total"]+p.Counters["collector_ingested_total"],
+		fmtRate(p.Rates["live_ingest_records_total"]),
+		p.Counters["live_ingest_records_total"],
 		p.Counters["live_ingest_backpressured_total"],
-		p.Counters["live_ingest_rejected_total"]+p.Counters["collector_rejected_total"])
+		p.Counters["live_ingest_rejected_total"])
 
 	if depth, ok := p.Gauges["live_queue_depth_batches"]; ok {
 		fmt.Fprintf(&b, "queues    %d batches queued\n", depth)
@@ -131,16 +131,11 @@ func render(url string, snap *obs.SeriesSnapshot) string {
 		fmt.Fprintf(&b, "wal       %d segments, %s backlog   %s fsync/s\n",
 			segs, fmtBytes(p.Gauges["wal_backlog_bytes"]), fmtRate(p.Rates["wal_fsync_total"]))
 	}
-	if n, ok := p.Gauges["collector_store_records"]; ok {
-		fmt.Fprintf(&b, "store     %d records\n", n)
-	}
 
 	b.WriteByte('\n')
 	for _, row := range []struct{ label, hist string }{
 		{"ack jsonl ", "live_ingest_ack_jsonl_seconds"},
 		{"ack binary", "live_ingest_ack_binary_seconds"},
-		{"ack jsonl ", "collector_ingest_ack_jsonl_seconds"},
-		{"ack binary", "collector_ingest_ack_binary_seconds"},
 		{"wal fsync ", "wal_fsync_seconds"},
 		{"epoch cut ", "live_snapshot_seconds"},
 		{"q.share   ", "live_query_share_seconds"},

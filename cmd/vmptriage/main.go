@@ -1,5 +1,5 @@
 // Command vmptriage runs failure triaging over a view-record dataset
-// (JSON lines, as produced by vmpgen or dumped by the collector),
+// (JSON lines, as produced by vmpgen or dumped by vmpd -dump),
 // localizing the management-plane combinations whose failure rates are
 // anomalous.
 //

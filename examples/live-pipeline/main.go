@@ -1,8 +1,9 @@
 // Live pipeline: run the telemetry path end-to-end over real HTTP —
-// the Conviva-style architecture of §3. A collector backend listens on
-// localhost; publisher-side monitoring sensors batch and POST view
-// records to it; the analysis layer then characterizes the management
-// plane from what actually arrived on the wire.
+// the Conviva-style architecture of §3. The serving plane's ingest
+// backend (internal/live, what cmd/vmpd runs) listens on localhost;
+// publisher-side monitoring sensors batch and POST view records to it;
+// the analysis layer then characterizes the management plane from what
+// actually arrived on the wire.
 //
 //	go run ./examples/live-pipeline
 package main
@@ -16,22 +17,24 @@ import (
 
 	"vmp/internal/analytics"
 	"vmp/internal/ecosystem"
+	"vmp/internal/live"
 	"vmp/internal/manifest"
 	"vmp/internal/telemetry"
 )
 
 func main() {
-	// 1. Start the collector backend on an ephemeral local port.
-	collector := telemetry.NewCollector(nil)
+	// 1. Start the ingest backend on an ephemeral local port.
+	engine := live.NewEngine(live.Config{})
+	defer engine.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: collector.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: live.NewServer(engine).Handler(), ReadHeaderTimeout: 5 * time.Second}
 	go srv.Serve(ln)
 	defer srv.Close()
 	endpoint := fmt.Sprintf("http://%s/v1/views", ln.Addr())
-	fmt.Println("collector listening at", endpoint)
+	fmt.Println("backend listening at", endpoint)
 
 	// 2. Generate one snapshot of views and report them through
 	// per-publisher sensors, exactly as embedded monitoring libraries
@@ -58,12 +61,15 @@ func main() {
 	}
 	fmt.Printf("reported %d view records from %d publishers' sensors\n", reported, len(sensors))
 
-	// 3. Analyze what the backend actually stored.
-	store := collector.Store()
-	fmt.Printf("collector stored %d records (%.0f view-hours represented)\n\n",
-		store.Len(), store.TotalViewHours())
+	// 3. Cut an epoch and analyze what the backend actually stored.
+	ds := engine.Snapshot().Dataset
+	stored := 0.0
+	for i := 0; i < ds.Len(); i++ {
+		stored += ds.ViewHoursAt(i)
+	}
+	fmt.Printf("backend stored %d records (%.0f view-hours represented)\n\n", ds.Len(), stored)
 
-	recs := store.Window(snap)
+	recs := ds.Window(snap)
 	h := analytics.InstancesPerPublisher(recs, analytics.ProtocolDim)
 	fmt.Println("protocols per publisher (from wire-delivered records):")
 	for i, n := range h.Counts {

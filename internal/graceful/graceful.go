@@ -1,9 +1,9 @@
-// Package graceful is the shared shutdown path of the repo's HTTP
-// daemons (cmd/vmpd, cmd/vmpcollector): serve until SIGINT/SIGTERM,
-// then drain in-flight requests with http.Server.Shutdown under a
-// deadline, so a terminating daemon never races its own handlers —
-// the dump-on-exit and snapshot-on-exit steps run only after every
-// POST has completed or the drain deadline has passed.
+// Package graceful is the shutdown path of the repo's HTTP daemon
+// (cmd/vmpd): serve until SIGINT/SIGTERM, then drain in-flight
+// requests with http.Server.Shutdown under a deadline, so a
+// terminating daemon never races its own handlers — the dump-on-exit
+// and snapshot-on-exit steps run only after every POST has completed
+// or the drain deadline has passed.
 package graceful
 
 import (

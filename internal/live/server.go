@@ -14,11 +14,11 @@ import (
 	"vmp/internal/wire"
 )
 
-// Server exposes an Engine over HTTP: wire-level ingest on the
-// collector's /v1/views contract (binary batch frames or the JSONL
-// fallback, either one gzip-compressed — see wire.DecodeBody), the
-// query API over the published generation, an admin snapshot trigger,
-// and the shared observability surface (metrics, trace, debug).
+// Server exposes an Engine over HTTP: wire-level ingest on /v1/views
+// (binary batch frames or the JSONL fallback, either one
+// gzip-compressed — see wire.DecodeBody), the query API over the
+// published generation, an admin snapshot trigger, and the
+// observability surface (metrics, trace, debug).
 type Server struct {
 	engine *Engine
 	tracer *obs.Tracer

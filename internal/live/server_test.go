@@ -149,6 +149,56 @@ func TestServerBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/snapshot = %d", resp.StatusCode)
 	}
+	resp, err = srv.Client().Post(srv.URL+"/v1/stats", "text/plain", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /v1/stats = %d", resp.StatusCode)
+	}
+}
+
+// TestServerIngestCountsBadLines: a JSONL body's bad lines — one that
+// does not parse, one record with no publisher — are counted and
+// skipped, not a reason to refuse the batch: the good records are a
+// 202, the bad ones show in its body and on the rejected counter, and
+// no scan error is recorded. The engine is a default one, so its
+// tracer is off and the whole ingest must leave no span behind.
+func TestServerIngestCountsBadLines(t *testing.T) {
+	_, srv, e := newTestServer(t, Config{})
+	var buf bytes.Buffer
+	if err := telemetry.EncodeJSONL(&buf, genRecords(2)); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString("garbage\n{\"viewsec\":3}\n")
+	resp, err := srv.Client().Post(srv.URL+"/v1/views", "application/x-ndjson", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("status = %s, want 202: %s", resp.Status, body)
+	}
+	if want := `{"accepted":2,"backpressured":0,"rejected":2}` + "\n"; string(body) != want {
+		t.Fatalf("body = %q, want %q", body, want)
+	}
+	if got := e.Metrics().Counter("live_ingest_rejected_total").Load(); got != 2 {
+		t.Fatalf("rejected = %d, want 2", got)
+	}
+	if got := e.Metrics().Counter("live_ingest_scan_errors_total").Load(); got != 0 {
+		t.Fatalf("scan_errors = %d, want 0: bad lines are not a cut-short stream", got)
+	}
+	if g := e.Snapshot(); g.Records != 2 {
+		t.Fatalf("generation has %d records, want the 2 good ones", g.Records)
+	}
+	if e.Tracer().Enabled() {
+		t.Fatal("a default engine's tracer should be disabled")
+	}
+	if ts := e.Tracer().Snapshot(); ts.SpansTotal != 0 {
+		t.Fatalf("disabled tracer recorded %d spans", ts.SpansTotal)
+	}
 }
 
 func TestServerOversizedLine(t *testing.T) {

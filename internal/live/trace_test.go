@@ -221,14 +221,23 @@ func TestServerTraceEndpoint(t *testing.T) {
 	if err := json.NewDecoder(tresp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	names := map[string]bool{}
+	names := map[string]obs.SpanJSON{}
 	for _, sp := range snap.Spans {
-		names[sp.Name] = true
+		names[sp.Name] = sp
 	}
 	for _, want := range []string{"ingest.batch", "ingest.scan", "ingest.admit", "epoch.cut", "query.share"} {
-		if !names[want] {
+		if _, ok := names[want]; !ok {
 			t.Fatalf("missing span %q in /v1/trace (have %v)", want, names)
 		}
+	}
+	// One POST, one tree: the handler's stages hang off its root span.
+	for _, child := range []string{"ingest.scan", "ingest.admit"} {
+		if names[child].Parent != names["ingest.batch"].ID {
+			t.Fatalf("span %s is not a child of ingest.batch: %+v", child, names[child])
+		}
+	}
+	if names["ingest.scan"].Attrs["records"] != 50 {
+		t.Fatalf("ingest.scan attrs: %+v", names["ingest.scan"])
 	}
 	types := map[string]bool{}
 	for _, ev := range snap.Events {

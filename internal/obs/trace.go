@@ -365,8 +365,8 @@ func DebugHandler(reg *Registry, tr *Tracer) http.Handler {
 	})
 }
 
-// Mount registers the shared observability surface on mux — the one
-// substrate both daemons (vmpd and vmpcollector) report through:
+// Mount registers the observability surface on mux — the substrate
+// vmpd reports through:
 //
 //	GET /v1/metrics — registry snapshot (counters, gauges, histograms) as JSON
 //	GET /metrics    — the same registry in Prometheus text exposition format

@@ -1,8 +1,9 @@
 // Package telemetry reproduces the measurement substrate of the study:
 // the per-view metadata records a Conviva-style monitoring library
 // reports from inside publishers' players (§3), an in-memory store that
-// supports the snapshot queries the analyses run, and an HTTP collector
-// backend with a client sensor for wire-level ingestion.
+// supports the snapshot queries the analyses run, and the client sensor
+// that reports records over the wire. The backend the sensor reports to
+// is internal/live (cmd/vmpd).
 package telemetry
 
 import (
@@ -20,7 +21,7 @@ import (
 type ViewRecord = record.ViewRecord
 
 // Store is an append-only, query-by-window view-record store: the
-// simulation's stand-in for the collector backend's dataset. It is safe
+// simulation's stand-in for the analytics backend's dataset. It is safe
 // for concurrent use; Append keeps records ordered by timestamp
 // internally via sort-on-read with invalidation, so bulk generation
 // stays cheap. The sort runs once per append generation (a sync.Once

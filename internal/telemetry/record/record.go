@@ -2,9 +2,10 @@
 // schema every layer of the pipeline speaks. It is a leaf package with
 // no intra-module dependencies so that both the storage/analysis
 // substrate (internal/telemetry) and the wire codecs (internal/wire)
-// can share the type without an import cycle: telemetry's collector
-// ingests through wire's negotiated decoders, and wire's binary frames
-// decode straight into this layout.
+// can share the type without an import cycle: telemetry's sensor posts
+// through wire's client, the serving plane ingests through wire's
+// negotiated decoders, and wire's binary frames decode straight into
+// this layout.
 package record
 
 import "time"

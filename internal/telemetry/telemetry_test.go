@@ -2,10 +2,7 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -174,162 +171,6 @@ func TestDecodeJSONLBadInput(t *testing.T) {
 	}
 }
 
-func TestCollectorIngest(t *testing.T) {
-	col := NewCollector(nil)
-	srv := httptest.NewServer(col.Handler())
-	defer srv.Close()
-
-	var buf bytes.Buffer
-	if err := EncodeJSONL(&buf, []ViewRecord{rec("p1", 0, 100), rec("p2", 1, 50)}); err != nil {
-		t.Fatal(err)
-	}
-	// Include a malformed line and a record without a publisher.
-	buf.WriteString("garbage\n{\"viewsec\":3}\n")
-	resp, err := http.Post(srv.URL+"/v1/views", "application/x-ndjson", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("status = %s", resp.Status)
-	}
-	if col.Store().Len() != 2 {
-		t.Fatalf("stored %d records, want 2", col.Store().Len())
-	}
-
-	stats, err := http.Get(srv.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stats.Body.Close()
-	var body bytes.Buffer
-	body.ReadFrom(stats.Body)
-	for _, want := range []string{`"ingested":2`, `"rejected":2`, `"stored":2`} {
-		if !strings.Contains(body.String(), want) {
-			t.Errorf("stats missing %s: %s", want, body.String())
-		}
-	}
-}
-
-func TestCollectorMethodChecks(t *testing.T) {
-	col := NewCollector(nil)
-	srv := httptest.NewServer(col.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/views")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/views = %s", resp.Status)
-	}
-	resp, err = http.Post(srv.URL+"/v1/stats", "text/plain", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /v1/stats = %s", resp.Status)
-	}
-}
-
-func TestCollectorSummary(t *testing.T) {
-	col := NewCollector(nil)
-	srv := httptest.NewServer(col.Handler())
-	defer srv.Close()
-
-	a := rec("p1", 0, 3600)         // 1 VH, HLS, Roku
-	b := rec("p2", 1, 3600)         // 1 VH
-	b.URL = "http://cdn-b/p/v1.mpd" // DASH
-	b.Device = "AndroidPhone"
-	b.Live = true
-	b.Failed = true
-	col.Store().Append(a, b)
-
-	s := col.Summarize()
-	if s.Records != 2 || s.Publishers != 2 || s.ViewHours != 2 {
-		t.Fatalf("summary totals wrong: %+v", s)
-	}
-	if s.ProtocolVHPct["HLS"] != 50 || s.ProtocolVHPct["DASH"] != 50 {
-		t.Fatalf("protocol shares wrong: %+v", s.ProtocolVHPct)
-	}
-	if s.DeviceVHPct["Roku"] != 50 {
-		t.Fatalf("device shares wrong: %+v", s.DeviceVHPct)
-	}
-	if s.LiveVHPct != 50 || s.FailedViewsPct != 50 {
-		t.Fatalf("live/failed shares wrong: %+v", s)
-	}
-
-	resp, err := http.Get(srv.URL + "/v1/summary")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var got Summary
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Records != 2 || got.ProtocolVHPct["DASH"] != 50 {
-		t.Fatalf("HTTP summary = %+v", got)
-	}
-	// Method check.
-	post, err := http.Post(srv.URL+"/v1/summary", "text/plain", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	post.Body.Close()
-	if post.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /v1/summary = %s", post.Status)
-	}
-}
-
-func TestSummaryEmptyStore(t *testing.T) {
-	s := NewCollector(nil).Summarize()
-	if s.Records != 0 || s.ViewHours != 0 || s.LiveVHPct != 0 {
-		t.Fatalf("empty summary = %+v", s)
-	}
-}
-
-func TestSensorBatchingAndFlush(t *testing.T) {
-	col := NewCollector(nil)
-	srv := httptest.NewServer(col.Handler())
-	defer srv.Close()
-
-	sensor := NewSensor(srv.URL+"/v1/views", srv.Client(), 3)
-	for i := 0; i < 2; i++ {
-		if err := sensor.Report(rec("p1", i, 60)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if col.Store().Len() != 0 || sensor.Pending() != 2 {
-		t.Fatal("sensor flushed before batch was full")
-	}
-	if err := sensor.Report(rec("p1", 2, 60)); err != nil {
-		t.Fatal(err) // third report triggers auto-flush
-	}
-	if col.Store().Len() != 3 || sensor.Pending() != 0 {
-		t.Fatalf("auto-flush failed: stored=%d pending=%d", col.Store().Len(), sensor.Pending())
-	}
-	// Explicit flush of an empty batch is a no-op.
-	if err := sensor.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSensorCollectorDown(t *testing.T) {
-	sensor := NewSensor("http://127.0.0.1:1/v1/views", &http.Client{Timeout: 200 * time.Millisecond}, 1)
-	if err := sensor.Report(rec("p1", 0, 60)); err == nil {
-		t.Fatal("report to a dead collector should error")
-	}
-}
-
-func TestNewSensorDefaults(t *testing.T) {
-	s := NewSensor("http://x", nil, 0)
-	if s.client == nil || s.batchMax != 100 {
-		t.Fatalf("defaults not applied: %+v", s)
-	}
-}
-
 func TestScanJSONLOversizedLine(t *testing.T) {
 	// One good record, then a line exceeding MaxLineBytes: the scan
 	// must stop with an error, not silently truncate the batch.
@@ -347,39 +188,40 @@ func TestScanJSONLOversizedLine(t *testing.T) {
 	}
 }
 
-func TestCollectorRejectsOversizedLine(t *testing.T) {
-	col := NewCollector(nil)
-	srv := httptest.NewServer(col.Handler())
-	defer srv.Close()
+// wireRecs builds a batch with enough field diversity to exercise the
+// string tables and list columns on the binary path.
+func wireRecs(n int) []ViewRecord {
+	base := time.Date(2016, 4, 1, 0, 0, 0, 0, time.UTC)
+	recs := make([]ViewRecord, n)
+	for i := range recs {
+		r := rec(fmt.Sprintf("pub-%02d", i%7), i%28, 120+float64(i%300))
+		r.Timestamp = base.Add(time.Duration(i) * 53 * time.Second)
+		r.Geo = []string{"US", "DE", "BR"}[i%3]
+		if i%5 == 0 {
+			r.CDNs = []string{"A", "B"}
+		}
+		recs[i] = r
+	}
+	return recs
+}
 
+// BenchmarkScanJSONL isolates the JSONL parse cost on the ingest path
+// — the number the binary decoder's records/s is judged against.
+func BenchmarkScanJSONL(b *testing.B) {
+	recs := wireRecs(2000)
 	var buf bytes.Buffer
-	if err := EncodeJSONL(&buf, []ViewRecord{rec("p1", 0, 100)}); err != nil {
-		t.Fatal(err)
+	if err := EncodeJSONL(&buf, recs); err != nil {
+		b.Fatal(err)
 	}
-	buf.WriteString(strings.Repeat("x", MaxLineBytes+1) + "\n")
-	resp, err := http.Post(srv.URL+"/v1/views", "application/x-ndjson", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %s, want 400", resp.Status)
-	}
-	if col.Store().Len() != 0 {
-		t.Fatalf("store kept %d records from a failed batch", col.Store().Len())
-	}
-	stats, err := http.Get(srv.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stats.Body.Close()
-	var body bytes.Buffer
-	if _, err := body.ReadFrom(stats.Body); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"scan_errors":1`, `"rejected":1`, `"ingested":0`} {
-		if !strings.Contains(body.String(), want) {
-			t.Errorf("stats missing %s: %s", want, body.String())
+	body := buf.Bytes()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch, bad, err := ScanJSONL(bytes.NewReader(body))
+		if err != nil || bad != 0 || len(batch) != len(recs) {
+			b.Fatalf("scan: %d records, %d bad, err=%v", len(batch), bad, err)
 		}
 	}
+	b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }

@@ -30,9 +30,8 @@ var errTruncated = errors.New("wire: truncated frame")
 //
 // Ownership contract: the slice a decode returns (and the structs in
 // it) is valid only until the next DecodeAll or ScanJSONL call on the
-// same decoder. Both ingest paths copy records out synchronously (the
-// live engine takes its own copy of the batch inside Ingest, the
-// collector's Store.Append copies into its backing array), which is
+// same decoder. The ingest path copies records out synchronously (the
+// live engine takes its own copy of the batch inside Ingest), which is
 // what makes the reuse safe. What a copied record still shares with
 // the decoder is never rewritten: interned strings are immutable and
 // the CDN/bitrate arenas are allocated per call. A Decoder is not safe

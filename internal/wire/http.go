@@ -76,8 +76,8 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 // DecodeBody negotiates and decodes one ingest request body: the
 // Content-Type header picks the decoder (ContentTypeBinary for frame
 // streams, the JSONL fallback otherwise) and Content-Encoding: gzip
-// is transparently inflated for both. It is the one decode path the
-// live serving plane and the collector share.
+// is transparently inflated for both. It is the server's half of the
+// negotiation; Client is the sender's.
 //
 // A media type or content coding the ingest path does not speak fails
 // with ErrUnsupportedMedia before any body bytes are read (handlers

@@ -16,8 +16,9 @@ import (
 // MaxLineBytes is the largest JSONL line the wire-level ingest paths
 // accept. bufio.Scanner's default cap is 64 KiB, which a record with a
 // long CDN list or bitrate ladder can exceed; every ingest scanner in
-// the module (collector and live serving plane) shares this limit so a
-// long line is a surfaced scan error, never a silent truncation.
+// the module (the serving plane's handler and vmpd -load) shares this
+// limit so a long line is a surfaced scan error, never a silent
+// truncation.
 const MaxLineBytes = 1 << 20
 
 // ScanJSONL reads JSON-lines view records from r with the module-wide

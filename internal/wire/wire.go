@@ -21,11 +21,14 @@
 // line goes to encoding/json, which stays the definition of what a
 // line means.
 //
-// Transport negotiation lives here too: DecodeBody picks the decoder
-// from Content-Type (application/vnd.vmp.batch versus the JSONL
-// fallback), transparently decompresses Content-Encoding: gzip, and
-// cuts a body off at MaxBodyBytes, so vmpd's serving plane and the
-// vmpcollector backend share one decode path and one bound.
+// Transport negotiation lives here too, both halves of it. DecodeBody
+// is the server's: it picks the decoder from Content-Type
+// (application/vnd.vmp.batch versus the JSONL fallback), transparently
+// decompresses Content-Encoding: gzip, and cuts a body off at
+// MaxBodyBytes. Client is the sender's: it encodes a batch once, stamps
+// the headers DecodeBody reads, and resends the same bytes after each
+// 429's Retry-After — the one ingest client, under vmpgen's load
+// driver and telemetry.Sensor alike.
 package wire
 
 import "errors"

@@ -8,6 +8,11 @@
 # once as gzip-compressed binary batch frames — and the two runs must
 # land the same ingest counter and byte-identical query answers: the
 # wire encoding is a transport detail, never a semantic one.
+#
+# A last leg holds vmpd to the store-and-forward role it has without
+# -wal-dir (the only collector there is): -load a file, SIGTERM, and
+# the -dump must be every record, answering offline exactly as the
+# file that was loaded does.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -30,10 +35,12 @@ echo "smoke: generating dataset slice"
 "$DIR/vmpgen" -stride 24 -o "$DIR/views.jsonl"
 RECORDS=$(wc -l < "$DIR/views.jsonl" | tr -d ' ')
 
-# boot_vmpd ADDR: start a fresh daemon and wait for /healthz.
+# boot_vmpd ADDR [vmpd flags...]: start a fresh daemon and wait for
+# /healthz.
 boot_vmpd() {
 	addr="$1"
-	"$DIR/vmpd" -addr "$addr" -epoch 1h >"$DIR/vmpd-$addr.log" 2>&1 &
+	shift
+	"$DIR/vmpd" -addr "$addr" -epoch 1h "$@" >"$DIR/vmpd-$addr.log" 2>&1 &
 	VMPD_PID=$!
 	i=0
 	until curl -sf "http://$addr/healthz" >/dev/null 2>&1; do
@@ -270,4 +277,26 @@ cmp "$DIR/online_top.json" "$DIR/offline_top.json" || {
 	exit 1
 }
 
-echo "smoke: live serving plane OK ($RECORDS records, byte-identical answers over JSONL, binary+gzip, and offline)"
+ADDR3="127.0.0.1:18476"
+echo "smoke: booting vmpd on $ADDR3 as a store-and-forward collector (-load, -dump, no drive)"
+boot_vmpd "$ADDR3" -load "$DIR/views.jsonl" -dump "$DIR/dumped.jsonl"
+echo "smoke: draining vmpd with SIGTERM"
+stop_vmpd
+DUMPED=$(wc -l < "$DIR/dumped.jsonl" | tr -d ' ')
+if [ "$DUMPED" != "$RECORDS" ]; then
+	echo "smoke: vmpd -load/-dump wrote $DUMPED records, want the $RECORDS it loaded" >&2
+	cat "$DIR/vmpd-$ADDR3.log" >&2
+	exit 1
+fi
+"$DIR/vmpstudy" -input "$DIR/dumped.jsonl" -share protocol >"$DIR/dumped_share.json"
+"$DIR/vmpstudy" -input "$DIR/dumped.jsonl" -top 10 >"$DIR/dumped_top.json"
+cmp "$DIR/dumped_share.json" "$DIR/offline_share.json" || {
+	echo "smoke: the dumped store's share answer differs from the loaded file's" >&2
+	exit 1
+}
+cmp "$DIR/dumped_top.json" "$DIR/offline_top.json" || {
+	echo "smoke: the dumped store's top-publishers answer differs from the loaded file's" >&2
+	exit 1
+}
+
+echo "smoke: live serving plane OK ($RECORDS records, byte-identical answers over JSONL, binary+gzip, offline, and a -load/-dump round trip)"

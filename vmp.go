@@ -38,7 +38,7 @@ func NewFromStore(cfg Config, store *telemetry.Store) *Study {
 
 // WriteDataset generates the study's full view-record dataset and
 // writes it to w as JSON lines — the interchange format cmd/vmpgen
-// emits and the collector ingests.
+// emits and cmd/vmpd ingests.
 func WriteDataset(s *Study, w io.Writer) error {
 	return telemetry.EncodeJSONL(w, s.Store().All())
 }
