@@ -160,3 +160,17 @@ smoke:
 .PHONY: smoke-crash
 smoke-crash:
 	sh scripts/smoke_crash.sh
+
+# loc prints Go line counts per package directory — non-test and test
+# files in separate columns — for the root package, internal/* and
+# cmd/*: the one source for the line counts ROADMAP and the simplicity
+# PRs quote. Raw lines (comments and blanks included), testdata skipped.
+.PHONY: loc
+loc:
+	@printf '%-30s %9s %9s\n' package non-test test; \
+	for d in . $$(find internal cmd -type d ! -path '*/testdata*' | sort); do \
+		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs -r cat | wc -l); \
+		t=$$(find $$d -maxdepth 1 -name '*_test.go' | xargs -r cat | wc -l); \
+		if [ $$((n + t)) -gt 0 ]; then printf '%-30s %9d %9d\n' $$d $$n $$t; N=$$((N + n)); T=$$((T + t)); fi; \
+	done; \
+	printf '%-30s %9d %9d\n' total $$N $$T

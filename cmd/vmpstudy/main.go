@@ -160,19 +160,15 @@ func run() (retErr error) {
 		}
 	}
 
-	if *shareDim != "" || *topN > 0 {
-		if store == nil {
-			store = vmp.New(vmp.Config{Seed: *seed, SnapshotStride: *stride}).Store()
-		}
-		return answer(w, store, *shareDim, *shareBy, *topN)
-	}
-
 	cfg := vmp.Config{Seed: *seed, SnapshotStride: *stride, QoESessions: *sessions}
 	var study *vmp.Study
 	if store != nil {
 		study = vmp.NewFromStore(cfg, store)
 	} else {
 		study = vmp.New(cfg)
+	}
+	if *shareDim != "" || *topN > 0 {
+		return answer(w, study.Dataset(), *shareDim, *shareBy, *topN)
 	}
 	if *stats {
 		tr := obs.NewTracer(simclock.Wall(), 4096)
@@ -232,14 +228,11 @@ func printFigureStats(w io.Writer, tr *obs.Tracer) {
 	fmt.Fprintf(w, "  %-16s %6s %10.3fms\n", "total", "", float64(totalUS)/1e3)
 }
 
-// answer computes vmpd-equivalent query responses offline. The records
-// go through the same canonical sort, dataset build, computation, and
-// serialization as an Engine snapshot, so a vmpd that ingested the
-// same dataset answers byte-identically.
-func answer(w io.Writer, store *telemetry.Store, shareDim, shareBy string, topN int) error {
-	recs := store.All() // a copy; sorting it cannot disturb the store
-	telemetry.CanonicalSort(recs)
-	ds := telemetry.NewDataset(recs)
+// answer computes vmpd-equivalent query responses offline. The study's
+// dataset is in the canonical order an Engine snapshot is, and the
+// computation and serialization are the same functions, so a vmpd that
+// ingested the same records answers byte-identically.
+func answer(w io.Writer, ds *telemetry.Dataset, shareDim, shareBy string, topN int) error {
 	if shareDim != "" {
 		resp, err := live.ShareOver(ds, shareDim, shareBy)
 		if err != nil {

@@ -69,8 +69,7 @@ func main() {
 	}
 	fmt.Printf("backend stored %d records (%.0f view-hours represented)\n\n", ds.Len(), stored)
 
-	recs := ds.Window(snap)
-	h := analytics.InstancesPerPublisher(recs, analytics.ProtocolDim)
+	h := analytics.InstancesPerPublisherDataset(ds, snap, ds.ProtocolCol())
 	fmt.Println("protocols per publisher (from wire-delivered records):")
 	for i, n := range h.Counts {
 		fmt.Printf("  %d protocol(s): %5.1f%% of publishers, %5.1f%% of view-hours\n",
@@ -80,6 +79,7 @@ func main() {
 	fmt.Println("\nview-hour share by protocol:")
 	total := 0.0
 	byProto := map[string]float64{}
+	recs := ds.Window(snap)
 	for i := range recs {
 		vh := recs[i].ViewHours()
 		total += vh

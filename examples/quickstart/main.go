@@ -26,7 +26,11 @@ func main() {
 		}
 		fmt.Println()
 	}
-	fmt.Printf("dataset: %d sampled view records, %.0f view-hours represented\n",
-		study.Store().Len(), study.Store().TotalViewHours())
+	ds := study.Dataset()
+	viewHours := 0.0
+	for i := 0; i < ds.Len(); i++ {
+		viewHours += ds.ViewHoursAt(i)
+	}
+	fmt.Printf("dataset: %d sampled view records, %.0f view-hours represented\n", ds.Len(), viewHours)
 	fmt.Println("run `vmpstudy -figure all` for every table and figure")
 }

@@ -122,10 +122,10 @@ func (ts *TimeSeries) sortKeys() { sort.Strings(ts.Keys) }
 // publishers with at least one view on each dimension value (Figs 2a,
 // 7, 11a). Percentages can sum above 100 because publishers support
 // multiple values.
-func ShareOfPublishers(store *telemetry.Store, sched simclock.Schedule, dim Dim) *TimeSeries {
+func ShareOfPublishers(ds *telemetry.Dataset, sched simclock.Schedule, dim Dim) *TimeSeries {
 	ts := newTimeSeries(sched)
 	for si, snap := range sched {
-		recs := store.Window(snap)
+		recs := ds.Window(snap)
 		pubs := map[string]bool{}
 		byKey := map[string]map[string]bool{}
 		for i := range recs {
@@ -156,21 +156,21 @@ func ShareOfPublishers(store *telemetry.Store, sched simclock.Schedule, dim Dim)
 // Records from publishers in exclude are dropped first (Figs 2c, 6b).
 // Records contributing multiple values (multi-CDN views) split their
 // view-hours evenly.
-func ShareOfViewHours(store *telemetry.Store, sched simclock.Schedule, dim Dim, exclude map[string]bool) *TimeSeries {
-	return shareOf(store, sched, dim, exclude, (*telemetry.ViewRecord).ViewHours)
+func ShareOfViewHours(ds *telemetry.Dataset, sched simclock.Schedule, dim Dim, exclude map[string]bool) *TimeSeries {
+	return shareOf(ds, sched, dim, exclude, (*telemetry.ViewRecord).ViewHours)
 }
 
 // ShareOfViews is ShareOfViewHours with views instead of view-hours as
 // the measure (Fig 6c).
-func ShareOfViews(store *telemetry.Store, sched simclock.Schedule, dim Dim, exclude map[string]bool) *TimeSeries {
-	return shareOf(store, sched, dim, exclude, (*telemetry.ViewRecord).Views)
+func ShareOfViews(ds *telemetry.Dataset, sched simclock.Schedule, dim Dim, exclude map[string]bool) *TimeSeries {
+	return shareOf(ds, sched, dim, exclude, (*telemetry.ViewRecord).Views)
 }
 
-func shareOf(store *telemetry.Store, sched simclock.Schedule, dim Dim, exclude map[string]bool,
+func shareOf(ds *telemetry.Dataset, sched simclock.Schedule, dim Dim, exclude map[string]bool,
 	measure func(*telemetry.ViewRecord) float64) *TimeSeries {
 	ts := newTimeSeries(sched)
 	for si, snap := range sched {
-		recs := store.Window(snap)
+		recs := ds.Window(snap)
 		total := 0.0
 		byKey := map[string]float64{}
 		for i := range recs {
@@ -373,10 +373,10 @@ type AveragesSeries struct {
 }
 
 // AverageInstances computes the instance-count averages over time.
-func AverageInstances(store *telemetry.Store, sched simclock.Schedule, dim Dim) *AveragesSeries {
+func AverageInstances(ds *telemetry.Dataset, sched simclock.Schedule, dim Dim) *AveragesSeries {
 	out := &AveragesSeries{}
 	for _, snap := range sched {
-		recs := store.Window(snap)
+		recs := ds.Window(snap)
 		pubKeys := map[string]map[string]bool{}
 		pubVH := map[string]float64{}
 		for i := range recs {

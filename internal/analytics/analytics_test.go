@@ -28,28 +28,30 @@ func mk(pub string, day int, url, dev string, cdns []string, viewSec, weight flo
 	}
 }
 
-func twoSnapStore() (*telemetry.Store, simclock.Schedule) {
+// dataset freezes recs the way a study does: a canonically ordered
+// store, and the columns over its rows.
+func dataset(recs ...telemetry.ViewRecord) *telemetry.Dataset {
+	return telemetry.NewDataset(telemetry.NewStore(recs).All())
+}
+
+func twoSnapDataset() (*telemetry.Dataset, simclock.Schedule) {
 	sched := simclock.MakeSchedule(14, 2)[:2] // days 0-1 and 14-15
-	s := telemetry.NewStore()
-	// Snapshot 0: p1 all-HLS on A; p2 half DASH on B.
-	s.Append(
+	return dataset(
+		// Snapshot 0: p1 all-HLS on A; p2 half DASH on B.
 		mk("p1", 0, "http://c/a.m3u8", "Roku", []string{"A"}, 3600, 1, false),
 		mk("p1", 0, "http://c/b.m3u8", "iPhone", []string{"A"}, 3600, 1, false),
 		mk("p2", 1, "http://c/c.mpd", "AndroidPhone", []string{"B"}, 3600, 1, false),
 		mk("p2", 1, "http://c/d.m3u8", "Roku", []string{"B"}, 3600, 1, false),
-	)
-	// Snapshot 1: p2 goes all-DASH; p1 still HLS; p1 uses two CDNs in
-	// one view.
-	s.Append(
+		// Snapshot 1: p2 goes all-DASH; p1 still HLS; p1 uses two CDNs
+		// in one view.
 		mk("p1", 14, "http://c/a.m3u8", "Roku", []string{"A", "B"}, 7200, 1, false),
 		mk("p2", 15, "http://c/c.mpd", "AndroidPhone", []string{"B"}, 3600, 1, true),
 		mk("p2", 15, "http://c/e.mpd", "SamsungTV", []string{"C"}, 3600, 1, false),
-	)
-	return s, sched
+	), sched
 }
 
 func TestShareOfPublishers(t *testing.T) {
-	s, sched := twoSnapStore()
+	s, sched := twoSnapDataset()
 	ts := ShareOfPublishers(s, sched, ProtocolDim)
 	// Snapshot 0: both publishers have HLS views -> 100%; DASH only p2.
 	if got := ts.Series["HLS"][0]; got != 100 {
@@ -65,7 +67,7 @@ func TestShareOfPublishers(t *testing.T) {
 }
 
 func TestShareOfViewHours(t *testing.T) {
-	s, sched := twoSnapStore()
+	s, sched := twoSnapDataset()
 	ts := ShareOfViewHours(s, sched, ProtocolDim, nil)
 	// Snapshot 0: 4 equal view-hours, 3 HLS 1 DASH.
 	if got := ts.Series["HLS"][0]; got != 75 {
@@ -81,7 +83,7 @@ func TestShareOfViewHours(t *testing.T) {
 }
 
 func TestShareOfViewHoursExclusion(t *testing.T) {
-	s, sched := twoSnapStore()
+	s, sched := twoSnapDataset()
 	ts := ShareOfViewHours(s, sched, ProtocolDim, map[string]bool{"p2": true})
 	if got := ts.First("HLS"); got != 100 {
 		t.Errorf("HLS VH excluding p2 = %v, want 100", got)
@@ -92,7 +94,7 @@ func TestShareOfViewHoursExclusion(t *testing.T) {
 }
 
 func TestMultiCDNViewSplitsViewHours(t *testing.T) {
-	s, sched := twoSnapStore()
+	s, sched := twoSnapDataset()
 	ts := ShareOfViewHours(s, sched, CDNDim, nil)
 	// Snapshot 1: p1's 2h view split A/B (1h each); p2: 1h B, 1h C.
 	// Totals: A=1, B=2, C=1 of 4.
@@ -106,8 +108,7 @@ func TestMultiCDNViewSplitsViewHours(t *testing.T) {
 
 func TestShareOfViewsWeighted(t *testing.T) {
 	sched := simclock.MakeSchedule(14, 2)[:1]
-	s := telemetry.NewStore()
-	s.Append(
+	s := dataset(
 		mk("p1", 0, "http://c/a.m3u8", "Roku", []string{"A"}, 60, 9, false),
 		mk("p1", 0, "http://c/b.mpd", "Roku", []string{"A"}, 60, 1, false),
 	)
@@ -118,7 +119,7 @@ func TestShareOfViewsWeighted(t *testing.T) {
 }
 
 func TestTimeSeriesAccessors(t *testing.T) {
-	s, sched := twoSnapStore()
+	s, sched := twoSnapDataset()
 	ts := ShareOfViewHours(s, sched, ProtocolDim, nil)
 	if ts.First("HLS") != 75 || ts.Latest("HLS") != 50 {
 		t.Errorf("First/Latest = %v/%v", ts.First("HLS"), ts.Latest("HLS"))
@@ -132,7 +133,7 @@ func TestTimeSeriesAccessors(t *testing.T) {
 }
 
 func TestTopPublishersByViewHours(t *testing.T) {
-	s, _ := twoSnapStore()
+	s, _ := twoSnapDataset()
 	top := TopPublishersByViewHours(s.All(), 1)
 	if len(top) != 1 || !top["p2"] {
 		// p2: 1+1+1+1 = 4h; p1: 1+1+2 = 4h — tie broken by name? p1
@@ -148,7 +149,7 @@ func TestTopPublishersByViewHours(t *testing.T) {
 }
 
 func TestInstancesPerPublisher(t *testing.T) {
-	s, sched := twoSnapStore()
+	s, sched := twoSnapDataset()
 	recs := s.Window(sched[0])
 	h := InstancesPerPublisher(recs, ProtocolDim)
 	// p1: {HLS} = 1 instance; p2: {HLS, DASH} = 2.
@@ -181,11 +182,10 @@ func TestVHBucket(t *testing.T) {
 
 func TestInstancesByBucket(t *testing.T) {
 	sched := simclock.MakeSchedule(14, 2)[:1]
-	s := telemetry.NewStore()
-	// p1: tiny (0.5 vh/day → bucket 0), 1 protocol.
-	s.Append(mk("p1", 0, "http://c/a.m3u8", "Roku", []string{"A"}, 1800, 2, false))
-	// p2: 50 vh/day → bucket 2, 2 protocols.
-	s.Append(
+	s := dataset(
+		// p1: tiny (0.5 vh/day → bucket 0), 1 protocol.
+		mk("p1", 0, "http://c/a.m3u8", "Roku", []string{"A"}, 1800, 2, false),
+		// p2: 50 vh/day → bucket 2, 2 protocols.
 		mk("p2", 0, "http://c/b.m3u8", "Roku", []string{"A"}, 3600, 50, false),
 		mk("p2", 0, "http://c/c.mpd", "Roku", []string{"A"}, 3600, 50, false),
 	)
@@ -202,7 +202,7 @@ func TestInstancesByBucket(t *testing.T) {
 }
 
 func TestAverageInstances(t *testing.T) {
-	s, sched := twoSnapStore()
+	s, sched := twoSnapDataset()
 	avg := AverageInstances(s, sched, ProtocolDim)
 	// Snapshot 0: p1 has 1 protocol, p2 has 2 → mean 1.5. VH equal →
 	// weighted 1.5 too.
@@ -220,9 +220,8 @@ func TestAverageInstances(t *testing.T) {
 
 func TestWeightedAverageRespondsToVH(t *testing.T) {
 	sched := simclock.MakeSchedule(14, 2)[:1]
-	s := telemetry.NewStore()
 	// Big publisher with 2 protocols, tiny one with 1.
-	s.Append(
+	s := dataset(
 		mk("big", 0, "http://c/a.m3u8", "Roku", []string{"A"}, 3600, 1000, false),
 		mk("big", 0, "http://c/b.mpd", "Roku", []string{"A"}, 3600, 1000, false),
 		mk("small", 0, "http://c/c.m3u8", "Roku", []string{"A"}, 3600, 1, false),
@@ -238,9 +237,8 @@ func TestWeightedAverageRespondsToVH(t *testing.T) {
 
 func TestSupporterShareCDF(t *testing.T) {
 	sched := simclock.MakeSchedule(14, 2)[:1]
-	s := telemetry.NewStore()
 	// p1: 25% of VH via DASH; p2: 100%; p3: no DASH at all.
-	s.Append(
+	s := dataset(
 		mk("p1", 0, "http://c/a.mpd", "Roku", []string{"A"}, 3600, 1, false),
 		mk("p1", 0, "http://c/b.m3u8", "Roku", []string{"A"}, 3600, 3, false),
 		mk("p2", 0, "http://c/c.mpd", "Roku", []string{"A"}, 3600, 1, false),
@@ -260,8 +258,7 @@ func TestSupporterShareCDF(t *testing.T) {
 
 func TestDurationCDFs(t *testing.T) {
 	sched := simclock.MakeSchedule(14, 2)[:1]
-	s := telemetry.NewStore()
-	s.Append(
+	s := dataset(
 		mk("p1", 0, "http://c/a.m3u8", "Roku", []string{"A"}, 1800, 1, false),
 		mk("p1", 0, "http://c/b.m3u8", "Roku", []string{"A"}, 5400, 1, false),
 		mk("p1", 0, "http://c/c.m3u8", "iPhone", []string{"A"}, 360, 1, false),
@@ -281,7 +278,6 @@ func TestDurationCDFs(t *testing.T) {
 
 func TestSegregation(t *testing.T) {
 	sched := simclock.MakeSchedule(14, 2)[:1]
-	s := telemetry.NewStore()
 	// pubA: CDN A live+vod, CDN B vod-only → has a VoD-only CDN.
 	a1 := mk("pubA", 0, "http://c/a.m3u8", "Roku", []string{"A"}, 60, 1, true)
 	a2 := mk("pubA", 0, "http://c/b.m3u8", "Roku", []string{"A"}, 60, 1, false)
@@ -292,7 +288,7 @@ func TestSegregation(t *testing.T) {
 	// pubC: single CDN → not eligible.
 	c1 := mk("pubC", 0, "http://c/f.m3u8", "Roku", []string{"A"}, 60, 1, true)
 	c2 := mk("pubC", 0, "http://c/g.m3u8", "Roku", []string{"A"}, 60, 1, false)
-	s.Append(a1, a2, a3, b1, b2, c1, c2)
+	s := dataset(a1, a2, a3, b1, b2, c1, c2)
 	st := Segregation(s.Window(sched[0]))
 	if st.EligiblePublishers != 2 {
 		t.Fatalf("eligible = %d, want 2", st.EligiblePublishers)

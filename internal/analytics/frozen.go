@@ -1,15 +1,16 @@
 package analytics
 
-// Frozen-dataset ports of the §4 hot loops. The legacy functions in
-// analytics.go scan a mutable Store, copying every snapshot window and
-// accumulating into string-keyed maps; the functions here run over a
-// telemetry.Dataset — immutable, timestamp-sorted, with interned
-// dimension IDs — so windows are zero-copy sub-ranges and accumulation
-// is ID-indexed slice arithmetic. AnalyzeDim additionally fuses the
-// publishers / view-hours / views / instance-average passes that each
-// rescanned the same windows into one pass per window. Results match
-// the legacy functions (integer-derived percentages exactly; sums that
-// legacy code accumulated in randomized map order agree to rounding).
+// The §4 analyses over a telemetry.Dataset — immutable, timestamp-
+// sorted, with interned dimension IDs — so windows are zero-copy row
+// ranges and accumulation is ID-indexed slice arithmetic. The functions
+// in analytics.go are the row-at-a-time reference these are tested
+// against (integer-derived percentages exactly; sums the reference
+// accumulates in map order agree to rounding).
+//
+// Two kernels here are shared with the serving plane (internal/live),
+// so a figure and a query answer are the same function of the same
+// rows: shareAcc, how a record's measure is attributed to its dimension
+// values, and RankPublishers, how publishers are ordered by view-hours.
 
 import (
 	"sort"
@@ -28,6 +29,86 @@ type DimBundle struct {
 	ViewHours  *TimeSeries
 	Views      *TimeSeries
 	Averages   *AveragesSeries
+}
+
+// Share is one dimension value's slice of the total. The JSON names are
+// the serving plane's (/v1/query/share).
+type Share struct {
+	Key string  `json:"key"`
+	Pct float64 `json:"pct"`
+}
+
+// shareAcc attributes a measure to the values of one dimension over a
+// run of records: a record that has any value adds its measure to the
+// total and an even split of it to each of its values (a multi-CDN view
+// counts once, in parts). It is the one statement of that rule; every
+// share the study prints or the daemon serves is read out of one.
+type shareAcc struct {
+	col   *telemetry.DimColumn
+	val   []float64 // by value ID
+	seen  []bool
+	order []int32 // values seen, first seen first
+	total float64
+}
+
+func newShareAcc(col *telemetry.DimColumn) *shareAcc {
+	n := col.Cardinality()
+	return &shareAcc{col: col, val: make([]float64, n), seen: make([]bool, n), order: make([]int32, 0, n)}
+}
+
+// add attributes measure m of a record whose dimension values are ids.
+//
+//vmp:hotpath
+func (a *shareAcc) add(ids []int32, m float64) {
+	if len(ids) == 0 {
+		return
+	}
+	a.total += m
+	share := m / float64(len(ids))
+	for _, k := range ids {
+		if !a.seen[k] {
+			a.seen[k] = true
+			a.order = append(a.order, k)
+		}
+		a.val[k] += share
+	}
+}
+
+// flush returns every value seen since the last flush with its
+// percentage of the total, first seen first — none when the total is
+// zero — and leaves the accumulator empty for the next window.
+func (a *shareAcc) flush() []Share {
+	shares := make([]Share, 0, len(a.order))
+	for _, k := range a.order {
+		if a.total != 0 {
+			shares = append(shares, Share{Key: a.col.Name(k), Pct: 100 * a.val[k] / a.total})
+		}
+		a.val[k], a.seen[k] = 0, false
+	}
+	a.order, a.total = a.order[:0], 0
+	return shares
+}
+
+// ShareOverRows computes each value of col's percentage of view-hours
+// (of views with useViews) over rows [lo, hi) of ds, leaving out the
+// records of publishers set in the ID-indexed mask exclude (nil
+// excludes nothing). The result is sorted by key, and empty — not nil —
+// when no counted record has a value.
+func ShareOverRows(ds *telemetry.Dataset, col *telemetry.DimColumn, lo, hi int, exclude []bool, useViews bool) []Share {
+	acc := newShareAcc(col)
+	for i := lo; i < hi; i++ {
+		if exclude != nil && exclude[ds.PublisherID(i)] {
+			continue
+		}
+		m := ds.ViewHoursAt(i)
+		if useViews {
+			m = ds.ViewsAt(i)
+		}
+		acc.add(col.IDs(i), m)
+	}
+	shares := acc.flush()
+	sort.Slice(shares, func(i, j int) bool { return shares[i].Key < shares[j].Key })
+	return shares
 }
 
 // AnalyzeDim computes a dimension's full bundle in a single fused pass
@@ -50,18 +131,17 @@ func AnalyzeDim(ds *telemetry.Dataset, sched simclock.Schedule, col *telemetry.D
 		pubOrder    = make([]int32, 0, nPubs)
 		keyStamp    = make([]int32, nKeys)
 		keyPubs     = make([]int32, nKeys) // distinct publishers per key
-		keyVH       = make([]float64, nKeys)
-		keyViews    = make([]float64, nKeys)
 		keyOrder    = make([]int32, 0, nKeys)
 		keyPubStamp = make([]int32, nKeys*nPubs)
 		counts      = make([]float64, 0, nPubs)
 		weights     = make([]float64, 0, nPubs)
+		viewHours   = newShareAcc(col)
+		views       = newShareAcc(col)
 	)
 	for si, snap := range sched {
 		stamp++
 		lo, hi := ds.WindowBounds(snap)
 		pubOrder, keyOrder = pubOrder[:0], keyOrder[:0]
-		var totalVH, totalViews float64
 		for i := lo; i < hi; i++ {
 			p := ds.PublisherID(i)
 			if pubStamp[p] != stamp {
@@ -73,15 +153,10 @@ func AnalyzeDim(ds *telemetry.Dataset, sched simclock.Schedule, col *telemetry.D
 			vh := ds.ViewHoursAt(i)
 			pubVH[p] += vh
 			ids := col.IDs(i)
-			if len(ids) == 0 {
-				continue
-			}
 			for _, k := range ids {
 				if keyStamp[k] != stamp {
 					keyStamp[k] = stamp
 					keyPubs[k] = 0
-					keyVH[k] = 0
-					keyViews[k] = 0
 					keyOrder = append(keyOrder, k)
 				}
 				if cell := int(k)*nPubs + int(p); keyPubStamp[cell] != stamp {
@@ -90,14 +165,8 @@ func AnalyzeDim(ds *telemetry.Dataset, sched simclock.Schedule, col *telemetry.D
 					pubCount[p]++
 				}
 			}
-			vw := ds.ViewsAt(i)
-			totalVH += vh
-			totalViews += vw
-			nk := float64(len(ids))
-			for _, k := range ids {
-				keyVH[k] += vh / nk
-				keyViews[k] += vw / nk
-			}
+			viewHours.add(ids, vh)
+			views.add(ids, ds.ViewsAt(i))
 		}
 		if len(pubOrder) > 0 {
 			den := float64(len(pubOrder))
@@ -105,15 +174,11 @@ func AnalyzeDim(ds *telemetry.Dataset, sched simclock.Schedule, col *telemetry.D
 				b.Publishers.row(col.Name(k))[si] = 100 * float64(keyPubs[k]) / den
 			}
 		}
-		if totalVH != 0 {
-			for _, k := range keyOrder {
-				b.ViewHours.row(col.Name(k))[si] = 100 * keyVH[k] / totalVH
-			}
+		for _, sh := range viewHours.flush() {
+			b.ViewHours.row(sh.Key)[si] = sh.Pct
 		}
-		if totalViews != 0 {
-			for _, k := range keyOrder {
-				b.Views.row(col.Name(k))[si] = 100 * keyViews[k] / totalViews
-			}
+		for _, sh := range views.flush() {
+			b.Views.row(sh.Key)[si] = sh.Pct
 		}
 		counts, weights = counts[:0], weights[:0]
 		for _, p := range pubOrder {
@@ -133,56 +198,11 @@ func AnalyzeDim(ds *telemetry.Dataset, sched simclock.Schedule, col *telemetry.D
 // ShareOfViewHoursDataset is ShareOfViewHours over a frozen dataset;
 // exclude is a publisher-ID-indexed mask (nil excludes nothing).
 func ShareOfViewHoursDataset(ds *telemetry.Dataset, sched simclock.Schedule, col *telemetry.DimColumn, exclude []bool) *TimeSeries {
-	return shareOfDataset(ds, sched, col, exclude, false)
-}
-
-// ShareOfViewsDataset is ShareOfViews over a frozen dataset.
-func ShareOfViewsDataset(ds *telemetry.Dataset, sched simclock.Schedule, col *telemetry.DimColumn, exclude []bool) *TimeSeries {
-	return shareOfDataset(ds, sched, col, exclude, true)
-}
-
-func shareOfDataset(ds *telemetry.Dataset, sched simclock.Schedule, col *telemetry.DimColumn, exclude []bool, useViews bool) *TimeSeries {
 	ts := newTimeSeries(sched)
-	nKeys := col.Cardinality()
-	var (
-		stamp    int32
-		keyStamp = make([]int32, nKeys)
-		keyVal   = make([]float64, nKeys)
-		keyOrder = make([]int32, 0, nKeys)
-	)
 	for si, snap := range sched {
-		stamp++
 		lo, hi := ds.WindowBounds(snap)
-		keyOrder = keyOrder[:0]
-		total := 0.0
-		for i := lo; i < hi; i++ {
-			if exclude != nil && exclude[ds.PublisherID(i)] {
-				continue
-			}
-			ids := col.IDs(i)
-			if len(ids) == 0 {
-				continue
-			}
-			m := ds.ViewHoursAt(i)
-			if useViews {
-				m = ds.ViewsAt(i)
-			}
-			total += m
-			share := m / float64(len(ids))
-			for _, k := range ids {
-				if keyStamp[k] != stamp {
-					keyStamp[k] = stamp
-					keyVal[k] = 0
-					keyOrder = append(keyOrder, k)
-				}
-				keyVal[k] += share
-			}
-		}
-		if total == 0 {
-			continue
-		}
-		for _, k := range keyOrder {
-			ts.row(col.Name(k))[si] = 100 * keyVal[k] / total
+		for _, sh := range ShareOverRows(ds, col, lo, hi, exclude, false) {
+			ts.row(sh.Key)[si] = sh.Pct
 		}
 	}
 	ts.sortKeys()
@@ -279,25 +299,32 @@ func InstancesByBucketDataset(ds *telemetry.Dataset, snap simclock.Snapshot, col
 	return bb
 }
 
-// TopPublisherMask returns a publisher-ID-indexed mask of the n
-// publishers with the most view-hours inside the snapshot, the frozen
-// counterpart of TopPublishersByViewHours for the exclusion analyses.
-func TopPublisherMask(ds *telemetry.Dataset, snap simclock.Snapshot, n int) []bool {
+// RankedPublisher is one row of a publisher ranking. The JSON names are
+// the serving plane's (/v1/query/top-publishers).
+type RankedPublisher struct {
+	Publisher string  `json:"publisher"`
+	ViewHours float64 `json:"view_hours"`
+	Pct       float64 `json:"pct"`
+}
+
+// RankPublishers ranks the publishers with a record in rows [lo, hi) of
+// ds by their view-hours there, ties broken by name ascending, and
+// returns them with the total: the paper's "largest publishers", for
+// the exclusion analyses and for /v1/query/top-publishers alike.
+func RankPublishers(ds *telemetry.Dataset, lo, hi int) (rows []RankedPublisher, total float64) {
 	nPubs := ds.NumPublishers()
 	vh := make([]float64, nPubs)
-	lo, hi := ds.WindowBounds(snap)
-	for i := lo; i < hi; i++ {
-		vh[ds.PublisherID(i)] += ds.ViewHoursAt(i)
-	}
 	seen := make([]bool, nPubs)
 	ids := make([]int32, 0, nPubs)
 	for i := lo; i < hi; i++ {
-		if p := ds.PublisherID(i); !seen[p] {
+		p, v := ds.PublisherID(i), ds.ViewHoursAt(i)
+		if !seen[p] {
 			seen[p] = true
 			ids = append(ids, p)
 		}
+		vh[p] += v
+		total += v
 	}
-	// Rank by (view-hours desc, name asc) — the legacy total order.
 	sort.Slice(ids, func(i, j int) bool {
 		a, b := ids[i], ids[j]
 		if vh[a] != vh[b] {
@@ -305,9 +332,27 @@ func TopPublisherMask(ds *telemetry.Dataset, snap simclock.Snapshot, n int) []bo
 		}
 		return ds.PublisherName(a) < ds.PublisherName(b)
 	})
-	mask := make([]bool, nPubs)
-	for i := 0; i < n && i < len(ids); i++ {
-		mask[ids[i]] = true
+	rows = make([]RankedPublisher, 0, len(ids))
+	for _, id := range ids {
+		pct := 0.0
+		if total > 0 {
+			pct = 100 * vh[id] / total
+		}
+		rows = append(rows, RankedPublisher{Publisher: ds.PublisherName(id), ViewHours: vh[id], Pct: pct})
+	}
+	return rows, total
+}
+
+// TopPublisherMask returns a publisher-ID-indexed mask of the n
+// publishers with the most view-hours inside the snapshot, the frozen
+// counterpart of TopPublishersByViewHours for the exclusion analyses.
+func TopPublisherMask(ds *telemetry.Dataset, snap simclock.Snapshot, n int) []bool {
+	lo, hi := ds.WindowBounds(snap)
+	rows, _ := RankPublishers(ds, lo, hi)
+	mask := make([]bool, ds.NumPublishers())
+	for i := 0; i < n && i < len(rows); i++ {
+		id, _ := ds.PublisherIDOf(rows[i].Publisher)
+		mask[id] = true
 	}
 	return mask
 }

@@ -41,8 +41,7 @@ func requireSeriesEqual(t *testing.T, name string, got, want *TimeSeries) {
 }
 
 func TestAnalyzeDimMatchesLegacy(t *testing.T) {
-	store, sched := twoSnapStore()
-	ds := store.Freeze()
+	ds, sched := twoSnapDataset()
 	cases := []struct {
 		name string
 		col  *telemetry.DimColumn
@@ -54,10 +53,10 @@ func TestAnalyzeDimMatchesLegacy(t *testing.T) {
 	}
 	for _, c := range cases {
 		b := AnalyzeDim(ds, sched, c.col)
-		requireSeriesEqual(t, c.name+"/publishers", b.Publishers, ShareOfPublishers(store, sched, c.dim))
-		requireSeriesEqual(t, c.name+"/viewhours", b.ViewHours, ShareOfViewHours(store, sched, c.dim, nil))
-		requireSeriesEqual(t, c.name+"/views", b.Views, ShareOfViews(store, sched, c.dim, nil))
-		legacy := AverageInstances(store, sched, c.dim)
+		requireSeriesEqual(t, c.name+"/publishers", b.Publishers, ShareOfPublishers(ds, sched, c.dim))
+		requireSeriesEqual(t, c.name+"/viewhours", b.ViewHours, ShareOfViewHours(ds, sched, c.dim, nil))
+		requireSeriesEqual(t, c.name+"/views", b.Views, ShareOfViews(ds, sched, c.dim, nil))
+		legacy := AverageInstances(ds, sched, c.dim)
 		if len(b.Averages.Snapshots) != len(legacy.Snapshots) {
 			t.Fatalf("%s/averages: %d snapshots, want %d", c.name, len(b.Averages.Snapshots), len(legacy.Snapshots))
 		}
@@ -76,8 +75,7 @@ func TestAnalyzeDimMatchesLegacy(t *testing.T) {
 }
 
 func TestShareOfDatasetExclusion(t *testing.T) {
-	store, sched := twoSnapStore()
-	ds := store.Freeze()
+	ds, sched := twoSnapDataset()
 	exclude := make([]bool, ds.NumPublishers())
 	if id, ok := ds.PublisherIDOf("p2"); ok {
 		exclude[id] = true
@@ -85,19 +83,28 @@ func TestShareOfDatasetExclusion(t *testing.T) {
 		t.Fatal("p2 missing from dataset")
 	}
 	got := ShareOfViewHoursDataset(ds, sched, ds.ProtocolCol(), exclude)
-	want := ShareOfViewHours(store, sched, ProtocolDim, map[string]bool{"p2": true})
+	want := ShareOfViewHours(ds, sched, ProtocolDim, map[string]bool{"p2": true})
 	requireSeriesEqual(t, "excl-viewhours", got, want)
 
-	gotV := ShareOfViewsDataset(ds, sched, ds.ProtocolCol(), exclude)
-	wantV := ShareOfViews(store, sched, ProtocolDim, map[string]bool{"p2": true})
-	requireSeriesEqual(t, "excl-views", gotV, wantV)
+	wantV := ShareOfViews(ds, sched, ProtocolDim, map[string]bool{"p2": true})
+	for si, snap := range sched {
+		lo, hi := ds.WindowBounds(snap)
+		gotV := ShareOverRows(ds, ds.ProtocolCol(), lo, hi, exclude, true)
+		if len(gotV) == 0 {
+			t.Fatalf("excl-views: nothing in %s", snap.Label())
+		}
+		for _, sh := range gotV {
+			if !approxEq(sh.Pct, wantV.Series[sh.Key][si]) {
+				t.Errorf("excl-views[%s][%d] = %v, want %v", sh.Key, si, sh.Pct, wantV.Series[sh.Key][si])
+			}
+		}
+	}
 }
 
 func TestInstancesDatasetMatchesLegacy(t *testing.T) {
-	store, sched := twoSnapStore()
-	ds := store.Freeze()
+	ds, sched := twoSnapDataset()
 	for _, snap := range sched {
-		recs := store.Window(snap)
+		recs := ds.Window(snap)
 		got := InstancesPerPublisherDataset(ds, snap, ds.CDNCol())
 		want := InstancesPerPublisher(recs, CDNDim)
 		if len(got.Counts) != len(want.Counts) {
@@ -133,11 +140,10 @@ func TestInstancesDatasetMatchesLegacy(t *testing.T) {
 }
 
 func TestTopPublisherMaskMatchesLegacy(t *testing.T) {
-	store, sched := twoSnapStore()
-	ds := store.Freeze()
+	ds, sched := twoSnapDataset()
 	for _, snap := range sched {
 		for n := 0; n <= 3; n++ {
-			want := TopPublishersByViewHours(store.Window(snap), n)
+			want := TopPublishersByViewHours(ds.Window(snap), n)
 			mask := TopPublisherMask(ds, snap, n)
 			got := map[string]bool{}
 			for id, in := range mask {
@@ -158,11 +164,10 @@ func TestTopPublisherMaskMatchesLegacy(t *testing.T) {
 }
 
 func TestMacroDatasetMatchesLegacy(t *testing.T) {
-	store, sched := twoSnapStore()
-	ds := store.Freeze()
+	ds, sched := twoSnapDataset()
 	for _, snap := range sched {
 		got := MacroDataset(ds, snap, snap.Days)
-		want := Macro(store.Window(snap), snap.Days)
+		want := Macro(ds.Window(snap), snap.Days)
 		if got.Publishers != want.Publishers || got.SampledViews != want.SampledViews ||
 			got.DistinctGeos != want.DistinctGeos ||
 			!approxEq(got.ViewsRepresented, want.ViewsRepresented) ||
@@ -176,15 +181,13 @@ func TestMacroDatasetMatchesLegacy(t *testing.T) {
 func TestAnalyzeDimWeightedRecords(t *testing.T) {
 	// Weighted + multi-CDN records through the fused pass vs legacy.
 	sched := simclock.MakeSchedule(14, 2)[:1]
-	store := telemetry.NewStore()
 	a := mk("p1", 0, "http://c/a.m3u8", "Roku", []string{"A", "B", "C"}, 1800, 7, false)
 	b := mk("p2", 1, "http://c/b.mpd", "iPhone", []string{"B"}, 5400, 3, false)
 	c := mk("p3", 1, "http://c/c.m3u8", "UnknownDevice", nil, 3600, 0, false)
-	store.Append(a, b, c)
-	ds := store.Freeze()
+	ds := dataset(a, b, c)
 	bundle := AnalyzeDim(ds, sched, ds.CDNCol())
-	requireSeriesEqual(t, "weighted/cdn/viewhours", bundle.ViewHours, ShareOfViewHours(store, sched, CDNDim, nil))
-	requireSeriesEqual(t, "weighted/cdn/publishers", bundle.Publishers, ShareOfPublishers(store, sched, CDNDim))
+	requireSeriesEqual(t, "weighted/cdn/viewhours", bundle.ViewHours, ShareOfViewHours(ds, sched, CDNDim, nil))
+	requireSeriesEqual(t, "weighted/cdn/publishers", bundle.Publishers, ShareOfPublishers(ds, sched, CDNDim))
 	pb := AnalyzeDim(ds, sched, ds.PlatformCol())
-	requireSeriesEqual(t, "weighted/platform/views", pb.Views, ShareOfViews(store, sched, PlatformDim, nil))
+	requireSeriesEqual(t, "weighted/platform/views", pb.Views, ShareOfViews(ds, sched, PlatformDim, nil))
 }

@@ -1,5 +1,5 @@
 // Package core is the study orchestrator: it wires the synthetic
-// ecosystem, the telemetry store, and the analysis packages into the
+// ecosystem, its telemetry dataset, and the analysis packages into the
 // paper's experiment suite, one method per table or figure. The root
 // vmp package re-exports this API; cmd/vmpstudy and the benchmark
 // harness drive it.
@@ -104,10 +104,10 @@ func (s *Study) Store() *telemetry.Store {
 	return s.store
 }
 
-// Dataset returns the frozen, analysis-optimized view of the store.
-// All figure methods read from it; it is built once.
+// Dataset returns the frozen view every figure method reads: columns
+// built once, beside the store's own row array.
 func (s *Study) Dataset() *telemetry.Dataset {
-	s.dsOnce.Do(func() { s.dataset = s.Store().Freeze() })
+	s.dsOnce.Do(func() { s.dataset = telemetry.NewDataset(s.Store().All()) })
 	return s.dataset
 }
 

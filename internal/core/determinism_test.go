@@ -2,8 +2,27 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 )
+
+// TestRenderHashPinned holds the study's rendered bytes at the
+// benchmark's study_offline configuration to the hash recorded before
+// the study's record set and its Dataset came to share one row array
+// (commit 2f6579a): a change to how records are ordered, attributed or
+// ranked that moves any printed digit fails here. A change that means
+// to move the figures re-records the constant and says why.
+func TestRenderHashPinned(t *testing.T) {
+	const want = "9c5c795dc53db28cd8d54dda6b8acd890a50c5676e217e85188db572a1eeb84c"
+	h := sha256.New()
+	if err := NewStudy(StudyConfig{Seed: 1809, SnapshotStride: 12}).RenderAllParallel(h, 4); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("RenderAllParallel at seed 1809, stride 12 hashes to %s, want %s", got, want)
+	}
+}
 
 // TestDoubleRunByteIdentical is the repository's reproducibility
 // contract, stated end to end: two independent studies built from the

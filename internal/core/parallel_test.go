@@ -63,19 +63,19 @@ func seriesMatch(t *testing.T, name string, got, want *analytics.TimeSeries) {
 // study methods agree.
 func TestFrozenFiguresMatchLegacy(t *testing.T) {
 	s := study(t)
-	store, sched := s.Store(), s.Schedule()
+	ds, sched := s.Dataset(), s.Schedule()
 
-	seriesMatch(t, "fig2a", s.Fig2a(), analytics.ShareOfPublishers(store, sched, analytics.ProtocolDim))
-	seriesMatch(t, "fig2b", s.Fig2b(), analytics.ShareOfViewHours(store, sched, analytics.ProtocolDim, nil))
-	seriesMatch(t, "fig6c", s.Fig6c(), analytics.ShareOfViews(store, sched, analytics.PlatformDim, nil))
-	seriesMatch(t, "fig11b", s.Fig11b(), analytics.ShareOfViewHours(store, sched, analytics.CDNDim, nil))
+	seriesMatch(t, "fig2a", s.Fig2a(), analytics.ShareOfPublishers(ds, sched, analytics.ProtocolDim))
+	seriesMatch(t, "fig2b", s.Fig2b(), analytics.ShareOfViewHours(ds, sched, analytics.ProtocolDim, nil))
+	seriesMatch(t, "fig6c", s.Fig6c(), analytics.ShareOfViews(ds, sched, analytics.PlatformDim, nil))
+	seriesMatch(t, "fig11b", s.Fig11b(), analytics.ShareOfViewHours(ds, sched, analytics.CDNDim, nil))
 	seriesMatch(t, "fig10a", s.Fig10(device.Browser),
-		analytics.ShareOfViewHours(store, sched, analytics.DeviceDim(device.Browser), nil))
+		analytics.ShareOfViewHours(ds, sched, analytics.DeviceDim(device.Browser), nil))
 
-	exclude := analytics.TopPublishersByViewHours(store.Window(sched.Latest()), 3)
-	seriesMatch(t, "fig6b", s.Fig6b(), analytics.ShareOfViewHours(store, sched, analytics.PlatformDim, exclude))
+	exclude := analytics.TopPublishersByViewHours(ds.Window(sched.Latest()), 3)
+	seriesMatch(t, "fig6b", s.Fig6b(), analytics.ShareOfViewHours(ds, sched, analytics.PlatformDim, exclude))
 
-	legacyAvg := analytics.AverageInstances(store, sched, analytics.CDNDim)
+	legacyAvg := analytics.AverageInstances(ds, sched, analytics.CDNDim)
 	gotAvg := s.Fig12c()
 	for i := range legacyAvg.Snapshots {
 		if !relEq(gotAvg.Mean[i], legacyAvg.Mean[i]) || !relEq(gotAvg.Weighted[i], legacyAvg.Weighted[i]) {
@@ -84,7 +84,7 @@ func TestFrozenFiguresMatchLegacy(t *testing.T) {
 		}
 	}
 
-	latest := store.Window(sched.Latest())
+	latest := ds.Window(sched.Latest())
 	wantHist := analytics.InstancesPerPublisher(latest, analytics.ProtocolDim)
 	gotHist := s.Fig3a()
 	if len(gotHist.Counts) != len(wantHist.Counts) {

@@ -31,7 +31,7 @@ type Config struct {
 	// GenerateStore. Zero means GOMAXPROCS. Generation is
 	// deterministic regardless of parallelism: every record's content
 	// depends only on (seed, publisher, snapshot), and the store
-	// orders records by timestamp.
+	// holds records in canonical order.
 	Parallelism int
 }
 
@@ -105,39 +105,39 @@ func (e *Ecosystem) PublisherByID(id string) (*Publisher, bool) {
 // GenerateStore runs the sampler over every publisher and snapshot and
 // returns the assembled view-record store: the synthetic counterpart of
 // the paper's dataset. Snapshots are generated in parallel (see
-// Config.Parallelism); the result is identical to serial generation.
+// Config.Parallelism), each into the slot of its schedule index, so the
+// result is identical to serial generation.
 func (e *Ecosystem) GenerateStore() *telemetry.Store {
 	workers := e.parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(e.Schedule) {
-		workers = len(e.Schedule)
-	}
-	store := telemetry.NewStore()
-	if workers <= 1 {
-		for _, snap := range e.Schedule {
-			store.Append(e.GenerateSnapshot(snap)...)
-		}
-		return store
-	}
+	slots := make([][]telemetry.ViewRecord, len(e.Schedule))
+	jobs := make(chan int)
 	var wg sync.WaitGroup
-	jobs := make(chan simclock.Snapshot)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, len(slots)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for snap := range jobs {
-				store.Append(e.GenerateSnapshot(snap)...)
+			for i := range jobs {
+				slots[i] = e.GenerateSnapshot(e.Schedule[i])
 			}
 		}()
 	}
-	for _, snap := range e.Schedule {
-		jobs <- snap
+	for i := range slots {
+		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	return store
+	n := 0
+	for _, slot := range slots {
+		n += len(slot)
+	}
+	recs := make([]telemetry.ViewRecord, 0, n)
+	for _, slot := range slots {
+		recs = append(recs, slot...)
+	}
+	return telemetry.NewStore(recs)
 }
 
 // GenerateSnapshot samples just one snapshot window across the

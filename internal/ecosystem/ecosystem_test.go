@@ -586,8 +586,9 @@ func TestGenerateStoreStride(t *testing.T) {
 		t.Fatal("empty store")
 	}
 	// Every scheduled snapshot should have records.
+	ds := telemetry.NewDataset(store.All())
 	for _, snap := range e.Schedule {
-		if len(store.Window(snap)) == 0 {
+		if len(ds.Window(snap)) == 0 {
 			t.Fatalf("snapshot %s has no records", snap.Label())
 		}
 	}

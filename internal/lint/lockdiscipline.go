@@ -6,9 +6,9 @@ import (
 	"go/types"
 )
 
-// LockDiscipline checks the two lock-hygiene rules the telemetry.Store
-// read path (and every future mutex-holding type) depends on. For each
-// struct type in the package holding a sync.Mutex or sync.RWMutex
+// LockDiscipline checks the two lock-hygiene rules every mutex-holding
+// type depends on (live.Engine, wal.Log, the Dataset's derived-value
+// table). For each struct type in the package holding a sync.Mutex or sync.RWMutex
 // field, it flags:
 //
 //   - a method that, while holding the lock, calls another method of

@@ -6,7 +6,7 @@ package lockdiscipline
 
 import "sync"
 
-// Registry is a mutex-holding type in the telemetry.Store mold.
+// Registry is a mutex-holding type: guarded state behind an RWMutex.
 type Registry struct {
 	mu    sync.RWMutex
 	items map[string]int

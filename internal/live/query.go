@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"vmp/internal/analytics"
@@ -28,15 +27,6 @@ import (
 // queryDims is the closed set of share dimensions, in key order.
 var queryDims = [...]string{"protocol", "platform", "cdn"}
 
-// DimColumn resolves a query dimension name on a dataset.
-func DimColumn(ds *telemetry.Dataset, dim string) (*telemetry.DimColumn, error) {
-	i, err := dimIndex(dim)
-	if err != nil {
-		return nil, err
-	}
-	return dimColumns(ds)[i], nil
-}
-
 // dimColumns returns ds's columns in queryDims order.
 func dimColumns(ds *telemetry.Dataset) [len(queryDims)]*telemetry.DimColumn {
 	return [...]*telemetry.DimColumn{ds.ProtocolCol(), ds.PlatformCol(), ds.CDNCol()}
@@ -52,10 +42,7 @@ func dimIndex(dim string) (int, error) {
 }
 
 // Share is one dimension value's slice of the total.
-type Share struct {
-	Key string  `json:"key"`
-	Pct float64 `json:"pct"`
-}
+type Share = analytics.Share
 
 // ShareResponse is the /v1/query/share payload.
 type ShareResponse struct {
@@ -71,11 +58,11 @@ type shareKey uint8
 
 // ShareOver computes each dimension value's percentage of total
 // view-hours (by "viewhours", the paper's primary measure) or views
-// (by "views") over the whole dataset. A record splits its measure
-// evenly across its dimension values, exactly as the offline
-// share-of analyses attribute multi-CDN views. Output is sorted by
-// key, ascending, so rendering is deterministic. The response is
-// computed once per dataset and shared: callers must not modify it.
+// (by "views") over the whole dataset: analytics.ShareOverRows, the
+// function behind the study's share figures, asked of every row. Output
+// is sorted by key, ascending, so rendering is deterministic. The
+// response is computed once per dataset and shared: callers must not
+// modify it.
 func ShareOver(ds *telemetry.Dataset, dim, by string) (*ShareResponse, error) {
 	resp, _, err := shareOver(ds, dim, by)
 	return resp, err
@@ -97,48 +84,13 @@ func shareOver(ds *telemetry.Dataset, dim, by string) (*ShareResponse, telemetry
 	if useViews {
 		key++
 	}
-	v, how := ds.Derived(key, func() any { return scanShare(ds, di, useViews) })
+	v, how := ds.Derived(key, func() any {
+		return &ShareResponse{
+			Dim: queryDims[di], By: byName(useViews), Records: ds.Len(),
+			Shares: analytics.ShareOverRows(ds, dimColumns(ds)[di], 0, ds.Len(), nil, useViews),
+		}
+	})
 	return v.(*ShareResponse), how, nil
-}
-
-// scanShare is the one pass over every record behind a share answer.
-func scanShare(ds *telemetry.Dataset, di int, useViews bool) *ShareResponse {
-	col := dimColumns(ds)[di]
-	resp := &ShareResponse{Dim: queryDims[di], By: byName(useViews), Records: ds.Len()}
-	nKeys := col.Cardinality()
-	keyVal := make([]float64, nKeys)
-	keySeen := make([]bool, nKeys)
-	keyOrder := make([]int32, 0, nKeys)
-	total := 0.0
-	for i := 0; i < ds.Len(); i++ {
-		ids := col.IDs(i)
-		if len(ids) == 0 {
-			continue
-		}
-		m := ds.ViewHoursAt(i)
-		if useViews {
-			m = ds.ViewsAt(i)
-		}
-		total += m
-		share := m / float64(len(ids))
-		for _, k := range ids {
-			if !keySeen[k] {
-				keySeen[k] = true
-				keyOrder = append(keyOrder, k)
-			}
-			keyVal[k] += share
-		}
-	}
-	if total == 0 {
-		resp.Shares = []Share{}
-		return resp
-	}
-	resp.Shares = make([]Share, 0, len(keyOrder))
-	for _, k := range keyOrder {
-		resp.Shares = append(resp.Shares, Share{Key: col.Name(k), Pct: 100 * keyVal[k] / total})
-	}
-	sort.Slice(resp.Shares, func(i, j int) bool { return resp.Shares[i].Key < resp.Shares[j].Key })
-	return resp
 }
 
 func byViews(by string) (bool, error) {
@@ -159,11 +111,7 @@ func byName(useViews bool) string {
 }
 
 // TopPublisher is one row of a Top-K ranking.
-type TopPublisher struct {
-	Publisher string  `json:"publisher"`
-	ViewHours float64 `json:"view_hours"`
-	Pct       float64 `json:"pct"`
-}
+type TopPublisher = analytics.RankedPublisher
 
 // TopPublishersResponse is the /v1/query/top-publishers payload.
 type TopPublishersResponse struct {
@@ -184,9 +132,10 @@ type pubRanking struct {
 type rankingKey struct{}
 
 // TopPublishersOver ranks publishers by total view-hours over the
-// whole dataset, ties broken by name ascending — the same total order
-// the offline exclusion analyses use. Top is a read-only view of a
-// ranking computed once per dataset: callers must not modify it.
+// whole dataset, ties broken by name ascending: analytics.RankPublishers,
+// the ranking the offline exclusion analyses use. Top is a read-only
+// view of a ranking computed once per dataset: callers must not modify
+// it.
 func TopPublishersOver(ds *telemetry.Dataset, n int) *TopPublishersResponse {
 	resp, _ := topPublishersOver(ds, n)
 	return resp
@@ -196,43 +145,13 @@ func topPublishersOver(ds *telemetry.Dataset, n int) (*TopPublishersResponse, te
 	if n <= 0 {
 		n = 10
 	}
-	v, how := ds.Derived(rankingKey{}, func() any { return rankPublishers(ds) })
+	v, how := ds.Derived(rankingKey{}, func() any {
+		rows, total := analytics.RankPublishers(ds, 0, ds.Len())
+		return &pubRanking{total: total, rows: rows}
+	})
 	rank := v.(*pubRanking)
 	k := min(n, len(rank.rows))
 	return &TopPublishersResponse{N: n, Records: ds.Len(), Total: rank.total, Top: rank.rows[:k:k]}, how
-}
-
-// rankPublishers is the one pass over every record, and the sort,
-// behind every top-publishers answer.
-func rankPublishers(ds *telemetry.Dataset) *pubRanking {
-	nPubs := ds.NumPublishers()
-	vh := make([]float64, nPubs)
-	total := 0.0
-	for i := 0; i < ds.Len(); i++ {
-		v := ds.ViewHoursAt(i)
-		vh[ds.PublisherID(i)] += v
-		total += v
-	}
-	ids := make([]int32, nPubs)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ids[i], ids[j]
-		if vh[a] != vh[b] {
-			return vh[a] > vh[b]
-		}
-		return ds.PublisherName(a) < ds.PublisherName(b)
-	})
-	rank := &pubRanking{total: total, rows: make([]TopPublisher, 0, nPubs)}
-	for _, id := range ids {
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * vh[id] / total
-		}
-		rank.rows = append(rank.rows, TopPublisher{Publisher: ds.PublisherName(id), ViewHours: vh[id], Pct: pct})
-	}
-	return rank
 }
 
 // WindowResponse is the /v1/query/window payload: the macroscopic

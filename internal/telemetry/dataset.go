@@ -118,12 +118,12 @@ func (c *colBuilder) column() *DimColumn {
 }
 
 // Dataset is an immutable, timestamp-sorted, read-optimized view of a
-// record set: the analysis substrate the figure suite runs over.
-// Window returns zero-copy sub-slices (the mutable Store copies on
-// every call), per-record Views/ViewHours are precomputed columns, and
-// the dimension keys the §4 analyses group by (publisher, protocol,
-// platform, device model, CDN) are interned to small integer IDs.
-// A Dataset is safe for concurrent use.
+// record set: the one substrate the figure suite and the served queries
+// run over. Window returns zero-copy sub-slices, per-record
+// Views/ViewHours are precomputed columns, and the dimension keys the
+// §4 analyses group by (publisher, protocol, platform, device model,
+// CDN) are interned to small integer IDs. A Dataset is safe for
+// concurrent use.
 type Dataset struct {
 	records   []ViewRecord
 	views     []float64
@@ -143,13 +143,9 @@ type Dataset struct {
 	derived derivedTable
 }
 
-// Freeze returns an immutable, analysis-optimized snapshot of the
-// store's current contents. The frozen dataset does not observe later
-// Appends.
-func (s *Store) Freeze() *Dataset { return NewDataset(s.All()) }
-
 // NewDataset builds a frozen dataset over recs, taking ownership of the
-// slice. Records are sorted by timestamp if they are not already.
+// slice: the columns are built beside it, the rows are not copied.
+// Records are sorted by timestamp if they are not already.
 func NewDataset(recs []ViewRecord) *Dataset {
 	if !sort.SliceIsSorted(recs, func(i, j int) bool {
 		return recs[i].Timestamp.Before(recs[j].Timestamp)
@@ -406,7 +402,7 @@ func (d *Dataset) WindowBounds(snap simclock.Snapshot) (lo, hi int) {
 }
 
 // Window returns the records inside the snapshot as a zero-copy
-// read-only sub-slice (contrast Store.Window, which copies).
+// read-only sub-slice.
 func (d *Dataset) Window(snap simclock.Snapshot) []ViewRecord {
 	lo, hi := d.WindowBounds(snap)
 	return d.records[lo:hi]

@@ -7,11 +7,10 @@ import (
 	"vmp/internal/simclock"
 )
 
-// frozenStore builds a store with out-of-order appends spanning two
+// frozenStore builds a store from out-of-order records spanning two
 // snapshot windows.
 func frozenStore() (*Store, simclock.Schedule) {
 	sched := simclock.MakeSchedule(14, 2)[:2]
-	s := NewStore()
 	r1 := rec("p1", 15, 3600)
 	r1.URL = "http://cdn-b/p/v2.mpd"
 	r1.CDNs = []string{"B", "C"}
@@ -19,16 +18,17 @@ func frozenStore() (*Store, simclock.Schedule) {
 	r2.Weight = 4
 	r3 := rec("p1", 1, 7200)
 	r3.Device = "iPhone"
-	s.Append(r1, r2) // append newest first to exercise sort-on-freeze
-	s.Append(r3)
-	return s, sched
+	return NewStore([]ViewRecord{r1, r2, r3}), sched // newest first: the store must order them
 }
 
 func TestFreezeSortedAndColumns(t *testing.T) {
 	s, _ := frozenStore()
-	ds := s.Freeze()
+	ds := NewDataset(s.All())
 	if ds.Len() != s.Len() {
 		t.Fatalf("Len = %d, want %d", ds.Len(), s.Len())
+	}
+	if &ds.All()[0] != &s.All()[0] {
+		t.Fatal("the dataset copied the store's rows: a study must hold one row array")
 	}
 	for i := 1; i < ds.Len(); i++ {
 		if ds.Record(i).Timestamp.Before(ds.Record(i - 1).Timestamp) {
@@ -75,37 +75,25 @@ func TestFreezeSortedAndColumns(t *testing.T) {
 	}
 }
 
-func TestFreezeIsImmutableSnapshot(t *testing.T) {
-	s, _ := frozenStore()
-	ds := s.Freeze()
-	n := ds.Len()
-	s.Append(rec("p3", 20, 60))
-	if ds.Len() != n {
-		t.Fatalf("frozen dataset observed a later Append")
-	}
-	if s.Len() != n+1 {
-		t.Fatalf("store lost the append")
-	}
-}
-
 func TestDatasetWindowMatchesStore(t *testing.T) {
 	s, sched := frozenStore()
-	ds := s.Freeze()
+	ds := NewDataset(s.All())
 	for _, snap := range sched {
-		want := s.Window(snap)
-		got := ds.Window(snap)
-		if len(want) == 0 && len(got) == 0 {
-			continue
+		var want []ViewRecord
+		for _, r := range s.All() {
+			if !r.Timestamp.Before(snap.Start) && r.Timestamp.Before(snap.End()) {
+				want = append(want, r)
+			}
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("window %s: dataset and store disagree", snap.Label())
+		if got := ds.Window(snap); len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("window %s: %d records, want the store's %d inside it", snap.Label(), len(got), len(want))
 		}
 	}
 }
 
 func TestDatasetWindowZeroAlloc(t *testing.T) {
 	s, sched := frozenStore()
-	ds := s.Freeze()
+	ds := NewDataset(s.All())
 	snap := sched[0]
 	ds.Window(snap) // warm the memoized bounds
 	allocs := testing.AllocsPerRun(100, func() {
@@ -115,22 +103,5 @@ func TestDatasetWindowZeroAlloc(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("Dataset.Window allocates %.1f objects/op on the warm path, want 0", allocs)
-	}
-}
-
-func TestStoreReadsAfterAppendResort(t *testing.T) {
-	s, sched := frozenStore()
-	_ = s.Window(sched[0])   // force a sort
-	late := rec("p9", 0, 60) // lands inside snapshot 0, appended out of order
-	s.Append(late)
-	recs := s.Window(sched[0])
-	found := false
-	for i := range recs {
-		if recs[i].Publisher == "p9" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("Window missed a record appended after the first sort")
 	}
 }

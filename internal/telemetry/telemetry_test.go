@@ -43,16 +43,6 @@ func TestViewHours(t *testing.T) {
 	}
 }
 
-func TestTotalViewHoursWeighted(t *testing.T) {
-	s := NewStore()
-	r := rec("p1", 0, 3600)
-	r.Weight = 3
-	s.Append(r)
-	if got := s.TotalViewHours(); got != 3 {
-		t.Fatalf("TotalViewHours = %v, want 3", got)
-	}
-}
-
 func TestAppView(t *testing.T) {
 	r := rec("p1", 0, 60)
 	if !r.AppView() {
@@ -66,17 +56,25 @@ func TestAppView(t *testing.T) {
 }
 
 func TestStoreWindow(t *testing.T) {
-	s := NewStore()
-	// Out-of-order appends must still window correctly.
-	s.Append(rec("p1", 15, 100))
-	s.Append(rec("p1", 0, 100), rec("p2", 1, 200))
-	s.Append(rec("p3", 14, 300))
+	// Out-of-order input must still window correctly: the store orders
+	// it, the dataset built on the store's rows windows it.
+	s := NewStore([]ViewRecord{rec("p1", 15, 100), rec("p1", 0, 100), rec("p2", 1, 200), rec("p3", 14, 300)})
+	if s.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", s.Len())
+	}
+	all := s.All()
+	for i := 1; i < len(all); i++ {
+		if CompareRecords(&all[i-1], &all[i]) > 0 {
+			t.Fatalf("store rows not in canonical order at %d", i)
+		}
+	}
+	ds := NewDataset(all)
 	sched := simclock.DefaultSchedule()
-	w0 := s.Window(sched[0]) // days 0-1
+	w0 := ds.Window(sched[0]) // days 0-1
 	if len(w0) != 2 {
 		t.Fatalf("window 0 has %d records, want 2", len(w0))
 	}
-	w1 := s.Window(sched[1]) // days 14-15
+	w1 := ds.Window(sched[1]) // days 14-15
 	if len(w1) != 2 {
 		t.Fatalf("window 1 has %d records, want 2", len(w1))
 	}
@@ -85,57 +83,28 @@ func TestStoreWindow(t *testing.T) {
 	}
 }
 
-func TestStoreWindowCopyIsSafe(t *testing.T) {
-	s := NewStore()
-	s.Append(rec("p1", 0, 100))
-	w := s.Window(simclock.DefaultSchedule()[0])
-	w[0].Publisher = "mutated"
-	if s.All()[0].Publisher != "p1" {
-		t.Fatal("Window leaked internal storage")
-	}
-}
-
-func TestStorePublishersAndTotals(t *testing.T) {
-	s := NewStore()
-	s.Append(rec("pb", 0, 3600), rec("pa", 1, 7200), rec("pb", 2, 3600))
-	pubs := s.Publishers()
-	if len(pubs) != 2 || pubs[0] != "pa" || pubs[1] != "pb" {
-		t.Fatalf("Publishers = %v", pubs)
-	}
-	if got := s.TotalViewHours(); got != 4 {
-		t.Fatalf("TotalViewHours = %v, want 4", got)
-	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-}
-
-func TestStoreSelect(t *testing.T) {
-	s := NewStore()
-	s.Append(rec("p1", 0, 100), rec("p2", 1, 100), rec("p1", 2, 100))
-	got := s.Select(func(r *ViewRecord) bool { return r.Publisher == "p1" })
-	if len(got) != 2 {
-		t.Fatalf("Select returned %d, want 2", len(got))
-	}
-}
-
+// TestStoreConcurrent: one store under many studies at once (the
+// figure benchmarks do this). Building a Dataset on an ordered store
+// reads its rows and writes none of them, which -race checks here.
 func TestStoreConcurrent(t *testing.T) {
-	s := NewStore()
+	var recs []ViewRecord
+	for i := 0; i < 1600; i++ {
+		recs = append(recs, rec(fmt.Sprintf("p%d", i%8), (i*37)%100, 60))
+	}
+	s := NewStore(recs)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				s.Append(rec(fmt.Sprintf("p%d", g), i%100, 60))
-				if i%10 == 0 {
-					s.Window(simclock.DefaultSchedule()[0])
-				}
+			ds := NewDataset(s.All())
+			if got := len(ds.Window(simclock.DefaultSchedule()[0])); got != 32 {
+				t.Errorf("window 0 has %d records, want 32", got)
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
-	if s.Len() != 8*200 {
+	if s.Len() != 1600 {
 		t.Fatalf("Len = %d, want 1600", s.Len())
 	}
 }

@@ -43,14 +43,12 @@ func WriteDataset(s *Study, w io.Writer) error {
 	return telemetry.EncodeJSONL(w, s.Store().All())
 }
 
-// ReadDataset parses a JSON-lines dataset into a telemetry store that
-// the analytics packages can query.
+// ReadDataset parses a JSON-lines dataset into a telemetry store to
+// build a study over with NewFromStore.
 func ReadDataset(r io.Reader) (*telemetry.Store, error) {
 	recs, err := telemetry.DecodeJSONL(r)
 	if err != nil {
 		return nil, err
 	}
-	store := telemetry.NewStore()
-	store.Append(recs...)
-	return store, nil
+	return telemetry.NewStore(recs), nil
 }

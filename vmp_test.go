@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vmp"
+	"vmp/internal/telemetry"
 )
 
 // facadeStudy is shared across the public-API tests.
@@ -51,7 +52,13 @@ func TestDatasetRoundTrip(t *testing.T) {
 	if store.Len() != facadeStudy.Store().Len() {
 		t.Fatalf("round trip lost records: %d vs %d", store.Len(), facadeStudy.Store().Len())
 	}
-	if got, want := store.TotalViewHours(), facadeStudy.Store().TotalViewHours(); got < want*0.999 || got > want*1.001 {
+	viewHours := func(recs []telemetry.ViewRecord) (total float64) {
+		for i := range recs {
+			total += recs[i].ViewHours()
+		}
+		return total
+	}
+	if got, want := viewHours(store.All()), viewHours(facadeStudy.Store().All()); got < want*0.999 || got > want*1.001 {
 		t.Fatalf("view-hours drifted through serialization: %v vs %v", got, want)
 	}
 	if _, err := vmp.ReadDataset(strings.NewReader("not json\n")); err == nil {
