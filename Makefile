@@ -38,25 +38,15 @@ vet-bench:
 test-bench:
 	cd bench && $(GO) test ./...
 
-# lint runs the in-repo analyzer suite (cmd/vmplint): nondeterminism,
-# maporder, frozenwrite, lockdiscipline, errcheck, atomicdiscipline,
-# goroutinelifecycle, chandiscipline, ctxflow, bufalias, hotalloc,
-# httpdiscipline, fsyncdiscipline, lockorder. It must stay clean —
-# these are the machine-checked contracts behind byte-identical
-# figures, the race-free serving plane, the zero-copy wire path, and
-# the WAL's crash durability. Analysis is whole-program (per-package
-# summaries flow along the import DAG) and incremental: -cache keys
-# each package on its file contents, its dependencies' summaries, and
-# the lint suite's own sources, so warm runs are subsecond and
-# byte-identical to cold ones. The second invocation folds test files
-# in for the determinism and dataflow analyzers: test expectations must
-# not depend on the wall clock or map iteration order, and test helpers
-# must keep the same buffer-reuse, handler, durability, and lock-order
-# contracts.
+# lint runs the in-repo analyzer suite (cmd/vmplint, twelve analyzers;
+# `vmplint -h` lists them, DESIGN.md §7 says why each is kept) over the
+# whole module and must stay clean. One invocation, no flags: every
+# package is loaded with its _test.go files and analyzed after its
+# dependencies, and each analyzer knows whether it applies to test
+# files.
 .PHONY: lint
 lint:
-	$(GO) run ./cmd/vmplint -cache ./...
-	$(GO) run ./cmd/vmplint -cache -tests -only nondeterminism,maporder,bufalias,hotalloc,httpdiscipline,fsyncdiscipline,lockorder ./...
+	$(GO) run ./cmd/vmplint ./...
 
 .PHONY: race
 race:
@@ -132,15 +122,13 @@ bench-cut:
 bench-query:
 	$(GO) test -run xxx -bench 'BenchmarkQuery$$' -benchmem ./internal/live/
 
-# bench-lint times a full fourteen-analyzer run over the module tree
-# twice — cold (parse + type-check + analyze everything) and warm
-# (every package replayed from the content-hash cache) — and records
-# both in BENCH_lint.json, so analyzer additions that regress lint
-# latency and cache regressions that erode the warm path both show up
-# in review.
+# bench-lint times one whole-module vmplint run — parse, type-check,
+# summaries, every analyzer, test files included — and BENCH_lint.json
+# records it, so a change that regresses lint latency shows up in
+# review.
 .PHONY: bench-lint
 bench-lint:
-	$(GO) test -run xxx -bench 'BenchmarkLintTree$$|BenchmarkLintTreeWarm' -benchtime 3x ./internal/lint/
+	$(GO) test -run xxx -bench 'BenchmarkLintTree$$' -benchtime 3x ./internal/lint/
 
 # smoke boots the live serving plane end to end: vmpd ingests a vmpgen
 # slice over HTTP and must answer queries byte-identically to vmpstudy

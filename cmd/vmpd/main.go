@@ -141,11 +141,7 @@ func main() {
 	}()
 
 	server := live.NewServer(engine)
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           server.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	srv := newHTTPServer(*addr, server.Handler())
 	log.Printf("vmpd: listening on %s (%s epochs)", *addr, *epoch)
 	err := graceful.RunNotify(srv, nil, *drain, nil, func(phase string) {
 		tracer.Emit("graceful_" + phase)
@@ -232,4 +228,28 @@ func dumpGeneration(g *live.Generation, path string) error {
 		return err
 	}
 	return f.Close()
+}
+
+// How long one connection may spend in each phase, so a client that
+// stalls — mid-header, mid-body, mid-response or between requests —
+// gives its connection (and the pooled decoder a POST holds) back.
+// net/http runs writeTimeout from the end of the request header, so it
+// spans the body read and the handler (an ack's fsync, /v1/snapshot's
+// cut and checkpoint) as well as the response.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	writeTimeout      = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

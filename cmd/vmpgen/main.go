@@ -2,9 +2,9 @@
 // lines — the wire format vmpd ingests and ReadDataset parses. With
 // -post it doubles as the load driver for the live serving plane:
 // instead of (or besides) writing a file, it streams the dataset to a
-// vmpd ingest endpoint in batches, honoring 429 backpressure responses
-// by waiting out the server's Retry-After hint and retrying the
-// identical batch. -encode binary posts the compact binary batch
+// vmpd ingest endpoint in batches, honoring its refusals (429 queue
+// full, 503 WAL append failed) by waiting out the Retry-After hint and
+// retrying the identical batch. -encode binary posts the compact binary batch
 // frames (internal/wire) instead of JSONL, and -compress gzips either
 // encoding on the wire.
 //
@@ -42,7 +42,7 @@ func main() {
 		out        = flag.String("o", "", "output file (default stdout; with -post, default none)")
 		post       = flag.String("post", "", "base URL of a vmpd to stream the dataset to (its /v1/views)")
 		postBatch  = flag.Int("post-batch", 2000, "records per POST batch")
-		postTries  = flag.Int("post-retries", 100, "max retries per batch on backpressure")
+		postTries  = flag.Int("post-retries", 100, "max retries per batch on a 429 or 503")
 		postVerify = flag.Bool("post-verify", false, "after -post, check the server's /v1/metrics ingest counter covers every posted record")
 		encoding   = flag.String("encode", "jsonl", "POST body encoding: jsonl or binary")
 		compress   = flag.Bool("compress", false, "gzip-compress POST bodies (Content-Encoding: gzip)")
@@ -185,7 +185,7 @@ func (d *driver) drive(ctx context.Context, url string, recs []telemetry.ViewRec
 		batch = 2000
 	}
 	start := d.clock.Now()
-	posted, backpressured := 0, 0
+	posted, refused := 0, 0
 	for lo := 0; lo < len(recs); lo += batch {
 		hi := lo + batch
 		if hi > len(recs) {
@@ -196,7 +196,7 @@ func (d *driver) drive(ctx context.Context, url string, recs []telemetry.ViewRec
 			return err
 		}
 		denied, err := d.client.Send(ctx, url+"/v1/views", body, retries)
-		backpressured += denied
+		refused += denied
 		if err != nil {
 			return fmt.Errorf("batch at record %d: %w", lo, err)
 		}
@@ -208,9 +208,9 @@ func (d *driver) drive(ctx context.Context, url string, recs []telemetry.ViewRec
 		posted += hi - lo
 	}
 	elapsed := d.clock.Now().Sub(start)
-	fmt.Fprintf(os.Stderr, "vmpgen: posted %d records in %v (%.0f records/s, %d backpressure waits, %s)\n",
-		posted, elapsed.Round(time.Millisecond), float64(posted)/elapsed.Seconds(), backpressured, d.label)
-	fmt.Fprintln(os.Stderr, "vmpgen: "+d.latencySummary(backpressured))
+	fmt.Fprintf(os.Stderr, "vmpgen: posted %d records in %v (%.0f records/s, %d refusals waited out, %s)\n",
+		posted, elapsed.Round(time.Millisecond), float64(posted)/elapsed.Seconds(), refused, d.label)
+	fmt.Fprintln(os.Stderr, "vmpgen: "+d.latencySummary(refused))
 	return nil
 }
 

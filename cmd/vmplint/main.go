@@ -1,45 +1,32 @@
 // Command vmplint runs the project's invariant analyzers (package
 // internal/lint) over one or more packages: nondeterminism, maporder,
 // frozenwrite, lockdiscipline, errcheck, atomicdiscipline,
-// goroutinelifecycle, chandiscipline, ctxflow, bufalias, hotalloc,
-// httpdiscipline, fsyncdiscipline, and lockorder — the machine-checked
-// contracts behind byte-identical figure rendering, the race-free
-// serving plane, the zero-copy wire path, and the WAL's crash
-// durability.
+// goroutinelifecycle, chandiscipline, ctxflow, httpdiscipline,
+// fsyncdiscipline, and lockorder — the machine-checked contracts behind
+// byte-identical figure rendering, the race-free serving plane, and the
+// WAL's crash durability.
 //
 // Usage:
 //
-//	vmplint ./...                 # whole module
-//	vmplint ./internal/analytics  # one package
-//	vmplint -json ./...           # machine-readable findings
-//	vmplint -sarif ./...          # SARIF 2.1.0 for code-scanning UIs
-//	vmplint -cache -stats ./...   # incremental run + run report
-//	vmplint -json-out lint_report.json -sarif-out lint_report.sarif ./...
-//	vmplint -maporder=false ./... # disable one analyzer
-//	vmplint -only nondeterminism,maporder -tests ./...
+//	vmplint               # whole module (./...)
+//	vmplint ./...         # the same
+//	vmplint ./internal/wal ./cmd/...
 //
-// Analysis is whole-program: each package publishes a summary of its
-// exported functions (taint, allocation, lifecycle, and lock-order
-// facts), and dependents consume those summaries while the run walks
-// the import DAG — so a helper in another package no longer launders
-// a frozen-dataset alias. With -cache, per-package results are stored
-// under a content hash covering the package's files, its dependencies'
-// summaries, and the lint suite's own sources; warm runs replay hits
-// without parsing or type-checking and are byte-identical to cold runs
-// by construction.
+// There are no flags. Every run is one whole-program pass: each package
+// is loaded with its _test.go files (in-package and external), analyzed
+// after its dependencies with their summaries in scope, and each
+// analyzer's findings in test files are kept only if the analyzer
+// declares that it applies there (nondeterminism, maporder,
+// httpdiscipline, fsyncdiscipline) — tests are free to drop errors and
+// sleep, not to depend on the wall clock or map iteration order. A
+// finding is one line on stdout:
 //
-// -json-out and -sarif-out write those formats to files in the same
-// run that prints the console (or -json/-sarif) report to stdout, so
-// CI needs one vmplint invocation instead of three. -stats prints a
-// per-analyzer finding tally and per-package wall time to stderr.
+//	file:line:col: [analyzer] message
 //
 // Exit status is 0 when clean, 1 when findings were reported, and 2
 // on usage or load errors. Findings are suppressed one line at a time
 // with `//lint:ignore <analyzer> <reason>` on, or directly above, the
-// offending line. By default test files are not linted — tests are
-// free to use fixed expectations — but -tests folds _test.go files
-// (in-package and external) into the run, which CI uses to keep
-// wall-clock time and map iteration order out of test expectations.
+// offending line.
 package main
 
 import (
@@ -47,11 +34,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"vmp/internal/lint"
-	"vmp/internal/simclock"
 )
 
 func main() {
@@ -59,48 +44,13 @@ func main() {
 }
 
 func run() int {
-	jsonOut := flag.Bool("json", false, "emit findings as JSON")
-	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-	jsonFile := flag.String("json-out", "", "also write the JSON report to `file`")
-	sarifFile := flag.String("sarif-out", "", "also write the SARIF report to `file`")
-	useCache := flag.Bool("cache", false, "reuse per-package results keyed by content hash (see -cache-dir)")
-	cacheDir := flag.String("cache-dir", "", "cache directory (default <module root>/.vmplint-cache)")
-	stats := flag.Bool("stats", false, "print per-analyzer finding counts and per-package wall time to stderr")
-	withTests := flag.Bool("tests", false, "lint _test.go files too (in-package and external test packages)")
-	only := flag.String("only", "", "comma-separated list of analyzers to run, e.g. nondeterminism,maporder (overrides per-analyzer flags)")
-	enabled := make(map[string]*bool)
-	for _, a := range lint.Analyzers() {
-		enabled[a.Name] = flag.Bool(a.Name, true, "enable the "+a.Name+" analyzer ("+a.Doc+")")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: vmplint [packages]   (default ./...; no flags)\n\nanalyzers:")
+		for _, a := range lint.Analyzers() {
+			fmt.Fprintf(os.Stderr, "  %-20s %s\n", a.Name, a.Doc)
+		}
 	}
 	flag.Parse()
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "vmplint: choose one of -json or -sarif")
-		return 2
-	}
-
-	var analyzers []*lint.Analyzer
-	if *only != "" {
-		byName := make(map[string]*lint.Analyzer)
-		for _, a := range lint.Analyzers() {
-			byName[a.Name] = a
-		}
-		for _, name := range strings.Split(*only, ",") {
-			name = strings.TrimSpace(name)
-			a, ok := byName[name]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "vmplint: unknown analyzer %q in -only\n", name)
-				return 2
-			}
-			analyzers = append(analyzers, a)
-		}
-	} else {
-		for _, a := range lint.Analyzers() {
-			if *enabled[a.Name] {
-				analyzers = append(analyzers, a)
-			}
-		}
-	}
-
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -115,102 +65,22 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "vmplint:", err)
 		return 2
 	}
-
-	opts := lint.TreeOptions{
-		Analyzers: analyzers,
-		Tests:     *withTests,
-		Clock:     simclock.Wall(),
-	}
-	if *useCache {
-		opts.CacheDir = *cacheDir
-		if opts.CacheDir == "" {
-			opts.CacheDir = filepath.Join(root, ".vmplint-cache")
-		}
-	}
-	diags, runStats, err := lint.RunTree(root, dirs, opts)
+	diags, err := lint.Run(root, dirs, lint.Analyzers())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vmplint:", err)
 		return 2
 	}
-	for i := range diags {
-		if rel, err := filepath.Rel(root, diags[i].File); err == nil && !strings.HasPrefix(rel, "..") {
-			diags[i].File = rel
+	for _, d := range diags {
+		if rel, err := filepath.Rel(root, d.File); err == nil && !strings.HasPrefix(rel, "..") {
+			d.File = rel
 		}
-	}
-
-	// Render every requested format from the same findings slice: the
-	// bytes written to -json-out/-sarif-out are exactly the bytes the
-	// matching stdout mode would print (plus the trailing newline), so
-	// `vmplint -json ./... | cmp - lint_report.json` is a valid
-	// cache-poisoning guard.
-	jsonBlob, err := lint.JSON(diags)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vmplint:", err)
-		return 2
-	}
-	sarifBlob, err := lint.SARIF(diags, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vmplint:", err)
-		return 2
-	}
-	if *jsonFile != "" {
-		if err := os.WriteFile(*jsonFile, append(jsonBlob, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "vmplint:", err)
-			return 2
-		}
-	}
-	if *sarifFile != "" {
-		if err := os.WriteFile(*sarifFile, append(sarifBlob, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "vmplint:", err)
-			return 2
-		}
-	}
-
-	switch {
-	case *sarifOut:
-		fmt.Println(string(sarifBlob))
-	case *jsonOut:
-		fmt.Println(string(jsonBlob))
-	default:
-		for _, d := range diags {
-			fmt.Println(d)
-		}
-		if len(diags) > 0 {
-			fmt.Fprintf(os.Stderr, "vmplint: %d finding(s)\n", len(diags))
-		}
-	}
-	if *stats {
-		printStats(runStats)
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "vmplint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
-}
-
-// printStats renders the run report to stderr: per-analyzer finding
-// counts, then per-package wall time with cache disposition, slowest
-// first.
-func printStats(s *lint.RunStats) {
-	fmt.Fprintf(os.Stderr, "vmplint: %d package(s): %d analyzed, %d from cache, %.0fms total\n",
-		len(s.Packages), s.Analyzed, s.Cached, s.TotalMillis)
-	names := make([]string, 0, len(s.Findings))
-	for name := range s.Findings {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(os.Stderr, "  %-20s %d finding(s)\n", name, s.Findings[name])
-	}
-	pkgs := append([]lint.PackageStat(nil), s.Packages...)
-	sort.SliceStable(pkgs, func(i, j int) bool { return pkgs[i].Millis > pkgs[j].Millis })
-	for _, p := range pkgs {
-		disposition := "analyzed"
-		if p.Cached {
-			disposition = "cached"
-		}
-		fmt.Fprintf(os.Stderr, "  %8.1fms  %-8s %s\n", p.Millis, disposition, p.Path)
-	}
 }
 
 // findModuleRoot walks up from the working directory to the nearest

@@ -57,8 +57,6 @@ func newShareAcc(col *telemetry.DimColumn) *shareAcc {
 }
 
 // add attributes measure m of a record whose dimension values are ids.
-//
-//vmp:hotpath
 func (a *shareAcc) add(ids []int32, m float64) {
 	if len(ids) == 0 {
 		return

@@ -2,31 +2,12 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
-// This file is the shared interprocedural substrate under the v3
-// analyzers: one call graph per package, built once by RunPackage and
-// handed to every Pass, plus the //vmp annotation grammar that lets
-// hot-path code declare its contracts to the suite:
-//
-//	//vmp:hotpath            on a func declaration: the body may not
-//	                         allocate outside approved patterns
-//	                         (checked by hotalloc).
-//	//vmp:scratch            on a slice-typed struct field: the field
-//	                         is reset and reused across calls, so
-//	                         subslices of it must not escape into
-//	                         long-lived state (checked by bufalias).
-//	//vmp:alloc <reason>     on an allocating line (or the line above):
-//	                         the allocation is deliberate — arena grow,
-//	                         pool refill, cold error path. The reason
-//	                         is mandatory, exactly like //lint:ignore.
-//
-// Scratch fields are also inferred without annotation from the reset
-// idiom itself: a field assigned a subslice of itself (d.buf =
-// d.buf[:0]) is reused by construction.
+// This file is the shared interprocedural substrate under the dataflow
+// analyzers: one call graph per package, built once per package by
+// runOnePackage and handed to every Pass.
 
 // funcNode is one function declaration in the package call graph.
 type funcNode struct {
@@ -41,150 +22,78 @@ type funcNode struct {
 }
 
 // callGraph is the per-package substrate shared by every analyzer in
-// one RunPackage invocation: declaration nodes, forward and reverse
-// call edges, and the parsed //vmp annotations.
+// one run: declaration nodes and forward and reverse call edges.
 type callGraph struct {
 	nodes   []*funcNode // declaration order
 	byObj   map[types.Object]*funcNode
 	callers map[types.Object][]*funcNode // reverse edges, declaration order
 
-	hotpath   map[types.Object]bool   // //vmp:hotpath-annotated functions
-	scratch   map[types.Object]bool   // scratch slice fields (annotated or inferred)
-	allocOK   map[string]map[int]bool // file -> line carrying //vmp:alloc <reason>
-	malformed []Diagnostic            // reasonless //vmp:alloc directives
-
 	// Whole-program fact layers, built lazily and idempotently on top of
 	// the graph (see summary.go) and shared between the summary builder
 	// and the analyzers so neither recomputes the other's fixed points.
-	frozenEng   *taintEngine                      // frozen-dataset taint (frozenwrite)
-	atomicEng   *taintEngine                      // atomic-publication taint (atomicdiscipline)
-	allocDirect map[types.Object][]allocSite      // unapproved direct allocations per function
-	allocCross  map[types.Object][]crossAllocSite // calls to allocating cross-package deps
-	mayAlloc    map[types.Object]bool             // transitive may-allocate fixed point
-	lockSets    map[types.Object][]string         // transitive lock classes acquired, sorted
-	lockEdges   []LockEdge                        // lock-order edges observed in this package
-	walReach    map[types.Object]bool             // transitively reaches a WAL AppendBatch
-}
-
-// graph returns the package call graph, building it lazily so passes
-// constructed outside RunPackage (tests, ad-hoc drivers) still work.
-func (p *Pass) graph() *callGraph {
-	if p.cg == nil {
-		p.cg = buildCallGraph(p.Fset, p.Files, p.Info)
-	}
-	return p.cg
+	frozenEng *taintEngine              // frozen-dataset taint (frozenwrite)
+	atomicEng *taintEngine              // atomic-publication taint (atomicdiscipline)
+	lockSets  map[types.Object][]string // transitive lock classes acquired, sorted
+	lockEdges []LockEdge                // lock-order edges observed in this package
+	walReach  map[types.Object]bool     // transitively reaches a WAL AppendBatch
 }
 
 // buildCallGraph walks the package once: function declarations become
-// nodes, resolvable same-package calls become edges, and the //vmp
-// annotation grammar is parsed off the comment map.
-func buildCallGraph(fset *token.FileSet, files []*ast.File, info *types.Info) *callGraph {
+// nodes, resolvable same-package calls become edges.
+func buildCallGraph(files []*ast.File, info *types.Info) *callGraph {
 	g := &callGraph{
 		byObj:   make(map[types.Object]*funcNode),
 		callers: make(map[types.Object][]*funcNode),
-		hotpath: make(map[types.Object]bool),
-		scratch: make(map[types.Object]bool),
-		allocOK: make(map[string]map[int]bool),
 	}
-	objectOf := func(id *ast.Ident) types.Object {
-		if obj := info.Uses[id]; obj != nil {
-			return obj
-		}
-		return info.Defs[id]
-	}
-	// Pass 1: nodes, hotpath annotations, scratch field annotations.
 	for _, f := range files {
 		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				obj := info.Defs[d.Name]
-				if obj == nil {
-					continue
-				}
-				n := &funcNode{decl: d, obj: obj}
-				g.nodes = append(g.nodes, n)
-				g.byObj[obj] = n
-				if commentGroupHasDirective(d.Doc, "//vmp:hotpath") {
-					g.hotpath[obj] = true
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					for _, field := range st.Fields.List {
-						if !commentGroupHasDirective(field.Doc, "//vmp:scratch") &&
-							!commentGroupHasDirective(field.Comment, "//vmp:scratch") {
-							continue
-						}
-						for _, name := range field.Names {
-							obj := info.Defs[name]
-							if obj == nil {
-								continue
-							}
-							if _, ok := obj.Type().Underlying().(*types.Slice); ok {
-								g.scratch[obj] = true
-							}
-						}
-					}
-				}
+			d, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
 			}
+			obj := info.Defs[d.Name]
+			if obj == nil {
+				continue
+			}
+			n := &funcNode{decl: d, obj: obj}
+			g.nodes = append(g.nodes, n)
+			g.byObj[obj] = n
 		}
 	}
-	// Pass 2: call edges and inferred scratch fields (reset idiom:
-	// a slice field assigned a subslice of itself).
 	for _, n := range g.nodes {
 		if n.decl.Body == nil {
 			continue
 		}
 		seen := make(map[types.Object]bool)
 		ast.Inspect(n.decl.Body, func(node ast.Node) bool {
-			switch v := node.(type) {
-			case *ast.CallExpr:
-				var id *ast.Ident
-				switch fn := v.Fun.(type) {
-				case *ast.Ident:
-					id = fn
-				case *ast.SelectorExpr:
-					id = fn.Sel
-				default:
-					return true
-				}
-				obj := objectOf(id)
-				if obj == nil || seen[obj] {
-					return true
-				}
-				if _, ok := obj.(*types.Func); !ok {
-					return true
-				}
-				if _, declared := g.byObj[obj]; !declared {
-					return true
-				}
-				seen[obj] = true
-				n.callees = append(n.callees, obj)
-			case *ast.AssignStmt:
-				for i, lhs := range v.Lhs {
-					if i >= len(v.Rhs) {
-						break
-					}
-					fieldObj := selectedField(lhs, info)
-					if fieldObj == nil || g.scratch[fieldObj] {
-						continue
-					}
-					sl, ok := v.Rhs[i].(*ast.SliceExpr)
-					if !ok || selectedField(sl.X, info) != fieldObj {
-						continue
-					}
-					if _, isSlice := fieldObj.Type().Underlying().(*types.Slice); isSlice {
-						g.scratch[fieldObj] = true
-					}
-				}
+			call, ok := node.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
+			var id *ast.Ident
+			switch fn := call.Fun.(type) {
+			case *ast.Ident:
+				id = fn
+			case *ast.SelectorExpr:
+				id = fn.Sel
+			default:
+				return true
+			}
+			obj := info.Uses[id]
+			if obj == nil {
+				obj = info.Defs[id]
+			}
+			if obj == nil || seen[obj] {
+				return true
+			}
+			if _, ok := obj.(*types.Func); !ok {
+				return true
+			}
+			if _, declared := g.byObj[obj]; !declared {
+				return true
+			}
+			seen[obj] = true
+			n.callees = append(n.callees, obj)
 			return true
 		})
 	}
@@ -193,82 +102,7 @@ func buildCallGraph(fset *token.FileSet, files []*ast.File, info *types.Info) *c
 			g.callers[callee] = append(g.callers[callee], n)
 		}
 	}
-	// Pass 3: //vmp:alloc approvals off the comment lists.
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, "//vmp:alloc")
-				if !ok {
-					continue
-				}
-				if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-					continue // some other directive, e.g. //vmp:allocator
-				}
-				pos := fset.Position(c.Pos())
-				reason := strings.TrimSpace(rest)
-				if reason == "" || strings.HasPrefix(reason, "//") {
-					g.malformed = append(g.malformed, Diagnostic{
-						Analyzer: "hotalloc",
-						File:     pos.Filename,
-						Line:     pos.Line,
-						Col:      pos.Column,
-						Message:  "//vmp:alloc directive is missing its mandatory reason; write //vmp:alloc <reason>",
-					})
-					continue
-				}
-				byLine := g.allocOK[pos.Filename]
-				if byLine == nil {
-					byLine = make(map[int]bool)
-					g.allocOK[pos.Filename] = byLine
-				}
-				byLine[pos.Line] = true
-			}
-		}
-	}
 	return g
-}
-
-// allocApproved reports whether the given file:line carries (or is
-// directly below) a well-formed //vmp:alloc directive.
-func (g *callGraph) allocApproved(file string, line int) bool {
-	byLine := g.allocOK[file]
-	return byLine != nil && (byLine[line] || byLine[line-1])
-}
-
-// commentGroupHasDirective reports whether any line of the group is
-// the given directive, optionally followed by free text.
-func commentGroupHasDirective(cg *ast.CommentGroup, directive string) bool {
-	if cg == nil {
-		return false
-	}
-	for _, c := range cg.List {
-		rest, ok := strings.CutPrefix(c.Text, directive)
-		if !ok {
-			continue
-		}
-		if rest == "" || rest[0] == ' ' || rest[0] == '\t' {
-			return true
-		}
-	}
-	return false
-}
-
-// selectedField resolves an expression of the shape x.f (possibly
-// parenthesized) to the struct field object it selects, or nil.
-func selectedField(e ast.Expr, info *types.Info) types.Object {
-	e = unparen(e)
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	obj := info.Uses[sel.Sel]
-	if obj == nil {
-		obj = info.Defs[sel.Sel]
-	}
-	if v, ok := obj.(*types.Var); ok && v.IsField() {
-		return v
-	}
-	return nil
 }
 
 // unparen strips any number of enclosing parentheses.

@@ -31,9 +31,10 @@ import (
 // (wal.writeFileDurable, a handler closure), and a cross-function
 // pairing would be guesswork.
 var FsyncDiscipline = &Analyzer{
-	Name: "fsyncdiscipline",
-	Doc:  "require fsync before rename (and a directory fsync after) and WAL append before HTTP 202",
-	Run:  runFsyncDiscipline,
+	Name:  "fsyncdiscipline",
+	Doc:   "require fsync before rename (and a directory fsync after) and WAL append before HTTP 202",
+	Run:   runFsyncDiscipline,
+	Tests: true,
 }
 
 func runFsyncDiscipline(p *Pass) {
@@ -132,7 +133,7 @@ func (p *Pass) checkFsyncBody(body *ast.BlockStmt) {
 				}
 				return true
 			}
-			if n := p.graph().byObj[p.calleeObject(v)]; n != nil && n.decl.Body != nil && p.syncsOSFile(n.decl.Body) {
+			if n := p.cg.byObj[p.calleeObject(v)]; n != nil && n.decl.Body != nil && p.syncsOSFile(n.decl.Body) {
 				// A helper that opens a directory and syncs it
 				// (wal.syncDir): no handle here to pair with a write.
 				allSyncs = append(allSyncs, v.Pos())
@@ -244,7 +245,7 @@ func (p *Pass) reachesWALAppend(call *ast.CallExpr) bool {
 	if isWALAppend(callee) {
 		return true
 	}
-	if p.graph().walReach[callee] {
+	if p.cg.walReach[callee] {
 		return true
 	}
 	f, ok := p.depFacts(callee)

@@ -35,9 +35,10 @@ import (
 // merged into the state after it, so early-return guards stay clean
 // and every report corresponds to a real straight-line path.
 var HTTPDiscipline = &Analyzer{
-	Name: "httpdiscipline",
-	Doc:  "enforce WriteHeader-once, headers-before-body, and pooled-object return on all handler paths",
-	Run:  runHTTPDiscipline,
+	Name:  "httpdiscipline",
+	Doc:   "enforce WriteHeader-once, headers-before-body, and pooled-object return on all handler paths",
+	Run:   runHTTPDiscipline,
+	Tests: true,
 }
 
 func runHTTPDiscipline(p *Pass) {

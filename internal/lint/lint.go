@@ -1,11 +1,8 @@
 // Package lint is a self-contained static-analysis driver (in the
 // spirit of golang.org/x/tools/go/analysis, but stdlib-only) that
-// machine-checks the invariants the study engine and the live serving
-// plane depend on. Fourteen analyzers enforce the contracts that keep
-// every figure byte-identical across runs, across the serial and
-// parallel render paths, and across the offline and online query
-// paths — and that keep the zero-copy wire path and the zero-alloc
-// observability fast path from silently regressing:
+// machine-checks invariants the study engine and the live serving
+// plane depend on. Twelve analyzers, one driver (Run), one pass, one
+// output line per finding:
 //
 //   - nondeterminism: wall-clock and process-seeded randomness stay
 //     out of library code; time flows through simclock, randomness
@@ -30,17 +27,6 @@
 //     are closed only by their owner, and queue channels are bounded.
 //   - ctxflow: caller contexts (r.Context(), ctx parameters) are
 //     threaded into blocking work; bare time.Sleep is forbidden.
-//   - bufalias: in packages that reset and reuse slice-field scratch
-//     buffers (//vmp:scratch, or the d.buf = d.buf[:0] reset idiom),
-//     subslices of a reused buffer must not escape into long-lived
-//     state without a copy or a capacity-capped three-index subslice,
-//     and append must not run through an uncapped mid-buffer subslice.
-//   - hotalloc: functions annotated //vmp:hotpath may not contain
-//     allocating constructs — make, new, slice/map/pointer composite
-//     literals, capturing closures, string concatenation or
-//     string<->[]byte conversions, fmt calls — unless the line carries
-//     //vmp:alloc <reason>; calls into same-package helpers that
-//     allocate are traced through the call graph.
 //   - httpdiscipline: every HTTP handler path writes its status at
 //     most once, mutates headers only before the first body write,
 //     and returns sync.Pool objects on every path after Get.
@@ -52,12 +38,18 @@
 //     are acquired in one global order; a cycle in the cross-package
 //     acquisition graph is a potential deadlock.
 //
+// Allocation budgets and scratch-buffer aliasing are not linted: the
+// testing.AllocsPerRun pins and the slot-reuse tests in wire, wal, obs
+// and live check them on the running code (DESIGN §7 has the ledger).
+//
 // The suite is whole-program: packages are analyzed in import-DAG
 // order, each one publishing per-function summaries (taint returns,
-// allocation facts, lifecycle facts, lock-acquisition sets — see
-// summary.go) that dependents consult at cross-package call sites, so
-// the fixed-point engines keep their in-package precision through
-// exported helper chains.
+// lifecycle facts, lock-acquisition sets — see summary.go) that
+// dependents consult at cross-package call sites, so the fixed-point
+// engines keep their in-package precision through exported helper
+// chains. Every run loads _test.go files too; an analyzer declares
+// whether it applies to them (Analyzer.Tests), and what the others
+// report there is dropped.
 //
 // Findings can be suppressed, one line at a time, with a directive
 // comment carrying an explicit reason:
@@ -71,7 +63,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -82,9 +73,13 @@ import (
 
 // Analyzer is one named invariant check.
 type Analyzer struct {
-	Name string // short lowercase identifier, used in flags and ignore directives
+	Name string // short lowercase identifier, used in findings and ignore directives
 	Doc  string // one-line contract statement
 	Run  func(*Pass)
+
+	// Tests says the contract holds in _test.go files too. Every run
+	// loads them; what an analyzer without it reports there is dropped.
+	Tests bool
 
 	// Finish, when set, runs once after every package has been
 	// analyzed, over the assembled whole-program facts — the hook for
@@ -105,16 +100,12 @@ type Pass struct {
 
 	report func(Diagnostic)
 
-	// cg is the package call graph plus //vmp annotations, built once
-	// per package by RunPackage and shared by every analyzer (see
-	// dataflow.go). Accessed through Pass.graph, which fills it lazily
-	// for passes constructed by hand.
+	// cg is the package call graph, built once per package and shared
+	// by every analyzer (see dataflow.go).
 	cg *callGraph
 
 	// prog is the whole-program fact store: summaries of every
-	// dependency analyzed before this package (nil for passes built by
-	// hand, in which case cross-package facts simply resolve to
-	// nothing and the engines fall back to per-package precision).
+	// dependency analyzed before this package.
 	prog *Program
 }
 
@@ -147,11 +138,11 @@ func (p *Pass) pkgNameOf(id *ast.Ident) *types.PkgName {
 
 // Diagnostic is one finding, positioned for editors and CI.
 type Diagnostic struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 func (d Diagnostic) String() string {
@@ -163,25 +154,12 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Nondeterminism, MapOrder, FrozenWrite, LockDiscipline, ErrCheck,
 		AtomicDiscipline, GoroutineLifecycle, ChanDiscipline, CtxFlow,
-		BufAlias, HotAlloc, HTTPDiscipline, FsyncDiscipline, LockOrder,
+		HTTPDiscipline, FsyncDiscipline, LockOrder,
 	}
 }
 
-// RunPackage runs the analyzers over one loaded package in isolation —
-// a fresh whole-program store holding only this package's own summary —
-// and returns the surviving diagnostics: sorted, deduplicated, and
-// filtered through //lint:ignore directives. For cross-package
-// precision, load dependencies too and use RunPackages (or RunTree).
-func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	prog := NewProgram()
-	diags, _ := runOnePackage(pkg, prog, analyzers)
-	diags = append(diags, runFinishers(prog, analyzers)...)
-	return sortDedup(diags)
-}
-
 // sortDedup orders diagnostics by (file, line, col, analyzer, message)
-// and drops exact duplicates — the stable output contract of both
-// RunPackage and the parallel RunPackages.
+// and drops exact duplicates — Run's stable output contract.
 func sortDedup(diags []Diagnostic) []Diagnostic {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -206,46 +184,6 @@ func sortDedup(diags []Diagnostic) []Diagnostic {
 		}
 	}
 	return out
-}
-
-// RunPackages runs the analyzers over every loaded package in
-// import-DAG order — dependencies first, so each package analyzes with
-// its dependencies' summaries in scope — fanning independent packages
-// out across GOMAXPROCS workers, and returns the merged findings sorted
-// by path. Loading must happen before the call (the Loader is not safe
-// for concurrent use), but loaded packages are read-only during
-// analysis (token.FileSet position lookups are internally locked), so
-// analyzing them in parallel is safe. The output is deterministic
-// regardless of scheduling: the fixed-point engines are monotone and
-// order-independent, the DAG fixes which summaries each package sees,
-// and the merge is globally sorted.
-func RunPackages(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	byPath := make(map[string]int, len(pkgs))
-	for i, pkg := range pkgs {
-		byPath[pkg.Path] = i
-	}
-	deps := make([][]int, len(pkgs))
-	for i, pkg := range pkgs {
-		if pkg.Types == nil {
-			continue
-		}
-		for _, imp := range pkg.Types.Imports() {
-			if j, ok := byPath[imp.Path()]; ok && j != i {
-				deps[i] = append(deps[i], j)
-			}
-		}
-	}
-	prog := NewProgram()
-	results := make([][]Diagnostic, len(pkgs))
-	runDAG(deps, func(i int) {
-		results[i], _ = runOnePackage(pkgs[i], prog, analyzers)
-	})
-	var merged []Diagnostic
-	for _, r := range results {
-		merged = append(merged, r...)
-	}
-	merged = append(merged, runFinishers(prog, analyzers)...)
-	return sortDedup(merged)
 }
 
 // ignoreDirective is one parsed //lint:ignore comment.
@@ -319,18 +257,4 @@ func suppress(diags []Diagnostic, ignores map[string]map[int][]ignoreDirective) 
 		out = append(out, d)
 	}
 	return out
-}
-
-// Report is the -json output document.
-type Report struct {
-	Count    int          `json:"count"`
-	Findings []Diagnostic `json:"findings"`
-}
-
-// JSON renders diagnostics as the stable machine-readable report.
-func JSON(diags []Diagnostic) ([]byte, error) {
-	if diags == nil {
-		diags = []Diagnostic{}
-	}
-	return json.MarshalIndent(Report{Count: len(diags), Findings: diags}, "", "  ")
 }

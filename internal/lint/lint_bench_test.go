@@ -7,53 +7,24 @@ import (
 	"testing"
 )
 
-// BenchmarkLintTree times one cold fourteen-analyzer run over the
-// whole module: loader construction, parsing, type-checking, summary
-// building, and every analyzer over every package — the same work
-// `make lint`'s first uncached invocation does, with RunTree walking
-// the import DAG level by level and fanning each level across
-// GOMAXPROCS workers. `make bench-lint` runs it; the result is
-// recorded in BENCH_lint.json so analyzer additions that regress lint
-// latency show up in review.
+// BenchmarkLintTree times one run of the suite over the whole module:
+// loader construction, parsing (test files included), type-checking,
+// summary building, and every analyzer over every package — the work
+// `make lint` does, with Run walking the import DAG level by level and
+// fanning each level across GOMAXPROCS workers. `make bench-lint` runs
+// it; the result is recorded in BENCH_lint.json so a change that
+// regresses lint latency shows up in review.
 func BenchmarkLintTree(b *testing.B) {
 	dirs := moduleDirs(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		diags, _, err := RunTree("../..", dirs, TreeOptions{Analyzers: Analyzers()})
+		diags, err := Run("../..", dirs, Analyzers())
 		if err != nil {
 			b.Fatal(err)
 		}
 		if len(diags) != 0 {
 			b.Fatalf("tree is not lint-clean: %s", diags[0])
-		}
-	}
-}
-
-// BenchmarkLintTreeWarm times the same run against a populated cache:
-// every package replays from its content-hash entry, so an op is scan
-// + hash + cache reads — no parsing, no type-checking, no analysis.
-// The cold/warm ratio recorded in BENCH_lint.json is the incremental
-// cache's headline number.
-func BenchmarkLintTreeWarm(b *testing.B) {
-	dirs := moduleDirs(b)
-	cacheDir := b.TempDir()
-	opts := TreeOptions{Analyzers: Analyzers(), CacheDir: cacheDir}
-	if _, _, err := RunTree("../..", dirs, opts); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		diags, stats, err := RunTree("../..", dirs, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(diags) != 0 {
-			b.Fatalf("tree is not lint-clean: %s", diags[0])
-		}
-		if stats.Analyzed != 0 {
-			b.Fatalf("warm run re-analyzed %d package(s)", stats.Analyzed)
 		}
 	}
 }

@@ -2,11 +2,12 @@ package lint
 
 import (
 	"bufio"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -28,20 +29,23 @@ type expectation struct {
 	matched  bool
 }
 
-func loadFixture(t *testing.T, dir, path string) *Package {
+// runFixtures runs the driver over fixture directories under
+// testdata/, each posed under the import path given beside it.
+func runFixtures(t *testing.T, analyzers []*Analyzer, dirPath ...string) []Diagnostic {
 	t.Helper()
 	loader, err := NewLoader("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.LoadDirWithPath(filepath.Join("testdata", dir), path)
+	var targets []target
+	for i := 0; i < len(dirPath); i += 2 {
+		targets = append(targets, target{dir: filepath.Join("testdata", dirPath[i]), path: dirPath[i+1]})
+	}
+	diags, err := run(loader, targets, analyzers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pkg == nil {
-		t.Fatalf("no buildable fixture package in testdata/%s", dir)
-	}
-	return pkg
+	return diags
 }
 
 func collectWants(t *testing.T, dir string) []*expectation {
@@ -95,8 +99,12 @@ func claim(wants []*expectation, d Diagnostic) bool {
 
 func checkFixture(t *testing.T, dir, path string) {
 	t.Helper()
-	diags := RunPackage(loadFixture(t, dir, path), Analyzers())
-	wants := collectWants(t, dir)
+	checkWants(t, runFixtures(t, Analyzers(), dir, path), collectWants(t, dir))
+}
+
+// checkWants requires diags and wants to claim each other exactly.
+func checkWants(t *testing.T, diags []Diagnostic, wants []*expectation) {
+	t.Helper()
 	for _, d := range diags {
 		if !claim(wants, d) {
 			t.Errorf("unexpected finding: %s", d)
@@ -139,31 +147,23 @@ func TestCtxFlowFixture(t *testing.T) { checkFixture(t, "ctxflow", "vmp/internal
 
 func TestIgnoreDirectives(t *testing.T) { checkFixture(t, "ignore", "vmp/internal/ignorefix") }
 
-func TestBufAliasFixture(t *testing.T) { checkFixture(t, "bufalias", "vmp/internal/bufaliasfix") }
-
-func TestHotAllocFixture(t *testing.T) { checkFixture(t, "hotalloc", "vmp/internal/hotallocfix") }
-
 func TestHTTPDisciplineFixture(t *testing.T) {
 	checkFixture(t, "httpdiscipline", "vmp/internal/httpfix")
 }
 
-// TestV3AnalyzersScopedToModule reloads each v3 fixture under an
-// external import path; like the rest of the suite, the dataflow
-// analyzers police only vmp/internal and vmp/cmd.
+// TestV3AnalyzersScopedToModule reloads the httpdiscipline fixture
+// under an external import path; like the rest of the suite, it polices
+// only vmp/internal and vmp/cmd.
 func TestV3AnalyzersScopedToModule(t *testing.T) {
-	for _, dir := range []string{"bufalias", "hotalloc", "httpdiscipline"} {
-		diags := RunPackage(loadFixture(t, dir, "example.com/outside"), Analyzers())
-		for _, d := range diags {
-			t.Errorf("%s: unexpected finding outside vmp/internal and vmp/cmd: %s", dir, d)
-		}
+	for _, d := range runFixtures(t, Analyzers(), "httpdiscipline", "example.com/outside") {
+		t.Errorf("unexpected finding outside vmp/internal and vmp/cmd: %s", d)
 	}
 }
 
 // TestSimclockExemption proves wall-clock reads are legal in the one
 // package that owns the clock.
 func TestSimclockExemption(t *testing.T) {
-	diags := RunPackage(loadFixture(t, "simclockpose", "vmp/internal/simclock"), Analyzers())
-	for _, d := range diags {
+	for _, d := range runFixtures(t, Analyzers(), "simclockpose", "vmp/internal/simclock") {
 		t.Errorf("unexpected finding inside simclock: %s", d)
 	}
 }
@@ -172,8 +172,7 @@ func TestSimclockExemption(t *testing.T) {
 // under a pose path inside internal/telemetry, where the writes are
 // the owning package's business.
 func TestFrozenWriteExemptInsideTelemetry(t *testing.T) {
-	diags := RunPackage(loadFixture(t, "frozenwrite", "vmp/internal/telemetry/pose"), Analyzers())
-	for _, d := range diags {
+	for _, d := range runFixtures(t, Analyzers(), "frozenwrite", "vmp/internal/telemetry/pose") {
 		t.Errorf("unexpected finding inside telemetry: %s", d)
 	}
 }
@@ -181,8 +180,7 @@ func TestFrozenWriteExemptInsideTelemetry(t *testing.T) {
 // TestErrCheckScopedToModule reloads the errcheck fixture under an
 // external import path, which the analyzer does not police.
 func TestErrCheckScopedToModule(t *testing.T) {
-	diags := RunPackage(loadFixture(t, "errcheck", "example.com/outside"), Analyzers())
-	for _, d := range diags {
+	for _, d := range runFixtures(t, Analyzers(), "errcheck", "example.com/outside") {
 		t.Errorf("unexpected finding outside vmp/internal and vmp/cmd: %s", d)
 	}
 }
@@ -192,8 +190,7 @@ func TestErrCheckScopedToModule(t *testing.T) {
 // to vmp/internal and vmp/cmd.
 func TestConcurrencyAnalyzersScopedToModule(t *testing.T) {
 	for _, dir := range []string{"atomicdiscipline", "goroutinelifecycle", "chandiscipline", "ctxflow"} {
-		diags := RunPackage(loadFixture(t, dir, "example.com/outside"), Analyzers())
-		for _, d := range diags {
+		for _, d := range runFixtures(t, Analyzers(), dir, "example.com/outside") {
 			t.Errorf("%s: unexpected finding outside vmp/internal and vmp/cmd: %s", dir, d)
 		}
 	}
@@ -203,247 +200,111 @@ func TestConcurrencyAnalyzersScopedToModule(t *testing.T) {
 // command: the analyzers hold their own code to the same contracts
 // they enforce on the rest of the tree.
 func TestSelfLint(t *testing.T) {
-	loader, err := NewLoader("../..")
+	diags, err := Run("../..", []string{".", filepath.Join("..", "..", "cmd", "vmplint")}, Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dir := range []string{".", filepath.Join("..", "..", "cmd", "vmplint")} {
-		pkg, err := loader.LoadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pkg == nil {
-			t.Fatalf("no package in %s", dir)
-		}
-		for _, d := range RunPackage(pkg, Analyzers()) {
-			t.Errorf("self-lint finding: %s", d)
-		}
+	for _, d := range diags {
+		t.Errorf("self-lint finding: %s", d)
 	}
 }
 
-// TestLoadDirTests pins the -tests loading shape: in-package test
-// files merge into the package, and an external _test package loads
-// under its own path so the suite can police test code too.
+// TestLoadDirTests pins the shape a requested directory is scheduled
+// and loaded in: in-package test files merge into the package, and the
+// external _test package is a node of its own, under its own path,
+// depending on the package it tests.
 func TestLoadDirTests(t *testing.T) {
 	loader, err := NewLoader("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := loader.LoadDirTests(filepath.Join("..", "manifest"))
+	const path = "vmp/internal/manifest"
+	nodes, err := scanTree(loader, []target{{dir: filepath.Join("..", "manifest"), path: path}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) != 2 {
-		t.Fatalf("LoadDirTests(internal/manifest) = %d packages, want 2 (merged + external test)", len(pkgs))
+	byPath := make(map[string]*treeNode)
+	for _, n := range nodes {
+		byPath[n.path] = n
 	}
-	if pkgs[0].Path != "vmp/internal/manifest" || pkgs[1].Path != "vmp/internal/manifest_test" {
-		t.Fatalf("paths = %q, %q", pkgs[0].Path, pkgs[1].Path)
+	merged, xtest := byPath[path], byPath[path+"_test"]
+	if merged == nil || xtest == nil || !merged.requested || !xtest.requested {
+		t.Fatalf("nodes = %v, %v, want the package and its external test, both requested", merged, xtest)
 	}
-	hasTestFile := false
-	for _, f := range pkgs[0].Files {
-		if strings.HasSuffix(pkgs[0].Fset.Position(f.Pos()).Filename, "_test.go") {
-			hasTestFile = true
+	if !slices.ContainsFunc(merged.files, func(name string) bool { return strings.HasSuffix(name, "_test.go") }) {
+		t.Errorf("merged package files = %v, want in-package _test.go files among them", merged.files)
+	}
+	if !slices.Contains(xtest.deps, path) {
+		t.Errorf("external test deps = %v, want %s among them", xtest.deps, path)
+	}
+	for _, n := range []*treeNode{merged, xtest} {
+		pkg, err := loader.Load(n.dir, n.path, n.files)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !hasTestFile {
-		t.Error("merged package contains no in-package _test.go files")
-	}
-	if len(pkgs[1].Files) == 0 {
-		t.Error("external test package loaded no files")
+		if pkg.Path != n.path || len(pkg.Files) != len(n.files) {
+			t.Errorf("Load(%s) = path %q, %d files, want %d", n.path, pkg.Path, len(pkg.Files), len(n.files))
+		}
 	}
 }
 
-// TestAnalyzerSubset checks that disabling an analyzer removes its
-// findings — the mechanism behind vmplint's per-analyzer flags.
+// TestAnalyzerSubset checks that the driver runs the analyzers it is
+// handed and no others.
 func TestAnalyzerSubset(t *testing.T) {
-	pkg := loadFixture(t, "nondet", "vmp/internal/nondetfix")
-	if diags := RunPackage(pkg, []*Analyzer{MapOrder}); len(diags) != 0 {
+	if diags := runFixtures(t, []*Analyzer{MapOrder}, "nondet", "vmp/internal/nondetfix"); len(diags) != 0 {
 		t.Errorf("maporder alone reported %d findings on the nondet fixture, want 0", len(diags))
 	}
-	if diags := RunPackage(pkg, Analyzers()); len(diags) == 0 {
+	if diags := runFixtures(t, Analyzers(), "nondet", "vmp/internal/nondetfix"); len(diags) == 0 {
 		t.Error("full suite reported no findings on the nondet fixture")
 	}
 }
 
-// TestJSONShape pins the -json document: a count plus a findings array
-// whose entries expose analyzer/file/line/col/message.
-func TestJSONShape(t *testing.T) {
-	diags := RunPackage(loadFixture(t, "nondet", "vmp/internal/nondetfix"), Analyzers())
-	if len(diags) == 0 {
-		t.Fatal("nondet fixture produced no findings")
+// TestRunDeterministic pins the parallel scheduler's contract: fanning
+// packages out across workers yields the same findings, in the same
+// sorted order, every time — the union of what each package reports
+// when run on its own.
+func TestRunDeterministic(t *testing.T) {
+	fixtures := []string{
+		"nondet", "vmp/internal/nondetfix",
+		"maporder", "vmp/internal/maporderfix",
+		"frozenwrite", "vmp/internal/frozenfix",
+		"httpdiscipline", "vmp/internal/httpfix",
 	}
-	out, err := JSON(diags)
-	if err != nil {
-		t.Fatal(err)
+	var apart []Diagnostic
+	for i := 0; i < len(fixtures); i += 2 {
+		apart = append(apart, runFixtures(t, Analyzers(), fixtures[i], fixtures[i+1])...)
 	}
-	var doc struct {
-		Count    int `json:"count"`
-		Findings []struct {
-			Analyzer string `json:"analyzer"`
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Col      int    `json:"col"`
-			Message  string `json:"message"`
-		} `json:"findings"`
-	}
-	if err := json.Unmarshal(out, &doc); err != nil {
-		t.Fatalf("unmarshaling JSON report: %v", err)
-	}
-	if doc.Count != len(diags) || len(doc.Findings) != len(diags) {
-		t.Fatalf("count = %d, findings = %d, want both %d", doc.Count, len(doc.Findings), len(diags))
-	}
-	for i, f := range doc.Findings {
-		if f.Analyzer == "" || f.File == "" || f.Line <= 0 || f.Col <= 0 || f.Message == "" {
-			t.Errorf("finding %d is missing fields: %+v", i, f)
-		}
-	}
-}
-
-// TestRunPackagesMatchesSerial pins the parallel runner's contract:
-// fanning packages out across workers yields exactly the findings the
-// serial path yields, in the same path-sorted order, every time.
-func TestRunPackagesMatchesSerial(t *testing.T) {
-	dirs := []struct{ dir, path string }{
-		{"nondet", "vmp/internal/nondetfix"},
-		{"bufalias", "vmp/internal/bufaliasfix"},
-		{"hotalloc", "vmp/internal/hotallocfix"},
-		{"httpdiscipline", "vmp/internal/httpfix"},
-	}
-	var pkgs []*Package
-	var serial []Diagnostic
-	for _, d := range dirs {
-		pkg := loadFixture(t, d.dir, d.path)
-		pkgs = append(pkgs, pkg)
-		serial = append(serial, RunPackage(pkg, Analyzers())...)
-	}
-	serial = sortDedup(serial)
-	if len(serial) == 0 {
+	apart = sortDedup(apart)
+	if len(apart) == 0 {
 		t.Fatal("fixture packages produced no findings")
 	}
-	first := RunPackages(pkgs, Analyzers())
-	if len(first) != len(serial) {
-		t.Fatalf("RunPackages reported %d findings, serial %d", len(first), len(serial))
-	}
-	for i := range first {
-		if first[i] != serial[i] {
-			t.Errorf("finding %d differs: parallel %s, serial %s", i, first[i], serial[i])
+	for round := 0; round < 4; round++ {
+		together := runFixtures(t, Analyzers(), fixtures...)
+		if len(together) != len(apart) {
+			t.Fatalf("round %d: %d findings together, %d apart", round, len(together), len(apart))
 		}
-	}
-	for round := 0; round < 3; round++ {
-		again := RunPackages(pkgs, Analyzers())
-		if len(again) != len(first) {
-			t.Fatalf("round %d: %d findings, want %d", round, len(again), len(first))
-		}
-		for i := range again {
-			if again[i] != first[i] {
-				t.Errorf("round %d: finding %d reordered: %s vs %s", round, i, again[i], first[i])
+		for i := range together {
+			if together[i] != apart[i] {
+				t.Errorf("round %d: finding %d differs: together %s, apart %s", round, i, together[i], apart[i])
 			}
 		}
 	}
 }
 
-// TestSARIFShape pins the -sarif document: a 2.1.0 log with one run,
-// the vmplint driver, one rule per analyzer (plus the synthetic
-// "ignore" rule), and one error-level result per finding with a
-// physical location.
-func TestSARIFShape(t *testing.T) {
-	diags := RunPackage(loadFixture(t, "nondet", "vmp/internal/nondetfix"), Analyzers())
-	if len(diags) == 0 {
-		t.Fatal("nondet fixture produced no findings")
-	}
-	out, err := SARIF(diags, Analyzers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Schema  string `json:"$schema"`
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID               string `json:"id"`
-						ShortDescription struct {
-							Text string `json:"text"`
-						} `json:"shortDescription"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID  string `json:"ruleId"`
-				Level   string `json:"level"`
-				Message struct {
-					Text string `json:"text"`
-				} `json:"message"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine   int `json:"startLine"`
-							StartColumn int `json:"startColumn"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(out, &doc); err != nil {
-		t.Fatalf("unmarshaling SARIF report: %v", err)
-	}
-	if doc.Version != "2.1.0" || doc.Schema == "" || len(doc.Runs) != 1 {
-		t.Fatalf("log envelope = version %q, schema %q, %d runs", doc.Version, doc.Schema, len(doc.Runs))
-	}
-	run := doc.Runs[0]
-	if run.Tool.Driver.Name != "vmplint" {
-		t.Errorf("driver name = %q, want vmplint", run.Tool.Driver.Name)
-	}
-	if len(run.Tool.Driver.Rules) != len(Analyzers())+1 {
-		t.Errorf("%d rules, want %d analyzers + the ignore rule", len(run.Tool.Driver.Rules), len(Analyzers()))
-	}
-	ruleIDs := make(map[string]bool)
-	for _, r := range run.Tool.Driver.Rules {
-		if r.ID == "" || r.ShortDescription.Text == "" {
-			t.Errorf("rule %+v is missing fields", r)
-		}
-		ruleIDs[r.ID] = true
-	}
-	if len(run.Results) != len(diags) {
-		t.Fatalf("%d results, want %d", len(run.Results), len(diags))
-	}
-	for i, r := range run.Results {
-		if !ruleIDs[r.RuleID] {
-			t.Errorf("result %d names unknown rule %q", i, r.RuleID)
-		}
-		if r.Level != "error" || r.Message.Text == "" || len(r.Locations) != 1 {
-			t.Errorf("result %d is malformed: %+v", i, r)
-		}
-		loc := r.Locations[0].PhysicalLocation
-		if loc.ArtifactLocation.URI == "" || loc.Region.StartLine <= 0 || loc.Region.StartColumn <= 0 {
-			t.Errorf("result %d location is malformed: %+v", i, loc)
-		}
-	}
-}
-
-// TestSARIFEmpty pins the clean-run SARIF document: still a valid log
-// with the full rule table and an empty (non-null) results array.
-func TestSARIFEmpty(t *testing.T) {
-	out, err := SARIF(nil, Analyzers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Runs []struct {
-			Results []json.RawMessage `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(out, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Runs) != 1 || doc.Runs[0].Results == nil || len(doc.Runs[0].Results) != 0 {
-		t.Fatalf("empty report rendered as %s", out)
+// TestRunDAGBreaksCycleLocally pins what a cycle costs the scheduler:
+// 1 and 2 wait on each other, 0 waits on 1 and 3 on 0. One node of the
+// cycle runs early; everything else still runs after its dependencies.
+func TestRunDAGBreaksCycleLocally(t *testing.T) {
+	var mu sync.Mutex
+	var order []int
+	runDAG([][]int{{1}, {2}, {1}, {0}}, func(i int) {
+		mu.Lock()
+		order = append(order, i)
+		mu.Unlock()
+	})
+	at := func(i int) int { return slices.Index(order, i) }
+	if len(order) != 4 || at(1) != 0 || at(0) < at(1) || at(2) < at(1) || at(3) < at(0) {
+		t.Fatalf("order = %v, want 1 first, then 0 and 2, then 3", order)
 	}
 }
 
@@ -460,8 +321,7 @@ func TestLockOrderFixture(t *testing.T) {
 // vmp/internal and vmp/cmd.
 func TestV4AnalyzersScopedToModule(t *testing.T) {
 	for _, dir := range []string{"fsyncdiscipline", "lockorder"} {
-		diags := RunPackage(loadFixture(t, dir, "example.com/outside"), Analyzers())
-		for _, d := range diags {
+		for _, d := range runFixtures(t, Analyzers(), dir, "example.com/outside") {
 			t.Errorf("%s: unexpected finding outside vmp/internal and vmp/cmd: %s", dir, d)
 		}
 	}
@@ -475,61 +335,33 @@ const (
 	crosspkgUse   = "vmp/internal/lint/testdata/crosspkg/use"
 )
 
-func loadCrossPackagePair(t *testing.T) (*Package, *Package) {
-	t.Helper()
+// TestCrossPackageLaundering pins the whole-program summaries: a
+// telemetry accessor and an atomic.Pointer load wrapped by exported
+// helpers in another package do not launder their taint. Asked for
+// use/ alone, the driver pulls alias/ in along the import DAG and the
+// mutations in use/ are findings.
+func TestCrossPackageLaundering(t *testing.T) {
+	diags := runFixtures(t, Analyzers(), filepath.Join("crosspkg", "use"), crosspkgUse)
+	checkWants(t, diags, collectWants(t, filepath.Join("crosspkg", "use")))
+}
+
+// TestPackageSummaryFacts pins the exported-fact surface the
+// cross-package analyses rest on: summaries key functions by their
+// fully qualified name and carry the taint facts dependents consume.
+func TestPackageSummaryFacts(t *testing.T) {
 	loader, err := NewLoader("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
-	aliasPkg, err := loader.LoadDirWithPath(filepath.Join("testdata", "crosspkg", "alias"), crosspkgAlias)
+	pkg, err := loader.Load(filepath.Join("testdata", "crosspkg", "alias"), crosspkgAlias, []string{"alias.go"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	usePkg, err := loader.LoadDirWithPath(filepath.Join("testdata", "crosspkg", "use"), crosspkgUse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aliasPkg == nil || usePkg == nil {
-		t.Fatal("cross-package fixture did not load")
-	}
-	return aliasPkg, usePkg
-}
-
-// TestCrossPackageLaundering is the tentpole pin: a telemetry accessor
-// and an atomic.Pointer load wrapped by exported helpers in another
-// package no longer launder their taint. Analyzed together along the
-// import DAG, the mutations in use/ are findings; analyzed alone
-// (the pre-summary behavior, and the fallback when dependencies are
-// not in scope), use/ is clean.
-func TestCrossPackageLaundering(t *testing.T) {
-	aliasPkg, usePkg := loadCrossPackagePair(t)
-	diags := RunPackages([]*Package{aliasPkg, usePkg}, Analyzers())
-	wants := collectWants(t, filepath.Join("crosspkg", "use"))
-	for _, d := range diags {
-		if !claim(wants, d) {
-			t.Errorf("unexpected finding: %s", d)
-		}
-	}
-	for _, w := range wants {
-		if !w.matched {
-			t.Errorf("%s:%d: no %s finding matching %q", w.file, w.line, w.analyzer, w.re)
-		}
-	}
-	if alone := RunPackage(usePkg, Analyzers()); len(alone) != 0 {
-		for _, d := range alone {
-			t.Errorf("use/ analyzed without its dependency's summary should be clean, got: %s", d)
-		}
-	}
-}
-
-// TestPackageSummaryFacts pins the exported-fact surface the tentpole
-// rests on: summaries key functions by their fully qualified name and
-// carry the taint facts dependents consume.
-func TestPackageSummaryFacts(t *testing.T) {
-	aliasPkg, _ := loadCrossPackagePair(t)
-	_, sum := runOnePackage(aliasPkg, NewProgram(), Analyzers())
-	if sum.Path != crosspkgAlias || sum.Hash == "" {
-		t.Fatalf("summary path %q, hash %q", sum.Path, sum.Hash)
+	prog := NewProgram()
+	runOnePackage(pkg, prog, Analyzers())
+	sum := prog.Summary(crosspkgAlias)
+	if sum == nil {
+		t.Fatalf("no summary published under %q", crosspkgAlias)
 	}
 	records := sum.Funcs[crosspkgAlias+".Records"]
 	if !records.TaintFrozen {
@@ -544,21 +376,128 @@ func TestPackageSummaryFacts(t *testing.T) {
 	}
 }
 
-// TestJSONEmpty pins the clean-run document so CI consumers can rely
-// on findings always being an array.
-func TestJSONEmpty(t *testing.T) {
-	out, err := JSON(nil)
+// TestAnalyzersApplyToTestFilesByDeclaration pins the one-pass rule on
+// a package whose _test.go drops an error and reads the wall clock:
+// nondeterminism (Tests) reports there, errcheck (not Tests) does not.
+func TestAnalyzersApplyToTestFilesByDeclaration(t *testing.T) {
+	checkFixture(t, "testfiles", "vmp/internal/testfilesfix")
+	if !Nondeterminism.Tests || ErrCheck.Tests {
+		t.Fatal("fixture assumes nondeterminism applies to tests and errcheck does not")
+	}
+}
+
+const depAlphaSrc = `// Package alpha is a dependency: one finding of its own, one exported
+// looping function with a shutdown path.
+package alpha
+
+import "time"
+
+// Stamp returns the wall-clock time.
+func Stamp() time.Time { return time.Now() }
+
+// Pump drains in until stop closes.
+func Pump(in <-chan int, stop <-chan struct{}) {
+	for {
+		select {
+		case <-in:
+		case <-stop:
+			return
+		}
+	}
+}
+`
+
+const depBetaSrc = `// Package beta spawns alpha.Pump, whose body it cannot see.
+package beta
+
+import "vmp/internal/alpha"
+
+// Start runs the pump.
+func Start(in <-chan int, stop <-chan struct{}) { go alpha.Pump(in, stop) }
+`
+
+// writeModule lays files (slash paths under the root, go.mod included)
+// out as a throwaway module named vmp and returns its root.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	files["go.mod"] = "module vmp\n\ngo 1.22\n"
+	for name, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
+}
+
+// TestRunTreeDependencySummariesWithoutRequest checks that a package
+// imported by a requested one is pulled in for its summary — the
+// cross-package spawn in beta is exonerated by alpha's lifecycle
+// facts — without reporting its own findings.
+func TestRunTreeDependencySummariesWithoutRequest(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"internal/alpha/alpha.go": depAlphaSrc,
+		"internal/beta/beta.go":   depBetaSrc,
+	})
+	alphaDir := filepath.Join(root, "internal", "alpha")
+	betaDir := filepath.Join(root, "internal", "beta")
+	diags, err := Run(root, []string{betaDir}, Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Count    int               `json:"count"`
-		Findings []json.RawMessage `json:"findings"`
+	if len(diags) != 0 {
+		t.Fatalf("beta alone: findings = %v, want none (alpha's summary exonerates the spawn; alpha's own finding is not requested)", diags)
 	}
-	if err := json.Unmarshal(out, &doc); err != nil {
+	diags, err = Run(root, []string{alphaDir, betaDir}, Analyzers())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Count != 0 || doc.Findings == nil || len(doc.Findings) != 0 {
-		t.Fatalf("empty report rendered as %s", out)
+	if len(diags) != 1 || diags[0].Analyzer != "nondeterminism" {
+		t.Fatalf("alpha and beta: findings = %v, want alpha's one nondeterminism finding", diags)
+	}
+	// The control: without alpha's summary in the program the spawn is
+	// a finding, so the empty result above is the summary's doing.
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.Load(betaDir, "vmp/internal/beta", []string{"beta.go"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone := runOnePackage(pkg, NewProgram(), Analyzers())
+	if len(alone) != 1 || alone[0].Analyzer != "goroutinelifecycle" {
+		t.Fatalf("beta without alpha's summary: findings = %v, want one goroutinelifecycle finding", alone)
+	}
+}
+
+// TestRunExternalTestImportsDependent is the import shape `go test`
+// allows and a directory-per-node graph would make cyclic: omega's
+// external test package imports alpha, and alpha imports omega. The
+// external test is its own node, so omega still publishes its summary
+// before alpha — which sorts first — is analyzed, and alpha's spawn of
+// omega.Pump is exonerated.
+func TestRunExternalTestImportsDependent(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"internal/omega/omega.go": strings.ReplaceAll(depAlphaSrc, "alpha", "omega"),
+		"internal/omega/omega_x_test.go": `package omega_test
+
+import "vmp/internal/alpha"
+
+var _ = alpha.Start
+`,
+		"internal/alpha/alpha.go": strings.NewReplacer("alpha", "omega", "beta", "alpha").Replace(depBetaSrc),
+	})
+	dirs := []string{filepath.Join(root, "internal", "alpha"), filepath.Join(root, "internal", "omega")}
+	diags, err := Run(root, dirs, Analyzers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 1 || diags[0].Analyzer != "nondeterminism" {
+		t.Fatalf("findings = %v, want omega's one nondeterminism finding", diags)
 	}
 }

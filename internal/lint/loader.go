@@ -10,7 +10,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -68,12 +67,6 @@ func NewLoader(root string) (*Loader, error) {
 		importing:  make(map[string]bool),
 	}, nil
 }
-
-// ModuleRoot returns the absolute module root directory.
-func (l *Loader) ModuleRoot() string { return l.root }
-
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.modulePath }
 
 // readModulePath extracts the module path from a go.mod file.
 func readModulePath(path string) (string, error) {
@@ -178,17 +171,6 @@ func (l *Loader) parseFiles(dir string, names []string, mode parser.Mode) ([]*as
 	return files, nil
 }
 
-// LoadDir loads the package in dir as a lint target, deriving its
-// import path from the module root. Directories holding no buildable
-// Go files return (nil, nil).
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	path, err := l.pathFor(dir)
-	if err != nil {
-		return nil, err
-	}
-	return l.LoadDirWithPath(dir, path)
-}
-
 // pathFor derives a directory's import path from the module root.
 func (l *Loader) pathFor(dir string) (string, error) {
 	abs, err := filepath.Abs(dir)
@@ -205,105 +187,30 @@ func (l *Loader) pathFor(dir string) (string, error) {
 	return l.modulePath + "/" + filepath.ToSlash(rel), nil
 }
 
-// LoadDirTests loads dir with its test files included: the package
-// re-type-checked with in-package _test.go files merged in, plus the
-// external test package (import path + "_test") when one exists —
-// the shape `go test` compiles. Directories with no Go files at all
-// return (nil, nil).
-func (l *Loader) LoadDirTests(dir string) ([]*Package, error) {
-	path, err := l.pathFor(dir)
-	if err != nil {
-		return nil, err
-	}
-	bp, err := l.ctx.ImportDir(dir, 0)
-	if err != nil {
-		if _, ok := err.(*build.NoGoError); ok {
-			return nil, nil
-		}
-		return nil, err
-	}
-	mode := parser.ParseComments | parser.SkipObjectResolution
-	var pkgs []*Package
-	names := append(append([]string(nil), bp.GoFiles...), bp.TestGoFiles...)
-	if len(names) > 0 {
-		files, err := l.parseFiles(dir, names, mode)
-		if err != nil {
-			return nil, fmt.Errorf("lint: parsing %s: %w", dir, err)
-		}
-		pkg, err := l.checkFiles(dir, path, files)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	if len(bp.XTestGoFiles) > 0 {
-		files, err := l.parseFiles(dir, bp.XTestGoFiles, mode)
-		if err != nil {
-			return nil, fmt.Errorf("lint: parsing %s: %w", dir, err)
-		}
-		pkg, err := l.checkFiles(dir, path+"_test", files)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
-// ScanDir reads a directory's build metadata without parsing or
-// type-checking: the build-selected Go file names and the imports they
-// declare (test files and test imports included when tests is set).
-// This is the cheap pass RunTree keys its cache on — content hashes
-// need file names, dependency closure needs imports, and neither needs
-// an AST. Directories with no Go files return (nil, nil, nil); note a
-// directory holding only test files is NOT a NoGoError, so scanning
-// with tests=false still surfaces it with zero files.
-func (l *Loader) ScanDir(dir string, tests bool) (files []string, imports []string, err error) {
-	bp, err := l.ctx.ImportDir(dir, 0)
-	if err != nil {
-		if _, ok := err.(*build.NoGoError); ok {
-			return nil, nil, nil
-		}
-		return nil, nil, err
-	}
-	files = append(files, bp.GoFiles...)
-	seen := make(map[string]bool)
-	add := func(paths []string) {
-		for _, p := range paths {
-			if !seen[p] {
-				seen[p] = true
-				imports = append(imports, p)
-			}
-		}
-	}
-	add(bp.Imports)
-	if tests {
-		files = append(files, bp.TestGoFiles...)
-		files = append(files, bp.XTestGoFiles...)
-		add(bp.TestImports)
-		add(bp.XTestImports)
-	}
-	sort.Strings(files)
-	sort.Strings(imports)
-	return files, imports, nil
-}
-
-// LoadDirWithPath loads the package in dir under an explicit import
-// path. The override is what lets fixture packages exercise the
-// analyzers' path-scoped exemptions (e.g. a testdata package posing as
-// vmp/internal/telemetry).
-func (l *Loader) LoadDirWithPath(dir, path string) (*Package, error) {
-	if _, err := l.ctx.ImportDir(dir, 0); err != nil {
-		if _, ok := err.(*build.NoGoError); ok {
-			return nil, nil
-		}
-		return nil, err
-	}
-	files, err := l.parseDir(dir, parser.ParseComments|parser.SkipObjectResolution)
+// Load parses (with comments, for the //lint:ignore directives) and
+// type-checks the named files of dir as one lint target under the given
+// import path. Fixture packages pose under paths that reach the
+// analyzers' path-scoped rules, e.g. a testdata package posing as
+// vmp/internal/telemetry.
+func (l *Loader) Load(dir, path string, names []string) (*Package, error) {
+	files, err := l.parseFiles(dir, names, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
 		return nil, fmt.Errorf("lint: parsing %s: %w", dir, err)
 	}
 	return l.checkFiles(dir, path, files)
+}
+
+// ScanDir reads a directory's build metadata without parsing bodies or
+// type-checking: the build-selected file names and the imports they
+// declare, production, in-package test and external test each apart —
+// what Run needs to lay out the import DAG before loading anything. It
+// returns nil for a directory with no Go files.
+func (l *Loader) ScanDir(dir string) (*build.Package, error) {
+	bp, err := l.ctx.ImportDir(dir, 0)
+	if _, noGo := err.(*build.NoGoError); noGo {
+		return nil, nil
+	}
+	return bp, err
 }
 
 // checkFiles type-checks already-parsed files as one lint target under

@@ -28,9 +28,10 @@ import (
 // the accumulation site so the invariant is local, not delegated to
 // downstream sorting.
 var MapOrder = &Analyzer{
-	Name: "maporder",
-	Doc:  "forbid order-dependent accumulation inside range-over-map loops",
-	Run:  runMapOrder,
+	Name:  "maporder",
+	Doc:   "forbid order-dependent accumulation inside range-over-map loops",
+	Run:   runMapOrder,
+	Tests: true,
 }
 
 // totalOrderSorts are the sort entry points guaranteed to produce one

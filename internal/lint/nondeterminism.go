@@ -14,9 +14,10 @@ import (
 // everywhere except package simclock itself (test files are never
 // linted).
 var Nondeterminism = &Analyzer{
-	Name: "nondeterminism",
-	Doc:  "forbid wall-clock reads and global math/rand outside simclock",
-	Run:  runNondeterminism,
+	Name:  "nondeterminism",
+	Doc:   "forbid wall-clock reads and global math/rand outside simclock",
+	Run:   runNondeterminism,
+	Tests: true,
 }
 
 // wallClockFuncs are the time package entry points that observe the

@@ -2,25 +2,24 @@ package lint
 
 import (
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// This file is the whole-program driver core shared by RunPackage,
-// RunPackages, and the cached RunTree: one canonical per-package code
-// path (build call graph → publish summary → run analyzers → apply
-// ignore directives) and a deterministic parallel scheduler over the
-// import DAG.
+// This file is the per-package half of Run (build call graph → publish
+// summary → run analyzers → apply ignore directives) and its
+// deterministic parallel scheduler over the import DAG.
 
 // runOnePackage analyzes one package with the program's dependency
 // facts in scope, publishes the package's own summary into the
-// program, and returns its sorted, directive-filtered findings plus
-// the summary. Finishers are the caller's job — they need the whole
-// program assembled first.
-func runOnePackage(pkg *Package, prog *Program, analyzers []*Analyzer) ([]Diagnostic, *PackageSummary) {
-	graph := buildCallGraph(pkg.Fset, pkg.Files, pkg.Info)
-	sum := buildPackageSummary(pkg, prog, graph)
-	prog.add(sum)
+// program, and returns its directive-filtered findings. What an
+// analyzer that does not apply to tests reports in a _test.go file is
+// dropped before suppression, so test code needs no directive for it.
+func runOnePackage(pkg *Package, prog *Program, analyzers []*Analyzer) []Diagnostic {
+	graph := buildCallGraph(pkg.Files, pkg.Info)
+	prog.add(buildPackageSummary(pkg, prog, graph))
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		if a.Run == nil {
@@ -33,9 +32,13 @@ func runOnePackage(pkg *Package, prog *Program, analyzers []*Analyzer) ([]Diagno
 			Files:    pkg.Files,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
-			report:   func(d Diagnostic) { diags = append(diags, d) },
-			cg:       graph,
-			prog:     prog,
+			report: func(d Diagnostic) {
+				if a.Tests || !strings.HasSuffix(d.File, "_test.go") {
+					diags = append(diags, d)
+				}
+			},
+			cg:   graph,
+			prog: prog,
 		}
 		a.Run(pass)
 	}
@@ -43,71 +46,57 @@ func runOnePackage(pkg *Package, prog *Program, analyzers []*Analyzer) ([]Diagno
 	diags = suppress(diags, ignores)
 	// Malformed directives are findings in their own right — a missing
 	// reason breaks the suite's audit trail — and cannot be suppressed.
-	diags = append(diags, malformed...)
-	diags = append(diags, graph.malformed...)
-	return sortDedup(diags), sum
-}
-
-// runFinishers runs every analyzer's Finish hook over the assembled
-// whole-program facts.
-func runFinishers(prog *Program, analyzers []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		if a.Finish != nil {
-			diags = append(diags, a.Finish(prog)...)
-		}
-	}
-	return diags
+	return append(diags, malformed...)
 }
 
 // runDAG calls fn(i) for every node of a dependency graph, each node
 // strictly after all of its dependencies (deps[i] lists the indices i
 // depends on): a Kahn pass peels the graph into topological levels,
 // and each level's nodes fan out across GOMAXPROCS workers with a
-// barrier between levels. Import graphs are acyclic by construction,
-// but a cyclic input degrades to running the leftover nodes serially
-// (in index order, dependency facts incomplete) instead of
-// deadlocking.
+// barrier between levels. Run's graph has one way left to a cycle — two
+// packages whose in-package tests import each other, which `go test`
+// allows — and a cycle costs only itself: when no node is ready, one
+// that lies on a cycle runs without the facts of the dependencies
+// still ahead of it, and the peeling resumes.
 func runDAG(deps [][]int, fn func(int)) {
 	n := len(deps)
-	if n == 0 {
-		return
-	}
 	dependents := make([][]int, n)
 	indegree := make([]int, n)
+	var level []int
 	for i, ds := range deps {
 		indegree[i] = len(ds)
 		for _, d := range ds {
 			dependents[d] = append(dependents[d], i)
 		}
-	}
-	scheduled := 0
-	var level []int
-	for i := 0; i < n; i++ {
-		if indegree[i] == 0 {
+		if len(ds) == 0 {
 			level = append(level, i)
 		}
 	}
-	for len(level) > 0 {
+	done := make([]bool, n)
+	for left := n; left > 0; {
+		if len(level) == 0 {
+			// Every node left waits on another: walk the waits until
+			// one repeats.
+			i := slices.Index(done, false)
+			for seen := make([]bool, n); !seen[i]; {
+				seen[i] = true
+				i = deps[i][slices.IndexFunc(deps[i], func(d int) bool { return !done[d] })]
+			}
+			level = []int{i}
+		}
 		runLevel(level, fn)
-		scheduled += len(level)
+		for _, i := range level {
+			done[i] = true
+		}
 		var next []int
 		for _, i := range level {
 			for _, j := range dependents[i] {
-				indegree[j]--
-				if indegree[j] == 0 {
+				if indegree[j]--; indegree[j] == 0 && !done[j] {
 					next = append(next, j)
 				}
 			}
 		}
-		level = next
-	}
-	if scheduled < n {
-		for i := 0; i < n; i++ {
-			if indegree[i] > 0 {
-				fn(i)
-			}
-		}
+		level, left = next, left-len(level)
 	}
 }
 

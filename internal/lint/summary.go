@@ -1,9 +1,6 @@
 package lint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -16,10 +13,10 @@ import (
 // taint.go) to whole-program analysis. After a package is analyzed,
 // buildPackageSummary distills every exported function into FuncFacts —
 // does its result alias frozen-dataset memory, does it return an
-// atomic.Pointer-published value, may it allocate, does it loop without
-// a shutdown path, does it reach a WAL append, which lock classes does
-// it (transitively) acquire — and the facts are published into a
-// Program. Dependent packages, analyzed later along the import DAG,
+// atomic.Pointer-published value, does it loop without a shutdown path,
+// does it reach a WAL append, which lock classes does it (transitively)
+// acquire — and the facts are published into a Program. Dependent
+// packages, analyzed later along the import DAG,
 // consult those facts wherever their own fixed-point engines previously
 // went blind at a cross-package call: a telemetry accessor wrapped by a
 // helper in another package carries its taint to the caller exactly as
@@ -29,42 +26,33 @@ import (
 // ((*vmp/internal/wal.Log).AppendBatch, vmp/internal/telemetry.Scan) so
 // they resolve across separately type-checked package instances, and
 // only exported functions on exported receivers are published — nothing
-// else is callable from a dependent, and the narrow surface keeps the
-// summary hash (the incremental cache's dependency key, see cache.go)
-// stable under internal refactors.
+// else is callable from a dependent.
 
 // FuncFacts is the exported dataflow summary of one function.
 type FuncFacts struct {
 	// TaintFrozen: some result aliases telemetry.Dataset/DimColumn
 	// internals (consumed by frozenwrite in dependents).
-	TaintFrozen bool `json:"taintFrozen,omitempty"`
+	TaintFrozen bool
 	// TaintAtomic: some result aliases a value loaded from an
 	// atomic.Pointer or atomic.Value (consumed by atomicdiscipline).
-	TaintAtomic bool `json:"taintAtomic,omitempty"`
-	// Allocates: the function (transitively) contains an unapproved
-	// allocating construct (consumed by hotalloc at cross-package call
-	// sites on //vmp:hotpath paths).
-	Allocates bool `json:"allocates,omitempty"`
-	// Hotpath: the function is //vmp:hotpath-annotated, so its own
-	// package polices its allocations and callers trust it.
-	Hotpath bool `json:"hotpath,omitempty"`
+	TaintAtomic bool
 	// Loops / Shutdown: the body contains a for/range statement, and
 	// whether it shows a recognized shutdown construct (consumed by
 	// goroutinelifecycle for cross-package `go pkg.F(...)` spawns).
-	Loops    bool `json:"loops,omitempty"`
-	Shutdown bool `json:"shutdown,omitempty"`
+	Loops    bool
+	Shutdown bool
 	// WALAppend: the function (transitively) reaches a WAL AppendBatch
 	// (consumed by fsyncdiscipline's ack-ordering rule).
-	WALAppend bool `json:"walAppend,omitempty"`
+	WALAppend bool
 	// Locks: the lock classes the function (transitively) acquires,
 	// sorted (consumed by lockorder at cross-package call sites).
-	Locks []string `json:"locks,omitempty"`
+	Locks []string
 }
 
 // isZero reports whether the facts carry no information worth
-// publishing; empty facts are omitted to keep summary hashes stable.
+// publishing.
 func (f FuncFacts) isZero() bool {
-	return !f.TaintFrozen && !f.TaintAtomic && !f.Allocates && !f.Hotpath &&
+	return !f.TaintFrozen && !f.TaintAtomic &&
 		!f.Loops && !f.Shutdown && !f.WALAppend && len(f.Locks) == 0
 }
 
@@ -73,21 +61,19 @@ func (f FuncFacts) isZero() bool {
 // position. The lockorder analyzer assembles these into the global
 // acquisition-order graph and reports cycles.
 type LockEdge struct {
-	Held     string `json:"held"`
-	Acquired string `json:"acquired"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
+	Held     string
+	Acquired string
+	File     string
+	Line     int
+	Col      int
 }
 
 // PackageSummary is one package's published facts: per-function
-// dataflow summaries plus its lock-order edges, and a content hash
-// that doubles as the dependency component of cache keys.
+// dataflow summaries plus its lock-order edges.
 type PackageSummary struct {
-	Path  string               `json:"path"`
-	Funcs map[string]FuncFacts `json:"funcs,omitempty"`
-	Edges []LockEdge           `json:"edges,omitempty"`
-	Hash  string               `json:"hash"`
+	Path  string
+	Funcs map[string]FuncFacts
+	Edges []LockEdge
 }
 
 // Program is the whole-program view: the summaries of every package
@@ -166,10 +152,9 @@ func (p *Pass) depTaint(sel func(FuncFacts) bool) func(types.Object) bool {
 var summaryPass = &Analyzer{Name: "summary", Doc: "internal: whole-program fact extraction"}
 
 // buildPackageSummary computes a package's exported facts on top of the
-// shared call graph. The intermediate per-function results (allocation
-// sites, lock sets, WAL reachability, taint engines) are stashed on the
-// graph so the analyzers that run next reuse them instead of
-// recomputing.
+// shared call graph. The intermediate per-function results (lock sets,
+// WAL reachability, taint engines) are stashed on the graph so the
+// analyzers that run next reuse them instead of recomputing.
 func buildPackageSummary(pkg *Package, prog *Program, g *callGraph) *PackageSummary {
 	p := &Pass{
 		Analyzer: summaryPass,
@@ -184,7 +169,6 @@ func buildPackageSummary(pkg *Package, prog *Program, g *callGraph) *PackageSumm
 	}
 	frozen := p.frozenEngine().summaries
 	atomicT := p.atomicEngine().summaries
-	p.ensureAllocFacts()
 	p.ensureLockFacts()
 	p.ensureWALFacts()
 	sum := &PackageSummary{Path: pkg.Path, Funcs: make(map[string]FuncFacts)}
@@ -196,8 +180,6 @@ func buildPackageSummary(pkg *Package, prog *Program, g *callGraph) *PackageSumm
 		facts := FuncFacts{
 			TaintFrozen: frozen[n.obj],
 			TaintAtomic: atomicT[n.obj],
-			Allocates:   g.mayAlloc[n.obj],
-			Hotpath:     g.hotpath[n.obj],
 			WALAppend:   g.walReach[n.obj],
 			Locks:       g.lockSets[n.obj],
 		}
@@ -212,24 +194,7 @@ func buildPackageSummary(pkg *Package, prog *Program, g *callGraph) *PackageSumm
 		}
 	}
 	sum.Edges = g.lockEdges
-	sum.Hash = summaryHash(sum)
 	return sum
-}
-
-// summaryHash content-hashes a summary (hash field excluded). The JSON
-// encoding is canonical — map keys marshal sorted, edge and lock lists
-// are pre-sorted — so the hash is stable across runs and machines.
-func summaryHash(s *PackageSummary) string {
-	blob, err := json.Marshal(struct {
-		Path  string               `json:"path"`
-		Funcs map[string]FuncFacts `json:"funcs"`
-		Edges []LockEdge           `json:"edges"`
-	}{s.Path, s.Funcs, s.Edges})
-	if err != nil {
-		return "unhashable"
-	}
-	h := sha256.Sum256(blob)
-	return hex.EncodeToString(h[:])
 }
 
 // exportableFunc reports whether a function is callable from a
@@ -259,7 +224,7 @@ func exportableFunc(fn *types.Func) bool {
 // building it once per call graph; frozenwrite and the summary builder
 // share it. Cross-package calls consult dependency TaintFrozen facts.
 func (p *Pass) frozenEngine() *taintEngine {
-	g := p.graph()
+	g := p.cg
 	if g.frozenEng == nil {
 		g.frozenEng = p.newTaintEngine(p.isFrozenAccessor,
 			p.depTaint(func(f FuncFacts) bool { return f.TaintFrozen }), false)
@@ -271,80 +236,12 @@ func (p *Pass) frozenEngine() *taintEngine {
 // (shared by atomicdiscipline and the summary builder), with
 // cross-package calls consulting dependency TaintAtomic facts.
 func (p *Pass) atomicEngine() *taintEngine {
-	g := p.graph()
+	g := p.cg
 	if g.atomicEng == nil {
 		g.atomicEng = p.newTaintEngine(p.isAtomicPointerLoad,
 			p.depTaint(func(f FuncFacts) bool { return f.TaintAtomic }), true)
 	}
 	return g.atomicEng
-}
-
-// crossAllocSite is a call to a cross-package function whose summary
-// says it allocates off-hotpath, recorded for hotalloc.
-type crossAllocSite struct {
-	pos  token.Pos
-	name string
-}
-
-// ensureAllocFacts computes, once per call graph, each function's
-// unapproved direct allocation sites, its calls into allocating
-// cross-package dependencies, and the may-allocate fixed point over
-// the package call graph.
-func (p *Pass) ensureAllocFacts() {
-	g := p.graph()
-	if g.mayAlloc != nil {
-		return
-	}
-	g.allocDirect = make(map[types.Object][]allocSite)
-	g.allocCross = make(map[types.Object][]crossAllocSite)
-	g.mayAlloc = make(map[types.Object]bool)
-	for _, n := range g.nodes {
-		if n.decl.Body == nil {
-			continue
-		}
-		g.allocDirect[n.obj] = p.allocSites(n.decl.Body, g)
-		obj := n.obj
-		ast.Inspect(n.decl.Body, func(node ast.Node) bool {
-			call, ok := node.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := p.calleeObject(call)
-			f, ok := p.depFacts(callee)
-			if !ok || !f.Allocates || f.Hotpath {
-				return true
-			}
-			pos := p.Fset.Position(call.Pos())
-			if g.allocApproved(pos.Filename, pos.Line) {
-				return true
-			}
-			g.allocCross[obj] = append(g.allocCross[obj], crossAllocSite{
-				pos:  call.Pos(),
-				name: callee.Pkg().Name() + "." + callee.Name(),
-			})
-			return true
-		})
-	}
-	// Fixed point: a function may allocate when it has a direct site, a
-	// cross-package allocating call, or calls a same-package function
-	// that may. Monotone, so the worklist terminates.
-	var queue []*funcNode
-	for _, n := range g.nodes {
-		if len(g.allocDirect[n.obj]) > 0 || len(g.allocCross[n.obj]) > 0 {
-			g.mayAlloc[n.obj] = true
-			queue = append(queue, n)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, caller := range g.callers[n.obj] {
-			if !g.mayAlloc[caller.obj] {
-				g.mayAlloc[caller.obj] = true
-				queue = append(queue, caller)
-			}
-		}
-	}
 }
 
 // ensureWALFacts computes, once per call graph, which functions
@@ -353,7 +250,7 @@ func (p *Pass) ensureAllocFacts() {
 // to a cross-package function whose summary says WALAppend, or a call
 // to a same-package function that does either.
 func (p *Pass) ensureWALFacts() {
-	g := p.graph()
+	g := p.cg
 	if g.walReach != nil {
 		return
 	}
@@ -439,7 +336,7 @@ type lockOrderEvent struct {
 // (acquisitions and lock-holding calls observed while another class was
 // held).
 func (p *Pass) ensureLockFacts() {
-	g := p.graph()
+	g := p.cg
 	if g.lockSets != nil {
 		return
 	}

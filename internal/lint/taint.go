@@ -6,12 +6,11 @@ import (
 	"go/types"
 )
 
-// taintEngine is the shared alias-taint machinery behind frozenwrite,
-// atomicdiscipline, and bufalias: starting from analyzer-specific
-// sources (Dataset accessors, atomic.Pointer loads, scratch-field
-// reads), it propagates taint through local assignments and range
-// statements to a fixpoint, then reports writes through tainted
-// memory.
+// taintEngine is the shared alias-taint machinery behind frozenwrite
+// and atomicdiscipline: starting from analyzer-specific sources
+// (Dataset accessors, atomic.Pointer loads), it propagates taint
+// through local assignments and range statements to a fixpoint, then
+// reports writes through tainted memory.
 //
 // The engine is interprocedural to a fixed point over the package call
 // graph (see dataflow.go): every function declaration is summarized by
@@ -38,10 +37,6 @@ type taintEngine struct {
 	// runs without whole-program facts.
 	cross func(types.Object) bool
 
-	// exprSource optionally taints non-call expressions at origin —
-	// bufalias marks selector reads of scratch fields this way.
-	exprSource func(ast.Expr) bool
-
 	// propagateRecv additionally taints the result of any method call
 	// whose receiver is tainted (v.Dataset.All() when v is tainted).
 	propagateRecv bool
@@ -59,14 +54,6 @@ func (p *Pass) newTaintEngine(source func(*ast.CallExpr) bool, cross func(types.
 	return t
 }
 
-// newExprTaintEngine builds an engine whose source is an arbitrary
-// expression predicate (bufalias: reads of scratch fields).
-func (p *Pass) newExprTaintEngine(exprSource func(ast.Expr) bool, propagateRecv bool) *taintEngine {
-	t := &taintEngine{p: p, exprSource: exprSource, propagateRecv: propagateRecv}
-	t.computeSummaries()
-	return t
-}
-
 // computeSummaries fills t.summaries by iterating to a fixed point
 // over the package call graph: a function is summarized tainted when
 // some return expression of its body reaches tainted memory given the
@@ -77,7 +64,7 @@ func (p *Pass) newExprTaintEngine(exprSource func(ast.Expr) bool, propagateRecv 
 // the literal, not the declaration, and are skipped.
 func (t *taintEngine) computeSummaries() {
 	t.summaries = make(map[types.Object]bool)
-	g := t.p.graph()
+	g := t.p.cg
 	queue := make([]*funcNode, 0, len(g.nodes))
 	queued := make(map[types.Object]bool, len(g.nodes))
 	for _, n := range g.nodes {
@@ -225,9 +212,6 @@ func (t *taintEngine) checkBody(body *ast.BlockStmt, reportf func(pos token.Pos)
 
 // taintedExpr reports whether e reaches tainted memory.
 func (t *taintEngine) taintedExpr(e ast.Expr, tainted map[types.Object]bool) bool {
-	if t.exprSource != nil && t.exprSource(e) {
-		return true
-	}
 	switch v := e.(type) {
 	case *ast.Ident:
 		obj := t.p.objectOf(v)
@@ -257,7 +241,7 @@ func (t *taintEngine) taintedExpr(e ast.Expr, tainted map[types.Object]bool) boo
 // tainted receiver. append(untainted, tainted...) copies the contents
 // into the destination's backing array and stays clean.
 func (t *taintEngine) taintedCall(call *ast.CallExpr, tainted map[types.Object]bool) bool {
-	if t.source != nil && t.source(call) {
+	if t.source(call) {
 		return true
 	}
 	if id, ok := call.Fun.(*ast.Ident); ok && len(call.Args) > 0 {

@@ -34,14 +34,3 @@ func wrongAnalyzer() time.Time {
 func sameLineOtherAnalyzer(t0 time.Time) {
 	time.Sleep(time.Since(t0)) //lint:ignore ctxflow fixture: sleep is the construct under test // want nondeterminism "time.Since reads the wall clock"
 }
-
-// allocMissingReason pins that the //vmp:alloc grammar shares the
-// mandatory-reason rule: a reasonless directive (or one whose "reason"
-// is a trailing comment) approves nothing and is itself reported, as
-// analyzer "hotalloc".
-//
-//vmp:hotpath
-func allocMissingReason() []byte {
-	//vmp:alloc // want hotalloc "missing its mandatory reason"
-	return make([]byte, 8) // want hotalloc "make allocates on a //vmp:hotpath path"
-}

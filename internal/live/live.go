@@ -327,8 +327,6 @@ func (e *Engine) consume() {
 }
 
 // appendPending hands one queued batch to the pending list.
-//
-//vmp:hotpath
 func (e *Engine) appendPending(m batchMsg) {
 	sp := e.tracer.Start("ingest.consume", m.parent)
 	e.pendingMu.Lock()

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"vmp/internal/analytics"
 	"vmp/internal/obs"
 	"vmp/internal/simclock"
 	"vmp/internal/telemetry"
@@ -259,10 +260,15 @@ func TestMemoKeySpace(t *testing.T) {
 
 // TestMemoHitAllocs pins the hit path: nothing proportional to the
 // dataset, and no more than the response header a caller-specific n
-// needs (top) or the boxed key (window).
+// needs (top) or the boxed key (window). The last two cases are the
+// scans behind a miss — the share kernel with an exclusion mask and
+// the window summary, over all 20 000 rows: a fixed handful of
+// accumulators and the result, nothing per row.
 func TestMemoHitAllocs(t *testing.T) {
 	ds := telemetry.NewDataset(genRecords(20000))
 	start := simclock.DayTime(10)
+	exclude := make([]bool, ds.NumPublishers())
+	exclude[0] = true
 	for _, c := range []struct {
 		name string
 		max  float64
@@ -271,6 +277,8 @@ func TestMemoHitAllocs(t *testing.T) {
 		{"share", 0, func() { _, _ = ShareOver(ds, "platform", "views") }},
 		{"top-publishers", 1, func() { _ = TopPublishersOver(ds, 10) }},
 		{"window", 1, func() { _ = WindowOver(ds, start, 2) }},
+		{"share scan", 16, func() { _ = analytics.ShareOverRows(ds, ds.CDNCol(), 0, ds.Len(), exclude, false) }},
+		{"window scan", 16, func() { _ = scanWindow(ds, simclock.DayTime(0), 60) }},
 	} {
 		c.ask() // the miss
 		if got := testing.AllocsPerRun(200, c.ask); got > c.max {

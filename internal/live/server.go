@@ -87,12 +87,10 @@ func NewServer(e *Engine) *Server {
 //	GET  /v1/query/share          — ?dim=protocol|platform|cdn&by=viewhours|views
 //	GET  /v1/query/top-publishers — ?n=10
 //	GET  /v1/query/window         — ?start=RFC3339&days=2
-//	GET  /v1/stats                — ingest counters + current epoch
 //	GET  /v1/metrics              — obs registry snapshot (JSON)
 //	GET  /metrics                 — same registry, Prometheus text format
 //	GET  /v1/series               — in-process time series (snapshots + rates)
 //	GET  /v1/trace                — recent spans, per-stage latency, event tail
-//	GET  /debug/vmp               — metrics + trace combined
 //	GET  /healthz                 — liveness
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -101,7 +99,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/query/share", s.query("share", shareResponse))
 	mux.HandleFunc("/v1/query/top-publishers", s.query("top-publishers", topResponse))
 	mux.HandleFunc("/v1/query/window", s.query("window", windowResponse))
-	mux.HandleFunc("/v1/stats", s.handleStats)
 	obs.Mount(mux, s.engine.Metrics(), s.tracer, s.engine.Series())
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -206,23 +203,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	g := s.engine.Snapshot()
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, `{"epoch":%d,"records":%d}`+"\n", g.Epoch, g.Records)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	g := s.engine.Generation()
-	snap := s.engine.Metrics().Snapshot()
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{"epoch":%d,"records":%d,"ingested":%d,"backpressured":%d,"rejected":%d,"scan_errors":%d,"queued_batches":%d}`+"\n",
-		g.Epoch, g.Records,
-		snap.Counters["live_ingest_records_total"],
-		snap.Counters["live_ingest_backpressured_total"],
-		snap.Counters["live_ingest_rejected_total"],
-		snap.Counters["live_ingest_scan_errors_total"],
-		len(s.engine.ch))
 }
 
 // query wraps a response builder with method checking, latency

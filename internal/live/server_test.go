@@ -149,13 +149,13 @@ func TestServerBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/snapshot = %d", resp.StatusCode)
 	}
-	resp, err = srv.Client().Post(srv.URL+"/v1/stats", "text/plain", nil)
+	resp, err = srv.Client().Post(srv.URL+"/v1/metrics", "text/plain", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /v1/stats = %d", resp.StatusCode)
+		t.Errorf("POST /v1/metrics = %d", resp.StatusCode)
 	}
 }
 
@@ -328,7 +328,7 @@ func TestServerMixedWorkloadRace(t *testing.T) {
 				"/v1/query/top-publishers?n=5",
 				"/v1/query/window?start=2016-01-01&days=50",
 				"/v1/metrics",
-				"/v1/stats",
+				"/v1/trace",
 			}
 			for i := 0; ; i++ {
 				select {

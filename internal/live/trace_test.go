@@ -186,7 +186,7 @@ func TestIngestBackpressureTraced(t *testing.T) {
 
 // TestServerTraceEndpoint drives the HTTP surface end to end: ingest a
 // batch, cut an epoch, run a query, then check /v1/trace shows the
-// full span vocabulary and /debug/vmp serves the combined snapshot.
+// full span vocabulary and /v1/metrics the counters beside it.
 func TestServerTraceEndpoint(t *testing.T) {
 	tr := obs.NewTracer(simclock.NewManual(simclock.StudyStart), 256)
 	_, srv, e := newTestServer(t, Config{QueueDepth: 64, Trace: tr})
@@ -249,22 +249,23 @@ func TestServerTraceEndpoint(t *testing.T) {
 		}
 	}
 
-	dresp, err := client.Get(srv.URL + "/debug/vmp")
+	if snap.SpansTotal == 0 {
+		t.Fatal("trace total empty")
+	}
+
+	mresp, err := client.Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = dresp.Body.Close() }()
-	if dresp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/vmp status %d", dresp.StatusCode)
+	defer func() { _ = mresp.Body.Close() }()
+	if mresp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/metrics status %d", mresp.StatusCode)
 	}
-	var dbg obs.DebugSnapshot
-	if err := json.NewDecoder(dresp.Body).Decode(&dbg); err != nil {
+	var metrics obs.Snapshot
+	if err := json.NewDecoder(mresp.Body).Decode(&metrics); err != nil {
 		t.Fatal(err)
 	}
-	if dbg.Metrics.Counters["live_ingest_records_total"] != 50 {
-		t.Fatalf("debug metrics ingested: %+v", dbg.Metrics.Counters)
-	}
-	if dbg.Trace.SpansTotal == 0 {
-		t.Fatal("debug trace empty")
+	if metrics.Counters["live_ingest_records_total"] != 50 {
+		t.Fatalf("metrics ingested: %+v", metrics.Counters)
 	}
 }

@@ -28,8 +28,6 @@ type Counter struct {
 }
 
 // Add increments the counter by n.
-//
-//vmp:hotpath
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Load returns the current count.
@@ -41,13 +39,9 @@ type Gauge struct {
 }
 
 // Set replaces the gauge's value.
-//
-//vmp:hotpath
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Add moves the gauge by n.
-//
-//vmp:hotpath
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Load returns the current value.
@@ -79,8 +73,6 @@ func NewHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one value.
-//
-//vmp:hotpath
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[i].Add(1)

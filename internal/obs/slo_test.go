@@ -180,4 +180,13 @@ func TestStopwatchZeroAlloc(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("disabled stopwatch allocated %.1f per op, want 0", allocs)
 	}
+	var c Counter
+	var g Gauge
+	if allocs := testing.AllocsPerRun(1000, func() {
+		c.Add(1)
+		g.Set(2)
+		g.Add(1)
+	}); allocs != 0 {
+		t.Fatalf("counter and gauge updates allocated %.1f per op, want 0", allocs)
+	}
 }

@@ -26,8 +26,6 @@ type Stopwatch struct {
 
 // StartWatch reads clock once and returns a running stopwatch. A nil
 // clock returns the zero (disabled) Stopwatch.
-//
-//vmp:hotpath
 func StartWatch(clock simclock.Clock) Stopwatch {
 	if clock == nil {
 		return Stopwatch{}
@@ -38,8 +36,6 @@ func StartWatch(clock simclock.Clock) Stopwatch {
 // Stop ends the interval, observes it in seconds into h (skipped when
 // h is nil), and returns the measured duration. On the zero Stopwatch
 // it is a no-op returning 0.
-//
-//vmp:hotpath
 func (w Stopwatch) Stop(h *Histogram) time.Duration {
 	if w.clock == nil {
 		return 0

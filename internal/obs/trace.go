@@ -129,8 +129,6 @@ func (s Span) ID() SpanID { return SpanID(s.id) }
 // Start opens a span. parent links it under an enclosing span (0 for
 // a root). When the tracer is nil or disabled this is one atomic load
 // and returns the zero Span.
-//
-//vmp:hotpath
 func (t *Tracer) Start(name string, parent SpanID) Span {
 	if t == nil || !t.enabled.Load() {
 		return Span{}
@@ -146,13 +144,11 @@ func (t *Tracer) Start(name string, parent SpanID) Span {
 
 // End completes the span and publishes it into the ring. attrs are
 // copied, so the caller's variadic slice never escapes.
-//
-//vmp:hotpath
 func (s Span) End(attrs ...Attr) {
 	if s.tr == nil {
 		return
 	}
-	rec := &spanRecord{ //vmp:alloc enabled path publishes one record into the ring; the disabled path returns above
+	rec := &spanRecord{
 		id:     s.id,
 		parent: s.parent,
 		name:   s.name,
@@ -160,7 +156,7 @@ func (s Span) End(attrs ...Attr) {
 		dur:    s.tr.clock.Now().Sub(s.start),
 	}
 	if len(attrs) > 0 {
-		rec.attrs = make([]Attr, len(attrs)) //vmp:alloc attrs are copied so the caller's variadic slice never escapes
+		rec.attrs = make([]Attr, len(attrs))
 		copy(rec.attrs, attrs)
 	}
 	i := s.tr.spanIdx.Add(1) - 1
@@ -172,15 +168,13 @@ func (s Span) End(attrs ...Attr) {
 // tailing the log can detect dropped entries the way a WAL reader
 // detects a truncated prefix. Disabled tracers record nothing and
 // allocate nothing.
-//
-//vmp:hotpath
 func (t *Tracer) Emit(typ string, attrs ...Attr) {
 	if t == nil || !t.enabled.Load() {
 		return
 	}
-	rec := &eventRecord{seq: t.evSeq.Add(1), at: t.clock.Now(), typ: typ} //vmp:alloc enabled path publishes one record into the ring; the disabled path returns above
+	rec := &eventRecord{seq: t.evSeq.Add(1), at: t.clock.Now(), typ: typ}
 	if len(attrs) > 0 {
-		rec.attrs = make([]Attr, len(attrs)) //vmp:alloc attrs are copied so the caller's variadic slice never escapes
+		rec.attrs = make([]Attr, len(attrs))
 		copy(rec.attrs, attrs)
 	}
 	t.events[(rec.seq-1)%uint64(len(t.events))].Store(rec)
@@ -338,33 +332,6 @@ func (t *Tracer) Handler() http.Handler {
 	})
 }
 
-// DebugSnapshot is the /debug/vmp payload: one page with everything —
-// aggregate metrics (counters, queue-depth gauges, latency
-// histograms) next to the trace's per-stage decomposition, recent
-// spans, and the event tail.
-type DebugSnapshot struct {
-	Metrics Snapshot      `json:"metrics"`
-	Trace   TraceSnapshot `json:"trace"`
-}
-
-// DebugHandler serves the combined operational snapshot on GET.
-func DebugHandler(reg *Registry, tr *Tracer) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		snap := DebugSnapshot{Metrics: reg.Snapshot(), Trace: tr.Snapshot()}
-		buf, err := json.Marshal(snap)
-		if err != nil {
-			http.Error(w, "encode error", http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(append(buf, '\n'))
-	})
-}
-
 // Mount registers the observability surface on mux — the substrate
 // vmpd reports through:
 //
@@ -372,7 +339,6 @@ func DebugHandler(reg *Registry, tr *Tracer) http.Handler {
 //	GET /metrics    — the same registry in Prometheus text exposition format
 //	GET /v1/series  — the in-process time series (recent registry snapshots + rates)
 //	GET /v1/trace   — recent spans, per-stage latency, event tail
-//	GET /debug/vmp  — metrics and trace combined
 //
 // A nil series mounts an empty ring, so the endpoint shape is the same
 // whether or not the daemon runs a Sampler.
@@ -384,5 +350,4 @@ func Mount(mux *http.ServeMux, reg *Registry, tr *Tracer, series *SeriesRing) {
 	mux.Handle("/metrics", PromHandler(reg))
 	mux.Handle("/v1/series", series.Handler())
 	mux.Handle("/v1/trace", tr.Handler())
-	mux.Handle("/debug/vmp", DebugHandler(reg, tr))
 }

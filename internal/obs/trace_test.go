@@ -238,7 +238,7 @@ func TestTraceHandlerJSON(t *testing.T) {
 	}
 }
 
-func TestMountAndDebugHandler(t *testing.T) {
+func TestMount(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("live_ingest_records_total").Add(7)
 	tr := NewTracer(testClock(), 8)
@@ -249,7 +249,7 @@ func TestMountAndDebugHandler(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	for _, path := range []string{"/v1/metrics", "/v1/trace", "/debug/vmp", "/v1/series"} {
+	for _, path := range []string{"/v1/metrics", "/v1/trace", "/v1/series"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -266,20 +266,27 @@ func TestMountAndDebugHandler(t *testing.T) {
 		}
 	}
 
-	var dbg DebugSnapshot
-	resp, err := http.Get(srv.URL + "/debug/vmp")
+	var metrics Snapshot
+	getJSON(t, srv.URL+"/v1/metrics", &metrics)
+	if metrics.Counters["live_ingest_records_total"] != 7 {
+		t.Fatalf("/v1/metrics: %+v", metrics.Counters)
+	}
+	var trace TraceSnapshot
+	getJSON(t, srv.URL+"/v1/trace", &trace)
+	if trace.SpansTotal != 1 || trace.Spans[0].Name != "epoch.cut" {
+		t.Fatalf("/v1/trace: %+v", trace)
+	}
+}
+
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = resp.Body.Close() }()
-	if err := json.NewDecoder(resp.Body).Decode(&dbg); err != nil {
-		t.Fatal(err)
-	}
-	if dbg.Metrics.Counters["live_ingest_records_total"] != 7 {
-		t.Fatalf("debug metrics: %+v", dbg.Metrics.Counters)
-	}
-	if dbg.Trace.SpansTotal != 1 || dbg.Trace.Spans[0].Name != "epoch.cut" {
-		t.Fatalf("debug trace: %+v", dbg.Trace)
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
 	}
 }
 

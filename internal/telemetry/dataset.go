@@ -310,29 +310,21 @@ func (b *datasetBuilder) dataset() *Dataset {
 func (d *Dataset) Len() int { return len(d.records) }
 
 // Record returns record i as a read-only pointer.
-//
-//vmp:hotpath
 func (d *Dataset) Record(i int) *ViewRecord { return &d.records[i] }
 
 // All returns every record in timestamp order as a read-only view.
 func (d *Dataset) All() []ViewRecord { return d.records }
 
 // ViewsAt returns the precomputed Views() of record i.
-//
-//vmp:hotpath
 func (d *Dataset) ViewsAt(i int) float64 { return d.views[i] }
 
 // ViewHoursAt returns the precomputed ViewHours() of record i.
-//
-//vmp:hotpath
 func (d *Dataset) ViewHoursAt(i int) float64 { return d.viewHours[i] }
 
 // NumPublishers returns the number of distinct publishers.
 func (d *Dataset) NumPublishers() int { return len(d.pubNames) }
 
 // PublisherID returns the interned publisher ID of record i.
-//
-//vmp:hotpath
 func (d *Dataset) PublisherID(i int) int32 { return d.pubIDs[i] }
 
 // PublisherName returns the publisher ID's original identifier.

@@ -100,8 +100,13 @@ func TestDatasetWindowZeroAlloc(t *testing.T) {
 		if ds.Window(snap) == nil {
 			t.Fatal("empty window")
 		}
+		// The per-row accessors the scans are built from, and the two
+		// measures the columns are filled with.
+		if r := ds.Record(0); r.Views() != ds.ViewsAt(0) || r.ViewHours() != ds.ViewHoursAt(0) || ds.PublisherID(0) < 0 {
+			t.Fatal("row 0's columns are not its record's measures")
+		}
 	})
 	if allocs > 0 {
-		t.Errorf("Dataset.Window allocates %.1f objects/op on the warm path, want 0", allocs)
+		t.Errorf("Dataset.Window and the row accessors allocate %.1f objects/op on the warm path, want 0", allocs)
 	}
 }

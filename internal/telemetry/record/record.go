@@ -57,8 +57,6 @@ type ViewRecord struct {
 }
 
 // Views returns the number of real views the record represents.
-//
-//vmp:hotpath
 func (r *ViewRecord) Views() float64 {
 	if r.Weight <= 0 {
 		return 1
@@ -68,8 +66,6 @@ func (r *ViewRecord) Views() float64 {
 
 // ViewHours returns the view's contribution to view-hours, the paper's
 // primary measure, expanded by the sampling weight.
-//
-//vmp:hotpath
 func (r *ViewRecord) ViewHours() float64 { return r.Views() * r.ViewSec / 3600 }
 
 // AppView reports whether the view came through an app (it carries an

@@ -122,8 +122,6 @@ func DecodeSegment(data []byte, dec *wire.Decoder, fn func(seq uint64, recs []re
 // starts the next — which keeps every record far below MaxRecordBytes
 // however much a client posts at once. An empty batch appends nothing.
 // enc's scratch is reused across calls.
-//
-//vmp:hotpath
 func appendBatch(dst []byte, enc *wire.Encoder, seq uint64, chunk int, parts [][]record.ViewRecord) ([]byte, uint64, int64, error) {
 	start := len(dst)
 	base, held := -1, 0 // the open record's offset in dst and the view records in it
@@ -159,8 +157,6 @@ func appendBatch(dst []byte, enc *wire.Encoder, seq uint64, chunk int, parts [][
 
 // sealRecord fills in the length and CRC of the record that starts at
 // dst[base] and runs to the end of dst.
-//
-//vmp:hotpath
 func sealRecord(dst []byte, base int) {
 	body := dst[base+recordHeaderBytes:]
 	binary.LittleEndian.PutUint32(dst[base:], uint32(len(body)))

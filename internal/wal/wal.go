@@ -204,7 +204,7 @@ type Log struct {
 	done chan struct{}
 
 	enc *wire.Encoder
-	buf []byte //vmp:scratch record encode buffer, reused across appends
+	buf []byte // record encode buffer, reused across appends
 
 	appended  *obs.Counter // wal_appended_total: records appended
 	replayed  *obs.Counter // wal_replayed_total: records replayed
@@ -406,8 +406,6 @@ func (l *Log) Bounds() []uint64 {
 // under PolicyBatch fsyncs it before returning. An error means nothing
 // should be acknowledged: the caller rejects the batch and the client
 // retries it whole.
-//
-//vmp:hotpath
 func (l *Log) AppendBatch(parts [][]record.ViewRecord, parent obs.SpanID) error {
 	sp := l.tracer.Start("wal.append", parent)
 	l.mu.Lock()
@@ -428,8 +426,6 @@ func (l *Log) AppendBatch(parts [][]record.ViewRecord, parent obs.SpanID) error 
 // appendLocked encodes, writes and (PolicyBatch) syncs one batch, and
 // returns its record and byte counts. Sequences are consumed only by a
 // write that landed whole. Caller holds mu.
-//
-//vmp:hotpath
 func (l *Log) appendLocked(parts [][]record.ViewRecord, parent obs.SpanID) (records, bytes int64, err error) {
 	if l.closed {
 		return 0, 0, ErrClosed
@@ -446,7 +442,7 @@ func (l *Log) appendLocked(parts [][]record.ViewRecord, parent obs.SpanID) (reco
 		return 0, 0, err
 	}
 	if l.f == nil {
-		if err := l.openSegment(); err != nil { //vmp:alloc segment create/rotate is amortized over SegmentBytes of appends
+		if err := l.openSegment(); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -468,7 +464,7 @@ func (l *Log) appendLocked(parts [][]record.ViewRecord, parent obs.SpanID) (reco
 		}
 	}
 	if active.size >= l.opts.SegmentBytes {
-		if err := l.rotateLocked(); err != nil { //vmp:alloc segment create/rotate is amortized over SegmentBytes of appends
+		if err := l.rotateLocked(); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -552,8 +548,6 @@ func (l *Log) syncActive() error {
 
 // syncLocked fsyncs the active segment, if it is dirty, under a
 // wal.fsync span. Caller holds mu.
-//
-//vmp:hotpath
 func (l *Log) syncLocked(parent obs.SpanID) error {
 	if l.failed != nil {
 		return l.failed

@@ -596,18 +596,21 @@ func TestAppendStagesTraced(t *testing.T) {
 }
 
 // TestAppendBatchDoesNotAllocate: with tracing off, the steady-state
-// append — encode into the reused buffer, one write — allocates nothing.
+// append — encode into the reused buffer, one write, and under
+// PolicyBatch one fsync — allocates nothing.
 func TestAppendBatchDoesNotAllocate(t *testing.T) {
-	l := openLog(t, t.TempDir(), Options{Policy: PolicyOff})
-	parts := partition(genRecords(400), 8)
-	if err := l.AppendBatch(parts, 0); err != nil { // sizes the buffers, creates the segment
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		if err := l.AppendBatch(parts, 0); err != nil {
+	for _, policy := range []Policy{PolicyOff, PolicyBatch} {
+		l := openLog(t, t.TempDir(), Options{Policy: policy})
+		parts := partition(genRecords(400), 8)
+		if err := l.AppendBatch(parts, 0); err != nil { // sizes the buffers, creates the segment
 			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Fatalf("AppendBatch allocates %.1f times per batch", allocs)
+		if allocs := testing.AllocsPerRun(50, func() {
+			if err := l.AppendBatch(parts, 0); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("policy %v: AppendBatch allocates %.1f times per batch", policy, allocs)
+		}
 	}
 }

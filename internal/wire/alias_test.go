@@ -11,8 +11,7 @@ import (
 )
 
 // TestDecodeReuseKeepsAdmittedBatchStable pins the decoder's ownership
-// contract from the admitting side — the invariant the bufalias
-// analyzer guards statically. Live ingest admits a decoded batch by
+// contract from the admitting side. Live ingest admits a decoded batch by
 // shallow-copying the record structs (strings are immutable and the
 // CDN/bitrate views point into per-call arenas that are never reused),
 // then the decoder is fed a second, larger batch that rewrites and

@@ -19,15 +19,16 @@ import (
 // DecodeBody is the receiving half of — and the one ingest client in
 // the module: vmpgen's load driver and telemetry.Sensor both post
 // through it. Encode renders a batch into a POST body once; Send posts
-// those bytes until the server takes them, waiting out each 429's
-// Retry-After hint. One buffer, one gzip writer and one frame encoder
-// are reused for every batch. A Client is not safe for concurrent use.
+// those bytes until the server takes them, waiting out each 429's or
+// 503's Retry-After hint. One buffer, one gzip writer and one frame
+// encoder are reused for every batch. A Client is not safe for
+// concurrent use.
 type Client struct {
 	// Wait is the backpressure sleep: simclock.Wait unless replaced
 	// (tests count calls instead of sleeping).
 	Wait func(context.Context, time.Duration) error
-	// Attempt, when set, is told every POST's round-trip time, 202s and
-	// 429s alike.
+	// Attempt, when set, is told every POST's round-trip time, whatever
+	// the status.
 	Attempt func(rtt time.Duration)
 	// Encodes counts Encode calls, so tests can pin that a batch is
 	// encoded once however often backpressure makes Send repeat it.
@@ -103,13 +104,14 @@ func (c *Client) Encode(recs []record.ViewRecord) ([]byte, error) {
 }
 
 // Send posts body — one Encode's bytes — to url until the server
-// acknowledges it with a 202, and returns how many 429s that took. A
-// 429 means the server's ingest queue is full: the identical bytes are
-// resent after the Retry-After hint (admission is whole-batch on the
-// server, so a retry never duplicates records), at most retries times.
-// The wait rides ctx and aborts when the caller is cancelled. Any other
-// status, or a transport failure, is an error and nothing was
-// delivered.
+// acknowledges it with a 202, and returns how many refusals that took.
+// A 429 means the server's ingest queue is full, a 503 that its WAL
+// append failed (or that it is shutting down); either way nothing of
+// the batch was admitted — admission is whole-batch on the server, so a
+// retry never duplicates records — and the identical bytes are resent
+// after the Retry-After hint, at most retries times. The wait rides ctx
+// and aborts when the caller is cancelled. Any other status, or a
+// transport failure, is an error and nothing was delivered.
 func (c *Client) Send(ctx context.Context, url string, body []byte, retries int) (denied int, err error) {
 	for {
 		start := c.clock.Now()
@@ -123,11 +125,11 @@ func (c *Client) Send(ctx context.Context, url string, body []byte, retries int)
 		if status == http.StatusAccepted {
 			return denied, nil
 		}
-		if status != http.StatusTooManyRequests {
+		if status != http.StatusTooManyRequests && status != http.StatusServiceUnavailable {
 			return denied, fmt.Errorf("wire: POST %s: status %d", url, status)
 		}
 		if denied++; denied > retries {
-			return denied, fmt.Errorf("wire: POST %s: still backpressured after %d retries", url, retries)
+			return denied, fmt.Errorf("wire: POST %s: still refused (status %d) after %d retries", url, status, retries)
 		}
 		if err := c.Wait(ctx, hint); err != nil {
 			return denied, err
@@ -136,7 +138,7 @@ func (c *Client) Send(ctx context.Context, url string, body []byte, retries int)
 }
 
 // post sends one encoded batch and returns the status code and, on a
-// 429, how long the server asked the client to stay away.
+// 429 or 503, how long the server asked the client to stay away.
 func (c *Client) post(ctx context.Context, url string, body []byte) (status int, hint time.Duration, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
@@ -158,7 +160,8 @@ func (c *Client) post(ctx context.Context, url string, body []byte) (status int,
 	// close can lose data we care about.
 	_, _ = io.Copy(io.Discard, resp.Body)
 	_ = resp.Body.Close()
-	if resp.StatusCode == http.StatusTooManyRequests {
+	switch resp.StatusCode {
+	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		hint = retryAfter(resp, c.jitter)
 	}
 	return resp.StatusCode, hint, nil

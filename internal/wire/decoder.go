@@ -37,10 +37,10 @@ var errTruncated = errors.New("wire: truncated frame")
 // the CDN/bitrate arenas are allocated per call. A Decoder is not safe
 // for concurrent use; pool decoders per request instead.
 type Decoder struct {
-	frame  []byte              //vmp:scratch reused frame buffer, valid until the next DecodeAll
-	line   []byte              //vmp:scratch reused JSONL line buffer, valid until the next ScanJSONL
-	recs   []record.ViewRecord //vmp:scratch reused record slice handed to callers per the ownership contract
-	names  []string            //vmp:scratch per-frame string table scratch
+	frame  []byte              // reused frame buffer, valid until the next DecodeAll
+	line   []byte              // reused JSONL line buffer, valid until the next ScanJSONL
+	recs   []record.ViewRecord // reused record slice handed to callers per the ownership contract
+	names  []string            // per-frame string table scratch
 	intern map[string]string
 	lenbuf [4]byte
 
@@ -61,8 +61,6 @@ const internCap = 1 << 15
 
 // internBytes returns the canonical string for b, allocating only on
 // first sight of a value.
-//
-//vmp:hotpath
 func (d *Decoder) internBytes(b []byte) string {
 	if s, ok := d.intern[string(b)]; ok {
 		return s
@@ -70,7 +68,7 @@ func (d *Decoder) internBytes(b []byte) string {
 	if len(d.intern) >= internCap {
 		clear(d.intern)
 	}
-	s := string(b) //vmp:alloc first sight of a distinct value enters the persistent intern cache
+	s := string(b)
 	d.intern[s] = s
 	return s
 }
@@ -81,13 +79,11 @@ func (d *Decoder) internBytes(b []byte) string {
 // an unknown version or flag, an out-of-range table ID, trailing
 // bytes — fails the whole stream: ingest handlers reject the batch so
 // a retry is exact.
-//
-//vmp:hotpath
 func (d *Decoder) DecodeAll(r io.Reader) ([]record.ViewRecord, error) {
 	d.recs = d.recs[:0]
 	st := decodeState{
-		cdns: make([]string, 0, d.cdnCap), //vmp:alloc per-call arena; admitted records retain views, so it is never reused
-		brs:  make([]int, 0, d.brCap),     //vmp:alloc per-call arena; admitted records retain views, so it is never reused
+		cdns: make([]string, 0, d.cdnCap),
+		brs:  make([]int, 0, d.brCap),
 	}
 	for {
 		if _, err := io.ReadFull(r, d.lenbuf[:]); err != nil {
@@ -101,7 +97,7 @@ func (d *Decoder) DecodeAll(r io.Reader) ([]record.ViewRecord, error) {
 			return nil, fmt.Errorf("wire: frame payload %d bytes exceeds MaxFrameBytes %d", n, MaxFrameBytes)
 		}
 		if cap(d.frame) < int(n) {
-			d.frame = make([]byte, n) //vmp:alloc amortized scratch grow, reused across calls
+			d.frame = make([]byte, n)
 		}
 		d.frame = d.frame[:n]
 		if _, err := io.ReadFull(r, d.frame); err != nil {
@@ -134,10 +130,8 @@ type frameReader struct {
 	pos int
 }
 
-//vmp:hotpath
 func (fr *frameReader) remaining() int { return len(fr.b) - fr.pos }
 
-//vmp:hotpath
 func (fr *frameReader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(fr.b[fr.pos:])
 	if n <= 0 {
@@ -147,7 +141,6 @@ func (fr *frameReader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-//vmp:hotpath
 func (fr *frameReader) take(n int) ([]byte, error) {
 	if n < 0 || fr.remaining() < n {
 		return nil, fmt.Errorf("%w: need %d bytes at offset %d, have %d", errTruncated, n, fr.pos, fr.remaining())
@@ -158,10 +151,8 @@ func (fr *frameReader) take(n int) ([]byte, error) {
 }
 
 // decodeFrame parses one payload, appending its records to d.recs.
-//
-//vmp:hotpath
 func (d *Decoder) decodeFrame(payload []byte, st *decodeState) error {
-	fr := &frameReader{b: payload} //vmp:alloc cursor stays on the stack (escape analysis; pinned by the wire alloc benchmark)
+	fr := &frameReader{b: payload} // cursor stays on the stack (escape analysis; pinned by TestDecodeSteadyStateAllocs)
 	hdr, err := fr.take(4)
 	if err != nil {
 		return err
@@ -221,7 +212,7 @@ func (d *Decoder) decodeFrame(payload []byte, st *decodeState) error {
 	// below, so reused slots need no zeroing.
 	base := len(d.recs)
 	if cap(d.recs)-base < n {
-		grown := make([]record.ViewRecord, base, base+n) //vmp:alloc amortized record-slice grow, reused across calls
+		grown := make([]record.ViewRecord, base, base+n)
 		copy(grown, d.recs)
 		d.recs = grown
 	}
@@ -330,8 +321,6 @@ func (d *Decoder) decodeFrame(payload []byte, st *decodeState) error {
 
 // setStringField assigns string column f of r; the order must match
 // stringFields.
-//
-//vmp:hotpath
 func setStringField(r *record.ViewRecord, f int, s string) {
 	switch f {
 	case 0:
@@ -372,8 +361,6 @@ var floatSetters = [4]func(*record.ViewRecord, float64){
 }
 
 // readBitset unpacks one LSB-first bitset column into out via set.
-//
-//vmp:hotpath
 func readBitset(fr *frameReader, out []record.ViewRecord, set func(*record.ViewRecord, bool)) error {
 	b, err := fr.take((len(out) + 7) / 8)
 	if err != nil {

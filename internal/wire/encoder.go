@@ -22,9 +22,9 @@ import (
 // round-trip tests pin.
 type Encoder struct {
 	index   map[string]uint64
-	names   []string //vmp:scratch string table scratch, rebuilt per frame
-	ids     []uint64 //vmp:scratch N×numStringFields interned IDs, record-major
-	payload []byte   //vmp:scratch payload buffer reused across Encode calls
+	names   []string // string table scratch, rebuilt per frame
+	ids     []uint64 // N×numStringFields interned IDs, record-major
+	payload []byte   // payload buffer reused across Encode calls
 	lenbuf  [4]byte
 }
 
@@ -34,8 +34,6 @@ func NewEncoder() *Encoder {
 }
 
 // intern returns the table ID for s, adding it on first sight.
-//
-//vmp:hotpath
 func (e *Encoder) intern(s string) uint64 {
 	id, ok := e.index[s]
 	if !ok {
@@ -50,8 +48,6 @@ func (e *Encoder) intern(s string) uint64 {
 // of r, in the fixed column order the frame layout defines. Keeping
 // the walk in one place keeps the encoder's intern pass and the
 // decoder's column order from drifting apart.
-//
-//vmp:hotpath
 func stringFields(r *record.ViewRecord, dst []string) []string {
 	return append(dst,
 		r.Publisher, r.VideoID, r.URL, r.Device, r.OS, r.UserAgent,
@@ -84,8 +80,6 @@ func unfloatBits(u uint64) float64 { return math.Float64frombits(bits.ReverseByt
 // fails only if the encoded payload would exceed MaxFrameBytes —
 // split the batch and encode multiple frames instead; the decode side
 // accepts any number of frames per stream.
-//
-//vmp:hotpath
 func (e *Encoder) AppendFrame(dst []byte, recs []record.ViewRecord) ([]byte, error) {
 	if len(recs) > MaxFrameRecords {
 		return dst, fmt.Errorf("wire: %d records exceed MaxFrameRecords %d; split the batch", len(recs), MaxFrameRecords)
@@ -176,8 +170,6 @@ func (e *Encoder) AppendFrame(dst []byte, recs []record.ViewRecord) ([]byte, err
 
 // appendBitset packs one boolean per record into a ceil(n/8)-byte
 // bitset, LSB-first.
-//
-//vmp:hotpath
 func appendBitset(p []byte, recs []record.ViewRecord, get func(*record.ViewRecord) bool) []byte {
 	var cur byte
 	for i := range recs {

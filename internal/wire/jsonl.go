@@ -42,16 +42,14 @@ func ScanJSONL(r io.Reader) (batch []record.ViewRecord, bad int, err error) {
 // the canonical shape json.Marshal itself emits; every line it does
 // not recognize goes to json.Unmarshal, and fallback counts those — a
 // client whose lines all land there is correct but four times slower.
-//
-//vmp:hotpath
 func (d *Decoder) ScanJSONL(r io.Reader) (batch []record.ViewRecord, bad, fallback int, err error) {
 	d.recs = d.recs[:0]
 	st := decodeState{
-		cdns: make([]string, 0, d.cdnCap), //vmp:alloc per-call arena; admitted records retain views, so it is never reused
-		brs:  make([]int, 0, d.brCap),     //vmp:alloc per-call arena; admitted records retain views, so it is never reused
+		cdns: make([]string, 0, d.cdnCap),
+		brs:  make([]int, 0, d.brCap),
 	}
 	if d.line == nil {
-		d.line = make([]byte, 64*1024) //vmp:alloc once per decoder, reused across calls
+		d.line = make([]byte, 64*1024)
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(d.line, MaxLineBytes)
@@ -123,8 +121,6 @@ const (
 // When it reports true, *rec is reflect.DeepEqual to what
 // json.Unmarshal makes of the line (TestScanJSONLMatchesEncodingJSON,
 // FuzzScanJSONL).
-//
-//vmp:hotpath
 func (d *Decoder) parseLine(line []byte, rec *record.ViewRecord, st *decodeState) bool {
 	c := lineCursor{b: line}
 	if !c.eat('{') {
@@ -147,7 +143,7 @@ func (d *Decoder) parseLine(line []byte, rec *record.ViewRecord, st *decodeState
 		}
 		c.skipSpace()
 		bit := 0
-		switch string(key) { //vmp:alloc the compiler compares in place; pinned by TestScanJSONLSteadyStateAllocs
+		switch string(key) { // the compiler compares in place; pinned by TestScanJSONLSteadyStateAllocs
 		case "ts":
 			bit = keyTS
 			rec.Timestamp, ok = c.timestamp()
@@ -234,8 +230,6 @@ func (d *Decoder) parseLine(line []byte, rec *record.ViewRecord, st *decodeState
 
 // internStr reads a string value through the decoder's intern cache,
 // so what the record keeps is never a view of the line buffer.
-//
-//vmp:hotpath
 func (d *Decoder) internStr(c *lineCursor) (string, bool) {
 	b, ok := c.str()
 	if !ok {
@@ -248,8 +242,6 @@ func (d *Decoder) internStr(c *lineCursor) (string, bool) {
 // array of strings into a capacity-capped view of the CDN arena; []
 // is an empty list that is not nil, which is how json tells the two
 // apart and how vmpd's dump re-encodes them.
-//
-//vmp:hotpath
 func (d *Decoder) cdnList(c *lineCursor, st *decodeState) ([]string, bool) {
 	if c.word("null") {
 		return nil, true
@@ -281,7 +273,6 @@ type lineCursor struct {
 	pos int
 }
 
-//vmp:hotpath
 func (c *lineCursor) skipSpace() {
 	for c.pos < len(c.b) {
 		switch c.b[c.pos] {
@@ -293,7 +284,6 @@ func (c *lineCursor) skipSpace() {
 	}
 }
 
-//vmp:hotpath
 func (c *lineCursor) eat(ch byte) bool {
 	if c.pos < len(c.b) && c.b[c.pos] == ch {
 		c.pos++
@@ -305,8 +295,6 @@ func (c *lineCursor) eat(ch byte) bool {
 // word consumes the literal w. What follows it is the caller's to
 // check: every value is followed by a comma or a closing bracket, so
 // "truex" fails there.
-//
-//vmp:hotpath
 func (c *lineCursor) word(w string) bool {
 	if len(c.b)-c.pos < len(w) {
 		return false
@@ -320,7 +308,6 @@ func (c *lineCursor) word(w string) bool {
 	return true
 }
 
-//vmp:hotpath
 func (c *lineCursor) boolean() (v, ok bool) {
 	if c.word("true") {
 		return true, true
@@ -332,8 +319,6 @@ func (c *lineCursor) boolean() (v, ok bool) {
 // quotes, a view of the line. It refuses what json.Unmarshal would
 // rewrite or reject: an escape, a control byte, invalid UTF-8 (which
 // json replaces with U+FFFD).
-//
-//vmp:hotpath
 func (c *lineCursor) str() ([]byte, bool) {
 	if !c.eat('"') {
 		return nil, false
@@ -373,8 +358,6 @@ var strStop = func() (t [256]bool) {
 // number consumes one literal of the JSON number grammar, which is
 // narrower than what strconv accepts (01, .5, 0., +1, Inf, hex), and
 // reports whether it is an integer literal.
-//
-//vmp:hotpath
 func (c *lineCursor) number() (lit []byte, integer, ok bool) {
 	i := c.pos
 	if i < len(c.b) && c.b[i] == '-' {
@@ -409,8 +392,6 @@ func (c *lineCursor) number() (lit []byte, integer, ok bool) {
 
 // digits returns the index past the run of digits at i and whether the
 // run has at least one.
-//
-//vmp:hotpath
 func (c *lineCursor) digits(i int) (end int, ok bool) {
 	for end = i; end < len(c.b) && '0' <= c.b[end] && c.b[end] <= '9'; end++ {
 	}
@@ -419,22 +400,18 @@ func (c *lineCursor) digits(i int) (end int, ok bool) {
 
 // float reads a number the way json.Unmarshal fills a float64; a
 // literal out of range (1e999) is json's to reject.
-//
-//vmp:hotpath
 func (c *lineCursor) float() (float64, bool) {
 	lit, _, ok := c.number()
 	if !ok {
 		return 0, false
 	}
-	v, err := strconv.ParseFloat(string(lit), 64) //vmp:alloc stays on the stack up to 32 bytes (non-escaping conversion); pinned by TestScanJSONLSteadyStateAllocs
+	v, err := strconv.ParseFloat(string(lit), 64) // stays on the stack up to 32 bytes (non-escaping conversion); pinned by TestScanJSONLSteadyStateAllocs
 	return v, err == nil
 }
 
 // bitrateList is cdnList for the bitrate arena. json.Unmarshal fills an
 // int from an integer literal only (2.0 and 1e2 are type errors, a
 // 20-digit literal overflows); those are its to reject.
-//
-//vmp:hotpath
 func (c *lineCursor) bitrateList(st *decodeState) ([]int, bool) {
 	if c.word("null") {
 		return nil, true
@@ -453,7 +430,7 @@ func (c *lineCursor) bitrateList(st *decodeState) ([]int, bool) {
 		if !ok || !integer {
 			return nil, false
 		}
-		v, err := strconv.Atoi(string(lit)) //vmp:alloc stays on the stack up to 32 bytes (non-escaping conversion); pinned by TestScanJSONLSteadyStateAllocs
+		v, err := strconv.Atoi(string(lit)) // stays on the stack up to 32 bytes (non-escaping conversion); pinned by TestScanJSONLSteadyStateAllocs
 		if err != nil {
 			return nil, false
 		}
@@ -467,8 +444,6 @@ func (c *lineCursor) bitrateList(st *decodeState) ([]int, bool) {
 // Time.MarshalJSON gives a UTC time, into the value Time.UnmarshalJSON
 // builds for it. Offsets, lower-case t and z, second 60, a day the
 // month does not have and longer fractions are json's to judge.
-//
-//vmp:hotpath
 func (c *lineCursor) timestamp() (time.Time, bool) {
 	b, ok := c.str()
 	if !ok || len(b) < len("2006-01-02T15:04:05Z") ||
@@ -496,8 +471,6 @@ func (c *lineCursor) timestamp() (time.Time, bool) {
 
 // decimal is the value of b's digits (at most nine), or a negative
 // number if one of them is not a digit.
-//
-//vmp:hotpath
 func decimal(b []byte) int {
 	v := 0
 	for _, ch := range b {
@@ -509,7 +482,6 @@ func decimal(b []byte) int {
 	return v
 }
 
-//vmp:hotpath
 func daysIn(month, year int) int {
 	switch month {
 	case 2:

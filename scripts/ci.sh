@@ -23,24 +23,7 @@ stage test      make test
 stage fmt-check make fmt-check
 stage vet       make vet
 stage vet-bench make vet-bench
-# lint is one vmplint invocation that gates the build AND materializes
-# the machine-readable artifacts: the console report goes to the build
-# log while -json-out/-sarif-out write lint_report.json (for scripts)
-# and lint_report.sarif (for code-scanning UIs) from the same findings
-# in the same pass — replacing the three separate runs CI used to pay
-# for. -cache keys each package on its file contents, its
-# dependencies' summaries, and the lint suite's own sources; -stats
-# records where the time went.
-stage lint sh -c '"${GO:-go}" run ./cmd/vmplint -cache -stats -json-out lint_report.json -sarif-out lint_report.sarif ./... && test -s lint_report.json && test -s lint_report.sarif'
-# lint-tests folds _test.go files in for the determinism, dataflow,
-# durability, and lock-order analyzers (same second pass `make lint`
-# runs).
-stage lint-tests sh -c '"${GO:-go}" run ./cmd/vmplint -cache -tests -only nondeterminism,maporder,bufalias,hotalloc,httpdiscipline,fsyncdiscipline,lockorder ./...'
-# lint-cache-guard re-runs the lint fully warm and requires the JSON
-# report to be bit-identical to the artifact the (partially cold)
-# gating run produced: a poisoned, torn, or stale cache entry would
-# change the bytes and fail the build.
-stage lint-cache-guard sh -c '"${GO:-go}" run ./cmd/vmplint -cache -json ./... | cmp - lint_report.json'
+stage lint      make lint
 stage race      make race
 # fuzz-wire searches past the seed corpora `make test` already runs:
 # ten seconds each on the JSONL arm (encoding/json is the model) and
