@@ -84,13 +84,18 @@ bench-wire:
 
 # fuzz-wire gives each wire decoder ten seconds of native fuzzing: the
 # JSONL arm against encoding/json as the model, the frame decoder
-# against its round-trip fixed point. The seed corpora already run
-# under `go test`; this is the search beyond them (scripts/ci.sh, not
-# `make verify`).
+# against its round-trip fixed point — and ten each to the two
+# functions every record of an epoch cut goes through, held to the
+# bodies they replaced: CanonicalSort against sort.Slice over
+# CompareRecords, InferProtocol against lowercase-then-compare. The
+# seed corpora already run under `go test`; this is the search beyond
+# them (scripts/ci.sh, not `make verify`).
 .PHONY: fuzz-wire
 fuzz-wire:
 	$(GO) test -run xxx -fuzz FuzzScanJSONL -fuzztime 10s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire
+	$(GO) test -run xxx -fuzz FuzzCanonicalSort -fuzztime 10s ./internal/telemetry
+	$(GO) test -run xxx -fuzz FuzzInferProtocol -fuzztime 10s ./internal/manifest
 
 # bench-wal measures the durability tax: WAL-backed append throughput
 # under each fsync policy (batch, interval, off) plus raw replay
@@ -107,10 +112,14 @@ bench-wal:
 # Engine.Snapshot folding 2 500 new records into 50 k, 200 k and 800 k
 # published ones. Only the row copy may grow with the generation; the
 # sort, the interning and (bench-wal's business) the checkpoint follow
-# the delta. DESIGN.md §8 records the sweep.
+# the delta. Then the cut nothing is folded into — a first cut, a boot
+# preload, a recovery, an offline Study.Dataset(): sort and freeze of
+# the benchmark's 110 k records from empty, ns per record each.
+# DESIGN.md §8 records both.
 .PHONY: bench-cut
 bench-cut:
 	$(GO) test -run xxx -bench BenchmarkEpochCut -benchtime 10x -benchmem ./internal/live/
+	$(GO) test -run xxx -bench BenchmarkRebuild -benchtime 20x -benchmem ./internal/telemetry/
 
 # bench-query is the generation-size sweep for the query functions: the
 # serving mix (six shares, top publishers, one window) asked of 50 k,

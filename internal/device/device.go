@@ -92,14 +92,22 @@ var Registry = []Model{
 	{Name: "PlayStation", Platform: Console, OS: "Orbis", SDK: "PSMedia"},
 }
 
+// registryIndex maps a model name to its position in Registry.
+var registryIndex = func() map[string]int {
+	index := make(map[string]int, len(Registry))
+	for i, m := range Registry {
+		index[m.Name] = i
+	}
+	return index
+}()
+
 // ByName returns the registered model with the given name.
 func ByName(name string) (Model, bool) {
-	for _, m := range Registry {
-		if m.Name == name {
-			return m, true
-		}
+	i, ok := registryIndex[name]
+	if !ok {
+		return Model{}, false
 	}
-	return Model{}, false
+	return Registry[i], true
 }
 
 // OfPlatform returns the registered models in the given category.

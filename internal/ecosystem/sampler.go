@@ -168,10 +168,11 @@ func (e *Ecosystem) samplePublisherSnapshot(p *Publisher, snap simclock.Snapshot
 
 	ladder := e.ladderFor(p)
 	zipf := e.catalogZipf(p)
+	choices := newSnapshotChoices(p, mid)
 	records := make([]telemetry.ViewRecord, 0, n)
 	for i := 0; i < n; i++ {
 		vsrc := src.Splitf("view", i)
-		rec, ok := e.sampleView(p, mid, f, snap, vsrc, platforms, platWeights, ladder, zipf)
+		rec, ok := e.sampleView(p, mid, f, snap, vsrc, platforms, platWeights, ladder, zipf, choices)
 		if !ok {
 			continue
 		}
@@ -211,7 +212,7 @@ func (e *Ecosystem) catalogZipf(p *Publisher) *dist.Zipf {
 // odd configs early in adoption.
 func (e *Ecosystem) sampleView(p *Publisher, mid time.Time, f float64, snap simclock.Snapshot,
 	src *dist.Source, platforms []device.Platform, platWeights []float64,
-	ladder manifest.Ladder, zipf *dist.Zipf) (telemetry.ViewRecord, bool) {
+	ladder manifest.Ladder, zipf *dist.Zipf, choices *snapshotChoices) (telemetry.ViewRecord, bool) {
 
 	live := src.Split("live").Bool(p.LiveShare)
 
@@ -245,14 +246,14 @@ func (e *Ecosystem) sampleView(p *Publisher, mid time.Time, f float64, snap simc
 	}
 
 	// CDN selection honoring live/VoD segregation.
-	assignments := p.CDNsAt(mid)
-	cdnName, ok := pickCDN(assignments, live, src.Split("cdn"))
+	eligible := choices.cdns(live)
+	cdnName, ok := eligible.pick(src.Split("cdn"))
 	if !ok {
 		return telemetry.ViewRecord{}, false
 	}
 	cdns := []string{cdnName}
-	if len(assignments) > 1 && src.Split("midstream").Bool(0.08) {
-		if second, ok := pickCDN(assignments, live, src.Split("cdn2")); ok && second != cdnName {
+	if choices.assigned > 1 && src.Split("midstream").Bool(0.08) {
+		if second, ok := eligible.pick(src.Split("cdn2")); ok && second != cdnName {
 			cdns = append(cdns, second)
 		}
 	}
@@ -321,7 +322,7 @@ func (e *Ecosystem) sampleView(p *Publisher, mid time.Time, f float64, snap simc
 		RebufferSec:    rebufSec,
 		Failed:         failed,
 	}
-	ver := pickSDKVersion(model, mid, p.SDKLag, src.Split("sdk"))
+	ver := choices.sdkVersion(model, src.Split("sdk"))
 	if model.Platform == device.Browser {
 		rec.UserAgent = model.UserAgent(ver)
 	} else {
@@ -364,39 +365,83 @@ func (e *Ecosystem) pickProtocol(p *Publisher, model device.Model, t time.Time, 
 	return protos[src.Categorical(weights)], true
 }
 
-// pickSDKVersion draws the SDK version a user's device runs, lagging
-// behind the newest release per the publisher's supported window.
-func pickSDKVersion(model device.Model, t time.Time, lag int, src *dist.Source) device.SDKVersion {
-	versions := model.VersionsInUse(t, lag)
-	// Newer versions are more common; weight geometrically.
-	weights := make([]float64, len(versions))
-	w := 1.0
-	for i := range versions {
-		weights[i] = w
-		w *= 0.55
-	}
-	return versions[src.Categorical(weights)]
+// snapshotChoices holds the categorical choices that are the same for
+// every view of one publisher in one snapshot — they depend on the
+// snapshot's midpoint, not on the view — so that sampleView draws from
+// them instead of rebuilding name and weight lists per view.
+type snapshotChoices struct {
+	mid      time.Time
+	lag      int
+	assigned int          // CDNs the publisher uses at mid, eligible or not
+	cdn      [2]cdnChoice // by content type: VoD, live
+	sdk      map[string]sdkChoice
 }
 
-// pickCDN selects a CDN name from assignments eligible for the content
-// type.
-func pickCDN(assignments []CDNAssignment, live bool, src *dist.Source) (string, bool) {
-	var names []string
-	var weights []float64
-	for _, a := range assignments {
-		if live && a.VoDOnly || !live && a.LiveOnly {
-			continue
+// cdnChoice is the CDNs eligible for one content type, by weight.
+type cdnChoice struct {
+	names   []string
+	weights []float64
+}
+
+// sdkChoice is the SDK versions one device model's users run, by
+// weight.
+type sdkChoice struct {
+	versions []device.SDKVersion
+	weights  []float64
+}
+
+func newSnapshotChoices(p *Publisher, mid time.Time) *snapshotChoices {
+	assignments := p.CDNsAt(mid)
+	c := &snapshotChoices{mid: mid, lag: p.SDKLag, assigned: len(assignments), sdk: make(map[string]sdkChoice)}
+	for i, live := range []bool{false, true} {
+		for _, a := range assignments {
+			if live && a.VoDOnly || !live && a.LiveOnly {
+				continue
+			}
+			if a.Weight <= 0 {
+				continue
+			}
+			c.cdn[i].names = append(c.cdn[i].names, a.Name)
+			c.cdn[i].weights = append(c.cdn[i].weights, a.Weight)
 		}
-		if a.Weight <= 0 {
-			continue
-		}
-		names = append(names, a.Name)
-		weights = append(weights, a.Weight)
 	}
-	if len(names) == 0 {
+	return c
+}
+
+// cdns returns the CDNs eligible for the content type, honoring
+// live/VoD segregation.
+func (c *snapshotChoices) cdns(live bool) *cdnChoice {
+	if live {
+		return &c.cdn[1]
+	}
+	return &c.cdn[0]
+}
+
+// pick draws a CDN name; it consumes nothing from src when no CDN is
+// eligible.
+func (c *cdnChoice) pick(src *dist.Source) (string, bool) {
+	if len(c.names) == 0 {
 		return "", false
 	}
-	return names[src.Categorical(weights)], true
+	return c.names[src.Categorical(c.weights)], true
+}
+
+// sdkVersion draws the SDK version a user's device runs, lagging
+// behind the newest release per the publisher's supported window.
+func (c *snapshotChoices) sdkVersion(model device.Model, src *dist.Source) device.SDKVersion {
+	choice, ok := c.sdk[model.Name]
+	if !ok {
+		choice.versions = model.VersionsInUse(c.mid, c.lag)
+		// Newer versions are more common; weight geometrically.
+		choice.weights = make([]float64, len(choice.versions))
+		w := 1.0
+		for i := range choice.versions {
+			choice.weights[i] = w
+			w *= 0.55
+		}
+		c.sdk[model.Name] = choice
+	}
+	return choice.versions[src.Categorical(choice.weights)]
 }
 
 // cdnBaseURL mints the per-publisher base URL on a CDN host.

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"vmp/internal/obs"
@@ -532,5 +533,86 @@ func TestWALCrashAfterSkippedCheckpoints(t *testing.T) {
 	again.Snapshot()
 	if !bytes.Equal(genJSONL(t, again.Generation()), genJSONL(t, control.Generation())) {
 		t.Fatal("replay of the re-checkpointed log differs from the control")
+	}
+}
+
+// heapAlloc is the live heap after a full collection (two, so that a
+// sync.Pool's victims are gone as well).
+func heapAlloc() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestRecoveredHeapMatchesLiveBuilt: a daemon that recovers must not
+// hold more memory than the one that crashed. The rows of a generation
+// keep views into the arenas their decode call allocated, so what a
+// generation weighs depends on how its batches were decoded — and
+// replay decodes 8,192-record checkpoint frames and then 500-record
+// tail batches on one decoder. With arenas sized by the decoder's
+// high-water mark every tail batch pinned a checkpoint frame's worth
+// (recovered heap was twice the live one); sized to the batch, the two
+// generations weigh the same.
+func TestRecoveredHeapMatchesLiveBuilt(t *testing.T) {
+	const n, batch = 30_000, 500
+	recs := genRecords(n)
+	ladders := [][]int{{400, 800, 1600}, {235, 375, 560, 750, 1050, 1750, 2350}, {3000}, {150, 300, 600, 1200, 2400}}
+	for i := range recs {
+		recs[i].Bitrates = ladders[i%len(ladders)]
+	}
+	dir := t.TempDir()
+
+	// The crashed daemon: two thirds posted and cut (a checkpoint), a
+	// third posted and never cut (the segment tail), over HTTP so that
+	// its rows come out of the decoders production uses.
+	liveBuilt := func() *Generation {
+		wlog := openTestWAL(t, dir)
+		e := NewEngine(Config{Clock: simclock.NewManual(simclock.StudyStart), WAL: wlog})
+		defer e.Close()
+		srv := httptest.NewServer(NewServer(e).Handler())
+		defer srv.Close()
+		post := func(part []telemetry.ViewRecord) {
+			for lo := 0; lo < len(part); lo += batch {
+				if status := postBinary(t, srv.URL, part[lo:lo+batch]); status != http.StatusAccepted {
+					t.Fatalf("POST: %d", status)
+				}
+			}
+		}
+		post(recs[:2*n/3])
+		e.Snapshot()
+		if wlog.Checkpoints() != 1 {
+			t.Fatalf("%d checkpoints after the first cut, want 1", wlog.Checkpoints())
+		}
+		post(recs[2*n/3:])
+		e.AttachWAL(nil) // the crash image is what the log holds now
+		if err := wlog.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return e.Snapshot()
+	}()
+	recovered := func() *Generation {
+		wlog := openTestWAL(t, dir)
+		e := NewEngine(Config{Clock: simclock.NewManual(simclock.StudyStart)})
+		defer e.Close()
+		replayInto(t, wlog, e)
+		return e.Snapshot()
+	}()
+	if liveBuilt.Records != n || recovered.Records != n {
+		t.Fatalf("live-built %d records, recovered %d, want %d", liveBuilt.Records, recovered.Records, n)
+	}
+
+	both := heapAlloc()
+	runtime.KeepAlive(recovered)
+	recovered = nil
+	one := heapAlloc()
+	runtime.KeepAlive(liveBuilt)
+	liveBuilt = nil
+	none := heapAlloc()
+	recoveredB, liveB := float64(int64(both)-int64(one))/n, float64(int64(one)-int64(none))/n
+	t.Logf("heap per record: recovered %.0f B, live-built %.0f B", recoveredB, liveB)
+	if recoveredB > 1.10*liveB {
+		t.Errorf("a recovered generation holds %.0f B/record, the live-built one %.0f: more than 10%% over", recoveredB, liveB)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Protocol identifies a streaming protocol, or the non-HTTP delivery
@@ -82,11 +83,23 @@ func (p Protocol) ManifestExtension() string {
 // view's manifest URL. HLS uses .m3u8/.m3u; DASH uses .mpd;
 // SmoothStreaming uses .ism/.isml (often followed by "/manifest"); HDS
 // uses .f4m. RTMP is detected from the URL scheme, and progressive
-// downloads from media-file extensions (.mp4, .flv).
+// downloads from media-file extensions (.mp4, .flv). Letter case does
+// not matter.
+//
+// It runs once per record of every epoch cut, so it does not allocate:
+// the checks fold ASCII case in place. Only a URL with a non-ASCII byte
+// is lowercased first, because Unicode lowercasing can produce a letter
+// the checks look for (".İSM" is Smooth: U+0130 lowercases to "i").
 func InferProtocol(url string) Protocol {
-	u := strings.ToLower(strings.TrimSpace(url))
-	if strings.HasPrefix(u, "rtmp://") || strings.HasPrefix(u, "rtmps://") ||
-		strings.HasPrefix(u, "rtmpe://") || strings.HasPrefix(u, "rtmpt://") {
+	u := strings.TrimSpace(url)
+	for i := 0; i < len(u); i++ {
+		if u[i] >= utf8.RuneSelf {
+			u = strings.ToLower(u)
+			break
+		}
+	}
+	if hasPrefixFold(u, "rtmp://") || hasPrefixFold(u, "rtmps://") ||
+		hasPrefixFold(u, "rtmpe://") || hasPrefixFold(u, "rtmpt://") {
 		return RTMP
 	}
 	// Strip query and fragment; extensions are judged on the path.
@@ -94,20 +107,44 @@ func InferProtocol(url string) Protocol {
 		u = u[:i]
 	}
 	switch {
-	case strings.HasSuffix(u, ".m3u8"), strings.HasSuffix(u, ".m3u"):
+	case hasSuffixFold(u, ".m3u8"), hasSuffixFold(u, ".m3u"):
 		return HLS
-	case strings.HasSuffix(u, ".mpd"):
+	case hasSuffixFold(u, ".mpd"):
 		return DASH
-	case strings.HasSuffix(u, ".ism"), strings.HasSuffix(u, ".isml"),
-		strings.HasSuffix(u, ".ism/manifest"), strings.HasSuffix(u, ".isml/manifest"):
+	case hasSuffixFold(u, ".ism"), hasSuffixFold(u, ".isml"),
+		hasSuffixFold(u, ".ism/manifest"), hasSuffixFold(u, ".isml/manifest"):
 		return Smooth
-	case strings.HasSuffix(u, ".f4m"):
+	case hasSuffixFold(u, ".f4m"):
 		return HDS
-	case strings.HasSuffix(u, ".mp4"), strings.HasSuffix(u, ".flv"):
+	case hasSuffixFold(u, ".mp4"), hasSuffixFold(u, ".flv"):
 		return Progressive
 	default:
 		return Unknown
 	}
+}
+
+// hasPrefixFold reports whether s begins with lower, which must be
+// lower-case ASCII, once the letters A to Z of s are folded to a to z.
+func hasPrefixFold(s, lower string) bool {
+	return len(s) >= len(lower) && equalFold(s[:len(lower)], lower)
+}
+
+// hasSuffixFold is hasPrefixFold for the end of s.
+func hasSuffixFold(s, lower string) bool {
+	return len(s) >= len(lower) && equalFold(s[len(s)-len(lower):], lower)
+}
+
+func equalFold(s, lower string) bool {
+	for i := 0; i < len(lower); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Rendition is one encoded bitrate of a video: the unit of adaptation.

@@ -1,8 +1,8 @@
 package telemetry
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -106,9 +106,59 @@ func compareFloat(a, b float64) int {
 	}
 }
 
+// sortKey is what CanonicalSort moves while sorting: a record's instant
+// and where the record sits. Seconds and nanoseconds, not UnixNano, so
+// that every instant a decoder can produce — the zero time, years 0000
+// to 9999 — keeps the order Timestamp.Compare gives it. 16 bytes
+// against a row's 328.
+type sortKey struct {
+	sec  int64
+	nsec int32
+	row  int32
+}
+
 // CanonicalSort orders recs by CompareRecords in place. Because the
 // order leads with the timestamp, a canonically sorted slice is also
 // timestamp-sorted, so NewDataset preserves it as-is.
+//
+// The timestamp decides almost every comparison, so the sort runs over
+// one 16-byte key per record and reads the rows themselves only to
+// order two records of the same instant; the rows are then put in
+// place by following the permutation's cycles, each row moved once.
+// The keys hold wall-clock readings: records stamped in-process with a
+// monotonic reading sort by their wall clock.
 func CanonicalSort(recs []ViewRecord) {
-	sort.Slice(recs, func(i, j int) bool { return CompareRecords(&recs[i], &recs[j]) < 0 })
+	keys := make([]sortKey, len(recs))
+	for i := range recs {
+		t := recs[i].Timestamp
+		keys[i] = sortKey{sec: t.Unix(), nsec: int32(t.Nanosecond()), row: int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if c := cmp.Compare(a.sec, b.sec); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.nsec, b.nsec); c != 0 {
+			return c
+		}
+		return CompareRecords(&recs[a.row], &recs[b.row])
+	})
+	// keys[i].row is the row that belongs at i. Walk each cycle once,
+	// marking a position settled by pointing its key at itself.
+	for i := range keys {
+		if int(keys[i].row) == i {
+			continue
+		}
+		first := recs[i]
+		at := i
+		for {
+			from := int(keys[at].row)
+			keys[at].row = int32(at)
+			if from == i {
+				recs[at] = first
+				break
+			}
+			recs[at] = recs[from]
+			at = from
+		}
+	}
 }

@@ -212,8 +212,16 @@ type datasetBuilder struct {
 	pubs                           nameTable
 	protocol, platform, cdn, model colBuilder
 	modelPlatform                  []int32
-	protoByURL                     map[string]int32 // URL-level protocol memo
+
+	// What a record's URL and device come to is interned once per
+	// distinct protocol and device model, not once per record.
+	protoIDs [manifest.Progressive + 1]int32 // protocol → protocol-column ID, -1 until met
+	models   map[string]modelIDs             // registered device name → its column IDs
 }
+
+// modelIDs is a registered device model's IDs in the platform and
+// model columns.
+type modelIDs struct{ platform, model int32 }
 
 func newDatasetBuilder(base *Dataset, delta []ViewRecord) *datasetBuilder {
 	n := len(base.records) + len(delta)
@@ -235,7 +243,10 @@ func newDatasetBuilder(base *Dataset, delta []ViewRecord) *datasetBuilder {
 		cdn:           extendCol(base.cdn, n, cdns),
 		model:         extendCol(base.model, n, len(delta)),
 		modelPlatform: base.modelPlatform[:len(base.modelPlatform):len(base.modelPlatform)],
-		protoByURL:    make(map[string]int32),
+		models:        make(map[string]modelIDs, len(device.Registry)),
+	}
+	for p := range b.protoIDs {
+		b.protoIDs[p] = -1
 	}
 	if b.own {
 		b.out.records = delta
@@ -271,20 +282,11 @@ func (b *datasetBuilder) addRow(r *ViewRecord) {
 	b.out.views[at] = r.Views()
 	b.out.viewHours[at] = r.ViewHours()
 	b.out.pubIDs[at], _ = b.pubs.intern(r.Publisher)
-	protoID, ok := b.protoByURL[r.URL]
-	if !ok {
-		protoID, _ = b.protocol.intern(manifest.InferProtocol(r.URL).String())
-		b.protoByURL[r.URL] = protoID
-	}
-	b.protocol.addID(protoID)
+	b.protocol.addID(b.protocolID(manifest.InferProtocol(r.URL)))
 	b.protocol.endRow(at)
-	if m, ok := device.ByName(r.Device); ok {
-		platformID := b.platform.add(m.Platform.String())
-		mid, added := b.model.intern(m.Name)
-		b.model.addID(mid)
-		if added {
-			b.modelPlatform = append(b.modelPlatform, platformID)
-		}
+	if ids, ok := b.modelIDsOf(r.Device); ok {
+		b.platform.addID(ids.platform)
+		b.model.addID(ids.model)
 	}
 	b.platform.endRow(at)
 	b.model.endRow(at)
@@ -293,6 +295,37 @@ func (b *datasetBuilder) addRow(r *ViewRecord) {
 	}
 	b.cdn.endRow(at)
 	b.row++
+}
+
+// protocolID returns p's ID in the protocol column, interning its name
+// the first time the build meets p.
+func (b *datasetBuilder) protocolID(p manifest.Protocol) int32 {
+	if b.protoIDs[p] < 0 {
+		b.protoIDs[p], _ = b.protocol.intern(p.String())
+	}
+	return b.protoIDs[p]
+}
+
+// modelIDsOf returns the column IDs of a registered device model,
+// interning its platform and name the first time the build meets it.
+// Unknown names are looked up each time and never kept, so what the
+// build holds is bounded by the registry, not by its input.
+func (b *datasetBuilder) modelIDsOf(name string) (modelIDs, bool) {
+	if ids, ok := b.models[name]; ok {
+		return ids, true
+	}
+	m, ok := device.ByName(name)
+	if !ok {
+		return modelIDs{}, false
+	}
+	var ids modelIDs
+	ids.platform, _ = b.platform.intern(m.Platform.String())
+	var added bool
+	if ids.model, added = b.model.intern(m.Name); added {
+		b.modelPlatform = append(b.modelPlatform, ids.platform)
+	}
+	b.models[name] = ids
+	return ids, true
 }
 
 func (b *datasetBuilder) dataset() *Dataset {

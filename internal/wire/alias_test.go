@@ -3,8 +3,10 @@ package wire_test
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"vmp/internal/telemetry/record"
 	"vmp/internal/wire"
@@ -92,4 +94,78 @@ func deepCloneRecords(recs []record.ViewRecord) []record.ViewRecord {
 		out[i] = c
 	}
 	return out
+}
+
+// heapAlloc is the live heap after a full collection.
+func heapAlloc() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// pinnedBy reports how many heap bytes only *recs keeps alive, and
+// drops them.
+func pinnedBy(recs *[]record.ViewRecord) int64 {
+	with := heapAlloc()
+	*recs = nil
+	return int64(with) - int64(heapAlloc())
+}
+
+// TestArenasSizedToTheBatch pins what admitted records may keep alive.
+// Their CDN and bitrate lists are views into the decode call's arenas,
+// and a view pins the whole array: one decoder takes an 8,192-record
+// batch (a checkpoint frame, a bulk client) and then a 10-record one
+// (a WAL tail batch, a sensor), and the ten records must hold no more
+// list bytes than twice what their lists use — not an arena the size
+// of the first batch's. The yardstick is a deep clone, whose lists are
+// allocated one by one.
+func TestArenasSizedToTheBatch(t *testing.T) {
+	big, small := genRecords(8192), genRecords(10)
+	var used int64
+	for i := range small {
+		used += int64(len(small[i].CDNs))*int64(unsafe.Sizeof("")) + int64(len(small[i].Bitrates))*int64(unsafe.Sizeof(0))
+	}
+	// Size-class rounding and whatever else the runtime allocates
+	// between two readings; the big batch's arenas are 400× this.
+	const noise = 1 << 10
+	decoders := []struct {
+		name   string
+		decode func(*wire.Decoder, []record.ViewRecord) []record.ViewRecord
+	}{
+		{"binary", func(dec *wire.Decoder, recs []record.ViewRecord) []record.ViewRecord {
+			got, err := dec.DecodeAll(bytes.NewReader(encodeFrames(t, recs)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}},
+		{"jsonl", func(dec *wire.Decoder, recs []record.ViewRecord) []record.ViewRecord {
+			got, bad, _, err := dec.ScanJSONL(bytes.NewReader(jsonlBody(t, recs)))
+			if err != nil || bad != 0 {
+				t.Fatalf("ScanJSONL: %d bad, err %v", bad, err)
+			}
+			return got
+		}},
+	}
+	for _, c := range decoders {
+		decode := c.decode
+		t.Run(c.name, func(t *testing.T) {
+			dec := wire.NewDecoder()
+			if got := decode(dec, big); len(got) != len(big) {
+				t.Fatalf("big batch: %d records", len(got))
+			}
+			admitted := append([]record.ViewRecord(nil), decode(dec, small)...)
+			if !reflect.DeepEqual(admitted, small) {
+				t.Fatal("the small batch did not survive the decode")
+			}
+			dec = nil
+			control := deepCloneRecords(admitted)
+			held, yardstick := pinnedBy(&admitted), pinnedBy(&control)
+			if held > yardstick+used+noise {
+				t.Errorf("ten admitted records pin %d B; a deep clone of them is %d B and their lists use %d B", held, yardstick, used)
+			}
+		})
+	}
 }

@@ -28,6 +28,9 @@ var errTruncated = errors.New("wire: truncated frame")
 // batches allocates only the per-call CDN/bitrate arenas — zero
 // allocations per record, in either encoding.
 //
+// The arenas are sized to the batch being decoded, not to the largest
+// batch the decoder has seen: see fit.
+//
 // Ownership contract: the slice a decode returns (and the structs in
 // it) is valid only until the next DecodeAll or ScanJSONL call on the
 // same decoder. The ingest path copies records out synchronously (the
@@ -44,9 +47,10 @@ type Decoder struct {
 	intern map[string]string
 	lenbuf [4]byte
 
-	// arena sizing hints carried across calls so steady-state decoding
-	// pays one allocation per arena per call, not per growth step.
-	cdnCap, brCap int
+	// What the last call's arenas came to: where the next call's
+	// start, so a steady run of similar batches pays one allocation per
+	// arena per call, not one per growth step.
+	cdnHint, brHint int
 }
 
 // NewDecoder returns an empty decoder.
@@ -81,10 +85,7 @@ func (d *Decoder) internBytes(b []byte) string {
 // a retry is exact.
 func (d *Decoder) DecodeAll(r io.Reader) ([]record.ViewRecord, error) {
 	d.recs = d.recs[:0]
-	st := decodeState{
-		cdns: make([]string, 0, d.cdnCap),
-		brs:  make([]int, 0, d.brCap),
-	}
+	st := d.newDecodeState()
 	for {
 		if _, err := io.ReadFull(r, d.lenbuf[:]); err != nil {
 			if err == io.EOF {
@@ -107,21 +108,61 @@ func (d *Decoder) DecodeAll(r io.Reader) ([]record.ViewRecord, error) {
 			return nil, err
 		}
 	}
-	if cap(st.cdns) > d.cdnCap {
-		d.cdnCap = cap(st.cdns)
-	}
-	if cap(st.brs) > d.brCap {
-		d.brCap = cap(st.brs)
-	}
+	d.fit(&st)
 	return d.recs, nil
 }
 
 // decodeState holds the per-call arenas the variable-length record
-// fields sub-slice. They are freshly allocated each DecodeAll call —
+// fields sub-slice. They are freshly allocated each decode call —
 // never reused — because admitted records retain views into them.
 type decodeState struct {
 	cdns []string
 	brs  []int
+}
+
+func (d *Decoder) newDecodeState() decodeState {
+	return decodeState{
+		cdns: make([]string, 0, d.cdnHint),
+		brs:  make([]int, 0, d.brHint),
+	}
+}
+
+// fit ends a decode call, binary or JSONL: it is the one rule for what
+// the call's records may pin. The views admitted records keep hold a
+// whole arena alive, so an arena that started at the hint and is at
+// least half used stays; one that outgrew the hint (the records before
+// the growth step still point into the array it left) or that a much
+// larger earlier batch sized (a checkpoint frame before a WAL tail
+// batch, a bulk client before a sensor) is replaced by one array of
+// exactly the lists' size.
+func (d *Decoder) fit(st *decodeState) {
+	if cap(st.cdns) != d.cdnHint || cap(st.cdns) > 2*len(st.cdns) {
+		repack(d.recs, func(r *record.ViewRecord) *[]string { return &r.CDNs })
+	}
+	if cap(st.brs) != d.brHint || cap(st.brs) > 2*len(st.brs) {
+		repack(d.recs, func(r *record.ViewRecord) *[]int { return &r.Bitrates })
+	}
+	d.cdnHint, d.brHint = len(st.cdns), len(st.brs)
+}
+
+// repack moves the lists field picks out of recs into one new array of
+// exactly their total length, in record order. A nil list stays nil
+// and an empty one stays empty.
+func repack[T any](recs []record.ViewRecord, field func(*record.ViewRecord) *[]T) {
+	n := 0
+	for i := range recs {
+		n += len(*field(&recs[i]))
+	}
+	packed := make([]T, 0, n)
+	for i := range recs {
+		list := field(&recs[i])
+		if *list == nil {
+			continue
+		}
+		start := len(packed)
+		packed = append(packed, *list...)
+		*list = packed[start:len(packed):len(packed)]
+	}
 }
 
 // frameReader is a bounds-checked cursor over one frame payload.

@@ -44,10 +44,7 @@ func ScanJSONL(r io.Reader) (batch []record.ViewRecord, bad int, err error) {
 // client whose lines all land there is correct but four times slower.
 func (d *Decoder) ScanJSONL(r io.Reader) (batch []record.ViewRecord, bad, fallback int, err error) {
 	d.recs = d.recs[:0]
-	st := decodeState{
-		cdns: make([]string, 0, d.cdnCap),
-		brs:  make([]int, 0, d.brCap),
-	}
+	st := d.newDecodeState()
 	if d.line == nil {
 		d.line = make([]byte, 64*1024)
 	}
@@ -77,8 +74,7 @@ func (d *Decoder) ScanJSONL(r io.Reader) (batch []record.ViewRecord, bad, fallba
 			d.recs = d.recs[:n]
 		}
 	}
-	d.cdnCap = max(d.cdnCap, cap(st.cdns))
-	d.brCap = max(d.brCap, cap(st.brs))
+	d.fit(&st)
 	return d.recs, bad, fallback, sc.Err()
 }
 

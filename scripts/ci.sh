@@ -26,8 +26,10 @@ stage vet-bench make vet-bench
 stage lint      make lint
 stage race      make race
 # fuzz-wire searches past the seed corpora `make test` already runs:
-# ten seconds each on the JSONL arm (encoding/json is the model) and
-# the binary frame decoder. Native fuzzing; nothing to download.
+# ten seconds each on the JSONL arm (encoding/json is the model), the
+# binary frame decoder, CanonicalSort (sort.Slice over CompareRecords
+# is the model) and InferProtocol (lowercase-then-compare is). Native
+# fuzzing; nothing to download.
 stage fuzz-wire make fuzz-wire
 stage smoke     make smoke
 stage smoke-crash make smoke-crash
