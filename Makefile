@@ -33,12 +33,12 @@ vet-bench:
 
 # The benchmark's tests (12 s) hold live.Server to contracts nothing in
 # this module checks: its traced handler must match live.Server byte
-# for byte, 429 from a depth-one queue included.
+# for byte, the 429 at a QueueDepth-1 ceiling included.
 .PHONY: test-bench
 test-bench:
 	cd bench && $(GO) test ./...
 
-# lint runs the in-repo analyzer suite (cmd/vmplint, twelve analyzers;
+# lint runs the in-repo analyzer suite (cmd/vmplint, ten analyzers;
 # `vmplint -h` lists them, DESIGN.md §7 says why each is kept) over the
 # whole module and must stay clean. One invocation, no flags: every
 # package is loaded with its _test.go files and analyzed after its

@@ -38,33 +38,23 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8474", "listen address")
-		queueDepth  = flag.Int("queue-depth", 64, "queued batches before backpressure")
-		epoch       = flag.Duration("epoch", 5*time.Second, "snapshot cadence")
-		retryAfter  = flag.Duration("retry-after", 500*time.Millisecond, "retry hint on backpressure")
-		drain       = flag.Duration("drain-timeout", 10*time.Second, "in-flight request drain deadline on shutdown")
-		interval    = flag.Duration("log-every", time.Minute, "how often to log the published generation")
-		load        = flag.String("load", "", "JSONL dataset to preload before serving")
-		dump        = flag.String("dump", "", "JSONL file to write the final generation to on shutdown")
-		traceDepth  = flag.Int("trace-depth", 2048, "span/event ring capacity for /v1/trace; 0 disables tracing")
-		walDir      = flag.String("wal-dir", "", "write-ahead log directory; empty disables durability")
-		walFsync    = flag.String("wal-fsync", "batch", "WAL fsync policy: batch, interval, or off")
-		walSync     = flag.Duration("wal-sync-every", 25*time.Millisecond, "group-commit cadence for -wal-fsync interval")
-		walSegment  = flag.Int64("wal-segment-bytes", 16<<20, "WAL segment rotation threshold")
-		sampleEvery = flag.Duration("sample-every", time.Second, "runtime-collector sampling cadence")
-		seriesDepth = flag.Int("series-depth", 600, "registry snapshots retained for /v1/series")
+		addr       = flag.String("addr", ":8474", "listen address")
+		queueDepth = flag.Int("queue-depth", 64, "memory ceiling: records admitted but not yet cut into a generation, in units of 16384 (~5.4 MB of rows each); a POST past it is a 429 until the next epoch")
+		epoch      = flag.Duration("epoch", 5*time.Second, "snapshot cadence")
+		load       = flag.String("load", "", "JSONL dataset to preload before serving")
+		dump       = flag.String("dump", "", "JSONL file to write the final generation to on shutdown")
+		walDir     = flag.String("wal-dir", "", "write-ahead log directory; empty disables durability")
+		walFsync   = flag.String("wal-fsync", "batch", "WAL fsync policy: batch, interval, or off")
 	)
 	flag.Parse()
 
 	clk := simclock.Wall()
-	tracer := obs.NewTracer(clk, *traceDepth)
-	tracer.SetEnabled(*traceDepth > 0)
+	tracer := obs.NewTracer(clk, traceDepth)
 	metrics := obs.NewRegistry()
-	series := obs.NewSeriesRing(*seriesDepth)
+	series := obs.NewSeriesRing(seriesDepth)
 	engine := live.NewEngine(live.Config{
 		QueueDepth: *queueDepth,
 		EpochEvery: *epoch,
-		RetryAfter: *retryAfter,
 		Clock:      clk,
 		Metrics:    metrics,
 		Trace:      tracer,
@@ -85,19 +75,17 @@ func main() {
 			log.Fatal(fmt.Errorf("vmpd: %w", err))
 		}
 		wlog, err = wal.Open(wal.Options{
-			Dir:          *walDir,
-			Policy:       policy,
-			SyncEvery:    *walSync,
-			SegmentBytes: *walSegment,
-			Clock:        clk,
-			Metrics:      metrics,
-			Trace:        tracer,
+			Dir:     *walDir,
+			Policy:  policy,
+			Clock:   clk,
+			Metrics: metrics,
+			Trace:   tracer,
 		})
 		if err != nil {
 			log.Fatal(fmt.Errorf("vmpd: %w", err))
 		}
 		stats, err := wlog.Replay(func(recs []telemetry.ViewRecord) error {
-			return ingestAll(ctx, engine, recs)
+			return ingestAll(engine, recs)
 		}, 0)
 		if err != nil {
 			log.Fatal(fmt.Errorf("vmpd: wal replay: %w", err))
@@ -108,7 +96,7 @@ func main() {
 			*walDir, stats.Delivered(), stats.CheckpointRecords, stats.SegmentRecords, stats.TornTails, g.Epoch)
 	}
 	if *load != "" {
-		n, err := preload(ctx, engine, *load)
+		n, err := preload(engine, *load)
 		if err != nil {
 			log.Fatal(fmt.Errorf("vmpd: %w", err))
 		}
@@ -120,14 +108,14 @@ func main() {
 	// The self-measurement plane: one sampler publishes Go runtime
 	// stats plus the engine's and WAL's internal gauges, then records a
 	// registry snapshot into the series ring /v1/series serves.
-	sampler := obs.NewSampler(metrics, series, clk, *sampleEvery)
+	sampler := obs.NewSampler(metrics, series, clk, sampleEvery)
 	sampler.AddSource(engine.PublishGauges)
 	if wlog != nil {
 		sampler.AddSource(wlog.PublishGauges)
 	}
 	go sampler.Run(ctx)
 	go func() {
-		tick := time.NewTicker(*interval)
+		tick := time.NewTicker(logEvery)
 		defer tick.Stop()
 		for {
 			select {
@@ -143,7 +131,7 @@ func main() {
 	server := live.NewServer(engine)
 	srv := newHTTPServer(*addr, server.Handler())
 	log.Printf("vmpd: listening on %s (%s epochs)", *addr, *epoch)
-	err := graceful.RunNotify(srv, nil, *drain, nil, func(phase string) {
+	err := graceful.RunNotify(srv, nil, drainTimeout, nil, func(phase string) {
 		tracer.Emit("graceful_" + phase)
 	})
 	cancel()
@@ -170,11 +158,8 @@ func main() {
 	}
 }
 
-// preload streams a JSONL file into the engine, retrying batches the
-// queue rejects; the consumer is already running, so backpressure
-// clears itself. The waits between retries ride ctx, so
-// shutdown interrupts a stalled preload instead of hanging on it.
-func preload(ctx context.Context, engine *live.Engine, path string) (int, error) {
+// preload admits a JSONL file as one batch.
+func preload(engine *live.Engine, path string) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
@@ -187,28 +172,24 @@ func preload(ctx context.Context, engine *live.Engine, path string) (int, error)
 	if bad > 0 {
 		return 0, fmt.Errorf("loading %s: %d malformed lines", path, bad)
 	}
-	if err := ingestAll(ctx, engine, recs); err != nil {
+	if err := ingestAll(engine, recs); err != nil {
 		return 0, fmt.Errorf("loading %s: %w", path, err)
 	}
 	return len(recs), nil
 }
 
-// ingestAll admits one batch, waiting out backpressure: the consumer
-// is already running, so a full queue clears itself. The waits ride
-// ctx so shutdown interrupts a stalled ingest. This is also the WAL
-// replay sink — replay hands batches here before the listener opens.
-func ingestAll(ctx context.Context, engine *live.Engine, recs []telemetry.ViewRecord) error {
+// ingestAll admits one batch before the listener opens and before Run
+// ticks — the -load path and the WAL replay sink. Nothing else would
+// ever cut, and only a cut clears backpressure, so a refused batch cuts
+// an epoch and goes again at once: the cut empties the backlog, and a
+// batch of any size is admitted into an empty one.
+func ingestAll(engine *live.Engine, recs []telemetry.ViewRecord) error {
 	for {
 		res, err := engine.Ingest(recs)
-		if err != nil {
+		if err != nil || res.Backpressured == 0 {
 			return err
 		}
-		if res.Backpressured == 0 {
-			return nil
-		}
-		if err := simclock.Wait(ctx, res.RetryAfter); err != nil {
-			return err
-		}
+		engine.Snapshot()
 	}
 }
 
@@ -241,6 +222,21 @@ const (
 	readTimeout       = time.Minute
 	writeTimeout      = 2 * time.Minute
 	idleTimeout       = 2 * time.Minute
+)
+
+// What no script, test, example or README invocation ever set, and so
+// is not a flag: the shutdown drain deadline for in-flight requests,
+// how often the published generation is logged, the span/event ring
+// behind /v1/trace, and the sampler's cadence and the registry
+// snapshots it retains for /v1/series. The backpressure hint and the
+// WAL's group-commit cadence and segment size are live.Config's and
+// wal.Options' defaults (500 ms, 25 ms, 16 MiB).
+const (
+	drainTimeout = 10 * time.Second
+	logEvery     = time.Minute
+	traceDepth   = 2048
+	sampleEvery  = time.Second
+	seriesDepth  = 600
 )
 
 func newHTTPServer(addr string, h http.Handler) *http.Server {

@@ -2,7 +2,7 @@
 // lines — the wire format vmpd ingests and ReadDataset parses. With
 // -post it doubles as the load driver for the live serving plane:
 // instead of (or besides) writing a file, it streams the dataset to a
-// vmpd ingest endpoint in batches, honoring its refusals (429 queue
+// vmpd ingest endpoint in batches, honoring its refusals (429 backlog
 // full, 503 WAL append failed) by waiting out the Retry-After hint and
 // retrying the identical batch. -encode binary posts the compact binary batch
 // frames (internal/wire) instead of JSONL, and -compress gzips either
@@ -177,8 +177,8 @@ func newDriver(encoding string, compress bool, seed uint64) (*driver, error) {
 }
 
 // drive streams recs to url's /v1/views endpoint in batches. Each batch
-// is encoded once and sent until the server takes it: a 429 (the ingest
-// queue is full) is retried unchanged after the Retry-After hint, at
+// is encoded once and sent until the server takes it: a 429 (the un-cut
+// backlog is full) is retried unchanged after the Retry-After hint, at
 // most retries times — see wire.Client.Send for the contract.
 func (d *driver) drive(ctx context.Context, url string, recs []telemetry.ViewRecord, batch, retries int) error {
 	if batch <= 0 {

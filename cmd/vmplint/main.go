@@ -1,8 +1,8 @@
 // Command vmplint runs the project's invariant analyzers (package
 // internal/lint) over one or more packages: nondeterminism, maporder,
-// frozenwrite, lockdiscipline, errcheck, atomicdiscipline,
-// goroutinelifecycle, chandiscipline, ctxflow, httpdiscipline,
-// fsyncdiscipline, and lockorder — the machine-checked contracts behind
+// frozenwrite, lockdiscipline, errcheck, atomicdiscipline, ctxflow,
+// httpdiscipline, fsyncdiscipline, and lockorder — the machine-checked
+// contracts behind
 // byte-identical figure rendering, the race-free serving plane, and the
 // WAL's crash durability.
 //

@@ -1,6 +1,6 @@
 // Command vmptop is the operator's live view of a vmpd daemon: it
 // polls the /v1/series flight recorder and renders a compact terminal
-// dashboard — ingest rate, queue depth, epoch cadence, WAL backlog,
+// dashboard — ingest rate, pending batches, epoch cadence, WAL backlog,
 // latency quantiles, and Go runtime health — refreshing in place on
 // every poll.
 //
@@ -120,7 +120,7 @@ func render(url string, snap *obs.SeriesSnapshot) string {
 		p.Counters["live_ingest_rejected_total"])
 
 	if depth, ok := p.Gauges["live_queue_depth_batches"]; ok {
-		fmt.Fprintf(&b, "queues    %d batches queued\n", depth)
+		fmt.Fprintf(&b, "pending   %d batches awaiting the next cut\n", depth)
 		fmt.Fprintf(&b, "epochs    epoch %d   %s cuts/s   generation %d records, age %s\n",
 			p.Gauges["live_generation_epoch"],
 			fmtRate(p.Rates["live_snapshots_total"]),

@@ -124,3 +124,13 @@ func (p *Pass) checkSleeps(body *ast.BlockStmt) {
 		return true
 	})
 }
+
+// isContextType reports whether t is context.Context.
+func isContextType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
+}

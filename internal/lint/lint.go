@@ -1,7 +1,7 @@
 // Package lint is a self-contained static-analysis driver (in the
 // spirit of golang.org/x/tools/go/analysis, but stdlib-only) that
 // machine-checks invariants the study engine and the live serving
-// plane depend on. Twelve analyzers, one driver (Run), one pass, one
+// plane depend on. Ten analyzers, one driver (Run), one pass, one
 // output line per finding:
 //
 //   - nondeterminism: wall-clock and process-seeded randomness stay
@@ -21,10 +21,6 @@
 //   - atomicdiscipline: atomically-accessed state is never touched
 //     plainly, and values published through an atomic.Pointer are
 //     never mutated afterwards.
-//   - goroutinelifecycle: every long-lived goroutine is tied to a
-//     shutdown path, so daemons cannot leak consumers.
-//   - chandiscipline: sends in daemon loops are cancellable, channels
-//     are closed only by their owner, and queue channels are bounded.
 //   - ctxflow: caller contexts (r.Context(), ctx parameters) are
 //     threaded into blocking work; bare time.Sleep is forbidden.
 //   - httpdiscipline: every HTTP handler path writes its status at
@@ -38,13 +34,15 @@
 //     are acquired in one global order; a cycle in the cross-package
 //     acquisition graph is a potential deadlock.
 //
-// Allocation budgets and scratch-buffer aliasing are not linted: the
-// testing.AllocsPerRun pins and the slot-reuse tests in wire, wal, obs
-// and live check them on the running code (DESIGN §7 has the ledger).
+// Allocation budgets, scratch-buffer aliasing, goroutine shutdown and
+// channel protocol are not linted: the testing.AllocsPerRun pins, the
+// slot-reuse tests, and the tests that stop each of the tree's four
+// loops and drain its two worker pools check them on the running code
+// (DESIGN §7 has the ledger).
 //
 // The suite is whole-program: packages are analyzed in import-DAG
 // order, each one publishing per-function summaries (taint returns,
-// lifecycle facts, lock-acquisition sets — see summary.go) that
+// WAL-append reachability, lock-acquisition sets — see summary.go) that
 // dependents consult at cross-package call sites, so the fixed-point
 // engines keep their in-package precision through exported helper
 // chains. Every run loads _test.go files too; an analyzer declares
@@ -153,8 +151,7 @@ func (d Diagnostic) String() string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Nondeterminism, MapOrder, FrozenWrite, LockDiscipline, ErrCheck,
-		AtomicDiscipline, GoroutineLifecycle, ChanDiscipline, CtxFlow,
-		HTTPDiscipline, FsyncDiscipline, LockOrder,
+		AtomicDiscipline, CtxFlow, HTTPDiscipline, FsyncDiscipline, LockOrder,
 	}
 }
 

@@ -135,14 +135,6 @@ func TestAtomicDisciplineFixture(t *testing.T) {
 	checkFixture(t, "atomicdiscipline", "vmp/internal/atomicfix")
 }
 
-func TestGoroutineLifecycleFixture(t *testing.T) {
-	checkFixture(t, "goroutinelifecycle", "vmp/internal/gofix")
-}
-
-func TestChanDisciplineFixture(t *testing.T) {
-	checkFixture(t, "chandiscipline", "vmp/internal/chanfix")
-}
-
 func TestCtxFlowFixture(t *testing.T) { checkFixture(t, "ctxflow", "vmp/internal/ctxfix") }
 
 func TestIgnoreDirectives(t *testing.T) { checkFixture(t, "ignore", "vmp/internal/ignorefix") }
@@ -189,7 +181,7 @@ func TestErrCheckScopedToModule(t *testing.T) {
 // fixture under an external import path; the whole v2 suite is scoped
 // to vmp/internal and vmp/cmd.
 func TestConcurrencyAnalyzersScopedToModule(t *testing.T) {
-	for _, dir := range []string{"atomicdiscipline", "goroutinelifecycle", "chandiscipline", "ctxflow"} {
+	for _, dir := range []string{"atomicdiscipline", "ctxflow"} {
 		for _, d := range runFixtures(t, Analyzers(), dir, "example.com/outside") {
 			t.Errorf("%s: unexpected finding outside vmp/internal and vmp/cmd: %s", dir, d)
 		}
@@ -387,33 +379,35 @@ func TestAnalyzersApplyToTestFilesByDeclaration(t *testing.T) {
 }
 
 const depAlphaSrc = `// Package alpha is a dependency: one finding of its own, one exported
-// looping function with a shutdown path.
+// accessor returning what an atomic.Pointer published.
 package alpha
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // Stamp returns the wall-clock time.
 func Stamp() time.Time { return time.Now() }
 
-// Pump drains in until stop closes.
-func Pump(in <-chan int, stop <-chan struct{}) {
-	for {
-		select {
-		case <-in:
-		case <-stop:
-			return
-		}
-	}
-}
+// State is one published generation.
+type State struct{ Hits int }
+
+// Box publishes a State behind an atomic pointer.
+type Box struct{ cur atomic.Pointer[State] }
+
+// Current returns the published state.
+func (b *Box) Current() *State { return b.cur.Load() }
 `
 
-const depBetaSrc = `// Package beta spawns alpha.Pump, whose body it cannot see.
+const depBetaSrc = `// Package beta writes what alpha.Current returned; only alpha's
+// summary says that is a published generation.
 package beta
 
 import "vmp/internal/alpha"
 
-// Start runs the pump.
-func Start(in <-chan int, stop <-chan struct{}) { go alpha.Pump(in, stop) }
+// Bump counts a hit.
+func Bump(b *alpha.Box) { b.Current().Hits++ }
 `
 
 // writeModule lays files (slash paths under the root, go.mod included)
@@ -435,9 +429,9 @@ func writeModule(t *testing.T, files map[string]string) string {
 }
 
 // TestRunTreeDependencySummariesWithoutRequest checks that a package
-// imported by a requested one is pulled in for its summary — the
-// cross-package spawn in beta is exonerated by alpha's lifecycle
-// facts — without reporting its own findings.
+// imported by a requested one is pulled in for its summary — the write
+// in beta is a finding only because alpha's facts say Current returns a
+// published generation — without reporting its own findings.
 func TestRunTreeDependencySummariesWithoutRequest(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"internal/alpha/alpha.go": depAlphaSrc,
@@ -449,18 +443,18 @@ func TestRunTreeDependencySummariesWithoutRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 0 {
-		t.Fatalf("beta alone: findings = %v, want none (alpha's summary exonerates the spawn; alpha's own finding is not requested)", diags)
+	if len(diags) != 1 || diags[0].Analyzer != "atomicdiscipline" {
+		t.Fatalf("beta alone: findings = %v, want its one atomicdiscipline finding (alpha's summary incriminates the write; alpha's own finding is not requested)", diags)
 	}
 	diags, err = Run(root, []string{alphaDir, betaDir}, Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 1 || diags[0].Analyzer != "nondeterminism" {
-		t.Fatalf("alpha and beta: findings = %v, want alpha's one nondeterminism finding", diags)
+	if len(diags) != 2 || diags[0].Analyzer != "nondeterminism" || diags[1].Analyzer != "atomicdiscipline" {
+		t.Fatalf("alpha and beta: findings = %v, want alpha's nondeterminism finding and beta's", diags)
 	}
-	// The control: without alpha's summary in the program the spawn is
-	// a finding, so the empty result above is the summary's doing.
+	// The control: without alpha's summary in the program the write is
+	// not a finding, so the one above is the summary's doing.
 	loader, err := NewLoader(root)
 	if err != nil {
 		t.Fatal(err)
@@ -469,9 +463,8 @@ func TestRunTreeDependencySummariesWithoutRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alone := runOnePackage(pkg, NewProgram(), Analyzers())
-	if len(alone) != 1 || alone[0].Analyzer != "goroutinelifecycle" {
-		t.Fatalf("beta without alpha's summary: findings = %v, want one goroutinelifecycle finding", alone)
+	if alone := runOnePackage(pkg, NewProgram(), Analyzers()); len(alone) != 0 {
+		t.Fatalf("beta without alpha's summary: findings = %v, want none", alone)
 	}
 }
 
@@ -479,8 +472,8 @@ func TestRunTreeDependencySummariesWithoutRequest(t *testing.T) {
 // allows and a directory-per-node graph would make cyclic: omega's
 // external test package imports alpha, and alpha imports omega. The
 // external test is its own node, so omega still publishes its summary
-// before alpha — which sorts first — is analyzed, and alpha's spawn of
-// omega.Pump is exonerated.
+// before alpha — which sorts first — is analyzed, and alpha's write
+// through omega.Current is seen.
 func TestRunExternalTestImportsDependent(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"internal/omega/omega.go": strings.ReplaceAll(depAlphaSrc, "alpha", "omega"),
@@ -488,7 +481,7 @@ func TestRunExternalTestImportsDependent(t *testing.T) {
 
 import "vmp/internal/alpha"
 
-var _ = alpha.Start
+var _ = alpha.Bump
 `,
 		"internal/alpha/alpha.go": strings.NewReplacer("alpha", "omega", "beta", "alpha").Replace(depBetaSrc),
 	})
@@ -497,7 +490,7 @@ var _ = alpha.Start
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 1 || diags[0].Analyzer != "nondeterminism" {
-		t.Fatalf("findings = %v, want omega's one nondeterminism finding", diags)
+	if len(diags) != 2 || diags[0].Analyzer != "atomicdiscipline" || diags[1].Analyzer != "nondeterminism" {
+		t.Fatalf("findings = %v, want alpha's atomicdiscipline finding and omega's nondeterminism one", diags)
 	}
 }

@@ -9,7 +9,7 @@ import (
 // tree. Every package's summary (summary.go) carries its observed
 // lock-order edges — "class B was acquired (directly or through a
 // call, local or cross-package) while class A was held" — where a
-// class is a mutex field of a named type (vmp/internal/live.Engine.pendingMu)
+// class is a mutex field of a named type (vmp/internal/live.Engine.ingestMu)
 // or a package-level mutex variable. The whole-program Finish hook
 // assembles the edges into one directed graph; a cycle means two code
 // paths acquire the same locks in opposite orders, which is a

@@ -13,14 +13,13 @@ import (
 // taint.go) to whole-program analysis. After a package is analyzed,
 // buildPackageSummary distills every exported function into FuncFacts —
 // does its result alias frozen-dataset memory, does it return an
-// atomic.Pointer-published value, does it loop without a shutdown path,
-// does it reach a WAL append, which lock classes does it (transitively)
-// acquire — and the facts are published into a Program. Dependent
-// packages, analyzed later along the import DAG,
-// consult those facts wherever their own fixed-point engines previously
-// went blind at a cross-package call: a telemetry accessor wrapped by a
-// helper in another package carries its taint to the caller exactly as
-// an in-package helper chain does.
+// atomic.Pointer-published value, does it reach a WAL append, which
+// lock classes does it (transitively) acquire — and the facts are
+// published into a Program. Dependent packages, analyzed later along
+// the import DAG, consult those facts wherever their own fixed-point
+// engines previously went blind at a cross-package call: a telemetry
+// accessor wrapped by a helper in another package carries its taint to
+// the caller exactly as an in-package helper chain does.
 //
 // Facts are keyed by the function's fully qualified name
 // ((*vmp/internal/wal.Log).AppendBatch, vmp/internal/telemetry.Scan) so
@@ -36,11 +35,6 @@ type FuncFacts struct {
 	// TaintAtomic: some result aliases a value loaded from an
 	// atomic.Pointer or atomic.Value (consumed by atomicdiscipline).
 	TaintAtomic bool
-	// Loops / Shutdown: the body contains a for/range statement, and
-	// whether it shows a recognized shutdown construct (consumed by
-	// goroutinelifecycle for cross-package `go pkg.F(...)` spawns).
-	Loops    bool
-	Shutdown bool
 	// WALAppend: the function (transitively) reaches a WAL AppendBatch
 	// (consumed by fsyncdiscipline's ack-ordering rule).
 	WALAppend bool
@@ -52,8 +46,7 @@ type FuncFacts struct {
 // isZero reports whether the facts carry no information worth
 // publishing.
 func (f FuncFacts) isZero() bool {
-	return !f.TaintFrozen && !f.TaintAtomic &&
-		!f.Loops && !f.Shutdown && !f.WALAppend && len(f.Locks) == 0
+	return !f.TaintFrozen && !f.TaintAtomic && !f.WALAppend && len(f.Locks) == 0
 }
 
 // LockEdge is one observed lock-order constraint: Acquired was taken
@@ -182,12 +175,6 @@ func buildPackageSummary(pkg *Package, prog *Program, g *callGraph) *PackageSumm
 			TaintAtomic: atomicT[n.obj],
 			WALAppend:   g.walReach[n.obj],
 			Locks:       g.lockSets[n.obj],
-		}
-		if n.decl.Body != nil {
-			facts.Loops = hasLoop(n.decl.Body)
-			if facts.Loops {
-				facts.Shutdown = p.bodyHasShutdownPath(n.decl.Body)
-			}
 		}
 		if !facts.isZero() {
 			sum.Funcs[fn.FullName()] = facts

@@ -23,7 +23,7 @@ func deferredDrop(f *os.File) {
 }
 
 func goDrop(f *os.File) {
-	go f.Sync() // want errcheck "go call to f.Sync drops its error" // want goroutinelifecycle "no visible body and no context argument"
+	go f.Sync() // want errcheck "go call to f.Sync drops its error"
 }
 
 func acknowledged(f *os.File) {

@@ -21,16 +21,9 @@ func BenchmarkEpochCut(b *testing.B) {
 	const delta = 2500
 	ingest := func(e *Engine, recs []telemetry.ViewRecord) {
 		for lo := 0; lo < len(recs); lo += delta {
-			batch := recs[lo:min(lo+delta, len(recs))]
-			for {
-				res, err := e.Ingest(batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Backpressured == 0 {
-					break
-				}
-				e.Flush()
+			res, err := e.Ingest(recs[lo:min(lo+delta, len(recs))])
+			if err != nil || res.Backpressured != 0 {
+				b.Fatalf("ingest at %d: %+v, %v", lo, res, err)
 			}
 		}
 	}
@@ -51,7 +44,6 @@ func BenchmarkEpochCut(b *testing.B) {
 					e.Snapshot()
 				}
 				ingest(e, recs[size:])
-				e.Flush()
 				b.StartTimer()
 				e.Snapshot()
 			}

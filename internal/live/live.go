@@ -2,18 +2,20 @@
 // always-on backend the paper's management plane runs as, layered on
 // the frozen columnar telemetry.Dataset.
 //
-// Admitted batches enter one bounded queue drained by one consumer
-// goroutine into a pending list. Admission is explicit: a batch that
-// finds the queue full is rejected whole with a retry-after hint and
-// counted — never silently dropped, never partially applied.
+// Admitted batches are appended, under the admission lock, to a pending
+// list the next epoch cut takes. Admission is explicit: a batch that
+// finds the un-cut backlog at its ceiling (Config.QueueDepth) is
+// rejected whole with a retry-after hint and counted — never silently
+// dropped, never partially applied — and only a cut makes room.
 //
-// An epoch snapshot manager drains the queue on a configurable
-// cadence, merges the new records with the previous generation, and
-// publishes an immutable Generation (epoch number + frozen Dataset)
-// behind an atomic pointer. Readers load the pointer
+// An epoch cut (Snapshot; Run makes them on a cadence) takes the
+// pending batches, merges the new records with the previous
+// generation, and publishes an immutable Generation (epoch number +
+// frozen Dataset) behind an atomic pointer. Readers load the pointer
 // and run PR 1's analytics over a consistent view that never changes
 // after publication; writers keep appending to the next epoch. There
-// is no lock shared between the query path and the append path.
+// is no lock shared between the query path and the append path, and
+// the engine starts no goroutine of its own.
 package live
 
 import (
@@ -33,16 +35,16 @@ import (
 var ErrClosed = errors.New("live: engine closed")
 
 // WAL is the durability hook the engine drives — satisfied by
-// *wal.Log. AppendBatch persists an admitted batch before it enters
-// the queue. The engine hands it over as a one-element parts vector
+// *wal.Log. AppendBatch persists an admitted batch before it joins the
+// pending list. The engine hands it over as a one-element parts vector
 // (the signature dates from a partitioned engine), valid only for the
 // call. An error means the batch must be rejected whole (the handler
 // returns 503 and the client retries), so acknowledgement implies the
 // WAL has the records.
 // Bounds reports the last sequence appended, as a vector the engine
 // only carries from Bounds to Commit (*wal.Log's has one element); the
-// engine reads it under the same admission lock that quiesces appends
-// while an epoch flushes, making the reading exact. Commit hands a
+// engine reads it under the same admission lock it takes the pending
+// batches under, making the reading exact. Commit hands a
 // freshly published generation back so the WAL can checkpoint it and
 // truncate the segments it covers; a Commit error is counted, not
 // fatal — the WAL keeps growing but loses nothing.
@@ -53,15 +55,16 @@ type WAL interface {
 }
 
 // Config parameterizes an Engine. The zero value gets sensible
-// defaults: 64 queued batches, 5 s epochs, 500 ms retry-after, the wall
-// clock, a fresh metrics registry, and a *disabled* tracer — tracing
-// costs one atomic load per instrumentation site until a daemon opts in
-// by supplying an enabled obs.Tracer. Shards and BatchMax are kept only
-// because the benchmark module still sets them.
+// defaults: a backlog ceiling of 64 full batches, 5 s epochs, 500 ms
+// retry-after, the wall clock, a fresh metrics registry, and a
+// *disabled* tracer — tracing costs one atomic load per instrumentation
+// site until a daemon opts in by supplying an enabled obs.Tracer.
+// Shards and BatchMax are kept only because the benchmark module still
+// sets them.
 type Config struct {
-	Shards     int             // ignored: there is one queue and one consumer
-	QueueDepth int             // queued batches before backpressure
-	BatchMax   int             // ignored: the consumer does not coalesce
+	Shards     int             // ignored: there is one pending list
+	QueueDepth int             // un-cut backlog ceiling, in batches of recordsPerBatch
+	BatchMax   int             // ignored: nothing coalesces
 	EpochEvery time.Duration   // snapshot cadence used by Run
 	RetryAfter time.Duration   // hint returned with a backpressure rejection
 	Clock      simclock.Clock  // time source (inject a manual clock in tests)
@@ -105,13 +108,10 @@ type Generation struct {
 	Dataset *telemetry.Dataset
 }
 
-// batchMsg is one admitted batch in flight to the consumer. It carries
-// the admission span's ID so the consume span links under the same
-// trace as the handler that admitted it.
-type batchMsg struct {
-	recs   []telemetry.ViewRecord
-	parent obs.SpanID
-}
+// recordsPerBatch is QueueDepth's unit: the most records one WAL log
+// record holds (wal.Options.ChunkRecords' default), so a ceiling of N
+// is N full log records waiting for a cut.
+const recordsPerBatch = 1 << 14
 
 // Engine is the live serving engine. All methods are safe for
 // concurrent use.
@@ -120,34 +120,29 @@ type Engine struct {
 	clock  simclock.Clock
 	tracer *obs.Tracer
 
-	ch    chan batchMsg      // admitted batches, QueueDepth deep
-	flush chan chan struct{} // snapshot-time drain requests, acked
-	quit  chan struct{}
-
-	// ingestMu serializes admission: with the consumer only ever
-	// draining, holding it across the capacity check and the send makes
-	// admission atomic — a batch is logged and enqueued or rejected
-	// whole, so retries never duplicate records. It also serializes
-	// admission against the epoch cut: Snapshot holds it across the WAL
-	// bounds reading, the queue flush, and the pending take, so a
-	// generation contains exactly the records at or below the bounds it
-	// commits.
+	// ingestMu serializes admission: held across the ceiling check, the
+	// WAL append and the pending append, it makes admission atomic — a
+	// batch is logged and pending or rejected whole, so retries never
+	// duplicate records. It also serializes admission against the epoch
+	// cut: Snapshot holds it across the WAL bounds reading and the
+	// pending take, so a generation contains exactly the records at or
+	// below the bounds it commits.
 	ingestMu sync.Mutex
 	closed   bool                      // guarded by ingestMu
 	wal      WAL                       // guarded by ingestMu; nil when durability is off
 	walParts [1][]telemetry.ViewRecord // guarded by ingestMu; AppendBatch's argument
+	// pending holds the admitted batches — their slice headers; the
+	// records were copied once, at admission — until the next cut takes
+	// them, and uncut counts their records against the ceiling.
+	pending [][]telemetry.ViewRecord // guarded by ingestMu
+	uncut   int                      // guarded by ingestMu
 
-	// pending holds the consumed batches — their slice headers, not
-	// copies of their records — until the next cut takes them.
-	pendingMu sync.Mutex
-	pending   [][]telemetry.ViewRecord // guarded by pendingMu
-
-	// snapMu serializes epoch snapshots and consumer shutdown.
+	// snapMu serializes epoch cuts; stopped is set by Close's, after
+	// which Snapshot cuts nothing.
 	snapMu  sync.Mutex
 	stopped bool // guarded by snapMu
 
 	gen atomic.Pointer[Generation]
-	wg  sync.WaitGroup
 
 	ingested      *obs.Counter
 	backpressured *obs.Counter
@@ -161,9 +156,10 @@ type Engine struct {
 	genAgeMS      *obs.Gauge
 }
 
-// NewEngine starts an engine: the consumer goroutine, and an empty
-// generation published so queries are serveable immediately. Call
-// Close to drain and stop it.
+// NewEngine returns an engine with an empty generation published, so
+// queries are serveable immediately. It starts no goroutine: cuts
+// happen when someone calls Snapshot (or runs Run). Call Close to cut
+// the final epoch and refuse further batches.
 func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
@@ -171,9 +167,6 @@ func NewEngine(cfg Config) *Engine {
 		clock:         cfg.Clock,
 		tracer:        cfg.Trace,
 		wal:           cfg.WAL,
-		ch:            make(chan batchMsg, cfg.QueueDepth),
-		flush:         make(chan chan struct{}),
-		quit:          make(chan struct{}),
 		ingested:      cfg.Metrics.Counter("live_ingest_records_total"),
 		backpressured: cfg.Metrics.Counter("live_ingest_backpressured_total"),
 		walErrors:     cfg.Metrics.Counter("live_wal_errors_total"),
@@ -185,8 +178,6 @@ func NewEngine(cfg Config) *Engine {
 		genEpoch:      cfg.Metrics.Gauge("live_generation_epoch"),
 		genAgeMS:      cfg.Metrics.Gauge("live_generation_age_ms"),
 	}
-	e.wg.Add(1)
-	go e.consume()
 	e.gen.Store(&Generation{Epoch: 0, Created: e.clock.Now(), Dataset: telemetry.NewDataset(nil)})
 	return e
 }
@@ -202,22 +193,19 @@ func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 // the daemon did not opt into self-measurement sampling.
 func (e *Engine) Series() *obs.SeriesRing { return e.cfg.Series }
 
-// PublishGauges refreshes the engine's operational levels in its
-// registry: the queue depth, and the published generation's epoch,
-// record count, and age. It is the engine's obs.Sampler source —
-// called on the sampling cadence so every series point and every
-// scrape carries current levels, not just the values last touched by
-// an ingest or snapshot.
+// PublishGauges refreshes the published generation's epoch, record
+// count, and age in the engine's registry. It is the engine's
+// obs.Sampler source — called on the sampling cadence so every series
+// point and every scrape carries current levels, not just the values
+// last touched by a snapshot. The depth gauge (batches pending the
+// next cut) is written where the pending list changes, so sampling
+// never waits on the admission lock an fsync may hold.
 func (e *Engine) PublishGauges() {
-	e.queueDepth.Set(int64(len(e.ch)))
 	g := e.gen.Load()
 	e.genEpoch.Set(g.Epoch)
 	e.genRecords.Set(int64(g.Records))
 	e.genAgeMS.Set(e.clock.Now().Sub(g.Created).Milliseconds())
 }
-
-// RetryAfter returns the configured backpressure hint.
-func (e *Engine) RetryAfter() time.Duration { return e.cfg.RetryAfter }
 
 // AttachWAL installs (or removes, with nil) the durability hook. The
 // boot sequence uses it to replay a WAL through Ingest *before*
@@ -236,25 +224,27 @@ func (e *Engine) Generation() *Generation { return e.gen.Load() }
 // Result reports what happened to one Ingest batch.
 type Result struct {
 	Accepted      int
-	Backpressured int           // rejected for a full queue (whole batch)
+	Backpressured int           // rejected at the backlog ceiling (whole batch)
 	RetryAfter    time.Duration // when to retry, if backpressured
 }
 
-// Ingest admits a batch into the queue. Admission is atomic: if the
-// queue is full the whole batch is rejected with Backpressured set and
-// a RetryAfter hint, and no record is enqueued — the caller retries
-// the identical batch without duplication. Ingest never blocks on a
-// full queue and never blocks queries. The engine keeps its own copy
-// of recs; the caller may reuse the slice once Ingest returns.
+// Ingest admits a batch into the pending list. Admission is atomic: if
+// the records not yet cut into a generation are already at or past the
+// ceiling (QueueDepth × recordsPerBatch), the whole batch is rejected
+// with Backpressured set and a RetryAfter hint, and no record is kept —
+// the caller retries the identical batch without duplication. The
+// check precedes the append, so a batch of any size gets in once there
+// is room, and only a cut (Snapshot) makes room. Ingest never waits for
+// room and never blocks queries. The engine keeps its own copy of recs;
+// the caller may reuse the slice once Ingest returns.
 func (e *Engine) Ingest(recs []telemetry.ViewRecord) (Result, error) {
 	return e.IngestSpan(recs, 0)
 }
 
-// IngestSpan is Ingest with a trace parent: the admission span — and
-// the consume span downstream of it — link under parent, so an HTTP
-// handler's batch span owns the whole per-stage decomposition (scan →
-// admit → queue → consume). With tracing disabled it is exactly
-// Ingest.
+// IngestSpan is Ingest with a trace parent: the admission span links
+// under parent, so an HTTP handler's batch span owns the whole
+// per-stage decomposition (scan → admit ⊃ wal.append). With tracing
+// disabled it is exactly Ingest.
 func (e *Engine) IngestSpan(recs []telemetry.ViewRecord, parent obs.SpanID) (Result, error) {
 	if len(recs) == 0 {
 		return Result{}, nil
@@ -271,7 +261,7 @@ func (e *Engine) IngestSpan(recs []telemetry.ViewRecord, parent obs.SpanID) (Res
 		sp.End(obs.KV("records", n), obs.KV("closed", 1))
 		return Result{}, ErrClosed
 	}
-	if len(e.ch) == cap(e.ch) {
+	if e.uncut >= e.cfg.QueueDepth*recordsPerBatch {
 		e.ingestMu.Unlock()
 		e.backpressured.Add(n)
 		sp.End(obs.KV("records", n), obs.KV("backpressured", n))
@@ -280,9 +270,9 @@ func (e *Engine) IngestSpan(recs []telemetry.ViewRecord, parent obs.SpanID) (Res
 	}
 	if e.wal != nil {
 		// Durability precedes acknowledgement: the batch reaches the
-		// WAL (fsynced, under PolicyBatch) before it enters the queue.
-		// An append failure rejects the batch whole — nothing was
-		// enqueued, so the client's retry is exact.
+		// WAL (fsynced, under PolicyBatch) before it is pending. An
+		// append failure rejects the batch whole — nothing was kept, so
+		// the client's retry is exact.
 		e.walParts[0] = batch
 		err := e.wal.AppendBatch(e.walParts[:], sp.ID())
 		e.walParts[0] = nil
@@ -294,112 +284,54 @@ func (e *Engine) IngestSpan(recs []telemetry.ViewRecord, parent obs.SpanID) (Res
 			return Result{}, fmt.Errorf("live: wal append: %w", err)
 		}
 	}
-	// Cannot block: the consumer only drains, and the capacity check
-	// above ran under the same ingestMu hold.
-	e.ch <- batchMsg{recs: batch, parent: sp.ID()}
+	e.pending = append(e.pending, batch)
+	e.uncut += len(batch)
+	e.queueDepth.Set(int64(len(e.pending)))
 	e.ingestMu.Unlock()
 	e.ingested.Add(n)
-	e.queueDepth.Set(int64(len(e.ch)))
+	e.batchSizes.Observe(float64(n))
 	sp.End(obs.KV("records", n))
 	e.tracer.Emit("batch_admitted", obs.KV("records", n))
 	return Result{Accepted: len(recs)}, nil
 }
 
-// consume is the engine's one consumer goroutine: it moves admitted
-// batches from the queue to the pending list, and on a flush request
-// empties the queue before acking. Close cuts a final epoch — which
-// flushes — before it closes quit, so nothing is queued by then.
-func (e *Engine) consume() {
-	defer e.wg.Done()
-	for {
-		select {
-		case m := <-e.ch:
-			e.appendPending(m)
-		case ack := <-e.flush:
-			for len(e.ch) > 0 {
-				e.appendPending(<-e.ch)
-			}
-			close(ack)
-		case <-e.quit:
-			return
-		}
-	}
-}
+// Snapshot cuts an epoch: it takes the pending batches, concatenates
+// and sorts them, merges them into the published generation's Dataset,
+// and publishes the result. Only the new records are compared, hashed
+// and interned; the published rows are carried over by copy. Records
+// admitted before Snapshot is called are always included; records
+// racing with it land in this epoch or the next. After Close it cuts
+// nothing and returns the final generation.
+func (e *Engine) Snapshot() *Generation { return e.cut(false) }
 
-// appendPending hands one queued batch to the pending list.
-func (e *Engine) appendPending(m batchMsg) {
-	sp := e.tracer.Start("ingest.consume", m.parent)
-	e.pendingMu.Lock()
-	e.pending = append(e.pending, m.recs)
-	e.pendingMu.Unlock()
-	e.batchSizes.Observe(float64(len(m.recs)))
-	sp.End(obs.KV("records", int64(len(m.recs))))
-}
-
-// flushQueue asks the consumer to empty the queue into the pending
-// list and waits for its ack. Caller holds snapMu. It creates no spans
-// of its own: the Flush quiesce path must not race span IDs with the
-// consumer it is waiting on, and Snapshot wraps it in an epoch.flush
-// span instead.
-func (e *Engine) flushQueue() {
-	ack := make(chan struct{})
-	e.flush <- ack
-	<-ack
-}
-
-// Flush forces the consumer to empty the queue into the pending list
-// without cutting an epoch. When it returns, every batch admitted
-// before the call has been appended and the consumer is idle — the
-// quiesce point the deterministic-trace tests and drain paths rely on.
-// Flush does not publish a generation.
-func (e *Engine) Flush() {
+// cut is Snapshot; Close's cut is the final one.
+func (e *Engine) cut(final bool) *Generation {
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
 	if e.stopped {
-		return
+		return e.gen.Load()
 	}
-	e.flushQueue()
-}
-
-// Snapshot cuts an epoch: it flushes the queue, takes the pending
-// batches, concatenates and sorts them, merges them into the
-// published generation's Dataset, and publishes the result. Only the
-// new records are compared, hashed and interned; the published rows
-// are carried over by copy. Records admitted before Snapshot is called
-// are always included; records racing with it land in this epoch or
-// the next.
-func (e *Engine) Snapshot() *Generation {
-	e.snapMu.Lock()
-	defer e.snapMu.Unlock()
+	e.stopped = final
 	prev := e.gen.Load()
-	if e.stopped {
-		return prev
-	}
 	start := e.clock.Now()
 	sp := e.tracer.Start("epoch.cut", 0)
 	e.tracer.Emit("epoch_cut", obs.KV("epoch", prev.Epoch+1))
 	fsp := e.tracer.Start("epoch.flush", sp.ID())
-	// Admission is held off across the bounds reading, the flush, and
-	// the pending take: the generation cut here contains exactly the
-	// records at or below the WAL bounds — nothing admitted later can
-	// leak into it — which is what makes the Commit truncation and a
-	// post-crash replay reconstruct this generation, no more, no less.
+	// Admission is held off across the bounds reading and the pending
+	// take: the generation cut here contains exactly the records at or
+	// below the WAL bounds — nothing admitted later can leak into it —
+	// which is what makes the Commit truncation and a post-crash replay
+	// reconstruct this generation, no more, no less.
 	e.ingestMu.Lock()
 	w := e.wal
 	var bounds []uint64
 	if w != nil {
 		bounds = w.Bounds()
 	}
-	e.flushQueue()
-	e.pendingMu.Lock()
-	batches := e.pending
-	e.pending = nil
-	e.pendingMu.Unlock()
+	batches, n := e.pending, e.uncut
+	e.pending, e.uncut = nil, 0
+	e.queueDepth.Set(0)
 	e.ingestMu.Unlock()
-	n := 0
-	for _, b := range batches {
-		n += len(b)
-	}
 	// Every stage span of the cut carries the same two sizes, so a
 	// trace shows which stage's time follows which.
 	sizes := []obs.Attr{obs.KV("delta", int64(n)), obs.KV("records", int64(prev.Records+n))}
@@ -430,7 +362,6 @@ func (e *Engine) Snapshot() *Generation {
 	e.genRecords.Set(int64(ds.Len()))
 	e.genEpoch.Set(g.Epoch)
 	e.genAgeMS.Set(0)
-	e.queueDepth.Set(int64(len(e.ch)))
 	e.snapLatency.Observe(e.clock.Now().Sub(start).Seconds())
 	e.tracer.Emit("generation_published",
 		obs.KV("epoch", g.Epoch), obs.KV("records", int64(g.Records)), obs.KV("delta", int64(n)))
@@ -486,25 +417,12 @@ func (e *Engine) Run(ctx context.Context) {
 	}
 }
 
-// Close drains and stops the engine: no further batches are admitted,
-// everything already admitted is flushed into a final published
-// generation, and the consumer exits. Close is idempotent and
-// returns the final generation.
+// Close stops the engine: no further batches are admitted, and
+// everything already admitted is cut into a final published
+// generation. Close is idempotent and returns the final generation.
 func (e *Engine) Close() *Generation {
 	e.ingestMu.Lock()
-	already := e.closed
 	e.closed = true
 	e.ingestMu.Unlock()
-	if already {
-		return e.gen.Load()
-	}
-	g := e.Snapshot()
-	e.snapMu.Lock()
-	if !e.stopped {
-		e.stopped = true
-		close(e.quit)
-		e.wg.Wait()
-	}
-	e.snapMu.Unlock()
-	return g
+	return e.cut(true)
 }

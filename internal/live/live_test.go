@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,22 +50,15 @@ func newTestEngine(t *testing.T, cfg Config) *Engine {
 
 func mustIngest(t *testing.T, e *Engine, recs []telemetry.ViewRecord) {
 	t.Helper()
-	// Send in small batches, retrying on backpressure, so tests with
-	// small queues still land every record.
+	// Send in small batches. Only a cut clears backpressure, so a
+	// refusal here is the test's ceiling being too low, not a wait.
 	for lo := 0; lo < len(recs); lo += 500 {
-		hi := lo + 500
-		if hi > len(recs) {
-			hi = len(recs)
+		res, err := e.Ingest(recs[lo:min(lo+500, len(recs))])
+		if err != nil {
+			t.Fatal(err)
 		}
-		for {
-			res, err := e.Ingest(recs[lo:hi])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Backpressured == 0 {
-				break
-			}
-			time.Sleep(time.Millisecond)
+		if res.Backpressured != 0 {
+			t.Fatalf("batch at %d refused: %+v", lo, res)
 		}
 	}
 }
@@ -220,69 +216,125 @@ func TestSnapshotConsistency(t *testing.T) {
 	}
 }
 
-// TestBackpressureRejectsWholeBatch fills a depth-1 queue while the consumer is blocked and expects the third batch to be
-// rejected whole with a retry-after hint — and a concurrent query to
-// proceed, because the append path and the query path share no lock.
-func TestBackpressureRejectsWholeBatch(t *testing.T) {
-	e := newTestEngine(t, Config{QueueDepth: 1, RetryAfter: 250 * time.Millisecond})
+// TestBackpressureIsABoundOnUncutRecords fills a depth-1 engine to its
+// ceiling — 16 384 records not yet cut into a generation — and expects
+// the next batch to be rejected whole, counted, with the retry-after
+// hint, leaving the ingest counter, the WAL and the next generation
+// untouched; a query still answers, because the append path and the
+// query path share no lock; and a cut, and nothing else, makes room.
+func TestBackpressureIsABoundOnUncutRecords(t *testing.T) {
+	wlog := openTestWAL(t, t.TempDir())
+	e := newTestEngine(t, Config{QueueDepth: 1, RetryAfter: 250 * time.Millisecond, WAL: wlog})
+	counter := func(name string) int64 { return e.Metrics().Counter(name).Load() }
 
-	e.pendingMu.Lock() // block the consumer's append
-	released := false
-	defer func() {
-		if !released {
-			e.pendingMu.Unlock()
+	recs := genRecords(recordsPerBatch + 900)
+	// 500 short of the ceiling, then a batch that crosses it: the check
+	// precedes the append, so that one gets in whole.
+	mustIngest(t, e, recs[:recordsPerBatch-500])
+	if res, err := e.Ingest(recs[recordsPerBatch-500 : recordsPerBatch+400]); err != nil || res.Accepted != 900 {
+		t.Fatalf("batch crossing the ceiling: %+v, %v", res, err)
+	}
+	admitted := int64(recordsPerBatch + 400)
+	seq := wlog.Bounds()[0]
+	for try := int64(1); try <= 2; try++ { // a retry without a cut fares no better
+		res, err := e.Ingest(recs[recordsPerBatch+400:])
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-
-	recs := genRecords(30)
-	if res, err := e.Ingest(recs[0:10]); err != nil || res.Accepted != 10 {
-		t.Fatalf("first batch: %+v, %v", res, err)
-	}
-	// Wait for the consumer to pull batch 1 off the queue and block on
-	// the held pending mutex.
-	for i := 0; len(e.ch) != 0; i++ {
-		if i > 2000 { // ~2s of millisecond sleeps
-			t.Fatal("consumer never pulled the first batch")
+		if res.Accepted != 0 || res.Backpressured != 500 || res.RetryAfter != 250*time.Millisecond {
+			t.Fatalf("batch at the ceiling not rejected whole with the hint: %+v", res)
 		}
-		time.Sleep(time.Millisecond)
+		if got := counter("live_ingest_backpressured_total"); got != 500*try {
+			t.Fatalf("backpressured counter = %d after %d refusals, want %d", got, try, 500*try)
+		}
 	}
-	if res, err := e.Ingest(recs[10:20]); err != nil || res.Accepted != 10 {
-		t.Fatalf("second batch: %+v, %v", res, err)
+	if got := counter("live_ingest_records_total"); got != admitted {
+		t.Fatalf("ingested counter = %d, want %d: a refused batch was counted", got, admitted)
 	}
-	res, err := e.Ingest(recs[20:30])
-	if err != nil {
+	if got := wlog.Bounds()[0]; got != seq {
+		t.Fatalf("WAL sequence moved %d → %d on a refused batch", seq, got)
+	}
+	// Queries must not block on, or be refused by, a full backlog.
+	if _, err := ShareOver(e.Generation().Dataset, "protocol", ""); err != nil {
 		t.Fatal(err)
 	}
-	if res.Accepted != 0 || res.Backpressured != 10 {
-		t.Fatalf("third batch not rejected whole: %+v", res)
+
+	if g := e.Snapshot(); int64(g.Records) != admitted {
+		t.Fatalf("generation has %d records, want %d (500 rejected)", g.Records, admitted)
 	}
-	if res.RetryAfter != 250*time.Millisecond {
-		t.Fatalf("retry-after = %v", res.RetryAfter)
+	if res, err := e.Ingest(recs[recordsPerBatch+400:]); err != nil || res.Accepted != 500 {
+		t.Fatalf("retry after the cut: %+v, %v", res, err)
 	}
-	if got := e.Metrics().Counter("live_ingest_backpressured_total").Load(); got != 10 {
-		t.Fatalf("backpressured counter = %d, want 10", got)
+	if g := e.Snapshot(); g.Records != len(recs) {
+		t.Fatalf("generation has %d records, want %d", g.Records, len(recs))
 	}
-	// Queries must not block on the stalled append path.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := ShareOver(e.Generation().Dataset, "protocol", ""); err != nil {
-			t.Error(err)
+}
+
+// TestNewEngineStartsNoGoroutine: the engine is a data structure. What
+// runs concurrently with it — Run's ticker, HTTP handlers — is started
+// by its owner.
+func TestNewEngineStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine(Config{Clock: simclock.NewManual(simclock.StudyStart)})
+	defer e.Close()
+	mustIngest(t, e, genRecords(10))
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines before NewEngine, %d after", before, after)
+	}
+}
+
+// TestIngestSnapshotCloseConserveRecords hammers Ingest, Snapshot and
+// Close from concurrent goroutines (the workload -race vets) against a
+// ceiling low enough to refuse: every accepted record, and no refused
+// one, is in the final generation.
+func TestIngestSnapshotCloseConserveRecords(t *testing.T) {
+	e := NewEngine(Config{QueueDepth: 1, Clock: simclock.NewManual(simclock.StudyStart)})
+	var accepted, refused atomic.Int64
+	var workers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		workers.Add(1)
+		go func() { // offers until Close refuses it
+			defer workers.Done()
+			recs := genRecords(300)
+			for {
+				res, err := e.Ingest(recs)
+				if err != nil {
+					if err != ErrClosed {
+						t.Error(err)
+					}
+					return
+				}
+				accepted.Add(int64(res.Accepted))
+				refused.Add(int64(res.Backpressured))
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	workers.Add(1)
+	go func() { // cuts until told to stop, across the Close
+		defer workers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				e.Snapshot()
+			}
 		}
 	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("query blocked while ingest was stalled")
+	for accepted.Load() < 3*recordsPerBatch {
+		runtime.Gosched()
 	}
-
-	released = true
-	e.pendingMu.Unlock()
-	// After releasing, everything admitted must drain into the epoch.
-	g := e.Snapshot()
-	if g.Records != 20 {
-		t.Fatalf("generation has %d records, want 20 (10 rejected)", g.Records)
+	g := e.Close()
+	close(stop)
+	workers.Wait()
+	if int64(g.Records) != accepted.Load() || e.Generation() != g {
+		t.Fatalf("final generation has %d records (published: %d), %d were accepted", g.Records, e.Generation().Records, accepted.Load())
 	}
+	if got := e.Metrics().Counter("live_ingest_backpressured_total").Load(); got != refused.Load() {
+		t.Fatalf("backpressured counter = %d, callers saw %d", got, refused.Load())
+	}
+	t.Logf("accepted %d, refused %d", accepted.Load(), refused.Load())
 }
 
 // TestFirstCutAdoptsExactCapacity pins the sizing rule behind
@@ -303,8 +355,8 @@ func TestFirstCutAdoptsExactCapacity(t *testing.T) {
 }
 
 // TestIngestAllocs holds admission to its budget: one copy of the
-// batch, plus whatever the queue and pending list amortize. The
-// partitioned engine this one replaced spent 83 allocations here.
+// batch, plus whatever the pending list amortizes. The partitioned
+// engine this one replaced spent 83 allocations here.
 func TestIngestAllocs(t *testing.T) {
 	e := newTestEngine(t, Config{QueueDepth: 1 << 10})
 	batch := genRecords(500)
@@ -337,11 +389,17 @@ func TestIngestAfterClose(t *testing.T) {
 	}
 }
 
+// TestRunCadence: Run cuts on the configured cadence until its context
+// is done, and then returns — its caller's goroutine is not leaked.
 func TestRunCadence(t *testing.T) {
 	e := newTestEngine(t, Config{EpochEvery: 5 * time.Millisecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go e.Run(ctx)
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		e.Run(ctx)
+	}()
 	mustIngest(t, e, genRecords(200))
 	for i := 0; ; i++ {
 		g := e.Generation()
@@ -352,5 +410,11 @@ func TestRunCadence(t *testing.T) {
 			t.Fatalf("cadence never published: epoch %d records %d", g.Epoch, g.Records)
 		}
 		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after its context was cancelled")
 	}
 }

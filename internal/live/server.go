@@ -161,7 +161,7 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if res.Backpressured > 0 {
 		// The backpressure contract: the whole batch was rejected,
-		// nothing was enqueued, and the client should resend the same
+		// nothing was kept, and the client should resend the same
 		// batch after RetryAfter.
 		secs := int(res.RetryAfter / time.Second)
 		if res.RetryAfter%time.Second != 0 {

@@ -227,38 +227,23 @@ func TestServerOversizedLine(t *testing.T) {
 	}
 }
 
+// TestServerBackpressure429 is TestBackpressureIsABoundOnUncutRecords
+// over HTTP: one POST fills a depth-1 engine's backlog, the next is a
+// 429 with the hint in header and body, a query still answers, and
+// after POST /v1/snapshot the same body is a 202.
 func TestServerBackpressure429(t *testing.T) {
-	_, srv, e := newTestServer(t, Config{QueueDepth: 1, RetryAfter: 1500 * time.Millisecond})
-	e.pendingMu.Lock() // stall the consumer
-	released := false
-	defer func() {
-		if !released {
-			e.pendingMu.Unlock()
-		}
-	}()
-
-	recs := genRecords(30)
-	resp := postViews(t, srv.Client(), srv.URL, recs[0:10])
+	_, srv, _ := newTestServer(t, Config{QueueDepth: 1, RetryAfter: 1500 * time.Millisecond})
+	recs := genRecords(recordsPerBatch + 10)
+	resp := postViews(t, srv.Client(), srv.URL, recs[:recordsPerBatch])
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first batch = %s", resp.Status)
+		t.Fatalf("batch that fills the backlog = %s", resp.Status)
 	}
-	for i := 0; len(e.ch) != 0; i++ {
-		if i > 2000 { // ~2s of millisecond sleeps
-			t.Fatal("consumer never pulled the first batch")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	resp = postViews(t, srv.Client(), srv.URL, recs[10:20])
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("second batch = %s", resp.Status)
-	}
-	resp = postViews(t, srv.Client(), srv.URL, recs[20:30])
+	resp = postViews(t, srv.Client(), srv.URL, recs[recordsPerBatch:])
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("third batch = %s, want 429", resp.Status)
+		t.Fatalf("batch at the ceiling = %s, want 429", resp.Status)
 	}
 	if got := resp.Header.Get("Retry-After"); got != "2" {
 		t.Fatalf("Retry-After = %q, want %q (1.5s rounded up)", got, "2")
@@ -266,8 +251,31 @@ func TestServerBackpressure429(t *testing.T) {
 	if !strings.Contains(string(body), `"backpressured":10`) || !strings.Contains(string(body), `"retry_after_ms":1500`) {
 		t.Fatalf("backpressure body = %s", body)
 	}
-	released = true
-	e.pendingMu.Unlock()
+	for _, step := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodGet, "/v1/query/share?dim=protocol", http.StatusOK},
+		{http.MethodPost, "/v1/snapshot", http.StatusOK},
+	} {
+		req, err := http.NewRequest(step.method, srv.URL+step.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != step.want {
+			t.Fatalf("%s %s with the backlog full = %s", step.method, step.path, resp.Status)
+		}
+	}
+	resp = postViews(t, srv.Client(), srv.URL, recs[recordsPerBatch:])
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("retry after the cut = %s, want 202", resp.Status)
+	}
 }
 
 // TestServerMixedWorkloadRace drives concurrent ingest, queries,

@@ -364,9 +364,8 @@ func TestWALReplayIdempotent(t *testing.T) {
 	wlog := openTestWAL(t, dir)
 	e := newTestEngine(t, Config{WAL: wlog})
 	mustIngest(t, e, recs[:700])
-	e.Snapshot() // commit + truncate: replay must cross the checkpoint
-	mustIngest(t, e, recs[700:])
-	e.Flush() // admitted but uncommitted: the segment tail
+	e.Snapshot()                 // commit + truncate: replay must cross the checkpoint
+	mustIngest(t, e, recs[700:]) // admitted but uncommitted: the segment tail
 
 	var gens [][]byte
 	for i := 0; i < 2; i++ {

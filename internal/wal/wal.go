@@ -1,6 +1,6 @@
 // Package wal is the serving plane's durability subsystem: one
 // append-only write-ahead log in front of internal/live's in-memory
-// queue, so a crash between admission and the next epoch cannot
+// pending list, so a crash between admission and the next epoch cannot
 // lose a batch the daemon acknowledged.
 //
 // The log is a single stream of segment files. Each admitted batch is

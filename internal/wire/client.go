@@ -105,8 +105,8 @@ func (c *Client) Encode(recs []record.ViewRecord) ([]byte, error) {
 
 // Send posts body — one Encode's bytes — to url until the server
 // acknowledges it with a 202, and returns how many refusals that took.
-// A 429 means the server's ingest queue is full, a 503 that its WAL
-// append failed (or that it is shutting down); either way nothing of
+// A 429 means the server's un-cut backlog is at its ceiling, a 503 that
+// its WAL append failed (or that it is shutting down); either way nothing of
 // the batch was admitted — admission is whole-batch on the server, so a
 // retry never duplicates records — and the identical bytes are resent
 // after the Retry-After hint, at most retries times. The wait rides ctx
