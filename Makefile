@@ -98,14 +98,16 @@ fuzz-wire:
 	$(GO) test -run xxx -fuzz FuzzInferProtocol -fuzztime 10s ./internal/manifest
 
 # bench-wal measures the durability tax: WAL-backed append throughput
-# under each fsync policy (batch, interval, off) plus raw replay
-# records/s, and the end-to-end HTTP ingest rate with the WAL attached.
+# under each fsync policy (batch, interval, off), boot replay records/s
+# at one and two cores (replay decodes on GOMAXPROCS workers), and the
+# end-to-end HTTP ingest rate with the WAL attached.
 # The numbers live in BENCH_wal.json; group-commit (interval) must
 # sustain at least half of BENCH_live_ingest.json's binary HTTP rate,
 # and fsync=off must be within noise of running without a WAL at all.
 .PHONY: bench-wal
 bench-wal:
-	$(GO) test -run xxx -bench 'BenchmarkWALAppend|BenchmarkWALReplay' -benchmem ./internal/wal/
+	$(GO) test -run xxx -bench BenchmarkWALAppend -benchmem ./internal/wal/
+	$(GO) test -run xxx -bench BenchmarkWALReplay -benchmem -cpu 1,2 ./internal/wal/
 	$(GO) test -run xxx -bench BenchmarkHTTPIngestWAL -benchmem ./internal/live/
 
 # bench-cut is the generation-size sweep for the epoch cut: one

@@ -550,7 +550,7 @@ func heapAlloc() uint64 {
 // keep views into the arenas their decode call allocated, so what a
 // generation weighs depends on how its batches were decoded — and
 // replay decodes 8,192-record checkpoint frames and then 500-record
-// tail batches on one decoder. With arenas sized by the decoder's
+// tail batches on the same decoders. With arenas sized by the decoder's
 // high-water mark every tail batch pinned a checkpoint frame's worth
 // (recovered heap was twice the live one); sized to the batch, the two
 // generations weigh the same.

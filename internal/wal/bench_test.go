@@ -74,14 +74,17 @@ func BenchmarkWALAppendInterval(b *testing.B) { benchAppend(b, PolicyInterval) }
 // isolates the WAL's CPU cost (framing, CRC, one write per batch).
 func BenchmarkWALAppendOff(b *testing.B) { benchAppend(b, PolicyOff) }
 
-// BenchmarkWALReplay measures boot-time recovery: decode and deliver
-// every record from a 100k-record log (50 segments-worth of appends,
-// no checkpoint). One op = one full replay. The records/s here bounds
-// how much WAL backlog a daemon can absorb per second of downtime.
+// BenchmarkWALReplay measures boot-time recovery in the shape bench/'s
+// ingest_wal crashes into: a checkpoint of 8,192-record frames holding
+// two thirds of 110,000 records, and the last third in the segments as
+// 500-record batches. One op = one full replay to a no-op callback;
+// make bench-wal runs it at -cpu 1,2, since the decode fans out over
+// GOMAXPROCS workers. The records/s bounds how much log a daemon can
+// recover per second of downtime.
 func BenchmarkWALReplay(b *testing.B) {
-	dir := b.TempDir()
+	const n, batch = 110_000, 500
 	l, err := Open(Options{
-		Dir:    dir,
+		Dir:    b.TempDir(),
 		Policy: PolicyOff,
 		Clock:  simclock.NewManual(simclock.StudyStart),
 	})
@@ -89,10 +92,12 @@ func BenchmarkWALReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer func() { _ = l.Close() }()
-	parts := partition(genRecords(2000), 4)
-	const batches = 50
-	for i := 0; i < batches; i++ {
-		if err := l.AppendBatch(parts, 0); err != nil {
+	recs := genRecords(n)
+	if err := l.Commit(1, recs[:2*n/3], l.Bounds(), 0); err != nil {
+		b.Fatal(err)
+	}
+	for lo := 2 * n / 3; lo < n; lo += batch {
+		if err := l.AppendBatch(one(recs[lo:min(lo+batch, n)]), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,10 +108,10 @@ func BenchmarkWALReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if stats.Delivered() != 2000*batches {
-			b.Fatalf("replay delivered %d records, want %d", stats.Delivered(), 2000*batches)
+		if stats.Delivered() != n {
+			b.Fatalf("replay delivered %d records, want %d", stats.Delivered(), n)
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(2000*batches*b.N)/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "records/s")
 }

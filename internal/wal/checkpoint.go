@@ -60,6 +60,8 @@ type ckptHeader struct {
 	total  uint64
 	bounds []uint64
 	frames []byte // the wire frames region, CRC already verified
+	units  []unit // frames, framed by readCheckpoint
+	size   int64  // the whole file's length
 }
 
 // parseCheckpoint validates data's CRC and parses the header. Any
@@ -80,7 +82,7 @@ func parseCheckpoint(data []byte) (*ckptHeader, error) {
 		return nil, fmt.Errorf("wal: unknown checkpoint version %d", body[4])
 	}
 	rest := body[ckptHeaderMin:]
-	var h ckptHeader
+	h := ckptHeader{size: int64(len(data))}
 	u, n := binary.Uvarint(rest)
 	if n <= 0 {
 		return nil, fmt.Errorf("wal: checkpoint: bad epoch varint")
@@ -109,28 +111,26 @@ func parseCheckpoint(data []byte) (*ckptHeader, error) {
 
 // loadCheckpointHeader reads what Open needs from the latest
 // checkpoint, CRC-verified: its bound, and its size and record count
-// for the cadence rule. A checkpoint with several bounds was written
+// for the cadence rule; it keeps the framed image for the first
+// Replay. A checkpoint with several bounds was written
 // over per-shard logs, and its bounds say nothing about this stream.
 func (l *Log) loadCheckpointHeader(path string) error {
-	data, err := os.ReadFile(path)
+	h, err := readCheckpoint(path)
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	h, err := parseCheckpoint(data)
-	if err != nil {
-		return fmt.Errorf("%w (%s)", err, path)
+		return err
 	}
 	if len(h.bounds) != 1 {
 		return fmt.Errorf("wal: checkpoint %s carries %d shard bounds, written by the per-shard layout; this log is one segment stream", path, len(h.bounds))
 	}
 	l.cpBound = h.bounds[0]
-	l.ckptBytes, l.ckptRecords = int64(len(data)), int64(h.total)
+	l.ckptBytes, l.ckptRecords = h.size, int64(h.total)
+	l.bootCkpt = h
 	return nil
 }
 
-// replayCheckpoint streams a checkpoint's records through fn one frame
-// at a time. The slice passed to fn obeys dec's reuse contract.
-func replayCheckpoint(path string, dec *wire.Decoder, fn func(recs []record.ViewRecord) error) (*ckptHeader, error) {
+// readCheckpoint reads and parses a checkpoint, and frames its frames
+// region into decode units, one frame each.
+func readCheckpoint(path string) (*ckptHeader, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -139,9 +139,7 @@ func replayCheckpoint(path string, dec *wire.Decoder, fn func(recs []record.View
 	if err != nil {
 		return nil, fmt.Errorf("%w (%s)", err, path)
 	}
-	frames := h.frames
-	delivered := uint64(0)
-	for len(frames) > 0 {
+	for frames := h.frames; len(frames) > 0; {
 		if len(frames) < 4 {
 			return nil, fmt.Errorf("wal: checkpoint %s: truncated frame length", path)
 		}
@@ -149,18 +147,8 @@ func replayCheckpoint(path string, dec *wire.Decoder, fn func(recs []record.View
 		if n > wire.MaxFrameBytes || int64(len(frames))-4 < n {
 			return nil, fmt.Errorf("wal: checkpoint %s: bad frame length %d", path, n)
 		}
-		recs, err := dec.DecodeAll(bytes.NewReader(frames[:4+n]))
-		if err != nil {
-			return nil, fmt.Errorf("wal: checkpoint %s: %w", path, err)
-		}
-		if err := fn(recs); err != nil {
-			return nil, err
-		}
-		delivered += uint64(len(recs))
+		h.units = append(h.units, unit{frames: frames[:4+n], ckpt: path})
 		frames = frames[4+n:]
-	}
-	if delivered != h.total {
-		return nil, fmt.Errorf("wal: checkpoint %s: frames hold %d records, header declares %d", path, delivered, h.total)
 	}
 	return h, nil
 }
@@ -271,6 +259,7 @@ func (l *Log) commit(epoch int64, records []record.ViewRecord, bounds []uint64) 
 	l.cpBound = bound
 	l.ckptBytes, l.ckptRecords = int64(len(img)), int64(len(records))
 	l.sinceCkpt -= covered
+	l.bootCkpt, l.bootSeg, l.bootTail = nil, segmentInfo{}, nil // Open's images no longer describe the log
 
 	// Everything at or below the bounds is durable in the checkpoint;
 	// drop the segments (and superseded checkpoints) that carried it.

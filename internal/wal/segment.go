@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"os"
 
 	"vmp/internal/telemetry/record"
 	"vmp/internal/wire"
@@ -52,9 +53,7 @@ type Torn struct {
 // DecodeSegment scans one segment's bytes, invoking fn for each intact
 // record in order. The record slice passed to fn obeys dec's reuse
 // contract: it is valid only until the next record is decoded, so fn
-// must copy what it keeps. A nil dec verifies framing and CRCs without
-// decoding the frame payloads (fn sees each sequence with nil records)
-// — the cheap scan Open uses to find the log's last durable sequence.
+// must copy what it keeps.
 //
 // A truncated or CRC-failing tail returns a non-nil *Torn with a nil
 // error: every record before it was delivered, and the caller decides
@@ -63,6 +62,21 @@ type Torn struct {
 // record whose CRC verifies but whose contents do not parse — or when
 // fn fails.
 func DecodeSegment(data []byte, dec *wire.Decoder, fn func(seq uint64, recs []record.ViewRecord) error) (*Torn, error) {
+	return scanSegment(data, func(seq uint64, off int64, frames []byte) error {
+		recs, err := dec.DecodeAll(bytes.NewReader(frames))
+		if err != nil {
+			return unit{seq: seq, off: off}.decodeErr(err)
+		}
+		if fn == nil {
+			return nil
+		}
+		return fn(seq, recs)
+	})
+}
+
+// scanSegment is DecodeSegment without the decode: it hands fn each
+// intact record's sequence, offset and frame bytes.
+func scanSegment(data []byte, fn func(seq uint64, off int64, frames []byte) error) (*Torn, error) {
 	off := int64(0)
 	for int64(len(data))-off > 0 {
 		rest := data[off:]
@@ -96,21 +110,29 @@ func DecodeSegment(data []byte, dec *wire.Decoder, fn func(seq uint64, recs []re
 			// wrote — corruption a torn write cannot explain.
 			return nil, fmt.Errorf("wal: record at offset %d: bad sequence varint", off)
 		}
-		var recs []record.ViewRecord
-		if dec != nil {
-			var err error
-			if recs, err = dec.DecodeAll(bytes.NewReader(body[sn:])); err != nil {
-				return nil, fmt.Errorf("wal: record seq %d at offset %d: %w", seq, off, err)
-			}
-		}
-		if fn != nil {
-			if err := fn(seq, recs); err != nil {
-				return nil, err
-			}
+		if err := fn(seq, off, body[sn:]); err != nil {
+			return nil, err
 		}
 		off += recordHeaderBytes + n
 	}
 	return nil, nil
+}
+
+// segmentUnits reads and frames one segment: its records as decode
+// units, in sequence from the first its name gives, and its torn tail.
+func segmentUnits(seg segmentInfo) (units []unit, torn *Torn, err error) {
+	data, err := os.ReadFile(seg.path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: %w", err)
+	}
+	torn, err = scanSegment(data, func(seq uint64, off int64, frames []byte) error {
+		if want := seg.first + uint64(len(units)); seq != want {
+			return fmt.Errorf("wal: %s: sequence %d where %d expected", seg.path, seq, want)
+		}
+		units = append(units, unit{frames: frames, seq: seq, off: off})
+		return nil
+	})
+	return units, torn, err
 }
 
 // appendBatch appends one batch to dst as records starting at sequence

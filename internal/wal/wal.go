@@ -194,6 +194,12 @@ type Log struct {
 	cpBound    uint64 // bound of the latest checkpoint: sequences at or below it are in it
 	closed     bool
 
+	// What Open read and verified, for the first Replay; Commit drops
+	// them. bootTail is bootSeg's records while bootSeg is unchanged.
+	bootCkpt *ckptHeader
+	bootSeg  segmentInfo
+	bootTail []unit
+
 	// The checkpoint cadence rule's inputs: what the latest checkpoint
 	// holds, and the segment bytes a replay must read on top of it.
 	ckptBytes   int64
@@ -357,36 +363,25 @@ func (l *Log) scanDir() error {
 	return nil
 }
 
-// recoverTail scans the log's final segment, truncates a torn tail —
+// recoverTail frames the log's final segment, truncates a torn tail —
 // counted, and logged as a wal_torn_tail event — and sets the
 // segment's last durable sequence (first-1 when empty) and surviving
-// size. Frames are CRC-checked but not decoded.
+// size. Frames are CRC-checked, and decoded by the first Replay.
 func (l *Log) recoverTail(seg *segmentInfo) error {
-	data, err := os.ReadFile(seg.path)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	seg.size = int64(len(data))
-	last := seg.first - 1
-	torn, err := DecodeSegment(data, nil, func(seq uint64, _ []record.ViewRecord) error {
-		if seq != last+1 {
-			return fmt.Errorf("wal: %s: sequence %d after %d", seg.path, seq, last)
-		}
-		last = seq
-		return nil
-	})
+	units, torn, err := segmentUnits(*seg)
 	if err != nil {
 		return err
 	}
-	seg.last = last
+	seg.last = seg.first - 1 + uint64(len(units))
 	if torn != nil {
 		if err := os.Truncate(seg.path, torn.Off); err != nil {
 			return fmt.Errorf("wal: truncating torn tail of %s: %w", seg.path, err)
 		}
 		seg.size = torn.Off
 		l.tornTails.Add(1)
-		l.tracer.Emit("wal_torn_tail", obs.KV("offset", torn.Off), obs.KV("last_seq", int64(last)))
+		l.tracer.Emit("wal_torn_tail", obs.KV("offset", torn.Off), obs.KV("last_seq", int64(seg.last)))
 	}
+	l.bootSeg, l.bootTail = *seg, units
 	return nil
 }
 

@@ -329,7 +329,7 @@ func TestSegmentRotation(t *testing.T) {
 		if want := fmt.Sprintf("seg-%016x.wal", next); filepath.Base(p) != want {
 			t.Fatalf("segment %s, want %s", filepath.Base(p), want)
 		}
-		if _, err := DecodeSegment(data, nil, func(seq uint64, _ []record.ViewRecord) error {
+		if _, err := scanSegment(data, func(seq uint64, _ int64, _ []byte) error {
 			if seq != next {
 				return fmt.Errorf("%s: sequence %d where %d expected", p, seq, next)
 			}
