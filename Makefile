@@ -84,23 +84,28 @@ bench-wire:
 
 # fuzz-wire gives each wire decoder ten seconds of native fuzzing: the
 # JSONL arm against encoding/json as the model, the frame decoder
-# against its round-trip fixed point — and ten each to the two
-# functions every record of an epoch cut goes through, held to the
-# bodies they replaced: CanonicalSort against sort.Slice over
-# CompareRecords, InferProtocol against lowercase-then-compare. The
-# seed corpora already run under `go test`; this is the search beyond
-# them (scripts/ci.sh, not `make verify`).
+# against its round-trip fixed point, and the WAL's AppendFrames
+# against the frame decoder (whatever DecodeAll accepts must replay
+# deep-equal from the log, whatever it rejects must append nothing) —
+# and ten each to the two functions every record of an epoch cut goes
+# through, held to the bodies they replaced: CanonicalSort against
+# sort.Slice over CompareRecords, InferProtocol against
+# lowercase-then-compare. The seed corpora already run under `go test`;
+# this is the search beyond them (scripts/ci.sh, not `make verify`).
 .PHONY: fuzz-wire
 fuzz-wire:
 	$(GO) test -run xxx -fuzz FuzzScanJSONL -fuzztime 10s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire
+	$(GO) test -run xxx -fuzz FuzzAppendFrames -fuzztime 10s ./internal/wal
 	$(GO) test -run xxx -fuzz FuzzCanonicalSort -fuzztime 10s ./internal/telemetry
 	$(GO) test -run xxx -fuzz FuzzInferProtocol -fuzztime 10s ./internal/manifest
 
 # bench-wal measures the durability tax: WAL-backed append throughput
 # under each fsync policy (batch, interval, off), boot replay records/s
 # at one and two cores (replay decodes on GOMAXPROCS workers), and the
-# end-to-end HTTP ingest rate with the WAL attached.
+# end-to-end HTTP ingest rate with the WAL attached, beside the same
+# binary POSTs with no WAL (BenchmarkHTTPIngestBinary) so each policy's
+# share of it comes from one command.
 # The numbers live in BENCH_wal.json; group-commit (interval) must
 # sustain at least half of BENCH_live_ingest.json's binary HTTP rate,
 # and fsync=off must be within noise of running without a WAL at all.
@@ -108,7 +113,7 @@ fuzz-wire:
 bench-wal:
 	$(GO) test -run xxx -bench BenchmarkWALAppend -benchmem ./internal/wal/
 	$(GO) test -run xxx -bench BenchmarkWALReplay -benchmem -cpu 1,2 ./internal/wal/
-	$(GO) test -run xxx -bench BenchmarkHTTPIngestWAL -benchmem ./internal/live/
+	$(GO) test -run xxx -bench 'BenchmarkHTTPIngest(Binary|WAL.*)$$' -benchmem ./internal/live/
 
 # bench-cut is the generation-size sweep for the epoch cut: one
 # Engine.Snapshot folding 2 500 new records into 50 k, 200 k and 800 k

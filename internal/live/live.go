@@ -38,9 +38,10 @@ var ErrClosed = errors.New("live: engine closed")
 // *wal.Log. AppendBatch persists an admitted batch before it joins the
 // pending list. The engine hands it over as a one-element parts vector
 // (the signature dates from a partitioned engine), valid only for the
-// call. An error means the batch must be rejected whole (the handler
-// returns 503 and the client retries), so acknowledgement implies the
-// WAL has the records.
+// call; a hook with AppendFrames (frameAppender) gets a binary POST's
+// frames instead, however many view records they hold. An error means
+// the batch must be rejected whole (the handler returns 503 and the
+// client retries), so acknowledgement implies the WAL has the records.
 // Bounds reports the last sequence appended, as a vector the engine
 // only carries from Bounds to Commit (*wal.Log's has one element); the
 // engine reads it under the same admission lock it takes the pending
@@ -108,9 +109,9 @@ type Generation struct {
 	Dataset *telemetry.Dataset
 }
 
-// recordsPerBatch is QueueDepth's unit: the most records one WAL log
-// record holds (wal.Options.ChunkRecords' default), so a ceiling of N
-// is N full log records waiting for a cut.
+// recordsPerBatch is QueueDepth's unit, wal.Options.ChunkRecords'
+// default: a ceiling of N is N×recordsPerBatch view records waiting for
+// a cut. (A log record is no longer capped at it: AppendFrames is not.)
 const recordsPerBatch = 1 << 14
 
 // Engine is the live serving engine. All methods are safe for
@@ -246,6 +247,18 @@ func (e *Engine) Ingest(recs []telemetry.ViewRecord) (Result, error) {
 // per-stage decomposition (scan → admit ⊃ wal.append). With tracing
 // disabled it is exactly Ingest.
 func (e *Engine) IngestSpan(recs []telemetry.ViewRecord, parent obs.SpanID) (Result, error) {
+	return e.IngestFrames(recs, nil, parent)
+}
+
+// frameAppender is a WAL that can log a batch as its frames (*wal.Log).
+type frameAppender interface {
+	AppendFrames([]byte, int64, obs.SpanID) error
+}
+
+// IngestFrames is IngestSpan for recs decoded from frames (a wire
+// binary stream, wire.Decoder.Frames), which a frameAppender WAL logs
+// as they are rather than encode recs under the admission lock.
+func (e *Engine) IngestFrames(recs []telemetry.ViewRecord, frames []byte, parent obs.SpanID) (Result, error) {
 	if len(recs) == 0 {
 		return Result{}, nil
 	}
@@ -273,9 +286,14 @@ func (e *Engine) IngestSpan(recs []telemetry.ViewRecord, parent obs.SpanID) (Res
 		// WAL (fsynced, under PolicyBatch) before it is pending. An
 		// append failure rejects the batch whole — nothing was kept, so
 		// the client's retry is exact.
-		e.walParts[0] = batch
-		err := e.wal.AppendBatch(e.walParts[:], sp.ID())
-		e.walParts[0] = nil
+		var err error
+		if fa, ok := e.wal.(frameAppender); ok && frames != nil {
+			err = fa.AppendFrames(frames, n, sp.ID())
+		} else {
+			e.walParts[0] = batch
+			err = e.wal.AppendBatch(e.walParts[:], sp.ID())
+			e.walParts[0] = nil
+		}
 		if err != nil {
 			e.ingestMu.Unlock()
 			e.walErrors.Add(1)

@@ -39,8 +39,8 @@ type Server struct {
 
 	// decoders recycles wire decoders across ingest requests, binary
 	// and JSONL alike; a decoder's scratch is only reused after
-	// IngestSpan has taken its own copy of the batch, which happens
-	// before the handler returns it to the pool.
+	// IngestFrames has copied the batch (and the WAL the frames), which
+	// happens before the handler returns it to the pool.
 	decoders sync.Pool
 }
 
@@ -152,7 +152,7 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("read error: %v", err), status)
 		return
 	}
-	res, err := s.engine.IngestSpan(batch, root.ID())
+	res, err := s.engine.IngestFrames(batch, dec.Frames(), root.ID())
 	if err != nil {
 		root.End(obs.KV("records", int64(len(batch))), obs.KV("closed", 1))
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)

@@ -355,6 +355,111 @@ func TestOneFramePerBatch(t *testing.T) {
 	}
 }
 
+// TestPooledDecoderLogsOnlyItsOwnFrames drives one decoder — the
+// server's pool can hand out no other — through a binary POST, a JSONL
+// POST, a corrupt binary POST (400) and a binary POST, with a WAL
+// attached. A binary POST's log record is the decoder's Frames, so a
+// decoder that kept a stream past its request would log the first
+// batch again in the JSONL one's place, or bytes of the refused one.
+// The binary records must hold the bytes the client sent, and replay
+// must give back exactly the accepted records.
+func TestPooledDecoderLogsOnlyItsOwnFrames(t *testing.T) {
+	dir := t.TempDir()
+	wlog := openTestWAL(t, dir)
+	e := newTestEngine(t, Config{WAL: wlog})
+	s := NewServer(e)
+	dec := wire.NewDecoder()
+	s.decoders.New = func() any { return dec }
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	post := func(contentType string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/views", contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+		return resp.StatusCode
+	}
+	frames := func(recs ...[]telemetry.ViewRecord) []byte {
+		var out []byte
+		for _, r := range recs {
+			var err error
+			if out, err = wire.NewEncoder().AppendFrame(out, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	recs := genRecords(700)
+	first, last := frames(recs[:150], recs[150:300]), frames(recs[600:])
+	var jsonl bytes.Buffer
+	if err := telemetry.EncodeJSONL(&jsonl, recs[300:500]); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := frames(recs[500:550], recs[550:600])
+	corrupt = corrupt[:len(corrupt)-3] // a good frame, then a cut one
+	for i, step := range []struct {
+		contentType string
+		body        []byte
+		status      int
+	}{
+		{wire.ContentTypeBinary, first, http.StatusAccepted},
+		{wire.ContentTypeJSONL, jsonl.Bytes(), http.StatusAccepted},
+		{wire.ContentTypeBinary, corrupt, http.StatusBadRequest},
+		{wire.ContentTypeBinary, last, http.StatusAccepted},
+	} {
+		if got := post(step.contentType, step.body); got != step.status {
+			t.Fatalf("POST %d: status %d, want %d", i, got, step.status)
+		}
+	}
+	e.AttachWAL(nil)
+	if err := wlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged [][]byte
+	data, err := os.ReadFile(filepath.Join(dir, "seg-0000000000000001.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(data) > 0 {
+		body := data[8 : 8+binary.LittleEndian.Uint32(data)]
+		data = data[8+len(body):]
+		_, n := binary.Uvarint(body)
+		logged = append(logged, body[n:])
+	}
+	if len(logged) != 3 || !bytes.Equal(logged[0], first) || !bytes.Equal(logged[2], last) {
+		t.Fatalf("the log holds %d records; the binary POSTs' are not the bytes the client sent", len(logged))
+	}
+	control := newTestEngine(t, Config{})
+	mustIngest(t, control, recs[:500])
+	mustIngest(t, control, recs[600:])
+	control.Snapshot()
+	rebuilt := newTestEngine(t, Config{})
+	replayInto(t, openTestWAL(t, dir), rebuilt)
+	rebuilt.Snapshot()
+	if !bytes.Equal(genJSONL(t, rebuilt.Generation()), genJSONL(t, control.Generation())) {
+		t.Fatalf("replay recovered %d records, not the %d accepted", rebuilt.Generation().Records, control.Generation().Records)
+	}
+}
+
+// TestBinaryPostWithoutFrameAppender: a WAL hook with no AppendFrames
+// is handed a binary POST as records, through AppendBatch.
+func TestBinaryPostWithoutFrameAppender(t *testing.T) {
+	stub := &partsWAL{}
+	srv := httptest.NewServer(NewServer(newTestEngine(t, Config{WAL: stub})).Handler())
+	defer srv.Close()
+	recs := genRecords(40)
+	if code := postBinary(t, srv.URL, recs); code != http.StatusAccepted {
+		t.Fatalf("status %d", code)
+	}
+	if len(stub.calls) != 1 || len(stub.calls[0]) != 1 || !reflect.DeepEqual(stub.calls[0][0], recs) {
+		t.Fatalf("AppendBatch calls %d, want one of the posted records", len(stub.calls))
+	}
+}
+
 // TestWALReplayIdempotent pins replay idempotence at the engine level:
 // replaying the same WAL twice into two fresh engines publishes
 // byte-identical generations.

@@ -2,6 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"vmp/internal/telemetry/record"
@@ -56,4 +62,95 @@ func FuzzDecodeSegment(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzAppendFrames holds the log to what the wire decoder accepts —
+// the frames a binary POST logs are the ones DecodeAll took, so its
+// acceptance set is part of the log format. For any stream DecodeAll
+// accepts, AppendFrames of its Frames, a reopen and a Replay give back
+// records deep-equal to the admission decode; for any stream it
+// rejects, Frames is nil and nothing is appended. Seeded from
+// FuzzDecodeFrame's corpus in internal/wire.
+func FuzzAppendFrames(f *testing.F) {
+	enc := wire.NewEncoder()
+	var two []byte
+	for _, recs := range [][]record.ViewRecord{genRecords(9), genRecords(40), nil} {
+		frame, err := enc.AppendFrame(nil, recs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+		two = append(two, frame...)
+	}
+	f.Add(two)
+	f.Add([]byte{})
+	f.Add([]byte{4, 0, 0, 0, 'V', 'B', 1, 0})
+	f.Add(bytes.Repeat([]byte{0x80}, 40))
+	seeds, err := filepath.Glob(filepath.Join("..", "wire", "testdata", "fuzz", "FuzzDecodeFrame", "*"))
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("FuzzDecodeFrame's corpus: %v, err %v", seeds, err)
+	}
+	for _, path := range seeds {
+		f.Add(corpusBytes(f, path))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec := wire.NewDecoder()
+		recs, derr := dec.DecodeAll(bytes.NewReader(data))
+		want := append([]record.ViewRecord(nil), recs...)
+		dir := t.TempDir()
+		l := openLog(t, dir, Options{Policy: PolicyOff})
+		if err := l.AppendFrames(dec.Frames(), int64(len(recs)), 0); err != nil {
+			t.Fatalf("AppendFrames of what DecodeAll accepted: %v", err)
+		}
+		if derr != nil {
+			if dec.Frames() != nil || l.Bounds()[0] != 0 || len(segmentFiles(t, dir)) != 0 {
+				t.Fatalf("a rejected stream (%v) reached the log", derr)
+			}
+			return
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := replayAll(t, openLog(t, dir, Options{Policy: PolicyOff}))
+		if len(got) != len(want) {
+			t.Fatalf("replay gave %d records, admission decoded %d", len(got), len(want))
+		}
+		for i := range got {
+			if !sameRecord(got[i], want[i]) {
+				t.Fatalf("record %d:\n replayed %+v\n admitted %+v", i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// sameRecord is reflect.DeepEqual with the float fields compared by
+// bit pattern, so a NaN the fuzzer wrote equals itself.
+func sameRecord(a, b record.ViewRecord) bool {
+	for _, f := range []func(*record.ViewRecord) *float64{
+		func(r *record.ViewRecord) *float64 { return &r.ViewSec },
+		func(r *record.ViewRecord) *float64 { return &r.AvgBitrateKbps },
+		func(r *record.ViewRecord) *float64 { return &r.RebufferSec },
+		func(r *record.ViewRecord) *float64 { return &r.Weight },
+	} {
+		if math.Float64bits(*f(&a)) != math.Float64bits(*f(&b)) {
+			return false
+		}
+		*f(&a), *f(&b) = 0, 0
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+// corpusBytes reads one []byte input of a native fuzz corpus file.
+func corpusBytes(t testing.TB, path string) []byte {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, arg, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(arg, "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(s)
 }

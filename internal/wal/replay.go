@@ -40,10 +40,11 @@ func (s ReplayStats) Delivered() int64 { return s.CheckpointRecords + s.SegmentR
 // keeps, which Engine.Ingest does.
 //
 // A torn final record in the last segment — the signature of a crash
-// mid-append — stops replay cleanly at the last good sequence, counted and logged, never a panic or an error. Any
-// other inconsistency (a sequence gap, corruption inside a closed
-// segment, a CRC-valid record that does not parse) is a hard error:
-// the log is not trustworthy and the operator must decide.
+// mid-append — stops replay cleanly at the last good sequence, counted
+// and logged, never a panic or an error. Any other inconsistency (a
+// sequence gap, corruption inside a closed segment, a CRC-valid record
+// that does not parse) is a hard error: the log is not trustworthy and
+// the operator must decide.
 //
 // Replay only reads; it may be run repeatedly (replay idempotence is
 // pinned by tests) and concurrently with appends, though the boot

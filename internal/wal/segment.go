@@ -20,9 +20,9 @@ import (
 //	u32le  crc32c   — Castagnoli CRC over those length bytes
 //	uvarint seq     — the log's monotonic sequence number
 //	frames          — one or more wire binary frames (internal/wire),
-//	                  exactly as Encoder.AppendFrame lays them out:
-//	                  one admitted batch, a frame per part handed to
-//	                  AppendBatch (one, from today's engine)
+//	                  one admitted batch: a binary POST's own frames
+//	                  (AppendFrames), else Encoder.AppendFrame's, a
+//	                  frame per part handed to AppendBatch
 //
 // The CRC covers the sequence number and the frame bytes, so a torn
 // write — a crash mid-record — is detected no matter where it lands:
@@ -157,9 +157,7 @@ func appendBatch(dst []byte, enc *wire.Encoder, seq uint64, chunk int, parts [][
 			}
 			if base < 0 {
 				base, held = len(dst), 0
-				var hdr [recordHeaderBytes]byte
-				dst = append(dst, hdr[:]...)
-				dst = binary.AppendUvarint(dst, seq)
+				dst = openRecord(dst, seq)
 				seq++
 			}
 			var err error
@@ -175,6 +173,48 @@ func appendBatch(dst []byte, enc *wire.Encoder, seq uint64, chunk int, parts [][
 		sealRecord(dst, base)
 	}
 	return dst, seq, total, nil
+}
+
+// appendFrames is appendBatch for frames, a wire binary stream with its
+// length prefixes, copied byte for byte: only a frame that would take
+// the open record's body past maxBody starts the next record. A stream
+// past wire.MaxBodyBytes, not ending on a frame boundary, or with a
+// frame no record can hold is refused, and dst returned as it came.
+func appendFrames(dst []byte, seq uint64, maxBody int, frames []byte) ([]byte, uint64, error) {
+	if len(frames) > wire.MaxBodyBytes {
+		return dst, seq, fmt.Errorf("wal: %d frame bytes exceed wire.MaxBodyBytes %d", len(frames), wire.MaxBodyBytes)
+	}
+	start, base := len(dst), -1
+	for rest := frames; len(rest) > 0; {
+		n := len(rest) + 1 // a cut length prefix: no frame fits
+		if len(rest) >= 4 {
+			n = 4 + int(binary.LittleEndian.Uint32(rest))
+		}
+		if n > len(rest) || n > maxBody-binary.MaxVarintLen64 {
+			return dst[:start], seq, fmt.Errorf("wal: %d bytes left of a frame stream hold no %d-byte frame a record can take", len(rest), n)
+		}
+		if base >= 0 && len(dst)-base-recordHeaderBytes+n > maxBody {
+			sealRecord(dst, base)
+			base = -1
+		}
+		if base < 0 {
+			base = len(dst)
+			dst = openRecord(dst, seq)
+			seq++
+		}
+		dst = append(dst, rest[:n]...)
+		rest = rest[n:]
+	}
+	if base >= 0 {
+		sealRecord(dst, base)
+	}
+	return dst, seq, nil
+}
+
+// openRecord appends a record's header, for sealRecord to fill, and seq.
+func openRecord(dst []byte, seq uint64) []byte {
+	var hdr [recordHeaderBytes]byte
+	return binary.AppendUvarint(append(dst, hdr[:]...), seq)
 }
 
 // sealRecord fills in the length and CRC of the record that starts at

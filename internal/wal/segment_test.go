@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"flag"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -187,6 +188,99 @@ func TestGoldenSegment(t *testing.T) {
 		if len(seqs) != g.entries || seqs[0] != 1 || seqs[len(seqs)-1] != uint64(g.entries) {
 			t.Fatalf("%s holds sequences %v, want 1..%d", g.file, seqs, g.entries)
 		}
+	}
+}
+
+// TestAppendFramesWritesTheGoldenBytes: a log handed Encoder.AppendFrame's
+// output as frames writes golden.segment byte for byte. The record a
+// binary POST's frames make is the record AppendBatch makes of the
+// same records, so a log holds one format whichever append wrote it.
+func TestAppendFramesWritesTheGoldenBytes(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "golden.segment"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	l := openLog(t, dir, Options{Policy: PolicyOff})
+	enc := wire.NewEncoder()
+	recs := genRecords(12)
+	for _, batch := range [][]record.ViewRecord{recs[:5], recs[5:]} {
+		frames, err := enc.AppendFrame(nil, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendFrames(frames, int64(len(batch)), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(segmentFiles(t, dir)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("AppendFrames wrote %d bytes that are not golden.segment's %d", len(got), len(want))
+	}
+}
+
+// TestAppendFramesSplitsOnlyPastMaxBody: frames go into one record,
+// byte for byte, until the next would take its body past the cap; the
+// record then ends on a frame boundary and the next sequence takes the
+// rest. A stream that does not end on a frame boundary, or a frame no
+// record body can hold, appends nothing.
+func TestAppendFramesSplitsOnlyPastMaxBody(t *testing.T) {
+	enc := wire.NewEncoder()
+	recs := genRecords(40)
+	var frames []byte
+	var sizes []int
+	for lo := 0; lo < len(recs); lo += 10 {
+		n := len(frames)
+		var err error
+		if frames, err = enc.AppendFrame(frames, recs[lo:lo+10]); err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, len(frames)-n)
+	}
+	// Room for a one-byte sequence and two frames, never three.
+	maxBody := 1 + max(sizes[0]+sizes[1], sizes[2]+sizes[3])
+	if 1+sizes[0]+sizes[1]+sizes[2] <= maxBody {
+		t.Fatalf("frame sizes %v leave room for three frames in a record", sizes)
+	}
+	data, next, err := appendFrames(nil, 1, maxBody, frames)
+	if err != nil || next != 3 {
+		t.Fatalf("appendFrames: next sequence %d, err %v; want two records", next, err)
+	}
+	var logged []byte
+	if torn, err := scanSegment(data, func(seq uint64, _ int64, body []byte) error {
+		if len(body) > maxBody-1 {
+			return fmt.Errorf("record %d carries %d frame bytes past a %d-byte body cap", seq, len(body), maxBody)
+		}
+		logged = append(logged, body...)
+		return nil
+	}); err != nil || torn != nil {
+		t.Fatalf("scan: torn %v, err %v", torn, err)
+	}
+	if !bytes.Equal(logged, frames) {
+		t.Fatal("the records' frames are not the stream handed over")
+	}
+	if n, torn := decodeCount(t, data); n != len(recs) || torn != nil {
+		t.Fatalf("the records decode to %d view records, torn %v", n, torn)
+	}
+	if got, _, err := appendFrames([]byte("kept"), 1, sizes[0], frames[sizes[0]:]); err == nil || string(got) != "kept" {
+		t.Fatalf("a frame larger than the body cap: err %v, dst %q", err, got)
+	}
+
+	dir := t.TempDir()
+	l := openLog(t, dir, Options{Policy: PolicyOff})
+	for _, bad := range [][]byte{frames[:len(frames)-1], frames[:len(frames)-sizes[3]+2], append(frames[:len(frames):len(frames)], 7)} {
+		if err := l.AppendFrames(bad, int64(len(recs)), 0); err == nil {
+			t.Fatalf("AppendFrames took %d bytes that do not end on a frame boundary", len(bad))
+		}
+	}
+	if l.Bounds()[0] != 0 || len(segmentFiles(t, dir)) != 0 {
+		t.Fatalf("refused appends left bounds %v and segments %v", l.Bounds(), segmentFiles(t, dir))
 	}
 }
 

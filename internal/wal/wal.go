@@ -6,12 +6,11 @@
 // The log is a single stream of segment files. Each admitted batch is
 // appended to the active segment as one length-prefixed,
 // CRC32C-checksummed record carrying the log's next sequence number and
-// the batch itself as internal/wire binary frames, one per non-empty
-// part, back to back (the engine hands over one part; the several-part
-// records of the partitioned engine before it still replay) — the same
-// encoding the ingest wire path speaks, and the same
-// monotonic-sequence framing discipline the obs
-// event pipeline uses to make a truncated prefix detectable. A batch
+// the batch as internal/wire binary frames — a binary POST's own, byte
+// for byte, or else encoded a frame per part (the several-part records
+// of the partitioned engine before this one still replay) — under the
+// monotonic-sequence framing discipline the obs event pipeline uses to
+// make a truncated prefix detectable. A batch
 // costs one write and, by the fsync policy, at most one fsync:
 // PolicyBatch syncs before the append returns (an acknowledged batch
 // survives kill -9 and power loss), PolicyInterval group-commits on a
@@ -402,9 +401,21 @@ func (l *Log) Bounds() []uint64 {
 // should be acknowledged: the caller rejects the batch and the client
 // retries it whole.
 func (l *Log) AppendBatch(parts [][]record.ViewRecord, parent obs.SpanID) error {
+	return l.append(parts, nil, 0, parent)
+}
+
+// AppendFrames is AppendBatch for records view records that arrived as
+// frames, a wire binary stream (wire.Decoder.Frames): logged as they are,
+// not decoded or encoded, so the caller vouches that they decode.
+func (l *Log) AppendFrames(frames []byte, records int64, parent obs.SpanID) error {
+	return l.append(nil, frames, records, parent)
+}
+
+// append is both appends, under a wal.append span.
+func (l *Log) append(parts [][]record.ViewRecord, frames []byte, records int64, parent obs.SpanID) error {
 	sp := l.tracer.Start("wal.append", parent)
 	l.mu.Lock()
-	records, bytes, err := l.appendLocked(parts, sp.ID())
+	records, bytes, err := l.appendLocked(parts, frames, records, sp.ID())
 	l.mu.Unlock()
 	if err != nil {
 		if err != ErrClosed {
@@ -418,21 +429,27 @@ func (l *Log) AppendBatch(parts [][]record.ViewRecord, parent obs.SpanID) error 
 	return nil
 }
 
-// appendLocked encodes, writes and (PolicyBatch) syncs one batch, and
-// returns its record and byte counts. Sequences are consumed only by a
-// write that landed whole. Caller holds mu.
-func (l *Log) appendLocked(parts [][]record.ViewRecord, parent obs.SpanID) (records, bytes int64, err error) {
+// appendLocked copies frames, or else encodes parts, writes and
+// (PolicyBatch) syncs one batch, and returns its record and byte
+// counts. Sequences are consumed only by a write that landed whole.
+// Caller holds mu.
+func (l *Log) appendLocked(parts [][]record.ViewRecord, frames []byte, records int64, parent obs.SpanID) (int64, int64, error) {
 	if l.closed {
 		return 0, 0, ErrClosed
 	}
 	if l.failed != nil {
 		return 0, 0, l.failed
 	}
-	esp := l.tracer.Start("wal.encode", parent)
-	buf, next, records, err := appendBatch(l.buf[:0], l.enc, l.nextSeq, l.opts.ChunkRecords, parts)
-	l.buf = buf
-	bytes = int64(len(buf))
-	esp.End(obs.KV("bytes", bytes))
+	var next uint64
+	var err error
+	if frames != nil {
+		l.buf, next, err = appendFrames(l.buf[:0], l.nextSeq, MaxRecordBytes, frames)
+	} else {
+		esp := l.tracer.Start("wal.encode", parent)
+		l.buf, next, records, err = appendBatch(l.buf[:0], l.enc, l.nextSeq, l.opts.ChunkRecords, parts)
+		esp.End(obs.KV("bytes", int64(len(l.buf))))
+	}
+	bytes := int64(len(l.buf))
 	if err != nil || bytes == 0 {
 		return 0, 0, err
 	}
@@ -443,7 +460,7 @@ func (l *Log) appendLocked(parts [][]record.ViewRecord, parent obs.SpanID) (reco
 	}
 	active := &l.segs[len(l.segs)-1]
 	wsp := l.tracer.Start("wal.write", parent)
-	_, err = l.f.Write(buf)
+	_, err = l.f.Write(l.buf)
 	wsp.End(obs.KV("bytes", bytes))
 	if err != nil {
 		return 0, 0, l.cutTornWrite(active, err)

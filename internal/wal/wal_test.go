@@ -14,6 +14,7 @@ import (
 	"vmp/internal/simclock"
 	"vmp/internal/telemetry"
 	"vmp/internal/telemetry/record"
+	"vmp/internal/wire"
 )
 
 // genRecords builds a deterministic record set with enough field
@@ -556,42 +557,66 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-// TestAppendStagesTraced pins the append's stage vocabulary: wal.encode,
-// wal.write and wal.fsync are children of wal.append, which says how
-// many records and bytes the batch was — so a trace can tell whether a
-// slow ack was spent encoding, in write(2) or in fsync.
+// TestAppendStagesTraced pins the append's stage vocabulary: wal.write
+// and wal.fsync are children of wal.append, which says how many records
+// and bytes the batch was — so a trace can tell whether a slow ack was
+// spent encoding, in write(2) or in fsync. AppendBatch has a wal.encode
+// child too; AppendFrames encodes nothing and has none.
 func TestAppendStagesTraced(t *testing.T) {
-	dir := t.TempDir()
-	tr := obs.NewTracer(simclock.NewManual(simclock.StudyStart), 64)
-	l := openLog(t, dir, Options{Policy: PolicyBatch, Trace: tr})
-	if err := l.AppendBatch(partition(genRecords(120), 4), 0); err != nil {
+	recs := genRecords(120)
+	frames, err := wire.NewEncoder().AppendFrame(nil, recs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	size := segmentBytes(t, dir)
-	var parent uint64
-	children := map[string]int64{}
-	snap := tr.Snapshot()
-	for _, sp := range snap.Spans {
-		if sp.Name == "wal.append" {
-			parent = sp.ID
-			if sp.Attrs["records"] != 120 || sp.Attrs["bytes"] != size {
-				t.Fatalf("wal.append attrs %v, want 120 records and %d bytes", sp.Attrs, size)
+	for _, c := range []struct {
+		name   string
+		append func(*Log) error
+		encode bool
+	}{
+		{"batch", func(l *Log) error { return l.AppendBatch(partition(recs, 4), 0) }, true},
+		{"frames", func(l *Log) error { return l.AppendFrames(frames, 120, 0) }, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tr := obs.NewTracer(simclock.NewManual(simclock.StudyStart), 64)
+			l := openLog(t, dir, Options{Policy: PolicyBatch, Trace: tr})
+			if err := c.append(l); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	for _, sp := range snap.Spans {
-		if sp.Name != "wal.append" {
-			if sp.Parent != parent {
-				t.Fatalf("%s is not a child of wal.append: %+v", sp.Name, sp)
+			size := segmentBytes(t, dir)
+			if !c.encode && size != int64(recordHeaderBytes+1+len(frames)) {
+				t.Fatalf("%d segment bytes for a %d-byte frame stream under sequence 1", size, len(frames))
 			}
-			children[sp.Name] = sp.Attrs["bytes"]
-		}
-	}
-	if len(children) != 3 || children["wal.encode"] != size || children["wal.write"] != size {
-		t.Fatalf("children of wal.append: %v, want wal.encode and wal.write with %d bytes, and wal.fsync", children, size)
-	}
-	if _, ok := children["wal.fsync"]; !ok {
-		t.Fatalf("no wal.fsync among %v", children)
+			var parent uint64
+			children := map[string]int64{}
+			snap := tr.Snapshot()
+			for _, sp := range snap.Spans {
+				if sp.Name == "wal.append" {
+					parent = sp.ID
+					if sp.Attrs["records"] != 120 || sp.Attrs["bytes"] != size {
+						t.Fatalf("wal.append attrs %v, want 120 records and %d bytes", sp.Attrs, size)
+					}
+				}
+			}
+			for _, sp := range snap.Spans {
+				if sp.Name != "wal.append" {
+					if sp.Parent != parent {
+						t.Fatalf("%s is not a child of wal.append: %+v", sp.Name, sp)
+					}
+					children[sp.Name] = sp.Attrs["bytes"]
+				}
+			}
+			if _, ok := children["wal.fsync"]; !ok || children["wal.write"] != size {
+				t.Fatalf("children of wal.append: %v, want wal.write with %d bytes, and wal.fsync", children, size)
+			}
+			want := 2 // wal.write, wal.fsync
+			if c.encode {
+				want++
+			}
+			if encoded, ok := children["wal.encode"]; ok != c.encode || (ok && encoded != size) || len(children) != want {
+				t.Fatalf("children of wal.append: %v, want %d; wal.encode (with %d bytes) among them: %v", children, want, size, c.encode)
+			}
+		})
 	}
 }
 
@@ -611,6 +636,28 @@ func TestAppendBatchDoesNotAllocate(t *testing.T) {
 			}
 		}); allocs != 0 {
 			t.Fatalf("policy %v: AppendBatch allocates %.1f times per batch", policy, allocs)
+		}
+	}
+}
+
+// TestAppendFramesDoesNotAllocate: the same for a batch that arrived as
+// frames — copied into the reused buffer, one write, one fsync.
+func TestAppendFramesDoesNotAllocate(t *testing.T) {
+	frames, err := wire.NewEncoder().AppendFrame(nil, genRecords(400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []Policy{PolicyOff, PolicyBatch} {
+		l := openLog(t, t.TempDir(), Options{Policy: policy})
+		if err := l.AppendFrames(frames, 400, 0); err != nil { // sizes the buffer, creates the segment
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if err := l.AppendFrames(frames, 400, 0); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("policy %v: AppendFrames allocates %.1f times per batch", policy, allocs)
 		}
 	}
 }

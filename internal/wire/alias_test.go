@@ -169,3 +169,39 @@ func TestArenasSizedToTheBatch(t *testing.T) {
 		})
 	}
 }
+
+// TestRecordsDoNotAliasTheBody: DecodeAll reads every frame into the
+// one body buffer Frames hands out, and the next decode rewrites it —
+// so no string, CDN list or bitrate ladder of a decoded record may
+// point into it, however the body grew.
+func TestRecordsDoNotAliasTheBody(t *testing.T) {
+	dec := wire.NewDecoder()
+	stream := append(encodeFrames(t, genRecords(64)), encodeFrames(t, genRecords(200))...)
+	got, err := dec.DecodeAll(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := dec.Frames()
+	if !bytes.Equal(body, stream) {
+		t.Fatalf("Frames holds %d bytes, not the %d-byte stream", len(body), len(stream))
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(body)))
+	hi := lo + uintptr(cap(body))
+	inBody := func(p unsafe.Pointer) bool { return uintptr(p) >= lo && uintptr(p) < hi }
+	for i := range got {
+		v := reflect.ValueOf(got[i])
+		for f := 0; f < v.NumField(); f++ {
+			if s := v.Field(f); s.Kind() == reflect.String && s.Len() > 0 && inBody(unsafe.Pointer(unsafe.StringData(s.String()))) {
+				t.Fatalf("record %d: %s points into the body buffer", i, v.Type().Field(f).Name)
+			}
+		}
+		for _, c := range got[i].CDNs {
+			if inBody(unsafe.Pointer(unsafe.StringData(c))) {
+				t.Fatalf("record %d: a CDN name points into the body buffer", i)
+			}
+		}
+		if inBody(unsafe.Pointer(unsafe.SliceData(got[i].CDNs))) || inBody(unsafe.Pointer(unsafe.SliceData(got[i].Bitrates))) {
+			t.Fatalf("record %d: a list points into the body buffer", i)
+		}
+	}
+}

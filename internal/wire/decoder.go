@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"vmp/internal/telemetry/record"
@@ -22,7 +23,7 @@ var errTruncated = errors.New("wire: truncated frame")
 // Decoder parses ingest bodies — binary frame streams (DecodeAll) and
 // JSON lines (ScanJSONL) — straight into the columnar
 // []record.ViewRecord layout: no intermediate per-record structs, no
-// per-field allocations. The record slice, frame and line buffers, and
+// per-field allocations. The record slice, body and line buffers, and
 // table scratch are reused across calls and distinct string values are
 // interned in a persistent cache, so a steady decode loop over similar
 // batches allocates only the per-call CDN/bitrate arenas — zero
@@ -32,15 +33,16 @@ var errTruncated = errors.New("wire: truncated frame")
 // batch the decoder has seen: see fit.
 //
 // Ownership contract: the slice a decode returns (and the structs in
-// it) is valid only until the next DecodeAll or ScanJSONL call on the
-// same decoder. The ingest path copies records out synchronously (the
-// live engine takes its own copy of the batch inside Ingest), which is
-// what makes the reuse safe. What a copied record still shares with
-// the decoder is never rewritten: interned strings are immutable and
-// the CDN/bitrate arenas are allocated per call. A Decoder is not safe
-// for concurrent use; pool decoders per request instead.
+// it), like Frames, is valid only until the next DecodeAll or ScanJSONL
+// call on the same decoder. The ingest path copies records (and the WAL
+// frames) out synchronously, which is what makes the reuse safe. What
+// a copied record still shares with the decoder is never rewritten:
+// interned strings are immutable and the CDN/bitrate arenas are
+// allocated per call. A Decoder is not safe for concurrent use; pool
+// decoders per request instead.
 type Decoder struct {
-	frame  []byte              // reused frame buffer, valid until the next DecodeAll
+	body   []byte              // reused buffer DecodeAll reads the stream into, length prefixes included
+	frames []byte              // body after a DecodeAll that succeeded; nil after any other decode
 	line   []byte              // reused JSONL line buffer, valid until the next ScanJSONL
 	recs   []record.ViewRecord // reused record slice handed to callers per the ownership contract
 	names  []string            // per-frame string table scratch
@@ -84,7 +86,7 @@ func (d *Decoder) internBytes(b []byte) string {
 // bytes — fails the whole stream: ingest handlers reject the batch so
 // a retry is exact.
 func (d *Decoder) DecodeAll(r io.Reader) ([]record.ViewRecord, error) {
-	d.recs = d.recs[:0]
+	d.recs, d.body, d.frames = d.recs[:0], d.body[:0], nil
 	st := d.newDecodeState()
 	for {
 		if _, err := io.ReadFull(r, d.lenbuf[:]); err != nil {
@@ -97,20 +99,26 @@ func (d *Decoder) DecodeAll(r io.Reader) ([]record.ViewRecord, error) {
 		if n > MaxFrameBytes {
 			return nil, fmt.Errorf("wire: frame payload %d bytes exceeds MaxFrameBytes %d", n, MaxFrameBytes)
 		}
-		if cap(d.frame) < int(n) {
-			d.frame = make([]byte, n)
-		}
-		d.frame = d.frame[:n]
-		if _, err := io.ReadFull(r, d.frame); err != nil {
+		// Frames land back to back in body, the one copy made.
+		off := len(d.body)
+		d.body = append(slices.Grow(d.body, 4+int(n)), d.lenbuf[:]...)[:off+4+int(n)]
+		payload := d.body[off+4:]
+		if _, err := io.ReadFull(r, payload); err != nil {
 			return nil, fmt.Errorf("%w: payload short of %d bytes: %w", errTruncated, n, err)
 		}
-		if err := d.decodeFrame(d.frame, &st); err != nil {
+		if err := d.decodeFrame(payload, &st); err != nil {
 			return nil, err
 		}
 	}
 	d.fit(&st)
+	d.frames = d.body
 	return d.recs, nil
 }
+
+// Frames returns the stream the last decode read, length prefixes
+// included — nil unless that was a DecodeAll that succeeded. A WAL logs
+// it for the records returned, so what DecodeAll accepts is log format.
+func (d *Decoder) Frames() []byte { return d.frames }
 
 // decodeState holds the per-call arenas the variable-length record
 // fields sub-slice. They are freshly allocated each decode call —

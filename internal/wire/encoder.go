@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 
@@ -185,16 +184,4 @@ func appendBitset(p []byte, recs []record.ViewRecord, get func(*record.ViewRecor
 		p = append(p, cur)
 	}
 	return p
-}
-
-// Encode writes recs to w as one binary frame.
-func (e *Encoder) Encode(w io.Writer, recs []record.ViewRecord) error {
-	frame, err := e.AppendFrame(nil, recs)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(frame); err != nil {
-		return fmt.Errorf("wire: writing frame: %w", err)
-	}
-	return nil
 }

@@ -1,0 +1,83 @@
+package wire
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"vmp/internal/telemetry/record"
+)
+
+// TestFramesNeverStale pins the hazard Frames brings to a pooled
+// decoder: a WAL logs Frames for the records DecodeAll returned, so the
+// bytes must never be an earlier request's. After a good binary decode,
+// a JSONL scan and every kind of failed DecodeAll — a truncated frame,
+// a bad magic, a body cut off at MaxBodyBytes after a good first frame —
+// must leave Frames nil, not the good stream and not the part read.
+func TestFramesNeverStale(t *testing.T) {
+	frame, err := NewEncoder().AppendFrame(nil, []record.ViewRecord{
+		{Publisher: "pub-a", URL: "http://v.example/a.m3u8", CDNs: []string{"cdn-a"}, ViewSec: 30},
+		{Publisher: "pub-b", Bitrates: []int{400, 800}, Live: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := append(append([]byte(nil), frame...), frame...)
+	badMagic := append([]byte(nil), stream...)
+	badMagic[len(frame)+4] = 'X'
+	dec := NewDecoder()
+	for _, c := range []struct {
+		name string
+		next func() error // nil error: a decode that succeeds without frames
+	}{
+		{"jsonl", func() error {
+			_, _, _, err := dec.ScanJSONL(strings.NewReader(`{"pub":"pub-c"}` + "\n"))
+			return err
+		}},
+		{"truncated frame", func() error {
+			_, err := dec.DecodeAll(bytes.NewReader(stream[:len(stream)-3]))
+			return wantErr(err, errTruncated)
+		}},
+		{"bad magic", func() error {
+			_, err := dec.DecodeAll(bytes.NewReader(badMagic))
+			return wantErr(err, nil)
+		}},
+		{"over MaxBodyBytes", func() error {
+			// A body that has already delivered all but the first frame's
+			// worth of the cap: that frame decodes, the next one's length
+			// prefix crosses the cap.
+			cr := &countingReader{r: bytes.NewReader(stream), n: MaxBodyBytes - int64(len(frame)) - 2}
+			_, err := dec.DecodeAll(cr)
+			return wantErr(err, ErrBodyTooLarge)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := dec.DecodeAll(bytes.NewReader(stream)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(dec.Frames(), stream) {
+				t.Fatalf("Frames after a good decode: %d bytes, want the %d-byte stream", len(dec.Frames()), len(stream))
+			}
+			if err := c.next(); err != nil {
+				t.Fatal(err)
+			}
+			if f := dec.Frames(); f != nil {
+				t.Fatalf("Frames is %d stale bytes", len(f))
+			}
+		})
+	}
+}
+
+// wantErr turns a decode that should have failed (with want, if not
+// nil) into a test error.
+func wantErr(err, want error) error {
+	switch {
+	case err == nil:
+		return errors.New("decode succeeded")
+	case want != nil && !errors.Is(err, want):
+		return fmt.Errorf("decode failed with %v, not %v", err, want)
+	}
+	return nil
+}

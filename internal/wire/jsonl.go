@@ -43,7 +43,7 @@ func ScanJSONL(r io.Reader) (batch []record.ViewRecord, bad int, err error) {
 // not recognize goes to json.Unmarshal, and fallback counts those — a
 // client whose lines all land there is correct but four times slower.
 func (d *Decoder) ScanJSONL(r io.Reader) (batch []record.ViewRecord, bad, fallback int, err error) {
-	d.recs = d.recs[:0]
+	d.recs, d.frames = d.recs[:0], nil
 	st := d.newDecodeState()
 	if d.line == nil {
 		d.line = make([]byte, 64*1024)

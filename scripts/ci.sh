@@ -27,8 +27,9 @@ stage lint      make lint
 stage race      make race
 # fuzz-wire searches past the seed corpora `make test` already runs:
 # ten seconds each on the JSONL arm (encoding/json is the model), the
-# binary frame decoder, CanonicalSort (sort.Slice over CompareRecords
-# is the model) and InferProtocol (lowercase-then-compare is). Native
+# binary frame decoder, the WAL's AppendFrames (the frame decoder is
+# the model), CanonicalSort (sort.Slice over CompareRecords is the
+# model) and InferProtocol (lowercase-then-compare is). Native
 # fuzzing; nothing to download.
 stage fuzz-wire make fuzz-wire
 stage smoke     make smoke
