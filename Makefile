@@ -38,7 +38,7 @@ vet-bench:
 test-bench:
 	cd bench && $(GO) test ./...
 
-# lint runs the in-repo analyzer suite (cmd/vmplint, ten analyzers;
+# lint runs the in-repo analyzer suite (cmd/vmplint, eight analyzers;
 # `vmplint -h` lists them, DESIGN.md §7 says why each is kept) over the
 # whole module and must stay clean. One invocation, no flags: every
 # package is loaded with its _test.go files and analyzed after its
@@ -145,6 +145,17 @@ bench-query:
 .PHONY: bench-lint
 bench-lint:
 	$(GO) test -run xxx -bench 'BenchmarkLintTree$$' -benchtime 3x ./internal/lint/
+
+# mutants runs the mutant ledger (cmd/vmpmutants, ~3 min): every seeded
+# mutant under testdata/mutants/ is applied through an overlay — the
+# tree is never written — and must fail its named test under
+# `go test -overlay -json`, and every live analyzer must give the
+# verdict on record for it. Each arm's outcome is appended to the
+# git-ignored .mutants/collected.jsonl; docs/mutants.md is regenerated
+# from the rows (scripts/ci.sh then requires it unchanged).
+.PHONY: mutants
+mutants:
+	$(GO) run ./cmd/vmpmutants
 
 # smoke boots the live serving plane end to end: vmpd ingests a vmpgen
 # slice over HTTP and must answer queries byte-identically to vmpstudy

@@ -114,19 +114,6 @@ func main() {
 		sampler.AddSource(wlog.PublishGauges)
 	}
 	go sampler.Run(ctx)
-	go func() {
-		tick := time.NewTicker(logEvery)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-				g := engine.Generation()
-				log.Printf("vmpd: epoch %d, %d records published", g.Epoch, g.Records)
-			}
-		}
-	}()
 
 	server := live.NewServer(engine)
 	srv := newHTTPServer(*addr, server.Handler())
@@ -226,14 +213,15 @@ const (
 
 // What no script, test, example or README invocation ever set, and so
 // is not a flag: the shutdown drain deadline for in-flight requests,
-// how often the published generation is logged, the span/event ring
-// behind /v1/trace, and the sampler's cadence and the registry
-// snapshots it retains for /v1/series. The backpressure hint and the
-// WAL's group-commit cadence and segment size are live.Config's and
-// wal.Options' defaults (500 ms, 25 ms, 16 MiB).
+// the span/event ring behind /v1/trace, and the sampler's cadence and
+// the registry snapshots it retains for /v1/series. The backpressure
+// hint and the WAL's group-commit cadence and segment size are
+// live.Config's and wal.Options' defaults (500 ms, 25 ms, 16 MiB).
+// The published generation's epoch and record count are not logged:
+// they are live_generation_epoch and live_generation_records on
+// /metrics, /v1/series and vmptop.
 const (
 	drainTimeout = 10 * time.Second
-	logEvery     = time.Minute
 	traceDepth   = 2048
 	sampleEvery  = time.Second
 	seriesDepth  = 600

@@ -4,6 +4,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -63,8 +65,17 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	}
 }
 
+// serving counts the goroutines RunNotify started to run Serve.
+func serving() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "graceful.RunNotify.func1(")
+}
+
 // TestDrainDeadline expects an over-deadline handler to surface as a
-// Run error instead of hanging shutdown forever.
+// Run error instead of hanging shutdown forever, and the serve
+// goroutine not to outlive Run: Shutdown closed its listener, so Serve
+// returns, and its result must land in errc even though Run, past its
+// deadline, no longer reads it.
 func TestDrainDeadline(t *testing.T) {
 	mux := http.NewServeMux()
 	started := make(chan struct{}, 1)
@@ -90,7 +101,13 @@ func TestDrainDeadline(t *testing.T) {
 	if err := <-runDone; err == nil {
 		t.Fatal("Run returned nil despite a stuck handler")
 	}
-	close(release)
+	defer close(release)
+	for i := 0; serving() > 0; i++ {
+		if i == 200 { // ~2 s of 10 ms sleeps
+			t.Fatal("the serve goroutine is still running after Run returned")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestListenerFailure expects Run to return promptly when the address

@@ -31,11 +31,8 @@ type callGraph struct {
 	// Whole-program fact layers, built lazily and idempotently on top of
 	// the graph (see summary.go) and shared between the summary builder
 	// and the analyzers so neither recomputes the other's fixed points.
-	frozenEng *taintEngine              // frozen-dataset taint (frozenwrite)
-	atomicEng *taintEngine              // atomic-publication taint (atomicdiscipline)
-	lockSets  map[types.Object][]string // transitive lock classes acquired, sorted
-	lockEdges []LockEdge                // lock-order edges observed in this package
-	walReach  map[types.Object]bool     // transitively reaches a WAL AppendBatch
+	frozenEng *taintEngine          // frozen-dataset taint (frozenwrite)
+	walReach  map[types.Object]bool // transitively reaches a WAL append
 }
 
 // buildCallGraph walks the package once: function declarations become
@@ -103,15 +100,4 @@ func buildCallGraph(files []*ast.File, info *types.Info) *callGraph {
 		}
 	}
 	return g
-}
-
-// unparen strips any number of enclosing parentheses.
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

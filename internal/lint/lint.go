@@ -1,7 +1,7 @@
 // Package lint is a self-contained static-analysis driver (in the
 // spirit of golang.org/x/tools/go/analysis, but stdlib-only) that
 // machine-checks invariants the study engine and the live serving
-// plane depend on. Ten analyzers, one driver (Run), one pass, one
+// plane depend on. Eight analyzers, one driver (Run), one pass, one
 // output line per finding:
 //
 //   - nondeterminism: wall-clock and process-seeded randomness stay
@@ -18,9 +18,6 @@
 //     locks nor leak internal slices from under them.
 //   - errcheck: internal/ and cmd/ code does not silently drop error
 //     returns.
-//   - atomicdiscipline: atomically-accessed state is never touched
-//     plainly, and values published through an atomic.Pointer are
-//     never mutated afterwards.
 //   - ctxflow: caller contexts (r.Context(), ctx parameters) are
 //     threaded into blocking work; bare time.Sleep is forbidden.
 //   - httpdiscipline: every HTTP handler path writes its status at
@@ -30,19 +27,19 @@
 //     before the rename and its directory fsynced after (the WAL
 //     checkpoint protocol, DESIGN §11), and a handler never writes an
 //     HTTP 202 before the WAL append that makes the ack durable.
-//   - lockorder: mutex classes (type fields, package-level mutexes)
-//     are acquired in one global order; a cycle in the cross-package
-//     acquisition graph is a potential deadlock.
 //
-// Allocation budgets, scratch-buffer aliasing, goroutine shutdown and
-// channel protocol are not linted: the testing.AllocsPerRun pins, the
-// slot-reuse tests, and the tests that stop each of the tree's four
-// loops and drain its two worker pools check them on the running code
-// (DESIGN §7 has the ledger).
+// Allocation budgets, scratch-buffer aliasing, goroutine shutdown,
+// channel protocol, writes to atomically published values and lock
+// order are not linted: the testing.AllocsPerRun pins, the slot-reuse
+// tests, the tests that stop each of the tree's loops and drain its
+// worker pools, -race, and a hammer test of ingest, cuts and Close
+// check them on the running code. The mutant ledger (cmd/vmpmutants,
+// docs/mutants.md) shows each of those tests failing on a seeded
+// mutant, and what the analyzers report on the same bytes.
 //
 // The suite is whole-program: packages are analyzed in import-DAG
-// order, each one publishing per-function summaries (taint returns,
-// WAL-append reachability, lock-acquisition sets — see summary.go) that
+// order, each one publishing per-function summaries (frozen-taint
+// returns and WAL-append reachability — see summary.go) that
 // dependents consult at cross-package call sites, so the fixed-point
 // engines keep their in-package precision through exported helper
 // chains. Every run loads _test.go files too; an analyzer declares
@@ -78,13 +75,6 @@ type Analyzer struct {
 	// Tests says the contract holds in _test.go files too. Every run
 	// loads them; what an analyzer without it reports there is dropped.
 	Tests bool
-
-	// Finish, when set, runs once after every package has been
-	// analyzed, over the assembled whole-program facts — the hook for
-	// properties no single package can decide (lockorder's global
-	// cycle detection). Its findings are not line-suppressible: they
-	// have no single offending line.
-	Finish func(*Program) []Diagnostic
 }
 
 // Pass carries one analyzer's view of one package.
@@ -151,7 +141,7 @@ func (d Diagnostic) String() string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Nondeterminism, MapOrder, FrozenWrite, LockDiscipline, ErrCheck,
-		AtomicDiscipline, CtxFlow, HTTPDiscipline, FsyncDiscipline, LockOrder,
+		CtxFlow, HTTPDiscipline, FsyncDiscipline,
 	}
 }
 

@@ -131,10 +131,6 @@ func TestLockDisciplineFixture(t *testing.T) {
 
 func TestErrCheckFixture(t *testing.T) { checkFixture(t, "errcheck", "vmp/internal/errfix") }
 
-func TestAtomicDisciplineFixture(t *testing.T) {
-	checkFixture(t, "atomicdiscipline", "vmp/internal/atomicfix")
-}
-
 func TestCtxFlowFixture(t *testing.T) { checkFixture(t, "ctxflow", "vmp/internal/ctxfix") }
 
 func TestIgnoreDirectives(t *testing.T) { checkFixture(t, "ignore", "vmp/internal/ignorefix") }
@@ -177,11 +173,11 @@ func TestErrCheckScopedToModule(t *testing.T) {
 	}
 }
 
-// TestConcurrencyAnalyzersScopedToModule reloads each concurrency
+// TestConcurrencyAnalyzersScopedToModule reloads the concurrency
 // fixture under an external import path; the whole v2 suite is scoped
 // to vmp/internal and vmp/cmd.
 func TestConcurrencyAnalyzersScopedToModule(t *testing.T) {
-	for _, dir := range []string{"atomicdiscipline", "ctxflow"} {
+	for _, dir := range []string{"ctxflow"} {
 		for _, d := range runFixtures(t, Analyzers(), dir, "example.com/outside") {
 			t.Errorf("%s: unexpected finding outside vmp/internal and vmp/cmd: %s", dir, d)
 		}
@@ -304,15 +300,11 @@ func TestFsyncDisciplineFixture(t *testing.T) {
 	checkFixture(t, "fsyncdiscipline", "vmp/internal/fsyncfix")
 }
 
-func TestLockOrderFixture(t *testing.T) {
-	checkFixture(t, "lockorder", "vmp/internal/lockorderfix")
-}
-
-// TestV4AnalyzersScopedToModule reloads the v4 fixtures under an
-// external import path; fsyncdiscipline and lockorder police only
-// vmp/internal and vmp/cmd.
+// TestV4AnalyzersScopedToModule reloads the v4 fixture under an
+// external import path; fsyncdiscipline polices only vmp/internal and
+// vmp/cmd.
 func TestV4AnalyzersScopedToModule(t *testing.T) {
-	for _, dir := range []string{"fsyncdiscipline", "lockorder"} {
+	for _, dir := range []string{"fsyncdiscipline"} {
 		for _, d := range runFixtures(t, Analyzers(), dir, "example.com/outside") {
 			t.Errorf("%s: unexpected finding outside vmp/internal and vmp/cmd: %s", dir, d)
 		}
@@ -328,10 +320,9 @@ const (
 )
 
 // TestCrossPackageLaundering pins the whole-program summaries: a
-// telemetry accessor and an atomic.Pointer load wrapped by exported
-// helpers in another package do not launder their taint. Asked for
-// use/ alone, the driver pulls alias/ in along the import DAG and the
-// mutations in use/ are findings.
+// telemetry accessor wrapped by an exported helper in another package
+// does not launder its taint. Asked for use/ alone, the driver pulls
+// alias/ in along the import DAG and the mutation in use/ is a finding.
 func TestCrossPackageLaundering(t *testing.T) {
 	diags := runFixtures(t, Analyzers(), filepath.Join("crosspkg", "use"), crosspkgUse)
 	checkWants(t, diags, collectWants(t, filepath.Join("crosspkg", "use")))
@@ -359,10 +350,6 @@ func TestPackageSummaryFacts(t *testing.T) {
 	if !records.TaintFrozen {
 		t.Errorf("Records facts = %+v, want TaintFrozen", records)
 	}
-	current := sum.Funcs["(*"+crosspkgAlias+".Box).Current"]
-	if !current.TaintAtomic {
-		t.Errorf("Current facts = %+v, want TaintAtomic", current)
-	}
 	if _, ok := sum.Funcs[crosspkgAlias+".rows"]; ok {
 		t.Error("unexported rows should not be published in the summary")
 	}
@@ -378,36 +365,44 @@ func TestAnalyzersApplyToTestFilesByDeclaration(t *testing.T) {
 	}
 }
 
+const depTelemetrySrc = `// Package telemetry poses as the frozen dataset's package.
+package telemetry
+
+// Dataset is a frozen dataset.
+type Dataset struct{ hits []int }
+
+// Hits returns the dataset's counters: a view, not a copy.
+func (d *Dataset) Hits() []int { return d.hits }
+`
+
 const depAlphaSrc = `// Package alpha is a dependency: one finding of its own, one exported
-// accessor returning what an atomic.Pointer published.
+// helper returning a frozen dataset's view.
 package alpha
 
 import (
-	"sync/atomic"
 	"time"
+
+	"vmp/internal/telemetry"
 )
 
 // Stamp returns the wall-clock time.
 func Stamp() time.Time { return time.Now() }
 
-// State is one published generation.
-type State struct{ Hits int }
-
-// Box publishes a State behind an atomic pointer.
-type Box struct{ cur atomic.Pointer[State] }
-
-// Current returns the published state.
-func (b *Box) Current() *State { return b.cur.Load() }
+// Hits returns the dataset's counters.
+func Hits(d *telemetry.Dataset) []int { return d.Hits() }
 `
 
-const depBetaSrc = `// Package beta writes what alpha.Current returned; only alpha's
-// summary says that is a published generation.
+const depBetaSrc = `// Package beta writes what alpha.Hits returned; only alpha's summary
+// says that is a frozen dataset's view.
 package beta
 
-import "vmp/internal/alpha"
+import (
+	"vmp/internal/alpha"
+	"vmp/internal/telemetry"
+)
 
 // Bump counts a hit.
-func Bump(b *alpha.Box) { b.Current().Hits++ }
+func Bump(d *telemetry.Dataset) { alpha.Hits(d)[0]++ }
 `
 
 // writeModule lays files (slash paths under the root, go.mod included)
@@ -416,6 +411,7 @@ func writeModule(t *testing.T, files map[string]string) string {
 	t.Helper()
 	root := t.TempDir()
 	files["go.mod"] = "module vmp\n\ngo 1.22\n"
+	files["internal/telemetry/telemetry.go"] = depTelemetrySrc
 	for name, src := range files {
 		path := filepath.Join(root, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -430,8 +426,8 @@ func writeModule(t *testing.T, files map[string]string) string {
 
 // TestRunTreeDependencySummariesWithoutRequest checks that a package
 // imported by a requested one is pulled in for its summary — the write
-// in beta is a finding only because alpha's facts say Current returns a
-// published generation — without reporting its own findings.
+// in beta is a finding only because alpha's facts say Hits returns a
+// frozen dataset's view — without reporting its own findings.
 func TestRunTreeDependencySummariesWithoutRequest(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"internal/alpha/alpha.go": depAlphaSrc,
@@ -443,14 +439,14 @@ func TestRunTreeDependencySummariesWithoutRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 1 || diags[0].Analyzer != "atomicdiscipline" {
-		t.Fatalf("beta alone: findings = %v, want its one atomicdiscipline finding (alpha's summary incriminates the write; alpha's own finding is not requested)", diags)
+	if len(diags) != 1 || diags[0].Analyzer != "frozenwrite" {
+		t.Fatalf("beta alone: findings = %v, want its one frozenwrite finding (alpha's summary incriminates the write; alpha's own finding is not requested)", diags)
 	}
 	diags, err = Run(root, []string{alphaDir, betaDir}, Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 2 || diags[0].Analyzer != "nondeterminism" || diags[1].Analyzer != "atomicdiscipline" {
+	if len(diags) != 2 || diags[0].Analyzer != "nondeterminism" || diags[1].Analyzer != "frozenwrite" {
 		t.Fatalf("alpha and beta: findings = %v, want alpha's nondeterminism finding and beta's", diags)
 	}
 	// The control: without alpha's summary in the program the write is
@@ -473,7 +469,7 @@ func TestRunTreeDependencySummariesWithoutRequest(t *testing.T) {
 // external test package imports alpha, and alpha imports omega. The
 // external test is its own node, so omega still publishes its summary
 // before alpha — which sorts first — is analyzed, and alpha's write
-// through omega.Current is seen.
+// through omega.Hits is seen.
 func TestRunExternalTestImportsDependent(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"internal/omega/omega.go": strings.ReplaceAll(depAlphaSrc, "alpha", "omega"),
@@ -490,7 +486,7 @@ var _ = alpha.Bump
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 2 || diags[0].Analyzer != "atomicdiscipline" || diags[1].Analyzer != "nondeterminism" {
-		t.Fatalf("findings = %v, want alpha's atomicdiscipline finding and omega's nondeterminism one", diags)
+	if len(diags) != 2 || diags[0].Analyzer != "frozenwrite" || diags[1].Analyzer != "nondeterminism" {
+		t.Fatalf("findings = %v, want alpha's frozenwrite finding and omega's nondeterminism one", diags)
 	}
 }

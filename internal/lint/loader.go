@@ -2,12 +2,14 @@ package lint
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/build"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,6 +43,7 @@ type Loader struct {
 
 	imported  map[string]*types.Package // completed dependency imports
 	importing map[string]bool           // cycle guard
+	overlay   map[string][]byte         // absolute file path → contents read instead of the disk's
 }
 
 // NewLoader returns a loader rooted at the module directory containing
@@ -66,6 +69,18 @@ func NewLoader(root string) (*Loader, error) {
 		imported:   make(map[string]*types.Package),
 		importing:  make(map[string]bool),
 	}, nil
+}
+
+// overlaid makes each file named in overlay read as the bytes given,
+// in the build-constraint scan and the parse alike.
+func (l *Loader) overlaid(overlay map[string][]byte) {
+	l.overlay = overlay
+	l.ctx.OpenFile = func(path string) (io.ReadCloser, error) {
+		if b, ok := overlay[path]; ok {
+			return io.NopCloser(bytes.NewReader(b)), nil
+		}
+		return os.Open(path)
+	}
 }
 
 // readModulePath extracts the module path from a go.mod file.
@@ -162,7 +177,12 @@ func (l *Loader) parseDir(dir string, mode parser.Mode) ([]*ast.File, error) {
 func (l *Loader) parseFiles(dir string, names []string, mode parser.Mode) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, mode)
+		path := filepath.Join(dir, name)
+		var src any
+		if b, ok := l.overlay[path]; ok {
+			src = b
+		}
+		f, err := parser.ParseFile(l.Fset, path, src, mode)
 		if err != nil {
 			return nil, err
 		}

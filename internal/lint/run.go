@@ -38,10 +38,18 @@ type treeNode struct {
 // findings, sorted and deduplicated. Packages pulled in only as
 // dependencies publish summaries and report nothing.
 func Run(root string, dirs []string, analyzers []*Analyzer) ([]Diagnostic, error) {
+	return RunOverlay(root, nil, dirs, analyzers)
+}
+
+// RunOverlay is Run with each file named in overlay (absolute paths, as
+// dirs must then be) read as the bytes given instead of the disk's —
+// `go test -overlay` for the analyzers (cmd/vmpmutants).
+func RunOverlay(root string, overlay map[string][]byte, dirs []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	loader, err := NewLoader(root)
 	if err != nil {
 		return nil, err
 	}
+	loader.overlaid(overlay)
 	targets := make([]target, 0, len(dirs))
 	for _, dir := range dirs {
 		path, err := loader.pathFor(dir)
@@ -96,11 +104,6 @@ func run(loader *Loader, targets []target, analyzers []*Analyzer) ([]Diagnostic,
 	for i, n := range nodes {
 		if n.requested {
 			merged = append(merged, findings[i]...)
-		}
-	}
-	for _, a := range analyzers {
-		if a.Finish != nil {
-			merged = append(merged, a.Finish(prog)...)
 		}
 	}
 	return sortDedup(merged), nil

@@ -6,11 +6,10 @@ import (
 	"go/types"
 )
 
-// taintEngine is the shared alias-taint machinery behind frozenwrite
-// and atomicdiscipline: starting from analyzer-specific sources
-// (Dataset accessors, atomic.Pointer loads), it propagates taint
-// through local assignments and range statements to a fixpoint, then
-// reports writes through tainted memory.
+// taintEngine is frozenwrite's alias-taint machinery: starting from
+// its sources (Dataset accessors), it propagates taint through local
+// assignments and range statements to a fixpoint, then reports writes
+// through tainted memory.
 //
 // The engine is interprocedural to a fixed point over the package call
 // graph (see dataflow.go): every function declaration is summarized by
@@ -18,8 +17,8 @@ import (
 // because summaries feed back into the taint of call expressions — a
 // helper chain like
 //
-//	func (e *Engine) Generation() *Generation { return e.gen.Load() }
-//	func (e *Engine) gen() *Generation        { return e.Generation() }
+//	func Records(d *telemetry.Dataset) []ViewRecord { return rows(d) }
+//	func rows(d *telemetry.Dataset) []ViewRecord    { return d.All() }
 //
 // carries its taint to every caller at any depth without whole-program
 // analysis. The summary lattice is two-valued and only grows, so the
@@ -28,18 +27,13 @@ import (
 type taintEngine struct {
 	p *Pass
 
-	// source reports whether a call originates tainted memory
-	// (analyzer-specific: frozen accessors, atomic pointer loads).
+	// source reports whether a call originates tainted memory.
 	source func(*ast.CallExpr) bool
 
 	// cross reports whether a cross-package callee is summarized as
 	// returning tainted memory (see summary.go); nil when the engine
 	// runs without whole-program facts.
 	cross func(types.Object) bool
-
-	// propagateRecv additionally taints the result of any method call
-	// whose receiver is tainted (v.Dataset.All() when v is tainted).
-	propagateRecv bool
 
 	// summaries marks package functions whose results are tainted.
 	summaries map[types.Object]bool
@@ -48,8 +42,8 @@ type taintEngine struct {
 // newTaintEngine builds an engine with a call-shaped source, an
 // optional cross-package fact source, and computes the fixed-point
 // interprocedural summaries for the package under analysis.
-func (p *Pass) newTaintEngine(source func(*ast.CallExpr) bool, cross func(types.Object) bool, propagateRecv bool) *taintEngine {
-	t := &taintEngine{p: p, source: source, cross: cross, propagateRecv: propagateRecv}
+func (p *Pass) newTaintEngine(source func(*ast.CallExpr) bool, cross func(types.Object) bool) *taintEngine {
+	t := &taintEngine{p: p, source: source, cross: cross}
 	t.computeSummaries()
 	return t
 }
@@ -236,10 +230,9 @@ func (t *taintEngine) taintedExpr(e ast.Expr, tainted map[types.Object]bool) boo
 
 // taintedCall reports whether a call originates or forwards taint: a
 // direct source, a call to a function summarized as returning tainted
-// memory, an append whose destination is tainted (append may return
-// the same backing array), or (with propagateRecv) a method call on a
-// tainted receiver. append(untainted, tainted...) copies the contents
-// into the destination's backing array and stays clean.
+// memory, or an append whose destination is tainted (append may return
+// the same backing array). append(untainted, tainted...) copies the
+// contents into the destination's backing array and stays clean.
 func (t *taintEngine) taintedCall(call *ast.CallExpr, tainted map[types.Object]bool) bool {
 	if t.source(call) {
 		return true
@@ -255,13 +248,6 @@ func (t *taintEngine) taintedCall(call *ast.CallExpr, tainted map[types.Object]b
 		}
 		if t.cross != nil && t.cross(obj) {
 			return true
-		}
-	}
-	if t.propagateRecv {
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			if s, ok := t.p.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
-				return t.taintedExpr(sel.X, tainted)
-			}
 		}
 	}
 	return false

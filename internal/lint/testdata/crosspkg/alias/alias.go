@@ -1,16 +1,11 @@
-// Package alias wraps telemetry accessors and atomic publication
-// behind one more exported hop: dependents receive frozen-dataset
-// views and atomic-published state without ever calling telemetry or
-// sync/atomic themselves. Before whole-program summaries this hop
+// Package alias wraps telemetry accessors behind one more exported hop:
+// dependents receive frozen-dataset views without ever calling
+// telemetry themselves. Before whole-program summaries this hop
 // laundered the taint; the cross-package fixture test pins that it no
 // longer does.
 package alias
 
-import (
-	"sync/atomic"
-
-	"vmp/internal/telemetry"
-)
+import "vmp/internal/telemetry"
 
 // Records returns the dataset's backing view records, through an
 // unexported helper so the in-package fixed point has to carry the
@@ -20,19 +15,3 @@ func Records(d *telemetry.Dataset) []telemetry.ViewRecord {
 }
 
 func rows(d *telemetry.Dataset) []telemetry.ViewRecord { return d.All() }
-
-// State is one published generation of counters.
-type State struct {
-	Hits []int64
-}
-
-// Box publishes a State behind an atomic pointer.
-type Box struct {
-	cur atomic.Pointer[State]
-}
-
-// Publish stores s as the current state.
-func (b *Box) Publish(s *State) { b.cur.Store(s) }
-
-// Current returns the published state.
-func (b *Box) Current() *State { return b.cur.Load() }

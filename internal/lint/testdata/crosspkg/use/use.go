@@ -1,8 +1,8 @@
 // Package use consumes alias-wrapped state and mutates it — the
 // cross-package laundering chain the whole-program summaries exist to
 // see through. Analyzed alone (no dependency summaries in scope) this
-// package is clean; analyzed after alias along the import DAG, both
-// writes below are findings.
+// package is clean; analyzed after alias along the import DAG, the
+// write below is a finding.
 package use
 
 import (
@@ -15,11 +15,4 @@ import (
 func Rename(d *telemetry.Dataset) {
 	recs := alias.Records(d)
 	recs[0].Publisher = "relabeled" // want frozenwrite "telemetry.Dataset view"
-}
-
-// Reset mutates a generation loaded from an atomic pointer through the
-// cross-package wrapper.
-func Reset(b *alias.Box) {
-	st := b.Current()
-	st.Hits[0] = 0 // want atomicdiscipline "published generations are immutable"
 }

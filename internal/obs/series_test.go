@@ -142,6 +142,34 @@ func TestSeriesDeterministicJSON(t *testing.T) {
 	}
 }
 
+// TestSeriesRecordDuringSnapshot exercises the lock-free ring under
+// -race, as TestConcurrentTrace does the trace rings: a sample is
+// published whole, so a reader that loads it races nothing the writer
+// does afterwards.
+func TestSeriesRecordDuringSnapshot(t *testing.T) {
+	ring := NewSeriesRing(8)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		recordN(ring, 200)
+	}()
+	for {
+		select {
+		case <-done:
+			if s := ring.Snapshot(); s.SamplesTotal != 200 || len(s.Points) != 8 {
+				t.Fatalf("after 200 records: %d samples, %d points", s.SamplesTotal, len(s.Points))
+			}
+			return
+		default:
+			for _, p := range ring.Snapshot().Points {
+				if p.Time == "" {
+					t.Fatalf("point %d has no time", p.Seq)
+				}
+			}
+		}
+	}
+}
+
 // TestSeriesHandlerMethod pins GET-only.
 func TestSeriesHandlerMethod(t *testing.T) {
 	ring := NewSeriesRing(4)

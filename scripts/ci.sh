@@ -25,6 +25,11 @@ stage vet       make vet
 stage vet-bench make vet-bench
 stage lint      make lint
 stage race      make race
+# mutants re-runs the mutant ledger: every seeded mutant must still fail
+# its named test, every live analyzer must still give its recorded
+# verdict, and the regenerated docs/mutants.md must match the one
+# checked in.
+stage mutants   sh -c 'make mutants && git diff --exit-code docs/mutants.md'
 # fuzz-wire searches past the seed corpora `make test` already runs:
 # ten seconds each on the JSONL arm (encoding/json is the model), the
 # binary frame decoder, the WAL's AppendFrames (the frame decoder is
