@@ -38,7 +38,7 @@ vet-bench:
 test-bench:
 	cd bench && $(GO) test ./...
 
-# lint runs the in-repo analyzer suite (cmd/vmplint, eight analyzers;
+# lint runs the in-repo analyzer suite (cmd/vmplint, six analyzers;
 # `vmplint -h` lists them, DESIGN.md §7 says why each is kept) over the
 # whole module and must stay clean. One invocation, no flags: every
 # package is loaded with its _test.go files and analyzed after its

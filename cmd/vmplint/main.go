@@ -1,9 +1,8 @@
 // Command vmplint runs the project's invariant analyzers (package
-// internal/lint) over one or more packages: nondeterminism, maporder,
-// frozenwrite, lockdiscipline, errcheck, ctxflow, httpdiscipline and
-// fsyncdiscipline — the machine-checked contracts behind
-// byte-identical figure rendering, the race-free serving plane, and the
-// WAL's crash durability.
+// internal/lint) over one or more packages: nondeterminism,
+// frozenwrite, lockdiscipline, errcheck, ctxflow and fsyncdiscipline —
+// the machine-checked contracts behind byte-identical figure rendering,
+// the race-free serving plane, and the WAL's crash durability.
 //
 // Usage:
 //
@@ -15,9 +14,9 @@
 // is loaded with its _test.go files (in-package and external), analyzed
 // after its dependencies with their summaries in scope, and each
 // analyzer's findings in test files are kept only if the analyzer
-// declares that it applies there (nondeterminism, maporder,
-// httpdiscipline, fsyncdiscipline) — tests are free to drop errors and
-// sleep, not to depend on the wall clock or map iteration order. A
+// declares that it applies there (nondeterminism, fsyncdiscipline) —
+// tests are free to drop errors and sleep, not to depend on the wall
+// clock. A
 // finding is one line on stdout:
 //
 //	file:line:col: [analyzer] message

@@ -24,8 +24,9 @@ import (
 // sortedKeys returns m's keys in ascending order. Every aggregation in
 // this package that folds a map into a slice or a float sum iterates
 // via sortedKeys so the fold order — and therefore the last-ulp
-// rounding of the figures — is identical on every run; vmplint's
-// maporder analyzer enforces this at each accumulation site.
+// rounding of the figures — is identical on every run.
+// TestCrossTabSharesFoldInKeyOrder fails if it does not (the order-*
+// rows of docs/mutants.md).
 func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	keys := make([]K, 0, len(m))
 	for k := range m {

@@ -148,6 +148,23 @@ func TestTopPublishersByViewHours(t *testing.T) {
 	}
 }
 
+// TestTopPublishersTieBreakByName: publishers with equal view-hours
+// rank by name, so the top n of a tie is the same set on every call,
+// whatever order the per-publisher map is walked in. Asked 50 times,
+// since a walk that ignores the tie-break still lands on the right set
+// some of the time.
+func TestTopPublishersTieBreakByName(t *testing.T) {
+	var recs []telemetry.ViewRecord
+	for _, pub := range []string{"p6", "p5", "p4", "p3", "p2", "p1"} {
+		recs = append(recs, mk(pub, 0, "http://c/a.m3u8", "Roku", []string{"A"}, 3600, 1, false))
+	}
+	for i := 0; i < 50; i++ {
+		if top := TopPublishersByViewHours(recs, 3); len(top) != 3 || !top["p1"] || !top["p2"] || !top["p3"] {
+			t.Fatalf("call %d: top 3 of a six-way tie = %v, want p1, p2, p3", i, top)
+		}
+	}
+}
+
 func TestInstancesPerPublisher(t *testing.T) {
 	s, sched := twoSnapDataset()
 	recs := s.Window(sched[0])

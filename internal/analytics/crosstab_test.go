@@ -37,6 +37,31 @@ func TestCrossTabBasics(t *testing.T) {
 	}
 }
 
+// TestCrossTabSharesFoldInKeyOrder pins the order RowShare and
+// ColShare fold their totals in. Float addition does not associate:
+// these cells sum to 3 in key order (1e16 absorbs the 1) and to 4 or 5
+// in most other orders, so a total folded in map iteration order moves
+// from call to call. Each share is asked 200 times and compared bit for
+// bit with the key-order fold, so a random order cannot pass by luck.
+func TestCrossTabSharesFoldInKeyOrder(t *testing.T) {
+	cells := map[string]float64{"d": 3, "c": -1e16, "b": 1, "a": 1e16}
+	ct := &CrossTab{ViewHours: map[string]map[string]float64{"r": cells}}
+	total := 0.0
+	for _, k := range []string{"a", "b", "c", "d"} {
+		ct.ViewHours[k] = map[string]float64{"x": cells[k]}
+		total += cells[k]
+	}
+	want := math.Float64bits(cells["d"] / total)
+	for i := 0; i < 200; i++ {
+		if got := ct.RowShare("r", "d"); math.Float64bits(got) != want {
+			t.Fatalf("call %d: RowShare = %v, want %v (the key-order fold)", i, got, math.Float64frombits(want))
+		}
+		if got := ct.ColShare("d", "x"); math.Float64bits(got) != want {
+			t.Fatalf("call %d: ColShare = %v, want %v (the key-order fold)", i, got, math.Float64frombits(want))
+		}
+	}
+}
+
 func TestCrossTabMultiValueSplit(t *testing.T) {
 	recs := []telemetry.ViewRecord{
 		mk("p1", 0, "http://c/a.m3u8", "Roku", []string{"A", "B"}, 3600, 1, false),

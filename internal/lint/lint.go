@@ -1,14 +1,12 @@
 // Package lint is a self-contained static-analysis driver (in the
 // spirit of golang.org/x/tools/go/analysis, but stdlib-only) that
 // machine-checks invariants the study engine and the live serving
-// plane depend on. Eight analyzers, one driver (Run), one pass, one
+// plane depend on. Six analyzers, one driver (Run), one pass, one
 // output line per finding:
 //
 //   - nondeterminism: wall-clock and process-seeded randomness stay
 //     out of library code; time flows through simclock, randomness
 //     through seeded generators.
-//   - maporder: accumulation loops never depend on Go's randomized
-//     map iteration order.
 //   - frozenwrite: telemetry.Dataset is immutable outside its own
 //     package — the contract the race-free parallel figure pool
 //     relies on. Interprocedural to a fixed point over the package
@@ -20,20 +18,19 @@
 //     returns.
 //   - ctxflow: caller contexts (r.Context(), ctx parameters) are
 //     threaded into blocking work; bare time.Sleep is forbidden.
-//   - httpdiscipline: every HTTP handler path writes its status at
-//     most once, mutates headers only before the first body write,
-//     and returns sync.Pool objects on every path after Get.
 //   - fsyncdiscipline: a file written via a temp path is fsynced
 //     before the rename and its directory fsynced after (the WAL
 //     checkpoint protocol, DESIGN §11), and a handler never writes an
 //     HTTP 202 before the WAL append that makes the ack durable.
 //
 // Allocation budgets, scratch-buffer aliasing, goroutine shutdown,
-// channel protocol, writes to atomically published values and lock
-// order are not linted: the testing.AllocsPerRun pins, the slot-reuse
-// tests, the tests that stop each of the tree's loops and drain its
-// worker pools, -race, and a hammer test of ingest, cuts and Close
-// check them on the running code. The mutant ledger (cmd/vmpmutants,
+// channel protocol, writes to atomically published values, lock
+// order, map iteration order and HTTP response order are not linted:
+// the testing.AllocsPerRun pins (the sync.Pool ones included), the
+// slot-reuse tests, the tests that stop each of the tree's loops and
+// drain its worker pools, -race, a hammer test of ingest, cuts and
+// Close, the render-hash and key-order fold tests, and the handler
+// tests that read what the client saw check them on the running code. The mutant ledger (cmd/vmpmutants,
 // docs/mutants.md) shows each of those tests failing on a seeded
 // mutant, and what the analyzers report on the same bytes.
 //
@@ -124,6 +121,23 @@ func (p *Pass) pkgNameOf(id *ast.Ident) *types.PkgName {
 	return pn
 }
 
+// pkgFunc returns the function name if call is pkgPath.Name(...).
+func (p *Pass) pkgFunc(call *ast.CallExpr, pkgPath string) (string, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return "", false
+	}
+	pn := p.pkgNameOf(id)
+	if pn == nil || pn.Imported().Path() != pkgPath {
+		return "", false
+	}
+	return sel.Sel.Name, true
+}
+
 // Diagnostic is one finding, positioned for editors and CI.
 type Diagnostic struct {
 	Analyzer string
@@ -140,8 +154,8 @@ func (d Diagnostic) String() string {
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Nondeterminism, MapOrder, FrozenWrite, LockDiscipline, ErrCheck,
-		CtxFlow, HTTPDiscipline, FsyncDiscipline,
+		Nondeterminism, FrozenWrite, LockDiscipline, ErrCheck, CtxFlow,
+		FsyncDiscipline,
 	}
 }
 

@@ -119,8 +119,6 @@ func checkWants(t *testing.T, diags []Diagnostic, wants []*expectation) {
 
 func TestNondeterminismFixture(t *testing.T) { checkFixture(t, "nondet", "vmp/internal/nondetfix") }
 
-func TestMapOrderFixture(t *testing.T) { checkFixture(t, "maporder", "vmp/internal/maporderfix") }
-
 func TestFrozenWriteFixture(t *testing.T) {
 	checkFixture(t, "frozenwrite", "vmp/internal/frozenfix")
 }
@@ -135,15 +133,13 @@ func TestCtxFlowFixture(t *testing.T) { checkFixture(t, "ctxflow", "vmp/internal
 
 func TestIgnoreDirectives(t *testing.T) { checkFixture(t, "ignore", "vmp/internal/ignorefix") }
 
-func TestHTTPDisciplineFixture(t *testing.T) {
-	checkFixture(t, "httpdiscipline", "vmp/internal/httpfix")
-}
-
-// TestV3AnalyzersScopedToModule reloads the httpdiscipline fixture
-// under an external import path; like the rest of the suite, it polices
-// only vmp/internal and vmp/cmd.
+// TestV3AnalyzersScopedToModule reloads the fsyncdiscipline fixture,
+// the handler fixture, under an external import path that contains
+// vmp/internal/ without starting with it: the suite polices the
+// module's own vmp/internal and vmp/cmd prefixes, not paths that
+// merely mention them.
 func TestV3AnalyzersScopedToModule(t *testing.T) {
-	for _, d := range runFixtures(t, Analyzers(), "httpdiscipline", "example.com/outside") {
+	for _, d := range runFixtures(t, Analyzers(), "fsyncdiscipline", "example.com/vmp/internal/outside") {
 		t.Errorf("unexpected finding outside vmp/internal and vmp/cmd: %s", d)
 	}
 }
@@ -239,8 +235,8 @@ func TestLoadDirTests(t *testing.T) {
 // TestAnalyzerSubset checks that the driver runs the analyzers it is
 // handed and no others.
 func TestAnalyzerSubset(t *testing.T) {
-	if diags := runFixtures(t, []*Analyzer{MapOrder}, "nondet", "vmp/internal/nondetfix"); len(diags) != 0 {
-		t.Errorf("maporder alone reported %d findings on the nondet fixture, want 0", len(diags))
+	if diags := runFixtures(t, []*Analyzer{FrozenWrite}, "nondet", "vmp/internal/nondetfix"); len(diags) != 0 {
+		t.Errorf("frozenwrite alone reported %d findings on the nondet fixture, want 0", len(diags))
 	}
 	if diags := runFixtures(t, Analyzers(), "nondet", "vmp/internal/nondetfix"); len(diags) == 0 {
 		t.Error("full suite reported no findings on the nondet fixture")
@@ -254,9 +250,9 @@ func TestAnalyzerSubset(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	fixtures := []string{
 		"nondet", "vmp/internal/nondetfix",
-		"maporder", "vmp/internal/maporderfix",
+		"lockdiscipline", "vmp/internal/lockfix",
 		"frozenwrite", "vmp/internal/frozenfix",
-		"httpdiscipline", "vmp/internal/httpfix",
+		"fsyncdiscipline", "vmp/internal/fsyncfix",
 	}
 	var apart []Diagnostic
 	for i := 0; i < len(fixtures); i += 2 {

@@ -23,7 +23,7 @@ func missingReason() time.Time {
 }
 
 func wrongAnalyzer() time.Time {
-	//lint:ignore maporder fixture: directive names a different analyzer
+	//lint:ignore errcheck fixture: directive names a different analyzer
 	return time.Now() // want nondeterminism "time.Now reads the wall clock"
 }
 

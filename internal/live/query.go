@@ -216,7 +216,8 @@ func scanWindow(ds *telemetry.Dataset, start time.Time, days int) *WindowRespons
 // sequence: compact JSON with a trailing newline, exactly what a
 // json.Encoder emits. HTTP handlers marshal to memory first so an
 // encode failure can still become a clean 500 before any byte reaches
-// the client (httpdiscipline: status before body).
+// the client: the status, and every header, goes before the body (the
+// http-* rows of docs/mutants.md).
 func MarshalResponse(v any) ([]byte, error) {
 	b, err := json.Marshal(v)
 	if err != nil {

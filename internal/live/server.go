@@ -154,7 +154,11 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.engine.IngestFrames(batch, dec.Frames(), root.ID())
 	if err != nil {
-		root.End(obs.KV("records", int64(len(batch))), obs.KV("closed", 1))
+		cause := "wal_error"
+		if errors.Is(err, ErrClosed) {
+			cause = "closed"
+		}
+		root.End(obs.KV("records", int64(len(batch))), obs.KV(cause, 1))
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}

@@ -481,6 +481,48 @@ func TestServerTruncatedBinaryFrame(t *testing.T) {
 	}
 }
 
+// raceEnabled is set under -race (race_test.go), where sync.Pool drops
+// a quarter of what it is handed, so pool pins do not hold there.
+var raceEnabled bool
+
+// TestServerErrorPathsReturnDecoder pins the decoder pool on the paths
+// that return early: a 415 and a bad frame's 400 must each hand their
+// decoder back, so under sustained bad traffic the pool, not the heap,
+// supplies the next one. AllocsPerRun runs at GOMAXPROCS=1, where the
+// decoder one request Puts is the one the next Gets; a lost one shows
+// up as a fresh Decoder per request.
+func TestServerErrorPathsReturnDecoder(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops objects at random under -race")
+	}
+	s := NewServer(newTestEngine(t, Config{}))
+	frame := encodeBinary(t, genRecords(5))
+	for _, tc := range []struct {
+		name, ct string
+		body     []byte
+		status   int
+		max      float64
+	}{
+		{"unsupported_media", "application/xml", frame, http.StatusUnsupportedMediaType, 17},
+		{"corrupt_magic", wire.ContentTypeBinary, append([]byte{frame[0], frame[1], frame[2], frame[3], 'X'}, frame[5:]...), http.StatusBadRequest, 20},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/views", nil)
+		req.Header.Set("Content-Type", tc.ct)
+		post := func() {
+			req.Body = io.NopCloser(bytes.NewReader(tc.body))
+			rec := httptest.NewRecorder()
+			s.handleViews(rec, req)
+			if rec.Code != tc.status {
+				t.Fatalf("%s: status %d, want %d", tc.name, rec.Code, tc.status)
+			}
+		}
+		post() // the pool's first decoder
+		if got := testing.AllocsPerRun(100, post); got > tc.max {
+			t.Errorf("%s: %.0f allocs per request, want <= %.0f", tc.name, got, tc.max)
+		}
+	}
+}
+
 // TestServerMixedEncodingsOneConnection interleaves JSONL, binary, and
 // gzip-compressed batches over one keep-alive client against a single
 // server: negotiation is per-request, so every combination lands and

@@ -541,10 +541,12 @@ func (w *errWAL) Commit(int64, []telemetry.ViewRecord, []uint64, obs.SpanID) err
 
 // TestWALAppendErrorRejectsBatchWhole: a WAL append failure must
 // reject the batch with nothing enqueued (503 over HTTP, counted), so
-// the client's retry cannot duplicate records.
+// the client's retry cannot duplicate records, and its ingest.batch
+// span must say the WAL failed, not that the engine was closed.
 func TestWALAppendErrorRejectsBatchWhole(t *testing.T) {
 	reg := obs.NewRegistry()
-	e := newTestEngine(t, Config{Metrics: reg, WAL: &errWAL{}})
+	tr := obs.NewTracer(simclock.NewManual(simclock.StudyStart), 64)
+	e := newTestEngine(t, Config{Metrics: reg, Trace: tr, WAL: &errWAL{}})
 	srv := httptest.NewServer(NewServer(e).Handler())
 	defer srv.Close()
 	if code := postBinary(t, srv.URL, genRecords(100)); code != http.StatusServiceUnavailable {
@@ -552,6 +554,19 @@ func TestWALAppendErrorRejectsBatchWhole(t *testing.T) {
 	}
 	if n := reg.Snapshot().Counters["live_wal_errors_total"]; n != 1 {
 		t.Fatalf("live_wal_errors_total = %d, want 1", n)
+	}
+	var batches int
+	for _, sp := range tr.Snapshot().Spans {
+		if sp.Name != "ingest.batch" {
+			continue
+		}
+		batches++
+		if sp.Attrs["wal_error"] != 1 || sp.Attrs["closed"] != 0 {
+			t.Fatalf("ingest.batch attrs = %v, want wal_error=1 and no closed", sp.Attrs)
+		}
+	}
+	if batches != 1 {
+		t.Fatalf("%d ingest.batch spans, want 1", batches)
 	}
 	e.AttachWAL(nil)
 	if g := e.Snapshot(); g.Records != 0 {

@@ -13,10 +13,8 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -285,21 +283,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.Snapshot()
 	}
 	return s
-}
-
-// Handler serves the registry snapshot as JSON on GET.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		buf, err := json.Marshal(r.Snapshot())
-		if err != nil {
-			http.Error(w, "encode error", http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(append(buf, '\n'))
-	})
 }

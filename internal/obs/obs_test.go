@@ -3,10 +3,30 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 )
+
+// serve sends one request through Mount and returns the response the
+// client saw. Result() holds the headers as they stood when the status
+// went out; rec.Header() is the live map, where a header set after the
+// body would still show.
+func serve(t *testing.T, reg *Registry, series *SeriesRing, method, path string) (*http.Response, []byte) {
+	t.Helper()
+	mux := http.NewServeMux()
+	Mount(mux, reg, NewTracer(testClock(), 8), series)
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+	resp := rec.Result()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
 
 func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
@@ -87,12 +107,14 @@ func TestHandlerDeterministic(t *testing.T) {
 	r.Histogram("lat", []float64{0.1, 1}).Observe(0.05)
 
 	render := func() []byte {
-		rec := httptest.NewRecorder()
-		r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/metrics", nil))
-		if rec.Code != 200 {
-			t.Fatalf("status = %d", rec.Code)
+		resp, body := serve(t, r, nil, "GET", "/v1/metrics")
+		if resp.StatusCode != 200 {
+			t.Fatalf("status = %d", resp.StatusCode)
 		}
-		return rec.Body.Bytes()
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("content type = %q", ct)
+		}
+		return body
 	}
 	first := render()
 	if !bytes.Equal(first, render()) {

@@ -10,7 +10,6 @@ package obs
 // strconv's shortest round-trip representation.
 
 import (
-	"net/http"
 	"sort"
 	"strconv"
 )
@@ -140,19 +139,4 @@ func AppendProm(b []byte, snap Snapshot) []byte {
 		b = append(b, '\n')
 	}
 	return b
-}
-
-// PromHandler serves the registry in Prometheus text format on GET.
-// Each request takes one registry snapshot — the same reading
-// /v1/metrics would serialize at that instant.
-func PromHandler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		buf := AppendProm(nil, r.Snapshot())
-		w.Header().Set("Content-Type", ContentTypeProm)
-		_, _ = w.Write(buf)
-	})
 }

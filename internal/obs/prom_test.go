@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"math"
-	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
@@ -99,21 +98,18 @@ func TestPromByteStable(t *testing.T) {
 // same bytes as a direct render.
 func TestPromHandler(t *testing.T) {
 	r := promTestRegistry()
-	rec := httptest.NewRecorder()
-	PromHandler(r).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status = %d", rec.Code)
+	resp, body := serve(t, r, nil, "GET", "/metrics")
+	if resp.StatusCode != 200 {
+		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	if ct := rec.Header().Get("Content-Type"); ct != ContentTypeProm {
+	if ct := resp.Header.Get("Content-Type"); ct != ContentTypeProm {
 		t.Fatalf("content type = %q", ct)
 	}
-	if !bytes.Equal(rec.Body.Bytes(), AppendProm(nil, r.Snapshot())) {
+	if !bytes.Equal(body, AppendProm(nil, r.Snapshot())) {
 		t.Fatal("handler output differs from direct render")
 	}
-	rec = httptest.NewRecorder()
-	PromHandler(r).ServeHTTP(rec, httptest.NewRequest("POST", "/metrics", nil))
-	if rec.Code != 405 {
-		t.Fatalf("POST status = %d, want 405", rec.Code)
+	if resp, _ := serve(t, r, nil, "POST", "/metrics"); resp.StatusCode != 405 {
+		t.Fatalf("POST status = %d, want 405", resp.StatusCode)
 	}
 }
 

@@ -13,8 +13,6 @@ package obs
 // keys, and timestamps render RFC3339Nano UTC.
 
 import (
-	"encoding/json"
-	"net/http"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -115,8 +113,7 @@ func (s *SeriesRing) Snapshot() SeriesSnapshot {
 		}
 		if len(r.snap.Histograms) > 0 {
 			p.Hists = make(map[string]SeriesHist, len(r.snap.Histograms))
-			for _, name := range sortedKeys(r.snap.Histograms) {
-				h := r.snap.Histograms[name]
+			for name, h := range r.snap.Histograms {
 				p.Hists[name] = SeriesHist{
 					Count: h.Count,
 					Sum:   h.Sum,
@@ -145,12 +142,12 @@ func counterRates(prev, cur *seriesSample) map[string]float64 {
 		return nil
 	}
 	var rates map[string]float64
-	for _, name := range sortedKeys(cur.snap.Counters) {
+	for name, n := range cur.snap.Counters {
 		old, ok := prev.snap.Counters[name]
 		if !ok {
 			continue
 		}
-		delta := cur.snap.Counters[name] - old
+		delta := n - old
 		if delta < 0 {
 			continue
 		}
@@ -160,32 +157,4 @@ func counterRates(prev, cur *seriesSample) map[string]float64 {
 		rates[name] = float64(delta) / dt
 	}
 	return rates
-}
-
-// sortedKeys returns m's keys in ascending order — the canonical
-// iteration order for every map walk in this file.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Handler serves the series snapshot as JSON on GET.
-func (s *SeriesRing) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		buf, err := json.Marshal(s.Snapshot())
-		if err != nil {
-			http.Error(w, "encode error", http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(append(buf, '\n'))
-	})
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -119,12 +118,14 @@ func TestSeriesDeterministicJSON(t *testing.T) {
 	ring := NewSeriesRing(4)
 	recordN(ring, 6)
 	render := func() []byte {
-		rec := httptest.NewRecorder()
-		ring.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/series", nil))
-		if rec.Code != 200 {
-			t.Fatalf("status = %d", rec.Code)
+		resp, body := serve(t, NewRegistry(), ring, "GET", "/v1/series")
+		if resp.StatusCode != 200 {
+			t.Fatalf("status = %d", resp.StatusCode)
 		}
-		return rec.Body.Bytes()
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("content type = %q", ct)
+		}
+		return body
 	}
 	first := render()
 	if !bytes.Equal(first, render()) {
@@ -172,10 +173,7 @@ func TestSeriesRecordDuringSnapshot(t *testing.T) {
 
 // TestSeriesHandlerMethod pins GET-only.
 func TestSeriesHandlerMethod(t *testing.T) {
-	ring := NewSeriesRing(4)
-	rec := httptest.NewRecorder()
-	ring.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/series", nil))
-	if rec.Code != 405 {
-		t.Fatalf("POST status = %d, want 405", rec.Code)
+	if resp, _ := serve(t, NewRegistry(), NewSeriesRing(4), "POST", "/v1/series"); resp.StatusCode != 405 {
+		t.Fatalf("POST status = %d, want 405", resp.StatusCode)
 	}
 }

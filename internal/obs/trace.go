@@ -315,23 +315,6 @@ func (t *Tracer) Snapshot() TraceSnapshot {
 // of cmd/vmpstudy), sorted by name.
 func (t *Tracer) StageStats() []StageStat { return t.Snapshot().Stages }
 
-// Handler serves the trace snapshot as JSON on GET.
-func (t *Tracer) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		buf, err := json.Marshal(t.Snapshot())
-		if err != nil {
-			http.Error(w, "encode error", http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(append(buf, '\n'))
-	})
-}
-
 // Mount registers the observability surface on mux — the substrate
 // vmpd reports through:
 //
@@ -346,8 +329,33 @@ func Mount(mux *http.ServeMux, reg *Registry, tr *Tracer, series *SeriesRing) {
 	if series == nil {
 		series = NewSeriesRing(1)
 	}
-	mux.Handle("/v1/metrics", reg.Handler())
-	mux.Handle("/metrics", PromHandler(reg))
-	mux.Handle("/v1/series", series.Handler())
-	mux.Handle("/v1/trace", tr.Handler())
+	mux.Handle("/v1/metrics", getHandler("application/json", func() ([]byte, error) { return jsonLine(reg.Snapshot()) }))
+	mux.Handle("/metrics", getHandler(ContentTypeProm, func() ([]byte, error) { return AppendProm(nil, reg.Snapshot()), nil }))
+	mux.Handle("/v1/series", getHandler("application/json", func() ([]byte, error) { return jsonLine(series.Snapshot()) }))
+	mux.Handle("/v1/trace", getHandler("application/json", func() ([]byte, error) { return jsonLine(tr.Snapshot()) }))
+}
+
+// getHandler serves what render returns, as contentType, on GET. Each
+// request renders one snapshot to memory before a byte is written, so
+// an encode failure is still a clean 500.
+func getHandler(contentType string, render func() ([]byte, error)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.Method != http.MethodGet {
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			return
+		}
+		buf, err := render()
+		if err != nil {
+			http.Error(w, "encode error", http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", contentType)
+		_, _ = w.Write(buf)
+	})
+}
+
+// jsonLine renders v as one line of JSON.
+func jsonLine(v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	return append(b, '\n'), err
 }

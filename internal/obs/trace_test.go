@@ -194,10 +194,12 @@ func TestTraceHandlerJSON(t *testing.T) {
 	root.End(KV("accepted", 10), KV("bad", 1))
 	tr.Emit("batch_admitted", KV("records", 10))
 
-	srv := httptest.NewServer(tr.Handler())
+	mux := http.NewServeMux()
+	Mount(mux, NewRegistry(), tr, nil)
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 	get := func() []byte {
-		resp, err := http.Get(srv.URL)
+		resp, err := http.Get(srv.URL + "/v1/trace")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +230,7 @@ func TestTraceHandlerJSON(t *testing.T) {
 		t.Fatalf("repeated GET diverged:\n%s\n%s", body, again)
 	}
 
-	post, err := http.Post(srv.URL, "application/json", nil)
+	post, err := http.Post(srv.URL+"/v1/trace", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

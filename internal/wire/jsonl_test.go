@@ -447,6 +447,35 @@ func TestDecodeBodyCapsDecodedBytes(t *testing.T) {
 	}
 }
 
+// raceEnabled is set under -race (race_test.go), where sync.Pool drops
+// a quarter of what it is handed, so pool pins do not hold there.
+var raceEnabled bool
+
+// TestDecodeBodyBadGzipReturnsReader pins the gzip reader pool on the
+// path that gives up before inflating anything: a body whose gzip
+// header is bad must hand its reader back. AllocsPerRun runs at
+// GOMAXPROCS=1, where the reader one call Puts is the one the next
+// Gets; a lost one shows up as a fresh gzip.Reader per call.
+func TestDecodeBodyBadGzipReturnsReader(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops objects at random under -race")
+	}
+	dec := wire.NewDecoder()
+	hdr := http.Header{"Content-Type": {wire.ContentTypeJSONL}, "Content-Encoding": {"gzip"}}
+	bad := []byte("not a gzip member")
+	body := bytes.NewReader(bad)
+	decode := func() {
+		body.Reset(bad)
+		if _, _, _, err := wire.DecodeBody(hdr, body, dec); !errors.Is(err, gzip.ErrHeader) {
+			t.Fatalf("bad gzip header: err %v, want gzip.ErrHeader", err)
+		}
+	}
+	decode() // the pool's first reader
+	if got := testing.AllocsPerRun(100, decode); got > 2 {
+		t.Errorf("%.0f allocs per bad gzip body, want <= 2", got)
+	}
+}
+
 // gzipBomb returns a small gzip body that inflates to head and then
 // more than MaxBodyBytes of blank lines: one gzip member for head,
 // then the same 1 MiB member of blanks over and over (gzip readers
