@@ -38,12 +38,11 @@ vet-bench:
 test-bench:
 	cd bench && $(GO) test ./...
 
-# lint runs the in-repo analyzer suite (cmd/vmplint, six analyzers;
+# lint runs the in-repo analyzer suite (cmd/vmplint, five analyzers;
 # `vmplint -h` lists them, DESIGN.md §7 says why each is kept) over the
 # whole module and must stay clean. One invocation, no flags: every
-# package is loaded with its _test.go files and analyzed after its
-# dependencies, and each analyzer knows whether it applies to test
-# files.
+# package is loaded with its _test.go files and analyzed on its own,
+# and each analyzer knows whether it applies to test files.
 .PHONY: lint
 lint:
 	$(GO) run ./cmd/vmplint ./...
@@ -139,9 +138,9 @@ bench-query:
 	$(GO) test -run xxx -bench 'BenchmarkQuery$$' -benchmem ./internal/live/
 
 # bench-lint times one whole-module vmplint run — parse, type-check,
-# summaries, every analyzer, test files included — and BENCH_lint.json
-# records it, so a change that regresses lint latency shows up in
-# review.
+# every analyzer over every package, test files included — and
+# BENCH_lint.json records it, so a change that regresses lint latency
+# shows up in review.
 .PHONY: bench-lint
 bench-lint:
 	$(GO) test -run xxx -bench 'BenchmarkLintTree$$' -benchtime 3x ./internal/lint/
@@ -156,6 +155,15 @@ bench-lint:
 .PHONY: mutants
 mutants:
 	$(GO) run ./cmd/vmpmutants
+
+# scorecard regenerates the study's two committed reference outputs at
+# default flags: docs/scorecard.md, the banded paper-vs-measured checks
+# (vmpstudy exits non-zero if one fails), and docs/full_study_output.txt,
+# every figure. scripts/ci.sh then requires both unchanged.
+.PHONY: scorecard
+scorecard:
+	$(GO) run ./cmd/vmpstudy -scorecard -o docs/scorecard.md
+	$(GO) run ./cmd/vmpstudy -figure all -o docs/full_study_output.txt
 
 # smoke boots the live serving plane end to end: vmpd ingests a vmpgen
 # slice over HTTP and must answer queries byte-identically to vmpstudy

@@ -1,8 +1,9 @@
 // Command vmplint runs the project's invariant analyzers (package
 // internal/lint) over one or more packages: nondeterminism,
-// frozenwrite, lockdiscipline, errcheck, ctxflow and fsyncdiscipline —
-// the machine-checked contracts behind byte-identical figure rendering,
-// the race-free serving plane, and the WAL's crash durability.
+// lockdiscipline, errcheck, ctxflow and fsyncdiscipline — the
+// machine-checked contracts behind byte-identical figure rendering,
+// the race-free serving plane, and the WAL checkpoint's crash
+// durability.
 //
 // Usage:
 //
@@ -10,14 +11,13 @@
 //	vmplint ./...         # the same
 //	vmplint ./internal/wal ./cmd/...
 //
-// There are no flags. Every run is one whole-program pass: each package
-// is loaded with its _test.go files (in-package and external), analyzed
-// after its dependencies with their summaries in scope, and each
+// There are no flags. Every run is one pass over the packages named:
+// each is loaded with its _test.go files (in-package and external) and
+// analyzed on its own, its imports type-checked from source, and each
 // analyzer's findings in test files are kept only if the analyzer
 // declares that it applies there (nondeterminism, fsyncdiscipline) —
 // tests are free to drop errors and sleep, not to depend on the wall
-// clock. A
-// finding is one line on stdout:
+// clock. A finding is one line on stdout:
 //
 //	file:line:col: [analyzer] message
 //

@@ -3,15 +3,20 @@
 // exact snippet and its replacement), the test that must fail on it,
 // and the recorded verdict of the analyzer meant to catch it. Through
 // one overlay — the tree is never written — it runs the test under `go
-// test -overlay -json` and the analyzers in process (lint.RunOverlay).
+// test -overlay -json` and the analyzers in process (lint.RunOverlay)
+// over the package the mutated file belongs to, which need not be the
+// one whose test kills it.
 // A stale snippet, a test that did not run (the mutant does not build,
 // or -run matches nothing) or passed, or a live analyzer's verdict off
 // the record fails the run; a hang the row's -timeout ends is a kill.
 // Outcomes are appended to .mutants/collected.jsonl, and
 // docs/mutants.md is regenerated when every row holds. Run it from the
 // module root, with no flags (make mutants). A row file is "key: value"
-// lines (why, file, pkg, test, flags, and "lint: <analyzer>
-// caught|silent"), then the snippets under "-- old --" and "-- new --".
+// lines (why, file, pkg, test, flags, "lint: <analyzer>
+// caught|silent", and "retired: <rule>" when the verdict was taken for
+// a rule since deleted from an analyzer that lives on), then the
+// snippets under "-- old --" and "-- new --". A retired analyzer's or
+// rule's verdict is history and is not re-checked.
 package main
 
 import (
@@ -35,6 +40,7 @@ type row struct {
 	name, why, file, pkg, test string
 	flags                      []string
 	lint, analyzer, verdict    string // "<analyzer> <verdict>": the analyzer meant to catch the mutant, and its verdict on record
+	retired                    string // the analyzer's rule the verdict was taken for, deleted since
 	old, new                   string
 	found                      []string // analyzers that report the mutant today
 }
@@ -116,7 +122,7 @@ func runRow(root, tmp, path string, log *json.Encoder) (row, error) {
 		return r, err
 	}
 	start = clock.Now()
-	diags, err := lint.RunOverlay(root, map[string][]byte{target: mutated}, []string{filepath.Join(root, r.pkg)}, lint.Analyzers())
+	diags, err := lint.RunOverlay(root, map[string][]byte{target: mutated}, []string{filepath.Dir(target)}, lint.Analyzers())
 	if err != nil {
 		return r, fmt.Errorf("%s: lint arm: %w", r.name, err)
 	}
@@ -129,7 +135,7 @@ func runRow(root, tmp, path string, log *json.Encoder) (row, error) {
 	if err := log.Encode(map[string]any{"row": r.name, "arm": "lint", "outcome": foundText(r.found), "seconds": clock.Now().Sub(start).Seconds()}); err != nil {
 		return r, err
 	}
-	live := slices.ContainsFunc(lint.Analyzers(), func(a *lint.Analyzer) bool { return a.Name == r.analyzer })
+	live := r.retired == "" && slices.ContainsFunc(lint.Analyzers(), func(a *lint.Analyzer) bool { return a.Name == r.analyzer })
 	if caught := slices.Contains(r.found, r.analyzer); live && caught != (r.verdict == "caught") {
 		return r, fmt.Errorf("%s: the ledger records %s %s, but today it is %s", r.name, r.analyzer, r.verdict, foundText(r.found))
 	}
@@ -151,10 +157,10 @@ func parseRow(path string) (row, error) {
 		h[k] = v
 	}
 	r.why, r.file, r.pkg, r.test, r.flags = h["why"], filepath.FromSlash(h["file"]), h["pkg"], h["test"], strings.Fields(h["flags"])
-	r.lint = h["lint"]
+	r.lint, r.retired = h["lint"], h["retired"]
 	r.analyzer, r.verdict, _ = strings.Cut(r.lint, " ")
 	if !ok || !strings.Contains(rest, "-- new --\n") || r.old == "" || r.why == "" || r.file == "" || r.pkg == "" || r.test == "" ||
-		(r.analyzer != "" && r.verdict != "caught" && r.verdict != "silent") {
+		(r.analyzer != "" && r.verdict != "caught" && r.verdict != "silent") || (r.retired != "" && r.analyzer == "") {
 		return r, fmt.Errorf("%s: want why, file, pkg, test, flags and lint (\"<analyzer> caught|silent\") lines, then -- old -- and -- new -- sections", r.name)
 	}
 	return r, nil
@@ -211,11 +217,15 @@ func foundText(found []string) string {
 func table(rows []row) []byte {
 	var b bytes.Buffer
 	b.WriteString("# Mutant ledger\n\nGenerated by `make mutants` (`cmd/vmpmutants`) from `testdata/mutants/`; do not edit." +
-		" \"On record\" is the verdict of the analyzer the row was written for, taken while it existed.\n\n" +
+		" \"On record\" is the verdict of the analyzer (or its rule) the row was written for, taken while it existed.\n\n" +
 		"| mutant | what it breaks | killed by | on record | analyzers today |\n|---|---|---|---|---|\n")
 	for _, r := range rows {
+		onRecord := cmp.Or(r.lint, "—")
+		if r.retired != "" {
+			onRecord += " (" + r.retired + ", since retired)"
+		}
 		fmt.Fprintf(&b, "| `%s` | %s | `%s` `%s` (`%s`) | %s | %s |\n",
-			r.name, r.why, r.pkg, r.test, strings.Join(r.flags, " "), cmp.Or(r.lint, "—"), foundText(r.found))
+			r.name, r.why, r.pkg, r.test, strings.Join(r.flags, " "), onRecord, foundText(r.found))
 	}
 	return b.Bytes()
 }

@@ -2,37 +2,28 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"strings"
 )
 
-// FsyncDiscipline machine-checks the two durability orderings the WAL
-// introduced (DESIGN §11):
+// FsyncDiscipline machine-checks the atomic-replace protocol the WAL
+// checkpoint introduced (DESIGN §11): a file written via a temp path
+// and renamed into place must be fsynced before the rename —
+// os.WriteFile followed by os.Rename is flagged (WriteFile never
+// syncs), and an os.Create/os.OpenFile handle must see a Sync call
+// before its path is renamed — and the rename must be followed by a
+// directory fsync (a Sync on an *os.File opened after the rename, or a
+// call to a same-package function whose body makes one), or the
+// rename itself can vanish in a crash.
 //
-//  1. Atomic replace: a file written via a temp path and renamed into
-//     place must be fsynced before the rename — os.WriteFile followed
-//     by os.Rename is flagged (WriteFile never syncs), and an
-//     os.Create/os.OpenFile handle must see a Sync call before its
-//     path is renamed — and the rename must be followed by a directory
-//     fsync (a Sync on an *os.File opened after the rename, or a call
-//     to a same-package helper whose body makes one), or the rename
-//     itself can vanish in a crash.
-//  2. Ack after append: a handler body must not write an HTTP 202
-//     (StatusAccepted) before the call that reaches the WAL append —
-//     an ack the log has not seen is a record a crash can lose.
-//     Append reachability is transitive through same-package helpers
-//     and cross-package summaries (summary.go).
-//
-// Both checks are per function body, source order, function literals
-// analyzed as their own bodies — the temp-write/rename pairs and the
-// ack/append pairs this analyzer exists for live inside one function
-// (wal.writeFileDurable, a handler closure), and a cross-function
-// pairing would be guesswork.
+// The check is per function body, source order, function literals
+// analyzed as their own bodies — the temp-write/rename pairs this
+// analyzer exists for live inside one function (wal.writeFileDurable),
+// and a cross-function pairing would be guesswork.
 var FsyncDiscipline = &Analyzer{
 	Name:  "fsyncdiscipline",
-	Doc:   "require fsync before rename (and a directory fsync after) and WAL append before HTTP 202",
+	Doc:   "require fsync before rename, and a directory fsync after",
 	Run:   runFsyncDiscipline,
 	Tests: true,
 }
@@ -41,17 +32,26 @@ func runFsyncDiscipline(p *Pass) {
 	if !strings.HasPrefix(p.Path, "vmp/internal/") && !strings.HasPrefix(p.Path, "vmp/cmd/") {
 		return
 	}
-	p.ensureWALFacts()
+	// The package's function declarations, for the directory-fsync
+	// helper a body calls after its rename (wal.syncDir).
+	decls := make(map[types.Object]*ast.FuncDecl)
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				decls[p.Info.Defs[fd.Name]] = fd
+			}
+		}
+	}
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			p.checkFsyncBody(fd.Body)
+			p.checkFsyncBody(fd.Body, decls)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {
-					p.checkFsyncBody(lit.Body)
+					p.checkFsyncBody(lit.Body, decls)
 				}
 				return true
 			})
@@ -67,9 +67,9 @@ type fsyncWrite struct {
 	handle types.Object // the *os.File variable, nil for os.WriteFile
 }
 
-// checkFsyncBody runs both orderings over one body, shallowly — nested
-// function literals are separate bodies with their own orderings.
-func (p *Pass) checkFsyncBody(body *ast.BlockStmt) {
+// checkFsyncBody checks one body, shallowly — nested function
+// literals are separate bodies with their own orderings.
+func (p *Pass) checkFsyncBody(body *ast.BlockStmt, decls map[types.Object]*ast.FuncDecl) {
 	written := make(map[types.Object]*fsyncWrite) // path root -> pending write
 	syncs := make(map[types.Object][]token.Pos)   // handle -> Sync positions
 	var allSyncs []token.Pos                      // every *os.File Sync, any handle
@@ -78,7 +78,6 @@ func (p *Pass) checkFsyncBody(body *ast.BlockStmt) {
 		src types.Object
 	}
 	var renames []renameAt
-	var ackPos, appendPos token.Pos
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.FuncLit:
@@ -133,20 +132,10 @@ func (p *Pass) checkFsyncBody(body *ast.BlockStmt) {
 				}
 				return true
 			}
-			if n := p.cg.byObj[p.calleeObject(v)]; n != nil && n.decl.Body != nil && p.syncsOSFile(n.decl.Body) {
+			if fd := decls[p.calleeObject(v)]; fd != nil && p.syncsOSFile(fd.Body) {
 				// A helper that opens a directory and syncs it
 				// (wal.syncDir): no handle here to pair with a write.
 				allSyncs = append(allSyncs, v.Pos())
-				return true
-			}
-			if p.isAcceptedWriteHeader(v) {
-				if ackPos == token.NoPos {
-					ackPos = v.Pos()
-				}
-				return true
-			}
-			if appendPos == token.NoPos && p.reachesWALAppend(v) {
-				appendPos = v.Pos()
 			}
 		}
 		return true
@@ -188,10 +177,6 @@ func (p *Pass) checkFsyncBody(body *ast.BlockStmt) {
 				"rename into place is not followed by a directory fsync; open the directory and Sync it so the rename itself survives a crash (DESIGN §11 atomic-replace protocol)")
 		}
 	}
-	if ackPos != token.NoPos && appendPos != token.NoPos && ackPos < appendPos {
-		p.Reportf(appendPos,
-			"WAL append happens after the HTTP 202 was already written; append (and sync per policy) before acking, or a crash loses a batch the client believes durable")
-	}
 }
 
 // osFileSynced returns the receiver of call when call is Sync() on an
@@ -219,37 +204,16 @@ func (p *Pass) syncsOSFile(body *ast.BlockStmt) bool {
 	return found
 }
 
-// isAcceptedWriteHeader reports whether call is WriteHeader with a
-// constant argument equal to 202 (http.StatusAccepted).
-func (p *Pass) isAcceptedWriteHeader(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "WriteHeader" || len(call.Args) != 1 {
-		return false
+// calleeObject resolves the called function or method, or nil for
+// indirect calls and conversions.
+func (p *Pass) calleeObject(call *ast.CallExpr) types.Object {
+	switch fn := call.Fun.(type) {
+	case *ast.Ident:
+		return p.objectOf(fn)
+	case *ast.SelectorExpr:
+		return p.objectOf(fn.Sel)
 	}
-	tv, ok := p.Info.Types[call.Args[0]]
-	if !ok || tv.Value == nil {
-		return false
-	}
-	code, ok := constant.Int64Val(constant.ToInt(tv.Value))
-	return ok && code == 202
-}
-
-// reachesWALAppend reports whether a call (transitively) reaches a WAL
-// AppendBatch: the append itself, a same-package helper summarized as
-// reaching it, or a cross-package callee whose WALAppend fact is set.
-func (p *Pass) reachesWALAppend(call *ast.CallExpr) bool {
-	callee := p.calleeObject(call)
-	if callee == nil {
-		return false
-	}
-	if isWALAppend(callee) {
-		return true
-	}
-	if p.cg.walReach[callee] {
-		return true
-	}
-	f, ok := p.depFacts(callee)
-	return ok && f.WALAppend
+	return nil
 }
 
 // rootIdentObject unwraps parentheses and string concatenation

@@ -1,17 +1,12 @@
 // Package lint is a self-contained static-analysis driver (in the
 // spirit of golang.org/x/tools/go/analysis, but stdlib-only) that
 // machine-checks invariants the study engine and the live serving
-// plane depend on. Six analyzers, one driver (Run), one pass, one
+// plane depend on. Five analyzers, one driver (Run), one pass, one
 // output line per finding:
 //
 //   - nondeterminism: wall-clock and process-seeded randomness stay
 //     out of library code; time flows through simclock, randomness
 //     through seeded generators.
-//   - frozenwrite: telemetry.Dataset is immutable outside its own
-//     package — the contract the race-free parallel figure pool
-//     relies on. Interprocedural to a fixed point over the package
-//     call graph: helper chains returning views taint their callers
-//     at any depth.
 //   - lockdiscipline: mutex-holding types neither re-enter their own
 //     locks nor leak internal slices from under them.
 //   - errcheck: internal/ and cmd/ code does not silently drop error
@@ -20,28 +15,27 @@
 //     threaded into blocking work; bare time.Sleep is forbidden.
 //   - fsyncdiscipline: a file written via a temp path is fsynced
 //     before the rename and its directory fsynced after (the WAL
-//     checkpoint protocol, DESIGN §11), and a handler never writes an
-//     HTTP 202 before the WAL append that makes the ack durable.
+//     checkpoint protocol, DESIGN §11).
 //
 // Allocation budgets, scratch-buffer aliasing, goroutine shutdown,
 // channel protocol, writes to atomically published values, lock
-// order, map iteration order and HTTP response order are not linted:
-// the testing.AllocsPerRun pins (the sync.Pool ones included), the
-// slot-reuse tests, the tests that stop each of the tree's loops and
-// drain its worker pools, -race, a hammer test of ingest, cuts and
-// Close, the render-hash and key-order fold tests, and the handler
-// tests that read what the client saw check them on the running code. The mutant ledger (cmd/vmpmutants,
-// docs/mutants.md) shows each of those tests failing on a seeded
-// mutant, and what the analyzers report on the same bytes.
+// order, map iteration order, HTTP response order, writes through a
+// frozen telemetry.Dataset and a 202 written before the WAL append are
+// not linted: the testing.AllocsPerRun pins (the sync.Pool ones
+// included), the slot-reuse tests, the tests that stop each of the
+// tree's loops and drain its worker pools, -race, a hammer test of
+// ingest, cuts and Close, the render-hash and key-order fold tests,
+// the handler tests that read what the client saw, the tests that
+// compare a generation with a rebuild from its records, and the WAL
+// fault tests check them on the running code. The mutant ledger
+// (cmd/vmpmutants, docs/mutants.md) shows each of those tests failing
+// on a seeded mutant, and what the analyzers report on the same bytes.
 //
-// The suite is whole-program: packages are analyzed in import-DAG
-// order, each one publishing per-function summaries (frozen-taint
-// returns and WAL-append reachability — see summary.go) that
-// dependents consult at cross-package call sites, so the fixed-point
-// engines keep their in-package precision through exported helper
-// chains. Every run loads _test.go files too; an analyzer declares
-// whether it applies to them (Analyzer.Tests), and what the others
-// report there is dropped.
+// Every analyzer works inside one package: Run loads each requested
+// package on its own, with its _test.go files, and the loader
+// type-checks its imports from source on demand; no facts cross a
+// package boundary. An analyzer declares whether it applies to test
+// files (Analyzer.Tests), and what the others report there is dropped.
 //
 // Findings can be suppressed, one line at a time, with a directive
 // comment carrying an explicit reason:
@@ -50,8 +44,8 @@
 //
 // placed on the offending line or the line directly above it. The
 // reason is load-bearing: a directive without one (or with a trailing
-// comment posing as one) is itself reported, as analyzer "ignore",
-// and suppresses nothing.
+// comment posing as one), or one naming no analyzer of the suite, is
+// itself reported, as analyzer "ignore", and suppresses nothing.
 package lint
 
 import (
@@ -84,14 +78,6 @@ type Pass struct {
 	Info     *types.Info
 
 	report func(Diagnostic)
-
-	// cg is the package call graph, built once per package and shared
-	// by every analyzer (see dataflow.go).
-	cg *callGraph
-
-	// prog is the whole-program fact store: summaries of every
-	// dependency analyzed before this package.
-	prog *Program
 }
 
 // Reportf records a finding at pos.
@@ -154,8 +140,7 @@ func (d Diagnostic) String() string {
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Nondeterminism, FrozenWrite, LockDiscipline, ErrCheck, CtxFlow,
-		FsyncDiscipline,
+		Nondeterminism, LockDiscipline, ErrCheck, CtxFlow, FsyncDiscipline,
 	}
 }
 
@@ -193,12 +178,18 @@ type ignoreDirective struct {
 }
 
 // collectIgnores parses //lint:ignore directives, keyed by file and
-// line. A well-formed directive needs an analyzer name (or "all") and
-// a non-empty reason that is real prose, not a trailing comment.
-// Malformed directives are inert — the diagnostic they meant to
-// silence still fires — and are additionally returned as "ignore"
-// findings so a reasonless suppression can never merge.
+// line. A well-formed directive names an analyzer of the suite (or
+// "all") and gives a non-empty reason that is real prose, not a
+// trailing comment. Malformed directives are inert — the diagnostic
+// they meant to silence still fires — and are additionally returned
+// as "ignore" findings so a reasonless or misaddressed suppression can
+// never merge. Names are checked against the whole suite, not the
+// analyzers of this run.
 func collectIgnores(pkg *Package) (map[string]map[int][]ignoreDirective, []Diagnostic) {
+	known := map[string]bool{"all": true}
+	for _, a := range Analyzers() {
+		known[a.Name] = true
+	}
 	out := make(map[string]map[int][]ignoreDirective)
 	var malformed []Diagnostic
 	for _, f := range pkg.Files {
@@ -214,13 +205,20 @@ func collectIgnores(pkg *Package) (map[string]map[int][]ignoreDirective, []Diagn
 				pos := pkg.Fset.Position(c.Pos())
 				name, reason, _ := strings.Cut(strings.TrimSpace(rest), " ")
 				reason = strings.TrimSpace(reason)
-				if name == "" || reason == "" || strings.HasPrefix(reason, "//") {
+				var problem string
+				switch {
+				case name == "" || reason == "" || strings.HasPrefix(reason, "//"):
+					problem = "//lint:ignore directive is missing its mandatory reason; write //lint:ignore <analyzer|all> <reason>"
+				case !known[name]:
+					problem = fmt.Sprintf("//lint:ignore names %q, which is no analyzer of the suite; `vmplint -h` lists them", name)
+				}
+				if problem != "" {
 					malformed = append(malformed, Diagnostic{
 						Analyzer: "ignore",
 						File:     pos.Filename,
 						Line:     pos.Line,
 						Col:      pos.Column,
-						Message:  "//lint:ignore directive is missing its mandatory reason; write //lint:ignore <analyzer|all> <reason>",
+						Message:  problem,
 					})
 					continue
 				}

@@ -8,12 +8,12 @@ import (
 )
 
 // BenchmarkLintTree times one run of the suite over the whole module:
-// loader construction, parsing (test files included), type-checking,
-// summary building, and every analyzer over every package — the work
-// `make lint` does, with Run walking the import DAG level by level and
-// fanning each level across GOMAXPROCS workers. `make bench-lint` runs
-// it; the result is recorded in BENCH_lint.json so a change that
-// regresses lint latency shows up in review.
+// loader construction, parsing (test files included), type-checking
+// (each package's imports from source, on demand), and every analyzer
+// over every package — the work `make lint` does, with Run fanning the
+// packages across GOMAXPROCS workers. `make bench-lint` runs it; the
+// result is recorded in BENCH_lint.json so a change that regresses
+// lint latency shows up in review.
 func BenchmarkLintTree(b *testing.B) {
 	dirs := moduleDirs(b)
 	b.ReportAllocs()

@@ -7,7 +7,6 @@ import (
 	"regexp"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -119,10 +118,6 @@ func checkWants(t *testing.T, diags []Diagnostic, wants []*expectation) {
 
 func TestNondeterminismFixture(t *testing.T) { checkFixture(t, "nondet", "vmp/internal/nondetfix") }
 
-func TestFrozenWriteFixture(t *testing.T) {
-	checkFixture(t, "frozenwrite", "vmp/internal/frozenfix")
-}
-
 func TestLockDisciplineFixture(t *testing.T) {
 	checkFixture(t, "lockdiscipline", "vmp/internal/lockfix")
 }
@@ -133,8 +128,8 @@ func TestCtxFlowFixture(t *testing.T) { checkFixture(t, "ctxflow", "vmp/internal
 
 func TestIgnoreDirectives(t *testing.T) { checkFixture(t, "ignore", "vmp/internal/ignorefix") }
 
-// TestV3AnalyzersScopedToModule reloads the fsyncdiscipline fixture,
-// the handler fixture, under an external import path that contains
+// TestV3AnalyzersScopedToModule reloads the fsyncdiscipline fixture
+// under an external import path that contains
 // vmp/internal/ without starting with it: the suite polices the
 // module's own vmp/internal and vmp/cmd prefixes, not paths that
 // merely mention them.
@@ -149,15 +144,6 @@ func TestV3AnalyzersScopedToModule(t *testing.T) {
 func TestSimclockExemption(t *testing.T) {
 	for _, d := range runFixtures(t, Analyzers(), "simclockpose", "vmp/internal/simclock") {
 		t.Errorf("unexpected finding inside simclock: %s", d)
-	}
-}
-
-// TestFrozenWriteExemptInsideTelemetry reloads the frozenwrite fixture
-// under a pose path inside internal/telemetry, where the writes are
-// the owning package's business.
-func TestFrozenWriteExemptInsideTelemetry(t *testing.T) {
-	for _, d := range runFixtures(t, Analyzers(), "frozenwrite", "vmp/internal/telemetry/pose") {
-		t.Errorf("unexpected finding inside telemetry: %s", d)
 	}
 }
 
@@ -196,7 +182,7 @@ func TestSelfLint(t *testing.T) {
 // TestLoadDirTests pins the shape a requested directory is scheduled
 // and loaded in: in-package test files merge into the package, and the
 // external _test package is a node of its own, under its own path,
-// depending on the package it tests.
+// holding the external test files.
 func TestLoadDirTests(t *testing.T) {
 	loader, err := NewLoader("../..")
 	if err != nil {
@@ -207,21 +193,17 @@ func TestLoadDirTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byPath := make(map[string]*treeNode)
-	for _, n := range nodes {
-		byPath[n.path] = n
+	if len(nodes) != 2 || nodes[0].path != path || nodes[1].path != path+"_test" {
+		t.Fatalf("nodes = %v, want the package and its external test", nodes)
 	}
-	merged, xtest := byPath[path], byPath[path+"_test"]
-	if merged == nil || xtest == nil || !merged.requested || !xtest.requested {
-		t.Fatalf("nodes = %v, %v, want the package and its external test, both requested", merged, xtest)
-	}
+	merged, xtest := nodes[0], nodes[1]
 	if !slices.ContainsFunc(merged.files, func(name string) bool { return strings.HasSuffix(name, "_test.go") }) {
 		t.Errorf("merged package files = %v, want in-package _test.go files among them", merged.files)
 	}
-	if !slices.Contains(xtest.deps, path) {
-		t.Errorf("external test deps = %v, want %s among them", xtest.deps, path)
+	if slices.ContainsFunc(xtest.files, func(name string) bool { return !strings.HasSuffix(name, "_test.go") }) {
+		t.Errorf("external test files = %v, want _test.go files only", xtest.files)
 	}
-	for _, n := range []*treeNode{merged, xtest} {
+	for _, n := range nodes {
 		pkg, err := loader.Load(n.dir, n.path, n.files)
 		if err != nil {
 			t.Fatal(err)
@@ -235,8 +217,8 @@ func TestLoadDirTests(t *testing.T) {
 // TestAnalyzerSubset checks that the driver runs the analyzers it is
 // handed and no others.
 func TestAnalyzerSubset(t *testing.T) {
-	if diags := runFixtures(t, []*Analyzer{FrozenWrite}, "nondet", "vmp/internal/nondetfix"); len(diags) != 0 {
-		t.Errorf("frozenwrite alone reported %d findings on the nondet fixture, want 0", len(diags))
+	if diags := runFixtures(t, []*Analyzer{ErrCheck}, "nondet", "vmp/internal/nondetfix"); len(diags) != 0 {
+		t.Errorf("errcheck alone reported %d findings on the nondet fixture, want 0", len(diags))
 	}
 	if diags := runFixtures(t, Analyzers(), "nondet", "vmp/internal/nondetfix"); len(diags) == 0 {
 		t.Error("full suite reported no findings on the nondet fixture")
@@ -251,7 +233,7 @@ func TestRunDeterministic(t *testing.T) {
 	fixtures := []string{
 		"nondet", "vmp/internal/nondetfix",
 		"lockdiscipline", "vmp/internal/lockfix",
-		"frozenwrite", "vmp/internal/frozenfix",
+		"errcheck", "vmp/internal/errfix",
 		"fsyncdiscipline", "vmp/internal/fsyncfix",
 	}
 	var apart []Diagnostic
@@ -275,23 +257,6 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunDAGBreaksCycleLocally pins what a cycle costs the scheduler:
-// 1 and 2 wait on each other, 0 waits on 1 and 3 on 0. One node of the
-// cycle runs early; everything else still runs after its dependencies.
-func TestRunDAGBreaksCycleLocally(t *testing.T) {
-	var mu sync.Mutex
-	var order []int
-	runDAG([][]int{{1}, {2}, {1}, {0}}, func(i int) {
-		mu.Lock()
-		order = append(order, i)
-		mu.Unlock()
-	})
-	at := func(i int) int { return slices.Index(order, i) }
-	if len(order) != 4 || at(1) != 0 || at(0) < at(1) || at(2) < at(1) || at(3) < at(0) {
-		t.Fatalf("order = %v, want 1 first, then 0 and 2, then 3", order)
-	}
-}
-
 func TestFsyncDisciplineFixture(t *testing.T) {
 	checkFixture(t, "fsyncdiscipline", "vmp/internal/fsyncfix")
 }
@@ -307,50 +272,6 @@ func TestV4AnalyzersScopedToModule(t *testing.T) {
 	}
 }
 
-// crosspkgAlias and crosspkgUse are the real module paths of the
-// cross-package laundering fixture: use imports alias by this path, so
-// the pair loads exactly as tree packages do.
-const (
-	crosspkgAlias = "vmp/internal/lint/testdata/crosspkg/alias"
-	crosspkgUse   = "vmp/internal/lint/testdata/crosspkg/use"
-)
-
-// TestCrossPackageLaundering pins the whole-program summaries: a
-// telemetry accessor wrapped by an exported helper in another package
-// does not launder its taint. Asked for use/ alone, the driver pulls
-// alias/ in along the import DAG and the mutation in use/ is a finding.
-func TestCrossPackageLaundering(t *testing.T) {
-	diags := runFixtures(t, Analyzers(), filepath.Join("crosspkg", "use"), crosspkgUse)
-	checkWants(t, diags, collectWants(t, filepath.Join("crosspkg", "use")))
-}
-
-// TestPackageSummaryFacts pins the exported-fact surface the
-// cross-package analyses rest on: summaries key functions by their
-// fully qualified name and carry the taint facts dependents consume.
-func TestPackageSummaryFacts(t *testing.T) {
-	loader, err := NewLoader("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.Load(filepath.Join("testdata", "crosspkg", "alias"), crosspkgAlias, []string{"alias.go"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := NewProgram()
-	runOnePackage(pkg, prog, Analyzers())
-	sum := prog.Summary(crosspkgAlias)
-	if sum == nil {
-		t.Fatalf("no summary published under %q", crosspkgAlias)
-	}
-	records := sum.Funcs[crosspkgAlias+".Records"]
-	if !records.TaintFrozen {
-		t.Errorf("Records facts = %+v, want TaintFrozen", records)
-	}
-	if _, ok := sum.Funcs[crosspkgAlias+".rows"]; ok {
-		t.Error("unexported rows should not be published in the summary")
-	}
-}
-
 // TestAnalyzersApplyToTestFilesByDeclaration pins the one-pass rule on
 // a package whose _test.go drops an error and reads the wall clock:
 // nondeterminism (Tests) reports there, errcheck (not Tests) does not.
@@ -361,53 +282,12 @@ func TestAnalyzersApplyToTestFilesByDeclaration(t *testing.T) {
 	}
 }
 
-const depTelemetrySrc = `// Package telemetry poses as the frozen dataset's package.
-package telemetry
-
-// Dataset is a frozen dataset.
-type Dataset struct{ hits []int }
-
-// Hits returns the dataset's counters: a view, not a copy.
-func (d *Dataset) Hits() []int { return d.hits }
-`
-
-const depAlphaSrc = `// Package alpha is a dependency: one finding of its own, one exported
-// helper returning a frozen dataset's view.
-package alpha
-
-import (
-	"time"
-
-	"vmp/internal/telemetry"
-)
-
-// Stamp returns the wall-clock time.
-func Stamp() time.Time { return time.Now() }
-
-// Hits returns the dataset's counters.
-func Hits(d *telemetry.Dataset) []int { return d.Hits() }
-`
-
-const depBetaSrc = `// Package beta writes what alpha.Hits returned; only alpha's summary
-// says that is a frozen dataset's view.
-package beta
-
-import (
-	"vmp/internal/alpha"
-	"vmp/internal/telemetry"
-)
-
-// Bump counts a hit.
-func Bump(d *telemetry.Dataset) { alpha.Hits(d)[0]++ }
-`
-
-// writeModule lays files (slash paths under the root, go.mod included)
-// out as a throwaway module named vmp and returns its root.
+// writeModule lays files (slash paths under the root) out as a
+// throwaway module named vmp and returns its root.
 func writeModule(t *testing.T, files map[string]string) string {
 	t.Helper()
 	root := t.TempDir()
 	files["go.mod"] = "module vmp\n\ngo 1.22\n"
-	files["internal/telemetry/telemetry.go"] = depTelemetrySrc
 	for name, src := range files {
 		path := filepath.Join(root, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -420,69 +300,47 @@ func writeModule(t *testing.T, files map[string]string) string {
 	return root
 }
 
-// TestRunTreeDependencySummariesWithoutRequest checks that a package
-// imported by a requested one is pulled in for its summary — the write
-// in beta is a finding only because alpha's facts say Hits returns a
-// frozen dataset's view — without reporting its own findings.
-func TestRunTreeDependencySummariesWithoutRequest(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"internal/alpha/alpha.go": depAlphaSrc,
-		"internal/beta/beta.go":   depBetaSrc,
-	})
-	alphaDir := filepath.Join(root, "internal", "alpha")
-	betaDir := filepath.Join(root, "internal", "beta")
-	diags, err := Run(root, []string{betaDir}, Analyzers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 1 || diags[0].Analyzer != "frozenwrite" {
-		t.Fatalf("beta alone: findings = %v, want its one frozenwrite finding (alpha's summary incriminates the write; alpha's own finding is not requested)", diags)
-	}
-	diags, err = Run(root, []string{alphaDir, betaDir}, Analyzers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 2 || diags[0].Analyzer != "nondeterminism" || diags[1].Analyzer != "frozenwrite" {
-		t.Fatalf("alpha and beta: findings = %v, want alpha's nondeterminism finding and beta's", diags)
-	}
-	// The control: without alpha's summary in the program the write is
-	// not a finding, so the one above is the summary's doing.
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.Load(betaDir, "vmp/internal/beta", []string{"beta.go"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alone := runOnePackage(pkg, NewProgram(), Analyzers()); len(alone) != 0 {
-		t.Fatalf("beta without alpha's summary: findings = %v, want none", alone)
-	}
-}
-
 // TestRunExternalTestImportsDependent is the import shape `go test`
 // allows and a directory-per-node graph would make cyclic: omega's
 // external test package imports alpha, and alpha imports omega. The
-// external test is its own node, so omega still publishes its summary
-// before alpha — which sorts first — is analyzed, and alpha's write
-// through omega.Hits is seen.
+// external test is a node of its own, loaded after omega's importers
+// have type-checked omega from source, and both packages report.
 func TestRunExternalTestImportsDependent(t *testing.T) {
 	root := writeModule(t, map[string]string{
-		"internal/omega/omega.go": strings.ReplaceAll(depAlphaSrc, "alpha", "omega"),
+		"internal/omega/omega.go": `// Package omega reads the wall clock.
+package omega
+
+import "time"
+
+// Stamp returns the wall-clock time.
+func Stamp() time.Time { return time.Now() }
+`,
 		"internal/omega/omega_x_test.go": `package omega_test
 
 import "vmp/internal/alpha"
 
-var _ = alpha.Bump
+var _ = alpha.Since
 `,
-		"internal/alpha/alpha.go": strings.NewReplacer("alpha", "omega", "beta", "alpha").Replace(depBetaSrc),
+		"internal/alpha/alpha.go": `// Package alpha measures from omega's stamp.
+package alpha
+
+import (
+	"time"
+
+	"vmp/internal/omega"
+)
+
+// Since returns the time elapsed since omega's stamp.
+func Since() time.Duration { return time.Since(omega.Stamp()) }
+`,
 	})
 	dirs := []string{filepath.Join(root, "internal", "alpha"), filepath.Join(root, "internal", "omega")}
 	diags, err := Run(root, dirs, Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 2 || diags[0].Analyzer != "frozenwrite" || diags[1].Analyzer != "nondeterminism" {
-		t.Fatalf("findings = %v, want alpha's frozenwrite finding and omega's nondeterminism one", diags)
+	if len(diags) != 2 || diags[0].Analyzer != "nondeterminism" || diags[1].Analyzer != "nondeterminism" ||
+		filepath.Base(diags[0].File) != "alpha.go" || filepath.Base(diags[1].File) != "omega.go" {
+		t.Fatalf("findings = %v, want alpha's nondeterminism finding and omega's", diags)
 	}
 }

@@ -221,10 +221,10 @@ func (l *Loader) Load(dir, path string, names []string) (*Package, error) {
 }
 
 // ScanDir reads a directory's build metadata without parsing bodies or
-// type-checking: the build-selected file names and the imports they
-// declare, production, in-package test and external test each apart —
-// what Run needs to lay out the import DAG before loading anything. It
-// returns nil for a directory with no Go files.
+// type-checking: the build-selected file names, production, in-package
+// test and external test each apart — what Run needs to lay out its
+// nodes before loading anything. It returns nil for a directory with
+// no Go files.
 func (l *Loader) ScanDir(dir string) (*build.Package, error) {
 	bp, err := l.ctx.ImportDir(dir, 0)
 	if _, noGo := err.(*build.NoGoError); noGo {

@@ -2,10 +2,11 @@ package lint
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // target is one directory to lint and the import path its package is
@@ -17,26 +18,20 @@ type target struct {
 }
 
 // treeNode is one package scheduled for analysis, in the shape `go
-// test` compiles and for the same reason — it is acyclic where a node
-// per directory is not, since an external test may import packages that
-// import the one it tests. A requested directory is up to two nodes:
-// the package with its in-package _test.go files merged in, and the
-// external test package (path + "_test") when one exists. A dependency
-// is one node, loaded without test files for its summary alone.
+// test` compiles: a requested directory is up to two nodes, the
+// package with its in-package _test.go files merged in, and the
+// external test package (path + "_test") when one exists.
 type treeNode struct {
 	target
-	files     []string // file names in dir
-	requested bool     // findings reported (vs. loaded only for its summary)
-	deps      []string // module-local imports
+	files []string // file names in dir
 }
 
 // Run is the one driver, behind vmplint and every test: header-scan
-// the packages in dirs and their module-local import closure, walk the
-// import DAG dependencies first — each package loaded with its
-// _test.go files, analyzed with its dependencies' summaries in scope,
-// its own summary published — and return the requested packages'
-// findings, sorted and deduplicated. Packages pulled in only as
-// dependencies publish summaries and report nothing.
+// the packages in dirs, load each with its _test.go files — the
+// loader type-checks what they import on demand — run the analyzers
+// over it, and return the findings, sorted and deduplicated. Packages
+// are independent: each is analyzed on its own, in parallel and in no
+// particular order.
 func Run(root string, dirs []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return RunOverlay(root, nil, dirs, analyzers)
 }
@@ -66,24 +61,10 @@ func run(loader *Loader, targets []target, analyzers []*Analyzer) ([]Diagnostic,
 	if err != nil {
 		return nil, err
 	}
-	index := make(map[string]int, len(nodes))
-	for i, n := range nodes {
-		index[n.path] = i
-	}
-	deps := make([][]int, len(nodes))
-	for i, n := range nodes {
-		for _, d := range n.deps {
-			if j, ok := index[d]; ok {
-				deps[i] = append(deps[i], j)
-			}
-		}
-	}
-
-	prog := NewProgram()
 	findings := make([][]Diagnostic, len(nodes))
 	errs := make([]error, len(nodes))
 	var loaderMu sync.Mutex // the Loader is not safe for concurrent use
-	runDAG(deps, func(i int) {
+	parallel(len(nodes), func(i int) {
 		n := nodes[i]
 		loaderMu.Lock()
 		pkg, err := loader.Load(n.dir, n.path, n.files)
@@ -92,51 +73,28 @@ func run(loader *Loader, targets []target, analyzers []*Analyzer) ([]Diagnostic,
 			errs[i] = err
 			return
 		}
-		findings[i] = runOnePackage(pkg, prog, analyzers)
+		findings[i] = runOnePackage(pkg, analyzers)
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-
-	var merged []Diagnostic
-	for i, n := range nodes {
-		if n.requested {
-			merged = append(merged, findings[i]...)
-		}
-	}
-	return sortDedup(merged), nil
+	return sortDedup(slices.Concat(findings...)), nil
 }
 
-// scanTree header-scans the requested targets, then expands the
-// module-local import closure so every dependency becomes a
-// (non-reporting) node whose summary the dependents can consume.
-// Nodes come back sorted by import path.
+// scanTree header-scans the requested targets into the nodes Run
+// loads, in target order.
 func scanTree(l *Loader, targets []target) ([]*treeNode, error) {
-	byPath := make(map[string]*treeNode)
-	var queue []string // import paths pending a dependency scan
-	add := func(t target, requested bool, files, imports []string) {
-		if len(files) == 0 {
-			return
-		}
-		n := &treeNode{target: t, files: files, requested: requested}
-		byPath[t.path] = n
-		for _, imp := range imports {
-			if imp != l.modulePath && !strings.HasPrefix(imp, l.modulePath+"/") {
-				continue
-			}
-			n.deps = append(n.deps, imp)
-			if _, ok := byPath[imp]; !ok {
-				byPath[imp] = nil // reserve; scanned below
-				queue = append(queue, imp)
-			}
+	var nodes []*treeNode
+	seen := make(map[string]bool)
+	add := func(t target, files []string) {
+		if len(files) > 0 && !seen[t.path] {
+			seen[t.path] = true
+			nodes = append(nodes, &treeNode{target: t, files: files})
 		}
 	}
 	for _, t := range targets {
-		if byPath[t.path] != nil {
-			continue
-		}
 		bp, err := l.ScanDir(t.dir)
 		if err != nil {
 			return nil, fmt.Errorf("lint: scanning %s: %w", t.dir, err)
@@ -144,34 +102,54 @@ func scanTree(l *Loader, targets []target) ([]*treeNode, error) {
 		if bp == nil {
 			continue
 		}
-		add(t, true, slices.Concat(bp.GoFiles, bp.TestGoFiles), slices.Concat(bp.Imports, bp.TestImports))
-		add(target{dir: t.dir, path: t.path + "_test"}, true, bp.XTestGoFiles, bp.XTestImports)
-	}
-	for len(queue) > 0 {
-		path := queue[0]
-		queue = queue[1:]
-		if byPath[path] != nil {
-			continue // already scanned as a requested target
-		}
-		dir := l.dirFor(path)
-		bp, err := l.ScanDir(dir)
-		if err != nil {
-			return nil, fmt.Errorf("lint: scanning dependency %s: %w", path, err)
-		}
-		if bp != nil {
-			add(target{dir: dir, path: path}, false, bp.GoFiles, bp.Imports)
-		}
-	}
-	paths := make([]string, 0, len(byPath))
-	for path, n := range byPath {
-		if n != nil {
-			paths = append(paths, path)
-		}
-	}
-	sort.Strings(paths)
-	nodes := make([]*treeNode, 0, len(paths))
-	for _, path := range paths {
-		nodes = append(nodes, byPath[path])
+		add(t, slices.Concat(bp.GoFiles, bp.TestGoFiles))
+		add(target{dir: t.dir, path: t.path + "_test"}, bp.XTestGoFiles)
 	}
 	return nodes, nil
+}
+
+// runOnePackage runs the analyzers over one package and returns its
+// directive-filtered findings. What an analyzer that does not apply to
+// tests reports in a _test.go file is dropped before suppression, so
+// test code needs no directive for it.
+func runOnePackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
+	var diags []Diagnostic
+	for _, a := range analyzers {
+		a.Run(&Pass{
+			Analyzer: a,
+			Path:     pkg.Path,
+			Fset:     pkg.Fset,
+			Files:    pkg.Files,
+			Pkg:      pkg.Types,
+			Info:     pkg.Info,
+			report: func(d Diagnostic) {
+				if a.Tests || !strings.HasSuffix(d.File, "_test.go") {
+					diags = append(diags, d)
+				}
+			},
+		})
+	}
+	ignores, malformed := collectIgnores(pkg)
+	diags = suppress(diags, ignores)
+	// Malformed directives are findings in their own right — a missing
+	// reason breaks the suite's audit trail — and cannot be suppressed.
+	return append(diags, malformed...)
+}
+
+// parallel calls fn(i) for every i in [0, n) across GOMAXPROCS
+// workers.
+func parallel(n int, fn func(int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

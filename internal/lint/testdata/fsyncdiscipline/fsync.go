@@ -1,25 +1,12 @@
 // Package fsyncfix exercises the fsyncdiscipline contract from DESIGN
 // §11: a temp file must be fsynced before the rename that publishes
-// it and the directory fsynced after, and an ingest handler must reach
-// the WAL append before writing its 202 ack.
+// it and the directory fsynced after.
 package fsyncfix
 
 import (
-	"net/http"
 	"os"
 	"path/filepath"
 )
-
-// Log is a stand-in WAL: AppendBatch and AppendFrames on a
-// vmp/internal/ receiver are what the analyzer recognizes as the
-// durability entry points.
-type Log struct{}
-
-// AppendBatch appends one batch of records.
-func (l *Log) AppendBatch(parts [][]byte) error { return nil }
-
-// AppendFrames appends one batch as the frames it arrived in.
-func (l *Log) AppendFrames(frames []byte) error { return nil }
 
 // saveBad publishes via os.WriteFile, which never syncs: the data can
 // still be in the page cache when the rename lands.
@@ -167,58 +154,4 @@ func saveHelperNoSync(path string, data []byte) error {
 func statDir(path string) error {
 	_, err := os.Stat(path)
 	return err
-}
-
-// handleBad acks before the append: a crash between the two loses a
-// batch the client believes durable.
-func handleBad(l *Log, w http.ResponseWriter, r *http.Request) {
-	w.WriteHeader(http.StatusAccepted)
-	if err := l.AppendBatch(nil); err != nil { // want fsyncdiscipline "after the HTTP 202"
-		return
-	}
-}
-
-// handleBadIndirect reaches the append through a same-package helper;
-// the call-graph fixed point carries the fact to the call site.
-func handleBadIndirect(l *Log, w http.ResponseWriter, r *http.Request) {
-	w.WriteHeader(http.StatusAccepted)
-	if err := persist(l); err != nil { // want fsyncdiscipline "after the HTTP 202"
-		return
-	}
-}
-
-func persist(l *Log) error { return l.AppendBatch(nil) }
-
-// handleFrames logs a binary body's frames and acks it, and only a body
-// without frames reaches AppendBatch, after that ack in source order:
-// the 202 follows the append that made it durable on both paths.
-func handleFrames(l *Log, frames []byte, w http.ResponseWriter, r *http.Request) {
-	if frames != nil {
-		if err := l.AppendFrames(frames); err != nil {
-			http.Error(w, "wal append failed", http.StatusInternalServerError)
-			return
-		}
-		w.WriteHeader(http.StatusAccepted)
-		return
-	}
-	if err := l.AppendBatch(nil); err != nil {
-		http.Error(w, "wal append failed", http.StatusInternalServerError)
-		return
-	}
-	w.WriteHeader(http.StatusAccepted)
-}
-
-// handleFramesBad acks before it logs the frames.
-func handleFramesBad(l *Log, frames []byte, w http.ResponseWriter, r *http.Request) {
-	w.WriteHeader(http.StatusAccepted)
-	_ = l.AppendFrames(frames) // want fsyncdiscipline "after the HTTP 202"
-}
-
-// handleGood appends first and acks after.
-func handleGood(l *Log, w http.ResponseWriter, r *http.Request) {
-	if err := l.AppendBatch(nil); err != nil {
-		http.Error(w, "wal append failed", http.StatusInternalServerError)
-		return
-	}
-	w.WriteHeader(http.StatusAccepted)
 }

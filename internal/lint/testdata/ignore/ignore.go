@@ -3,7 +3,8 @@
 // finding's line or the line above silences it; a directive without a
 // reason is inert and is itself reported as an "ignore" finding; a
 // directive naming analyzer A never silences analyzer B, even on the
-// same line.
+// same line; a directive naming no analyzer of the suite — a typo, or
+// one retired — is inert and reported too.
 package ignore
 
 import "time"
@@ -33,4 +34,13 @@ func wrongAnalyzer() time.Time {
 // same line.
 func sameLineOtherAnalyzer(t0 time.Time) {
 	time.Sleep(time.Since(t0)) //lint:ignore ctxflow fixture: sleep is the construct under test // want nondeterminism "time.Since reads the wall clock"
+}
+
+func unknownAnalyzer() time.Time {
+	//lint:ignore nondeterminsm fixture: the analyzer's name is misspelt // want ignore "names .nondeterminsm., which is no analyzer"
+	return time.Now() // want nondeterminism "time.Now reads the wall clock"
+}
+
+func retiredAnalyzer() time.Time {
+	return time.Now() //lint:ignore frozenwrite fixture: retired, so it silences nothing // want nondeterminism "time.Now reads the wall clock" // want ignore "names .frozenwrite."
 }

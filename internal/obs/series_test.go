@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,26 +147,36 @@ func TestSeriesDeterministicJSON(t *testing.T) {
 // TestSeriesRecordDuringSnapshot exercises the lock-free ring under
 // -race, as TestConcurrentTrace does the trace rings: a sample is
 // published whole, so a reader that loads it races nothing the writer
-// does afterwards.
+// does afterwards. The writer keeps recording until the reader has
+// taken 500 snapshots with points in them, so the two interleave
+// however the scheduler runs them.
 func TestSeriesRecordDuringSnapshot(t *testing.T) {
 	ring := NewSeriesRing(8)
+	var snapshots atomic.Int64
+	records := 0
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		recordN(ring, 200)
+		for ; records < 200 || snapshots.Load() < 500; records++ {
+			recordN(ring, 1)
+		}
 	}()
 	for {
 		select {
 		case <-done:
-			if s := ring.Snapshot(); s.SamplesTotal != 200 || len(s.Points) != 8 {
-				t.Fatalf("after 200 records: %d samples, %d points", s.SamplesTotal, len(s.Points))
+			if s := ring.Snapshot(); s.SamplesTotal != uint64(records) || len(s.Points) != 8 {
+				t.Fatalf("after %d records: %d samples, %d points", records, s.SamplesTotal, len(s.Points))
 			}
 			return
 		default:
-			for _, p := range ring.Snapshot().Points {
+			points := ring.Snapshot().Points
+			for _, p := range points {
 				if p.Time == "" {
 					t.Fatalf("point %d has no time", p.Seq)
 				}
+			}
+			if len(points) > 0 {
+				snapshots.Add(1)
 			}
 		}
 	}

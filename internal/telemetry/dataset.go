@@ -27,7 +27,9 @@ func (c *DimColumn) Cardinality() int { return len(c.names) }
 // Name returns the dimension value for an ID.
 func (c *DimColumn) Name(id int32) string { return c.names[id] }
 
-// IDs returns record i's dimension-value IDs as a read-only view.
+// IDs returns record i's dimension-value IDs as a read-only view; the
+// frozen-* rows of docs/mutants.md show the tests that catch a write
+// through it.
 func (c *DimColumn) IDs(i int) []int32 { return c.ids[c.offs[i]:c.offs[i+1]] }
 
 // nameTable interns names on top of a predecessor's table without
@@ -342,10 +344,12 @@ func (b *datasetBuilder) dataset() *Dataset {
 // Len returns the number of records.
 func (d *Dataset) Len() int { return len(d.records) }
 
-// Record returns record i as a read-only pointer.
+// Record returns record i as a read-only pointer (held by the frozen-*
+// rows of docs/mutants.md, like every view below).
 func (d *Dataset) Record(i int) *ViewRecord { return &d.records[i] }
 
-// All returns every record in timestamp order as a read-only view.
+// All returns every record in timestamp order as a read-only view
+// (the frozen-* rows of docs/mutants.md).
 func (d *Dataset) All() []ViewRecord { return d.records }
 
 // ViewsAt returns the precomputed Views() of record i.

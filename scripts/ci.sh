@@ -30,6 +30,10 @@ stage race      make race
 # verdict, and the regenerated docs/mutants.md must match the one
 # checked in.
 stage mutants   sh -c 'make mutants && git diff --exit-code docs/mutants.md'
+# scorecard regenerates docs/scorecard.md and docs/full_study_output.txt
+# at default flags: a change that moves a printed digit of the study, or
+# a paper-vs-measured check out of its band, shows up as a diff here.
+stage scorecard sh -c 'make scorecard && git diff --exit-code docs/scorecard.md docs/full_study_output.txt'
 # fuzz-wire searches past the seed corpora `make test` already runs:
 # ten seconds each on the JSONL arm (encoding/json is the model), the
 # binary frame decoder, the WAL's AppendFrames (the frame decoder is
