@@ -185,15 +185,33 @@ smoke-crash:
 	sh scripts/smoke_crash.sh
 
 # loc prints Go line counts per package directory — non-test and test
-# files in separate columns — for the root package, internal/* and
-# cmd/*: the one source for the line counts ROADMAP and the simplicity
-# PRs quote. Raw lines (comments and blanks included), testdata skipped.
+# files in separate columns — for the root package, internal/*, cmd/*
+# and examples/*: the one source for the line counts ROADMAP and the
+# simplicity PRs quote. Raw lines (comments and blanks included),
+# testdata skipped.
 .PHONY: loc
 loc:
 	@printf '%-30s %9s %9s\n' package non-test test; \
-	for d in . $$(find internal cmd -type d ! -path '*/testdata*' | sort); do \
+	for d in . $$(find internal cmd examples -type d ! -path '*/testdata*' | sort); do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs -r cat | wc -l); \
 		t=$$(find $$d -maxdepth 1 -name '*_test.go' | xargs -r cat | wc -l); \
 		if [ $$((n + t)) -gt 0 ]; then printf '%-30s %9d %9d\n' $$d $$n $$t; N=$$((N + n)); T=$$((T + t)); fi; \
 	done; \
 	printf '%-30s %9d %9d\n' total $$N $$T
+
+# census fails when a non-test package under internal/ is imported by
+# no command, no example and not the benchmark module: code outside
+# the shipped roots backs nothing the study or the serving plane runs,
+# and goes (tests alone do not keep a package alive).
+.PHONY: census
+census:
+	@roots="$$( { $(GO) list -deps ./cmd/... ./examples/... && $(GO) list -C bench -deps ./...; } | sort -u)" || exit 1; \
+	orphans=""; \
+	for p in $$($(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/...); do \
+		echo "$$roots" | grep -qxF "$$p" || orphans="$$orphans $$p"; \
+	done; \
+	if [ -n "$$orphans" ]; then \
+		echo "census: no command, example or bench/ imports:"; \
+		for p in $$orphans; do echo "  $$p"; done; \
+		exit 1; \
+	fi

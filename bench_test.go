@@ -7,7 +7,6 @@
 package vmp_test
 
 import (
-	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -18,13 +17,9 @@ import (
 	"vmp/internal/device"
 	"vmp/internal/dist"
 	"vmp/internal/manifest"
-	"vmp/internal/netmodel"
-	"vmp/internal/packaging"
-	"vmp/internal/player"
 	"vmp/internal/simclock"
 	"vmp/internal/syndication"
 	"vmp/internal/telemetry"
-	"vmp/internal/triage"
 )
 
 var (
@@ -294,51 +289,6 @@ func BenchmarkAblationDedupTolerance(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationABR plays identical sessions under each ABR and
-// reports delivered bitrate and rebuffering, quantifying the algorithm
-// choice the player defaults bake in.
-func BenchmarkAblationABR(b *testing.B) {
-	for _, name := range []string{"buffer", "rate", "bola", "fixed"} {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			abr, err := player.ByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			spec := &manifest.Spec{
-				VideoID: "abl", DurationSec: 1200, ChunkSec: 4, AudioKbps: 96,
-				Ladder: packaging.GuidelineLadder(6000, 1.8),
-			}
-			text, err := manifest.Generate(manifest.HLS, spec, "http://cdn/abl")
-			if err != nil {
-				b.Fatal(err)
-			}
-			m, err := manifest.Parse("http://cdn/abl/abl.m3u8", text)
-			if err != nil {
-				b.Fatal(err)
-			}
-			isp, _ := netmodel.ISPByName("ISP-Y")
-			profile := netmodel.PathProfile(isp, netmodel.Cellular, 0.9)
-			var kbps, rebuf float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := player.Play(player.Config{
-					Manifest: m, ABR: abr,
-					Trace:    profile.NewTrace(dist.NewSource(uint64(i + 1))),
-					WatchSec: 600,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				kbps += res.AvgBitrateKbps
-				rebuf += res.RebufferRatio()
-			}
-			b.ReportMetric(kbps/float64(b.N), "avg-Kbps")
-			b.ReportMetric(100*rebuf/float64(b.N), "avg-%rebuf")
-		})
-	}
-}
-
 // BenchmarkAblationEdgeCache sweeps the edge cache size and reports
 // the hit ratio a fixed Zipf workload achieves.
 func BenchmarkAblationEdgeCache(b *testing.B) {
@@ -420,226 +370,6 @@ func BenchmarkAblationSnapshotCadence(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationLadderPolicy compares the HLS-guideline ladder
-// against per-title ladders on packaging cost for the same content.
-func BenchmarkAblationLadderPolicy(b *testing.B) {
-	protocols := []manifest.Protocol{manifest.HLS, manifest.DASH}
-	for _, cfg := range []struct {
-		name   string
-		ladder func(i int) manifest.Ladder
-	}{
-		{"guideline", func(i int) manifest.Ladder { return packaging.GuidelineLadder(6000, 1.8) }},
-		{"per-title", func(i int) manifest.Ladder {
-			return packaging.PerTitleLadder(dist.NewSource(uint64(i+1)), 6000, 0.8+0.4*float64(i%3))
-		}},
-	} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			var storage int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				storage = 0
-				for t := 0; t < 50; t++ {
-					spec := manifest.Spec{
-						VideoID: "v", DurationSec: 1800, ChunkSec: 4, AudioKbps: 96,
-						Ladder: cfg.ladder(t),
-					}
-					_, cost, err := packaging.Pipeline(spec, protocols, false)
-					if err != nil {
-						b.Fatal(err)
-					}
-					storage += cost.StorageBytes
-				}
-			}
-			b.ReportMetric(float64(storage)/1e9, "GB-per-50-titles")
-		})
-	}
-}
-
-// BenchmarkAblationAnycast quantifies §4.3's observation that anycast
-// route instability is not a blocking factor: it plays sessions on an
-// anycast CDN at increasing route-flip rates and reports the mean
-// rebuffering ratio.
-func BenchmarkAblationAnycast(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		prob float64
-	}{
-		{"no-flips", 0},
-		{"realistic-0.2pct", 0.002},
-		{"stressed-2pct", 0.02},
-	} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			spec := &manifest.Spec{
-				VideoID: "any", DurationSec: 1200, ChunkSec: 4, AudioKbps: 96,
-				Ladder: packaging.GuidelineLadder(6000, 1.8),
-			}
-			text, err := manifest.Generate(manifest.HLS, spec, "http://cdn/any")
-			if err != nil {
-				b.Fatal(err)
-			}
-			m, err := manifest.Parse("http://cdn/any/any.m3u8", text)
-			if err != nil {
-				b.Fatal(err)
-			}
-			anycast := cdnsim.NewCDN("B", true, true, 8<<30)
-			isp, _ := netmodel.ISPByName("ISP-X")
-			profile := netmodel.PathProfile(isp, netmodel.WiFi, 1.0)
-			var rebuf, flips float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var flipSrc *dist.Source
-				if cfg.prob > 0 {
-					flipSrc = dist.NewSource(uint64(9000 + i))
-				}
-				res, err := player.Play(player.Config{
-					Manifest: m, ABR: player.BufferBased{},
-					Trace: profile.NewTrace(dist.NewSource(uint64(i + 1))),
-					CDN:   anycast, ISP: isp.Name, WatchSec: 900,
-					RouteFlipSrc: flipSrc, RouteFlipPerChunk: cfg.prob,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rebuf += res.RebufferRatio()
-				flips += float64(res.RouteFlips)
-			}
-			b.ReportMetric(100*rebuf/float64(b.N), "avg-%rebuf")
-			b.ReportMetric(flips/float64(b.N), "flips/session")
-		})
-	}
-}
-
-// BenchmarkAblationIntegrationModel compares the syndicator's QoE
-// under the three §6 integration models on one slice.
-func BenchmarkAblationIntegrationModel(b *testing.B) {
-	cat := syndication.StarCatalogue()
-	s7, _ := cat.SyndicatorByID("S7")
-	cdns := cdnsim.NewRegistry(dist.NewSource(1))
-	cdnA, _ := cdns.ByName("A")
-	ispX, _ := netmodel.ISPByName("ISP-X")
-	for _, model := range []syndication.IntegrationModel{
-		syndication.Independent, syndication.APIIntegrated, syndication.AppIntegrated,
-	} {
-		model := model
-		b.Run(model.String(), func(b *testing.B) {
-			slice := syndication.QoESlice{ISP: ispX, Conn: netmodel.Cellular, CDN: cdnA,
-				Sessions: 30, WatchSec: 600, Seed: 21}
-			var median float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d, err := syndication.MeasureIntegration(cat.Owner, s7, cat.TitleID, model, slice)
-				if err != nil {
-					b.Fatal(err)
-				}
-				median = d.MedianKbps
-			}
-			b.ReportMetric(median, "synd-median-Kbps")
-		})
-	}
-}
-
-// BenchmarkAblationChunkDuration sweeps the chunk duration, the
-// packaging knob trading live latency (§4.1) against delivery
-// robustness: longer chunks add glass-to-glass delay.
-func BenchmarkAblationChunkDuration(b *testing.B) {
-	for _, chunkSec := range []float64{2, 4, 6, 10} {
-		chunkSec := chunkSec
-		b.Run(fmt.Sprintf("chunk-%gs", chunkSec), func(b *testing.B) {
-			liveSpec := manifest.Spec{
-				VideoID: "cd", ChunkSec: chunkSec, Live: true, AudioKbps: 96,
-				Ladder: packaging.GuidelineLadder(5000, 1.8),
-			}
-			lat, err := packaging.GlassToGlass(liveSpec, packaging.SelfHosted, 2, 0.05)
-			if err != nil {
-				b.Fatal(err)
-			}
-			text, err := manifest.Generate(manifest.HLS, &liveSpec, "http://cdn/cd")
-			if err != nil {
-				b.Fatal(err)
-			}
-			m, err := manifest.Parse("http://cdn/cd/cd.m3u8", text)
-			if err != nil {
-				b.Fatal(err)
-			}
-			isp, _ := netmodel.ISPByName("ISP-Y")
-			profile := netmodel.PathProfile(isp, netmodel.Cellular, 0.9)
-			var rebuf float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := player.Play(player.Config{
-					Manifest: m, ABR: player.BufferBased{},
-					Trace:    profile.NewTrace(dist.NewSource(uint64(i + 1))),
-					WatchSec: 600,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rebuf += res.RebufferRatio()
-			}
-			b.ReportMetric(lat.Total(), "glass-to-glass-sec")
-			b.ReportMetric(100*rebuf/float64(b.N), "avg-%rebuf")
-		})
-	}
-}
-
-// BenchmarkAblationPackagingLocation compares self-hosted against
-// CDN-hosted packaging (§2) on compute and publisher-uplink bytes for
-// a large publisher's configuration.
-func BenchmarkAblationPackagingLocation(b *testing.B) {
-	spec := manifest.Spec{
-		VideoID: "loc", DurationSec: 3600, ChunkSec: 4, AudioKbps: 96,
-		Ladder: packaging.GuidelineLadder(8000, 1.7),
-	}
-	for _, loc := range []packaging.Location{packaging.SelfHosted, packaging.CDNHosted} {
-		loc := loc
-		b.Run(loc.String(), func(b *testing.B) {
-			var plan *packaging.Plan
-			var err error
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				plan, err = packaging.PlanPipeline(loc, spec, manifest.HTTPProtocols, true, 5)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(plan.PublisherCPU+plan.CDNCPU, "cpu-sec")
-			b.ReportMetric(float64(plan.UploadBytes)/1e9, "uplink-GB")
-		})
-	}
-}
-
-// BenchmarkTriageLocalization measures failure triaging over one
-// snapshot of the population with an injected interaction fault, and
-// reports how many combinations had to be aggregated — the §5 cost
-// driver.
-func BenchmarkTriageLocalization(b *testing.B) {
-	eco := vmp.New(vmp.Config{SnapshotStride: 59}).Eco
-	recs := eco.GenerateSnapshot(eco.Schedule.Latest())
-	inj, err := triage.NewInjector(0.01, dist.NewSource(5), triage.Fault{
-		Match:    triage.Combination{CDN: "E"},
-		FailProb: 0.4,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	inj.Apply(recs)
-	b.ResetTimer()
-	var combos int
-	for i := 0; i < b.N; i++ {
-		findings, tr, err := triage.Run(recs, triage.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(findings) == 0 {
-			b.Fatal("fault not localized")
-		}
-		combos = tr.CombinationsTracked()
-	}
-	b.ReportMetric(float64(combos), "combinations")
 }
 
 // BenchmarkRenderAll measures end-to-end rendering of the whole study.

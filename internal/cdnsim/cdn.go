@@ -12,11 +12,9 @@ import (
 // observes 36 CDNs with over 93% of view-hours concentrated on the top
 // 5 (anonymized A-E), one of the top 3 using anycast.
 type CDN struct {
-	Name            string
-	Anycast         bool
-	OffersPackaging bool // CDN-side packaging service (§2)
-
-	Origin *Origin
+	Name    string
+	Anycast bool
+	Origin  *Origin
 
 	mu       sync.Mutex
 	quality  map[string]float64    // ISP name → delivery quality in (0, 1.5]
@@ -35,16 +33,15 @@ type TrafficCounters struct {
 }
 
 // NewCDN creates a CDN with the given edge capacity per POP.
-func NewCDN(name string, anycast, packaging bool, edgeCapacity int64) *CDN {
+func NewCDN(name string, anycast bool, edgeCapacity int64) *CDN {
 	return &CDN{
-		Name:            name,
-		Anycast:         anycast,
-		OffersPackaging: packaging,
-		Origin:          NewOrigin(),
-		quality:         make(map[string]float64),
-		edges:           make(map[string]*EdgeCache),
-		edgeCap:         edgeCapacity,
-		byISP:           make(map[string]*TrafficCounters),
+		Name:    name,
+		Anycast: anycast,
+		Origin:  NewOrigin(),
+		quality: make(map[string]float64),
+		edges:   make(map[string]*EdgeCache),
+		edgeCap: edgeCapacity,
+		byISP:   make(map[string]*TrafficCounters),
 	}
 }
 
@@ -122,7 +119,6 @@ func (c *CDN) ServedByISP(isp string) TrafficCounters {
 
 // Registry is the simulation's CDN population.
 type Registry struct {
-	cdns   []*CDN
 	byName map[string]*CDN
 }
 
@@ -144,24 +140,20 @@ const defaultEdgeCapacity = 8 << 30 // 8 GiB
 // the minor CDNs' quality deterministically.
 func NewRegistry(src *dist.Source) *Registry {
 	r := &Registry{byName: make(map[string]*CDN)}
-	add := func(c *CDN) {
-		r.cdns = append(r.cdns, c)
-		r.byName[c.Name] = c
-	}
+	add := func(c *CDN) { r.byName[c.Name] = c }
 	top := []struct {
-		name      string
-		anycast   bool
-		packaging bool
-		quality   map[string]float64
+		name    string
+		anycast bool
+		quality map[string]float64
 	}{
-		{"A", false, true, map[string]float64{"ISP-X": 1.00, "ISP-Y": 0.85, "ISP-Z": 0.95, "ISP-W": 1.00}},
-		{"B", true, true, map[string]float64{"ISP-X": 1.05, "ISP-Y": 0.90, "ISP-Z": 1.00, "ISP-W": 0.95}},
-		{"C", false, false, map[string]float64{"ISP-X": 0.95, "ISP-Y": 0.95, "ISP-Z": 1.00, "ISP-W": 0.90}},
-		{"D", false, false, map[string]float64{"ISP-X": 0.85, "ISP-Y": 0.80, "ISP-Z": 0.85, "ISP-W": 0.85}},
-		{"E", false, true, map[string]float64{"ISP-X": 0.80, "ISP-Y": 0.85, "ISP-Z": 0.80, "ISP-W": 0.80}},
+		{"A", false, map[string]float64{"ISP-X": 1.00, "ISP-Y": 0.85, "ISP-Z": 0.95, "ISP-W": 1.00}},
+		{"B", true, map[string]float64{"ISP-X": 1.05, "ISP-Y": 0.90, "ISP-Z": 1.00, "ISP-W": 0.95}},
+		{"C", false, map[string]float64{"ISP-X": 0.95, "ISP-Y": 0.95, "ISP-Z": 1.00, "ISP-W": 0.90}},
+		{"D", false, map[string]float64{"ISP-X": 0.85, "ISP-Y": 0.80, "ISP-Z": 0.85, "ISP-W": 0.85}},
+		{"E", false, map[string]float64{"ISP-X": 0.80, "ISP-Y": 0.85, "ISP-Z": 0.80, "ISP-W": 0.80}},
 	}
 	for _, t := range top {
-		c := NewCDN(t.name, t.anycast, t.packaging, defaultEdgeCapacity)
+		c := NewCDN(t.name, t.anycast, defaultEdgeCapacity)
 		for isp, q := range t.quality {
 			c.SetQuality(isp, q)
 		}
@@ -169,7 +161,7 @@ func NewRegistry(src *dist.Source) *Registry {
 	}
 	for i := len(top); i < TotalCDNCount; i++ {
 		name := fmt.Sprintf("R%02d", i)
-		c := NewCDN(name, false, false, defaultEdgeCapacity/4)
+		c := NewCDN(name, false, defaultEdgeCapacity/4)
 		qsrc := src.Split("cdn-quality-" + name)
 		for _, isp := range []string{"ISP-X", "ISP-Y", "ISP-Z", "ISP-W"} {
 			c.SetQuality(isp, qsrc.Uniform(0.5, 0.9))
@@ -178,12 +170,6 @@ func NewRegistry(src *dist.Source) *Registry {
 	}
 	return r
 }
-
-// All returns every CDN in registry order (top five first).
-func (r *Registry) All() []*CDN { return r.cdns }
-
-// Top returns the top-5 CDNs A-E.
-func (r *Registry) Top() []*CDN { return r.cdns[:len(TopCDNNames)] }
 
 // ByName returns the CDN with the given name.
 func (r *Registry) ByName(name string) (*CDN, bool) {

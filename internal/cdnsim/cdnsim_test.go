@@ -20,12 +20,12 @@ func TestOriginPushAndTotal(t *testing.T) {
 	if got := o.TotalBytes(); got != 3500 {
 		t.Fatalf("TotalBytes after replace = %d, want 3500", got)
 	}
-	if len(o.Copies()) != 2 {
-		t.Fatalf("copies = %d, want 2", len(o.Copies()))
+	if len(o.copies) != 2 {
+		t.Fatalf("copies = %d, want 2", len(o.copies))
 	}
 	// Non-positive sizes are ignored.
 	o.Push("pub1", "c1", map[int]int64{400: 0})
-	if len(o.Copies()) != 2 {
+	if len(o.copies) != 2 {
 		t.Fatal("zero-byte rendition admitted")
 	}
 }
@@ -167,14 +167,14 @@ func TestEdgeCacheLRU(t *testing.T) {
 	// Touch a so b is the LRU victim.
 	c.Serve("a", 40)
 	c.Serve("c", 40) // evicts b
-	if c.Contains("b") {
+	if c.entries["b"] != nil {
 		t.Fatal("b should have been evicted")
 	}
-	if !c.Contains("a") || !c.Contains("c") {
+	if c.entries["a"] == nil || c.entries["c"] == nil {
 		t.Fatal("a and c should remain")
 	}
-	if c.UsedBytes() != 80 {
-		t.Fatalf("UsedBytes = %d, want 80", c.UsedBytes())
+	if c.used != 80 {
+		t.Fatalf("used = %d, want 80", c.used)
 	}
 }
 
@@ -183,7 +183,7 @@ func TestEdgeCacheOversizeObject(t *testing.T) {
 	if c.Serve("huge", 500) {
 		t.Fatal("oversize object cannot hit")
 	}
-	if c.Contains("huge") || c.UsedBytes() != 0 {
+	if c.entries["huge"] != nil || c.used != 0 {
 		t.Fatal("oversize object must not be admitted")
 	}
 }
@@ -193,9 +193,8 @@ func TestEdgeCacheStats(t *testing.T) {
 	c.Serve("a", 10)
 	c.Serve("a", 10)
 	c.Serve("b", 10)
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 2 {
-		t.Fatalf("stats = %d/%d, want 1/2", hits, misses)
+	if c.hits != 1 || c.misses != 2 {
+		t.Fatalf("stats = %d/%d, want 1/2", c.hits, c.misses)
 	}
 	if r := c.HitRatio(); r < 0.33 || r > 0.34 {
 		t.Fatalf("HitRatio = %v, want 1/3", r)
@@ -227,28 +226,20 @@ func TestEdgeCacheConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.UsedBytes() > 1<<20 {
+	if c.used > 1<<20 {
 		t.Fatal("capacity exceeded under concurrency")
 	}
 }
 
 func TestRegistryShape(t *testing.T) {
 	r := NewRegistry(dist.NewSource(1))
-	if len(r.All()) != TotalCDNCount {
-		t.Fatalf("registry has %d CDNs, want %d", len(r.All()), TotalCDNCount)
-	}
-	if len(r.Top()) != 5 {
-		t.Fatalf("top list has %d CDNs", len(r.Top()))
-	}
-	for i, name := range TopCDNNames {
-		if r.Top()[i].Name != name {
-			t.Fatalf("top CDN %d is %q, want %q", i, r.Top()[i].Name, name)
-		}
+	if len(r.byName) != TotalCDNCount {
+		t.Fatalf("registry has %d CDNs, want %d", len(r.byName), TotalCDNCount)
 	}
 	// Exactly one of the top 3 uses anycast (§4.3).
 	anycast := 0
-	for _, c := range r.Top()[:3] {
-		if c.Anycast {
+	for _, name := range TopCDNNames[:3] {
+		if r.byName[name].Anycast {
 			anycast++
 		}
 	}
@@ -266,15 +257,15 @@ func TestRegistryShape(t *testing.T) {
 func TestRegistryDeterminism(t *testing.T) {
 	r1 := NewRegistry(dist.NewSource(9))
 	r2 := NewRegistry(dist.NewSource(9))
-	for i, c := range r1.All() {
-		if c.Quality("ISP-X") != r2.All()[i].Quality("ISP-X") {
+	for name, c := range r1.byName {
+		if c.Quality("ISP-X") != r2.byName[name].Quality("ISP-X") {
 			t.Fatal("registry quality not deterministic")
 		}
 	}
 }
 
 func TestCDNQualityDefaultsAndClamps(t *testing.T) {
-	c := NewCDN("T", false, false, 1<<20)
+	c := NewCDN("T", false, 1<<20)
 	if q := c.Quality("ISP-X"); q != 0.7 {
 		t.Fatalf("default quality = %v, want 0.7", q)
 	}
@@ -289,7 +280,7 @@ func TestCDNQualityDefaultsAndClamps(t *testing.T) {
 }
 
 func TestCDNServeChunkPerISPEdges(t *testing.T) {
-	c := NewCDN("T", false, false, 1<<20)
+	c := NewCDN("T", false, 1<<20)
 	c.ServeChunk("ISP-X", "u1", 100)
 	if c.ServeChunk("ISP-Y", "u1", 100) {
 		t.Fatal("edges must be per-ISP: ISP-Y cannot hit ISP-X's cache")
@@ -300,7 +291,7 @@ func TestCDNServeChunkPerISPEdges(t *testing.T) {
 }
 
 func TestCDNTrafficAccounting(t *testing.T) {
-	c := NewCDN("T", false, false, 1<<20)
+	c := NewCDN("T", false, 1<<20)
 	c.ServeChunk("ISP-X", "u1", 100)
 	c.ServeChunk("ISP-X", "u1", 100) // hit — still accounted
 	c.ServeChunk("ISP-Y", "u2", 50)
@@ -318,7 +309,7 @@ func TestCDNTrafficAccounting(t *testing.T) {
 }
 
 func TestCDNTrafficAccountingConcurrent(t *testing.T) {
-	c := NewCDN("T", false, false, 1<<20)
+	c := NewCDN("T", false, 1<<20)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

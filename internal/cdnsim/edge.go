@@ -72,22 +72,6 @@ func (c *EdgeCache) Serve(key string, bytes int64) (hit bool) {
 	return false
 }
 
-// Contains reports whether key is currently cached, without touching
-// recency or statistics.
-func (c *EdgeCache) Contains(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
-}
-
-// UsedBytes returns the bytes currently cached.
-func (c *EdgeCache) UsedBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
-}
-
 // HitRatio returns hits/(hits+misses), or 0 before any traffic.
 func (c *EdgeCache) HitRatio() float64 {
 	c.mu.Lock()
@@ -97,11 +81,4 @@ func (c *EdgeCache) HitRatio() float64 {
 		return 0
 	}
 	return float64(c.hits) / float64(total)
-}
-
-// Stats returns the raw hit and miss counters.
-func (c *EdgeCache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

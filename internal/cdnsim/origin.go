@@ -82,15 +82,6 @@ func (o *Origin) TotalBytes() int64 {
 	return o.bytes
 }
 
-// Copies returns a snapshot of all stored rendition copies.
-func (o *Origin) Copies() []RenditionCopy {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	out := make([]RenditionCopy, len(o.copies))
-	copy(out, o.copies)
-	return out
-}
-
 // HasContent reports whether publisher stores any rendition of
 // contentID here.
 func (o *Origin) HasContent(publisher, contentID string) bool {

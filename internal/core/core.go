@@ -64,9 +64,6 @@ type Study struct {
 // concurrent renders.
 func (s *Study) SetTracer(tr *obs.Tracer) { s.tracer = tr }
 
-// Tracer returns the attached tracer, or nil.
-func (s *Study) Tracer() *obs.Tracer { return s.tracer }
-
 // memoEntry guards one figure computation: concurrent callers share a
 // single evaluation via the Once.
 type memoEntry struct {

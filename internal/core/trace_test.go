@@ -16,7 +16,7 @@ import (
 // shared study (no tracer) records nothing.
 func TestRenderFigureSpans(t *testing.T) {
 	s := study(t)
-	if s.Tracer() != nil {
+	if s.tracer != nil {
 		t.Fatal("shared study should have no tracer")
 	}
 	tr := obs.NewTracer(simclock.NewManual(time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)), 64)

@@ -92,16 +92,6 @@ func New(cfg Config) *Ecosystem {
 	return e
 }
 
-// PublisherByID returns the publisher with the given ID.
-func (e *Ecosystem) PublisherByID(id string) (*Publisher, bool) {
-	for _, p := range e.Publishers {
-		if p.ID == id {
-			return p, true
-		}
-	}
-	return nil, false
-}
-
 // GenerateStore runs the sampler over every publisher and snapshot and
 // returns the assembled view-record store: the synthetic counterpart of
 // the paper's dataset. Snapshots are generated in parallel (see
@@ -214,8 +204,8 @@ func (e *Ecosystem) InventoryAt(t time.Time) []Inventory {
 }
 
 // Validate sanity-checks the generated population; it returns an error
-// describing the first structural violation found. Tests and the
-// generator CLI call this before trusting a population.
+// describing the first structural violation found. Tests call this
+// before trusting a population.
 func (e *Ecosystem) Validate() error {
 	if len(e.Publishers) == 0 {
 		return fmt.Errorf("ecosystem: empty population")

@@ -25,8 +25,12 @@ func testEco(t *testing.T) *Ecosystem {
 
 func TestPopulationShape(t *testing.T) {
 	e := testEco(t)
-	if len(e.Publishers) != DefaultPublisherCount() {
-		t.Fatalf("population = %d, want %d", len(e.Publishers), DefaultPublisherCount())
+	want := 0
+	for _, c := range bucketCounts {
+		want += c
+	}
+	if len(e.Publishers) != want {
+		t.Fatalf("population = %d, want %d", len(e.Publishers), want)
 	}
 	if len(e.Publishers) < 100 {
 		t.Fatal("the paper studies more than one hundred publishers")
@@ -521,8 +525,12 @@ func TestRecordsAreWellFormed(t *testing.T) {
 func TestRecordsRespectPublisherConfig(t *testing.T) {
 	e := testEco(t)
 	latest := e.Schedule.Latest().Start
+	byID := map[string]*Publisher{}
+	for _, p := range e.Publishers {
+		byID[p.ID] = p
+	}
 	for _, r := range latestRecords(t) {
-		p, ok := e.PublisherByID(r.Publisher)
+		p, ok := byID[r.Publisher]
 		if !ok {
 			t.Fatalf("record from unknown publisher %s", r.Publisher)
 		}

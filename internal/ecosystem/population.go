@@ -14,15 +14,6 @@ import (
 // handful of giants at the top.
 var bucketCounts = [NumBuckets]int{9, 15, 22, 40, 17, 6, 3}
 
-// DefaultPublisherCount is the size of the default population.
-func DefaultPublisherCount() int {
-	n := 0
-	for _, c := range bucketCounts {
-		n += c
-	}
-	return n
-}
-
 // FullSyndicatorCount is the number of full syndicators in the
 // population; Fig 14 measures owners against this denominator.
 const FullSyndicatorCount = 24

@@ -17,17 +17,12 @@ import (
 	"time"
 )
 
-// Run serves srv until the process receives SIGINT or SIGTERM (or
-// stop closes, which tests use in place of a signal), then shuts the
-// server down, waiting up to drainTimeout for in-flight requests. ln
-// may be nil, in which case srv listens on srv.Addr. Run returns nil
-// after a clean drain; a listener failure or an expired drain deadline
-// is returned as an error.
-func Run(srv *http.Server, ln net.Listener, drainTimeout time.Duration, stop <-chan struct{}) error {
-	return RunNotify(srv, ln, drainTimeout, stop, nil)
-}
-
-// RunNotify is Run with a lifecycle callback: notify (if non-nil) is
+// RunNotify serves srv until the process receives SIGINT or SIGTERM
+// (or stop closes, which tests use in place of a signal), then shuts
+// the server down, waiting up to drainTimeout for in-flight requests.
+// ln may be nil, in which case srv listens on srv.Addr. RunNotify
+// returns nil after a clean drain; a listener failure or an expired
+// drain deadline is returned as an error. notify (if non-nil) is
 // called with "drain_begin" when a shutdown request arrives and
 // "drain_end" after the drain completes, before RunNotify returns.
 // Daemons use it to land shutdown phases in their structured event

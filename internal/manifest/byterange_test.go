@@ -1,9 +1,6 @@
 package manifest
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func byteRangeSpec() *Spec {
 	s := testSpec()
@@ -19,77 +16,6 @@ func TestByteRangeValidation(t *testing.T) {
 	s.Live = true
 	if err := s.Validate(); err == nil {
 		t.Fatal("live byte-range spec accepted")
-	}
-}
-
-func TestByteRangeHLSMediaPlaylist(t *testing.T) {
-	spec := byteRangeSpec()
-	text, err := GenerateHLSMedia(spec, 1, "http://cdn/p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text, "#EXT-X-VERSION:4") {
-		t.Error("byte-range playlists require protocol version 4")
-	}
-	if !strings.Contains(text, "#EXT-X-BYTERANGE:") {
-		t.Fatal("missing EXT-X-BYTERANGE tags")
-	}
-	p, err := ParseHLSMedia(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.ByteRange {
-		t.Fatal("parsed playlist not marked byte-range")
-	}
-	if len(p.SegmentOffsets) != spec.ChunkCount() {
-		t.Fatalf("offsets = %d, want %d", len(p.SegmentOffsets), spec.ChunkCount())
-	}
-	// All URIs address the same media file.
-	for _, u := range p.SegmentURIs {
-		if u != p.SegmentURIs[0] {
-			t.Fatalf("byte-range segments must share one file: %q vs %q", u, p.SegmentURIs[0])
-		}
-	}
-	// Ranges are contiguous and non-overlapping.
-	for i := 1; i < len(p.SegmentOffsets); i++ {
-		if p.SegmentOffsets[i] != p.SegmentOffsets[i-1]+p.SegmentLengths[i-1] {
-			t.Fatalf("segment %d range not contiguous", i)
-		}
-	}
-	// Chunk length follows the packaging arithmetic: (1200+96)Kbps × 4s / 8.
-	want := int64((1200 + 96) * 1000 * 4 / 8)
-	if p.SegmentLengths[0] != want {
-		t.Fatalf("segment length = %d, want %d", p.SegmentLengths[0], want)
-	}
-}
-
-func TestByteRangeImplicitOffsets(t *testing.T) {
-	// The RFC allows omitting @offset: the range continues from the
-	// previous segment's end.
-	text := "#EXTM3U\n#EXT-X-VERSION:4\n#EXT-X-TARGETDURATION:4\n" +
-		"#EXTINF:4.0,\n#EXT-X-BYTERANGE:100@0\nmedia.ts\n" +
-		"#EXTINF:4.0,\n#EXT-X-BYTERANGE:150\nmedia.ts\n" +
-		"#EXT-X-ENDLIST\n"
-	p, err := ParseHLSMedia(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.SegmentOffsets[1] != 100 || p.SegmentLengths[1] != 150 {
-		t.Fatalf("implicit offset = %d@%d, want 150@100", p.SegmentLengths[1], p.SegmentOffsets[1])
-	}
-}
-
-func TestByteRangeParseErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad length": "#EXTM3U\n#EXTINF:4.0,\n#EXT-X-BYTERANGE:abc@0\nm.ts\n",
-		"bad offset": "#EXTM3U\n#EXTINF:4.0,\n#EXT-X-BYTERANGE:10@xyz\nm.ts\n",
-		"mixed": "#EXTM3U\n#EXTINF:4.0,\n#EXT-X-BYTERANGE:10@0\nm.ts\n" +
-			"#EXTINF:4.0,\nplain-seg.ts\n",
-	}
-	for name, text := range cases {
-		if _, err := ParseHLSMedia(text); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
 	}
 }
 

@@ -65,42 +65,6 @@ type repXML struct {
 
 const dashTimescale = 1000
 
-// GenerateMPDTimeline renders spec as a DASH MPD using an explicit
-// SegmentTimeline with $Time$ addressing instead of the @duration
-// template — the form live-to-VoD packagers emit. The final segment's
-// duration absorbs any remainder, so the timeline covers the content
-// exactly.
-func GenerateMPDTimeline(spec *Spec, baseURL string) (string, error) {
-	if err := spec.Validate(); err != nil {
-		return "", err
-	}
-	base := strings.TrimSuffix(baseURL, "/")
-	n := spec.ChunkCount()
-	chunk := int64(spec.ChunkSec * dashTimescale)
-	tl := &timelineXML{}
-	if spec.Live || float64(n)*spec.ChunkSec == spec.DurationSec {
-		start := int64(0)
-		tl.Segments = []timelineSXML{{T: &start, D: chunk, R: n - 1}}
-	} else {
-		start := int64(0)
-		last := int64(spec.DurationSec*dashTimescale) - chunk*int64(n-1)
-		tl.Segments = []timelineSXML{
-			{T: &start, D: chunk, R: n - 2},
-			{D: last},
-		}
-	}
-	doc := buildMPD(spec, &segTplXML{
-		Media:     base + "/" + spec.VideoID + "/$RepresentationID$/t$Time$.m4s",
-		Timescale: dashTimescale,
-		Timeline:  tl,
-	})
-	out, err := xml.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("manifest: marshaling timeline MPD: %w", err)
-	}
-	return xml.Header + string(out) + "\n", nil
-}
-
 // generateMPD renders spec as a DASH MPD with @duration template
 // addressing.
 func generateMPD(spec *Spec, base string) (string, error) {

@@ -1,7 +1,6 @@
 package manifest
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -97,54 +96,3 @@ func TestParseMPDTimelinePlaysBack(t *testing.T) {
 		}
 	}
 }
-
-func TestGenerateMPDTimelineRoundTrip(t *testing.T) {
-	spec := testSpec() // 634.5s / 4s: non-integral, remainder segment
-	text, err := GenerateMPDTimeline(spec, "http://cdn/p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text, "<SegmentTimeline>") || !strings.Contains(text, "$Time$") {
-		t.Fatalf("not a timeline MPD:\n%s", text)
-	}
-	m, err := Parse("http://cdn/p/v123.mpd", text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.ChunkCount() != spec.ChunkCount() {
-		t.Fatalf("ChunkCount = %d, want %d", m.ChunkCount(), spec.ChunkCount())
-	}
-	if len(m.Ladder) != len(spec.Ladder) {
-		t.Fatalf("ladder = %d, want %d", len(m.Ladder), len(spec.Ladder))
-	}
-	// Last segment starts at (n-1) * chunk duration.
-	last := m.ChunkURL(0, m.ChunkCount()-1)
-	wantStart := int64((m.ChunkCount() - 1) * 4 * 1000)
-	if !strings.Contains(last, "t"+strconvItoa(wantStart)) {
-		t.Fatalf("last segment URL %q, want start %d", last, wantStart)
-	}
-	// Exact-multiple and live variants.
-	exact := testSpec()
-	exact.DurationSec = 640
-	if _, err := GenerateMPDTimeline(exact, "http://cdn/p"); err != nil {
-		t.Fatal(err)
-	}
-	live := testSpec()
-	live.Live = true
-	text, err = GenerateMPDTimeline(live, "http://cdn/p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm, err := Parse("http://cdn/p/v123.mpd", text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !lm.Live || lm.ChunkCount() != live.ChunkCount() {
-		t.Fatalf("live timeline manifest wrong: live=%v chunks=%d", lm.Live, lm.ChunkCount())
-	}
-	if _, err := GenerateMPDTimeline(&Spec{}, "http://cdn/p"); err == nil {
-		t.Fatal("invalid spec accepted")
-	}
-}
-
-func strconvItoa(v int64) string { return fmt.Sprintf("%d", v) }

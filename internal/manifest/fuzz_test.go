@@ -46,29 +46,6 @@ func FuzzParseHLSMaster(f *testing.F) {
 	})
 }
 
-func FuzzParseHLSMedia(f *testing.F) {
-	media, _ := GenerateHLSMedia(testSpec(), 0, "http://cdn/p")
-	f.Add(media)
-	brSpec := testSpec()
-	brSpec.ByteRange = true
-	brMedia, _ := GenerateHLSMedia(brSpec, 0, "http://cdn/p")
-	f.Add(brMedia)
-	f.Add("#EXTM3U\n#EXTINF:4.0,\n#EXT-X-BYTERANGE:10\nm.ts\n")
-	f.Add("#EXTM3U\n#EXTINF:nope,\nseg.ts\n")
-	f.Fuzz(func(t *testing.T, text string) {
-		p, err := ParseHLSMedia(text)
-		if err != nil {
-			return
-		}
-		if len(p.SegmentURIs) != len(p.SegmentSecs) {
-			t.Fatal("URI/duration length mismatch")
-		}
-		if p.ByteRange && len(p.SegmentOffsets) != len(p.SegmentURIs) {
-			t.Fatal("byte-range bookkeeping mismatch")
-		}
-	})
-}
-
 func FuzzParseMPD(f *testing.F) {
 	good, _ := Generate(DASH, testSpec(), "http://cdn/p")
 	f.Add(good)

@@ -11,7 +11,7 @@ import (
 // an #EXT-X-SESSION-DATA tag carrying the packaging metadata (video ID,
 // chunk duration, chunk count, audio bitrate) so that a parsed master is
 // self-sufficient for simulation; real players ignore unknown session
-// data, and our media playlists remain fully standard.
+// data.
 
 // generateHLSMaster renders the master playlist for spec.
 func generateHLSMaster(spec *Spec, base string) string {
@@ -31,54 +31,6 @@ func generateHLSMaster(spec *Spec, base string) string {
 		fmt.Fprintf(&b, "#EXT-X-STREAM-INF:%s\n%s/%s/r%d.m3u8\n", attrs, base, spec.VideoID, i)
 	}
 	return b.String()
-}
-
-// GenerateHLSMedia renders the media playlist for one rendition of
-// spec: the per-chunk playlist a player fetches after choosing a
-// variant from the master.
-func GenerateHLSMedia(spec *Spec, rendition int, base string) (string, error) {
-	if err := spec.Validate(); err != nil {
-		return "", err
-	}
-	if rendition < 0 || rendition >= len(spec.Ladder) {
-		return "", fmt.Errorf("manifest: rendition %d out of range", rendition)
-	}
-	base = strings.TrimSuffix(base, "/")
-	var b strings.Builder
-	version := 3
-	if spec.ByteRange {
-		version = 4 // EXT-X-BYTERANGE requires protocol version 4
-	}
-	fmt.Fprintf(&b, "#EXTM3U\n#EXT-X-VERSION:%d\n", version)
-	fmt.Fprintf(&b, "#EXT-X-TARGETDURATION:%d\n", int(spec.ChunkSec+0.999))
-	b.WriteString("#EXT-X-MEDIA-SEQUENCE:0\n")
-	if spec.Live {
-		b.WriteString("#EXT-X-PLAYLIST-TYPE:EVENT\n")
-	} else {
-		b.WriteString("#EXT-X-PLAYLIST-TYPE:VOD\n")
-	}
-	n := spec.ChunkCount()
-	remaining := spec.DurationSec
-	chunkBytes := int64(float64(spec.Ladder[rendition].BitrateKbps+spec.AudioKbps) * 1000 * spec.ChunkSec / 8)
-	var offset int64
-	for i := 0; i < n; i++ {
-		d := spec.ChunkSec
-		if !spec.Live && remaining < d {
-			d = remaining
-		}
-		remaining -= d
-		if spec.ByteRange {
-			fmt.Fprintf(&b, "#EXTINF:%.3f,\n#EXT-X-BYTERANGE:%d@%d\n%s/%s/r%d/media.ts\n",
-				d, chunkBytes, offset, base, spec.VideoID, rendition)
-			offset += chunkBytes
-		} else {
-			fmt.Fprintf(&b, "#EXTINF:%.3f,\n%s/%s/r%d/seg%d.ts\n", d, base, spec.VideoID, rendition, i)
-		}
-	}
-	if !spec.Live {
-		b.WriteString("#EXT-X-ENDLIST\n")
-	}
-	return b.String(), nil
 }
 
 // parseHLSMaster decodes a master playlist into the common Manifest
@@ -219,82 +171,4 @@ func splitHLSAttrs(s string) []string {
 	}
 	out = append(out, s[start:])
 	return out
-}
-
-// MediaPlaylist is the parsed form of an HLS media playlist. For
-// byte-range playlists, SegmentOffsets and SegmentLengths carry the
-// range of each segment within its media file.
-type MediaPlaylist struct {
-	TargetDuration int
-	Live           bool
-	ByteRange      bool
-	SegmentURIs    []string
-	SegmentSecs    []float64
-	SegmentOffsets []int64
-	SegmentLengths []int64
-}
-
-// ParseHLSMedia decodes a media playlist.
-func ParseHLSMedia(text string) (*MediaPlaylist, error) {
-	lines := strings.Split(text, "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) != "#EXTM3U" {
-		return nil, fmt.Errorf("manifest: not an HLS playlist")
-	}
-	p := &MediaPlaylist{Live: true}
-	var (
-		pendingDur    float64
-		havePending   bool
-		pendingOff    int64
-		pendingLen    int64
-		haveRange     bool
-		nextImplicito int64 // implicit offset when BYTERANGE omits @o
-	)
-	for _, raw := range lines[1:] {
-		line := strings.TrimSpace(raw)
-		switch {
-		case strings.HasPrefix(line, "#EXT-X-TARGETDURATION:"):
-			p.TargetDuration, _ = strconv.Atoi(strings.TrimPrefix(line, "#EXT-X-TARGETDURATION:"))
-		case strings.HasPrefix(line, "#EXTINF:"):
-			v := strings.TrimSuffix(strings.TrimPrefix(line, "#EXTINF:"), ",")
-			d, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return nil, fmt.Errorf("manifest: bad #EXTINF %q", v)
-			}
-			pendingDur, havePending = d, true
-		case strings.HasPrefix(line, "#EXT-X-BYTERANGE:"):
-			spec := strings.TrimPrefix(line, "#EXT-X-BYTERANGE:")
-			lenStr, offStr, hasOff := strings.Cut(spec, "@")
-			n, err := strconv.ParseInt(lenStr, 10, 64)
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("manifest: bad #EXT-X-BYTERANGE %q", spec)
-			}
-			off := nextImplicito
-			if hasOff {
-				off, err = strconv.ParseInt(offStr, 10, 64)
-				if err != nil || off < 0 {
-					return nil, fmt.Errorf("manifest: bad #EXT-X-BYTERANGE offset %q", spec)
-				}
-			}
-			pendingLen, pendingOff, haveRange = n, off, true
-			nextImplicito = off + n
-		case line == "#EXT-X-ENDLIST":
-			p.Live = false
-		case line == "" || strings.HasPrefix(line, "#"):
-		default:
-			if !havePending {
-				return nil, fmt.Errorf("manifest: segment %q without #EXTINF", line)
-			}
-			p.SegmentURIs = append(p.SegmentURIs, line)
-			p.SegmentSecs = append(p.SegmentSecs, pendingDur)
-			if haveRange {
-				p.ByteRange = true
-				p.SegmentOffsets = append(p.SegmentOffsets, pendingOff)
-				p.SegmentLengths = append(p.SegmentLengths, pendingLen)
-			} else if p.ByteRange {
-				return nil, fmt.Errorf("manifest: segment %q missing #EXT-X-BYTERANGE in byte-range playlist", line)
-			}
-			havePending, haveRange = false, false
-		}
-	}
-	return p, nil
 }

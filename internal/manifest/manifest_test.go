@@ -215,54 +215,6 @@ func TestHLSMasterContent(t *testing.T) {
 	}
 }
 
-func TestHLSMediaPlaylist(t *testing.T) {
-	spec := testSpec()
-	text, err := GenerateHLSMedia(spec, 1, "http://cdn-a.example/pub1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := ParseHLSMedia(text)
-	if err != nil {
-		t.Fatalf("ParseHLSMedia: %v", err)
-	}
-	if len(p.SegmentURIs) != spec.ChunkCount() {
-		t.Fatalf("media playlist has %d segments, want %d", len(p.SegmentURIs), spec.ChunkCount())
-	}
-	if p.Live {
-		t.Error("VoD playlist parsed as live (missing ENDLIST handling)")
-	}
-	// Total of EXTINF durations must equal the video duration.
-	total := 0.0
-	for _, d := range p.SegmentSecs {
-		total += d
-	}
-	if diff := total - spec.DurationSec; diff > 0.01 || diff < -0.01 {
-		t.Errorf("segment durations sum to %v, want %v", total, spec.DurationSec)
-	}
-	if p.TargetDuration != 4 {
-		t.Errorf("TargetDuration = %d, want 4", p.TargetDuration)
-	}
-	if _, err := GenerateHLSMedia(spec, 9, "http://x"); err == nil {
-		t.Error("out-of-range rendition accepted")
-	}
-}
-
-func TestHLSMediaLive(t *testing.T) {
-	spec := testSpec()
-	spec.Live = true
-	text, err := GenerateHLSMedia(spec, 0, "http://x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := ParseHLSMedia(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Live {
-		t.Error("live playlist must not carry #EXT-X-ENDLIST")
-	}
-}
-
 func TestParseHLSMasterErrors(t *testing.T) {
 	cases := map[string]string{
 		"not a playlist":  "hello",

@@ -24,9 +24,6 @@ const (
 	Wired
 )
 
-// ConnTypes lists all connection types.
-var ConnTypes = []ConnType{WiFi, Cellular, Wired}
-
 // String returns the telemetry name for the connection type.
 func (c ConnType) String() string {
 	switch c {

@@ -39,9 +39,6 @@ type Gauge struct {
 // Set replaces the gauge's value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the gauge by n.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 

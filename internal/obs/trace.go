@@ -100,9 +100,6 @@ func NewTracer(clock simclock.Clock, capacity int) *Tracer {
 	return t
 }
 
-// Enabled reports whether spans and events are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
-
 // SetEnabled turns recording on or off. Disabling does not clear the
 // rings; the snapshot keeps serving what was already captured.
 func (t *Tracer) SetEnabled(on bool) {

@@ -3,7 +3,6 @@ package packaging_test
 import (
 	"fmt"
 
-	"vmp/internal/manifest"
 	"vmp/internal/packaging"
 )
 
@@ -14,27 +13,4 @@ func ExampleGuidelineLadder() {
 	fmt.Println(ladder.Bitrates())
 	// Output:
 	// [150 270 486 875 1575 2834 3000]
-}
-
-// ExampleGlassToGlass itemizes the live latency a chunked HTTP
-// protocol costs over RTMP (§4.1's "a few seconds").
-func ExampleGlassToGlass() {
-	spec := manifest.Spec{
-		VideoID:  "match-day",
-		ChunkSec: 4,
-		Live:     true,
-		Ladder:   packaging.GuidelineLadder(4000, 1.8),
-	}
-	http, err := packaging.GlassToGlass(spec, packaging.SelfHosted, 2, 0.05)
-	if err != nil {
-		panic(err)
-	}
-	rtmp := packaging.RTMPGlassToGlass(0.05)
-	fmt.Printf("chunked HTTP: %.2fs\n", http.Total())
-	fmt.Printf("RTMP:         %.2fs\n", rtmp.Total())
-	fmt.Printf("HTTP penalty: %.2fs\n", http.Total()-rtmp.Total())
-	// Output:
-	// chunked HTTP: 12.75s
-	// RTMP:         2.35s
-	// HTTP penalty: 10.40s
 }

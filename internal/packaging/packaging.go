@@ -15,16 +15,6 @@ import (
 	"vmp/internal/manifest"
 )
 
-// Codec identifies a video encoding format.
-type Codec string
-
-// The encodings named in §2.
-const (
-	H264 Codec = "H.264"
-	H265 Codec = "H.265"
-	VP9  Codec = "VP9"
-)
-
 // rungs maps a video bitrate to a plausible resolution, following
 // common encoding guidelines (e.g. Apple TN2224).
 var rungs = []struct {

@@ -12,12 +12,19 @@ import (
 
 func testManifest(t *testing.T, live bool) *manifest.Manifest {
 	t.Helper()
+	return ladderManifest(t, live, packaging.GuidelineLadder(6000, 1.8))
+}
+
+// ladderManifest is a 1200 s DASH title over the given ladder; a
+// one-rung ladder pins every bitrate decision to that rung.
+func ladderManifest(t *testing.T, live bool, ladder manifest.Ladder) *manifest.Manifest {
+	t.Helper()
 	spec := &manifest.Spec{
 		VideoID:     "v1",
 		DurationSec: 1200,
 		ChunkSec:    4,
 		AudioKbps:   96,
-		Ladder:      packaging.GuidelineLadder(6000, 1.8),
+		Ladder:      ladder,
 		Live:        live,
 	}
 	text, err := manifest.Generate(manifest.DASH, spec, "http://cdn-a/pub")
@@ -58,7 +65,7 @@ func TestPlayValidation(t *testing.T) {
 
 func TestPlayFastPathHighBitrate(t *testing.T) {
 	m := testManifest(t, false)
-	res, err := Play(Config{Manifest: m, ABR: BufferBased{}, Trace: fastTrace(2), WatchSec: 600})
+	res, err := Play(Config{Manifest: m, Trace: fastTrace(2), WatchSec: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +86,11 @@ func TestPlayFastPathHighBitrate(t *testing.T) {
 
 func TestPlaySlowPathLowBitrateAndRebuffering(t *testing.T) {
 	m := testManifest(t, false)
-	fast, err := Play(Config{Manifest: m, ABR: RateBased{}, Trace: fastTrace(3), WatchSec: 600})
+	fast, err := Play(Config{Manifest: m, Trace: fastTrace(3), WatchSec: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := Play(Config{Manifest: m, ABR: RateBased{}, Trace: slowTrace(3), WatchSec: 600})
+	slow, err := Play(Config{Manifest: m, Trace: slowTrace(3), WatchSec: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +144,9 @@ func TestPlayDeterminism(t *testing.T) {
 }
 
 func TestPlayEdgeCacheHits(t *testing.T) {
-	m := testManifest(t, false)
-	cdn := cdnsim.NewCDN("A", false, true, 8<<30)
-	cfg := Config{Manifest: m, ABR: Fixed{Rendition: 2}, Trace: fastTrace(11),
+	m := ladderManifest(t, false, packaging.GuidelineLadder(6000, 1.8)[2:3])
+	cdn := cdnsim.NewCDN("A", false, 8<<30)
+	cfg := Config{Manifest: m, Trace: fastTrace(11),
 		CDN: cdn, ISP: "ISP-X", WatchSec: 200}
 	first, err := Play(cfg)
 	if err != nil {
@@ -159,9 +166,9 @@ func TestPlayEdgeCacheHits(t *testing.T) {
 }
 
 func TestPlayColdCacheSlowerThanWarm(t *testing.T) {
-	m := testManifest(t, false)
-	cdn := cdnsim.NewCDN("A", false, true, 8<<30)
-	cfg := Config{Manifest: m, ABR: Fixed{Rendition: 3}, Trace: slowTrace(21),
+	m := ladderManifest(t, false, packaging.GuidelineLadder(6000, 1.8)[3:4])
+	cdn := cdnsim.NewCDN("A", false, 8<<30)
+	cfg := Config{Manifest: m, Trace: slowTrace(21),
 		CDN: cdn, ISP: "ISP-X", WatchSec: 300}
 	cold, err := Play(cfg)
 	if err != nil {
@@ -187,63 +194,18 @@ func TestRebufferRatio(t *testing.T) {
 	}
 }
 
-func TestRateBasedABR(t *testing.T) {
-	ladder := packaging.GuidelineLadder(6000, 1.8)
-	r := RateBased{}
-	if got := r.Choose(ladder, State{ThroughputKbps: 0}); got != 0 {
-		t.Errorf("no throughput estimate should start at rung 0, got %d", got)
-	}
-	hi := r.Choose(ladder, State{ThroughputKbps: 50000})
-	if hi != len(ladder)-1 {
-		t.Errorf("50 Mbps should pick the top rung, got %d", hi)
-	}
-	// 1000 Kbps * 0.8 = 800 budget: must pick the largest rung <= 800.
-	mid := r.Choose(ladder, State{ThroughputKbps: 1000})
-	if float64(ladder[mid].BitrateKbps) > 800 {
-		t.Errorf("rate ABR exceeded budget: rung %d = %d Kbps", mid, ladder[mid].BitrateKbps)
-	}
-	// Custom safety.
-	strict := RateBased{Safety: 0.5}
-	if strict.Choose(ladder, State{ThroughputKbps: 1000}) > mid {
-		t.Error("stricter safety should never pick a higher rung")
-	}
-}
-
 func TestBufferBasedABR(t *testing.T) {
 	ladder := packaging.GuidelineLadder(6000, 1.8)
-	b := BufferBased{}
-	if got := b.Choose(ladder, State{BufferSec: 0}); got != 0 {
+	if got := chooseRendition(ladder, 0); got != 0 {
 		t.Errorf("empty buffer should pick rung 0, got %d", got)
 	}
-	if got := b.Choose(ladder, State{BufferSec: 100}); got != len(ladder)-1 {
+	if got := chooseRendition(ladder, 100); got != len(ladder)-1 {
 		t.Errorf("full buffer should pick top rung, got %d", got)
 	}
-	lo := b.Choose(ladder, State{BufferSec: 10})
-	hi := b.Choose(ladder, State{BufferSec: 25})
+	lo := chooseRendition(ladder, 10)
+	hi := chooseRendition(ladder, 25)
 	if lo > hi {
 		t.Errorf("buffer map not monotone: %d @10s > %d @25s", lo, hi)
-	}
-}
-
-func TestFixedABRClamps(t *testing.T) {
-	ladder := packaging.GuidelineLadder(6000, 1.8)
-	if got := (Fixed{Rendition: -3}).Choose(ladder, State{}); got != 0 {
-		t.Errorf("negative rendition should clamp to 0, got %d", got)
-	}
-	if got := (Fixed{Rendition: 99}).Choose(ladder, State{}); got != len(ladder)-1 {
-		t.Errorf("overflow rendition should clamp to top, got %d", got)
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, name := range []string{"rate", "buffer", "fixed"} {
-		abr, err := ByName(name)
-		if err != nil || abr.Name() != name {
-			t.Errorf("ByName(%q) = %v, %v", name, abr, err)
-		}
-	}
-	if _, err := ByName("pensieve"); err == nil {
-		t.Error("unknown ABR accepted")
 	}
 }
 
@@ -277,5 +239,45 @@ func TestLadderDifferenceDrivesQoE(t *testing.T) {
 	if richRes.AvgBitrateKbps < 2*poorRes.AvgBitrateKbps {
 		t.Fatalf("tall ladder avg %v not >> short ladder avg %v",
 			richRes.AvgBitrateKbps, poorRes.AvgBitrateKbps)
+	}
+}
+
+func TestByteRangePlayback(t *testing.T) {
+	spec := &manifest.Spec{
+		VideoID:     "br1",
+		DurationSec: 800,
+		ChunkSec:    4,
+		AudioKbps:   96,
+		Ladder:      packaging.GuidelineLadder(4000, 1.8)[1:2],
+		ByteRange:   true,
+	}
+	text, err := manifest.Generate(manifest.HLS, spec, "http://cdn-a/pub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := manifest.Parse("http://cdn-a/pub/br1.m3u8", text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cdn := cdnsim.NewCDN("A", false, 8<<30)
+	cfg := Config{Manifest: m, Trace: fastTrace(8), CDN: cdn, ISP: "ISP-X", WatchSec: 200}
+	first, err := Play(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.PlayedSec < 150 {
+		t.Fatalf("byte-range session played %v", first.PlayedSec)
+	}
+	if first.EdgeHits != 0 {
+		t.Fatal("cold cache should not hit")
+	}
+	// Replay must hit the per-range cache entries.
+	cfg.Trace = fastTrace(9)
+	second, err := Play(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.EdgeHits == 0 {
+		t.Fatal("byte-range chunks did not cache per range")
 	}
 }

@@ -1,3 +1,10 @@
+// Package player implements chunked adaptive streaming playback: the
+// client half of the video data and control planes (§2). A session
+// fetches a manifest, runs a bitrate-adaptation loop over simulated
+// network paths and CDN edges, and measures what the paper's telemetry
+// measures — viewing time, average bitrate, and rebuffering — so that
+// the syndication performance comparisons (Figs 15 and 16) emerge from
+// actual playback rather than assumed numbers.
 package player
 
 import (
@@ -5,7 +12,6 @@ import (
 	"fmt"
 
 	"vmp/internal/cdnsim"
-	"vmp/internal/dist"
 	"vmp/internal/manifest"
 	"vmp/internal/netmodel"
 )
@@ -13,51 +19,22 @@ import (
 // Config describes one playback session.
 type Config struct {
 	Manifest *manifest.Manifest // parsed manifest to play
-	ABR      ABR                // adaptation algorithm; nil uses BufferBased
 	Trace    *netmodel.Trace    // network path to the chosen CDN; required
 	CDN      *cdnsim.CDN        // serving CDN; nil disables edge-cache effects
 	ISP      string             // client ISP, selects the CDN edge POP
 	WatchSec float64            // how long the user intends to watch
-	// StartupChunks is the buffer (in chunks) required before playback
-	// starts; zero defaults to 2.
-	StartupChunks int
-	// RouteFlipSrc enables anycast route-instability modeling (§4.3:
-	// "anycast is susceptible to BGP route changes that sever ongoing
-	// TCP connections"). When non-nil and the CDN uses anycast, each
-	// chunk download risks a route flip that severs the connection and
-	// forces a reconnect. Nil disables the model.
-	RouteFlipSrc *dist.Source
-	// RouteFlipPerChunk overrides the per-chunk flip probability; zero
-	// defaults to 0.2% (a flip every ~30 minutes of 4s chunks).
-	RouteFlipPerChunk float64
-	// Fallback enables midstream CDN switching, the behavior behind
-	// §3's footnote that "during a single view, chunks may be
-	// downloaded from multiple CDNs": after SwitchAfterStalls stalls,
-	// the session fails over to the fallback CDN and path.
-	Fallback      *cdnsim.CDN
-	FallbackTrace *netmodel.Trace
-	// SwitchAfterStalls is the stall count that triggers failover;
-	// zero defaults to 2.
-	SwitchAfterStalls int
-	// LicenseSec is the DRM license-exchange time paid before the
-	// first chunk of protected content (see internal/drm); zero for
-	// unprotected content.
-	LicenseSec float64
 }
 
 // Result is what one session measures: the per-view metrics the
 // telemetry layer reports to the collector (§3 — viewing time, average
 // bitrate, rebuffering time).
 type Result struct {
-	PlayedSec       float64 // media seconds actually played
-	RebufferSec     float64 // stall time after startup
-	StartupSec      float64 // join time before first frame
-	AvgBitrateKbps  float64 // time-weighted average video bitrate
-	ChunksFetched   int
-	EdgeHits        int
-	BitrateSwitches int
-	RouteFlips      int      // anycast route changes that severed the connection
-	CDNsUsed        []string // CDNs chunks were downloaded from, in order of use
+	PlayedSec      float64 // media seconds actually played
+	RebufferSec    float64 // stall time after startup
+	StartupSec     float64 // join time before first frame
+	AvgBitrateKbps float64 // time-weighted average video bitrate
+	ChunksFetched  int
+	EdgeHits       int
 }
 
 // RebufferRatio returns stall time as a fraction of the view (§6's
@@ -74,18 +51,31 @@ func (r Result) RebufferRatio() float64 {
 // and must fetch through to the origin.
 const originMissPenalty = 1.35
 
-// Anycast route-flip model: defaultRouteFlipPerChunk is the per-chunk
-// probability of a BGP route change severing the connection, and
-// routeFlipPenaltySec is the reconnect cost (TCP handshake plus
-// slow-start ramp) added to that chunk's download.
+// startupChunks is the buffer, in chunks, a session fills before
+// playback starts.
+const startupChunks = 2
+
+// The buffer-based adaptation map (BBA, Huang et al., SIGCOMM'14):
+// below reservoirSec of buffer play the lowest rung, above cushionSec
+// the highest, and interpolate linearly in between.
 const (
-	defaultRouteFlipPerChunk = 0.002
-	routeFlipPenaltySec      = 1.2
+	reservoirSec = 5.0
+	cushionSec   = 30.0
 )
 
-// throughputEWMA is the smoothing factor for the throughput estimate
-// fed to the ABR.
-const throughputEWMA = 0.65
+// chooseRendition is the bitrate decision: the rung index BBA maps
+// bufferSec of buffered media to.
+func chooseRendition(ladder manifest.Ladder, bufferSec float64) int {
+	switch {
+	case bufferSec <= reservoirSec:
+		return 0
+	case bufferSec >= cushionSec:
+		return len(ladder) - 1
+	default:
+		frac := (bufferSec - reservoirSec) / (cushionSec - reservoirSec)
+		return int(frac * float64(len(ladder)-1))
+	}
+}
 
 // Play runs one playback session to completion: either the user's
 // intended watch time is reached or (for VoD) the content ends.
@@ -101,89 +91,36 @@ func Play(cfg Config) (Result, error) {
 	case cfg.WatchSec <= 0:
 		return Result{}, errors.New("player: non-positive watch duration")
 	}
-	abr := cfg.ABR
-	if abr == nil {
-		abr = BufferBased{}
-	}
-	startup := cfg.StartupChunks
-	if startup <= 0 {
-		startup = 2
-	}
 
 	var (
-		res        Result
-		bufferSec  float64
-		throughput float64 // EWMA Kbps
-		lastRend   = -1
-		weighted   float64 // Σ bitrate × seconds played at it
-		stalls     int
+		res       Result
+		bufferSec float64
+		lastRend  = -1
+		weighted  float64 // Σ bitrate × seconds played at it
 	)
-	curCDN, curTrace := cfg.CDN, cfg.Trace
-	if curCDN != nil {
-		res.CDNsUsed = append(res.CDNsUsed, curCDN.Name)
-	}
-	if cfg.LicenseSec > 0 {
-		// Protected content: the license exchange completes before
-		// the first media request.
-		res.StartupSec += cfg.LicenseSec
-	}
-	switchAfter := cfg.SwitchAfterStalls
-	if switchAfter <= 0 {
-		switchAfter = 2
-	}
 
 	// contentChunks is how many chunks the session may fetch: bounded
 	// by the manifest for VoD, by watch time for live (new chunks keep
 	// being produced).
 	maxChunks := m.ChunkCount()
 	if m.Live {
-		maxChunks = int(cfg.WatchSec/m.ChunkSec) + startup + 2
+		maxChunks = int(cfg.WatchSec/m.ChunkSec) + startupChunks + 2
 	}
 
 	for i := 0; i < maxChunks && res.PlayedSec < cfg.WatchSec; i++ {
-		rend := abr.Choose(m.Ladder, State{
-			BufferSec:      bufferSec,
-			ThroughputKbps: throughput,
-			ChunkSec:       m.ChunkSec,
-		})
-		if rend < 0 || rend >= len(m.Ladder) {
-			return Result{}, fmt.Errorf("player: ABR %q chose rendition %d of %d", abr.Name(), rend, len(m.Ladder))
-		}
-		if lastRend >= 0 && rend != lastRend {
-			res.BitrateSwitches++
-		}
-
+		rend := chooseRendition(m.Ladder, bufferSec)
 		chunkBytes := int64(float64(m.Ladder[rend].BitrateKbps+m.AudioKbps) * 1000 * m.ChunkSec / 8)
-		dlSec := curTrace.DownloadSec(chunkBytes)
-		if curCDN != nil {
-			key := chunkKey(m, rend, i)
-			if curCDN.ServeChunk(cfg.ISP, key, chunkBytes) {
+		dlSec := cfg.Trace.DownloadSec(chunkBytes)
+		if cfg.CDN != nil {
+			if cfg.CDN.ServeChunk(cfg.ISP, chunkKey(m, rend, i), chunkBytes) {
 				res.EdgeHits++
 			} else {
 				dlSec *= originMissPenalty
 			}
-			if curCDN.Anycast && cfg.RouteFlipSrc != nil {
-				p := cfg.RouteFlipPerChunk
-				if p <= 0 {
-					p = defaultRouteFlipPerChunk
-				}
-				if cfg.RouteFlipSrc.Bool(p) {
-					res.RouteFlips++
-					dlSec += routeFlipPenaltySec
-				}
-			}
 		}
 		res.ChunksFetched++
 
-		// Update the throughput estimate from this download.
-		sample := float64(chunkBytes) * 8 / 1000 / dlSec
-		if throughput == 0 {
-			throughput = sample
-		} else {
-			throughput = throughputEWMA*throughput + (1-throughputEWMA)*sample
-		}
-
-		if res.ChunksFetched <= startup {
+		if res.ChunksFetched <= startupChunks {
 			// Still joining: downloads accrue to startup delay.
 			res.StartupSec += dlSec
 			bufferSec += m.ChunkSec
@@ -192,21 +129,10 @@ func Play(cfg Config) (Result, error) {
 			// download time; hitting empty stalls the user.
 			drain := dlSec
 			if drain > bufferSec {
-				stall := drain - bufferSec
-				res.RebufferSec += stall
-				playedNow := bufferSec
-				res.PlayedSec += playedNow
-				weighted += playedNow * playedAt(m, lastRend)
+				res.RebufferSec += drain - bufferSec
+				res.PlayedSec += bufferSec
+				weighted += bufferSec * playedAt(m, lastRend)
 				bufferSec = 0
-				stalls++
-				// Midstream CDN failover: persistent stalling sends
-				// the rest of the view to the fallback CDN (§3 fn. 4).
-				if stalls >= switchAfter && cfg.Fallback != nil && cfg.FallbackTrace != nil &&
-					(curCDN == nil || curCDN.Name != cfg.Fallback.Name) {
-					curCDN, curTrace = cfg.Fallback, cfg.FallbackTrace
-					res.CDNsUsed = append(res.CDNsUsed, curCDN.Name)
-					throughput = 0 // re-probe the new path
-				}
 			} else {
 				bufferSec -= drain
 				res.PlayedSec += drain

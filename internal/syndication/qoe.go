@@ -77,7 +77,6 @@ func measure(pub PublisherLadder, titleID string, slice QoESlice, src *dist.Sour
 		ssrc := src.Splitf("session", i)
 		res, err := player.Play(player.Config{
 			Manifest: m,
-			ABR:      player.BufferBased{},
 			Trace:    profile.NewTrace(ssrc),
 			CDN:      slice.CDN,
 			ISP:      slice.ISP.Name,

@@ -61,6 +61,3 @@ func (s *Sensor) Flush() error {
 	s.batch = s.batch[:0]
 	return nil
 }
-
-// Pending returns the number of queued, unflushed records.
-func (s *Sensor) Pending() int { return len(s.batch) }

@@ -84,14 +84,14 @@ func TestSensorBatchingAndFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, stored := backend.snapshot(); len(stored) != 0 || sensor.Pending() != 2 {
+	if _, stored := backend.snapshot(); len(stored) != 0 || len(sensor.batch) != 2 {
 		t.Fatal("sensor flushed before batch was full")
 	}
 	if err := sensor.Report(rec("p1", 2, 60)); err != nil {
 		t.Fatal(err) // third report triggers auto-flush
 	}
-	if _, stored := backend.snapshot(); len(stored) != 3 || sensor.Pending() != 0 {
-		t.Fatalf("auto-flush failed: stored=%d pending=%d", len(stored), sensor.Pending())
+	if _, stored := backend.snapshot(); len(stored) != 3 || len(sensor.batch) != 0 {
+		t.Fatalf("auto-flush failed: stored=%d pending=%d", len(stored), len(sensor.batch))
 	}
 	// Explicit flush of an empty batch is a no-op.
 	if err := sensor.Flush(); err != nil {
@@ -135,8 +135,8 @@ func TestSensorBackpressure(t *testing.T) {
 	if !reflect.DeepEqual(stored, recs) {
 		t.Fatalf("backend stored %d records, want exactly the %d reported, once each", len(stored), len(recs))
 	}
-	if sensor.Pending() != 0 {
-		t.Fatalf("%d records still pending after a successful Flush", sensor.Pending())
+	if len(sensor.batch) != 0 {
+		t.Fatalf("%d records still pending after a successful Flush", len(sensor.batch))
 	}
 	if sensor.client.Encodes != batches {
 		t.Fatalf("encoded %d times for %d batches; retries must reuse the encoded body", sensor.client.Encodes, batches)
@@ -163,15 +163,15 @@ func TestSensorBackpressure(t *testing.T) {
 	if err := sensor.Report(late); err == nil {
 		t.Fatal("a 500 was not reported as an error")
 	}
-	if sensor.Pending() != 1 || waits != batches*backend.denials {
-		t.Fatalf("after a 500: pending=%d waits=%d, want the record kept and no wait", sensor.Pending(), waits)
+	if len(sensor.batch) != 1 || waits != batches*backend.denials {
+		t.Fatalf("after a 500: pending=%d waits=%d, want the record kept and no wait", len(sensor.batch), waits)
 	}
 	backend.setStatus(0)
 	if err := sensor.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, stored = backend.snapshot(); len(stored) != len(recs)+1 || !reflect.DeepEqual(stored[len(recs)], late) || sensor.Pending() != 0 {
-		t.Fatalf("the kept record was not delivered exactly once: stored=%d pending=%d", len(stored), sensor.Pending())
+	if _, stored = backend.snapshot(); len(stored) != len(recs)+1 || !reflect.DeepEqual(stored[len(recs)], late) || len(sensor.batch) != 0 {
+		t.Fatalf("the kept record was not delivered exactly once: stored=%d pending=%d", len(stored), len(sensor.batch))
 	}
 }
 
@@ -180,8 +180,8 @@ func TestSensorCollectorDown(t *testing.T) {
 	if err := sensor.Report(rec("p1", 0, 60)); err == nil {
 		t.Fatal("report to a dead backend should error")
 	}
-	if sensor.Pending() != 1 {
-		t.Fatalf("pending = %d after a failed report, want the record kept", sensor.Pending())
+	if len(sensor.batch) != 1 {
+		t.Fatalf("pending = %d after a failed report, want the record kept", len(sensor.batch))
 	}
 }
 

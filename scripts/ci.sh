@@ -24,7 +24,14 @@ stage fmt-check make fmt-check
 stage vet       make vet
 stage vet-bench make vet-bench
 stage lint      make lint
+# census fails when a package under internal/ is reached by no command,
+# no example and not bench/: a test alone does not keep a package alive.
+stage census    make census
 stage race      make race
+# bench-root runs every root benchmark (one per table and figure, the
+# ablations, RenderAll, FullStudy) once: a benchmark that still compiles
+# but has stopped working fails here, not the next time someone times it.
+stage bench-root go test -run '^$' -bench . -benchtime 1x .
 # mutants re-runs the mutant ledger: every seeded mutant must still fail
 # its named test, every live analyzer must still give its recorded
 # verdict, and the regenerated docs/mutants.md must match the one
