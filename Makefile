@@ -1,10 +1,10 @@
 GO ?= go
 
 # Tier-1 verification: build, full test suite, formatting, vet, the
-# project's own invariant analyzers, the benchmark module's own tests,
-# and the race detector across the whole module.
+# benchmark module's own tests, and the race detector across the whole
+# module.
 .PHONY: verify
-verify: build test fmt-check vet vet-bench test-bench lint race
+verify: build test fmt-check vet vet-bench test-bench race
 
 .PHONY: build
 build:
@@ -37,15 +37,6 @@ vet-bench:
 .PHONY: test-bench
 test-bench:
 	cd bench && $(GO) test ./...
-
-# lint runs the in-repo analyzer suite (cmd/vmplint, five analyzers;
-# `vmplint -h` lists them, DESIGN.md §7 says why each is kept) over the
-# whole module and must stay clean. One invocation, no flags: every
-# package is loaded with its _test.go files and analyzed on its own,
-# and each analyzer knows whether it applies to test files.
-.PHONY: lint
-lint:
-	$(GO) run ./cmd/vmplint ./...
 
 .PHONY: race
 race:
@@ -137,19 +128,11 @@ bench-cut:
 bench-query:
 	$(GO) test -run xxx -bench 'BenchmarkQuery$$' -benchmem ./internal/live/
 
-# bench-lint times one whole-module vmplint run — parse, type-check,
-# every analyzer over every package, test files included — and
-# BENCH_lint.json records it, so a change that regresses lint latency
-# shows up in review.
-.PHONY: bench-lint
-bench-lint:
-	$(GO) test -run xxx -bench 'BenchmarkLintTree$$' -benchtime 3x ./internal/lint/
-
-# mutants runs the mutant ledger (cmd/vmpmutants, ~3 min): every seeded
+# mutants runs the mutant ledger (cmd/vmpmutants, ~4 min): every seeded
 # mutant under testdata/mutants/ is applied through an overlay — the
 # tree is never written — and must fail its named test under
-# `go test -overlay -json`, and every live analyzer must give the
-# verdict on record for it. Each arm's outcome is appended to the
+# `go test -overlay -json`, and every retired analyzer on record must
+# keep at least three rows. Each row's outcome is appended to the
 # git-ignored .mutants/collected.jsonl; docs/mutants.md is regenerated
 # from the rows (scripts/ci.sh then requires it unchanged).
 .PHONY: mutants

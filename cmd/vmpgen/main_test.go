@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -131,6 +132,24 @@ func TestDriveEncodesOncePerBatch(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDriveStopsWhenCancelled: drive hands its ctx to every Send, so a
+// cancelled drive posts nothing and says why.
+func TestDriveStopsWhenCancelled(t *testing.T) {
+	bp := &backpressureServer{}
+	srv := httptest.NewServer(bp.handler())
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	waits := 0
+	d := newTestDriver(t, "binary", false, &waits)
+	if err := d.drive(ctx, srv.URL, genRecords(25), 10, 10); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled drive returned %v, want context.Canceled", err)
+	}
+	if len(bp.bodies) != 0 || waits != 0 {
+		t.Fatalf("cancelled drive posted %d bodies and waited %d times, want none", len(bp.bodies), waits)
 	}
 }
 

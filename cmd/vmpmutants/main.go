@@ -1,22 +1,19 @@
 // Command vmpmutants runs the mutant ledger. Each file under
 // testdata/mutants/ is a seeded mutant of production code (a file, an
 // exact snippet and its replacement), the test that must fail on it,
-// and the recorded verdict of the analyzer meant to catch it. Through
-// one overlay — the tree is never written — it runs the test under `go
-// test -overlay -json` and the analyzers in process (lint.RunOverlay)
-// over the package the mutated file belongs to, which need not be the
-// one whose test kills it.
+// and, for a row written to retire an analyzer, that analyzer's verdict
+// on the mutant, taken while it existed. Through an overlay — the tree
+// is never written — it runs the test under `go test -overlay -json`.
 // A stale snippet, a test that did not run (the mutant does not build,
-// or -run matches nothing) or passed, or a live analyzer's verdict off
-// the record fails the run; a hang the row's -timeout ends is a kill.
-// Outcomes are appended to .mutants/collected.jsonl, and
+// or -run matches nothing) or passed fails the run; a hang the row's
+// -timeout ends is a kill. So does the retirement rule: an analyzer
+// named on record must keep at least three rows, the evidence it was
+// deleted on. Outcomes are appended to .mutants/collected.jsonl, and
 // docs/mutants.md is regenerated when every row holds. Run it from the
 // module root, with no flags (make mutants). A row file is "key: value"
-// lines (why, file, pkg, test, flags, "lint: <analyzer>
-// caught|silent", and "retired: <rule>" when the verdict was taken for
-// a rule since deleted from an analyzer that lives on), then the
-// snippets under "-- old --" and "-- new --". A retired analyzer's or
-// rule's verdict is history and is not re-checked.
+// lines (why, file, pkg, test, flags, and optionally "lint: <analyzer>
+// caught|silent [(note)]"), then the snippets under "-- old --" and
+// "-- new --".
 package main
 
 import (
@@ -32,17 +29,18 @@ import (
 	"slices"
 	"strings"
 
-	"vmp/internal/lint"
 	"vmp/internal/simclock"
 )
+
+// minRows is the retirement rule: an analyzer goes only on the strength
+// of at least this many rows that its tests kill.
+const minRows = 3
 
 type row struct {
 	name, why, file, pkg, test string
 	flags                      []string
-	lint, analyzer, verdict    string // "<analyzer> <verdict>": the analyzer meant to catch the mutant, and its verdict on record
-	retired                    string // the analyzer's rule the verdict was taken for, deleted since
+	lint, analyzer, verdict    string // "<analyzer> <verdict> [(note)]": the retired analyzer meant to catch the mutant, and its verdict on record
 	old, new                   string
-	found                      []string // analyzers that report the mutant today
 }
 
 func main() {
@@ -61,6 +59,15 @@ func run() error {
 	if err != nil || len(paths) == 0 {
 		return fmt.Errorf("no rows under testdata/mutants (run from the module root): %v", err)
 	}
+	rows := make([]row, len(paths))
+	for i, path := range paths { // Glob sorts them
+		if rows[i], err = parseRow(path); err != nil {
+			return err
+		}
+	}
+	if err := retirementRule(rows); err != nil {
+		return err
+	}
 	tmp, err := os.MkdirTemp("", "vmpmutants")
 	if err != nil {
 		return err
@@ -75,71 +82,65 @@ func run() error {
 	}
 	defer func() { _ = collected.Close() }()
 	log := json.NewEncoder(collected)
-	var rows []row
 	var failed []string
-	for _, path := range paths { // Glob sorts them
-		r, err := runRow(root, tmp, path, log)
-		if err != nil {
+	for _, r := range rows {
+		if err := runRow(root, tmp, r, log); err != nil {
 			fmt.Println("FAIL", err)
 			failed = append(failed, err.Error())
 			continue
 		}
-		fmt.Printf("ok   %s: %s killed; analyzers: %s\n", r.name, r.test, foundText(r.found))
-		rows = append(rows, r)
+		fmt.Printf("ok   %s: %s killed\n", r.name, r.test)
 	}
 	if len(failed) > 0 {
-		return fmt.Errorf("%d of %d rows failed:\n%s", len(failed), len(paths), strings.Join(failed, "\n"))
+		return fmt.Errorf("%d of %d rows failed:\n%s", len(failed), len(rows), strings.Join(failed, "\n"))
 	}
 	return os.WriteFile(filepath.Join(root, "docs", "mutants.md"), table(rows), 0o644)
 }
 
-// runRow applies one row's mutant and runs both arms over it.
-func runRow(root, tmp, path string, log *json.Encoder) (row, error) {
-	r, err := parseRow(path)
-	if err != nil {
-		return r, err
+// retirementRule fails when an analyzer on record has fewer than
+// minRows rows.
+func retirementRule(rows []row) error {
+	count := map[string]int{}
+	for _, r := range rows {
+		if r.analyzer != "" {
+			count[r.analyzer]++
+		}
 	}
+	var short []string
+	for a, n := range count {
+		if n < minRows {
+			short = append(short, fmt.Sprintf("%s has %d", a, n))
+		}
+	}
+	if len(short) > 0 {
+		slices.Sort(short)
+		return fmt.Errorf("retirement rule: every analyzer on record needs %d rows; %s", minRows, strings.Join(short, ", "))
+	}
+	return nil
+}
+
+// runRow applies one row's mutant and runs its test over it.
+func runRow(root, tmp string, r row, log *json.Encoder) error {
 	target := filepath.Join(root, r.file)
 	src, err := os.ReadFile(target)
 	if err != nil {
-		return r, err
+		return err
 	}
 	if n := strings.Count(string(src), r.old); n != 1 {
-		return r, fmt.Errorf("%s: stale: the old snippet occurs %d times in %s, want once", r.name, n, r.file)
+		return fmt.Errorf("%s: stale: the old snippet occurs %d times in %s, want once", r.name, n, r.file)
 	}
 	mutated := []byte(strings.Replace(string(src), r.old, r.new, 1))
 	mfile, ofile := filepath.Join(tmp, r.name+".go"), filepath.Join(tmp, r.name+".json")
 	overlay, _ := json.Marshal(map[string]map[string]string{"Replace": {target: mfile}}) // strings always marshal
 	if err := errors.Join(os.WriteFile(mfile, mutated, 0o644), os.WriteFile(ofile, overlay, 0o644)); err != nil {
-		return r, err
+		return err
 	}
 	clock := simclock.Wall()
 	start := clock.Now()
 	if err := testArm(root, r, ofile); err != nil {
-		return r, err
+		return err
 	}
-	if err := log.Encode(map[string]any{"row": r.name, "arm": "tests", "outcome": "killed", "test": r.test, "seconds": clock.Now().Sub(start).Seconds()}); err != nil {
-		return r, err
-	}
-	start = clock.Now()
-	diags, err := lint.RunOverlay(root, map[string][]byte{target: mutated}, []string{filepath.Dir(target)}, lint.Analyzers())
-	if err != nil {
-		return r, fmt.Errorf("%s: lint arm: %w", r.name, err)
-	}
-	for _, d := range diags {
-		if !slices.Contains(r.found, d.Analyzer) {
-			r.found = append(r.found, d.Analyzer)
-		}
-	}
-	slices.Sort(r.found)
-	if err := log.Encode(map[string]any{"row": r.name, "arm": "lint", "outcome": foundText(r.found), "seconds": clock.Now().Sub(start).Seconds()}); err != nil {
-		return r, err
-	}
-	live := r.retired == "" && slices.ContainsFunc(lint.Analyzers(), func(a *lint.Analyzer) bool { return a.Name == r.analyzer })
-	if caught := slices.Contains(r.found, r.analyzer); live && caught != (r.verdict == "caught") {
-		return r, fmt.Errorf("%s: the ledger records %s %s, but today it is %s", r.name, r.analyzer, r.verdict, foundText(r.found))
-	}
-	return r, nil
+	return log.Encode(map[string]any{"row": r.name, "arm": "tests", "outcome": "killed", "test": r.test, "seconds": clock.Now().Sub(start).Seconds()})
 }
 
 // parseRow reads one row file.
@@ -157,11 +158,13 @@ func parseRow(path string) (row, error) {
 		h[k] = v
 	}
 	r.why, r.file, r.pkg, r.test, r.flags = h["why"], filepath.FromSlash(h["file"]), h["pkg"], h["test"], strings.Fields(h["flags"])
-	r.lint, r.retired = h["lint"], h["retired"]
-	r.analyzer, r.verdict, _ = strings.Cut(r.lint, " ")
+	r.lint = h["lint"]
+	if f := strings.Fields(r.lint); len(f) > 1 {
+		r.analyzer, r.verdict = f[0], f[1]
+	}
 	if !ok || !strings.Contains(rest, "-- new --\n") || r.old == "" || r.why == "" || r.file == "" || r.pkg == "" || r.test == "" ||
-		(r.analyzer != "" && r.verdict != "caught" && r.verdict != "silent") || (r.retired != "" && r.analyzer == "") {
-		return r, fmt.Errorf("%s: want why, file, pkg, test, flags and lint (\"<analyzer> caught|silent\") lines, then -- old -- and -- new -- sections", r.name)
+		(r.lint != "" && r.verdict != "caught" && r.verdict != "silent") {
+		return r, fmt.Errorf("%s: want why, file, pkg, test, flags and optionally lint (\"<analyzer> caught|silent\") lines, then -- old -- and -- new -- sections", r.name)
 	}
 	return r, nil
 }
@@ -205,27 +208,17 @@ func testArm(root string, r row, overlay string) error {
 	return nil
 }
 
-func foundText(found []string) string {
-	if len(found) == 0 {
-		return "silent"
-	}
-	return "caught by " + strings.Join(found, ", ")
-}
-
 // table renders docs/mutants.md: a row per file, in file-name order,
 // and nothing that varies from run to run.
 func table(rows []row) []byte {
 	var b bytes.Buffer
 	b.WriteString("# Mutant ledger\n\nGenerated by `make mutants` (`cmd/vmpmutants`) from `testdata/mutants/`; do not edit." +
-		" \"On record\" is the verdict of the analyzer (or its rule) the row was written for, taken while it existed.\n\n" +
-		"| mutant | what it breaks | killed by | on record | analyzers today |\n|---|---|---|---|---|\n")
+		" \"On record\" is the verdict of the analyzer (or its rule) the row was written for, taken while it existed;" +
+		" every analyzer has since been retired, and one on record keeps at least three rows.\n\n" +
+		"| mutant | what it breaks | killed by | on record |\n|---|---|---|---|\n")
 	for _, r := range rows {
-		onRecord := cmp.Or(r.lint, "—")
-		if r.retired != "" {
-			onRecord += " (" + r.retired + ", since retired)"
-		}
-		fmt.Fprintf(&b, "| `%s` | %s | `%s` `%s` (`%s`) | %s | %s |\n",
-			r.name, r.why, r.pkg, r.test, strings.Join(r.flags, " "), onRecord, foundText(r.found))
+		fmt.Fprintf(&b, "| `%s` | %s | `%s` `%s` (`%s`) | %s |\n",
+			r.name, r.why, r.pkg, r.test, strings.Join(r.flags, " "), cmp.Or(r.lint, "—"))
 	}
 	return b.Bytes()
 }

@@ -19,7 +19,7 @@
 //
 // The heavy lifting lives in internal packages: internal/ecosystem
 // (population generator), internal/manifest (HLS/DASH/Smooth/HDS),
-// internal/cdnsim (origins, edges, broker), internal/player (ABR
+// internal/cdnsim (origins, edges), internal/player (ABR
 // playback), internal/telemetry (records, dataset, sensor), and the analysis
 // packages internal/analytics, internal/complexity, and
 // internal/syndication.

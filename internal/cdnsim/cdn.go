@@ -16,20 +16,10 @@ type CDN struct {
 	Anycast bool
 	Origin  *Origin
 
-	mu       sync.Mutex
-	quality  map[string]float64    // ISP name → delivery quality in (0, 1.5]
-	edges    map[string]*EdgeCache // ISP name → edge POP
-	edgeCap  int64
-	requests int64
-	bytes    int64
-	byISP    map[string]*TrafficCounters
-}
-
-// TrafficCounters is the served-traffic accounting a CDN keeps per
-// ISP — the delivery-side view of the dataset.
-type TrafficCounters struct {
-	Requests int64
-	Bytes    int64
+	mu      sync.Mutex
+	quality map[string]float64    // ISP name → delivery quality in (0, 1.5]
+	edges   map[string]*EdgeCache // ISP name → edge POP
+	edgeCap int64
 }
 
 // NewCDN creates a CDN with the given edge capacity per POP.
@@ -41,7 +31,6 @@ func NewCDN(name string, anycast bool, edgeCapacity int64) *CDN {
 		quality: make(map[string]float64),
 		edges:   make(map[string]*EdgeCache),
 		edgeCap: edgeCapacity,
-		byISP:   make(map[string]*TrafficCounters),
 	}
 }
 
@@ -82,39 +71,10 @@ func (c *CDN) Edge(isp string) *EdgeCache {
 	return e
 }
 
-// ServeChunk serves one chunk request arriving from an ISP: it consults
-// the ISP's edge cache, accounts the traffic, and reports whether the
-// chunk was an edge hit.
+// ServeChunk serves one chunk request arriving from an ISP from the
+// ISP's edge cache, and reports whether the chunk was an edge hit.
 func (c *CDN) ServeChunk(isp, chunkURL string, bytes int64) (hit bool) {
-	c.mu.Lock()
-	c.requests++
-	c.bytes += bytes
-	tc := c.byISP[isp]
-	if tc == nil {
-		tc = &TrafficCounters{}
-		c.byISP[isp] = tc
-	}
-	tc.Requests++
-	tc.Bytes += bytes
-	c.mu.Unlock()
 	return c.Edge(isp).Serve(chunkURL, bytes)
-}
-
-// Served returns the CDN-wide served-traffic counters.
-func (c *CDN) Served() TrafficCounters {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return TrafficCounters{Requests: c.requests, Bytes: c.bytes}
-}
-
-// ServedByISP returns the served-traffic counters toward one ISP.
-func (c *CDN) ServedByISP(isp string) TrafficCounters {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if tc := c.byISP[isp]; tc != nil {
-		return *tc
-	}
-	return TrafficCounters{}
 }
 
 // Registry is the simulation's CDN population.
@@ -175,60 +135,4 @@ func NewRegistry(src *dist.Source) *Registry {
 func (r *Registry) ByName(name string) (*CDN, bool) {
 	c, ok := r.byName[name]
 	return c, ok
-}
-
-// Assignment is one entry of a publisher's multi-CDN configuration:
-// which CDN, what share of sessions it should receive, and whether the
-// publisher segregates it to live or VoD traffic (§4.3 finds 30% of
-// eligible publishers keep at least one CDN VoD-only and 19% keep one
-// live-only).
-type Assignment struct {
-	CDN      *CDN
-	Weight   float64
-	LiveOnly bool
-	VoDOnly  bool
-}
-
-// Broker selects a CDN for each session from a publisher's assignments,
-// the role CDN brokers play in §2 (selection plus monitoring). A Broker
-// is stateless and safe for concurrent use.
-type Broker struct{}
-
-// Select picks the CDN for a session with the given content type using
-// weighted random selection over the eligible assignments. It returns
-// nil when no assignment is eligible (a publisher misconfiguration the
-// caller must surface).
-func (Broker) Select(assignments []Assignment, live bool, src *dist.Source) *CDN {
-	var weights []float64
-	var eligible []*CDN
-	for _, a := range assignments {
-		if a.CDN == nil || a.Weight <= 0 {
-			continue
-		}
-		if live && a.VoDOnly || !live && a.LiveOnly {
-			continue
-		}
-		weights = append(weights, a.Weight)
-		eligible = append(eligible, a.CDN)
-	}
-	if len(eligible) == 0 {
-		return nil
-	}
-	return eligible[src.Categorical(weights)]
-}
-
-// Eligible returns the CDNs an assignment set can serve for the given
-// content type, in assignment order.
-func Eligible(assignments []Assignment, live bool) []*CDN {
-	var out []*CDN
-	for _, a := range assignments {
-		if a.CDN == nil || a.Weight <= 0 {
-			continue
-		}
-		if live && a.VoDOnly || !live && a.LiveOnly {
-			continue
-		}
-		out = append(out, a.CDN)
-	}
-	return out
 }

@@ -30,14 +30,6 @@ func TestOriginPushAndTotal(t *testing.T) {
 	}
 }
 
-func TestOriginHasContent(t *testing.T) {
-	o := NewOrigin()
-	o.Push("pub1", "c1", map[int]int64{800: 1})
-	if !o.HasContent("pub1", "c1") || o.HasContent("pub2", "c1") || o.HasContent("pub1", "c2") {
-		t.Fatal("HasContent wrong")
-	}
-}
-
 func TestDedupExactMatch(t *testing.T) {
 	o := NewOrigin()
 	// Two publishers store the same title at an identical bitrate.
@@ -287,102 +279,6 @@ func TestCDNServeChunkPerISPEdges(t *testing.T) {
 	}
 	if !c.ServeChunk("ISP-X", "u1", 100) {
 		t.Fatal("second request from same ISP should hit")
-	}
-}
-
-func TestCDNTrafficAccounting(t *testing.T) {
-	c := NewCDN("T", false, 1<<20)
-	c.ServeChunk("ISP-X", "u1", 100)
-	c.ServeChunk("ISP-X", "u1", 100) // hit — still accounted
-	c.ServeChunk("ISP-Y", "u2", 50)
-	total := c.Served()
-	if total.Requests != 3 || total.Bytes != 250 {
-		t.Fatalf("Served = %+v, want 3 requests / 250 bytes", total)
-	}
-	x := c.ServedByISP("ISP-X")
-	if x.Requests != 2 || x.Bytes != 200 {
-		t.Fatalf("ServedByISP(X) = %+v", x)
-	}
-	if z := c.ServedByISP("ISP-Z"); z.Requests != 0 {
-		t.Fatalf("untouched ISP has traffic: %+v", z)
-	}
-}
-
-func TestCDNTrafficAccountingConcurrent(t *testing.T) {
-	c := NewCDN("T", false, 1<<20)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				c.ServeChunk("ISP-X", "u", 10)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Served(); got.Requests != 4000 || got.Bytes != 40000 {
-		t.Fatalf("Served = %+v", got)
-	}
-}
-
-func TestBrokerSelection(t *testing.T) {
-	r := NewRegistry(dist.NewSource(2))
-	a, _ := r.ByName("A")
-	b, _ := r.ByName("B")
-	assigns := []Assignment{
-		{CDN: a, Weight: 3},
-		{CDN: b, Weight: 1},
-	}
-	src := dist.NewSource(77)
-	counts := map[string]int{}
-	var broker Broker
-	for i := 0; i < 10000; i++ {
-		c := broker.Select(assigns, false, src)
-		counts[c.Name]++
-	}
-	fracA := float64(counts["A"]) / 10000
-	if fracA < 0.70 || fracA > 0.80 {
-		t.Fatalf("A selected %v of the time, want ~0.75", fracA)
-	}
-}
-
-func TestBrokerSegregation(t *testing.T) {
-	r := NewRegistry(dist.NewSource(2))
-	a, _ := r.ByName("A")
-	b, _ := r.ByName("B")
-	assigns := []Assignment{
-		{CDN: a, Weight: 1, VoDOnly: true},
-		{CDN: b, Weight: 1, LiveOnly: true},
-	}
-	src := dist.NewSource(5)
-	var broker Broker
-	for i := 0; i < 100; i++ {
-		if got := broker.Select(assigns, true, src); got != b {
-			t.Fatal("live session routed to a VoD-only CDN")
-		}
-		if got := broker.Select(assigns, false, src); got != a {
-			t.Fatal("VoD session routed to a live-only CDN")
-		}
-	}
-	if got := Eligible(assigns, true); len(got) != 1 || got[0] != b {
-		t.Fatalf("Eligible(live) = %v", got)
-	}
-}
-
-func TestBrokerNoEligible(t *testing.T) {
-	var broker Broker
-	if broker.Select(nil, false, dist.NewSource(1)) != nil {
-		t.Fatal("empty assignment should select nil")
-	}
-	r := NewRegistry(dist.NewSource(2))
-	a, _ := r.ByName("A")
-	assigns := []Assignment{{CDN: a, Weight: 1, VoDOnly: true}}
-	if broker.Select(assigns, true, dist.NewSource(1)) != nil {
-		t.Fatal("live session with only VoD CDNs should select nil")
-	}
-	if broker.Select([]Assignment{{CDN: a, Weight: 0}}, false, dist.NewSource(1)) != nil {
-		t.Fatal("zero-weight assignment should be ineligible")
 	}
 }
 

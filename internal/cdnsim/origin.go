@@ -1,8 +1,7 @@
 // Package cdnsim simulates the content-distribution substrate of the
-// management plane (§2, §4.3, §6): CDNs with origin storage and edge
-// caches, the publisher→CDN assignment including live/VoD segregation,
-// a CDN broker, and the origin-storage redundancy analysis that Fig. 18
-// quantifies for syndicated content.
+// management plane (§2, §4.3, §6): CDNs with origin storage, edge
+// caches and per-ISP delivery quality, and the origin-storage
+// redundancy analysis that Fig. 18 quantifies for syndicated content.
 package cdnsim
 
 import (
@@ -80,19 +79,6 @@ func (o *Origin) TotalBytes() int64 {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	return o.bytes
-}
-
-// HasContent reports whether publisher stores any rendition of
-// contentID here.
-func (o *Origin) HasContent(publisher, contentID string) bool {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	for _, c := range o.copies {
-		if c.Publisher == publisher && c.ContentID == contentID {
-			return true
-		}
-	}
-	return false
 }
 
 // DedupSavings returns the bytes this origin would reclaim by removing

@@ -29,10 +29,10 @@ func TestRenderHashPinned(t *testing.T) {
 // same seed render the complete figure set byte-for-byte identically,
 // on the serial path and on the parallel path — and the two paths
 // agree with each other. A failure here means an order- or
-// clock-dependent computation got in; the nondeterminism analyzer,
-// and the order-* and frozen-* rows of docs/mutants.md (with
+// clock-dependent computation got in; the nondet-*, order-* and
+// frozen-* rows of docs/mutants.md (with the trace and gauge tests,
 // analytics' key-order fold tests and the tests that compare a
-// generation with a rebuild), are there to stop one first.
+// generation with a rebuild) are there to stop one first.
 func TestDoubleRunByteIdentical(t *testing.T) {
 	cfg := StudyConfig{Seed: 7, SnapshotStride: 12, QoESessions: 20}
 

@@ -159,19 +159,6 @@ func (m Model) Supports(p manifest.Protocol) bool {
 	}
 }
 
-// PlayableProtocols returns the HTTP streaming protocols the model
-// supports, in ladder preference order (publishers serve the first
-// supported protocol they package).
-func (m Model) PlayableProtocols() []manifest.Protocol {
-	var out []manifest.Protocol
-	for _, p := range []manifest.Protocol{manifest.HLS, manifest.DASH, manifest.Smooth, manifest.HDS} {
-		if m.Supports(p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // SDKVersion identifies one version of one SDK family: the unit the §5
 // Unique-SDKs complexity metric counts ("the number of unique versions
 // of SDKs and browsers supported by a publisher across all devices").

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -110,19 +111,11 @@ func TestPlayerTechProtocols(t *testing.T) {
 
 func TestEveryModelPlaysSomething(t *testing.T) {
 	for _, m := range Registry {
-		if len(m.PlayableProtocols()) == 0 {
+		if !slices.ContainsFunc(manifest.HTTPProtocols, m.Supports) {
 			// Flash plays HDS which is in the HTTP list; everything
 			// must support at least one HTTP protocol.
 			t.Errorf("%s plays no HTTP streaming protocol", m.Name)
 		}
-	}
-}
-
-func TestPlayableProtocolsPreferenceOrder(t *testing.T) {
-	roku, _ := ByName("Roku")
-	ps := roku.PlayableProtocols()
-	if ps[0] != manifest.HLS {
-		t.Errorf("preference order should lead with HLS, got %v", ps)
 	}
 }
 

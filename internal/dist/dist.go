@@ -2,7 +2,7 @@
 // reproduction: a splittable pseudo-random source addressed by string
 // labels, plus the distribution families the ecosystem generator and the
 // network model draw from (power laws, log-normals, categorical mixes,
-// logistic adoption curves).
+// linear trends).
 //
 // Everything in the library derives its randomness from a single root
 // seed through labelled splits, so a given (seed, label path) always
@@ -110,16 +110,6 @@ func (s *Source) Exponential(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Pareto returns a Pareto(xm, alpha) variate: xm * U^(-1/alpha).
-// Heavy-tailed; used for publisher view-hour scale.
-func (s *Source) Pareto(xm, alpha float64) float64 {
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return xm * math.Pow(u, -1/alpha)
-}
-
 // Uniform returns a uniform value in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.Float64()
@@ -202,17 +192,6 @@ func (z *Zipf) Draw(s *Source) int {
 		}
 	}
 	return lo
-}
-
-// Logistic evaluates the logistic adoption curve
-//
-//	floor + (ceil-floor) / (1 + exp(-steepness*(t-midpoint)))
-//
-// for t in [0, 1] study-fraction coordinates. The ecosystem generator
-// expresses every longitudinal trend in the paper (DASH growth, HDS
-// decline, set-top adoption, ...) as one of these.
-func Logistic(t, floor, ceil, midpoint, steepness float64) float64 {
-	return floor + (ceil-floor)/(1+math.Exp(-steepness*(t-midpoint)))
 }
 
 // Linear evaluates the straight-line trend from v0 at t=0 to v1 at t=1,

@@ -139,29 +139,6 @@ func TestExponentialMean(t *testing.T) {
 	}
 }
 
-func TestParetoTail(t *testing.T) {
-	s := NewSource(19)
-	const n = 100000
-	min := math.Inf(1)
-	above := 0
-	for i := 0; i < n; i++ {
-		x := s.Pareto(2, 1.5)
-		if x < min {
-			min = x
-		}
-		if x > 4 { // P(X > 2k) = (1/2)^alpha = 2^-1.5 ≈ 0.3536
-			above++
-		}
-	}
-	if min < 2 {
-		t.Fatalf("Pareto(2, ·) produced value %v below xm", min)
-	}
-	frac := float64(above) / n
-	if math.Abs(frac-math.Pow(2, -1.5)) > 0.01 {
-		t.Fatalf("P(X>4) = %v, want ~%v", frac, math.Pow(2, -1.5))
-	}
-}
-
 func TestCategorical(t *testing.T) {
 	s := NewSource(23)
 	counts := [3]int{}
@@ -267,22 +244,6 @@ func TestPerm(t *testing.T) {
 			t.Fatalf("Perm produced invalid permutation %v", p)
 		}
 		seen[v] = true
-	}
-}
-
-func TestLogisticShape(t *testing.T) {
-	// A curve from 0.1 to 0.9 centred at 0.5.
-	lo := Logistic(0, 0.1, 0.9, 0.5, 10)
-	mid := Logistic(0.5, 0.1, 0.9, 0.5, 10)
-	hi := Logistic(1, 0.1, 0.9, 0.5, 10)
-	if !(lo < mid && mid < hi) {
-		t.Fatalf("logistic not increasing: %v %v %v", lo, mid, hi)
-	}
-	if math.Abs(mid-0.5) > 1e-9 {
-		t.Fatalf("logistic midpoint = %v, want 0.5", mid)
-	}
-	if lo < 0.1 || hi > 0.9 {
-		t.Fatalf("logistic escaped [floor, ceil]: %v %v", lo, hi)
 	}
 }
 

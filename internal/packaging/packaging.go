@@ -1,14 +1,11 @@
 // Package packaging models the content-preparation half of the video
-// management plane (§2): transcoding a master file into a bitrate
-// ladder, breaking each rendition into chunks, encapsulating the chunks
-// for one or more streaming protocols, and accounting for the compute
-// and storage that packaging consumes. The paper's Protocol-titles
-// complexity metric (§5) and origin-storage analysis (§6) both rest on
-// this model.
+// management plane (§2) as far as the study needs it: the bitrate
+// ladder a master file is transcoded into, rung by rung with the
+// resolution and codec each bitrate gets — by the encoding guidelines,
+// or per title.
 package packaging
 
 import (
-	"fmt"
 	"math"
 
 	"vmp/internal/dist"
@@ -89,121 +86,4 @@ func PerTitleLadder(src *dist.Source, maxKbps int, complexity float64) manifest.
 		out = append(out, RenditionFor(int(float64(r.BitrateKbps)*jitter)))
 	}
 	return out
-}
-
-// Package is one packaged form of one video: a (title, protocol,
-// ladder) triple with chunking already applied, ready for distribution
-// to a CDN origin.
-type Package struct {
-	Spec     manifest.Spec
-	Protocol manifest.Protocol
-	DRM      bool // encrypted with a DRM system before encapsulation
-}
-
-// NewPackage encapsulates spec with the given protocol. It validates
-// the spec because a Package is the boundary where content leaves the
-// publisher and malformed specs must not propagate to CDNs.
-func NewPackage(spec manifest.Spec, p manifest.Protocol, drm bool) (*Package, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, fmt.Errorf("packaging: %w", err)
-	}
-	switch p {
-	case manifest.HLS, manifest.DASH, manifest.Smooth, manifest.HDS:
-	default:
-		return nil, fmt.Errorf("packaging: %v is not a packageable protocol", p)
-	}
-	return &Package{Spec: spec, Protocol: p, DRM: drm}, nil
-}
-
-// Manifest renders the package's manifest for distribution under
-// baseURL.
-func (p *Package) Manifest(baseURL string) (string, error) {
-	return manifest.Generate(p.Protocol, &p.Spec, baseURL)
-}
-
-// ChunkBytes returns the size in bytes of one chunk of the given
-// rendition: bitrate × chunk duration (plus the audio track, which
-// streaming packagers mux into or alongside each video chunk).
-func (p *Package) ChunkBytes(rendition int) int64 {
-	r := p.Spec.Ladder[rendition]
-	bitsPerSec := float64(r.BitrateKbps+p.Spec.AudioKbps) * 1000
-	return int64(bitsPerSec * p.Spec.ChunkSec / 8)
-}
-
-// StorageBytes returns the total bytes this package occupies at an
-// origin: the §6 storage model ("multiplying for each video ID, its
-// encoded bitrates by its duration in seconds, and summing these
-// products").
-func (p *Package) StorageBytes() int64 {
-	var total int64
-	dur := p.Spec.DurationSec
-	if p.Spec.Live {
-		// Live content retains only the sliding window.
-		dur = p.Spec.ChunkSec * float64(p.Spec.ChunkCount())
-	}
-	for _, r := range p.Spec.Ladder {
-		total += int64(float64(r.BitrateKbps+p.Spec.AudioKbps) * 1000 * dur / 8)
-	}
-	return total
-}
-
-// Cost captures the resources one packaging job consumes.
-type Cost struct {
-	CPUSeconds   float64 // transcode + encapsulation compute
-	StorageBytes int64   // origin bytes produced
-	Objects      int     // chunk objects written (renditions × chunks)
-	LatencySec   float64 // added end-to-end delay for live content (§4.1)
-}
-
-// transcodeSpeed is the simulated transcode throughput in output
-// seconds per CPU second per rendition; DRM encryption adds overhead.
-const (
-	transcodeSpeed = 8.0
-	drmOverhead    = 1.15
-)
-
-// JobCost returns the cost of packaging p from a mezzanine master.
-func (p *Package) JobCost() Cost {
-	dur := p.Spec.DurationSec
-	if p.Spec.Live {
-		dur = p.Spec.ChunkSec * float64(p.Spec.ChunkCount())
-	}
-	cpu := dur * float64(len(p.Spec.Ladder)) / transcodeSpeed
-	if p.DRM {
-		cpu *= drmOverhead
-	}
-	return Cost{
-		CPUSeconds:   cpu,
-		StorageBytes: p.StorageBytes(),
-		Objects:      len(p.Spec.Ladder) * p.Spec.ChunkCount(),
-		// Chunked HTTP protocols add roughly one chunk duration of
-		// packaging delay to live streams (§4.1: "a few seconds").
-		LatencySec: p.Spec.ChunkSec,
-	}
-}
-
-// Pipeline packages one title for every protocol a publisher supports
-// and accumulates the total cost — the Protocol-titles intuition from
-// §5: "each publisher has to package each video separately for each
-// protocol".
-func Pipeline(spec manifest.Spec, protocols []manifest.Protocol, drm bool) ([]*Package, Cost, error) {
-	var (
-		pkgs  []*Package
-		total Cost
-	)
-	for _, proto := range protocols {
-		pkg, err := NewPackage(spec, proto, drm)
-		if err != nil {
-			return nil, Cost{}, err
-		}
-		c := pkg.JobCost()
-		total.CPUSeconds += c.CPUSeconds
-		total.StorageBytes += c.StorageBytes
-		total.Objects += c.Objects
-		if c.LatencySec > total.LatencySec {
-			total.LatencySec = c.LatencySec
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, total, nil
 }

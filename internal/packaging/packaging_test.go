@@ -5,18 +5,7 @@ import (
 	"testing/quick"
 
 	"vmp/internal/dist"
-	"vmp/internal/manifest"
 )
-
-func vodSpec() manifest.Spec {
-	return manifest.Spec{
-		VideoID:     "v1",
-		DurationSec: 600,
-		ChunkSec:    4,
-		AudioKbps:   96,
-		Ladder:      GuidelineLadder(4000, 1.8),
-	}
-}
 
 func TestGuidelineLadderFloor(t *testing.T) {
 	// HLS guidance: at least one bitrate under 192 Kbps.
@@ -115,125 +104,6 @@ func TestPerTitleLadderComplexityClamp(t *testing.T) {
 	}
 }
 
-func TestNewPackageValidates(t *testing.T) {
-	if _, err := NewPackage(manifest.Spec{}, manifest.HLS, false); err == nil {
-		t.Error("invalid spec accepted")
-	}
-	if _, err := NewPackage(vodSpec(), manifest.RTMP, false); err == nil {
-		t.Error("RTMP is not packageable")
-	}
-	if _, err := NewPackage(vodSpec(), manifest.HLS, true); err != nil {
-		t.Errorf("valid package rejected: %v", err)
-	}
-}
-
-func TestChunkBytes(t *testing.T) {
-	pkg, err := NewPackage(vodSpec(), manifest.DASH, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rendition 0 is the 150 Kbps floor: (150+96)Kbps * 4s / 8.
-	want := int64(246 * 1000 * 4 / 8)
-	if got := pkg.ChunkBytes(0); got != want {
-		t.Fatalf("ChunkBytes(0) = %d, want %d", got, want)
-	}
-}
-
-func TestStorageBytesMatchesPaperModel(t *testing.T) {
-	spec := manifest.Spec{
-		VideoID: "v", DurationSec: 100, ChunkSec: 4, AudioKbps: 0,
-		Ladder: manifest.Ladder{{BitrateKbps: 800}, {BitrateKbps: 1600}},
-	}
-	pkg, err := NewPackage(spec, manifest.HLS, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (800 + 1600) Kbps * 100 s / 8 = 30 MB.
-	want := int64((800 + 1600) * 1000 * 100 / 8)
-	if got := pkg.StorageBytes(); got != want {
-		t.Fatalf("StorageBytes = %d, want %d", got, want)
-	}
-}
-
-func TestLiveStorageIsWindowed(t *testing.T) {
-	spec := vodSpec()
-	spec.Live = true
-	pkg, err := NewPackage(spec, manifest.HLS, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vodPkg, _ := NewPackage(vodSpec(), manifest.HLS, false)
-	if pkg.StorageBytes() >= vodPkg.StorageBytes() {
-		t.Fatal("live storage should be bounded by the sliding window")
-	}
-}
-
-func TestJobCost(t *testing.T) {
-	pkg, err := NewPackage(vodSpec(), manifest.HLS, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := pkg.JobCost()
-	if c.CPUSeconds <= 0 || c.StorageBytes <= 0 || c.Objects <= 0 {
-		t.Fatalf("degenerate cost %+v", c)
-	}
-	if c.Objects != len(pkg.Spec.Ladder)*pkg.Spec.ChunkCount() {
-		t.Fatalf("Objects = %d, want renditions×chunks", c.Objects)
-	}
-	if c.LatencySec != pkg.Spec.ChunkSec {
-		t.Fatalf("LatencySec = %v, want one chunk duration", c.LatencySec)
-	}
-	drm, _ := NewPackage(vodSpec(), manifest.HLS, true)
-	if drm.JobCost().CPUSeconds <= c.CPUSeconds {
-		t.Fatal("DRM packaging should cost more CPU")
-	}
-}
-
-func TestPipelineCostScalesWithProtocols(t *testing.T) {
-	spec := vodSpec()
-	one, c1, err := Pipeline(spec, []manifest.Protocol{manifest.HLS}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	three, c3, err := Pipeline(spec, []manifest.Protocol{manifest.HLS, manifest.DASH, manifest.Smooth}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(one) != 1 || len(three) != 3 {
-		t.Fatalf("package counts %d, %d", len(one), len(three))
-	}
-	// The §5 claim: packaging work is proportional to protocol count.
-	if c3.CPUSeconds < 2.9*c1.CPUSeconds || c3.CPUSeconds > 3.1*c1.CPUSeconds {
-		t.Fatalf("3-protocol CPU %v not ~3x 1-protocol %v", c3.CPUSeconds, c1.CPUSeconds)
-	}
-	if c3.StorageBytes != 3*c1.StorageBytes {
-		t.Fatalf("3-protocol storage %d != 3x %d", c3.StorageBytes, c1.StorageBytes)
-	}
-}
-
-func TestPipelineRejectsBadProtocol(t *testing.T) {
-	if _, _, err := Pipeline(vodSpec(), []manifest.Protocol{manifest.Unknown}, false); err == nil {
-		t.Fatal("Unknown protocol accepted")
-	}
-}
-
-func TestPackageManifestParses(t *testing.T) {
-	for _, proto := range manifest.HTTPProtocols {
-		pkg, err := NewPackage(vodSpec(), proto, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		text, err := pkg.Manifest("http://cdn/pub")
-		if err != nil {
-			t.Fatalf("%v: %v", proto, err)
-		}
-		url := manifest.ManifestURL(proto, "http://cdn/pub", pkg.Spec.VideoID)
-		if _, err := manifest.Parse(url, text); err != nil {
-			t.Fatalf("%v: generated manifest does not parse: %v", proto, err)
-		}
-	}
-}
-
 // Property: guideline ladders are strictly increasing and respect the
 // floor/ceiling invariants for any max bitrate and step.
 func TestGuidelineLadderProperty(t *testing.T) {
@@ -250,33 +120,6 @@ func TestGuidelineLadderProperty(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: storage is additive over the ladder.
-func TestStorageAdditiveProperty(t *testing.T) {
-	f := func(b1, b2 uint16, dur uint16) bool {
-		k1, k2 := int(b1%5000)+100, int(b2%5000)+100
-		d := float64(dur%3600) + 60
-		mk := func(ladder manifest.Ladder) int64 {
-			spec := manifest.Spec{VideoID: "v", DurationSec: d, ChunkSec: 4, Ladder: ladder}
-			pkg, err := NewPackage(spec, manifest.HLS, false)
-			if err != nil {
-				return -1
-			}
-			return pkg.StorageBytes()
-		}
-		both := mk(manifest.Ladder{{BitrateKbps: k1}, {BitrateKbps: k2}})
-		solo1 := mk(manifest.Ladder{{BitrateKbps: k1}})
-		solo2 := mk(manifest.Ladder{{BitrateKbps: k2}})
-		if both < 0 || solo1 < 0 || solo2 < 0 {
-			return false
-		}
-		diff := both - solo1 - solo2
-		return diff >= -2 && diff <= 2 // integer truncation slack
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

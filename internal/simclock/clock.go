@@ -11,9 +11,10 @@ import (
 // hints, and latency measurement, while their tests need a time source
 // they control. Study code never uses a Clock — figures take time from
 // the simulated schedule above — but serving code takes one by
-// injection, which keeps the vmplint nondeterminism contract intact:
-// the only wall-clock read in the module lives here, in the package
-// that owns time.
+// injection, which keeps the determinism contract intact: the only
+// wall-clock read in the module lives here, in the package that owns
+// time, and the nondet-* rows of docs/mutants.md name the tests that
+// catch one anywhere else.
 type Clock interface {
 	// Now returns the current instant. Wall clocks return readings
 	// carrying Go's monotonic component, so Sub on two readings is a
@@ -33,8 +34,9 @@ func Wall() Clock { return wallClock{} }
 // Wait blocks for d or until ctx is done, whichever comes first, and
 // reports ctx.Err() in the latter case. It is the module's sanctioned
 // replacement for time.Sleep: a bare sleep can be neither cancelled
-// nor observed (the ctxflow analyzer rejects it), while Wait lets
-// shutdown interrupt retry backoffs and drains immediately.
+// nor observed (wire.TestClientSendStopsWhenCancelled catches one in
+// the client's backoff), while Wait lets shutdown interrupt retry
+// backoffs and drains immediately.
 func Wait(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()

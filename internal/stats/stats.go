@@ -45,21 +45,6 @@ func WeightedMean(xs, ws []float64) float64 {
 	return num / den
 }
 
-// Variance returns the population variance of xs, or 0 for fewer than
-// two points.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
 // ECDF is an empirical cumulative distribution function over a sample.
 type ECDF struct {
 	sorted []float64

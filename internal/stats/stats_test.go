@@ -37,16 +37,6 @@ func TestWeightedMeanPanics(t *testing.T) {
 	WeightedMean([]float64{1}, []float64{1, 2})
 }
 
-func TestVariance(t *testing.T) {
-	if v := Variance([]float64{5}); v != 0 {
-		t.Errorf("Variance(singleton) = %v", v)
-	}
-	v := Variance([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(v-4) > 1e-12 {
-		t.Errorf("Variance = %v, want 4", v)
-	}
-}
-
 func TestECDFAt(t *testing.T) {
 	e := NewECDF([]float64{1, 2, 2, 3})
 	cases := []struct{ x, want float64 }{

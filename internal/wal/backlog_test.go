@@ -90,3 +90,34 @@ func TestBacklogCountsClosedSegments(t *testing.T) {
 		t.Fatalf("backlog bytes = %d, want %d on disk", bytes, disk)
 	}
 }
+
+// TestBacklogWhileAppending: the sampler calls Backlog on its own
+// goroutine while appends grow the active segment in place. Everything
+// it reads of the segment list must be read under the log's lock;
+// -race holds it to that.
+func TestBacklogWhileAppending(t *testing.T) {
+	l := openLog(t, t.TempDir(), Options{Policy: PolicyOff})
+	recs := genRecords(20)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				l.PublishGauges()
+			}
+		}
+	}()
+	for i := 0; i < 300; i++ {
+		if err := l.AppendBatch(partition(recs, 2), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-done
+	if segs, bytes := l.Backlog(); segs != 1 || bytes <= 0 {
+		t.Fatalf("backlog after 300 appends = %d segments, %d bytes", segs, bytes)
+	}
+}

@@ -246,7 +246,7 @@ func (l *Log) commit(epoch int64, records []record.ViewRecord, bounds []uint64) 
 		return 0, 0, fmt.Errorf("wal: encoding checkpoint: %w", err)
 	}
 	path := filepath.Join(l.dir, fmt.Sprintf("checkpoint-%016x.ckpt", id))
-	if err := writeFileDurable(path, img); err != nil {
+	if err := l.writeFileDurable(path, img); err != nil {
 		return 0, 0, err
 	}
 	l.ckptsDone.Add(1)
@@ -301,28 +301,41 @@ func (l *Log) commit(epoch int64, records []record.ViewRecord, bounds []uint64) 
 }
 
 // writeFileDurable writes data at path atomically and durably: temp
-// file, fsync, rename, directory fsync.
-func writeFileDurable(path string, data []byte) error {
+// file, fsync, rename, directory fsync. The temp file and the directory
+// sync go through the same create and syncDir a segment does, so one
+// fault seam covers both. On failure nothing new is left under path or
+// its temp name, and the previous checkpoint is still the latest.
+func (l *Log) writeFileDurable(path string, data []byte) error {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := l.create(tmp)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	if _, err := f.Write(data); err != nil {
-		_ = f.Close() // the write error is the one worth reporting
+		_ = f.Close()      // the write error is the one worth reporting
+		_ = os.Remove(tmp) // left behind, it fails the next create, and Open clears it
 		return fmt.Errorf("wal: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		_ = f.Close() // the sync error is the one worth reporting
+		_ = os.Remove(tmp)
 		return fmt.Errorf("wal: %w", err)
 	}
 	if err := f.Close(); err != nil {
+		_ = os.Remove(tmp)
 		return fmt.Errorf("wal: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
+		_ = os.Remove(tmp)
 		return fmt.Errorf("wal: %w", err)
 	}
-	return syncDir(filepath.Dir(path))
+	if err := l.syncDir(filepath.Dir(path)); err != nil {
+		// The rename may or may not survive a crash; withdrawn, the
+		// checkpoint this commit failed to write is not loaded either.
+		_ = os.Remove(path)
+		return err
+	}
+	return nil
 }
 
 // syncDir fsyncs a directory, which is what makes a name created in it

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,7 +13,8 @@ import (
 	"vmp/internal/telemetry/record"
 )
 
-// faults is a script for the segment files a Log creates: which write
+// faults is a script for the files a Log creates — segments and
+// checkpoint temp files, both through Log.create: which write
 // lands only half its bytes, whether cutting that half back fails, and
 // which fsync fails. It also counts the calls, for the tests that pin
 // how many a batch costs. The Log makes every call under its own mutex,
@@ -32,7 +35,7 @@ type droppedRange struct {
 
 var errInjected = errors.New("injected disk fault")
 
-// inject makes every segment l creates from now on follow fl. Segments
+// inject makes every file l creates from now on follow fl. Segments
 // are created by the first append after Open, so this runs first.
 func inject(l *Log, fl *faults) {
 	l.create = func(path string) (segFile, error) {
@@ -368,6 +371,62 @@ func TestDirectoryIsSyncedBeforeASegmentIsUsed(t *testing.T) {
 			}
 			if _, got, _ := reopenAndReplay(t, dir); !bytes.Equal(canonBytes(t, got), canonBytes(t, acked)) {
 				t.Fatalf("replayed %d records, acked %d: not the same set", len(got), len(acked))
+			}
+		})
+	}
+}
+
+// TestCheckpointFaultsKeepThePreviousOne: a checkpoint is written as a
+// temp file, fsynced, renamed into place, and made to stick by a
+// directory fsync. When either fsync fails, Commit must fail (the
+// engine counts it and the log keeps its segments), and nothing of the
+// half-made checkpoint may be loaded later: a reopen finds the previous
+// checkpoint and replays exactly what was acked.
+func TestCheckpointFaultsKeepThePreviousOne(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		inject func(l *Log)
+	}{
+		{"temp file fsync", func(l *Log) { inject(l, &faults{failSync: 1}) }},
+		{"directory fsync", func(l *Log) { l.syncDir = func(string) error { return errInjected } }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l := openLog(t, dir, Options{Policy: PolicyBatch})
+			recs := genRecords(600)
+			if err := l.AppendBatch(partition(recs[:200], 2), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Commit(1, recs[:200], l.Bounds(), 0); err != nil {
+				t.Fatal(err)
+			}
+			first := checkpointFiles(t, dir)
+			for lo := 200; lo < len(recs); lo += 200 {
+				if err := l.AppendBatch(partition(recs[lo:lo+200], 2), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// No segment is created from here on: the checkpoint's
+			// temp file is the first file the fault script sees.
+			tc.inject(l)
+			if err := l.Commit(2, recs, l.Bounds(), 0); err == nil {
+				t.Fatal("Commit reported success over a failed fsync")
+			}
+			if got := checkpointFiles(t, dir); !slices.Equal(got, first) {
+				t.Fatalf("checkpoints after the failed commit = %v, want the previous one alone (%v)", got, first)
+			}
+			if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+				t.Fatalf("the failed commit left %v behind", tmps)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, stats := replayAll(t, openLog(t, dir, Options{Policy: PolicyBatch}))
+			if stats.Epoch != 1 || stats.CheckpointRecords != 200 || stats.SegmentRecords != 400 {
+				t.Fatalf("reopen replayed %+v; want the first checkpoint's 200 records and 400 from segments", stats)
+			}
+			if !bytes.Equal(canonBytes(t, got), canonBytes(t, recs)) {
+				t.Fatalf("replayed %d records, acked %d: not the same set", len(got), len(recs))
 			}
 		})
 	}

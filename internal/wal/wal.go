@@ -179,8 +179,8 @@ type Log struct {
 	dir     string
 	clock   simclock.Clock
 	tracer  *obs.Tracer
-	create  func(path string) (segFile, error) // createSegment outside tests
-	syncDir func(path string) error            // the package's syncDir outside tests; openSegment's only
+	create  func(path string) (segFile, error) // createSegment outside tests; segments and checkpoint temp files
+	syncDir func(path string) error            // the package's syncDir outside tests; openSegment's and writeFileDurable's
 
 	mu         sync.Mutex
 	segs       []segmentInfo // closed segments and, last, the active one

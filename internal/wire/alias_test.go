@@ -105,6 +105,17 @@ func heapAlloc() uint64 {
 	return m.HeapAlloc
 }
 
+// allocatedBy reports the heap bytes fn allocates. Unlike a difference
+// of two HeapAlloc readings it only counts up, so a reading taken while
+// the runtime is between collections cannot shrink it.
+func allocatedBy(fn func()) int64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc - before.TotalAlloc)
+}
+
 // pinnedBy reports how many heap bytes only *recs keeps alive, and
 // drops them.
 func pinnedBy(recs *[]record.ViewRecord) int64 {
@@ -119,8 +130,8 @@ func pinnedBy(recs *[]record.ViewRecord) int64 {
 // batch (a checkpoint frame, a bulk client) and then a 10-record one
 // (a WAL tail batch, a sensor), and the ten records must hold no more
 // list bytes than twice what their lists use — not an arena the size
-// of the first batch's. The yardstick is a deep clone, whose lists are
-// allocated one by one.
+// of the first batch's. The yardstick is what a deep clone allocates,
+// its lists one by one.
 func TestArenasSizedToTheBatch(t *testing.T) {
 	big, small := genRecords(8192), genRecords(10)
 	var used int64
@@ -161,8 +172,8 @@ func TestArenasSizedToTheBatch(t *testing.T) {
 				t.Fatal("the small batch did not survive the decode")
 			}
 			dec = nil
-			control := deepCloneRecords(admitted)
-			held, yardstick := pinnedBy(&admitted), pinnedBy(&control)
+			yardstick := allocatedBy(func() { runtime.KeepAlive(deepCloneRecords(admitted)) })
+			held := pinnedBy(&admitted)
 			if held > yardstick+used+noise {
 				t.Errorf("ten admitted records pin %d B; a deep clone of them is %d B and their lists use %d B", held, yardstick, used)
 			}
