@@ -148,24 +148,23 @@ scorecard:
 	$(GO) run ./cmd/vmpstudy -scorecard -o docs/scorecard.md
 	$(GO) run ./cmd/vmpstudy -figure all -o docs/full_study_output.txt
 
-# smoke boots the live serving plane end to end: vmpd ingests a vmpgen
-# slice over HTTP and must answer queries byte-identically to vmpstudy
-# computing them offline from the same file, and a vmpd -load/-dump
-# round trip (the store-and-forward role) must lose and change nothing.
-# Then examples/live-pipeline — sensors into live.Server in one process
-# — must print the numbers it always has.
+# smoke runs the live-plane scenarios of internal/scenario (which
+# `make test` runs too): vmpd ingests a vmpgen slice over HTTP as JSONL
+# and as binary+gzip, and a shuffled binary drive in process, and must
+# answer queries byte-identically to vmpstudy computing them offline
+# from what it holds; a vmpd -load/-dump round trip must lose and change
+# nothing; and examples/live-pipeline must print what it always has.
 .PHONY: smoke
 smoke:
-	sh scripts/smoke_live.sh
-	sh scripts/smoke_example.sh
+	$(GO) test -count=1 -run 'TestScenarios/^(jsonl|binary_gzip|shuffled_binary|load_dump|live_pipeline_example)$$' ./internal/scenario
 
-# smoke-crash kill -9s a WAL-backed vmpd twice — once after a fully
-# acked stream, once mid-stream against vmpgen's acked ledger — and
-# requires recovery to lose nothing acknowledged and answer queries
-# byte-identically to offline vmpstudy over the surviving records.
+# smoke-crash runs the crash scenarios: a WAL-backed vmpd is killed -9
+# after a fully acked stream and mid-stream, and recovery must hold every
+# acked record, nothing unsent, and answer as offline vmpstudy over what
+# it recovered; a -load onto a WAL that replays records must be refused.
 .PHONY: smoke-crash
 smoke-crash:
-	sh scripts/smoke_crash.sh
+	$(GO) test -count=1 -run 'TestScenarios/^(kill_after_stream|kill_mid_stream|load_refused_on_a_replayed_wal)$$' ./internal/scenario
 
 # loc prints Go line counts per package directory — non-test and test
 # files in separate columns — for the root package, internal/*, cmd/*

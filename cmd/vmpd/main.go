@@ -90,6 +90,11 @@ func main() {
 		if err != nil {
 			log.Fatal(fmt.Errorf("vmpd: wal replay: %w", err))
 		}
+		// A first boot logs the -load file into the WAL, so a restart
+		// that loads it again would hold every record twice.
+		if *load != "" && stats.Delivered() > 0 {
+			log.Fatal(fmt.Errorf("vmpd: -load %s: the WAL in %s already replayed %d records; boot without -load", *load, *walDir, stats.Delivered()))
+		}
 		engine.AttachWAL(wlog)
 		g := engine.Snapshot()
 		log.Printf("vmpd: wal %s replayed %d records (%d checkpoint + %d segment, %d torn tails); epoch %d",

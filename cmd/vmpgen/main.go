@@ -18,7 +18,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -29,7 +28,6 @@ import (
 	"time"
 
 	"vmp"
-	"vmp/internal/obs"
 	"vmp/internal/simclock"
 	"vmp/internal/telemetry"
 	"vmp/internal/wire"
@@ -37,16 +35,12 @@ import (
 
 func main() {
 	var (
-		seed       = flag.Uint64("seed", 0, "population seed (0 = default)")
-		stride     = flag.Int("stride", 1, "use every k-th snapshot (1 = full study)")
-		out        = flag.String("o", "", "output file (default stdout; with -post, default none)")
-		post       = flag.String("post", "", "base URL of a vmpd to stream the dataset to (its /v1/views)")
-		postBatch  = flag.Int("post-batch", 2000, "records per POST batch")
-		postTries  = flag.Int("post-retries", 100, "max retries per batch on a 429 or 503")
-		postVerify = flag.Bool("post-verify", false, "after -post, check the server's /v1/metrics ingest counter covers every posted record")
-		encoding   = flag.String("encode", "jsonl", "POST body encoding: jsonl or binary")
-		compress   = flag.Bool("compress", false, "gzip-compress POST bodies (Content-Encoding: gzip)")
-		acked      = flag.String("acked", "", "with -post: append each 202-acknowledged batch to this JSONL file before posting the next (crash-test ledger)")
+		seed     = flag.Uint64("seed", 0, "population seed (0 = default)")
+		stride   = flag.Int("stride", 1, "use every k-th snapshot (1 = full study)")
+		out      = flag.String("o", "", "output file (default stdout; with -post, default none)")
+		post     = flag.String("post", "", "base URL of a vmpd to stream the dataset to (its /v1/views)")
+		encoding = flag.String("encode", "jsonl", "POST body encoding: jsonl or binary")
+		compress = flag.Bool("compress", false, "gzip-compress POST bodies (Content-Encoding: gzip)")
 	)
 	flag.Parse()
 
@@ -84,73 +78,30 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *acked != "" {
-			// Unbuffered on purpose: each acknowledged batch must be on
-			// disk before the next POST, so when a crash test kills the
-			// server mid-stream the ledger is an exact record of what
-			// the server took responsibility for.
-			f, err := os.Create(*acked)
-			if err != nil {
-				fatal(err)
-			}
-			d.acked = f
-			defer func() {
-				if err := f.Close(); err != nil {
-					fatal(err)
-				}
-			}()
-		}
-		if err := d.drive(context.Background(), *post, recs, *postBatch, *postTries); err != nil {
+		if err := d.drive(context.Background(), *post, recs, postBatch, postRetries); err != nil {
 			fatal(err)
-		}
-		if *postVerify {
-			if err := verifyIngest(*post, int64(len(recs))); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "vmpgen: verified: server ingest counter covers all %d posted records\n", len(recs))
 		}
 	}
 }
 
-// verifyIngest reads vmpd's /v1/metrics snapshot and checks its ingest
-// counter accounts for every record this driver posted: ≥ rather than
-// == because other drivers may have posted concurrently.
-func verifyIngest(url string, posted int64) error {
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get(url + "/v1/metrics")
-	if err != nil {
-		return fmt.Errorf("verify: %w", err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return fmt.Errorf("verify: GET /v1/metrics: %s", resp.Status)
-	}
-	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return fmt.Errorf("verify: decoding /v1/metrics: %w", err)
-	}
-	n, ok := snap.Counters["live_ingest_records_total"]
-	if !ok {
-		return fmt.Errorf("verify: no live_ingest_records_total in /v1/metrics snapshot")
-	}
-	if n < posted {
-		return fmt.Errorf("verify: live_ingest_records_total is %d, expected >= %d", n, posted)
-	}
-	return nil
-}
+// What no script, test or doc ever set, and so is not a flag: the
+// records per POST and how many refusals (429 or 503) one batch waits
+// out before the drive gives up — telemetry.Sensor's bound.
+const (
+	postBatch   = 2000
+	postRetries = 100
+)
 
 // driver streams a dataset to an ingest endpoint through the module's
 // ingest client (wire.Client), which owns the encoding, the content
-// negotiation and the 429 retry loop; the driver adds the batching,
-// the acked ledger and the client-side latency summary. Tests replace
-// client.Wait, the backpressure sleep, with a counter to drive retries
-// without real delays.
+// negotiation and the 429 retry loop; the driver adds the batching and
+// the client-side latency summary. Tests replace client.Wait, the
+// backpressure sleep, with a counter to drive retries without real
+// delays.
 type driver struct {
 	client *wire.Client
 	label  string // "jsonl", "binary+gzip", …: the encoding, for the exit line
 	clock  simclock.Clock
-	acked  io.Writer // when set, every 202-acked batch is appended as JSONL
 
 	// rtts collects every POST attempt's round-trip time (202s and
 	// 429s alike) and waited the total Retry-After sleep, for the
@@ -181,9 +132,6 @@ func newDriver(encoding string, compress bool, seed uint64) (*driver, error) {
 // backlog is full) is retried unchanged after the Retry-After hint, at
 // most retries times — see wire.Client.Send for the contract.
 func (d *driver) drive(ctx context.Context, url string, recs []telemetry.ViewRecord, batch, retries int) error {
-	if batch <= 0 {
-		batch = 2000
-	}
 	start := d.clock.Now()
 	posted, refused := 0, 0
 	for lo := 0; lo < len(recs); lo += batch {
@@ -199,11 +147,6 @@ func (d *driver) drive(ctx context.Context, url string, recs []telemetry.ViewRec
 		refused += denied
 		if err != nil {
 			return fmt.Errorf("batch at record %d: %w", lo, err)
-		}
-		if d.acked != nil {
-			if err := telemetry.EncodeJSONL(d.acked, recs[lo:hi]); err != nil {
-				return fmt.Errorf("acked ledger: %w", err)
-			}
 		}
 		posted += hi - lo
 	}

@@ -3,7 +3,8 @@
 // exact snippet and its replacement), the test that must fail on it,
 // and, for a row written to retire an analyzer, that analyzer's verdict
 // on the mutant, taken while it existed. Through an overlay — the tree
-// is never written — it runs the test under `go test -overlay -json`.
+// is never written — it runs the test under `go test -json` with the
+// overlay in GOFLAGS, which reaches a `go build` the test itself runs.
 // A stale snippet, a test that did not run (the mutant does not build,
 // or -run matches nothing) or passed fails the run; a hang the row's
 // -timeout ends is a kill. So does the retirement rule: an analyzer
@@ -173,10 +174,13 @@ func parseRow(path string) (row, error) {
 // the -json events show the test ran and did not pass: it failed, or
 // the binary died under it (a panic, or the -timeout ending a hang).
 func testArm(root string, r row, overlay string) error {
-	args := append([]string{"test", "-json", "-overlay", overlay, "-run", "^" + r.test + "$"}, r.flags...)
+	args := append([]string{"test", "-json", "-run", "^" + r.test + "$"}, r.flags...)
 	cmd := exec.Command("go", append(args, r.pkg)...)
 	var stderr bytes.Buffer
 	cmd.Dir, cmd.Stderr = root, &stderr
+	// The overlay rides GOFLAGS, not the command line, so a test that
+	// builds the commands it runs (TestScenarios) builds the mutant too.
+	cmd.Env = append(os.Environ(), "GOFLAGS="+strings.TrimSpace(os.Getenv("GOFLAGS")+" -overlay="+overlay))
 	out, err := cmd.Output()
 	if _, exited := err.(*exec.ExitError); err != nil && !exited {
 		return fmt.Errorf("%s: %w", r.name, err)

@@ -25,8 +25,3 @@ func ScanJSONL(r io.Reader) (batch []ViewRecord, bad int, err error) {
 func EncodeJSONL(w io.Writer, records []ViewRecord) error {
 	return wire.EncodeJSONL(w, records)
 }
-
-// DecodeJSONL reads JSON-lines records from r until EOF.
-func DecodeJSONL(r io.Reader) ([]ViewRecord, error) {
-	return wire.DecodeJSONL(r)
-}

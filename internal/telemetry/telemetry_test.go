@@ -118,9 +118,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := EncodeJSONL(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
+	out, bad, err := ScanJSONL(&buf)
+	if err != nil || bad != 0 {
+		t.Fatalf("scan: bad = %d, err = %v", bad, err)
 	}
 	if len(out) != 2 {
 		t.Fatalf("decoded %d records", len(out))
@@ -130,13 +130,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 	if !out[0].Timestamp.Equal(in[0].Timestamp) {
 		t.Error("timestamp did not round-trip")
-	}
-}
-
-func TestDecodeJSONLBadInput(t *testing.T) {
-	_, err := DecodeJSONL(strings.NewReader("{\"pub\":\"p\"}\nnot json\n"))
-	if err == nil {
-		t.Fatal("malformed JSONL accepted")
 	}
 }
 

@@ -501,18 +501,3 @@ func EncodeJSONL(w io.Writer, records []record.ViewRecord) error {
 	}
 	return nil
 }
-
-// DecodeJSONL reads JSON-lines records from r until EOF.
-func DecodeJSONL(r io.Reader) ([]record.ViewRecord, error) {
-	var out []record.ViewRecord
-	dec := json.NewDecoder(r)
-	for {
-		var rec record.ViewRecord
-		if err := dec.Decode(&rec); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("wire: decoding record %d: %w", len(out), err)
-		}
-		out = append(out, rec)
-	}
-}

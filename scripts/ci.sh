@@ -19,6 +19,9 @@ stage() {
 }
 
 stage build     make build
+# test runs internal/scenario too: vmpd, vmpgen, vmpstudy, vmptop and
+# examples/live-pipeline built and run end to end (make smoke and make
+# smoke-crash run subsets of it).
 stage test      make test
 stage fmt-check make fmt-check
 stage vet       make vet
@@ -47,8 +50,6 @@ stage scorecard sh -c 'make scorecard && git diff --exit-code docs/scorecard.md 
 # model) and InferProtocol (lowercase-then-compare is). Native
 # fuzzing; nothing to download.
 stage fuzz-wire make fuzz-wire
-stage smoke     make smoke
-stage smoke-crash make smoke-crash
 # bench/ is a module of its own (vmp/bench, replacing vmp with the
 # tree around it), so the root `go test ./...` never reaches it: its
 # tests, and one -quick pass of the benchmark with its byte-exact

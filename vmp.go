@@ -1,6 +1,7 @@
 package vmp
 
 import (
+	"fmt"
 	"io"
 
 	"vmp/internal/core"
@@ -44,11 +45,16 @@ func WriteDataset(s *Study, w io.Writer) error {
 }
 
 // ReadDataset parses a JSON-lines dataset into a telemetry store to
-// build a study over with NewFromStore.
+// build a study over with NewFromStore. It reads exactly as vmpd -load
+// does: a line that does not parse, or has no publisher, fails the
+// whole file.
 func ReadDataset(r io.Reader) (*telemetry.Store, error) {
-	recs, err := telemetry.DecodeJSONL(r)
+	recs, bad, err := telemetry.ScanJSONL(r)
 	if err != nil {
 		return nil, err
+	}
+	if bad > 0 {
+		return nil, fmt.Errorf("%d malformed lines", bad)
 	}
 	return telemetry.NewStore(recs), nil
 }
