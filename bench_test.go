@@ -237,13 +237,15 @@ func BenchmarkFig18StorageSavings(b *testing.B) {
 	b.ReportMetric(integrated, "integrated-%savings")
 }
 
+// BenchmarkDatasetGeneration times GenerateStore at stride 12, the
+// benchmark's study_offline configuration: the in-package microscope
+// for its core.generate_ms.
 func BenchmarkDatasetGeneration(b *testing.B) {
-	// The cost of generating one full snapshot across the population.
-	study := vmp.New(vmp.Config{SnapshotStride: 59})
-	snap := study.Eco.Schedule.Latest()
+	study := vmp.New(vmp.Config{SnapshotStride: 12})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if recs := study.Eco.GenerateSnapshot(snap); len(recs) == 0 {
+		if study.Eco.GenerateStore().Len() == 0 {
 			b.Fatal("no records")
 		}
 	}

@@ -220,7 +220,7 @@ func (m Model) VersionsInUse(t time.Time, lagQuarters int) []SDKVersion {
 // for browser views, or the app identifier for app views.
 func (m Model) UserAgent(v SDKVersion) string {
 	if m.Platform == Browser {
-		return fmt.Sprintf("Mozilla/5.0 (compatible; %s/%s; player)", m.Name, v.Version)
+		return "Mozilla/5.0 (compatible; " + m.Name + "/" + v.Version + "; player)"
 	}
-	return fmt.Sprintf("%sApp/%s (%s; %s)", m.Name, v.Version, m.OS, v.Family)
+	return m.Name + "App/" + v.Version + " (" + m.OS + "; " + v.Family + ")"
 }

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -187,6 +188,18 @@ func TestUserAgent(t *testing.T) {
 	ua = roku.UserAgent(SDKVersion{Family: "RokuSDK", Version: "9.2"})
 	if !strings.Contains(ua, "RokuApp/9.2") || !strings.Contains(ua, "RokuOS") {
 		t.Errorf("app identifier malformed: %q", ua)
+	}
+	// The concatenation equals the fmt forms it replaced, for every
+	// registered model.
+	v := SDKVersion{Family: "ExoPlayer", Version: "2.3"}
+	for _, m := range Registry {
+		want := fmt.Sprintf("%sApp/%s (%s; %s)", m.Name, v.Version, m.OS, v.Family)
+		if m.Platform == Browser {
+			want = fmt.Sprintf("Mozilla/5.0 (compatible; %s/%s; player)", m.Name, v.Version)
+		}
+		if got := m.UserAgent(v); got != want {
+			t.Errorf("%s.UserAgent = %q, fmt gives %q", m.Name, got, want)
+		}
 	}
 }
 

@@ -10,10 +10,7 @@
 // is what makes every figure in EXPERIMENTS.md bit-reproducible.
 package dist
 
-import (
-	"hash/fnv"
-	"math"
-)
+import "math"
 
 // Source is a deterministic pseudo-random stream. It implements a
 // SplitMix64-style generator: tiny state, good equidistribution, and
@@ -32,25 +29,38 @@ func NewSource(seed uint64) *Source { return &Source{seed: seed, state: seed} }
 // from the parent's original seed, so the set of children is stable no
 // matter how many values the parent has produced.
 func (s *Source) Split(label string) *Source {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	child := mix(s.seed ^ h.Sum64())
+	child := mix(s.seed ^ fnvString(fnvOffset, label))
 	return &Source{seed: child, state: child}
 }
 
 // Splitf is Split for integer-indexed children, avoiding the cost and
-// allocation of formatting labels at call sites.
+// allocation of formatting labels at call sites. The child's label is
+// the label's bytes followed by i's eight little-endian bytes.
 func (s *Source) Splitf(label string, i int) *Source {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	var buf [8]byte
-	v := uint64(i)
-	for b := 0; b < 8; b++ {
-		buf[b] = byte(v >> (8 * b))
-	}
-	h.Write(buf[:])
-	child := mix(s.seed ^ h.Sum64())
+	child := mix(s.seed ^ fnvUint64(fnvString(fnvOffset, label), uint64(i)))
 	return &Source{seed: child, state: child}
+}
+
+// FNV-1a (64-bit) parameters, as in hash/fnv.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvUint64 folds v's eight little-endian bytes into the FNV-1a hash h.
+func fnvUint64(h, v uint64) uint64 {
+	for b := 0; b < 64; b += 8 {
+		h = (h ^ (v >> b & 0xff)) * fnvPrime
+	}
+	return h
+}
+
+// fnvString folds label's bytes into the FNV-1a hash h.
+func fnvString(h uint64, label string) uint64 {
+	for i := 0; i < len(label); i++ {
+		h = (h ^ uint64(label[i])) * fnvPrime
+	}
+	return h
 }
 
 // mix is the SplitMix64 finalizer.

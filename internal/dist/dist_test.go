@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -287,4 +288,41 @@ func TestCategoricalSingletonProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSplitMatchesHashFNV pins the inline FNV-1a of Split and Splitf to
+// the hash/fnv computation they replaced: a different hash would move
+// every generated record.
+func TestSplitMatchesHashFNV(t *testing.T) {
+	refChild := func(seed uint64, label []byte) uint64 {
+		h := fnv.New64a()
+		h.Write(label)
+		return mix(seed ^ h.Sum64())
+	}
+	s := NewSource(1809)
+	for _, label := range []string{"", "view", "sample-P001-2016-01-05", "géo-√", "\xff\x00"} {
+		if got, want := s.Split(label).seed, refChild(s.seed, []byte(label)); got != want {
+			t.Errorf("Split(%q) seed %#x, hash/fnv gives %#x", label, got, want)
+		}
+		for _, i := range []int{0, -1, 1 << 40} {
+			buf := []byte(label)
+			for b := 0; b < 8; b++ {
+				buf = append(buf, byte(uint64(i)>>(8*b)))
+			}
+			if got, want := s.Splitf(label, i).seed, refChild(s.seed, buf); got != want {
+				t.Errorf("Splitf(%q, %d) seed %#x, hash/fnv gives %#x", label, i, got, want)
+			}
+		}
+	}
+}
+
+// TestSplitDoesNotAllocate pins Split as inlinable: a child that does
+// not escape its caller lives on the caller's stack.
+func TestSplitDoesNotAllocate(t *testing.T) {
+	src := NewSource(3)
+	var sink uint64
+	if n := testing.AllocsPerRun(100, func() { sink += src.Split("x").Uint64() }); n != 0 {
+		t.Fatalf("Split allocates %.1f times per call", n)
+	}
+	_ = sink
 }

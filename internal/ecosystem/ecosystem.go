@@ -27,12 +27,6 @@ type Config struct {
 	// SnapshotStride generates only every k-th snapshot (k >= 1); use
 	// it to cut generation cost in tests. Zero means 1.
 	SnapshotStride int
-	// Parallelism is the number of snapshots generated concurrently by
-	// GenerateStore. Zero means GOMAXPROCS. Generation is
-	// deterministic regardless of parallelism: every record's content
-	// depends only on (seed, publisher, snapshot), and the store
-	// holds records in canonical order.
-	Parallelism int
 }
 
 // Ecosystem is a generated publisher population together with the CDN
@@ -42,8 +36,7 @@ type Ecosystem struct {
 	CDNs       *cdnsim.Registry
 	Schedule   simclock.Schedule
 
-	root        *dist.Source
-	parallelism int
+	root *dist.Source
 	// ladders and zipfs are precomputed at construction and read-only
 	// afterwards, so snapshot generation can run concurrently.
 	ladders map[string]manifest.Ladder
@@ -75,12 +68,11 @@ func New(cfg Config) *Ecosystem {
 	}
 	root := dist.NewSource(seed)
 	e := &Ecosystem{
-		CDNs:        cdnsim.NewRegistry(root.Split("cdns")),
-		Schedule:    sched,
-		root:        root,
-		parallelism: cfg.Parallelism,
-		ladders:     make(map[string]manifest.Ladder),
-		zipfs:       make(map[int]*dist.Zipf),
+		CDNs:     cdnsim.NewRegistry(root.Split("cdns")),
+		Schedule: sched,
+		root:     root,
+		ladders:  make(map[string]manifest.Ladder),
+		zipfs:    make(map[int]*dist.Zipf),
 	}
 	e.Publishers = buildPopulation(root.Split("population"))
 	// Precompute the per-publisher ladders and catalogue popularity
@@ -94,48 +86,52 @@ func New(cfg Config) *Ecosystem {
 
 // GenerateStore runs the sampler over every publisher and snapshot and
 // returns the assembled view-record store: the synthetic counterpart of
-// the paper's dataset. Snapshots are generated in parallel (see
-// Config.Parallelism), each into the slot of its schedule index, so the
-// result is identical to serial generation.
+// the paper's dataset. GOMAXPROCS workers sample (snapshot, publisher)
+// pairs, each into the slot of its pair, so the result is identical to
+// serial generation: every record's content depends only on (seed,
+// publisher, snapshot), and the store holds records in schedule, then
+// publisher, order.
 func (e *Ecosystem) GenerateStore() *telemetry.Store {
-	workers := e.parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	slots := make([][]telemetry.ViewRecord, len(e.Schedule))
+	pubs := len(e.Publishers)
+	slots := make([][]telemetry.ViewRecord, len(e.Schedule)*pubs)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < min(workers, len(slots)); w++ {
+	for w := 0; w < min(runtime.GOMAXPROCS(0), len(slots)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				slots[i] = e.GenerateSnapshot(e.Schedule[i])
+			for k := range jobs {
+				slots[k] = e.samplePublisherSnapshot(e.Publishers[k%pubs], e.Schedule[k/pubs])
 			}
 		}()
 	}
-	for i := range slots {
-		jobs <- i
+	for k := range slots {
+		jobs <- k
 	}
 	close(jobs)
 	wg.Wait()
-	n := 0
-	for _, slot := range slots {
-		n += len(slot)
-	}
-	recs := make([]telemetry.ViewRecord, 0, n)
-	for _, slot := range slots {
-		recs = append(recs, slot...)
-	}
-	return telemetry.NewStore(recs)
+	return telemetry.NewStore(concat(slots))
 }
 
 // GenerateSnapshot samples just one snapshot window across the
 // population.
 func (e *Ecosystem) GenerateSnapshot(snap simclock.Snapshot) []telemetry.ViewRecord {
-	var out []telemetry.ViewRecord
-	for _, p := range e.Publishers {
-		out = append(out, e.samplePublisherSnapshot(p, snap)...)
+	slots := make([][]telemetry.ViewRecord, len(e.Publishers))
+	for i, p := range e.Publishers {
+		slots[i] = e.samplePublisherSnapshot(p, snap)
+	}
+	return concat(slots)
+}
+
+// concat copies the slots, in order, into one slice of exact size.
+func concat(slots [][]telemetry.ViewRecord) []telemetry.ViewRecord {
+	n := 0
+	for _, slot := range slots {
+		n += len(slot)
+	}
+	out := make([]telemetry.ViewRecord, 0, n)
+	for _, slot := range slots {
+		out = append(out, slot...)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package ecosystem
 
 import (
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -15,8 +16,10 @@ import (
 // sort by timestamp gives — the order the store kept before it shared
 // its rows with the Dataset. Serial and parallel generation both.
 func TestCanonicalOrderIsStableTimestampOrder(t *testing.T) {
-	for _, parallelism := range []int{1, 4} {
-		e := New(Config{SnapshotStride: 12, Parallelism: parallelism})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 8} {
+		runtime.GOMAXPROCS(procs)
+		e := New(Config{SnapshotStride: 12})
 		var want []telemetry.ViewRecord
 		for _, snap := range e.Schedule {
 			want = append(want, e.GenerateSnapshot(snap)...)
@@ -24,11 +27,11 @@ func TestCanonicalOrderIsStableTimestampOrder(t *testing.T) {
 		sort.SliceStable(want, func(i, j int) bool { return want[i].Timestamp.Before(want[j].Timestamp) })
 		got := e.GenerateStore().All()
 		if len(got) != len(want) {
-			t.Fatalf("parallelism %d: %d records, want %d", parallelism, len(got), len(want))
+			t.Fatalf("GOMAXPROCS %d: %d records, want %d", procs, len(got), len(want))
 		}
 		for i := range want {
 			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("parallelism %d: record %d is\n%+v\na stable sort by timestamp puts there\n%+v", parallelism, i, got[i], want[i])
+				t.Fatalf("GOMAXPROCS %d: record %d is\n%+v\na stable sort by timestamp puts there\n%+v", procs, i, got[i], want[i])
 			}
 		}
 	}
@@ -37,8 +40,10 @@ func TestCanonicalOrderIsStableTimestampOrder(t *testing.T) {
 // TestParallelGenerationMatchesSerial verifies the determinism claim:
 // parallel and serial generation produce the same record multiset.
 func TestParallelGenerationMatchesSerial(t *testing.T) {
-	serial := New(Config{SnapshotStride: 15, Parallelism: 1}).GenerateStore()
-	parallel := New(Config{SnapshotStride: 15, Parallelism: 8}).GenerateStore()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial := New(Config{SnapshotStride: 15}).GenerateStore()
+	runtime.GOMAXPROCS(8)
+	parallel := New(Config{SnapshotStride: 15}).GenerateStore()
 	a, b := serial.All(), parallel.All()
 	if len(a) != len(b) {
 		t.Fatalf("record counts differ: %d vs %d", len(a), len(b))

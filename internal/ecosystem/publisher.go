@@ -13,7 +13,6 @@
 package ecosystem
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -260,9 +259,10 @@ func (p *Publisher) CDNNamesAt(t time.Time) []string {
 }
 
 // VideoID returns the publisher-scoped identifier of the rank-th title
-// in its catalogue.
+// in its catalogue, rank >= 0.
 func (p *Publisher) VideoID(rank int) string {
-	return fmt.Sprintf("%s-v%04d", p.ID, rank)
+	var buf [20]byte
+	return p.ID + "-v" + string(appendRank(buf[:0], rank))
 }
 
 func minf(a, b float64) float64 {

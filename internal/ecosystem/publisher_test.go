@@ -1,6 +1,7 @@
 package ecosystem
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -39,10 +40,17 @@ func TestDailyViewHoursGrowth(t *testing.T) {
 	}
 }
 
+// TestVideoIDFormat pins VideoID, and the rank padding the syndicated
+// IDs share with it, to the "%s-v%04d" form it replaced.
 func TestVideoIDFormat(t *testing.T) {
 	p := &Publisher{ID: "pub007"}
 	if got := p.VideoID(42); got != "pub007-v0042" {
 		t.Fatalf("VideoID = %q", got)
+	}
+	for _, rank := range []int{0, 7, 42, 999, 9999, 10000, 123456} {
+		if got, want := p.VideoID(rank), fmt.Sprintf("%s-v%04d", p.ID, rank); got != want {
+			t.Errorf("VideoID(%d) = %q, fmt gives %q", rank, got, want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package ecosystem
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"vmp/internal/device"
@@ -92,8 +93,16 @@ const GeoCount = 180
 
 var geoZipf = dist.NewZipf(GeoCount, 1.1)
 
+// geoNames holds the geography labels "G000" … "G179", by rank.
+var geoNames = func() (names [GeoCount]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("G%03d", i)
+	}
+	return names
+}()
+
 func geoFor(src *dist.Source) string {
-	return fmt.Sprintf("G%03d", geoZipf.Draw(src))
+	return geoNames[geoZipf.Draw(src)]
 }
 
 // maxSamplesPerSnapshot bounds per-publisher sample counts so the
@@ -135,7 +144,6 @@ func (e *Ecosystem) ladderFor(p *Publisher) manifest.Ladder {
 // publisher in one snapshot window.
 func (e *Ecosystem) samplePublisherSnapshot(p *Publisher, snap simclock.Snapshot) []telemetry.ViewRecord {
 	mid := snap.Start.Add(time.Duration(snap.Days) * simclock.Day / 2)
-	f := simclock.FractionThrough(mid)
 	vh := p.DailyViewHoursAt(mid) * float64(snap.Days)
 	src := e.root.Split("sample-" + p.ID + "-" + snap.Label())
 
@@ -166,13 +174,11 @@ func (e *Ecosystem) samplePublisherSnapshot(p *Publisher, snap simclock.Snapshot
 	n := sampleCount(vh)
 	weight := realViews / float64(n)
 
-	ladder := e.ladderFor(p)
-	zipf := e.catalogZipf(p)
-	choices := newSnapshotChoices(p, mid)
+	c := newSnapshotChoices(p, mid, platforms, platWeights, e.ladderFor(p), e.catalogZipf(p))
 	records := make([]telemetry.ViewRecord, 0, n)
 	for i := 0; i < n; i++ {
 		vsrc := src.Splitf("view", i)
-		rec, ok := e.sampleView(p, mid, f, snap, vsrc, platforms, platWeights, ladder, zipf, choices)
+		rec, ok := e.sampleView(c, snap, vsrc)
 		if !ok {
 			continue
 		}
@@ -210,10 +216,8 @@ func (e *Ecosystem) catalogZipf(p *Publisher) *dist.Zipf {
 // sampleView draws one view record. It returns ok=false when no
 // (device, protocol) combination is playable — rare, but possible for
 // odd configs early in adoption.
-func (e *Ecosystem) sampleView(p *Publisher, mid time.Time, f float64, snap simclock.Snapshot,
-	src *dist.Source, platforms []device.Platform, platWeights []float64,
-	ladder manifest.Ladder, zipf *dist.Zipf, choices *snapshotChoices) (telemetry.ViewRecord, bool) {
-
+func (e *Ecosystem) sampleView(c *snapshotChoices, snap simclock.Snapshot, src *dist.Source) (telemetry.ViewRecord, bool) {
+	p := c.p
 	live := src.Split("live").Bool(p.LiveShare)
 
 	// Pick platform → device → protocol, retrying on incompatibility.
@@ -225,18 +229,18 @@ func (e *Ecosystem) sampleView(p *Publisher, mid time.Time, f float64, snap simc
 	found := false
 	for attempt := 0; attempt < 5 && !found; attempt++ {
 		asrc := src.Splitf("attempt", attempt)
-		pl = platforms[asrc.Categorical(platWeights)]
-		names, weights := deviceMixAt(pl, f)
-		model, _ = device.ByName(names[asrc.Categorical(weights)])
-		proto, found = e.pickProtocol(p, model, mid, asrc)
+		pl = c.platforms[asrc.Categorical(c.platWeights)]
+		mix := c.devices(pl)
+		model = mix.models[asrc.Categorical(mix.weights)]
+		proto, found = c.protocol(model, asrc)
 	}
 	if !found {
 		// Fall back to the universal combination if the publisher has
 		// it; otherwise drop the sample.
-		if html5, ok := device.ByName("HTML5"); ok && p.SupportsPlatformAt(device.Browser, mid) {
+		if html5, ok := device.ByName("HTML5"); ok && p.SupportsPlatformAt(device.Browser, c.mid) {
 			model, pl = html5, device.Browser
 			var ok2 bool
-			proto, ok2 = e.pickProtocol(p, model, mid, src.Split("fallback"))
+			proto, ok2 = c.protocol(model, src.Split("fallback"))
 			if !ok2 {
 				return telemetry.ViewRecord{}, false
 			}
@@ -246,29 +250,31 @@ func (e *Ecosystem) sampleView(p *Publisher, mid time.Time, f float64, snap simc
 	}
 
 	// CDN selection honoring live/VoD segregation.
-	eligible := choices.cdns(live)
+	eligible := c.cdns(live)
 	cdnName, ok := eligible.pick(src.Split("cdn"))
 	if !ok {
 		return telemetry.ViewRecord{}, false
 	}
 	cdns := []string{cdnName}
-	if choices.assigned > 1 && src.Split("midstream").Bool(0.08) {
+	if c.assigned > 1 && src.Split("midstream").Bool(0.08) {
 		if second, ok := eligible.pick(src.Split("cdn2")); ok && second != cdnName {
 			cdns = append(cdns, second)
 		}
 	}
 
 	// Content identity and syndication.
-	videoRank := zipf.Draw(src.Split("video"))
-	videoID := p.VideoID(videoRank)
-	contentID := videoID
-	owner := ""
+	videoRank := c.zipf.Draw(src.Split("video"))
+	var videoID, contentID, owner string
 	syndicated := false
 	if p.IsSyndicator && len(p.CarriesFrom) > 0 && src.Split("synd").Bool(p.SyndShare) {
 		owner = p.CarriesFrom[src.Split("which-owner").Intn(len(p.CarriesFrom))]
-		contentID = fmt.Sprintf("%s-v%04d", owner, videoRank%600)
-		videoID = fmt.Sprintf("%s-s%04d", p.ID, videoRank)
+		var buf [20]byte
+		contentID = owner + "-v" + string(appendRank(buf[:0], videoRank%600))
+		videoID = p.ID + "-s" + string(appendRank(buf[:0], videoRank))
 		syndicated = true
+	} else {
+		videoID = p.VideoID(videoRank)
+		contentID = videoID
 	}
 
 	durH := durationHours(src.Split("dur"), pl)
@@ -287,9 +293,9 @@ func (e *Ecosystem) sampleView(p *Publisher, mid time.Time, f float64, snap simc
 	prof := netmodel.PathProfile(isp, conn, quality)
 	qsrc := src.Split("qoe")
 	achievable := prof.MeanKbps * qsrc.Uniform(0.5, 0.95)
-	avgKbps := math.Min(float64(ladder.Max()), achievable*0.8)
-	if avgKbps < float64(ladder.Min()) {
-		avgKbps = float64(ladder.Min())
+	avgKbps := math.Min(float64(c.ladder.Max()), achievable*0.8)
+	if avgKbps < float64(c.ladder.Min()) {
+		avgKbps = float64(c.ladder.Min())
 	}
 	rebufSec := 0.0
 	if qsrc.Bool(0.18) { // most views play clean; a tail rebuffers
@@ -309,7 +315,7 @@ func (e *Ecosystem) sampleView(p *Publisher, mid time.Time, f float64, snap simc
 		Device:         model.Name,
 		OS:             model.OS,
 		CDNs:           cdns,
-		Bitrates:       ladder.Bitrates(),
+		Bitrates:       c.bitrates,
 		ISP:            isp.Name,
 		ConnType:       conn.String(),
 		Geo:            geoFor(src.Split("geo")),
@@ -322,7 +328,7 @@ func (e *Ecosystem) sampleView(p *Publisher, mid time.Time, f float64, snap simc
 		RebufferSec:    rebufSec,
 		Failed:         failed,
 	}
-	ver := choices.sdkVersion(model, src.Split("sdk"))
+	ver := c.sdkVersion(model, src.Split("sdk"))
 	if model.Platform == device.Browser {
 		rec.UserAgent = model.UserAgent(ver)
 	} else {
@@ -332,54 +338,48 @@ func (e *Ecosystem) sampleView(p *Publisher, mid time.Time, f float64, snap simc
 	return rec, true
 }
 
-// pickProtocol chooses a streaming protocol compatible with both the
-// publisher's packaging and the device, weighted by the publisher's
-// protocol preferences.
-func (e *Ecosystem) pickProtocol(p *Publisher, model device.Model, t time.Time, src *dist.Source) (manifest.Protocol, bool) {
-	candidates := []manifest.Protocol{manifest.HLS, manifest.DASH, manifest.Smooth, manifest.HDS, manifest.RTMP}
-	var protos []manifest.Protocol
-	var weights []float64
-	for _, proto := range candidates {
-		if !model.Supports(proto) {
-			continue
-		}
-		w := p.protocolWeightAt(proto, t)
-		if proto == manifest.RTMP {
-			if model.Name != "Flash" {
-				continue
-			}
-			w = p.rtmpWeight0 * dist.Linear(simclock.FractionThrough(t), 1, 0.02)
-			if p.rtmpWeight0 == 0 {
-				continue
-			}
-		}
-		if w <= 0 {
-			continue
-		}
-		protos = append(protos, proto)
-		weights = append(weights, w)
-	}
-	if len(protos) == 0 {
-		return manifest.Unknown, false
-	}
-	return protos[src.Categorical(weights)], true
-}
-
-// snapshotChoices holds the categorical choices that are the same for
-// every view of one publisher in one snapshot — they depend on the
-// snapshot's midpoint, not on the view — so that sampleView draws from
-// them instead of rebuilding name and weight lists per view.
+// snapshotChoices holds what is the same for every view of one
+// publisher in one snapshot — it depends on the snapshot's midpoint,
+// not on the view — so that sampleView draws from it instead of
+// rebuilding name and weight lists per view. It belongs to one
+// samplePublisherSnapshot call, so no goroutine shares it.
 type snapshotChoices struct {
-	mid      time.Time
-	lag      int
+	p           *Publisher
+	mid         time.Time
+	f           float64 // study fraction at mid
+	platforms   []device.Platform
+	platWeights []float64 // view-count weights, by platforms
+	ladder      manifest.Ladder
+	zipf        *dist.Zipf
+	// bitrates is the ladder's bitrates, shared by every record of the
+	// snapshot; its capacity is capped so an append copies.
+	bitrates []int
 	assigned int          // CDNs the publisher uses at mid, eligible or not
 	cdn      [2]cdnChoice // by content type: VoD, live
-	sdk      map[string]sdkChoice
+	// mix, proto and sdk fill on first use: by platform, and by device
+	// model name.
+	mix   [device.Console + 1]deviceChoice
+	proto map[string]protocolChoice
+	sdk   map[string]sdkChoice
 }
 
 // cdnChoice is the CDNs eligible for one content type, by weight.
 type cdnChoice struct {
 	names   []string
+	weights []float64
+}
+
+// deviceChoice is the device models of one platform, by view-hour
+// weight (deviceMixAt).
+type deviceChoice struct {
+	models  []device.Model
+	weights []float64
+}
+
+// protocolChoice is the streaming protocols one device model plays of
+// those the publisher packages, by preference weight.
+type protocolChoice struct {
+	protos  []manifest.Protocol
 	weights []float64
 }
 
@@ -390,9 +390,23 @@ type sdkChoice struct {
 	weights  []float64
 }
 
-func newSnapshotChoices(p *Publisher, mid time.Time) *snapshotChoices {
+func newSnapshotChoices(p *Publisher, mid time.Time, platforms []device.Platform, platWeights []float64,
+	ladder manifest.Ladder, zipf *dist.Zipf) *snapshotChoices {
 	assignments := p.CDNsAt(mid)
-	c := &snapshotChoices{mid: mid, lag: p.SDKLag, assigned: len(assignments), sdk: make(map[string]sdkChoice)}
+	bitrates := ladder.Bitrates()
+	c := &snapshotChoices{
+		p:           p,
+		mid:         mid,
+		f:           simclock.FractionThrough(mid),
+		platforms:   platforms,
+		platWeights: platWeights,
+		ladder:      ladder,
+		zipf:        zipf,
+		bitrates:    bitrates[:len(bitrates):len(bitrates)],
+		assigned:    len(assignments),
+		proto:       make(map[string]protocolChoice),
+		sdk:         make(map[string]sdkChoice),
+	}
 	for i, live := range []bool{false, true} {
 		for _, a := range assignments {
 			if live && a.VoDOnly || !live && a.LiveOnly {
@@ -406,6 +420,55 @@ func newSnapshotChoices(p *Publisher, mid time.Time) *snapshotChoices {
 		}
 	}
 	return c
+}
+
+// devices returns the platform's device mix at the snapshot.
+func (c *snapshotChoices) devices(pl device.Platform) *deviceChoice {
+	d := &c.mix[pl]
+	if d.models == nil {
+		names, weights := deviceMixAt(pl, c.f)
+		d.models = make([]device.Model, len(names))
+		for i, name := range names {
+			d.models[i], _ = device.ByName(name)
+		}
+		d.weights = weights
+	}
+	return d
+}
+
+// protocol chooses a streaming protocol compatible with both the
+// publisher's packaging and the device, weighted by the publisher's
+// protocol preferences. It consumes nothing from src when no protocol
+// is compatible.
+func (c *snapshotChoices) protocol(model device.Model, src *dist.Source) (manifest.Protocol, bool) {
+	choice, ok := c.proto[model.Name]
+	if !ok {
+		for _, proto := range []manifest.Protocol{manifest.HLS, manifest.DASH, manifest.Smooth, manifest.HDS, manifest.RTMP} {
+			if !model.Supports(proto) {
+				continue
+			}
+			w := c.p.protocolWeightAt(proto, c.mid)
+			if proto == manifest.RTMP {
+				if model.Name != "Flash" {
+					continue
+				}
+				w = c.p.rtmpWeight0 * dist.Linear(c.f, 1, 0.02)
+				if c.p.rtmpWeight0 == 0 {
+					continue
+				}
+			}
+			if w <= 0 {
+				continue
+			}
+			choice.protos = append(choice.protos, proto)
+			choice.weights = append(choice.weights, w)
+		}
+		c.proto[model.Name] = choice
+	}
+	if len(choice.protos) == 0 {
+		return manifest.Unknown, false
+	}
+	return choice.protos[src.Categorical(choice.weights)], true
 }
 
 // cdns returns the CDNs eligible for the content type, honoring
@@ -431,7 +494,7 @@ func (c *cdnChoice) pick(src *dist.Source) (string, bool) {
 func (c *snapshotChoices) sdkVersion(model device.Model, src *dist.Source) device.SDKVersion {
 	choice, ok := c.sdk[model.Name]
 	if !ok {
-		choice.versions = model.VersionsInUse(c.mid, c.lag)
+		choice.versions = model.VersionsInUse(c.mid, c.p.SDKLag)
 		// Newer versions are more common; weight geometrically.
 		choice.weights = make([]float64, len(choice.versions))
 		w := 1.0
@@ -446,5 +509,13 @@ func (c *snapshotChoices) sdkVersion(model device.Model, src *dist.Source) devic
 
 // cdnBaseURL mints the per-publisher base URL on a CDN host.
 func cdnBaseURL(cdnName, pubID string) string {
-	return fmt.Sprintf("http://cdn-%s.example.net/%s", cdnName, pubID)
+	return "http://cdn-" + cdnName + ".example.net/" + pubID
+}
+
+// appendRank appends rank as fmt's %04d renders a non-negative int.
+func appendRank(dst []byte, rank int) []byte {
+	for d := 1000; d > rank && d > 1; d /= 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(rank), 10)
 }

@@ -351,15 +351,15 @@ func ManifestURL(p Protocol, baseURL, videoID string) string {
 	base := strings.TrimSuffix(baseURL, "/")
 	switch p {
 	case Smooth:
-		return fmt.Sprintf("%s/%s.ism/manifest", base, videoID)
+		return base + "/" + videoID + ".ism/manifest"
 	case RTMP:
 		host := strings.TrimPrefix(strings.TrimPrefix(base, "http://"), "https://")
-		return fmt.Sprintf("rtmp://%s/%s", host, videoID)
+		return "rtmp://" + host + "/" + videoID
 	case Progressive:
-		return fmt.Sprintf("%s/%s.mp4", base, videoID)
+		return base + "/" + videoID + ".mp4"
 	case HLS, DASH, HDS:
-		return fmt.Sprintf("%s/%s%s", base, videoID, p.ManifestExtension())
+		return base + "/" + videoID + p.ManifestExtension()
 	default:
-		return fmt.Sprintf("%s/%s", base, videoID)
+		return base + "/" + videoID
 	}
 }

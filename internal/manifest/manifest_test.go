@@ -82,6 +82,38 @@ func TestManifestURLInferLoop(t *testing.T) {
 	}
 }
 
+// TestManifestURLMatchesFmtForms pins the concatenating ManifestURL to
+// the fmt.Sprintf forms it replaced, for every protocol, including bases
+// with a trailing slash and an https scheme.
+func TestManifestURLMatchesFmtForms(t *testing.T) {
+	old := func(p Protocol, baseURL, videoID string) string {
+		base := strings.TrimSuffix(baseURL, "/")
+		switch p {
+		case Smooth:
+			return fmt.Sprintf("%s/%s.ism/manifest", base, videoID)
+		case RTMP:
+			host := strings.TrimPrefix(strings.TrimPrefix(base, "http://"), "https://")
+			return fmt.Sprintf("rtmp://%s/%s", host, videoID)
+		case Progressive:
+			return fmt.Sprintf("%s/%s.mp4", base, videoID)
+		case HLS, DASH, HDS:
+			return fmt.Sprintf("%s/%s%s", base, videoID, p.ManifestExtension())
+		default:
+			return fmt.Sprintf("%s/%s", base, videoID)
+		}
+	}
+	bases := []string{"http://cdn-A.example.net/P001", "http://cdn-A.example.net/P001/", "https://cdn-b.example/pub7/", "", "/"}
+	for _, p := range []Protocol{Unknown, HLS, DASH, Smooth, HDS, RTMP, Progressive} {
+		for _, base := range bases {
+			for _, id := range []string{"P001-v0042", ""} {
+				if got, want := ManifestURL(p, base, id), old(p, base, id); got != want {
+					t.Errorf("ManifestURL(%v, %q, %q) = %q, fmt gives %q", p, base, id, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestSpecValidate(t *testing.T) {
 	if err := testSpec().Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
