@@ -3,7 +3,8 @@
 // publishers whose management-plane configurations (streaming
 // protocols, playback platforms, CDNs) evolve over the 27-month study
 // window, a syndication graph, and a per-snapshot view sampler that
-// emits telemetry records through the packaging → CDN → player pipeline.
+// emits telemetry records. Records are sampled, not played: playback
+// (internal/player) measures only the Fig 15/16 QoE comparison.
 //
 // Every longitudinal anchor the paper reports (DASH growth driven by a
 // few large publishers, HDS decline, set-top ascent, CDN view-hour

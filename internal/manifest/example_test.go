@@ -41,13 +41,13 @@ func ExampleGenerate() {
 			{BitrateKbps: 1200, Width: 1280, Height: 720},
 		},
 	}
-	text, err := manifest.Generate(manifest.HLS, spec, "http://cdn-a.example/pub1")
+	text, err := manifest.Generate(spec, "http://cdn-a.example/pub1")
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println(strings.SplitN(text, "\n", 2)[0])
 
-	m, err := manifest.Parse("http://cdn-a.example/pub1/v42.m3u8", text)
+	m, err := manifest.Parse(text)
 	if err != nil {
 		panic(err)
 	}

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// Fuzz targets for the manifest parsers: whatever bytes arrive, the
-// parsers must return structured errors, never panic, and any manifest
-// they accept must satisfy the package invariants. Run with
+// Fuzz target for the manifest parser: whatever bytes arrive, Parse
+// must return a structured error, never panic, and any manifest it
+// accepts must satisfy the package invariants. Run with
 // `go test -fuzz FuzzParseHLSMaster ./internal/manifest` to explore;
 // the seed corpus runs as part of the ordinary test suite.
 
@@ -31,7 +31,7 @@ func checkParsed(t *testing.T, m *Manifest) {
 }
 
 func FuzzParseHLSMaster(f *testing.F) {
-	good, _ := Generate(HLS, testSpec(), "http://cdn/p")
+	good, _ := Generate(testSpec(), "http://cdn/p")
 	f.Add(good)
 	f.Add("#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=100000\nr0.m3u8\n")
 	f.Add("#EXTM3U\n#EXT-X-SESSION-DATA:DATA-ID=\"x\",VALUE=\"chunksec=nope chunks=-3\"\n" +
@@ -39,50 +39,7 @@ func FuzzParseHLSMaster(f *testing.F) {
 	f.Add("#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=1000,CODECS=\"a,b\",RESOLUTION=1x\nu\n")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, text string) {
-		m, err := parseHLSMaster(text)
-		if err == nil {
-			checkParsed(t, m)
-		}
-	})
-}
-
-func FuzzParseMPD(f *testing.F) {
-	good, _ := Generate(DASH, testSpec(), "http://cdn/p")
-	f.Add(good)
-	f.Add(timelineMPD)
-	f.Add(`<MPD type="static" mediaPresentationDuration="PT10S"><Period id="p0"/></MPD>`)
-	f.Add(`<MPD`)
-	f.Add(strings.Repeat("<Period>", 40))
-	f.Fuzz(func(t *testing.T, text string) {
-		m, err := parseMPD(text)
-		if err == nil {
-			checkParsed(t, m)
-		}
-	})
-}
-
-func FuzzParseSmooth(f *testing.F) {
-	good, _ := Generate(Smooth, testSpec(), "http://cdn/p")
-	f.Add(good)
-	f.Add(`<SmoothStreamingMedia MajorVersion="2"><StreamIndex Type="video"/></SmoothStreamingMedia>`)
-	f.Add(`<SmoothStreamingMedia TimeScale="0"><StreamIndex Type="video" Chunks="1">` +
-		`<QualityLevel Bitrate="1000"/><c d="0"/></StreamIndex></SmoothStreamingMedia>`)
-	f.Fuzz(func(t *testing.T, text string) {
-		m, err := parseSmooth(text)
-		if err == nil {
-			checkParsed(t, m)
-		}
-	})
-}
-
-func FuzzParseHDS(f *testing.F) {
-	good, _ := Generate(HDS, testSpec(), "http://cdn/p")
-	f.Add(good)
-	f.Add(`<manifest><media bitrate="0" url="u"/></manifest>`)
-	f.Add(`<manifest><duration>-5</duration><fragmentDuration>4</fragmentDuration>` +
-		`<media bitrate="100" url="u"/></manifest>`)
-	f.Fuzz(func(t *testing.T, text string) {
-		m, err := parseHDS(text)
+		m, err := Parse(text)
 		if err == nil {
 			checkParsed(t, m)
 		}
@@ -175,17 +132,4 @@ func TestInferProtocolDoesNotAllocate(t *testing.T) {
 		t.Errorf("InferProtocol allocates %.1f times over %d ASCII URLs, want 0", allocs, len(urls))
 	}
 	_ = sink
-}
-
-func FuzzParseISODuration(f *testing.F) {
-	f.Add("PT634.500S")
-	f.Add("PT1H2M3S")
-	f.Add("P1D")
-	f.Add("PT")
-	f.Fuzz(func(t *testing.T, s string) {
-		d, err := parseISODuration(s)
-		if err == nil && d <= 0 {
-			t.Fatalf("accepted non-positive duration %v from %q", d, s)
-		}
-	})
 }

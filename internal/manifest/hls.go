@@ -13,13 +13,20 @@ import (
 // self-sufficient for simulation; real players ignore unknown session
 // data.
 
-// generateHLSMaster renders the master playlist for spec.
-func generateHLSMaster(spec *Spec, base string) string {
+// Generate renders the spec as an HLS master playlist. baseURL is the
+// prefix under which the media playlists and chunks are addressed
+// (typically a CDN host plus publisher path). It returns an error for
+// an invalid spec.
+func Generate(spec *Spec, baseURL string) (string, error) {
+	if err := spec.Validate(); err != nil {
+		return "", err
+	}
+	base := strings.TrimSuffix(baseURL, "/")
 	var b strings.Builder
 	b.WriteString("#EXTM3U\n#EXT-X-VERSION:3\n")
 	fmt.Fprintf(&b,
-		"#EXT-X-SESSION-DATA:DATA-ID=\"com.vmp.package\",VALUE=\"video=%s chunksec=%g chunks=%d audio=%d live=%t byterange=%t\"\n",
-		spec.VideoID, spec.ChunkSec, spec.ChunkCount(), spec.AudioKbps, spec.Live, spec.ByteRange)
+		"#EXT-X-SESSION-DATA:DATA-ID=\"com.vmp.package\",VALUE=\"video=%s chunksec=%g chunks=%d audio=%d\"\n",
+		spec.VideoID, spec.ChunkSec, spec.ChunkCount(), spec.AudioKbps)
 	for i, r := range spec.Ladder {
 		attrs := fmt.Sprintf("BANDWIDTH=%d", (r.BitrateKbps+spec.AudioKbps)*1000)
 		if r.Width > 0 && r.Height > 0 {
@@ -30,19 +37,18 @@ func generateHLSMaster(spec *Spec, base string) string {
 		}
 		fmt.Fprintf(&b, "#EXT-X-STREAM-INF:%s\n%s/%s/r%d.m3u8\n", attrs, base, spec.VideoID, i)
 	}
-	return b.String()
+	return b.String(), nil
 }
 
-// parseHLSMaster decodes a master playlist into the common Manifest
-// form. Renditions appear in playlist order; chunk addressing follows
-// the media-playlist URI convention emitted by the generator.
-func parseHLSMaster(text string) (*Manifest, error) {
+// Parse decodes an HLS master playlist. Renditions appear in playlist
+// order; chunk addressing follows the media-playlist URI convention
+// emitted by the generator.
+func Parse(text string) (*Manifest, error) {
 	lines := strings.Split(text, "\n")
 	if len(lines) == 0 || strings.TrimSpace(lines[0]) != "#EXTM3U" {
 		return nil, fmt.Errorf("manifest: not an HLS playlist")
 	}
-	m := &Manifest{Protocol: HLS, chunks: 1, ChunkSec: 1}
-	var mediaURIs []string
+	m := &Manifest{chunks: 1, ChunkSec: 1}
 	var pending *Rendition
 	for _, raw := range lines[1:] {
 		line := strings.TrimSpace(raw)
@@ -62,22 +68,12 @@ func parseHLSMaster(text string) (*Manifest, error) {
 				return nil, fmt.Errorf("manifest: URI %q without #EXT-X-STREAM-INF", line)
 			}
 			m.Ladder = append(m.Ladder, *pending)
-			mediaURIs = append(mediaURIs, line)
+			m.mediaURIs = append(m.mediaURIs, line)
 			pending = nil
 		}
 	}
 	if len(m.Ladder) == 0 {
 		return nil, fmt.Errorf("manifest: HLS master has no variants")
-	}
-	if m.ByteRange {
-		// One media file per rendition; chunks are ranges within it.
-		m.chunkURL = func(rendition, chunk int) string {
-			return strings.TrimSuffix(mediaURIs[rendition], ".m3u8") + "/media.ts"
-		}
-	} else {
-		m.chunkURL = func(rendition, chunk int) string {
-			return strings.TrimSuffix(mediaURIs[rendition], ".m3u8") + fmt.Sprintf("/seg%d.ts", chunk)
-		}
 	}
 	return m, nil
 }
@@ -113,10 +109,6 @@ func parseHLSSessionData(line string, m *Manifest) {
 			if n, err := strconv.Atoi(v); err == nil {
 				m.AudioKbps = n
 			}
-		case "live":
-			m.Live = v == "true"
-		case "byterange":
-			m.ByteRange = v == "true"
 		}
 	}
 }

@@ -1,22 +1,23 @@
 // Package manifest implements the streaming-protocol substrate of the
-// video management plane: generation and parsing of manifests for the
-// four HTTP streaming protocols the paper studies — Apple HLS (.m3u8),
-// MPEG-DASH (.mpd), Microsoft SmoothStreaming (.ism), and Adobe HDS
-// (.f4m) — together with the protocol-inference rule of Table 1, which
-// maps a view's manifest URL to the protocol that served it.
+// video management plane. It has two halves.
 //
-// Manifests are real: the HLS generator emits RFC 8216-style playlists
-// and the XML protocols emit well-formed documents that the package's
-// own parsers (and, for the subset used, real players) understand. The
-// playback engine fetches and parses these manifests exactly as the
-// paper's instrumented players would, so protocol inference in the
-// analytics layer is exercised against genuine artifacts rather than
-// labels.
+// The protocol-inference rule of Table 1 maps a view's manifest URL to
+// the protocol that served it, across all six delivery modes the paper
+// names: Apple HLS (.m3u8), MPEG-DASH (.mpd), Microsoft SmoothStreaming
+// (.ism), Adobe HDS (.f4m), RTMP and progressive download. ManifestURL
+// mints those URLs for generated view records, and InferProtocol reads
+// them back in the analysis (Table 1, Figs 2-4).
+//
+// The one manifest format the package generates and parses is an HLS
+// VoD master playlist (RFC 8216 tag subset). The Fig 15/16 playback
+// sessions fetch and parse it to learn the ladder they adapt over; the
+// QoE figures do not depend on the format the ladder travels in.
 package manifest
 
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode/utf8"
 )
@@ -192,19 +193,14 @@ func (l Ladder) Min() int {
 	return min
 }
 
-// Spec describes a packaged video sufficiently to generate its manifest
-// in any protocol.
+// Spec describes a packaged video-on-demand title sufficiently to
+// generate its manifest.
 type Spec struct {
 	VideoID     string  // anonymized video identifier
-	DurationSec float64 // total playback duration; ignored for live
+	DurationSec float64 // total playback duration
 	ChunkSec    float64 // chunk (segment) duration
 	Ladder      Ladder  // video renditions, ascending bitrate
 	AudioKbps   int     // audio bitrate
-	Live        bool    // live stream vs video-on-demand
-	// ByteRange packages each rendition as a single file addressed by
-	// byte ranges instead of discrete chunk files (§2: "Some publishers
-	// support byte-range addressing"). Only VoD content can use it.
-	ByteRange bool
 }
 
 // Validate reports whether the spec can generate a well-formed
@@ -217,10 +213,8 @@ func (s *Spec) Validate() error {
 		return errors.New("manifest: non-positive chunk duration")
 	case len(s.Ladder) == 0:
 		return errors.New("manifest: empty ladder")
-	case !s.Live && s.DurationSec <= 0:
-		return errors.New("manifest: non-positive duration for VoD")
-	case s.Live && s.ByteRange:
-		return errors.New("manifest: byte-range addressing requires VoD content")
+	case s.DurationSec <= 0:
+		return errors.New("manifest: non-positive duration")
 	}
 	for i, r := range s.Ladder {
 		if r.BitrateKbps <= 0 {
@@ -230,13 +224,8 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// ChunkCount returns the number of chunks a VoD spec packages into; for
-// live specs it returns the size of the sliding window the generators
-// advertise (a fixed small number, as real live playlists do).
+// ChunkCount returns the number of chunks the spec packages into.
 func (s *Spec) ChunkCount() int {
-	if s.Live {
-		return liveWindowChunks
-	}
 	n := int(s.DurationSec / s.ChunkSec)
 	if float64(n)*s.ChunkSec < s.DurationSec {
 		n++
@@ -244,28 +233,18 @@ func (s *Spec) ChunkCount() int {
 	return n
 }
 
-// liveWindowChunks is the number of segments advertised in a live
-// manifest's sliding window.
-const liveWindowChunks = 5
-
-// Manifest is the protocol-independent result of parsing any supported
-// manifest: everything the control plane needs for adaptation (§2 —
-// available bitrates, audio bitrate, chunk duration, chunk URLs).
+// Manifest is the result of parsing a master playlist: everything the
+// control plane needs for adaptation (§2 — available bitrates, audio
+// bitrate, chunk duration, chunk URLs).
 type Manifest struct {
-	Protocol  Protocol
 	VideoID   string
 	Ladder    Ladder
 	AudioKbps int
 	ChunkSec  float64
-	Live      bool
-	// ByteRange reports that chunks are byte ranges of one file per
-	// rendition rather than separate objects.
-	ByteRange bool
-	// ChunkURL returns the URL for chunk i of rendition r. For parsed
-	// master-only manifests (HLS) the URLs follow the referenced media
-	// playlists' template.
-	chunkURL func(rendition, chunk int) string
-	chunks   int
+	// mediaURIs are the master's variant URIs, one per rendition; chunk
+	// URLs follow the media playlists' template under them.
+	mediaURIs []string
+	chunks    int
 }
 
 // ChunkCount returns the number of addressable chunks per rendition.
@@ -281,66 +260,7 @@ func (m *Manifest) ChunkURL(rendition, chunk int) string {
 	if chunk < 0 || chunk >= m.chunks {
 		panic(fmt.Sprintf("manifest: chunk %d out of range [0,%d)", chunk, m.chunks))
 	}
-	return m.chunkURL(rendition, chunk)
-}
-
-// ChunkRange returns the byte range of chunk i within the rendition's
-// file for byte-range-addressed content: the (offset, length) a client
-// puts in its HTTP Range header. It returns ok=false for chunked
-// content, where ranges do not apply. Ranges follow the packaging
-// arithmetic: length = (video+audio bitrate) × chunk duration / 8.
-func (m *Manifest) ChunkRange(rendition, chunk int) (offset, length int64, ok bool) {
-	if !m.ByteRange {
-		return 0, 0, false
-	}
-	if rendition < 0 || rendition >= len(m.Ladder) {
-		panic(fmt.Sprintf("manifest: rendition %d out of range [0,%d)", rendition, len(m.Ladder)))
-	}
-	if chunk < 0 || chunk >= m.chunks {
-		panic(fmt.Sprintf("manifest: chunk %d out of range [0,%d)", chunk, m.chunks))
-	}
-	length = int64(float64(m.Ladder[rendition].BitrateKbps+m.AudioKbps) * 1000 * m.ChunkSec / 8)
-	return int64(chunk) * length, length, true
-}
-
-// Generate renders the spec as manifest text in the given protocol.
-// baseURL is the prefix under which chunk URLs are minted (typically a
-// CDN host plus publisher path). It returns an error for protocols
-// without a manifest format (RTMP, Progressive) and for invalid specs.
-func Generate(p Protocol, spec *Spec, baseURL string) (string, error) {
-	if err := spec.Validate(); err != nil {
-		return "", err
-	}
-	base := strings.TrimSuffix(baseURL, "/")
-	switch p {
-	case HLS:
-		return generateHLSMaster(spec, base), nil
-	case DASH:
-		return generateMPD(spec, base)
-	case Smooth:
-		return generateSmooth(spec, base)
-	case HDS:
-		return generateHDS(spec, base)
-	default:
-		return "", fmt.Errorf("manifest: protocol %v has no manifest format", p)
-	}
-}
-
-// Parse decodes manifest text fetched from url, inferring the protocol
-// from the URL per Table 1 and dispatching to the protocol's parser.
-func Parse(url, text string) (*Manifest, error) {
-	switch p := InferProtocol(url); p {
-	case HLS:
-		return parseHLSMaster(text)
-	case DASH:
-		return parseMPD(text)
-	case Smooth:
-		return parseSmooth(text)
-	case HDS:
-		return parseHDS(text)
-	default:
-		return nil, fmt.Errorf("manifest: cannot infer a parseable protocol from %q", url)
-	}
+	return strings.TrimSuffix(m.mediaURIs[rendition], ".m3u8") + "/seg" + strconv.Itoa(chunk) + ".ts"
 }
 
 // ManifestURL mints the canonical manifest URL for a video packaged in

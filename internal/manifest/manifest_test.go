@@ -122,17 +122,13 @@ func TestSpecValidate(t *testing.T) {
 		{ChunkSec: 4, DurationSec: 10, Ladder: Ladder{{BitrateKbps: 1}}},               // no ID
 		{VideoID: "v", DurationSec: 10, Ladder: Ladder{{BitrateKbps: 1}}},              // no chunk
 		{VideoID: "v", ChunkSec: 4, DurationSec: 10},                                   // no ladder
-		{VideoID: "v", ChunkSec: 4, Ladder: Ladder{{BitrateKbps: 1}}},                  // no duration, VoD
+		{VideoID: "v", ChunkSec: 4, Ladder: Ladder{{BitrateKbps: 1}}},                  // no duration
 		{VideoID: "v", ChunkSec: 4, DurationSec: 10, Ladder: Ladder{{BitrateKbps: 0}}}, // zero bitrate
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("bad spec %d accepted", i)
 		}
-	}
-	live := &Spec{VideoID: "v", ChunkSec: 4, Live: true, Ladder: Ladder{{BitrateKbps: 100}}}
-	if err := live.Validate(); err != nil {
-		t.Errorf("live spec without duration rejected: %v", err)
 	}
 }
 
@@ -144,10 +140,6 @@ func TestChunkCount(t *testing.T) {
 	s.DurationSec = 8
 	if got := s.ChunkCount(); got != 2 {
 		t.Fatalf("ChunkCount(8s/4s) = %d, want 2", got)
-	}
-	s.Live = true
-	if got := s.ChunkCount(); got != liveWindowChunks {
-		t.Fatalf("live ChunkCount = %d, want %d", got, liveWindowChunks)
 	}
 }
 
@@ -167,70 +159,50 @@ func TestLadderAccessors(t *testing.T) {
 
 // roundTrip generates and parses a manifest, asserting the adaptation
 // metadata survives.
-func roundTrip(t *testing.T, p Protocol, spec *Spec) *Manifest {
+func roundTrip(t *testing.T, spec *Spec) *Manifest {
 	t.Helper()
-	base := "http://cdn-a.example/pub1"
-	text, err := Generate(p, spec, base)
+	text, err := Generate(spec, "http://cdn-a.example/pub1")
 	if err != nil {
-		t.Fatalf("Generate(%v): %v", p, err)
+		t.Fatalf("Generate: %v", err)
 	}
-	url := ManifestURL(p, base, spec.VideoID)
-	m, err := Parse(url, text)
+	m, err := Parse(text)
 	if err != nil {
-		t.Fatalf("Parse(%v): %v\nmanifest:\n%s", p, err, text)
-	}
-	if m.Protocol != p {
-		t.Fatalf("parsed protocol %v, want %v", m.Protocol, p)
+		t.Fatalf("Parse: %v\nmanifest:\n%s", err, text)
 	}
 	if len(m.Ladder) != len(spec.Ladder) {
-		t.Fatalf("%v: parsed %d renditions, want %d", p, len(m.Ladder), len(spec.Ladder))
+		t.Fatalf("parsed %d renditions, want %d", len(m.Ladder), len(spec.Ladder))
 	}
 	for i, r := range m.Ladder {
 		if r.BitrateKbps != spec.Ladder[i].BitrateKbps {
-			t.Errorf("%v rendition %d bitrate %d, want %d", p, i, r.BitrateKbps, spec.Ladder[i].BitrateKbps)
+			t.Errorf("rendition %d bitrate %d, want %d", i, r.BitrateKbps, spec.Ladder[i].BitrateKbps)
 		}
 	}
 	if m.ChunkSec != spec.ChunkSec {
-		t.Errorf("%v ChunkSec %v, want %v", p, m.ChunkSec, spec.ChunkSec)
+		t.Errorf("ChunkSec %v, want %v", m.ChunkSec, spec.ChunkSec)
 	}
 	if m.ChunkCount() != spec.ChunkCount() {
-		t.Errorf("%v ChunkCount %d, want %d", p, m.ChunkCount(), spec.ChunkCount())
-	}
-	if m.Live != spec.Live {
-		t.Errorf("%v Live %v, want %v", p, m.Live, spec.Live)
+		t.Errorf("ChunkCount %d, want %d", m.ChunkCount(), spec.ChunkCount())
 	}
 	// Every chunk URL must be addressable and distinct per chunk.
 	last := ""
 	for c := 0; c < m.ChunkCount(); c += m.ChunkCount()/3 + 1 {
 		u := m.ChunkURL(len(m.Ladder)-1, c)
 		if u == "" || u == last {
-			t.Fatalf("%v: degenerate chunk URL %q", p, u)
+			t.Fatalf("degenerate chunk URL %q", u)
 		}
 		last = u
 	}
 	return m
 }
 
+// TestRoundTripAllProtocolsVoD round-trips every protocol that has a
+// manifest codec; HLS is the only one.
 func TestRoundTripAllProtocolsVoD(t *testing.T) {
-	for _, p := range HTTPProtocols {
-		p := p
-		t.Run(p.String(), func(t *testing.T) { roundTrip(t, p, testSpec()) })
-	}
-}
-
-func TestRoundTripAllProtocolsLive(t *testing.T) {
-	for _, p := range HTTPProtocols {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
-			spec := testSpec()
-			spec.Live = true
-			roundTrip(t, p, spec)
-		})
-	}
+	t.Run(HLS.String(), func(t *testing.T) { roundTrip(t, testSpec()) })
 }
 
 func TestHLSMasterContent(t *testing.T) {
-	text, err := Generate(HLS, testSpec(), "http://cdn-a.example/pub1")
+	text, err := Generate(testSpec(), "http://cdn-a.example/pub1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,90 +228,20 @@ func TestParseHLSMasterErrors(t *testing.T) {
 		"zero bandwidth":  "#EXTM3U\n#EXT-X-STREAM-INF:BANDWIDTH=0\nhttp://x/r0.m3u8\n",
 	}
 	for name, text := range cases {
-		if _, err := parseHLSMaster(text); err == nil {
+		if _, err := Parse(text); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-}
-
-func TestParseMPDErrors(t *testing.T) {
-	cases := map[string]string{
-		"not xml":   "nope",
-		"no period": `<MPD xmlns="urn:mpeg:dash:schema:mpd:2011" type="static"></MPD>`,
-		"no reps":   `<MPD type="static"><Period id="p0"></Period></MPD>`,
-		"no tpl": `<MPD type="static" mediaPresentationDuration="PT10S"><Period id="p0">` +
-			`<AdaptationSet contentType="video"><Representation id="r0" bandwidth="1000"/></AdaptationSet></Period></MPD>`,
-	}
-	for name, text := range cases {
-		if _, err := parseMPD(text); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-func TestParseISODuration(t *testing.T) {
-	good := map[string]float64{
-		"PT634.500S": 634.5,
-		"PT1M30S":    90,
-		"PT2H":       7200,
-		"PT1H1M1S":   3661,
-	}
-	for in, want := range good {
-		got, err := parseISODuration(in)
-		if err != nil || got != want {
-			t.Errorf("parseISODuration(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	for _, in := range []string{"", "10S", "PT", "PTxS", "PT5", "PT0S"} {
-		if _, err := parseISODuration(in); err == nil {
-			t.Errorf("parseISODuration(%q) accepted", in)
-		}
-	}
-}
-
-func TestSmoothChunkURLs(t *testing.T) {
-	m := roundTrip(t, Smooth, testSpec())
-	u0 := m.ChunkURL(2, 0)
-	u1 := m.ChunkURL(2, 1)
-	if !strings.Contains(u0, "QualityLevels(3500000)") {
-		t.Errorf("Smooth chunk URL missing bitrate: %q", u0)
-	}
-	if !strings.Contains(u0, "Fragments(video=0)") {
-		t.Errorf("first fragment should start at 0: %q", u0)
-	}
-	if !strings.Contains(u1, fmt.Sprint(int64(4*smoothTimescale))) {
-		t.Errorf("second fragment should start at one chunk duration: %q", u1)
-	}
-}
-
-func TestHDSChunkURLs(t *testing.T) {
-	m := roundTrip(t, HDS, testSpec())
-	u := m.ChunkURL(0, 0)
-	if !strings.HasSuffix(u, "Seg1-Frag1") {
-		t.Errorf("HDS fragments are 1-indexed, got %q", u)
 	}
 }
 
 func TestGenerateRejectsInvalid(t *testing.T) {
-	bad := &Spec{}
-	for _, p := range HTTPProtocols {
-		if _, err := Generate(p, bad, "http://x"); err == nil {
-			t.Errorf("%v accepted invalid spec", p)
-		}
-	}
-	if _, err := Generate(RTMP, testSpec(), "http://x"); err == nil {
-		t.Error("RTMP should have no manifest format")
-	}
-}
-
-func TestParseUnknownURL(t *testing.T) {
-	if _, err := Parse("http://x/thing.html", "whatever"); err == nil {
-		t.Fatal("Parse should fail for un-inferable URLs")
+	if _, err := Generate(&Spec{}, "http://x"); err == nil {
+		t.Error("Generate accepted an invalid spec")
 	}
 }
 
 func TestChunkURLPanics(t *testing.T) {
-	m := roundTrip(t, DASH, testSpec())
+	m := roundTrip(t, testSpec())
 	for _, fn := range []func(){
 		func() { m.ChunkURL(-1, 0) },
 		func() { m.ChunkURL(0, -1) },
@@ -357,8 +259,8 @@ func TestChunkURLPanics(t *testing.T) {
 	}
 }
 
-// Property: for any well-formed spec, DASH round-trips preserve ladder
-// size and chunk count.
+// Property: for any well-formed spec, round-trips preserve ladder size
+// and chunk count.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(nLadder uint8, chunkTenths uint8, durTenths uint16, audio uint8) bool {
 		n := int(nLadder%14) + 1
@@ -371,20 +273,15 @@ func TestRoundTripProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			spec.Ladder = append(spec.Ladder, Rendition{BitrateKbps: 100 * (i + 1)})
 		}
-		for _, p := range HTTPProtocols {
-			text, err := Generate(p, spec, "http://cdn/pub")
-			if err != nil {
-				return false
-			}
-			m, err := Parse(ManifestURL(p, "http://cdn/pub", spec.VideoID), text)
-			if err != nil {
-				return false
-			}
-			if len(m.Ladder) != n || m.ChunkCount() != spec.ChunkCount() {
-				return false
-			}
+		text, err := Generate(spec, "http://cdn/pub")
+		if err != nil {
+			return false
 		}
-		return true
+		m, err := Parse(text)
+		if err != nil {
+			return false
+		}
+		return len(m.Ladder) == n && m.ChunkCount() == spec.ChunkCount()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -10,14 +10,14 @@ import (
 	"vmp/internal/packaging"
 )
 
-func testManifest(t *testing.T, live bool) *manifest.Manifest {
+func testManifest(t *testing.T) *manifest.Manifest {
 	t.Helper()
-	return ladderManifest(t, live, packaging.GuidelineLadder(6000, 1.8))
+	return ladderManifest(t, packaging.GuidelineLadder(6000, 1.8))
 }
 
-// ladderManifest is a 1200 s DASH title over the given ladder; a
+// ladderManifest is a 1200 s HLS title over the given ladder; a
 // one-rung ladder pins every bitrate decision to that rung.
-func ladderManifest(t *testing.T, live bool, ladder manifest.Ladder) *manifest.Manifest {
+func ladderManifest(t *testing.T, ladder manifest.Ladder) *manifest.Manifest {
 	t.Helper()
 	spec := &manifest.Spec{
 		VideoID:     "v1",
@@ -25,13 +25,12 @@ func ladderManifest(t *testing.T, live bool, ladder manifest.Ladder) *manifest.M
 		ChunkSec:    4,
 		AudioKbps:   96,
 		Ladder:      ladder,
-		Live:        live,
 	}
-	text, err := manifest.Generate(manifest.DASH, spec, "http://cdn-a/pub")
+	text, err := manifest.Generate(spec, "http://cdn-a/pub")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := manifest.Parse("http://cdn-a/pub/v1.mpd", text)
+	m, err := manifest.Parse(text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func slowTrace(seed uint64) *netmodel.Trace {
 }
 
 func TestPlayValidation(t *testing.T) {
-	m := testManifest(t, false)
+	m := testManifest(t)
 	tr := fastTrace(1)
 	cases := []Config{
 		{},
@@ -64,7 +63,7 @@ func TestPlayValidation(t *testing.T) {
 }
 
 func TestPlayFastPathHighBitrate(t *testing.T) {
-	m := testManifest(t, false)
+	m := testManifest(t)
 	res, err := Play(Config{Manifest: m, Trace: fastTrace(2), WatchSec: 600})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +84,7 @@ func TestPlayFastPathHighBitrate(t *testing.T) {
 }
 
 func TestPlaySlowPathLowBitrateAndRebuffering(t *testing.T) {
-	m := testManifest(t, false)
+	m := testManifest(t)
 	fast, err := Play(Config{Manifest: m, Trace: fastTrace(3), WatchSec: 600})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +102,7 @@ func TestPlaySlowPathLowBitrateAndRebuffering(t *testing.T) {
 }
 
 func TestPlayVoDEndsAtContent(t *testing.T) {
-	m := testManifest(t, false) // 1200s of content
+	m := testManifest(t) // 1200s of content
 	res, err := Play(Config{Manifest: m, Trace: fastTrace(4), WatchSec: 5000})
 	if err != nil {
 		t.Fatal(err)
@@ -116,19 +115,8 @@ func TestPlayVoDEndsAtContent(t *testing.T) {
 	}
 }
 
-func TestPlayLiveRunsToWatchTime(t *testing.T) {
-	m := testManifest(t, true)
-	res, err := Play(Config{Manifest: m, Trace: fastTrace(5), WatchSec: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PlayedSec < 280 || res.PlayedSec > 305 {
-		t.Fatalf("live PlayedSec = %v, want ~300", res.PlayedSec)
-	}
-}
-
 func TestPlayDeterminism(t *testing.T) {
-	m := testManifest(t, false)
+	m := testManifest(t)
 	r1, err := Play(Config{Manifest: m, Trace: fastTrace(9), WatchSec: 400})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +132,7 @@ func TestPlayDeterminism(t *testing.T) {
 }
 
 func TestPlayEdgeCacheHits(t *testing.T) {
-	m := ladderManifest(t, false, packaging.GuidelineLadder(6000, 1.8)[2:3])
+	m := ladderManifest(t, packaging.GuidelineLadder(6000, 1.8)[2:3])
 	cdn := cdnsim.NewCDN("A", false, 8<<30)
 	cfg := Config{Manifest: m, Trace: fastTrace(11),
 		CDN: cdn, ISP: "ISP-X", WatchSec: 200}
@@ -166,7 +154,7 @@ func TestPlayEdgeCacheHits(t *testing.T) {
 }
 
 func TestPlayColdCacheSlowerThanWarm(t *testing.T) {
-	m := ladderManifest(t, false, packaging.GuidelineLadder(6000, 1.8)[3:4])
+	m := ladderManifest(t, packaging.GuidelineLadder(6000, 1.8)[3:4])
 	cdn := cdnsim.NewCDN("A", false, 8<<30)
 	cfg := Config{Manifest: m, Trace: slowTrace(21),
 		CDN: cdn, ISP: "ISP-X", WatchSec: 300}
@@ -217,11 +205,11 @@ func TestLadderDifferenceDrivesQoE(t *testing.T) {
 	poor := &manifest.Spec{VideoID: "v", DurationSec: 600, ChunkSec: 4, AudioKbps: 96,
 		Ladder: packaging.GuidelineLadder(1100, 1.7)}
 	parse := func(s *manifest.Spec) *manifest.Manifest {
-		text, err := manifest.Generate(manifest.HLS, s, "http://cdn/p")
+		text, err := manifest.Generate(s, "http://cdn/p")
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := manifest.Parse("http://cdn/p/v.m3u8", text)
+		m, err := manifest.Parse(text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,45 +227,5 @@ func TestLadderDifferenceDrivesQoE(t *testing.T) {
 	if richRes.AvgBitrateKbps < 2*poorRes.AvgBitrateKbps {
 		t.Fatalf("tall ladder avg %v not >> short ladder avg %v",
 			richRes.AvgBitrateKbps, poorRes.AvgBitrateKbps)
-	}
-}
-
-func TestByteRangePlayback(t *testing.T) {
-	spec := &manifest.Spec{
-		VideoID:     "br1",
-		DurationSec: 800,
-		ChunkSec:    4,
-		AudioKbps:   96,
-		Ladder:      packaging.GuidelineLadder(4000, 1.8)[1:2],
-		ByteRange:   true,
-	}
-	text, err := manifest.Generate(manifest.HLS, spec, "http://cdn-a/pub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := manifest.Parse("http://cdn-a/pub/br1.m3u8", text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cdn := cdnsim.NewCDN("A", false, 8<<30)
-	cfg := Config{Manifest: m, Trace: fastTrace(8), CDN: cdn, ISP: "ISP-X", WatchSec: 200}
-	first, err := Play(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.PlayedSec < 150 {
-		t.Fatalf("byte-range session played %v", first.PlayedSec)
-	}
-	if first.EdgeHits != 0 {
-		t.Fatal("cold cache should not hit")
-	}
-	// Replay must hit the per-range cache entries.
-	cfg.Trace = fastTrace(9)
-	second, err := Play(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.EdgeHits == 0 {
-		t.Fatal("byte-range chunks did not cache per range")
 	}
 }

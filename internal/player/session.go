@@ -1,15 +1,16 @@
 // Package player implements chunked adaptive streaming playback: the
 // client half of the video data and control planes (§2). A session
-// fetches a manifest, runs a bitrate-adaptation loop over simulated
-// network paths and CDN edges, and measures what the paper's telemetry
-// measures — viewing time, average bitrate, and rebuffering — so that
-// the syndication performance comparisons (Figs 15 and 16) emerge from
-// actual playback rather than assumed numbers.
+// plays a parsed HLS VoD manifest, runs a bitrate-adaptation loop over
+// simulated network paths and CDN edges, and measures what the paper's
+// telemetry measures — viewing time, average bitrate, and rebuffering —
+// so that the syndication performance comparisons (Figs 15 and 16)
+// emerge from actual playback rather than assumed numbers. Playback
+// measures only those two figures: the view records of the dataset are
+// sampled, not played.
 package player
 
 import (
 	"errors"
-	"fmt"
 
 	"vmp/internal/cdnsim"
 	"vmp/internal/manifest"
@@ -78,7 +79,7 @@ func chooseRendition(ladder manifest.Ladder, bufferSec float64) int {
 }
 
 // Play runs one playback session to completion: either the user's
-// intended watch time is reached or (for VoD) the content ends.
+// intended watch time is reached or the content ends.
 func Play(cfg Config) (Result, error) {
 	m := cfg.Manifest
 	switch {
@@ -99,20 +100,13 @@ func Play(cfg Config) (Result, error) {
 		weighted  float64 // Σ bitrate × seconds played at it
 	)
 
-	// contentChunks is how many chunks the session may fetch: bounded
-	// by the manifest for VoD, by watch time for live (new chunks keep
-	// being produced).
 	maxChunks := m.ChunkCount()
-	if m.Live {
-		maxChunks = int(cfg.WatchSec/m.ChunkSec) + startupChunks + 2
-	}
-
 	for i := 0; i < maxChunks && res.PlayedSec < cfg.WatchSec; i++ {
 		rend := chooseRendition(m.Ladder, bufferSec)
 		chunkBytes := int64(float64(m.Ladder[rend].BitrateKbps+m.AudioKbps) * 1000 * m.ChunkSec / 8)
 		dlSec := cfg.Trace.DownloadSec(chunkBytes)
 		if cfg.CDN != nil {
-			if cfg.CDN.ServeChunk(cfg.ISP, chunkKey(m, rend, i), chunkBytes) {
+			if cfg.CDN.ServeChunk(cfg.ISP, m.ChunkURL(rend, i), chunkBytes) {
 				res.EdgeHits++
 			} else {
 				dlSec *= originMissPenalty
@@ -142,7 +136,7 @@ func Play(cfg Config) (Result, error) {
 		}
 		lastRend = rend
 
-		if !m.Live && i == maxChunks-1 {
+		if i == maxChunks-1 {
 			// Content exhausted: drain the buffer.
 			remaining := cfg.WatchSec - res.PlayedSec
 			drain := bufferSec
@@ -154,16 +148,6 @@ func Play(cfg Config) (Result, error) {
 				weighted += drain * playedAt(m, lastRend)
 			}
 		}
-	}
-	// Live sessions (and early exits) may end with media buffered;
-	// the user watches what remains up to their intent.
-	if remaining := cfg.WatchSec - res.PlayedSec; remaining > 0 && bufferSec > 0 && m.Live {
-		drain := bufferSec
-		if drain > remaining {
-			drain = remaining
-		}
-		res.PlayedSec += drain
-		weighted += drain * playedAt(m, lastRend)
 	}
 	if res.PlayedSec > 0 {
 		res.AvgBitrateKbps = weighted / res.PlayedSec
@@ -178,18 +162,4 @@ func playedAt(m *manifest.Manifest, lastRend int) float64 {
 		lastRend = 0
 	}
 	return float64(m.Ladder[lastRend].BitrateKbps)
-}
-
-// chunkKey builds the cache key for chunk i. Live chunks are unique per
-// sequence number — a live segment produced now is a different object
-// from the one produced a window ago. Byte-range chunks share a URL but
-// cache per range, as HTTP caches keyed on (URL, Range) do.
-func chunkKey(m *manifest.Manifest, rend, i int) string {
-	if m.Live {
-		return fmt.Sprintf("%s#seq=%d", m.ChunkURL(rend, i%m.ChunkCount()), i)
-	}
-	if off, length, ok := m.ChunkRange(rend, i); ok {
-		return fmt.Sprintf("%s#range=%d-%d", m.ChunkURL(rend, i), off, off+length-1)
-	}
-	return m.ChunkURL(rend, i)
 }

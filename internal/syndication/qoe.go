@@ -63,11 +63,11 @@ func measure(pub PublisherLadder, titleID string, slice QoESlice, src *dist.Sour
 		Ladder:      pub.Ladder,
 	}
 	base := fmt.Sprintf("http://cdn-%s.example.net/%s", slice.CDN.Name, pub.ID)
-	text, err := manifest.Generate(manifest.HLS, spec, base)
+	text, err := manifest.Generate(spec, base)
 	if err != nil {
 		return QoEDist{}, err
 	}
-	m, err := manifest.Parse(manifest.ManifestURL(manifest.HLS, base, spec.VideoID), text)
+	m, err := manifest.Parse(text)
 	if err != nil {
 		return QoEDist{}, err
 	}
