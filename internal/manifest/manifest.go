@@ -103,9 +103,13 @@ func InferProtocol(url string) Protocol {
 		hasPrefixFold(u, "rtmpe://") || hasPrefixFold(u, "rtmpt://") {
 		return RTMP
 	}
-	// Strip query and fragment; extensions are judged on the path.
-	if i := strings.IndexAny(u, "?#"); i >= 0 {
-		u = u[:i]
+	// Strip query and fragment; extensions are judged on the path. A
+	// byte loop, not strings.IndexAny, which builds its set per call.
+	for i := 0; i < len(u); i++ {
+		if u[i] == '?' || u[i] == '#' {
+			u = u[:i]
+			break
+		}
 	}
 	switch {
 	case hasSuffixFold(u, ".m3u8"), hasSuffixFold(u, ".m3u"):

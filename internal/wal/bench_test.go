@@ -3,10 +3,13 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
+	"vmp/internal/ecosystem"
 	"vmp/internal/simclock"
+	"vmp/internal/telemetry"
 	"vmp/internal/telemetry/record"
 )
 
@@ -74,15 +77,19 @@ func BenchmarkWALAppendInterval(b *testing.B) { benchAppend(b, PolicyInterval) }
 // isolates the WAL's CPU cost (framing, CRC, one write per batch).
 func BenchmarkWALAppendOff(b *testing.B) { benchAppend(b, PolicyOff) }
 
-// BenchmarkWALReplay measures boot-time recovery in the shape bench/'s
-// ingest_wal crashes into: a checkpoint of 8,192-record frames holding
-// two thirds of 110,000 records, and the last third in the segments as
-// 500-record batches. One op = one full replay to a no-op callback;
-// make bench-wal runs it at -cpu 1,2, since the decode fans out over
-// GOMAXPROCS workers. The records/s bounds how much log a daemon can
-// recover per second of downtime.
+// BenchmarkWALReplay is the microscope for bench/'s wal.replay_ms: it
+// replays the crash image ingest_wal recovers from, built from the same
+// records (the ecosystem at seed 1809, stride 12: ≈ 110 k). Two thirds
+// are a checkpoint of canonically sorted 8,192-record frames, whose
+// string tables hold 11–13 k entries each; the last third is the
+// segments' 500-record batches in store order. One op = one full replay
+// to a no-op callback; make bench-wal runs it at -cpu 1,2, since the
+// decode fans out over GOMAXPROCS workers. The records/s bounds how
+// much log a daemon can recover per second of downtime.
 func BenchmarkWALReplay(b *testing.B) {
-	const n, batch = 110_000, 500
+	const batch = 500
+	recs := ecosystem.New(ecosystem.Config{Seed: ecosystem.DefaultSeed, SnapshotStride: 12}).GenerateStore().All()
+	n := len(recs)
 	l, err := Open(Options{
 		Dir:    b.TempDir(),
 		Policy: PolicyOff,
@@ -92,8 +99,9 @@ func BenchmarkWALReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer func() { _ = l.Close() }()
-	recs := genRecords(n)
-	if err := l.Commit(1, recs[:2*n/3], l.Bounds(), 0); err != nil {
+	ckpt := slices.Clone(recs[:2*n/3])
+	telemetry.CanonicalSort(ckpt)
+	if err := l.Commit(1, ckpt, l.Bounds(), 0); err != nil {
 		b.Fatal(err)
 	}
 	for lo := 2 * n / 3; lo < n; lo += batch {
@@ -108,7 +116,7 @@ func BenchmarkWALReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if stats.Delivered() != n {
+		if stats.Delivered() != int64(n) {
 			b.Fatalf("replay delivered %d records, want %d", stats.Delivered(), n)
 		}
 	}

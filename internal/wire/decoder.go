@@ -27,7 +27,9 @@ var errTruncated = errors.New("wire: truncated frame")
 // table scratch are reused across calls and distinct string values are
 // interned in a persistent cache, so a steady decode loop over similar
 // batches allocates only the per-call CDN/bitrate arenas — zero
-// allocations per record, in either encoding.
+// allocations per record, in either encoding. A frame whose string
+// table is past bulkTable (a checkpoint's) adds one: its table, copied
+// whole.
 //
 // The arenas are sized to the batch being decoded, not to the largest
 // batch the decoder has seen: see fit.
@@ -46,7 +48,7 @@ type Decoder struct {
 	line   []byte              // reused JSONL line buffer, valid until the next ScanJSONL
 	recs   []record.ViewRecord // reused record slice handed to callers per the ownership contract
 	names  []string            // per-frame string table scratch
-	intern map[string]string
+	intern *[internSets]internSet
 	lenbuf [4]byte
 
 	// What the last call's arenas came to: where the next call's
@@ -57,27 +59,70 @@ type Decoder struct {
 
 // NewDecoder returns an empty decoder.
 func NewDecoder() *Decoder {
-	return &Decoder{intern: make(map[string]string)}
+	return &Decoder{intern: new([internSets]internSet)}
 }
 
-// internCap bounds the persistent string cache; past it the cache is
-// cleared rather than grown, so a stream of unique strings cannot
-// grow the decoder without bound.
-const internCap = 1 << 15
+// The persistent string cache is set-associative: internSets sets of
+// internWays slots, each slot a string and a tag from its hash. Its
+// size is fixed, so a stream of unique strings cannot grow the decoder
+// and there is nothing to clear. Which strings share a set depends on
+// the bytes alone (FNV-1a, fixed basis), so it is the same on every
+// run.
+const (
+	internSets = 1 << 13
+	internWays = 4
 
-// internBytes returns the canonical string for b, allocating only on
-// first sight of a value.
+	// bulkTable is the string-table size past which a frame does not
+	// use the cache: a quarter of its slots. Only a checkpoint's
+	// 8,192-record frames get there; a table that large has already
+	// deduplicated its strings and would mostly miss and evict.
+	bulkTable = internSets * internWays / 4
+)
+
+// internSet is one set of the cache, its ways in recency order: a hit
+// moves to way 0, a miss enters there and the last way falls out.
+type internSet struct {
+	tags [internWays]uint32
+	strs [internWays]string
+}
+
+// internBytes returns the canonical string for b, allocating only when
+// b is not in the cache.
 func (d *Decoder) internBytes(b []byte) string {
-	if s, ok := d.intern[string(b)]; ok {
-		return s
+	if len(b) == 0 {
+		return ""
 	}
-	if len(d.intern) >= internCap {
-		clear(d.intern)
+	h := uint64(fnvOffset)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime
 	}
-	s := string(b)
-	d.intern[s] = s
+	// The low bits index the set: FNV-1a's last multiply carries a
+	// byte's change upward only, so its high bits barely tell apart
+	// strings that differ at the end ("vid-0001", "vid-0002").
+	set, tag := &d.intern[h%internSets], uint32(h>>32)
+	w := 0
+	for ; w < internWays; w++ {
+		if set.tags[w] == tag && set.strs[w] == string(b) {
+			break
+		}
+	}
+	var s string
+	if w < internWays {
+		s = set.strs[w]
+	} else {
+		s, w = string(b), internWays-1
+	}
+	copy(set.tags[1:w+1], set.tags[:w])
+	copy(set.strs[1:w+1], set.strs[:w])
+	set.tags[0], set.strs[0] = tag, s
 	return s
 }
+
+// FNV-1a (64-bit) parameters, as in hash/fnv.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
 
 // DecodeAll reads every frame from r and returns the decoded records.
 // The returned slice is valid until the decoder's next decode; see the
@@ -241,6 +286,8 @@ func (d *Decoder) decodeFrame(payload []byte, st *decodeState) error {
 	}
 	tcount := int(tcount64)
 	names := d.names[:0]
+	tstart := fr.pos
+	bulk := tcount > bulkTable
 	for i := 0; i < tcount; i++ {
 		l, err := fr.uvarint()
 		if err != nil {
@@ -253,7 +300,12 @@ func (d *Decoder) decodeFrame(payload []byte, st *decodeState) error {
 		if err != nil {
 			return err
 		}
-		names = append(names, d.internBytes(b))
+		if !bulk {
+			names = append(names, d.internBytes(b))
+		}
+	}
+	if bulk {
+		names = tableOnce(fr.b[tstart:fr.pos], names)
 	}
 	d.names = names
 
@@ -366,6 +418,21 @@ func (d *Decoder) decodeFrame(payload []byte, st *decodeState) error {
 		return fmt.Errorf("wire: %d trailing bytes after columns", fr.remaining())
 	}
 	return nil
+}
+
+// tableOnce appends the entries of a string table that has been
+// checked already, length prefixes and all, to names: it copies the
+// table into one string and every entry is a substring of it, one
+// allocation in all.
+func tableOnce(table []byte, names []string) []string {
+	all := string(table)
+	for pos := 0; pos < len(table); {
+		l, n := binary.Uvarint(table[pos:])
+		pos += n
+		names = append(names, all[pos:pos+int(l)])
+		pos += int(l)
+	}
+	return names
 }
 
 // setStringField assigns string column f of r; the order must match

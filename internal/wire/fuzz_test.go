@@ -2,10 +2,12 @@ package wire_test
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
 	"vmp/internal/telemetry"
+	"vmp/internal/telemetry/record"
 	"vmp/internal/wire"
 )
 
@@ -26,6 +28,13 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(twoFrames)
+	// One record whose CDN list alone puts the string table past
+	// BulkTable: the corpus runs the path checkpoint frames take.
+	cdns := make([]string, wire.BulkTable+1)
+	for i := range cdns {
+		cdns[i] = strconv.Itoa(i)
+	}
+	f.Add(encodeFrames(f, []record.ViewRecord{{Publisher: "pub-00", CDNs: cdns}}))
 	f.Add(encodeFrames(f, nil))
 	f.Add([]byte{})
 	f.Add([]byte{4, 0, 0, 0, 'V', 'B', 1, 0})

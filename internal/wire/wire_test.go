@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"vmp/internal/telemetry"
 	"vmp/internal/telemetry/record"
@@ -214,6 +216,92 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, decode)
 	if allocs > 8 {
 		t.Fatalf("steady-state DecodeAll of 1000 records costs %.1f allocs/op, want <= 8", allocs)
+	}
+}
+
+// distinctRecords is genRecords with a video ID, URL and content ID of
+// its own per record: a batch of n encodes to a string table of more
+// than 3n entries, as a checkpoint frame's does.
+func distinctRecords(n int) []record.ViewRecord {
+	recs := genRecords(n)
+	for i := range recs {
+		recs[i].VideoID = fmt.Sprintf("vid-%06d", i)
+		recs[i].URL = fmt.Sprintf("http://v.example/%06d/master.m3u8", i)
+		recs[i].ContentID = fmt.Sprintf("title-%06d", i)
+	}
+	return recs
+}
+
+// TestDecodeSharesStringsAcrossFrames: a frame with a small table
+// interns through the decoder's cache, so a value two batches repeat
+// is one string, not one per batch.
+func TestDecodeSharesStringsAcrossFrames(t *testing.T) {
+	dec := wire.NewDecoder()
+	var kept []record.ViewRecord
+	for _, recs := range [][]record.ViewRecord{genRecords(20), genRecords(40)[20:]} {
+		got, err := dec.DecodeAll(bytes.NewReader(encodeFrames(t, recs)))
+		if err != nil {
+			t.Fatalf("DecodeAll: %v", err)
+		}
+		kept = append(kept, got[0])
+	}
+	a, b := kept[0].Device, kept[1].Device
+	if a != b {
+		t.Fatalf("the two batches open with devices %q and %q; the test wants one value", a, b)
+	}
+	if unsafe.StringData(a) != unsafe.StringData(b) {
+		t.Fatalf("device %q decoded from two frames is two strings", a)
+	}
+}
+
+// TestDecodeBulkTableAllocs pins the path a checkpoint frame takes: a
+// string table of more than wire.BulkTable entries is copied once and
+// sliced, so a warm decoder decodes it in a handful of allocations —
+// not one per entry, as a cache it overflows would cost.
+func TestDecodeBulkTableAllocs(t *testing.T) {
+	stream := encodeFrames(t, distinctRecords(wire.BulkTable+1))
+	dec := wire.NewDecoder()
+	rd := bytes.NewReader(stream)
+	decode := func() {
+		rd.Reset(stream)
+		if _, err := dec.DecodeAll(rd); err != nil {
+			t.Fatalf("DecodeAll: %v", err)
+		}
+	}
+	decode()
+	if allocs := testing.AllocsPerRun(10, decode); allocs > 8 {
+		t.Fatalf("steady-state DecodeAll of a %d-record bulk frame costs %.1f allocs/op, want <= 8", wire.BulkTable+1, allocs)
+	}
+}
+
+// TestDecodeBulkTableMatchesSmallFrames: the same records as one frame
+// whose table skips the cache and as 500-record frames that go through
+// it decode field for field alike — which holds the bulk path's
+// substring offsets.
+func TestDecodeBulkTableMatchesSmallFrames(t *testing.T) {
+	recs := distinctRecords(wire.BulkTable + 1)
+	enc := wire.NewEncoder()
+	var small []byte
+	for lo := 0; lo < len(recs); lo += 500 {
+		var err error
+		if small, err = enc.AppendFrame(small, recs[lo:min(lo+500, len(recs))]); err != nil {
+			t.Fatalf("AppendFrame: %v", err)
+		}
+	}
+	dec := wire.NewDecoder()
+	fromSmall, err := dec.DecodeAll(bytes.NewReader(small))
+	if err != nil {
+		t.Fatalf("DecodeAll(500-record frames): %v", err)
+	}
+	fromSmall = slices.Clone(fromSmall)
+	fromBulk, err := dec.DecodeAll(bytes.NewReader(encodeFrames(t, recs)))
+	if err != nil {
+		t.Fatalf("DecodeAll(one frame): %v", err)
+	}
+	for i := range recs {
+		if !reflect.DeepEqual(fromBulk[i], fromSmall[i]) || !reflect.DeepEqual(fromBulk[i], recs[i]) {
+			t.Fatalf("record %d:\n bulk: %+v\nsmall: %+v\n   in: %+v", i, fromBulk[i], fromSmall[i], recs[i])
+		}
 	}
 }
 
