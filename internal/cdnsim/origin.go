@@ -5,8 +5,10 @@
 package cdnsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -54,7 +56,7 @@ func (o *Origin) Push(publisher, contentID string, bitrateBytes map[int]int64) {
 	for kbps := range bitrateBytes {
 		ladder = append(ladder, kbps)
 	}
-	sort.Ints(ladder)
+	slices.Sort(ladder)
 	for _, kbps := range ladder {
 		b := bitrateBytes[kbps]
 		if b <= 0 {
@@ -90,45 +92,65 @@ func (o *Origin) TotalBytes() int64 {
 // the smaller copy of any merged pair is the one reclaimed. tolerance 0
 // deduplicates only exact bitrate matches.
 func (o *Origin) DedupSavings(tolerance float64) int64 {
-	if tolerance < 0 {
-		tolerance = 0
-	}
+	return o.dedup(max(tolerance, 0))[0]
+}
+
+// dedup sorts a copy of the stored copies once and returns what
+// clustering each content item's renditions reclaims under each of the
+// tolerances, in their order.
+func (o *Origin) dedup(tolerances ...float64) []int64 {
 	o.mu.RLock()
-	defer o.mu.RUnlock()
-	byContent := make(map[string][]RenditionCopy)
-	for _, c := range o.copies {
-		byContent[c.ContentID] = append(byContent[c.ContentID], c)
-	}
-	var saved int64
-	for _, group := range byContent {
-		sort.Slice(group, func(i, j int) bool {
-			if group[i].BitrateKbps != group[j].BitrateKbps {
-				return group[i].BitrateKbps < group[j].BitrateKbps
-			}
-			// Keep the larger copy as the cluster representative so
-			// quality is preserved; ties broken by publisher for
-			// determinism.
-			if group[i].Bytes != group[j].Bytes {
-				return group[i].Bytes > group[j].Bytes
-			}
-			return group[i].Publisher < group[j].Publisher
-		})
-		repBitrate := -1 << 30
-		var repBytes int64
-		for _, c := range group {
-			if repBitrate > 0 && float64(c.BitrateKbps) <= float64(repBitrate)*(1+tolerance) {
-				// Redundant with the current cluster representative:
-				// reclaim the smaller of the two copies.
-				if c.Bytes < repBytes {
-					saved += c.Bytes
-				} else {
-					saved += repBytes
-					repBytes = c.Bytes
-				}
-				continue
-			}
-			repBitrate, repBytes = c.BitrateKbps, c.Bytes
+	sorted := slices.Clone(o.copies)
+	o.mu.RUnlock()
+	// By content, then in the order the clustering visits a content's
+	// renditions: ascending bitrate, the larger copy first so it becomes
+	// the cluster representative and quality is preserved, ties broken
+	// by publisher for determinism.
+	slices.SortFunc(sorted, func(a, b RenditionCopy) int {
+		if c := strings.Compare(a.ContentID, b.ContentID); c != 0 {
+			return c
 		}
+		if c := cmp.Compare(a.BitrateKbps, b.BitrateKbps); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(b.Bytes, a.Bytes); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Publisher, b.Publisher)
+	})
+	saved := make([]int64, len(tolerances))
+	for len(sorted) > 0 {
+		n := 1
+		for n < len(sorted) && sorted[n].ContentID == sorted[0].ContentID {
+			n++
+		}
+		for k, tol := range tolerances {
+			saved[k] += clusterSavings(sorted[:n], tol)
+		}
+		sorted = sorted[n:]
+	}
+	return saved
+}
+
+// clusterSavings clusters one content item's renditions, sorted as
+// dedup sorts them, and returns the bytes the merges reclaim.
+func clusterSavings(group []RenditionCopy, tolerance float64) int64 {
+	var saved int64
+	repBitrate := -1 << 30
+	var repBytes int64
+	for _, c := range group {
+		if repBitrate > 0 && float64(c.BitrateKbps) <= float64(repBitrate)*(1+tolerance) {
+			// Redundant with the current cluster representative:
+			// reclaim the smaller of the two copies.
+			if c.Bytes < repBytes {
+				saved += c.Bytes
+			} else {
+				saved += repBytes
+				repBytes = c.Bytes
+			}
+			continue
+		}
+		repBitrate, repBytes = c.BitrateKbps, c.Bytes
 	}
 	return saved
 }
@@ -166,11 +188,12 @@ type SavingsReport struct {
 
 // Savings computes the full Fig. 18 sweep for this origin.
 func (o *Origin) Savings(ownerOf map[string]string) SavingsReport {
+	dedup := o.dedup(0, 0.05, 0.10)
 	r := SavingsReport{
 		TotalBytes: o.TotalBytes(),
-		Exact:      o.DedupSavings(0),
-		Tol5:       o.DedupSavings(0.05),
-		Tol10:      o.DedupSavings(0.10),
+		Exact:      dedup[0],
+		Tol5:       dedup[1],
+		Tol10:      dedup[2],
 		Integrated: o.IntegratedSavings(ownerOf),
 	}
 	if r.TotalBytes > 0 {

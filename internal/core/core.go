@@ -430,15 +430,27 @@ func (s *Study) Fig15and16() ([]QoEComparison, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: star catalogue lost S7")
 		}
-		var out []QoEComparison
-		for _, sl := range slices {
-			owner, synd, err := syndication.CompareQoE(cat.Owner, s7, cat.TitleID, sl)
+		// The slices play concurrently, one goroutine each: they share
+		// no edge cache (each is its own CDN's POP toward its own ISP)
+		// and each has its own seed. A slice's sessions stay serial,
+		// since its cache state depends on their order.
+		out := make([]QoEComparison, len(slices))
+		errs := make([]error, len(slices))
+		var wg sync.WaitGroup
+		for i, sl := range slices {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				owner, synd, err := syndication.CompareQoE(cat.Owner, s7, cat.TitleID, sl)
+				out[i] = QoEComparison{ISP: sl.ISP.Name, CDN: sl.CDN.Name, Owner: owner, Syndicator: synd}
+				errs[i] = err
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, QoEComparison{
-				ISP: sl.ISP.Name, CDN: sl.CDN.Name, Owner: owner, Syndicator: synd,
-			})
 		}
 		return out, nil
 	})

@@ -68,7 +68,7 @@ func Parse(text string) (*Manifest, error) {
 				return nil, fmt.Errorf("manifest: URI %q without #EXT-X-STREAM-INF", line)
 			}
 			m.Ladder = append(m.Ladder, *pending)
-			m.mediaURIs = append(m.mediaURIs, line)
+			m.renditions = append(m.renditions, chunkURLs{mediaURI: line})
 			pending = nil
 		}
 	}

@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 )
 
@@ -239,16 +241,70 @@ func (s *Spec) ChunkCount() int {
 
 // Manifest is the result of parsing a master playlist: everything the
 // control plane needs for adaptation (§2 — available bitrates, audio
-// bitrate, chunk duration, chunk URLs).
+// bitrate, chunk duration, chunk URLs). It is safe for concurrent use.
 type Manifest struct {
 	VideoID   string
 	Ladder    Ladder
 	AudioKbps int
 	ChunkSec  float64
-	// mediaURIs are the master's variant URIs, one per rendition; chunk
-	// URLs follow the media playlists' template under them.
-	mediaURIs []string
-	chunks    int
+	// renditions holds the master's variant URIs, one per rendition,
+	// and the chunk URLs built under them so far.
+	renditions []chunkURLs
+	chunks     int
+}
+
+// chunkURLs builds one rendition's chunk URLs on demand and keeps them,
+// so every session that plays the manifest fetches the same strings.
+// They are built up to the highest chunk asked for, doubling, and never
+// past maxChunkURLs: Parse reads untrusted text, and what it keeps must
+// not grow with the chunk count a master declares.
+//
+// Every chunk fetch of every session reads here, so a read takes no
+// lock: growth publishes a new slice, under mu, and a published slice
+// is never written again. (A mutex around every read cost Fig 15/16's
+// playback about 15 %.)
+type chunkURLs struct {
+	mediaURI string
+	mu       sync.Mutex // serializes growth
+	urls     atomic.Pointer[[]string]
+}
+
+// maxChunkURLs is the most URLs a rendition keeps: 4096 four-second
+// chunks are four and a half hours of video. Chunks past the last kept
+// one are built on every call.
+const maxChunkURLs = 4096
+
+// url returns chunk i's URL, building and keeping the URLs up to it if
+// needed; i must be below limit, the manifest's chunk count.
+func (c *chunkURLs) url(i, limit int) string {
+	if p := c.urls.Load(); p != nil && i < len(*p) {
+		return (*p)[i]
+	}
+	if i >= maxChunkURLs {
+		return chunkURL(c.mediaURI, i)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var urls []string
+	if p := c.urls.Load(); p != nil {
+		urls = *p
+	}
+	if i < len(urls) {
+		return urls[i]
+	}
+	grown := make([]string, len(urls), min(max(2*len(urls), i+1), limit, maxChunkURLs))
+	copy(grown, urls)
+	for k := len(urls); k < cap(grown); k++ {
+		grown = append(grown, chunkURL(c.mediaURI, k))
+	}
+	c.urls.Store(&grown)
+	return grown[i]
+}
+
+// chunkURL is the media playlists' template: the chunks of
+// <base>/r<k>.m3u8 are <base>/r<k>/seg<i>.ts.
+func chunkURL(mediaURI string, i int) string {
+	return strings.TrimSuffix(mediaURI, ".m3u8") + "/seg" + strconv.Itoa(i) + ".ts"
 }
 
 // ChunkCount returns the number of addressable chunks per rendition.
@@ -264,7 +320,7 @@ func (m *Manifest) ChunkURL(rendition, chunk int) string {
 	if chunk < 0 || chunk >= m.chunks {
 		panic(fmt.Sprintf("manifest: chunk %d out of range [0,%d)", chunk, m.chunks))
 	}
-	return strings.TrimSuffix(m.mediaURIs[rendition], ".m3u8") + "/seg" + strconv.Itoa(chunk) + ".ts"
+	return m.renditions[rendition].url(chunk, m.chunks)
 }
 
 // ManifestURL mints the canonical manifest URL for a video packaged in

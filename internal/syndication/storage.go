@@ -52,50 +52,60 @@ type StorageExperiment struct {
 	Reports []CDNStorageReport // CDNs A and B (the common ones)
 }
 
-// RunStorageExperiment populates fresh origin stores for CDNs A-D with
-// the three publishers' copies of the catalogue and computes savings
-// under exact, 5%, 10%, and integrated dedup for the two common CDNs.
+// RunStorageExperiment populates fresh origin stores for CDNs A and B
+// with the three publishers' copies of the catalogue and computes
+// savings under exact, 5%, 10%, and integrated dedup for each. Those
+// are the two CDNs all three publishers store on: the syndicators'
+// copies on C and D (see the placement above) share an origin with no
+// other publisher's, so Fig 18 does not report them and they are not
+// pushed.
 func RunStorageExperiment(cfg StorageConfig) (*StorageExperiment, error) {
 	if cfg.CatalogueHours <= 0 || cfg.Titles <= 0 {
 		return nil, fmt.Errorf("syndication: invalid storage config %+v", cfg)
 	}
-	origins := map[string]*cdnsim.Origin{
-		"A": cdnsim.NewOrigin(), "B": cdnsim.NewOrigin(),
-		"C": cdnsim.NewOrigin(), "D": cdnsim.NewOrigin(),
-	}
-	pubs := []struct {
-		id     string
-		ladder []int
-		cdns   []string
-	}{
-		{"O18", storageOwnerLadder, []string{"A", "B"}},
-		{"SY1", storageSynd1Ladder, []string{"A", "B", "C"}},
-		{"SY2", storageSynd2Ladder, []string{"A", "B", "D"}},
+	common := []string{"A", "B"}
+	origins := make([]*cdnsim.Origin, len(common))
+	for i := range origins {
+		origins[i] = cdnsim.NewOrigin()
 	}
 	perTitleSec := cfg.CatalogueHours * 3600 / float64(cfg.Titles)
+	pubs := []struct {
+		id    string
+		bytes map[int]int64 // bitrate → bytes of one title's rendition
+	}{
+		{"O18", titleBytes(storageOwnerLadder, perTitleSec)},
+		{"SY1", titleBytes(storageSynd1Ladder, perTitleSec)},
+		{"SY2", titleBytes(storageSynd2Ladder, perTitleSec)},
+	}
 	ownerOf := make(map[string]string, cfg.Titles)
 	for t := 0; t < cfg.Titles; t++ {
 		contentID := fmt.Sprintf("cat18-%04d", t)
 		ownerOf[contentID] = "O18"
 		for _, pub := range pubs {
-			bytesByBitrate := make(map[int]int64, len(pub.ladder))
-			for _, kbps := range pub.ladder {
-				// §6 storage model: bitrate × duration.
-				bytesByBitrate[kbps] = int64(float64(kbps) * 1000 * perTitleSec / 8)
-			}
-			for _, cdn := range pub.cdns {
-				origins[cdn].Push(pub.id, contentID, bytesByBitrate)
+			for _, o := range origins {
+				o.Push(pub.id, contentID, pub.bytes)
 			}
 		}
 	}
 	exp := &StorageExperiment{Config: cfg}
-	for _, cdn := range []string{"A", "B"} {
+	for i, cdn := range common {
 		exp.Reports = append(exp.Reports, CDNStorageReport{
 			CDN:    cdn,
-			Report: origins[cdn].Savings(ownerOf),
+			Report: origins[i].Savings(ownerOf),
 		})
 	}
 	return exp, nil
+}
+
+// titleBytes sizes one title's renditions by the §6 storage model:
+// bitrate × duration. Every title has the same duration, so one map
+// serves the whole catalogue.
+func titleBytes(ladder []int, sec float64) map[int]int64 {
+	out := make(map[int]int64, len(ladder))
+	for _, kbps := range ladder {
+		out[kbps] = int64(float64(kbps) * 1000 * sec / 8)
+	}
+	return out
 }
 
 // Fig18Ladders exposes the three ladders as manifest.Ladder values for

@@ -1,6 +1,8 @@
 package syndication
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"vmp/internal/cdnsim"
@@ -232,5 +234,51 @@ func TestCompareQoEDeterminism(t *testing.T) {
 	}
 	if o1.MedianKbps != o2.MedianKbps || s1.MedianKbps != s2.MedianKbps {
 		t.Fatal("QoE comparison not deterministic")
+	}
+}
+
+// TestCompareQoESlicesIndependent: Fig 15/16 play the two default
+// slices at once, so each slice must measure the same distributions
+// beside the other as alone. Each run gets a fresh registry, since edge
+// caches keep state; -race watches the concurrent run.
+func TestCompareQoESlicesIndependent(t *testing.T) {
+	cat := StarCatalogue()
+	s7, _ := cat.SyndicatorByID("S7")
+	type pair struct{ owner, synd QoEDist }
+	slicesOf := func() []QoESlice {
+		sl, err := DefaultSlices(cdnsim.NewRegistry(dist.NewSource(1)), 30, ecosystem.DefaultSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sl
+	}
+	alone := make([]pair, 2)
+	for i := range alone {
+		sl := slicesOf()[i]
+		o, s, err := CompareQoE(cat.Owner, s7, cat.TitleID, sl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone[i] = pair{o, s}
+	}
+	beside := make([]pair, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i, sl := range slicesOf() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o, s, err := CompareQoE(cat.Owner, s7, cat.TitleID, sl)
+			beside[i], errs[i] = pair{o, s}, err
+		}()
+	}
+	wg.Wait()
+	for i := range beside {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(alone[i], beside[i]) {
+			t.Errorf("slice %d: QoE beside the other slice differs from alone", i)
+		}
 	}
 }

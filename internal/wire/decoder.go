@@ -146,18 +146,48 @@ func (d *Decoder) DecodeAll(r io.Reader) ([]record.ViewRecord, error) {
 		}
 		// Frames land back to back in body, the one copy made.
 		off := len(d.body)
-		d.body = append(slices.Grow(d.body, 4+int(n)), d.lenbuf[:]...)[:off+4+int(n)]
-		payload := d.body[off+4:]
-		if _, err := io.ReadFull(r, payload); err != nil {
+		if n <= exactGrowBytes {
+			d.body = slices.Grow(d.body, 4+int(n))
+		}
+		d.body = append(d.body, d.lenbuf[:]...)
+		if err := d.readPayload(r, int(n)); err != nil {
 			return nil, fmt.Errorf("%w: payload short of %d bytes: %w", errTruncated, n, err)
 		}
-		if err := d.decodeFrame(payload, &st); err != nil {
+		if err := d.decodeFrame(d.body[off+4:], &st); err != nil {
 			return nil, err
 		}
 	}
 	d.fit(&st)
 	d.frames = d.body
 	return d.recs, nil
+}
+
+// exactGrowBytes is the longest declared frame DecodeAll makes room
+// for in one step before reading it. Every frame a client or the WAL
+// writes is shorter: a 500-record POST, an 8,192-record checkpoint of
+// about 1 MB. Room for a longer one grows as its bytes arrive, so a
+// length prefix the stream does not back costs what was sent, not the
+// up to MaxFrameBytes it declared.
+const exactGrowBytes = 4 << 20
+
+// readPayload appends n bytes read from r to body, doubling body's
+// room whenever it runs out.
+func (d *Decoder) readPayload(r io.Reader, n int) error {
+	start := len(d.body)
+	for want := start + n; len(d.body) < want; {
+		if len(d.body) == cap(d.body) {
+			d.body = slices.Grow(d.body, min(want-len(d.body), max(len(d.body), 64<<10)))
+		}
+		got, err := io.ReadFull(r, d.body[len(d.body):min(cap(d.body), want)])
+		d.body = d.body[:len(d.body)+got]
+		if err == io.EOF && len(d.body) > start {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Frames returns the stream the last decode read, length prefixes

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"vmp/internal/telemetry/record"
 )
@@ -80,4 +83,67 @@ func wantErr(err, want error) error {
 		return fmt.Errorf("decode failed with %v, not %v", err, want)
 	}
 	return nil
+}
+
+// TestUnbackedFrameLengthAllocatesLittle: a body that is nothing but a
+// length prefix declaring 64 MiB must fail as truncated without
+// allocating room for the 64 MiB first.
+func TestUnbackedFrameLengthAllocatesLittle(t *testing.T) {
+	dec := NewDecoder()
+	body := []byte{0x00, 0x00, 0x00, 0x04} // little-endian 64 MiB
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := dec.DecodeAll(bytes.NewReader(body))
+	runtime.ReadMemStats(&after)
+	if err := wantErr(err, errTruncated); err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 5<<20 {
+		t.Fatalf("decoding a bare 64 MiB length prefix allocated %d bytes, want < 5 MiB", got)
+	}
+}
+
+// TestFrameLongerThanExactGrowDecodes reads a frame past exactGrowBytes,
+// whose room grows as it arrives, through a reader that hands out half
+// of what is asked: it must decode to the records encoded, and the
+// same frame cut short must fail as truncated mid-payload.
+func TestFrameLongerThanExactGrowDecodes(t *testing.T) {
+	recs := make([]record.ViewRecord, 5000)
+	for i := range recs {
+		recs[i] = record.ViewRecord{
+			Publisher: "pub-a",
+			URL:       fmt.Sprintf("http://v.example/%d/%s.m3u8", i, strings.Repeat("x", 1000)),
+			ViewSec:   float64(i),
+		}
+	}
+	frame, err := NewEncoder().AppendFrame(nil, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frame) <= 4+exactGrowBytes {
+		t.Fatalf("frame of %d bytes is not past exactGrowBytes", len(frame))
+	}
+	dec := NewDecoder()
+	got, err := dec.DecodeAll(iotest.HalfReader(bytes.NewReader(frame)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(recs) {
+		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
+	}
+	for i := range recs {
+		if got[i].URL != recs[i].URL || got[i].ViewSec != recs[i].ViewSec {
+			t.Fatalf("record %d: %q %v, want %q %v", i, got[i].URL, got[i].ViewSec, recs[i].URL, recs[i].ViewSec)
+		}
+	}
+	if !bytes.Equal(dec.Frames(), frame) {
+		t.Fatal("Frames is not the stream read")
+	}
+	_, err = dec.DecodeAll(bytes.NewReader(frame[:len(frame)-3]))
+	if err := wantErr(err, io.ErrUnexpectedEOF); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(err, errTruncated) {
+		t.Fatalf("cut frame failed with %v, not %v", err, errTruncated)
+	}
 }
