@@ -82,13 +82,17 @@ bench-wire:
 # sort.Slice over CompareRecords, InferProtocol against
 # lowercase-then-compare. The seed corpora already run under `go test`;
 # this is the search beyond them (scripts/ci.sh, not `make verify`).
+# -fuzzminimizetime 100x bounds the minimizing of each new input to 100
+# runs: at the default (60 s each) the large seeds of the frame and WAL
+# targets spent the whole ten seconds being minimized, and they ran 74
+# to 2,763 inputs where they now run 10-56 thousand.
 .PHONY: fuzz-wire
 fuzz-wire:
-	$(GO) test -run xxx -fuzz FuzzScanJSONL -fuzztime 10s ./internal/wire
-	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire
-	$(GO) test -run xxx -fuzz FuzzAppendFrames -fuzztime 10s ./internal/wal
-	$(GO) test -run xxx -fuzz FuzzCanonicalSort -fuzztime 10s ./internal/telemetry
-	$(GO) test -run xxx -fuzz FuzzInferProtocol -fuzztime 10s ./internal/manifest
+	$(GO) test -run xxx -fuzz FuzzScanJSONL -fuzztime 10s -fuzzminimizetime 100x ./internal/wire
+	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 10s -fuzzminimizetime 100x ./internal/wire
+	$(GO) test -run xxx -fuzz FuzzAppendFrames -fuzztime 10s -fuzzminimizetime 100x ./internal/wal
+	$(GO) test -run xxx -fuzz FuzzCanonicalSort -fuzztime 10s -fuzzminimizetime 100x ./internal/telemetry
+	$(GO) test -run xxx -fuzz FuzzInferProtocol -fuzztime 10s -fuzzminimizetime 100x ./internal/manifest
 
 # bench-wal measures the durability tax: WAL-backed append throughput
 # under each fsync policy (batch, interval, off), boot replay records/s
@@ -110,13 +114,14 @@ bench-wal:
 # published ones. Only the row copy may grow with the generation; the
 # sort, the interning and (bench-wal's business) the checkpoint follow
 # the delta. Then the cut nothing is folded into — a first cut, a boot
-# preload, a recovery, an offline Study.Dataset(): sort and freeze of
-# the benchmark's 110 k records from empty, ns per record each.
+# preload, a recovery, an offline Study.Dataset(): sort, gather and
+# freeze of the benchmark's 110 k records from empty, ns per record
+# each, at one core and at two (all three run on GOMAXPROCS workers).
 # DESIGN.md §8 records both.
 .PHONY: bench-cut
 bench-cut:
 	$(GO) test -run xxx -bench BenchmarkEpochCut -benchtime 10x -benchmem ./internal/live/
-	$(GO) test -run xxx -bench BenchmarkRebuild -benchtime 20x -benchmem ./internal/telemetry/
+	$(GO) test -run xxx -bench BenchmarkRebuild -benchtime 20x -benchmem -cpu 1,2 ./internal/telemetry/
 
 # bench-query is the generation-size sweep for the query functions: the
 # serving mix (six shares, top publishers, one window) asked of 50 k,

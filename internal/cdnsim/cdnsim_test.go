@@ -30,6 +30,27 @@ func TestOriginPushAndTotal(t *testing.T) {
 	}
 }
 
+// TestReserveKeepsStoredCopies: reserving room after pushes keeps every
+// copy findable, so a re-push still replaces rather than duplicates,
+// and a ladder SortLadder sorted once stores as its map would.
+func TestReserveKeepsStoredCopies(t *testing.T) {
+	ladder := map[int]int64{1600: 2000, 800: 1000, 400: 0}
+	o := NewOrigin()
+	o.Push("pub1", "c1", ladder)
+	o.Reserve(100)
+	o.PushLadder("pub1", "c1", SortLadder(map[int]int64{800: 1500}))
+	o.PushLadder("pub2", "c1", SortLadder(ladder))
+	want := []RenditionCopy{
+		{Publisher: "pub1", ContentID: "c1", BitrateKbps: 800, Bytes: 1500},
+		{Publisher: "pub1", ContentID: "c1", BitrateKbps: 1600, Bytes: 2000},
+		{Publisher: "pub2", ContentID: "c1", BitrateKbps: 800, Bytes: 1000},
+		{Publisher: "pub2", ContentID: "c1", BitrateKbps: 1600, Bytes: 2000},
+	}
+	if fmt.Sprint(o.copies) != fmt.Sprint(want) || o.TotalBytes() != 6500 {
+		t.Fatalf("copies %v (%d bytes), want %v (6500 bytes)", o.copies, o.TotalBytes(), want)
+	}
+}
+
 func TestDedupExactMatch(t *testing.T) {
 	o := NewOrigin()
 	// Two publishers store the same title at an identical bitrate.

@@ -7,6 +7,7 @@ package cdnsim
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -44,35 +45,65 @@ type originKey struct {
 // NewOrigin returns an empty origin store.
 func NewOrigin() *Origin { return &Origin{index: make(map[originKey]int)} }
 
+// Rendition is one rendition of a title as an origin stores it: its
+// video bitrate and the bytes it occupies.
+type Rendition struct {
+	Kbps  int
+	Bytes int64
+}
+
+// SortLadder returns a bitrate → bytes ladder as renditions in
+// ascending bitrate, the order PushLadder stores them in. A publisher
+// whose every title has the same ladder sorts it once.
+func SortLadder(bitrateBytes map[int]int64) []Rendition {
+	ladder := make([]Rendition, 0, len(bitrateBytes))
+	for kbps, b := range bitrateBytes {
+		ladder = append(ladder, Rendition{Kbps: kbps, Bytes: b})
+	}
+	slices.SortFunc(ladder, func(a, b Rendition) int { return cmp.Compare(a.Kbps, b.Kbps) })
+	return ladder
+}
+
+// Reserve makes room for n more stored copies, so that filling an
+// origin of known size does not grow its index one key at a time.
+func (o *Origin) Reserve(n int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	index := make(map[originKey]int, len(o.index)+n)
+	maps.Copy(index, o.index)
+	o.index = index
+	o.copies = slices.Grow(o.copies, n)
+}
+
 // Push stores one publisher's rendition ladder for one piece of
 // content. bitrateBytes maps each stored video bitrate (Kbps) to the
 // bytes that rendition occupies (bitrate × duration / 8, as computed by
 // the packaging layer). Pushing the same (publisher, content, bitrate)
 // again replaces the copy, as re-packaging would.
 func (o *Origin) Push(publisher, contentID string, bitrateBytes map[int]int64) {
+	o.PushLadder(publisher, contentID, SortLadder(bitrateBytes))
+}
+
+// PushLadder is Push of a ladder SortLadder has already sorted.
+// Renditions of no bytes are not stored.
+func (o *Origin) PushLadder(publisher, contentID string, ladder []Rendition) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	ladder := make([]int, 0, len(bitrateBytes))
-	for kbps := range bitrateBytes {
-		ladder = append(ladder, kbps)
-	}
-	slices.Sort(ladder)
-	for _, kbps := range ladder {
-		b := bitrateBytes[kbps]
-		if b <= 0 {
+	for _, r := range ladder {
+		if r.Bytes <= 0 {
 			continue
 		}
-		key := originKey{publisher: publisher, contentID: contentID, kbps: kbps}
+		key := originKey{publisher: publisher, contentID: contentID, kbps: r.Kbps}
 		if i, ok := o.index[key]; ok {
-			o.bytes += b - o.copies[i].Bytes
-			o.copies[i].Bytes = b
+			o.bytes += r.Bytes - o.copies[i].Bytes
+			o.copies[i].Bytes = r.Bytes
 			continue
 		}
 		o.index[key] = len(o.copies)
 		o.copies = append(o.copies, RenditionCopy{
-			Publisher: publisher, ContentID: contentID, BitrateKbps: kbps, Bytes: b,
+			Publisher: publisher, ContentID: contentID, BitrateKbps: r.Kbps, Bytes: r.Bytes,
 		})
-		o.bytes += b
+		o.bytes += r.Bytes
 	}
 }
 

@@ -3,6 +3,7 @@ package ecosystem
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -89,8 +90,8 @@ func New(cfg Config) *Ecosystem {
 // the paper's dataset. GOMAXPROCS workers sample (snapshot, publisher)
 // pairs, each into the slot of its pair, so the result is identical to
 // serial generation: every record's content depends only on (seed,
-// publisher, snapshot), and the store holds records in schedule, then
-// publisher, order.
+// publisher, snapshot). telemetry.GatherStore then sorts the slots'
+// records into one canonically ordered array on as many workers.
 func (e *Ecosystem) GenerateStore() *telemetry.Store {
 	pubs := len(e.Publishers)
 	slots := make([][]telemetry.ViewRecord, len(e.Schedule)*pubs)
@@ -110,7 +111,7 @@ func (e *Ecosystem) GenerateStore() *telemetry.Store {
 	}
 	close(jobs)
 	wg.Wait()
-	return telemetry.NewStore(concat(slots))
+	return telemetry.GatherStore(slots)
 }
 
 // GenerateSnapshot samples just one snapshot window across the
@@ -120,20 +121,7 @@ func (e *Ecosystem) GenerateSnapshot(snap simclock.Snapshot) []telemetry.ViewRec
 	for i, p := range e.Publishers {
 		slots[i] = e.samplePublisherSnapshot(p, snap)
 	}
-	return concat(slots)
-}
-
-// concat copies the slots, in order, into one slice of exact size.
-func concat(slots [][]telemetry.ViewRecord) []telemetry.ViewRecord {
-	n := 0
-	for _, slot := range slots {
-		n += len(slot)
-	}
-	out := make([]telemetry.ViewRecord, 0, n)
-	for _, slot := range slots {
-		out = append(out, slot...)
-	}
-	return out
+	return slices.Concat(slots...)
 }
 
 // Inventory is the per-publisher management-plane metadata at one

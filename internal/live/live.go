@@ -313,13 +313,13 @@ func (e *Engine) IngestFrames(recs []telemetry.ViewRecord, frames []byte, parent
 	return Result{Accepted: len(recs)}, nil
 }
 
-// Snapshot cuts an epoch: it takes the pending batches, concatenates
-// and sorts them, merges them into the published generation's Dataset,
-// and publishes the result. Only the new records are compared, hashed
-// and interned; the published rows are carried over by copy. Records
-// admitted before Snapshot is called are always included; records
-// racing with it land in this epoch or the next. After Close it cuts
-// nothing and returns the final generation.
+// Snapshot cuts an epoch: it takes the pending batches, gathers them
+// into one canonically sorted array, merges that into the published
+// generation's Dataset, and publishes the result. Only the new records
+// are compared, hashed and interned; the published rows are carried
+// over by copy. Records admitted before Snapshot is called are always
+// included; records racing with it land in this epoch or the next.
+// After Close it cuts nothing and returns the final generation.
 func (e *Engine) Snapshot() *Generation { return e.cut(false) }
 
 // cut is Snapshot; Close's cut is the final one.
@@ -355,16 +355,12 @@ func (e *Engine) cut(final bool) *Generation {
 	sizes := []obs.Attr{obs.KV("delta", int64(n)), obs.KV("records", int64(prev.Records+n))}
 	fsp.End(sizes...)
 	ssp := e.tracer.Start("epoch.sort", sp.ID())
-	// Capacity exactly n: the first cut's Merge adopts this array as the
-	// generation's, and every spare slot would be 328 resident bytes.
-	delta := make([]telemetry.ViewRecord, 0, n)
-	for _, b := range batches {
-		delta = append(delta, b...)
-	}
 	// Canonical order, not arrival order: the same record set produces
 	// the same generation — and byte-identical query answers — no
-	// matter how ingestion interleaved.
-	telemetry.CanonicalSort(delta)
+	// matter how ingestion interleaved. Gather's array holds exactly n
+	// records: the first cut's Merge adopts it as the generation's, and
+	// every spare slot would be 328 resident bytes.
+	delta := telemetry.Gather(batches)
 	ssp.End(sizes...)
 	msp := e.tracer.Start("epoch.merge", sp.ID())
 	ds := prev.Dataset.Merge(delta)

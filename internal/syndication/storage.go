@@ -70,12 +70,19 @@ func RunStorageExperiment(cfg StorageConfig) (*StorageExperiment, error) {
 	}
 	perTitleSec := cfg.CatalogueHours * 3600 / float64(cfg.Titles)
 	pubs := []struct {
-		id    string
-		bytes map[int]int64 // bitrate → bytes of one title's rendition
+		id     string
+		ladder []cdnsim.Rendition // one title's renditions, ascending bitrate
 	}{
-		{"O18", titleBytes(storageOwnerLadder, perTitleSec)},
-		{"SY1", titleBytes(storageSynd1Ladder, perTitleSec)},
-		{"SY2", titleBytes(storageSynd2Ladder, perTitleSec)},
+		{"O18", titleLadder(storageOwnerLadder, perTitleSec)},
+		{"SY1", titleLadder(storageSynd1Ladder, perTitleSec)},
+		{"SY2", titleLadder(storageSynd2Ladder, perTitleSec)},
+	}
+	perTitle := 0
+	for _, pub := range pubs {
+		perTitle += len(pub.ladder)
+	}
+	for _, o := range origins {
+		o.Reserve(cfg.Titles * perTitle)
 	}
 	ownerOf := make(map[string]string, cfg.Titles)
 	for t := 0; t < cfg.Titles; t++ {
@@ -83,7 +90,7 @@ func RunStorageExperiment(cfg StorageConfig) (*StorageExperiment, error) {
 		ownerOf[contentID] = "O18"
 		for _, pub := range pubs {
 			for _, o := range origins {
-				o.Push(pub.id, contentID, pub.bytes)
+				o.PushLadder(pub.id, contentID, pub.ladder)
 			}
 		}
 	}
@@ -97,15 +104,15 @@ func RunStorageExperiment(cfg StorageConfig) (*StorageExperiment, error) {
 	return exp, nil
 }
 
-// titleBytes sizes one title's renditions by the §6 storage model:
-// bitrate × duration. Every title has the same duration, so one map
-// serves the whole catalogue.
-func titleBytes(ladder []int, sec float64) map[int]int64 {
+// titleLadder sizes one title's renditions by the §6 storage model,
+// bitrate × duration, sorted as an origin stores them. Every title has
+// the same duration, so one ladder serves the whole catalogue.
+func titleLadder(ladder []int, sec float64) []cdnsim.Rendition {
 	out := make(map[int]int64, len(ladder))
 	for _, kbps := range ladder {
 		out[kbps] = int64(float64(kbps) * 1000 * sec / 8)
 	}
-	return out
+	return cdnsim.SortLadder(out)
 }
 
 // Fig18Ladders exposes the three ladders as manifest.Ladder values for

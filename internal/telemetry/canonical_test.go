@@ -3,7 +3,9 @@ package telemetry
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -176,6 +178,81 @@ func FuzzCanonicalSort(f *testing.F) {
 	})
 }
 
+// tiedRecords returns n records over few instants and few field
+// values, every third one a duplicate of an earlier one: most keys tie
+// on the instant and many rows on every field.
+func tiedRecords(rng *rand.Rand, n int) []ViewRecord {
+	instants := edgeInstants()[:11]
+	recs := make([]ViewRecord, n)
+	for i := range recs {
+		if i > 0 && i%3 == 0 {
+			recs[i] = recs[rng.Intn(i)]
+			continue
+		}
+		r := rec(fmt.Sprintf("p%d", rng.Intn(4)), 0, float64(rng.Intn(3)))
+		r.Timestamp = instants[rng.Intn(len(instants))].Add(time.Duration(rng.Intn(2)) * time.Nanosecond)
+		r.VideoID = fmt.Sprintf("v%d", rng.Intn(3))
+		r.CDNs = [][]string{nil, {"A"}, {"A", "B"}}[rng.Intn(3)]
+		r.Failed = rng.Intn(2) == 0
+		recs[i] = r
+	}
+	return recs
+}
+
+// TestParallelSortAndGatherMatchReference sends CanonicalSort and
+// Gather through their multi-worker paths — every size at which the
+// number of workers or the split between them changes, at two and four
+// workers — over heavy ties and duplicate rows, and holds both to
+// sort.Slice over CompareRecords. Gather's parts are cut at random
+// lengths, empty ones among them.
+func TestParallelSortAndGatherMatchReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(40))
+	var sizes []int
+	for w := 2; w <= 4; w++ {
+		sizes = append(sizes, w*minRowsPerWorker-1, w*minRowsPerWorker, w*minRowsPerWorker+1)
+	}
+	sizes = append(sizes, 5*minRowsPerWorker+3)
+	for _, procs := range []int{2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range sizes {
+			recs := tiedRecords(rng, n)
+			want := append([]ViewRecord(nil), recs...)
+			referenceSort(want)
+			got := append([]ViewRecord(nil), recs...)
+			CanonicalSort(got)
+			requireSameOrder(t, fmt.Sprintf("CanonicalSort, GOMAXPROCS %d, %d records", procs, n), got, want)
+
+			var parts [][]ViewRecord
+			for lo := 0; lo < n; {
+				hi := min(n, lo+rng.Intn(3*minRowsPerWorker/2))
+				parts = append(parts, recs[lo:hi])
+				lo = hi
+			}
+			gathered := Gather(parts)
+			if len(gathered) != cap(gathered) {
+				t.Fatalf("Gather of %d records: len %d, cap %d", n, len(gathered), cap(gathered))
+			}
+			requireSameOrder(t, fmt.Sprintf("Gather, GOMAXPROCS %d, %d records in %d parts", procs, n, len(parts)), gathered, want)
+		}
+	}
+}
+
+// requireSameOrder requires got and want to hold interchangeable
+// records (CompareRecords == 0) at every position.
+func requireSameOrder(t *testing.T, what string, got, want []ViewRecord) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if CompareRecords(&got[i], &want[i]) != 0 {
+			t.Fatalf("%s: position %d has %v %q, the reference %v %q",
+				what, i, got[i].Timestamp, got[i].Publisher, want[i].Timestamp, want[i].Publisher)
+		}
+	}
+}
+
 // TestCanonicalSortAllocsAreConstant pins the sort's memory: the key
 // array and nothing per record — the comparison closure and the row
 // held while a cycle is walked stay on the stack.
@@ -191,6 +268,73 @@ func TestCanonicalSortAllocsAreConstant(t *testing.T) {
 	small, large := allocs(30), allocs(3000)
 	if small != large || large > 1 {
 		t.Errorf("CanonicalSort allocates %.0f times for 30 records and %.0f for 3000, want one key array for either", small, large)
+	}
+}
+
+// mallocsAt returns the fewest heap allocations any of five calls of f
+// made at GOMAXPROCS procs, counted by runtime.MemStats.Mallocs:
+// testing.AllocsPerRun would set GOMAXPROCS to 1 and never reach the
+// multi-worker path. The fewest, because the counter is process-wide.
+func mallocsAt(procs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	var before, after runtime.MemStats
+	fewest := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
+}
+
+// TestParallelAllocsDoNotGrowWithRecords pins the multi-worker sort,
+// gather and freeze at two workers to allocations per worker, not per
+// record: four times the records, over the same names, allocate no
+// more — give or take two, for what the runtime allocates on its own
+// now and then (a goroutine's descriptor when none is free to reuse).
+func TestParallelAllocsDoNotGrowWithRecords(t *testing.T) {
+	recsOf := func(n int) []ViewRecord {
+		recs := make([]ViewRecord, n)
+		base := time.Date(2016, 4, 1, 0, 0, 0, 0, time.UTC)
+		for i := range recs {
+			r := rec(fmt.Sprintf("p%d", i%7), 0, float64(60+i%900))
+			r.Timestamp = base.Add(time.Duration(i*7919%n) * time.Second)
+			r.Device = []string{"Roku", "iPhone", "Toaster"}[i%3]
+			r.CDNs = [][]string{{"A"}, {"A", "B"}, nil}[i%3]
+			recs[i] = r
+		}
+		return recs
+	}
+	stages := []struct {
+		name string
+		run  func(recs, scratch []ViewRecord)
+	}{
+		{"CanonicalSort", func(recs, scratch []ViewRecord) {
+			copy(scratch, recs)
+			CanonicalSort(scratch)
+		}},
+		{"Gather", func(recs, _ []ViewRecord) {
+			Gather([][]ViewRecord{recs[:len(recs)/3], recs[len(recs)/3:]})
+		}},
+		{"freeze", func(recs, _ []ViewRecord) { NewDataset(recs) }},
+	}
+	for _, st := range stages {
+		count := func(n int) uint64 {
+			recs := recsOf(n)
+			if st.name == "freeze" {
+				CanonicalSort(recs)
+			}
+			scratch := make([]ViewRecord, n)
+			return mallocsAt(2, func() { st.run(recs, scratch) })
+		}
+		small, large := count(2*minRowsPerWorker), count(8*minRowsPerWorker)
+		t.Logf("%s at two workers: %d allocations for %d records, %d for %d", st.name, small, 2*minRowsPerWorker, large, 8*minRowsPerWorker)
+		if large > small+2 {
+			t.Errorf("%s at two workers allocates %d times for %d records and %d for %d, want no more for more records",
+				st.name, small, 2*minRowsPerWorker, large, 8*minRowsPerWorker)
+		}
 	}
 }
 

@@ -63,60 +63,73 @@ func (t *nameTable) intern(name string) (id int32, added bool) {
 	return id, true
 }
 
-// colBuilder fills one DimColumn of a Dataset under construction: rows
-// of the predecessor's column are copied in bulk, new rows interned.
-type colBuilder struct {
-	nameTable
-	old  *DimColumn
-	offs []int32 // final length from the start; row i is closed by writing offs[i+1]
-	ids  []int32
+// rangeNames interns one freeze range's names on top of the base's
+// table, which it only reads. A base name keeps its ID; a name new to
+// the base gets len(base names) + k, k its first-seen rank in the range,
+// until stitch gives it its final ID.
+type rangeNames struct {
+	base     map[string]int32
+	nbase    int32
+	index    map[string]int32 // new name → provisional ID
+	names    []string         // new names in first-seen order
+	final    []int32          // final ID of names[k], set by stitch
+	renumber bool             // some final ID differs from its provisional one
 }
 
-// extendCol starts a column of rows rows that can take old's IDs plus
-// at most newIDs more.
-func extendCol(old *DimColumn, rows, newIDs int) colBuilder {
-	return colBuilder{
-		nameTable: extendNames(old.names, old.index),
-		old:       old,
-		offs:      make([]int32, rows+1),
-		ids:       make([]int32, 0, len(old.ids)+newIDs),
+func newRangeNames(names []string, index map[string]int32) rangeNames {
+	return rangeNames{base: index, nbase: int32(len(names))}
+}
+
+func (t *rangeNames) intern(name string) int32 {
+	if id, ok := t.base[name]; ok {
+		return id
 	}
-}
-
-// copyRows makes the predecessor's rows [lo, hi) rows [at, at+hi-lo).
-func (c *colBuilder) copyRows(at, lo, hi int) {
-	src := c.old.offs
-	shift := int32(len(c.ids)) - src[lo]
-	c.ids = append(c.ids, c.old.ids[src[lo]:src[hi]]...)
-	dst := c.offs[at+1 : at+1+hi-lo]
-	for k, off := range src[lo+1 : hi+1] {
-		dst[k] = off + shift
+	if id, ok := t.index[name]; ok {
+		return id
 	}
-}
-
-// add appends one value to the row under construction.
-func (c *colBuilder) add(name string) int32 {
-	id, _ := c.intern(name)
-	c.addID(id)
+	if t.index == nil {
+		t.index = make(map[string]int32)
+	}
+	id := t.nbase + int32(len(t.names))
+	t.index[name] = id
+	t.names = append(t.names, name)
 	return id
 }
 
-// addID appends an already-interned ID to the row under construction.
-func (c *colBuilder) addID(id int32) { c.ids = append(c.ids, id) }
-
-// endRow closes row at.
-func (c *colBuilder) endRow(at int) { c.offs[at+1] = int32(len(c.ids)) }
-
-// column returns the finished column. It shares nothing with the
-// builder or the predecessor except name tables no new name touched,
-// so a retired generation's columns are collectable, and every slice
-// is exactly as long as its backing array.
-func (c *colBuilder) column() *DimColumn {
-	ids := c.ids
-	if len(ids) < cap(ids) {
-		ids = append(make([]int32, 0, len(ids)), ids...)
+// stitch interns the range's new names into tab, which already holds
+// the base's names and those of the ranges before this one, in the
+// order the range met them: the first-seen numbering of one build over
+// every range in order.
+func (t *rangeNames) stitch(tab *nameTable) {
+	t.final = make([]int32, len(t.names))
+	for k, name := range t.names {
+		t.final[k], _ = tab.intern(name)
+		t.renumber = t.renumber || t.final[k] != t.nbase+int32(k)
 	}
-	return &DimColumn{names: c.names, index: c.index, offs: c.offs, ids: ids}
+}
+
+// apply rewrites provisional IDs in ids to their final ones.
+func (t *rangeNames) apply(ids []int32) {
+	if !t.renumber {
+		return
+	}
+	for i, id := range ids {
+		if id >= t.nbase {
+			ids[i] = t.final[id-t.nbase]
+		}
+	}
+}
+
+// copyRows makes src's rows [lo, hi) c's rows [at, at+hi-lo); c's rows
+// before at are written.
+func (c *DimColumn) copyRows(at int, src *DimColumn, lo, hi int) {
+	start := c.offs[at]
+	copy(c.ids[start:], src.ids[src.offs[lo]:src.offs[hi]])
+	shift := start - src.offs[lo]
+	dst := c.offs[at+1 : at+1+hi-lo]
+	for k, off := range src.offs[lo+1 : hi+1] {
+		dst[k] = off + shift
+	}
 }
 
 // Dataset is an immutable, timestamp-sorted, read-optimized view of a
@@ -147,18 +160,20 @@ type Dataset struct {
 
 // NewDataset builds a frozen dataset over recs, taking ownership of the
 // slice: the columns are built beside it, the rows are not copied.
-// Records are sorted by timestamp if they are not already.
+// Records are put in CanonicalSort order if they are not in it already,
+// so every Dataset can be merged into.
 func NewDataset(recs []ViewRecord) *Dataset {
-	if !sort.SliceIsSorted(recs, func(i, j int) bool {
-		return recs[i].Timestamp.Before(recs[j].Timestamp)
-	}) {
-		sort.SliceStable(recs, func(i, j int) bool {
-			return recs[i].Timestamp.Before(recs[j].Timestamp)
-		})
-	}
 	empty := &DimColumn{offs: []int32{0}}
 	base := &Dataset{protocol: empty, platform: empty, cdn: empty, model: empty}
-	return base.Merge(recs)
+	if len(recs) == 0 {
+		return base
+	}
+	if d, sorted := base.freeze(recs); sorted {
+		return d
+	}
+	CanonicalSort(recs)
+	d, _ := base.freeze(recs)
+	return d
 }
 
 // Merge returns the dataset holding d's records and delta's, taking
@@ -169,25 +184,258 @@ func NewDataset(recs []ViewRecord) *Dataset {
 // records of d it compares equal to.
 //
 // IDs d handed out mean the same in the result; names first seen in
-// delta get the next IDs. That numbering can differ from the one
-// NewDataset would give the same records, and no answer may depend on
-// it: the analyses accumulate per ID in record order and emit by name.
-// d is not modified and the result does not keep it reachable; with
-// nothing to add, the result is d itself.
+// delta get the next IDs, in the order delta first meets them. That
+// numbering can differ from the one NewDataset would give the same
+// records, and no answer may depend on it: the analyses accumulate per
+// ID in record order and emit by name. d is not modified and the result
+// does not keep it reachable; with nothing to add, the result is d
+// itself.
 func (d *Dataset) Merge(delta []ViewRecord) *Dataset {
 	if len(delta) == 0 {
 		return d
 	}
-	b := newDatasetBuilder(d, delta)
-	lo := 0
-	for i := range delta {
-		hi := lo + mergePoint(d.records[lo:], &delta[i])
-		b.copyRows(lo, hi)
-		b.addRow(&delta[i])
-		lo = hi
+	nd, _ := d.freeze(delta)
+	if len(d.records) == 0 {
+		return nd
 	}
-	b.copyRows(lo, len(d.records))
-	return b.dataset()
+	return d.interleave(nd)
+}
+
+// freeze builds the dataset whose records are rows, interning names on
+// top of d's tables. The rows are split into contiguous ranges, one per
+// worker (workers): each range fills its rows' views, view-hours and
+// protocol, resolves their devices and interns their publishers,
+// platforms, models and CDNs into tables of its own on top of d's, which
+// it only reads. A serial stitch then numbers each range's new names in
+// range order, which is the numbering one build over all rows gives,
+// and the ranges put their variable-length entries in place, renumbered,
+// side by side. It also reports whether rows are in CanonicalSort order.
+func (d *Dataset) freeze(rows []ViewRecord) (*Dataset, bool) {
+	n := len(rows)
+	f := freezer{
+		base: d,
+		out: &Dataset{
+			records:   rows,
+			views:     make([]float64, n),
+			viewHours: make([]float64, n),
+			pubIDs:    make([]int32, n),
+			protocol:  &DimColumn{offs: make([]int32, n+1), ids: make([]int32, n)},
+			platform:  &DimColumn{offs: make([]int32, n+1)},
+			cdn:       &DimColumn{offs: make([]int32, n+1)},
+			model:     &DimColumn{offs: make([]int32, n+1)},
+		},
+		ranges: make([]freezeRange, workers(n)),
+	}
+	w := len(f.ranges)
+	parallel(w, func(k int) {
+		lo, hi := span(n, w, k)
+		f.build(&f.ranges[k], lo, hi)
+	})
+	f.stitch()
+	sorted := true
+	parallel(w, func(k int) { f.place(&f.ranges[k]) })
+	for k := range f.ranges {
+		sorted = sorted && f.ranges[k].sorted
+	}
+	return f.out, sorted
+}
+
+// freezer is one freeze under way: d's tables below it, the dataset it
+// fills, and its ranges.
+type freezer struct {
+	base   *Dataset
+	out    *Dataset
+	ranges []freezeRange
+}
+
+// freezeRange is one worker's share of a freeze: rows [lo, hi).
+type freezeRange struct {
+	lo, hi                        int
+	sorted                        bool
+	pubs, protocol, platform, cdn rangeNames
+	model                         rangeNames
+	platformIDs, modelIDs, cdnIDs []int32 // the range's entries of those columns, IDs provisional
+	platformAt, modelAt, cdnAt    int32   // where they start in the column's ids, set by stitch
+	protoIDs                      [manifest.Progressive + 1]int32
+	models                        map[string]modelIDs
+}
+
+// modelIDs is a registered device model's IDs in the platform and
+// model columns.
+type modelIDs struct{ platform, model int32 }
+
+// build fills rows [lo, hi) of the fixed-width columns and collects the
+// range's entries of the others; a row's offsets in those are relative
+// to the range's first entry until place shifts them.
+func (f *freezer) build(r *freezeRange, lo, hi int) {
+	b, out := f.base, f.out
+	*r = freezeRange{
+		lo: lo, hi: hi, sorted: true,
+		pubs:        newRangeNames(b.pubNames, b.pubIndex),
+		protocol:    newRangeNames(b.protocol.names, b.protocol.index),
+		platform:    newRangeNames(b.platform.names, b.platform.index),
+		cdn:         newRangeNames(b.cdn.names, b.cdn.index),
+		model:       newRangeNames(b.model.names, b.model.index),
+		platformIDs: make([]int32, 0, hi-lo),
+		modelIDs:    make([]int32, 0, hi-lo),
+		cdnIDs:      make([]int32, 0, 2*(hi-lo)), // grows only past two CDNs a view on average
+		models:      make(map[string]modelIDs, len(device.Registry)),
+	}
+	for p := range r.protoIDs {
+		r.protoIDs[p] = -1
+	}
+	rows := out.records
+	for i := lo; i < hi; i++ {
+		rec := &rows[i]
+		if i > 0 && r.sorted && CompareRecords(&rows[i-1], rec) > 0 {
+			r.sorted = false
+		}
+		out.views[i] = rec.Views()
+		out.viewHours[i] = rec.ViewHours()
+		out.pubIDs[i] = r.pubs.intern(rec.Publisher)
+		out.protocol.ids[i] = r.protocolID(manifest.InferProtocol(rec.URL))
+		out.protocol.offs[i+1] = int32(i + 1)
+		if ids, ok := r.modelIDsOf(rec.Device); ok {
+			r.platformIDs = append(r.platformIDs, ids.platform)
+			r.modelIDs = append(r.modelIDs, ids.model)
+		}
+		out.platform.offs[i+1] = int32(len(r.platformIDs))
+		out.model.offs[i+1] = int32(len(r.modelIDs))
+		for _, c := range rec.CDNs {
+			r.cdnIDs = append(r.cdnIDs, r.cdn.intern(c))
+		}
+		out.cdn.offs[i+1] = int32(len(r.cdnIDs))
+	}
+}
+
+// protocolID returns p's provisional ID in the protocol column,
+// interning its name the first time the range meets p.
+func (r *freezeRange) protocolID(p manifest.Protocol) int32 {
+	if r.protoIDs[p] < 0 {
+		r.protoIDs[p] = r.protocol.intern(p.String())
+	}
+	return r.protoIDs[p]
+}
+
+// modelIDsOf returns the provisional column IDs of a registered device
+// model, interning its platform and name the first time the range meets
+// it. Unknown names are looked up each time and never kept, so what the
+// range holds is bounded by the registry, not by its input.
+func (r *freezeRange) modelIDsOf(name string) (modelIDs, bool) {
+	if ids, ok := r.models[name]; ok {
+		return ids, true
+	}
+	m, ok := device.ByName(name)
+	if !ok {
+		return modelIDs{}, false
+	}
+	ids := modelIDs{platform: r.platform.intern(m.Platform.String()), model: r.model.intern(m.Name)}
+	r.models[name] = ids
+	return ids, true
+}
+
+// stitch numbers every range's new names, in range order, into tables
+// that extend the base's, sizes the variable-length columns exactly and
+// gives each range its place in them. A model new to the base records
+// its platform's final ID, in model-ID order.
+func (f *freezer) stitch() {
+	b, out := f.base, f.out
+	pubs := extendNames(b.pubNames, b.pubIndex)
+	protocol := extendNames(b.protocol.names, b.protocol.index)
+	platform := extendNames(b.platform.names, b.platform.index)
+	cdn := extendNames(b.cdn.names, b.cdn.index)
+	model := extendNames(b.model.names, b.model.index)
+	var platformN, modelN, cdnN int32
+	for k := range f.ranges {
+		r := &f.ranges[k]
+		r.pubs.stitch(&pubs)
+		r.protocol.stitch(&protocol)
+		r.platform.stitch(&platform)
+		r.cdn.stitch(&cdn)
+		r.model.stitch(&model)
+		r.platformAt, r.modelAt, r.cdnAt = platformN, modelN, cdnN
+		platformN += int32(len(r.platformIDs))
+		modelN += int32(len(r.modelIDs))
+		cdnN += int32(len(r.cdnIDs))
+	}
+	out.pubNames, out.pubIndex = pubs.names, pubs.index
+	out.protocol.names, out.protocol.index = protocol.names, protocol.index
+	out.platform.names, out.platform.index = platform.names, platform.index
+	out.cdn.names, out.cdn.index = cdn.names, cdn.index
+	out.model.names, out.model.index = model.names, model.index
+	out.platform.ids = make([]int32, platformN)
+	out.model.ids = make([]int32, modelN)
+	out.cdn.ids = make([]int32, cdnN)
+	out.modelPlatform = b.modelPlatform[:len(b.modelPlatform):len(b.modelPlatform)]
+	for _, name := range model.names[len(b.model.names):] {
+		m, _ := device.ByName(name)
+		out.modelPlatform = append(out.modelPlatform, platform.index[m.Platform.String()])
+	}
+}
+
+// place renumbers a range's IDs and puts its variable-length entries at
+// the place stitch gave them.
+func (f *freezer) place(r *freezeRange) {
+	out := f.out
+	r.pubs.apply(out.pubIDs[r.lo:r.hi])
+	r.protocol.apply(out.protocol.ids[r.lo:r.hi])
+	placeEntries(out.platform, r.lo, r.hi, r.platformAt, r.platformIDs, &r.platform)
+	placeEntries(out.model, r.lo, r.hi, r.modelAt, r.modelIDs, &r.model)
+	placeEntries(out.cdn, r.lo, r.hi, r.cdnAt, r.cdnIDs, &r.cdn)
+}
+
+// placeEntries copies one range's entries of col to col.ids[at:],
+// renumbered, and shifts the range's row offsets by at.
+func placeEntries(col *DimColumn, lo, hi int, at int32, ids []int32, names *rangeNames) {
+	dst := col.ids[at : int(at)+len(ids)]
+	copy(dst, ids)
+	names.apply(dst)
+	if at != 0 {
+		for i := lo + 1; i <= hi; i++ {
+			col.offs[i] += at
+		}
+	}
+}
+
+// interleave returns the dataset of d's rows and nd's in CanonicalSort
+// order. nd holds the new rows, frozen on top of d's name tables, so its
+// IDs and tables are the result's; a row of nd goes after the rows of d
+// it compares equal to. Rows are copied in runs: a run of d's between
+// two new rows, a run of new rows between two of d's.
+func (d *Dataset) interleave(nd *Dataset) *Dataset {
+	n := len(d.records) + len(nd.records)
+	col := func(old, added *DimColumn) *DimColumn {
+		return &DimColumn{
+			names: added.names, index: added.index,
+			offs: make([]int32, n+1), ids: make([]int32, len(old.ids)+len(added.ids)),
+		}
+	}
+	out := &Dataset{
+		records:       make([]ViewRecord, n),
+		views:         make([]float64, n),
+		viewHours:     make([]float64, n),
+		pubIDs:        make([]int32, n),
+		pubNames:      nd.pubNames,
+		pubIndex:      nd.pubIndex,
+		protocol:      col(d.protocol, nd.protocol),
+		platform:      col(d.platform, nd.platform),
+		cdn:           col(d.cdn, nd.cdn),
+		model:         col(d.model, nd.model),
+		modelPlatform: nd.modelPlatform,
+	}
+	at, lo := 0, 0
+	for i := 0; i < len(nd.records); {
+		hi := lo + mergePoint(d.records[lo:], &nd.records[i])
+		j := i + 1
+		for j < len(nd.records) && (hi == len(d.records) || CompareRecords(&d.records[hi], &nd.records[j]) > 0) {
+			j++
+		}
+		at = out.copyRows(at, d, lo, hi)
+		at = out.copyRows(at, nd, i, j)
+		i, lo = j, hi
+	}
+	out.copyRows(at, d, lo, len(d.records))
+	return out
 }
 
 // mergePoint returns how many leading records of the sorted run recs
@@ -202,143 +450,21 @@ func mergePoint(recs []ViewRecord, r *ViewRecord) int {
 	return lo + sort.Search(hi-lo, func(i int) bool { return CompareRecords(&recs[lo+i], r) > 0 })
 }
 
-// datasetBuilder assembles a Dataset row by row, each row either
-// copied from the predecessor or interned from a new record. Every
-// per-record column is allocated once at its final length.
-type datasetBuilder struct {
-	base *Dataset
-	out  *Dataset
-	row  int  // rows written so far
-	own  bool // out.records is the new records' own slice: the predecessor was empty
-
-	pubs                           nameTable
-	protocol, platform, cdn, model colBuilder
-	modelPlatform                  []int32
-
-	// What a record's URL and device come to is interned once per
-	// distinct protocol and device model, not once per record.
-	protoIDs [manifest.Progressive + 1]int32 // protocol → protocol-column ID, -1 until met
-	models   map[string]modelIDs             // registered device name → its column IDs
-}
-
-// modelIDs is a registered device model's IDs in the platform and
-// model columns.
-type modelIDs struct{ platform, model int32 }
-
-func newDatasetBuilder(base *Dataset, delta []ViewRecord) *datasetBuilder {
-	n := len(base.records) + len(delta)
-	cdns := 0
-	for i := range delta {
-		cdns += len(delta[i].CDNs)
-	}
-	b := &datasetBuilder{
-		base: base,
-		out: &Dataset{
-			views:     make([]float64, n),
-			viewHours: make([]float64, n),
-			pubIDs:    make([]int32, n),
-		},
-		own:           len(base.records) == 0,
-		pubs:          extendNames(base.pubNames, base.pubIndex),
-		protocol:      extendCol(base.protocol, n, len(delta)),
-		platform:      extendCol(base.platform, n, len(delta)),
-		cdn:           extendCol(base.cdn, n, cdns),
-		model:         extendCol(base.model, n, len(delta)),
-		modelPlatform: base.modelPlatform[:len(base.modelPlatform):len(base.modelPlatform)],
-		models:        make(map[string]modelIDs, len(device.Registry)),
-	}
-	for p := range b.protoIDs {
-		b.protoIDs[p] = -1
-	}
-	if b.own {
-		b.out.records = delta
-	} else {
-		b.out.records = make([]ViewRecord, n)
-	}
-	return b
-}
-
-// copyRows appends the predecessor's rows [lo, hi).
-func (b *datasetBuilder) copyRows(lo, hi int) {
+// copyRows makes src's rows [lo, hi) the rows from at of d, a dataset
+// interleave is still writing, and returns the row after them.
+func (d *Dataset) copyRows(at int, src *Dataset, lo, hi int) int {
 	if lo == hi {
-		return
+		return at
 	}
-	at := b.row
-	copy(b.out.records[at:], b.base.records[lo:hi])
-	copy(b.out.views[at:], b.base.views[lo:hi])
-	copy(b.out.viewHours[at:], b.base.viewHours[lo:hi])
-	copy(b.out.pubIDs[at:], b.base.pubIDs[lo:hi])
-	b.protocol.copyRows(at, lo, hi)
-	b.platform.copyRows(at, lo, hi)
-	b.cdn.copyRows(at, lo, hi)
-	b.model.copyRows(at, lo, hi)
-	b.row += hi - lo
-}
-
-// addRow appends a new record.
-func (b *datasetBuilder) addRow(r *ViewRecord) {
-	at := b.row
-	if !b.own {
-		b.out.records[at] = *r
-	}
-	b.out.views[at] = r.Views()
-	b.out.viewHours[at] = r.ViewHours()
-	b.out.pubIDs[at], _ = b.pubs.intern(r.Publisher)
-	b.protocol.addID(b.protocolID(manifest.InferProtocol(r.URL)))
-	b.protocol.endRow(at)
-	if ids, ok := b.modelIDsOf(r.Device); ok {
-		b.platform.addID(ids.platform)
-		b.model.addID(ids.model)
-	}
-	b.platform.endRow(at)
-	b.model.endRow(at)
-	for _, c := range r.CDNs {
-		b.cdn.add(c)
-	}
-	b.cdn.endRow(at)
-	b.row++
-}
-
-// protocolID returns p's ID in the protocol column, interning its name
-// the first time the build meets p.
-func (b *datasetBuilder) protocolID(p manifest.Protocol) int32 {
-	if b.protoIDs[p] < 0 {
-		b.protoIDs[p], _ = b.protocol.intern(p.String())
-	}
-	return b.protoIDs[p]
-}
-
-// modelIDsOf returns the column IDs of a registered device model,
-// interning its platform and name the first time the build meets it.
-// Unknown names are looked up each time and never kept, so what the
-// build holds is bounded by the registry, not by its input.
-func (b *datasetBuilder) modelIDsOf(name string) (modelIDs, bool) {
-	if ids, ok := b.models[name]; ok {
-		return ids, true
-	}
-	m, ok := device.ByName(name)
-	if !ok {
-		return modelIDs{}, false
-	}
-	var ids modelIDs
-	ids.platform, _ = b.platform.intern(m.Platform.String())
-	var added bool
-	if ids.model, added = b.model.intern(m.Name); added {
-		b.modelPlatform = append(b.modelPlatform, ids.platform)
-	}
-	b.models[name] = ids
-	return ids, true
-}
-
-func (b *datasetBuilder) dataset() *Dataset {
-	d := b.out
-	d.pubNames, d.pubIndex = b.pubs.names, b.pubs.index
-	d.protocol = b.protocol.column()
-	d.platform = b.platform.column()
-	d.cdn = b.cdn.column()
-	d.model = b.model.column()
-	d.modelPlatform = b.modelPlatform
-	return d
+	copy(d.records[at:], src.records[lo:hi])
+	copy(d.views[at:], src.views[lo:hi])
+	copy(d.viewHours[at:], src.viewHours[lo:hi])
+	copy(d.pubIDs[at:], src.pubIDs[lo:hi])
+	d.protocol.copyRows(at, src.protocol, lo, hi)
+	d.platform.copyRows(at, src.platform, lo, hi)
+	d.cdn.copyRows(at, src.cdn, lo, hi)
+	d.model.copyRows(at, src.model, lo, hi)
+	return at + hi - lo
 }
 
 // Len returns the number of records.

@@ -1,6 +1,7 @@
 package telemetry_test
 
 import (
+	"runtime"
 	"testing"
 
 	"vmp/internal/ecosystem"
@@ -25,14 +26,52 @@ func arrivalOrder(tb testing.TB) []telemetry.ViewRecord {
 	return out
 }
 
-// BenchmarkRebuild times the two stages of a cut from empty — every
-// first cut, boot preload, crash recovery and offline Study.Dataset()
-// — that depend on the record count alone: CanonicalSort, then the
-// freeze (Merge onto the empty dataset). DESIGN.md §8 quotes its
-// ns/record.
+// TestFreezeMatchesSerialBuilderOnEcosystem holds the range freeze to
+// the serial builder on the generator's records at one, two and four
+// workers: the whole store from empty, and every third record merged
+// into a generation of the other two, so the delta lands everywhere.
+func TestFreezeMatchesSerialBuilderOnEcosystem(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	all := ecosystem.New(ecosystem.Config{Seed: 1809, SnapshotStride: 24}).GenerateStore().All()
+	var kept, added []telemetry.ViewRecord
+	for i := range all {
+		if i%3 == 0 {
+			added = append(added, all[i])
+		} else {
+			kept = append(kept, all[i])
+		}
+	}
+	exact := func(recs []telemetry.ViewRecord) []telemetry.ViewRecord {
+		return append(make([]telemetry.ViewRecord, 0, len(recs)), recs...)
+	}
+	wantAll := telemetry.SerialNewDataset(exact(all))
+	base := telemetry.SerialNewDataset(exact(kept))
+	wantMerged := telemetry.SerialMerge(base, exact(added))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		if diff := telemetry.DatasetDiff(telemetry.NewDataset(exact(all)), wantAll); diff != "" {
+			t.Fatalf("GOMAXPROCS %d, NewDataset of %d records: %s", procs, len(all), diff)
+		}
+		if diff := telemetry.DatasetDiff(base.Merge(exact(added)), wantMerged); diff != "" {
+			t.Fatalf("GOMAXPROCS %d, %d records merged into %d: %s", procs, len(added), len(kept), diff)
+		}
+	}
+}
+
+// BenchmarkRebuild times the stages of a cut from empty — every first
+// cut, boot preload, crash recovery and offline Study.Dataset() — that
+// depend on the record count alone: CanonicalSort in place (bench's
+// telemetry.sort_ms probe), Gather of the two connections' batches into
+// one sorted array (the cut's epoch.sort, and the generator's tail
+// inside core.generate_ms), then the freeze, Merge onto the empty
+// dataset (core.freeze_ms and telemetry.freeze_ms). `make bench-cut`
+// runs it at -cpu 1,2; DESIGN.md §8 quotes its ns/record.
 func BenchmarkRebuild(b *testing.B) {
 	arrived := arrivalOrder(b)
 	recs := make([]telemetry.ViewRecord, len(arrived))
+	perRecord := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(recs)), "ns/record")
+	}
 	b.Run("sort", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -41,9 +80,24 @@ func BenchmarkRebuild(b *testing.B) {
 			b.StartTimer()
 			telemetry.CanonicalSort(recs)
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(recs)), "ns/record")
+		perRecord(b)
+	})
+	b.Run("gather", func(b *testing.B) {
+		var batches [][]telemetry.ViewRecord
+		for lo := 0; lo < len(arrived); lo += 200 {
+			batches = append(batches, arrived[lo:min(lo+200, len(arrived))])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if len(telemetry.Gather(batches)) != len(arrived) {
+				b.Fatal("short gather")
+			}
+		}
+		perRecord(b)
 	})
 	b.Run("freeze", func(b *testing.B) {
+		copy(recs, arrived)
 		telemetry.CanonicalSort(recs)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -52,6 +106,6 @@ func BenchmarkRebuild(b *testing.B) {
 				b.Fatal("short dataset")
 			}
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(recs)), "ns/record")
+		perRecord(b)
 	})
 }

@@ -27,6 +27,10 @@ func NewStore(recs []ViewRecord) *Store {
 	return &Store{records: recs}
 }
 
+// GatherStore returns the store of the records of parts, which it only
+// reads, in one array of exactly their number (Gather).
+func GatherStore(parts [][]ViewRecord) *Store { return &Store{records: Gather(parts)} }
+
 // Len returns the number of records stored.
 func (s *Store) Len() int { return len(s.records) }
 
