@@ -42,35 +42,16 @@ test-bench:
 race:
 	$(GO) test -race ./...
 
+# bench times BenchmarkFullStudy, bench/'s study_offline core.freeze_ms,
+# core.figures_ms and core.render_ms together.
 .PHONY: bench
 bench:
 	$(GO) test -run xxx -bench BenchmarkFullStudy -benchtime 5x .
 
+# bench-live times in-process admission, bench/'s live.admit_ms_per_batch.
 .PHONY: bench-live
 bench-live:
-	$(GO) test -run xxx -bench 'BenchmarkLiveIngest|BenchmarkQueryUnderIngest' -benchmem ./internal/live/
-
-# bench-obs compares ingest throughput with the tracer disabled vs
-# enabled vs the full self-measurement plane (sampler + series ring)
-# live; the deltas are recorded in BENCH_obs.json. The disabled run
-# must stay within a few percent of BENCH_live_ingest.json's baseline —
-# instrumentation is supposed to be free until a daemon opts in.
-.PHONY: bench-obs
-bench-obs:
-	$(GO) test -run xxx -bench 'BenchmarkLiveIngest|BenchmarkIngestTraced|BenchmarkIngestSampled' -benchmem -benchtime 3s -count 3 ./internal/live/
-
-# bench-wire measures the wire path end to end: the binary codec in
-# isolation (encode/decode records/s, allocs), the JSONL scan beside
-# it (warm decoder in internal/wire, a decoder per call in
-# internal/telemetry), and the four HTTP loopback ingest variants
-# (jsonl/binary × plain/gzip). The headline numbers live in
-# BENCH_live_ingest.json; the binary HTTP path must stay within 2× of
-# BenchmarkLiveIngest's in-process admission rate.
-.PHONY: bench-wire
-bench-wire:
-	$(GO) test -run xxx -bench 'BenchmarkWireEncode|BenchmarkWireDecode|BenchmarkDecoderScanJSONL' -benchmem ./internal/wire/
-	$(GO) test -run xxx -bench BenchmarkScanJSONL -benchmem ./internal/telemetry/
-	$(GO) test -run xxx -bench BenchmarkHTTPIngest -benchmem ./internal/live/
+	$(GO) test -run xxx -bench 'BenchmarkLiveIngest$$' -benchmem ./internal/live/
 
 # fuzz-wire gives each wire decoder ten seconds of native fuzzing: the
 # JSONL arm against encoding/json as the model, the frame decoder
@@ -94,41 +75,33 @@ fuzz-wire:
 	$(GO) test -run xxx -fuzz FuzzCanonicalSort -fuzztime 10s -fuzzminimizetime 100x ./internal/telemetry
 	$(GO) test -run xxx -fuzz FuzzInferProtocol -fuzztime 10s -fuzzminimizetime 100x ./internal/manifest
 
-# bench-wal measures the durability tax: WAL-backed append throughput
-# under each fsync policy (batch, interval, off), boot replay records/s
-# at one and two cores (replay decodes on GOMAXPROCS workers), and the
-# end-to-end HTTP ingest rate with the WAL attached, beside the same
-# binary POSTs with no WAL (BenchmarkHTTPIngestBinary) so each policy's
-# share of it comes from one command.
-# The numbers live in BENCH_wal.json; group-commit (interval) must
-# sustain at least half of BENCH_live_ingest.json's binary HTTP rate,
-# and fsync=off must be within noise of running without a WAL at all.
+# bench-wal times the log under each fsync policy (batch, interval,
+# off), each as an encoded one-part batch and as a binary POST's frames
+# (bench/'s wal.append_ms_per_batch), then boot replay at one and two
+# cores (wal.replay_ms; replay decodes on GOMAXPROCS workers).
 .PHONY: bench-wal
 bench-wal:
 	$(GO) test -run xxx -bench BenchmarkWALAppend -benchmem ./internal/wal/
 	$(GO) test -run xxx -bench BenchmarkWALReplay -benchmem -cpu 1,2 ./internal/wal/
-	$(GO) test -run xxx -bench 'BenchmarkHTTPIngest(Binary|WAL.*)$$' -benchmem ./internal/live/
 
-# bench-cut is the generation-size sweep for the epoch cut: one
-# Engine.Snapshot folding 2 500 new records into 50 k, 200 k and 800 k
-# published ones. Only the row copy may grow with the generation; the
-# sort, the interning and (bench-wal's business) the checkpoint follow
-# the delta. Then the cut nothing is folded into — a first cut, a boot
-# preload, a recovery, an offline Study.Dataset(): sort, gather and
-# freeze of the benchmark's 110 k records from empty, ns per record
-# each, at one core and at two (all three run on GOMAXPROCS workers).
-# DESIGN.md §8 records both.
+# bench-cut sweeps the epoch cut over the generation's size (bench/'s
+# live.cut_ms_per_krec): one Engine.Snapshot folding 2 500 new records
+# into 50 k, 200 k and 800 k published ones. Then the cut nothing is
+# folded into — a first cut, a boot preload, a recovery, an offline
+# Study.Dataset(): sort, gather and freeze of the benchmark's 110 k
+# records from empty (telemetry.sort_ms and telemetry.freeze_ms), ns
+# per record each, at one core and at two.
 .PHONY: bench-cut
 bench-cut:
 	$(GO) test -run xxx -bench BenchmarkEpochCut -benchtime 10x -benchmem ./internal/live/
 	$(GO) test -run xxx -bench BenchmarkRebuild -benchtime 20x -benchmem -cpu 1,2 ./internal/telemetry/
 
-# bench-query is the generation-size sweep for the query functions: the
+# bench-query sweeps the query functions over the generation's size
+# (bench/'s live.query_share_ms, query_top_ms and query_window_ms): the
 # serving mix (six shares, top publishers, one window) asked of 50 k,
-# 200 k and 800 k records. cold — a Dataset nobody has asked before —
-# is a scan and grows with the generation; warm — the same Dataset
-# asked again — is answered from what the first asking left on it and
-# must be flat. DESIGN.md §8 records the sweep.
+# 200 k and 800 k records, cold — a Dataset nobody has asked before, a
+# scan — and warm — the same Dataset asked again, answered from what
+# the first asking left on it.
 .PHONY: bench-query
 bench-query:
 	$(GO) test -run xxx -bench 'BenchmarkQuery$$' -benchmem ./internal/live/

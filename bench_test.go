@@ -1,14 +1,12 @@
-// Benchmark harness: one benchmark per table and figure in the paper's
-// evaluation, plus ablations for the design choices DESIGN.md calls
-// out. Most figure benchmarks ask one shared study for their figure:
-// the first iteration computes it and every later one is a memo hit,
-// so they time the memo, not the figure. BenchmarkFig15and16QoE and
-// BenchmarkFig18StorageSavings compute their figure on every
-// iteration. Where a figure has a headline number, it is attached via
-// b.ReportMetric so `go test -bench` output doubles as a results table.
+// Root benchmarks: in-package microscopes on the study stages that
+// `bash bench/run.sh`'s study_offline workload times, each naming the
+// bench/catalog.go metric it looks at, plus the ablations DESIGN.md §5
+// calls out. Every one computes on every iteration. Where a figure has
+// a headline number, it is attached via b.ReportMetric.
 package vmp_test
 
 import (
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -16,191 +14,12 @@ import (
 	"vmp"
 
 	"vmp/internal/cdnsim"
-	"vmp/internal/device"
 	"vmp/internal/dist"
 	"vmp/internal/manifest"
 	"vmp/internal/simclock"
 	"vmp/internal/syndication"
 	"vmp/internal/telemetry"
 )
-
-var (
-	benchOnce  sync.Once
-	benchStudy *vmp.Study
-)
-
-// benchSetup builds one strided study shared by all figure benchmarks
-// (stride 6 ≈ 10 of the 59 snapshots; the latest snapshot is always
-// retained) and forces dataset generation so benchmarks time analysis,
-// not generation.
-func benchSetup(b *testing.B) *vmp.Study {
-	b.Helper()
-	benchOnce.Do(func() {
-		benchStudy = vmp.New(vmp.Config{SnapshotStride: 6, QoESessions: 40})
-		benchStudy.Store()
-	})
-	return benchStudy
-}
-
-func BenchmarkTable1ProtocolInference(b *testing.B) {
-	urls := []string{
-		"http://x.akamaihd.net/master.m3u8",
-		"http://x.llwnd.net//Z53TiGRzq.mpd",
-		"http://x.level3.net/56.ism/manifest",
-		"http://x.aws.com/cache/hds.f4m",
-		"rtmp://live.example.com/s1",
-		"http://x.example.com/video.mp4",
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, u := range urls {
-			if manifest.InferProtocol(u) == manifest.Unknown {
-				b.Fatal("inference failed")
-			}
-		}
-	}
-}
-
-func BenchmarkFig2ProtocolShares(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	var dash float64
-	for i := 0; i < b.N; i++ {
-		dash = s.Fig2b().Latest("DASH")
-		s.Fig2a()
-		s.Fig2c()
-	}
-	b.ReportMetric(dash, "DASH-latest-%VH")
-}
-
-func BenchmarkFig3ProtocolsPerPublisher(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Fig3a()
-		s.Fig3b()
-		s.Fig3c()
-	}
-}
-
-func BenchmarkFig4ProtocolShareCDF(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if cdfs := s.Fig4(); len(cdfs) != 2 {
-			b.Fatal("bad Fig4")
-		}
-	}
-}
-
-func BenchmarkFig5PlatformTaxonomy(b *testing.B) {
-	s := benchSetup(b)
-	for i := 0; i < b.N; i++ {
-		if rows := s.Fig5(); len(rows) != 5 {
-			b.Fatal("bad Fig5")
-		}
-	}
-}
-
-func BenchmarkFig6PlatformShares(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	var settop float64
-	for i := 0; i < b.N; i++ {
-		settop = s.Fig6a().Latest("SetTop")
-		s.Fig6b()
-		s.Fig6c()
-	}
-	b.ReportMetric(settop, "settop-latest-%VH")
-}
-
-func BenchmarkFig7PlatformSupport(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Fig7()
-	}
-}
-
-func BenchmarkFig8DurationCDFs(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if cdfs := s.Fig8(); len(cdfs) == 0 {
-			b.Fatal("bad Fig8")
-		}
-	}
-}
-
-func BenchmarkFig9PlatformsPerPublisher(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Fig9a()
-		s.Fig9b()
-		s.Fig9c()
-	}
-}
-
-func BenchmarkFig10WithinPlatformDevices(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	var roku float64
-	for i := 0; i < b.N; i++ {
-		s.Fig10(device.Browser)
-		s.Fig10(device.Mobile)
-		roku = s.Fig10(device.SetTop).Latest("Roku")
-	}
-	b.ReportMetric(roku, "roku-latest-%settopVH")
-}
-
-func BenchmarkFig11CDNShares(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	var a float64
-	for i := 0; i < b.N; i++ {
-		s.Fig11a()
-		a = s.Fig11b().Latest("A")
-	}
-	b.ReportMetric(a, "cdnA-latest-%VH")
-}
-
-func BenchmarkFig12CDNsPerPublisher(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	var weighted float64
-	for i := 0; i < b.N; i++ {
-		s.Fig12a()
-		s.Fig12b()
-		avg := s.Fig12c()
-		weighted = avg.Weighted[len(avg.Weighted)-1]
-	}
-	b.ReportMetric(weighted, "weighted-avg-CDNs")
-}
-
-func BenchmarkFig13Complexity(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	var factor float64
-	for i := 0; i < b.N; i++ {
-		rep, err := s.Fig13()
-		if err != nil {
-			b.Fatal(err)
-		}
-		factor = rep.ProtocolTitles.PerDecadeFactor
-	}
-	b.ReportMetric(factor, "protocol-titles-x/decade")
-}
-
-func BenchmarkFig14SyndicationPrevalence(b *testing.B) {
-	s := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if pts, _ := s.Fig14(); len(pts) == 0 {
-			b.Fatal("bad Fig14")
-		}
-	}
-}
 
 // BenchmarkFig15and16QoE plays the Fig 15/16 sessions on every
 // iteration — CompareQoE over DefaultSlices, through a fresh study of
@@ -221,15 +40,6 @@ func BenchmarkFig15and16QoE(b *testing.B) {
 		ratio = comps[0].Owner.MedianKbps / comps[0].Syndicator.MedianKbps
 	}
 	b.ReportMetric(ratio, "owner/synd-median-bitrate")
-}
-
-func BenchmarkFig17LadderTable(b *testing.B) {
-	s := benchSetup(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Fig17(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkFig18StorageSavings runs RunStorageExperiment with the
@@ -268,17 +78,11 @@ func BenchmarkDatasetGeneration(b *testing.B) {
 // BenchmarkAblationDedupTolerance sweeps the dedup tolerance on the
 // Fig 18 origin and reports the savings percentage at each setting.
 func BenchmarkAblationDedupTolerance(b *testing.B) {
-	exps := map[string]float64{"exact": 0, "tol2.5%": 0.025, "tol5%": 0.05, "tol10%": 0.10, "tol20%": 0.20}
-	for name, tol := range exps {
-		tol := tol
-		b.Run(name, func(b *testing.B) {
-			cfg := syndication.DefaultStorageConfig()
-			cfg.Titles = 120 // keep per-iteration cost modest
-			exp, err := syndication.RunStorageExperiment(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = exp
+	for _, c := range []struct {
+		name string
+		tol  float64
+	}{{"exact", 0}, {"tol2.5%", 0.025}, {"tol5%", 0.05}, {"tol10%", 0.10}, {"tol20%", 0.20}} {
+		b.Run(c.name, func(b *testing.B) {
 			origin := cdnsim.NewOrigin()
 			o, s1, s2 := syndication.Fig18Ladders()
 			push := func(pub string, l manifest.Ladder) {
@@ -296,7 +100,7 @@ func BenchmarkAblationDedupTolerance(b *testing.B) {
 			var saved int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				saved = origin.DedupSavings(tol)
+				saved = origin.DedupSavings(c.tol)
 			}
 			b.ReportMetric(100*float64(saved)/float64(origin.TotalBytes()), "%saved")
 		})
@@ -326,13 +130,12 @@ func BenchmarkAblationEdgeCache(b *testing.B) {
 	}
 }
 
+// byteSizeName names a cache capacity of mb MiB by its size.
 func byteSizeName(mb int64) string {
-	switch {
-	case mb >= 1024:
-		return "cap-" + string(rune('0'+mb/1024)) + "GiB"
-	default:
-		return "cap-" + string(rune('0'+mb/100)) + "00MiB"
+	if mb%1024 == 0 {
+		return fmt.Sprintf("cap-%dGiB", mb/1024)
 	}
+	return fmt.Sprintf("cap-%dMiB", mb)
 }
 
 func chunkName(i int) string {
@@ -386,30 +189,21 @@ func BenchmarkAblationSnapshotCadence(b *testing.B) {
 	}
 }
 
-// BenchmarkRenderAll measures end-to-end rendering of the whole study.
-func BenchmarkRenderAll(b *testing.B) {
-	s := benchSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.RenderAll(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 var (
 	fullStudyOnce  sync.Once
 	fullStudyStore *telemetry.Store
 )
 
-// fullStudyConfig mirrors benchSetup's strided study.
-var fullStudyConfig = vmp.Config{SnapshotStride: 6, QoESessions: 40}
+// fullStudyConfig is the benchmark's study_offline configuration:
+// stride 12 (≈ 110 k records) and the study's 150 Fig 15/16 sessions.
+var fullStudyConfig = vmp.Config{SnapshotStride: 12}
 
 // BenchmarkFullStudy measures the complete cold-start analysis path —
 // freeze, every figure computation, full render — with a fresh study
 // per iteration over one pre-generated record store, so memoization
 // inside a single run counts but nothing carries across iterations.
+// It is the in-package microscope for study_offline's core.freeze_ms,
+// core.figures_ms and core.render_ms together.
 // The serial and parallel sub-benchmarks produce byte-identical output
 // (see core.TestRenderAllParallelByteIdentical).
 func BenchmarkFullStudy(b *testing.B) {

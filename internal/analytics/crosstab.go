@@ -80,15 +80,3 @@ func (ct *CrossTab) RowShare(row, col string) float64 {
 	}
 	return m[col] / total
 }
-
-// ColShare returns cell (row, col) as a fraction of the column total.
-func (ct *CrossTab) ColShare(row, col string) float64 {
-	total := 0.0
-	for _, r := range sortedKeys(ct.ViewHours) {
-		total += ct.ViewHours[r][col]
-	}
-	if total == 0 {
-		return 0
-	}
-	return ct.At(row, col) / total
-}

@@ -8,10 +8,11 @@ import (
 	"vmp/internal/telemetry"
 )
 
-// BenchmarkEpochCut is the generation-size sweep: one op is one
+// BenchmarkEpochCut is the in-package microscope for bench/'s
+// live.cut_ms_per_krec, swept over the generation's size: one op is one
 // Engine.Snapshot folding a fixed 2 500-record delta into a published
-// generation of 50 k, 200 k or 800 k records (no WAL; the checkpoint
-// has its own cadence and its own bench). A cut whose comparing,
+// generation of 50 k, 200 k or 800 k records (no WAL: the checkpoint
+// is wal.commit_ms's). A cut whose comparing,
 // hashing and interning are proportional to the delta leaves only the
 // row copy to grow with the generation, so ns/op divided by the sizes'
 // ratio is the figure to watch. The engine is rebuilt, outside the

@@ -28,21 +28,9 @@ const Day = 24 * time.Hour
 // StudyDays returns the number of whole days in the study window.
 func StudyDays() int { return int(StudyEnd.Sub(StudyStart) / Day) }
 
-// DayIndex converts an instant to a zero-based day offset from
-// StudyStart. Instants before StudyStart map to negative indices.
-func DayIndex(t time.Time) int {
-	return int(t.Sub(StudyStart) / Day)
-}
-
-// DayTime is the inverse of DayIndex: the first instant of day i.
+// DayTime is the first instant of day i, counted from StudyStart.
 func DayTime(i int) time.Time {
 	return StudyStart.Add(time.Duration(i) * Day)
-}
-
-// MonthIndex returns the zero-based month offset of t from StudyStart
-// (January 2016 = 0, March 2018 = 26).
-func MonthIndex(t time.Time) int {
-	return (t.Year()-StudyStart.Year())*12 + int(t.Month()) - int(StudyStart.Month())
 }
 
 // Snapshot is one sampling window of the dataset: a contiguous run of

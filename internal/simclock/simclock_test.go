@@ -13,37 +13,6 @@ func TestStudyDays(t *testing.T) {
 	}
 }
 
-func TestDayIndexRoundTrip(t *testing.T) {
-	for _, i := range []int{0, 1, 59, 365, 366, StudyDays() - 1} {
-		if got := DayIndex(DayTime(i)); got != i {
-			t.Errorf("DayIndex(DayTime(%d)) = %d", i, got)
-		}
-	}
-}
-
-func TestDayIndexBeforeStart(t *testing.T) {
-	if got := DayIndex(StudyStart.Add(-Day)); got != -1 {
-		t.Fatalf("DayIndex(one day before start) = %d, want -1", got)
-	}
-}
-
-func TestMonthIndex(t *testing.T) {
-	cases := []struct {
-		t    time.Time
-		want int
-	}{
-		{StudyStart, 0},
-		{time.Date(2016, 12, 15, 0, 0, 0, 0, time.UTC), 11},
-		{time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC), 12},
-		{time.Date(2018, 3, 31, 0, 0, 0, 0, time.UTC), 26},
-	}
-	for _, c := range cases {
-		if got := MonthIndex(c.t); got != c.want {
-			t.Errorf("MonthIndex(%v) = %d, want %d", c.t, got, c.want)
-		}
-	}
-}
-
 func TestDefaultScheduleShape(t *testing.T) {
 	sched := DefaultSchedule()
 	if len(sched) == 0 {

@@ -158,9 +158,6 @@ func NewWeightedECDF(values, weights []float64) *WeightedECDF {
 	return e
 }
 
-// Mass returns the total weight.
-func (e *WeightedECDF) Mass() float64 { return e.mass }
-
 // At returns P(X <= x) under the weighted measure.
 func (e *WeightedECDF) At(x float64) float64 {
 	if e.mass == 0 {

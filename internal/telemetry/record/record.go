@@ -67,7 +67,3 @@ func (r *ViewRecord) Views() float64 {
 // ViewHours returns the view's contribution to view-hours, the paper's
 // primary measure, expanded by the sampling weight.
 func (r *ViewRecord) ViewHours() float64 { return r.Views() * r.ViewSec / 3600 }
-
-// AppView reports whether the view came through an app (it carries an
-// SDK) rather than a browser.
-func (r *ViewRecord) AppView() bool { return r.SDK != "" }

@@ -43,18 +43,6 @@ func TestViewHours(t *testing.T) {
 	}
 }
 
-func TestAppView(t *testing.T) {
-	r := rec("p1", 0, 60)
-	if !r.AppView() {
-		t.Error("record with SDK should be an app view")
-	}
-	r.SDK = ""
-	r.UserAgent = "Mozilla/5.0"
-	if r.AppView() {
-		t.Error("record without SDK is a browser view")
-	}
-}
-
 func TestStoreWindow(t *testing.T) {
 	// Out-of-order input must still window correctly: the store orders
 	// it, the dataset built on the store's rows windows it.
@@ -165,25 +153,4 @@ func wireRecs(n int) []ViewRecord {
 		recs[i] = r
 	}
 	return recs
-}
-
-// BenchmarkScanJSONL isolates the JSONL parse cost on the ingest path
-// — the number the binary decoder's records/s is judged against.
-func BenchmarkScanJSONL(b *testing.B) {
-	recs := wireRecs(2000)
-	var buf bytes.Buffer
-	if err := EncodeJSONL(&buf, recs); err != nil {
-		b.Fatal(err)
-	}
-	body := buf.Bytes()
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch, bad, err := ScanJSONL(bytes.NewReader(body))
-		if err != nil || bad != 0 || len(batch) != len(recs) {
-			b.Fatalf("scan: %d records, %d bad, err=%v", len(batch), bad, err)
-		}
-	}
-	b.ReportMetric(float64(len(recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }

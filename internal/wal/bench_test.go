@@ -11,58 +11,76 @@ import (
 	"vmp/internal/simclock"
 	"vmp/internal/telemetry"
 	"vmp/internal/telemetry/record"
+	"vmp/internal/wire"
 )
 
-// benchAppend measures AppendBatch throughput under one fsync policy:
-// one op = one 2000-record batch of 4 shard parts landed as one log
-// record, durable to whatever degree the policy promises. The log is recycled every 200
-// ops outside the timer so segment accumulation doesn't turn this into
-// a filesystem benchmark. The spread between the three policies is the
-// durability tax EXPERIMENTS.md tracks.
+// benchAppend is the in-package microscope for bench/'s
+// wal.append_ms_per_batch under one fsync policy: one op lands one
+// 2000-record batch as one log record, durable to whatever degree the
+// policy promises. parts hands AppendBatch the batch as the one part
+// Engine.IngestFrames does (the encoding path bench's traced runs
+// take); frames hands AppendFrames the same records' wire frame, as an
+// untraced binary POST does. The log is recycled every 200 ops outside
+// the timer so segment accumulation doesn't turn this into a
+// filesystem benchmark.
 func benchAppend(b *testing.B, policy Policy) {
-	root := b.TempDir()
-	parts := partition(genRecords(2000), 4)
-
-	var (
-		l   *Log
-		gen int
-		err error
-	)
-	boot := func() {
-		dir := filepath.Join(root, "wal-"+strconv.Itoa(gen))
-		gen++
-		l, err = Open(Options{
-			Dir:    dir,
-			Policy: policy,
-			Clock:  simclock.NewManual(simclock.StudyStart),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+	recs := genRecords(2000)
+	parts := one(recs)
+	frame, err := wire.NewEncoder().AppendFrame(nil, recs)
+	if err != nil {
+		b.Fatal(err)
 	}
-	shutdown := func() {
-		if err := l.Close(); err != nil {
-			b.Fatal(err)
-		}
-		_ = os.RemoveAll(filepath.Join(root, "wal-"+strconv.Itoa(gen-1)))
-	}
-	boot()
-	defer func() { shutdown() }()
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i > 0 && i%200 == 0 {
-			b.StopTimer()
-			shutdown()
+	for _, c := range []struct {
+		name   string
+		append func(*Log) error
+	}{
+		{"parts", func(l *Log) error { return l.AppendBatch(parts, 0) }},
+		{"frames", func(l *Log) error { return l.AppendFrames(frame, int64(len(recs)), 0) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			root := b.TempDir()
+			var (
+				l   *Log
+				gen int
+			)
+			boot := func() {
+				dir := filepath.Join(root, "wal-"+strconv.Itoa(gen))
+				gen++
+				var err error
+				l, err = Open(Options{
+					Dir:    dir,
+					Policy: policy,
+					Clock:  simclock.NewManual(simclock.StudyStart),
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			shutdown := func() {
+				if err := l.Close(); err != nil {
+					b.Fatal(err)
+				}
+				_ = os.RemoveAll(filepath.Join(root, "wal-"+strconv.Itoa(gen-1)))
+			}
 			boot()
-			b.StartTimer()
-		}
-		if err := l.AppendBatch(parts, 0); err != nil {
-			b.Fatal(err)
-		}
+			defer func() { shutdown() }()
+
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%200 == 0 {
+					b.StopTimer()
+					shutdown()
+					boot()
+					b.StartTimer()
+				}
+				if err := c.append(l); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(len(recs)*b.N)/b.Elapsed().Seconds(), "records/s")
+		})
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(2000*b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkWALAppendBatch fsyncs every batch before returning — the

@@ -502,9 +502,10 @@ func TestDecodeBodyCutFrameKeepsItsCause(t *testing.T) {
 	}
 }
 
-// BenchmarkDecoderScanJSONL is BenchmarkWireDecode's JSONL twin: one
-// op scans the same 2000 records, as JSON lines, through a warm
-// decoder. The ratio of the two is what is left of the wire gap.
+// BenchmarkDecoderScanJSONL is the in-package microscope for bench/'s
+// wire.decode_ms_per_batch on a JSONL POST (ingest_jsonl): one op scans
+// the 2000 records BenchmarkWireDecode decodes, as JSON lines, through
+// a warm decoder.
 func BenchmarkDecoderScanJSONL(b *testing.B) {
 	recs := genRecords(2000)
 	body := jsonlBody(b, recs)

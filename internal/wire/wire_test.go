@@ -305,6 +305,10 @@ func TestDecodeBulkTableMatchesSmallFrames(t *testing.T) {
 	}
 }
 
+// BenchmarkWireEncode is the in-package microscope for the encode
+// inside bench/'s wal.commit_ms (the checkpoint is written as frames
+// through this encoder): one op encodes a 2000-record frame through a
+// warm encoder.
 func BenchmarkWireEncode(b *testing.B) {
 	recs := genRecords(2000)
 	telemetry.CanonicalSort(recs)
@@ -324,9 +328,10 @@ func BenchmarkWireEncode(b *testing.B) {
 	b.ReportMetric(float64(len(frame))/2000, "bytes/record")
 }
 
-// BenchmarkWireDecode is the decode half of the wire-gap bench pair
-// (BenchmarkScanJSONL in internal/telemetry is the other): one op
-// decodes a 2000-record binary frame through a warm decoder.
+// BenchmarkWireDecode is the in-package microscope for bench/'s
+// wire.decode_ms_per_batch on a binary POST (BenchmarkDecoderScanJSONL
+// is the JSONL one): one op decodes a 2000-record binary frame through
+// a warm decoder.
 func BenchmarkWireDecode(b *testing.B) {
 	recs := genRecords(2000)
 	telemetry.CanonicalSort(recs)

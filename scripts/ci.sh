@@ -30,10 +30,10 @@ stage vet-bench make vet-bench
 # no example and not bench/: a test alone does not keep a package alive.
 stage census    make census
 stage race      make race
-# bench-root runs every root benchmark (one per table and figure, the
-# ablations, RenderAll, FullStudy) once: a benchmark that still compiles
-# but has stopped working fails here, not the next time someone times it.
-stage bench-root go test -run '^$' -bench . -benchtime 1x .
+# bench-root runs every benchmark in the module once (bench/ is its own
+# module, and bench-quick runs it): a benchmark that still compiles but
+# has stopped working fails here, not the next time someone times it.
+stage bench-root go test -run '^$' -bench . -benchtime 1x ./...
 # mutants re-runs the mutant ledger: every seeded mutant must still fail
 # its named test, every retired analyzer on record must keep its three
 # rows, and the regenerated docs/mutants.md must match the one checked
@@ -56,12 +56,6 @@ stage fuzz-wire make fuzz-wire
 # answer gate on all four workloads, run here.
 stage bench-test make test-bench
 stage bench-quick bash bench/run.sh -quick
-# bench-wire-report materializes the wire-path benchmark numbers as a
-# CI artifact: codec encode/decode, JSONL scan, and the HTTP loopback
-# ingest variants that back BENCH_live_ingest.json. The stage fails
-# only if a benchmark errors; throughput regressions show up in the
-# artifact diff, not as a red build on a noisy shared runner.
-stage bench-wire-report sh -c 'make bench-wire > bench_wire_report.txt 2>&1 && test -s bench_wire_report.txt && cat bench_wire_report.txt'
 
 if [ -n "$failed" ]; then
 	echo "ci: failed stages:$failed"
