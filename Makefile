@@ -43,10 +43,12 @@ race:
 	$(GO) test -race ./...
 
 # bench times BenchmarkFullStudy, bench/'s study_offline core.freeze_ms,
-# core.figures_ms and core.render_ms together.
+# core.figures_ms and core.render_ms together, then
+# BenchmarkDatasetGeneration, its core.generate_ms, with allocs/op.
 .PHONY: bench
 bench:
 	$(GO) test -run xxx -bench BenchmarkFullStudy -benchtime 5x .
+	$(GO) test -run xxx -bench BenchmarkDatasetGeneration -benchtime 5x -benchmem .
 
 # bench-live times in-process admission, bench/'s live.admit_ms_per_batch.
 .PHONY: bench-live

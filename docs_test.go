@@ -1,8 +1,13 @@
 package vmp_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
+	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -31,5 +36,63 @@ func TestDocsNameOnlyMakeTargetsThatExist(t *testing.T) {
 				t.Errorf("%s:%d names `make %s`, which the Makefile does not define", doc, line, target)
 			}
 		}
+	}
+}
+
+// TestReadmeNamesEveryFlag fails when a command under cmd/ registers a
+// flag that README.md never names (`-name`, `-name value` or
+// `-name=value`, in code or inline code): a flag the reader cannot find
+// in the README is one only `-h` tells them about.
+func TestReadmeNamesEveryFlag(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mains, err := filepath.Glob("cmd/*/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := 0
+	for _, path := range mains {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			arg := 0 // flag.String("name", …); flag.StringVar(&v, "name", …)
+			if strings.HasSuffix(sel.Sel.Name, "Var") {
+				arg = 1
+			}
+			if len(call.Args) <= arg {
+				return true
+			}
+			lit, ok := call.Args[arg].(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true
+			}
+			name, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flags++
+			if !regexp.MustCompile("(?m)(^|[\\s`])-" + regexp.QuoteMeta(name) + "([\\s`=]|$)").Match(readme) {
+				t.Errorf("%s registers -%s, which README.md never names", path, name)
+			}
+			return true
+		})
+	}
+	if flags < 20 {
+		t.Fatalf("found %d flags under cmd/; the parse no longer sees them", flags)
 	}
 }

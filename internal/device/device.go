@@ -186,7 +186,23 @@ func (m Model) VersionAt(t time.Time) SDKVersion {
 	if quarters < 0 {
 		quarters = 0
 	}
-	return SDKVersion{Family: family, Version: fmt.Sprintf("%d.%d", 1+quarters/4, quarters%4)}
+	if quarters < len(versionNames) {
+		return SDKVersion{Family: family, Version: versionNames[quarters]}
+	}
+	return SDKVersion{Family: family, Version: versionName(quarters)}
+}
+
+// versionNames holds the version of each of the first 80 quarters
+// (to 2034), so that every version in the study is one shared string.
+var versionNames = func() (names [80]string) {
+	for q := range names {
+		names[q] = versionName(q)
+	}
+	return names
+}()
+
+func versionName(quarters int) string {
+	return fmt.Sprintf("%d.%d", 1+quarters/4, quarters%4)
 }
 
 // VersionsInUse returns the SDK versions a publisher must support for

@@ -36,9 +36,16 @@ func (s *Source) Split(label string) *Source {
 // Splitf is Split for integer-indexed children, avoiding the cost and
 // allocation of formatting labels at call sites. The child's label is
 // the label's bytes followed by i's eight little-endian bytes.
+//
+// Splitf stays small enough to inline, so a caller that keeps the
+// child to itself holds it on its stack: the hashing is in splitfSeed.
 func (s *Source) Splitf(label string, i int) *Source {
-	child := mix(s.seed ^ fnvUint64(fnvString(fnvOffset, label), uint64(i)))
+	child := splitfSeed(s.seed, label, i)
 	return &Source{seed: child, state: child}
+}
+
+func splitfSeed(seed uint64, label string, i int) uint64 {
+	return mix(seed ^ fnvUint64(fnvString(fnvOffset, label), uint64(i)))
 }
 
 // FNV-1a (64-bit) parameters, as in hash/fnv.

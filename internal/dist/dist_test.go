@@ -316,13 +316,17 @@ func TestSplitMatchesHashFNV(t *testing.T) {
 	}
 }
 
-// TestSplitDoesNotAllocate pins Split as inlinable: a child that does
-// not escape its caller lives on the caller's stack.
+// TestSplitDoesNotAllocate pins Split and Splitf as inlinable: a child
+// that does not escape its caller lives on the caller's stack. The
+// generator splits once per view and once per device draw.
 func TestSplitDoesNotAllocate(t *testing.T) {
 	src := NewSource(3)
 	var sink uint64
 	if n := testing.AllocsPerRun(100, func() { sink += src.Split("x").Uint64() }); n != 0 {
 		t.Fatalf("Split allocates %.1f times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink += src.Splitf("view", int(sink)).Uint64() }); n != 0 {
+		t.Fatalf("Splitf allocates %.1f times per call", n)
 	}
 	_ = sink
 }

@@ -1,6 +1,7 @@
 package ecosystem
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -38,10 +39,12 @@ type Ecosystem struct {
 	Schedule   simclock.Schedule
 
 	root *dist.Source
-	// ladders and zipfs are precomputed at construction and read-only
-	// afterwards, so snapshot generation can run concurrently.
+	// ladders, zipfs and agents are precomputed at construction and
+	// read-only afterwards, so snapshot generation can run
+	// concurrently.
 	ladders map[string]manifest.Ladder
 	zipfs   map[int]*dist.Zipf
+	agents  map[agentKey]string
 }
 
 // New builds the ecosystem for cfg. The construction is deterministic:
@@ -77,37 +80,54 @@ func New(cfg Config) *Ecosystem {
 	}
 	e.Publishers = buildPopulation(root.Split("population"))
 	// Precompute the per-publisher ladders and catalogue popularity
-	// distributions so sampling never writes shared state.
+	// distributions, and the user agents, so sampling never writes
+	// shared state.
+	lag := 0
 	for _, p := range e.Publishers {
 		e.ladderFor(p)
 		e.catalogZipf(p)
+		lag = max(lag, p.SDKLag)
 	}
+	e.agents = userAgents(sched, lag)
 	return e
 }
 
 // GenerateStore runs the sampler over every publisher and snapshot and
 // returns the assembled view-record store: the synthetic counterpart of
-// the paper's dataset. GOMAXPROCS workers sample (snapshot, publisher)
-// pairs, each into the slot of its pair, so the result is identical to
-// serial generation: every record's content depends only on (seed,
-// publisher, snapshot). telemetry.GatherStore then sorts the slots'
-// records into one canonically ordered array on as many workers.
+// the paper's dataset. GOMAXPROCS workers each take one publisher at a
+// time, the largest first, and sample its every snapshot into the slot
+// of its (snapshot, publisher) pair with the publisher's string tables
+// (pubStrings). The result is identical to serial generation: every
+// record's content depends only on (seed, publisher, snapshot).
+// telemetry.GatherStore then sorts the slots' records into one
+// canonically ordered array on as many workers.
 func (e *Ecosystem) GenerateStore() *telemetry.Store {
 	pubs := len(e.Publishers)
 	slots := make([][]telemetry.ViewRecord, len(e.Schedule)*pubs)
+	order := make([]int, pubs)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(e.Publishers[b].DailyVH, e.Publishers[a].DailyVH)
+	})
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < min(runtime.GOMAXPROCS(0), len(slots)); w++ {
+	for w := 0; w < min(runtime.GOMAXPROCS(0), pubs); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := range jobs {
-				slots[k] = e.samplePublisherSnapshot(e.Publishers[k%pubs], e.Schedule[k/pubs])
+			strs := pubStrings{agents: e.agents}
+			for i := range jobs {
+				strs.reset(e.Publishers[i])
+				for s, snap := range e.Schedule {
+					slots[s*pubs+i] = e.samplePublisherSnapshot(&strs, snap)
+				}
 			}
 		}()
 	}
-	for k := range slots {
-		jobs <- k
+	for _, i := range order {
+		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
@@ -118,8 +138,10 @@ func (e *Ecosystem) GenerateStore() *telemetry.Store {
 // population.
 func (e *Ecosystem) GenerateSnapshot(snap simclock.Snapshot) []telemetry.ViewRecord {
 	slots := make([][]telemetry.ViewRecord, len(e.Publishers))
+	strs := pubStrings{agents: e.agents}
 	for i, p := range e.Publishers {
-		slots[i] = e.samplePublisherSnapshot(p, snap)
+		strs.reset(p)
+		slots[i] = e.samplePublisherSnapshot(&strs, snap)
 	}
 	return slices.Concat(slots...)
 }

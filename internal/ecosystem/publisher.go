@@ -259,13 +259,6 @@ func (p *Publisher) CDNNamesAt(t time.Time) []string {
 	return names
 }
 
-// VideoID returns the publisher-scoped identifier of the rank-th title
-// in its catalogue, rank >= 0.
-func (p *Publisher) VideoID(rank int) string {
-	var buf [20]byte
-	return p.ID + "-v" + string(appendRank(buf[:0], rank))
-}
-
 func minf(a, b float64) float64 {
 	if a < b {
 		return a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"vmp/internal/device"
 	"vmp/internal/manifest"
@@ -40,16 +41,28 @@ func TestDailyViewHoursGrowth(t *testing.T) {
 	}
 }
 
-// TestVideoIDFormat pins VideoID, and the rank padding the syndicated
-// IDs share with it, to the "%s-v%04d" form it replaced.
+// TestVideoIDFormat pins the IDs the generator's tables build — a
+// title's VideoID, a syndicator's own ID for it and the owner's
+// ContentID it carries — to the "%s-v%04d" and "%s-s%04d" forms they
+// replaced, and holds a second draw of a rank to the first one's string.
 func TestVideoIDFormat(t *testing.T) {
-	p := &Publisher{ID: "pub007"}
-	if got := p.VideoID(42); got != "pub007-v0042" {
+	var strs pubStrings
+	strs.reset(&Publisher{ID: "pub007", CatalogSize: 123457, IsSyndicator: true, CarriesFrom: []string{"pub001", "pub002"}})
+	if got := strs.videoID(42); got != "pub007-v0042" {
 		t.Fatalf("VideoID = %q", got)
 	}
 	for _, rank := range []int{0, 7, 42, 999, 9999, 10000, 123456} {
-		if got, want := p.VideoID(rank), fmt.Sprintf("%s-v%04d", p.ID, rank); got != want {
-			t.Errorf("VideoID(%d) = %q, fmt gives %q", rank, got, want)
+		for _, c := range []struct{ got, want string }{
+			{strs.videoID(rank), fmt.Sprintf("pub007-v%04d", rank)},
+			{strs.syndicatedID(rank), fmt.Sprintf("pub007-s%04d", rank)},
+			{strs.carriedID(1, rank%carriedTitles), fmt.Sprintf("pub002-v%04d", rank%carriedTitles)},
+		} {
+			if c.got != c.want {
+				t.Errorf("rank %d: ID %q, fmt gives %q", rank, c.got, c.want)
+			}
+		}
+		if a, b := strs.videoID(rank), strs.videoID(rank); unsafe.StringData(a) != unsafe.StringData(b) {
+			t.Errorf("rank %d: a second draw built its VideoID again", rank)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package ecosystem
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 
@@ -140,10 +141,17 @@ func (e *Ecosystem) ladderFor(p *Publisher) manifest.Ladder {
 	return l
 }
 
-// samplePublisherSnapshot emits the sampled view records for one
-// publisher in one snapshot window.
-func (e *Ecosystem) samplePublisherSnapshot(p *Publisher, snap simclock.Snapshot) []telemetry.ViewRecord {
-	mid := snap.Start.Add(time.Duration(snap.Days) * simclock.Day / 2)
+// snapshotMid is the instant a snapshot's publisher configuration is
+// read at.
+func snapshotMid(snap simclock.Snapshot) time.Time {
+	return snap.Start.Add(time.Duration(snap.Days) * simclock.Day / 2)
+}
+
+// samplePublisherSnapshot emits the sampled view records for the
+// publisher t belongs to in one snapshot window.
+func (e *Ecosystem) samplePublisherSnapshot(t *pubStrings, snap simclock.Snapshot) []telemetry.ViewRecord {
+	p := t.p
+	mid := snapshotMid(snap)
 	vh := p.DailyViewHoursAt(mid) * float64(snap.Days)
 	src := e.root.Split("sample-" + p.ID + "-" + snap.Label())
 
@@ -174,7 +182,7 @@ func (e *Ecosystem) samplePublisherSnapshot(p *Publisher, snap simclock.Snapshot
 	n := sampleCount(vh)
 	weight := realViews / float64(n)
 
-	c := newSnapshotChoices(p, mid, platforms, platWeights, e.ladderFor(p), e.catalogZipf(p))
+	c := newSnapshotChoices(t, mid, platforms, platWeights, e.ladderFor(p), e.catalogZipf(p))
 	records := make([]telemetry.ViewRecord, 0, n)
 	for i := 0; i < n; i++ {
 		vsrc := src.Splitf("view", i)
@@ -221,8 +229,10 @@ func (e *Ecosystem) sampleView(c *snapshotChoices, snap simclock.Snapshot, src *
 	live := src.Split("live").Bool(p.LiveShare)
 
 	// Pick platform → device → protocol, retrying on incompatibility.
+	// The device is the j-th model of its platform's mix.
 	var (
-		model device.Model
+		mix   *deviceChoice
+		j     int
 		proto manifest.Protocol
 		pl    device.Platform
 	)
@@ -230,35 +240,34 @@ func (e *Ecosystem) sampleView(c *snapshotChoices, snap simclock.Snapshot, src *
 	for attempt := 0; attempt < 5 && !found; attempt++ {
 		asrc := src.Splitf("attempt", attempt)
 		pl = c.platforms[asrc.Categorical(c.platWeights)]
-		mix := c.devices(pl)
-		model = mix.models[asrc.Categorical(mix.weights)]
-		proto, found = c.protocol(model, asrc)
+		mix = c.devices(pl)
+		j = asrc.Categorical(mix.weights)
+		proto, found = c.protocol(mix, j, asrc)
 	}
 	if !found {
 		// Fall back to the universal combination if the publisher has
 		// it; otherwise drop the sample.
-		if html5, ok := device.ByName("HTML5"); ok && p.SupportsPlatformAt(device.Browser, c.mid) {
-			model, pl = html5, device.Browser
-			var ok2 bool
-			proto, ok2 = c.protocol(model, src.Split("fallback"))
-			if !ok2 {
-				return telemetry.ViewRecord{}, false
-			}
-		} else {
+		if !p.SupportsPlatformAt(device.Browser, c.mid) {
+			return telemetry.ViewRecord{}, false
+		}
+		pl, mix = device.Browser, c.devices(device.Browser)
+		j = slices.IndexFunc(mix.models, func(m device.Model) bool { return m.Name == "HTML5" })
+		if proto, found = c.protocol(mix, j, src.Split("fallback")); !found {
 			return telemetry.ViewRecord{}, false
 		}
 	}
+	model := mix.models[j]
 
 	// CDN selection honoring live/VoD segregation.
 	eligible := c.cdns(live)
-	cdnName, ok := eligible.pick(src.Split("cdn"))
+	cdn, ok := eligible.pick(src.Split("cdn"))
 	if !ok {
 		return telemetry.ViewRecord{}, false
 	}
-	cdns := []string{cdnName}
+	cdnName, cdns := eligible.names[cdn], eligible.alone[cdn]
 	if c.assigned > 1 && src.Split("midstream").Bool(0.08) {
-		if second, ok := eligible.pick(src.Split("cdn2")); ok && second != cdnName {
-			cdns = append(cdns, second)
+		if second, ok := eligible.pick(src.Split("cdn2")); ok && second != cdn {
+			cdns = append(cdns, eligible.names[second])
 		}
 	}
 
@@ -267,13 +276,13 @@ func (e *Ecosystem) sampleView(c *snapshotChoices, snap simclock.Snapshot, src *
 	var videoID, contentID, owner string
 	syndicated := false
 	if p.IsSyndicator && len(p.CarriesFrom) > 0 && src.Split("synd").Bool(p.SyndShare) {
-		owner = p.CarriesFrom[src.Split("which-owner").Intn(len(p.CarriesFrom))]
-		var buf [20]byte
-		contentID = owner + "-v" + string(appendRank(buf[:0], videoRank%600))
-		videoID = p.ID + "-s" + string(appendRank(buf[:0], videoRank))
+		from := src.Split("which-owner").Intn(len(p.CarriesFrom))
+		owner = p.CarriesFrom[from]
+		contentID = c.strs.carriedID(from, videoRank%carriedTitles)
+		videoID = c.strs.syndicatedID(videoRank)
 		syndicated = true
 	} else {
-		videoID = p.VideoID(videoRank)
+		videoID = c.strs.videoID(videoRank)
 		contentID = videoID
 	}
 
@@ -311,7 +320,7 @@ func (e *Ecosystem) sampleView(c *snapshotChoices, snap simclock.Snapshot, src *
 		Timestamp:      ts,
 		Publisher:      p.ID,
 		VideoID:        videoID,
-		URL:            manifest.ManifestURL(proto, cdnBaseURL(cdnName, p.ID), videoID),
+		URL:            c.strs.url(proto, eligible.index[cdn], syndicated, videoRank, videoID),
 		Device:         model.Name,
 		OS:             model.OS,
 		CDNs:           cdns,
@@ -328,9 +337,9 @@ func (e *Ecosystem) sampleView(c *snapshotChoices, snap simclock.Snapshot, src *
 		RebufferSec:    rebufSec,
 		Failed:         failed,
 	}
-	ver := c.sdkVersion(model, src.Split("sdk"))
+	ver, agent := c.sdkVersion(mix, j, src.Split("sdk"))
 	if model.Platform == device.Browser {
-		rec.UserAgent = model.UserAgent(ver)
+		rec.UserAgent = agent
 	} else {
 		rec.SDK = ver.Family
 		rec.SDKVersion = ver.Version
@@ -345,6 +354,7 @@ func (e *Ecosystem) sampleView(c *snapshotChoices, snap simclock.Snapshot, src *
 // samplePublisherSnapshot call, so no goroutine shares it.
 type snapshotChoices struct {
 	p           *Publisher
+	strs        *pubStrings // the publisher's, owned by this call's worker
 	mid         time.Time
 	f           float64 // study fraction at mid
 	platforms   []device.Platform
@@ -354,48 +364,58 @@ type snapshotChoices struct {
 	// bitrates is the ladder's bitrates, shared by every record of the
 	// snapshot; its capacity is capped so an append copies.
 	bitrates []int
-	assigned int          // CDNs the publisher uses at mid, eligible or not
-	cdn      [2]cdnChoice // by content type: VoD, live
-	// mix, proto and sdk fill on first use: by platform, and by device
-	// model name.
-	mix   [device.Console + 1]deviceChoice
-	proto map[string]protocolChoice
-	sdk   map[string]sdkChoice
+	assigned int                              // CDNs the publisher uses at mid, eligible or not
+	cdn      [2]cdnChoice                     // by content type: VoD, live
+	mix      [device.Console + 1]deviceChoice // by platform, filled on first use
 }
 
 // cdnChoice is the CDNs eligible for one content type, by weight.
 type cdnChoice struct {
 	names   []string
 	weights []float64
+	// index is each CDN's position in the publisher's cdnNames, which
+	// keys its URL table; alone is each CDN as the one-element CDN list
+	// that every record served by it alone shares, its capacity capped
+	// so an append copies.
+	index []int
+	alone [][]string
 }
 
 // deviceChoice is the device models of one platform, by view-hour
-// weight (deviceMixAt).
+// weight (deviceMixAt), with each model's protocol and SDK choices,
+// filled on first use.
 type deviceChoice struct {
 	models  []device.Model
 	weights []float64
+	proto   []protocolChoice
+	sdk     []sdkChoice
 }
 
 // protocolChoice is the streaming protocols one device model plays of
 // those the publisher packages, by preference weight.
 type protocolChoice struct {
-	protos  []manifest.Protocol
-	weights []float64
+	filled  bool
+	n       int // of the five a model can play
+	protos  [5]manifest.Protocol
+	weights [5]float64
 }
 
 // sdkChoice is the SDK versions one device model's users run, by
-// weight.
+// weight, with a browser's user agent for each.
 type sdkChoice struct {
 	versions []device.SDKVersion
 	weights  []float64
+	agents   []string // by versions; nil off the browser platform
 }
 
-func newSnapshotChoices(p *Publisher, mid time.Time, platforms []device.Platform, platWeights []float64,
+func newSnapshotChoices(strs *pubStrings, mid time.Time, platforms []device.Platform, platWeights []float64,
 	ladder manifest.Ladder, zipf *dist.Zipf) *snapshotChoices {
+	p := strs.p
 	assignments := p.CDNsAt(mid)
 	bitrates := ladder.Bitrates()
 	c := &snapshotChoices{
 		p:           p,
+		strs:        strs,
 		mid:         mid,
 		f:           simclock.FractionThrough(mid),
 		platforms:   platforms,
@@ -404,10 +424,11 @@ func newSnapshotChoices(p *Publisher, mid time.Time, platforms []device.Platform
 		zipf:        zipf,
 		bitrates:    bitrates[:len(bitrates):len(bitrates)],
 		assigned:    len(assignments),
-		proto:       make(map[string]protocolChoice),
-		sdk:         make(map[string]sdkChoice),
 	}
+	n := len(assignments)
 	for i, live := range []bool{false, true} {
+		d := &c.cdn[i]
+		d.names, d.weights, d.index = make([]string, 0, n), make([]float64, 0, n), make([]int, 0, n)
 		for _, a := range assignments {
 			if live && a.VoDOnly || !live && a.LiveOnly {
 				continue
@@ -415,8 +436,13 @@ func newSnapshotChoices(p *Publisher, mid time.Time, platforms []device.Platform
 			if a.Weight <= 0 {
 				continue
 			}
-			c.cdn[i].names = append(c.cdn[i].names, a.Name)
-			c.cdn[i].weights = append(c.cdn[i].weights, a.Weight)
+			d.names = append(d.names, a.Name)
+			d.weights = append(d.weights, a.Weight)
+			d.index = append(d.index, slices.Index(p.cdnNames, a.Name))
+		}
+		d.alone = make([][]string, len(d.names))
+		for j := range d.names {
+			d.alone[j] = d.names[j : j+1 : j+1]
 		}
 	}
 	return c
@@ -432,17 +458,21 @@ func (c *snapshotChoices) devices(pl device.Platform) *deviceChoice {
 			d.models[i], _ = device.ByName(name)
 		}
 		d.weights = weights
+		d.proto = make([]protocolChoice, len(names))
+		d.sdk = make([]sdkChoice, len(names))
 	}
 	return d
 }
 
 // protocol chooses a streaming protocol compatible with both the
-// publisher's packaging and the device, weighted by the publisher's
-// protocol preferences. It consumes nothing from src when no protocol
-// is compatible.
-func (c *snapshotChoices) protocol(model device.Model, src *dist.Source) (manifest.Protocol, bool) {
-	choice, ok := c.proto[model.Name]
-	if !ok {
+// publisher's packaging and d's j-th device model, weighted by the
+// publisher's protocol preferences. It consumes nothing from src when
+// no protocol is compatible.
+func (c *snapshotChoices) protocol(d *deviceChoice, j int, src *dist.Source) (manifest.Protocol, bool) {
+	choice := &d.proto[j]
+	if !choice.filled {
+		choice.filled = true
+		model := d.models[j]
 		for _, proto := range []manifest.Protocol{manifest.HLS, manifest.DASH, manifest.Smooth, manifest.HDS, manifest.RTMP} {
 			if !model.Supports(proto) {
 				continue
@@ -460,15 +490,14 @@ func (c *snapshotChoices) protocol(model device.Model, src *dist.Source) (manife
 			if w <= 0 {
 				continue
 			}
-			choice.protos = append(choice.protos, proto)
-			choice.weights = append(choice.weights, w)
+			choice.protos[choice.n], choice.weights[choice.n] = proto, w
+			choice.n++
 		}
-		c.proto[model.Name] = choice
 	}
-	if len(choice.protos) == 0 {
+	if choice.n == 0 {
 		return manifest.Unknown, false
 	}
-	return choice.protos[src.Categorical(choice.weights)], true
+	return choice.protos[src.Categorical(choice.weights[:choice.n])], true
 }
 
 // cdns returns the CDNs eligible for the content type, honoring
@@ -480,20 +509,22 @@ func (c *snapshotChoices) cdns(live bool) *cdnChoice {
 	return &c.cdn[0]
 }
 
-// pick draws a CDN name; it consumes nothing from src when no CDN is
-// eligible.
-func (c *cdnChoice) pick(src *dist.Source) (string, bool) {
+// pick draws a CDN, as an index into names; it consumes nothing from
+// src when no CDN is eligible.
+func (c *cdnChoice) pick(src *dist.Source) (int, bool) {
 	if len(c.names) == 0 {
-		return "", false
+		return 0, false
 	}
-	return c.names[src.Categorical(c.weights)], true
+	return src.Categorical(c.weights), true
 }
 
-// sdkVersion draws the SDK version a user's device runs, lagging
-// behind the newest release per the publisher's supported window.
-func (c *snapshotChoices) sdkVersion(model device.Model, src *dist.Source) device.SDKVersion {
-	choice, ok := c.sdk[model.Name]
-	if !ok {
+// sdkVersion draws the SDK version d's j-th device model runs, lagging
+// behind the newest release per the publisher's supported window, and
+// on a browser the user agent it reports.
+func (c *snapshotChoices) sdkVersion(d *deviceChoice, j int, src *dist.Source) (device.SDKVersion, string) {
+	choice := &d.sdk[j]
+	if choice.versions == nil {
+		model := d.models[j]
 		choice.versions = model.VersionsInUse(c.mid, c.p.SDKLag)
 		// Newer versions are more common; weight geometrically.
 		choice.weights = make([]float64, len(choice.versions))
@@ -502,9 +533,18 @@ func (c *snapshotChoices) sdkVersion(model device.Model, src *dist.Source) devic
 			choice.weights[i] = w
 			w *= 0.55
 		}
-		c.sdk[model.Name] = choice
+		if model.Platform == device.Browser {
+			choice.agents = make([]string, len(choice.versions))
+			for i, v := range choice.versions {
+				choice.agents[i] = c.strs.userAgent(model, v)
+			}
+		}
 	}
-	return choice.versions[src.Categorical(choice.weights)]
+	i := src.Categorical(choice.weights)
+	if choice.agents == nil {
+		return choice.versions[i], ""
+	}
+	return choice.versions[i], choice.agents[i]
 }
 
 // cdnBaseURL mints the per-publisher base URL on a CDN host.
