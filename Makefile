@@ -77,10 +77,10 @@ fuzz-wire:
 	$(GO) test -run xxx -fuzz FuzzCanonicalSort -fuzztime 10s -fuzzminimizetime 100x ./internal/telemetry
 	$(GO) test -run xxx -fuzz FuzzInferProtocol -fuzztime 10s -fuzzminimizetime 100x ./internal/manifest
 
-# bench-wal times the log under each fsync policy (batch, interval,
-# off), each as an encoded one-part batch and as a binary POST's frames
-# (bench/'s wal.append_ms_per_batch), then boot replay at one and two
-# cores (wal.replay_ms; replay decodes on GOMAXPROCS workers).
+# bench-wal times the log's append, one write and one fsync, as an
+# encoded one-part batch and as a binary POST's frames (bench/'s
+# wal.append_ms_per_batch), then boot replay at one and two cores
+# (wal.replay_ms; replay decodes on GOMAXPROCS workers).
 .PHONY: bench-wal
 bench-wal:
 	$(GO) test -run xxx -bench BenchmarkWALAppend -benchmem ./internal/wal/

@@ -43,8 +43,7 @@ func main() {
 		epoch      = flag.Duration("epoch", 5*time.Second, "snapshot cadence")
 		load       = flag.String("load", "", "JSONL dataset to preload before serving")
 		dump       = flag.String("dump", "", "JSONL file to write the final generation to on shutdown")
-		walDir     = flag.String("wal-dir", "", "write-ahead log directory; empty disables durability")
-		walFsync   = flag.String("wal-fsync", "batch", "WAL fsync policy: batch, interval, or off")
+		walDir     = flag.String("wal-dir", "", "write-ahead log directory, fsynced before every 202; empty disables durability")
 	)
 	flag.Parse()
 
@@ -70,13 +69,9 @@ func main() {
 	// have outgrown the old one.
 	var wlog *wal.Log
 	if *walDir != "" {
-		policy, err := wal.ParsePolicy(*walFsync)
-		if err != nil {
-			log.Fatal(fmt.Errorf("vmpd: %w", err))
-		}
+		var err error
 		wlog, err = wal.Open(wal.Options{
 			Dir:     *walDir,
-			Policy:  policy,
 			Clock:   clk,
 			Metrics: metrics,
 			Trace:   tracer,
@@ -220,8 +215,8 @@ const (
 // is not a flag: the shutdown drain deadline for in-flight requests,
 // the span/event ring behind /v1/trace, and the sampler's cadence and
 // the registry snapshots it retains for /v1/series. The backpressure
-// hint and the WAL's group-commit cadence and segment size are
-// live.Config's and wal.Options' defaults (500 ms, 25 ms, 16 MiB).
+// hint and the WAL's segment size are live.Config's and wal.Options'
+// defaults (500 ms, 16 MiB).
 // The published generation's epoch and record count are not logged:
 // they are live_generation_epoch and live_generation_records on
 // /metrics, /v1/series and vmptop.

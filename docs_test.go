@@ -42,7 +42,9 @@ func TestDocsNameOnlyMakeTargetsThatExist(t *testing.T) {
 // TestReadmeNamesEveryFlag fails when a command under cmd/ registers a
 // flag that README.md never names (`-name`, `-name value` or
 // `-name=value`, in code or inline code): a flag the reader cannot find
-// in the README is one only `-h` tells them about.
+// in the README is one only `-h` tells them about. The other way round,
+// every README flag-table row (| `-name` |) must name a flag some
+// command registers: a deleted flag's row goes with it.
 func TestReadmeNamesEveryFlag(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
@@ -52,7 +54,7 @@ func TestReadmeNamesEveryFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flags := 0
+	registered := map[string]bool{}
 	for _, path := range mains {
 		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
 		if err != nil {
@@ -85,14 +87,19 @@ func TestReadmeNamesEveryFlag(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			flags++
+			registered[name] = true
 			if !regexp.MustCompile("(?m)(^|[\\s`])-" + regexp.QuoteMeta(name) + "([\\s`=]|$)").Match(readme) {
 				t.Errorf("%s registers -%s, which README.md never names", path, name)
 			}
 			return true
 		})
 	}
-	if flags < 20 {
-		t.Fatalf("found %d flags under cmd/; the parse no longer sees them", flags)
+	if len(registered) < 20 {
+		t.Fatalf("found %d flags under cmd/; the parse no longer sees them", len(registered))
+	}
+	for _, m := range regexp.MustCompile("(?m)^\\| `-([^`]+)` \\|").FindAllSubmatch(readme, -1) {
+		if name := string(m[1]); !registered[name] {
+			t.Errorf("README.md has a flag-table row for -%s, which no cmd/*/main.go registers", name)
+		}
 	}
 }

@@ -193,9 +193,6 @@ func NewZipf(n int, exponent float64) *Zipf {
 	return &Zipf{cum: cum}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cum) }
-
 // Draw samples a rank using randomness from s.
 func (z *Zipf) Draw(s *Source) int {
 	x := s.Float64()

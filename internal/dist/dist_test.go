@@ -211,12 +211,6 @@ func TestBool(t *testing.T) {
 	}
 }
 
-func TestZipfN(t *testing.T) {
-	if NewZipf(17, 1).N() != 17 {
-		t.Fatal("Zipf.N wrong")
-	}
-}
-
 func TestZipfDrawInRange(t *testing.T) {
 	z := NewZipf(5, 0.8)
 	s := NewSource(31)

@@ -489,7 +489,7 @@ func TestRecordsAreWellFormed(t *testing.T) {
 		if r.Publisher == "" || r.VideoID == "" || r.URL == "" {
 			t.Fatalf("incomplete record %+v", r)
 		}
-		if !snap.Contains(r.Timestamp) {
+		if r.Timestamp.Before(snap.Start) || !r.Timestamp.Before(snap.End()) {
 			t.Fatalf("record timestamp %v outside snapshot %v", r.Timestamp, snap.Label())
 		}
 		if r.ViewSec <= 0 || r.Weight <= 0 {

@@ -283,7 +283,7 @@ func (e *Engine) IngestFrames(recs []telemetry.ViewRecord, frames []byte, parent
 	}
 	if e.wal != nil {
 		// Durability precedes acknowledgement: the batch reaches the
-		// WAL (fsynced, under PolicyBatch) before it is pending. An
+		// WAL (written and fsynced) before it is pending. An
 		// append failure rejects the batch whole — nothing was kept, so
 		// the client's retry is exact.
 		var err error

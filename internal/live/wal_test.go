@@ -30,9 +30,8 @@ var _ WAL = (*wal.Log)(nil)
 func openTestWAL(t *testing.T, dir string) *wal.Log {
 	t.Helper()
 	l, err := wal.Open(wal.Options{
-		Dir:    dir,
-		Policy: wal.PolicyBatch,
-		Clock:  simclock.NewManual(simclock.StudyStart),
+		Dir:   dir,
+		Clock: simclock.NewManual(simclock.StudyStart),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -498,7 +497,6 @@ func TestWALCommitTruncatesOnEpoch(t *testing.T) {
 	reg := obs.NewRegistry()
 	wlog, err := wal.Open(wal.Options{
 		Dir:     dir,
-		Policy:  wal.PolicyBatch,
 		Clock:   simclock.NewManual(simclock.StudyStart),
 		Metrics: reg,
 	})
@@ -587,8 +585,7 @@ func TestWALCrashAfterSkippedCheckpoints(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	wlog, err := wal.Open(wal.Options{
-		Dir: dir, Policy: wal.PolicyBatch,
-		Clock: simclock.NewManual(simclock.StudyStart), Metrics: reg,
+		Dir: dir, Clock: simclock.NewManual(simclock.StudyStart), Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -142,9 +144,10 @@ func TestTraceDeterministic(t *testing.T) {
 // writers append spans and events while a reader snapshots.
 func TestConcurrentTrace(t *testing.T) {
 	tr := NewTracer(testClock(), 128)
-	const writers, perWriter = 8, 200
+	const writers, perWriter, minSnaps = 8, 200, 20
 	stop := make(chan struct{})
 	readerDone := make(chan struct{})
+	var snaps atomic.Int64 // snapshots that found spans already written
 	go func() {
 		defer close(readerDone)
 		for {
@@ -152,19 +155,31 @@ func TestConcurrentTrace(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				tr.Snapshot()
+				if tr.Snapshot().SpansTotal > 0 {
+					snaps.Add(1)
+				}
+				runtime.Gosched()
 			}
 		}
 	}()
 	var wg sync.WaitGroup
+	var written atomic.Uint64
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
+			// Past perWriter, keep writing until the reader has taken
+			// minSnaps snapshots among the writes: a reader that got no
+			// CPU while they ran would race with nothing. Both sides
+			// yield, so even at GOMAXPROCS=1 the reader snapshots a
+			// span before this writer's next atomic would order the
+			// span's writes before the snapshot's reads.
+			for i := 0; i < perWriter || snaps.Load() < minSnaps; i++ {
 				sp := tr.Start("shard.consume", 0)
 				sp.End(KV("records", int64(i)))
+				runtime.Gosched()
 				tr.Emit("batch_admitted", KV("shard", int64(w)))
+				written.Add(1)
 			}
 		}(w)
 	}
@@ -172,8 +187,8 @@ func TestConcurrentTrace(t *testing.T) {
 	close(stop)
 	<-readerDone
 	s := tr.Snapshot()
-	if s.SpansTotal != writers*perWriter || s.EventsTotal != writers*perWriter {
-		t.Fatalf("lost appends: %d spans, %d events", s.SpansTotal, s.EventsTotal)
+	if n := written.Load(); s.SpansTotal != n || s.EventsTotal != n {
+		t.Fatalf("lost appends: %d spans, %d events of %d each", s.SpansTotal, s.EventsTotal, n)
 	}
 	if len(s.Spans) != 128 || len(s.Events) != 128 {
 		t.Fatalf("full rings should retain capacity: %d spans, %d events", len(s.Spans), len(s.Events))

@@ -77,9 +77,9 @@ var scenarios = []scenario{
 		check: func(t *testing.T, b *boot) { ackP50(t, b.metrics(t), "binary") }},
 	{name: "shuffled_binary", vmpd: []string{"-epoch", "1h"}, inProcess: true},
 	{name: "load_dump", vmpd: []string{"-epoch", "1h", "-load", viewsFile}},
-	{name: "kill_after_stream", vmpd: []string{"-epoch", "24h", "-wal-dir", walDir, "-wal-fsync", "batch"},
+	{name: "kill_after_stream", vmpd: []string{"-epoch", "24h", "-wal-dir", walDir},
 		post: []string{"-encode", "jsonl"}, fault: killAfterStream},
-	{name: "kill_mid_stream", vmpd: []string{"-epoch", "24h", "-wal-dir", walDir, "-wal-fsync", "batch"},
+	{name: "kill_mid_stream", vmpd: []string{"-epoch", "24h", "-wal-dir", walDir},
 		inProcess: true, fault: killMidStream},
 	{name: "load_refused_on_a_replayed_wal", vmpd: []string{"-epoch", "24h", "-wal-dir", walDir, "-load", viewsFile},
 		reboot: []string{"-epoch", "24h", "-wal-dir", walDir}, fault: refusedRestart},
@@ -267,16 +267,24 @@ func (h *harness) assert(t *testing.T, b *boot, sc scenario, dir string, sent, a
 
 // drive posts the slice through wire.Client as binary frames in
 // 100-record batches, in a seeded shuffled order the cut must put back
-// into canonical order; with kill, it SIGKILLs vmpd once ≥ 500 records
-// are acked. sent is every record of a batch whose POST began, acked
-// those of the 202s.
+// into canonical order, and cuts an epoch after half of them, so the
+// cut assert asks for merges the rest into a published generation
+// rather than building one from empty; with kill, it SIGKILLs vmpd once
+// ≥ 500 records are acked. sent is every record of a batch whose POST
+// began, acked those of the 202s.
 func (h *harness) drive(t *testing.T, b *boot, kill bool) (sent, acked []string) {
 	var ackedN atomic.Int64
 	done := make(chan error, 1)
 	go func() {
 		c := wire.NewClient(&http.Client{Timeout: 30 * time.Second}, true, false, 1)
 		var err error
-		for _, i := range rand.New(rand.NewSource(1)).Perm((len(h.recs) + 99) / 100) {
+		batches := rand.New(rand.NewSource(1)).Perm((len(h.recs) + 99) / 100)
+		for n, i := range batches {
+			if n == len(batches)/2 {
+				if err = snapshot(b.url); err != nil {
+					break
+				}
+			}
 			lo, hi := i*100, min(i*100+100, len(h.recs))
 			var body []byte
 			if body, err = c.Encode(h.recs[lo:hi]); err == nil {
@@ -299,6 +307,19 @@ func (h *harness) drive(t *testing.T, b *boot, kill bool) (sent, acked []string)
 		t.Fatalf("drive ended with %v after %d of %d records acked (kill %v)", err, len(acked), len(h.recs), kill)
 	}
 	return sent, acked
+}
+
+// snapshot cuts an epoch with POST /v1/snapshot.
+func snapshot(url string) error {
+	resp, err := http.Post(url+"/v1/snapshot", "", nil)
+	if err != nil {
+		return err
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("POST /v1/snapshot: %s", resp.Status)
+	}
+	return nil
 }
 
 // vmpstudy returns offline vmpstudy's share and top answers over file,

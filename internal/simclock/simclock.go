@@ -44,11 +44,6 @@ type Snapshot struct {
 // End returns the first instant after the snapshot window.
 func (s Snapshot) End() time.Time { return s.Start.Add(time.Duration(s.Days) * Day) }
 
-// Contains reports whether t falls inside the snapshot window.
-func (s Snapshot) Contains(t time.Time) bool {
-	return !t.Before(s.Start) && t.Before(s.End())
-}
-
 // Label returns a short human-readable identifier such as "2016-01-01#0".
 func (s Snapshot) Label() string {
 	return fmt.Sprintf("%s#%d", s.Start.Format("2006-01-02"), s.Index)
@@ -91,18 +86,6 @@ func (sc Schedule) Latest() Snapshot {
 		panic("simclock: empty schedule")
 	}
 	return sc[len(sc)-1]
-}
-
-// At returns the snapshot whose window contains t along with true, or a
-// zero Snapshot and false if t falls between windows or outside the
-// study period.
-func (sc Schedule) At(t time.Time) (Snapshot, bool) {
-	for _, s := range sc {
-		if s.Contains(t) {
-			return s, true
-		}
-	}
-	return Snapshot{}, false
 }
 
 // FractionThrough maps an instant to its relative position in the study

@@ -43,30 +43,6 @@ func TestDefaultScheduleShape(t *testing.T) {
 	}
 }
 
-func TestSnapshotContains(t *testing.T) {
-	s := Snapshot{Index: 3, Start: DayTime(10), Days: 2}
-	if !s.Contains(DayTime(10)) || !s.Contains(DayTime(11).Add(23*time.Hour)) {
-		t.Error("Contains should include both window days")
-	}
-	if s.Contains(DayTime(12)) || s.Contains(DayTime(9)) {
-		t.Error("Contains should exclude days outside the window")
-	}
-}
-
-func TestScheduleAt(t *testing.T) {
-	sched := DefaultSchedule()
-	if s, ok := sched.At(StudyStart.Add(time.Hour)); !ok || s.Index != 0 {
-		t.Fatalf("At(start+1h) = %+v, %v; want snapshot 0", s, ok)
-	}
-	// Day 3 falls between snapshot 0 (days 0-1) and snapshot 1 (days 14-15).
-	if _, ok := sched.At(DayTime(3)); ok {
-		t.Fatal("At(day 3) should not match any snapshot")
-	}
-	if _, ok := sched.At(StudyEnd.Add(Day)); ok {
-		t.Fatal("At(after end) should not match")
-	}
-}
-
 func TestSnapshotLabel(t *testing.T) {
 	s := Snapshot{Index: 7, Start: time.Date(2016, 4, 8, 0, 0, 0, 0, time.UTC), Days: 2}
 	if got, want := s.Label(), "2016-04-08#7"; got != want {

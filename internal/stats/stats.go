@@ -158,37 +158,6 @@ func NewWeightedECDF(values, weights []float64) *WeightedECDF {
 	return e
 }
 
-// At returns P(X <= x) under the weighted measure.
-func (e *WeightedECDF) At(x float64) float64 {
-	if e.mass == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.xs, x)
-	if i < len(e.xs) && e.xs[i] == x {
-		i++
-	}
-	if i == 0 {
-		return 0
-	}
-	return e.cum[i-1] / e.mass
-}
-
-// Quantile returns the smallest x with P(X <= x) >= q.
-func (e *WeightedECDF) Quantile(q float64) (float64, error) {
-	if e.mass == 0 {
-		return 0, ErrInsufficientData
-	}
-	if q < 0 || q > 1 {
-		return 0, errors.New("stats: quantile out of [0,1]")
-	}
-	target := q * e.mass
-	i := sort.SearchFloat64s(e.cum, target)
-	if i >= len(e.xs) {
-		i = len(e.xs) - 1
-	}
-	return e.xs[i], nil
-}
-
 // Points returns the plottable (x, P(X<=x)) step points.
 func (e *WeightedECDF) Points() (xs, ps []float64) {
 	xs = append(xs, e.xs...)

@@ -9,20 +9,15 @@ import (
 )
 
 func TestWeightedECDFBasics(t *testing.T) {
-	e := NewWeightedECDF([]float64{1, 2, 3}, []float64{1, 3, 1})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.2}, {2, 0.8}, {2.5, 0.8}, {3, 1}, {9, 1},
+	xs, ps := NewWeightedECDF([]float64{3, 1, 2}, []float64{1, 1, 3}).Points()
+	want := []float64{0.2, 0.8, 1}
+	if len(xs) != 3 || xs[0] != 1 || xs[1] != 2 || xs[2] != 3 {
+		t.Fatalf("Points xs = %v, want 1, 2, 3", xs)
 	}
-	for _, c := range cases {
-		if got := e.At(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("At(%v) = %v, want %v", c.x, got, c.want)
+	for i, p := range ps {
+		if math.Abs(p-want[i]) > 1e-12 {
+			t.Errorf("P(X <= %v) = %v, want %v", xs[i], p, want[i])
 		}
-	}
-	if q, _ := e.Quantile(0.5); q != 2 {
-		t.Errorf("Quantile(0.5) = %v, want 2 (the heavy value)", q)
-	}
-	if q, _ := e.Quantile(0.9); q != 3 {
-		t.Errorf("Quantile(0.9) = %v, want 3", q)
 	}
 }
 
@@ -45,16 +40,8 @@ func TestWeightedECDFDropsNonPositive(t *testing.T) {
 }
 
 func TestWeightedECDFErrors(t *testing.T) {
-	empty := NewWeightedECDF(nil, nil)
-	if empty.At(1) != 0 {
-		t.Error("empty CDF should evaluate to 0")
-	}
-	if _, err := empty.Quantile(0.5); err == nil {
-		t.Error("empty quantile should error")
-	}
-	e := NewWeightedECDF([]float64{1}, []float64{1})
-	if _, err := e.Quantile(2); err == nil {
-		t.Error("out-of-range q should error")
+	if xs, ps := NewWeightedECDF(nil, nil).Points(); len(xs) != 0 || len(ps) != 0 {
+		t.Errorf("empty CDF has points %v, %v", xs, ps)
 	}
 	defer func() {
 		if recover() == nil {
@@ -75,39 +62,15 @@ func TestWeightedMatchesUnweightedProperty(t *testing.T) {
 			vals[i] = math.Round(src.Float64()*10) / 2 // coarse grid → ties
 			ones[i] = 1
 		}
-		w := NewWeightedECDF(vals, ones)
-		u := NewECDF(vals)
-		for _, x := range []float64{-1, 0, 1, 2.5, 5, 11} {
-			if math.Abs(w.At(x)-u.At(x)) > 1e-12 {
+		wx, wp := NewWeightedECDF(vals, ones).Points()
+		ux, up := NewECDF(vals).Points()
+		if len(wx) != len(ux) {
+			return false
+		}
+		for i := range wx {
+			if wx[i] != ux[i] || math.Abs(wp[i]-up[i]) > 1e-12 {
 				return false
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: quantiles are monotone in q.
-func TestWeightedQuantileMonotoneProperty(t *testing.T) {
-	src := dist.NewSource(88)
-	f := func(n uint8) bool {
-		m := int(n%30) + 2
-		vals := make([]float64, m)
-		ws := make([]float64, m)
-		for i := range vals {
-			vals[i] = src.Float64() * 100
-			ws[i] = src.Float64()*10 + 0.1
-		}
-		e := NewWeightedECDF(vals, ws)
-		prev := math.Inf(-1)
-		for _, q := range []float64{0, 0.25, 0.5, 0.75, 1} {
-			v, err := e.Quantile(q)
-			if err != nil || v < prev {
-				return false
-			}
-			prev = v
 		}
 		return true
 	}

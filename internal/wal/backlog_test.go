@@ -23,7 +23,7 @@ func fileSize(t *testing.T, path string) int64 {
 func TestBacklogAndGauges(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	l := openLog(t, dir, Options{Policy: PolicyBatch, Metrics: reg})
+	l := openLog(t, dir, Options{Metrics: reg})
 
 	if segs, bytes := l.Backlog(); segs != 0 || bytes != 0 {
 		t.Fatalf("empty log backlog = %d segments, %d bytes", segs, bytes)
@@ -71,7 +71,7 @@ func TestBacklogAndGauges(t *testing.T) {
 // just the active files' write offsets.
 func TestBacklogCountsClosedSegments(t *testing.T) {
 	dir := t.TempDir()
-	l := openLog(t, dir, Options{Policy: PolicyOff, SegmentBytes: 1024})
+	l := openLog(t, dir, Options{SegmentBytes: 1024})
 	recs := genRecords(2000)
 	for lo := 0; lo < len(recs); lo += 100 {
 		if err := l.AppendBatch(partition(recs[lo:lo+100], 2), 0); err != nil {
@@ -96,7 +96,7 @@ func TestBacklogCountsClosedSegments(t *testing.T) {
 // it reads of the segment list must be read under the log's lock;
 // -race holds it to that.
 func TestBacklogWhileAppending(t *testing.T) {
-	l := openLog(t, t.TempDir(), Options{Policy: PolicyOff})
+	l := openLog(t, t.TempDir(), Options{})
 	recs := genRecords(20)
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {

@@ -14,16 +14,15 @@ import (
 	"vmp/internal/wire"
 )
 
-// benchAppend is the in-package microscope for bench/'s
-// wal.append_ms_per_batch under one fsync policy: one op lands one
-// 2000-record batch as one log record, durable to whatever degree the
-// policy promises. parts hands AppendBatch the batch as the one part
-// Engine.IngestFrames does (the encoding path bench's traced runs
-// take); frames hands AppendFrames the same records' wire frame, as an
-// untraced binary POST does. The log is recycled every 200 ops outside
-// the timer so segment accumulation doesn't turn this into a
-// filesystem benchmark.
-func benchAppend(b *testing.B, policy Policy) {
+// BenchmarkWALAppend is the in-package microscope for bench/'s
+// wal.append_ms_per_batch: one op lands one 2000-record batch as one
+// log record, written and fsynced. parts hands AppendBatch the batch as
+// the one part Engine.IngestFrames does (the encoding path bench's
+// traced runs take); frames hands AppendFrames the same records' wire
+// frame, as an untraced binary POST does. The log is recycled every 200
+// ops outside the timer so segment accumulation doesn't turn this into
+// a filesystem benchmark.
+func BenchmarkWALAppend(b *testing.B) {
 	recs := genRecords(2000)
 	parts := one(recs)
 	frame, err := wire.NewEncoder().AppendFrame(nil, recs)
@@ -48,9 +47,8 @@ func benchAppend(b *testing.B, policy Policy) {
 				gen++
 				var err error
 				l, err = Open(Options{
-					Dir:    dir,
-					Policy: policy,
-					Clock:  simclock.NewManual(simclock.StudyStart),
+					Dir:   dir,
+					Clock: simclock.NewManual(simclock.StudyStart),
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -83,18 +81,6 @@ func benchAppend(b *testing.B, policy Policy) {
 	}
 }
 
-// BenchmarkWALAppendBatch fsyncs every batch before returning — the
-// strongest guarantee and the ceiling on per-batch latency.
-func BenchmarkWALAppendBatch(b *testing.B) { benchAppend(b, PolicyBatch) }
-
-// BenchmarkWALAppendInterval group-commits on the sync loop's cadence;
-// appends only pay the write() syscall.
-func BenchmarkWALAppendInterval(b *testing.B) { benchAppend(b, PolicyInterval) }
-
-// BenchmarkWALAppendOff never fsyncs — the page-cache-only floor that
-// isolates the WAL's CPU cost (framing, CRC, one write per batch).
-func BenchmarkWALAppendOff(b *testing.B) { benchAppend(b, PolicyOff) }
-
 // BenchmarkWALReplay is the microscope for bench/'s wal.replay_ms: it
 // replays the crash image ingest_wal recovers from, built from the same
 // records (the ecosystem at seed 1809, stride 12: ≈ 110 k). Two thirds
@@ -109,9 +95,8 @@ func BenchmarkWALReplay(b *testing.B) {
 	recs := ecosystem.New(ecosystem.Config{Seed: ecosystem.DefaultSeed, SnapshotStride: 12}).GenerateStore().All()
 	n := len(recs)
 	l, err := Open(Options{
-		Dir:    b.TempDir(),
-		Policy: PolicyOff,
-		Clock:  simclock.NewManual(simclock.StudyStart),
+		Dir:   b.TempDir(),
+		Clock: simclock.NewManual(simclock.StudyStart),
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -26,7 +26,7 @@ func segmentBytes(t *testing.T, dir string) int64 {
 func TestCommitWritesOnlyWhenLogEarnsIt(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	l := openLog(t, dir, Options{Policy: PolicyOff, Metrics: reg})
+	l := openLog(t, dir, Options{Metrics: reg})
 	all := genRecords(2000)
 	if err := l.AppendBatch(partition(all, 4), 0); err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestCommitWritesOnlyWhenLogEarnsIt(t *testing.T) {
 // those it appends — amount to the checkpoint, and must do so then.
 func TestOpenRestoresCheckpointDebt(t *testing.T) {
 	dir := t.TempDir()
-	l := openLog(t, dir, Options{Policy: PolicyBatch})
+	l := openLog(t, dir, Options{})
 	all := genRecords(2000)
 	if err := l.AppendBatch(partition(all, 4), 0); err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestOpenRestoresCheckpointDebt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2 := openLog(t, dir, Options{Policy: PolicyBatch})
+	l2 := openLog(t, dir, Options{})
 	if l2.sinceCkpt != segmentBytes(t, dir) || l2.ckptBytes != ckptSize || l2.ckptRecords != 2000 {
 		t.Fatalf("reopened with debt %d against checkpoint %d B / %d records; disk has %d B of segments, a %d B checkpoint of 2000",
 			l2.sinceCkpt, l2.ckptBytes, l2.ckptRecords, segmentBytes(t, dir), ckptSize)
@@ -152,7 +152,7 @@ func TestOpenRestoresCheckpointDebt(t *testing.T) {
 // Open's scan, torn tail cut off, without a stat per call.
 func TestBacklogAfterReopen(t *testing.T) {
 	dir := t.TempDir()
-	l := openLog(t, dir, Options{Policy: PolicyOff, SegmentBytes: 4096})
+	l := openLog(t, dir, Options{SegmentBytes: 4096})
 	recs := genRecords(1500)
 	for lo := 0; lo < len(recs); lo += 100 {
 		if err := l.AppendBatch(partition(recs[lo:lo+100], 2), 0); err != nil {
@@ -173,7 +173,7 @@ func TestBacklogAfterReopen(t *testing.T) {
 	if err := os.WriteFile(tail, append(data, 0xde, 0xad, 0xbe), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l2 := openLog(t, dir, Options{Policy: PolicyOff, SegmentBytes: 4096})
+	l2 := openLog(t, dir, Options{SegmentBytes: 4096})
 	segs, n := l2.Backlog()
 	if segs != len(files) || n != segmentBytes(t, dir) {
 		t.Fatalf("backlog after reopen = %d segments, %d bytes; disk has %d, %d", segs, n, len(files), segmentBytes(t, dir))

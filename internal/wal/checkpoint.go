@@ -276,7 +276,7 @@ func (l *Log) commit(epoch int64, records []record.ViewRecord, bounds []uint64) 
 			// The active segment is fully covered: close it so the
 			// next append starts a fresh file above the bound.
 			err := l.f.Close()
-			l.f, l.dirty = nil, false
+			l.f = nil
 			if err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("wal: closing segment: %w", err)
 			}

@@ -45,7 +45,7 @@ func noGoroutineLeft(t *testing.T, before int) {
 func TestReplayParallelEqualsSequential(t *testing.T) {
 	dir := t.TempDir()
 	recs := genRecords(ckptChunkRecords + 1500)
-	l := openLog(t, dir, Options{Policy: PolicyOff})
+	l := openLog(t, dir, Options{})
 	var covered []uint64
 	for lo := 0; lo < 400; lo += 100 {
 		if err := l.AppendBatch(partition(recs[lo:lo+100], 2), 0); err != nil {
@@ -62,7 +62,7 @@ func TestReplayParallelEqualsSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One segment per batch from here on.
-	l = openLog(t, dir, Options{Policy: PolicyOff, SegmentBytes: 1})
+	l = openLog(t, dir, Options{SegmentBytes: 1})
 	for lo := ckptChunkRecords + 900; lo < len(recs); lo += 150 {
 		if err := l.AppendBatch(partition(recs[lo:lo+150], 3), 0); err != nil {
 			t.Fatal(err)
@@ -78,7 +78,7 @@ func TestReplayParallelEqualsSequential(t *testing.T) {
 
 	// The first replay takes the images Open verified; the rest read the
 	// files again. All must agree.
-	l = openLog(t, dir, Options{Policy: PolicyOff, SegmentBytes: 1})
+	l = openLog(t, dir, Options{SegmentBytes: 1})
 	if l.bootCkpt == nil || l.bootTail == nil {
 		t.Fatal("Open kept no checkpoint or tail image for the first replay")
 	}
@@ -176,7 +176,7 @@ func TestReplayParallelEqualsSequential(t *testing.T) {
 func TestCommitDropsOpensImages(t *testing.T) {
 	dir := t.TempDir()
 	old, fresh := genRecords(10), genRecords(300)
-	l := openLog(t, dir, Options{Policy: PolicyOff})
+	l := openLog(t, dir, Options{})
 	if err := l.Commit(1, old, l.Bounds(), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestCommitDropsOpensImages(t *testing.T) {
 	}
 
 	// An append after Open: the tail image no longer matches the file.
-	l = openLog(t, dir, Options{Policy: PolicyOff})
+	l = openLog(t, dir, Options{})
 	if err := l.AppendBatch(partition(old, 1), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestCommitDropsOpensImages(t *testing.T) {
 	}
 
 	// A checkpoint after Open replaces the one Open read.
-	l = openLog(t, dir, Options{Policy: PolicyOff})
+	l = openLog(t, dir, Options{})
 	if err := l.Commit(2, fresh, l.Bounds(), 0); err != nil {
 		t.Fatal(err)
 	}

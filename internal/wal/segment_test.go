@@ -201,7 +201,7 @@ func TestAppendFramesWritesTheGoldenBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	l := openLog(t, dir, Options{Policy: PolicyOff})
+	l := openLog(t, dir, Options{})
 	enc := wire.NewEncoder()
 	recs := genRecords(12)
 	for _, batch := range [][]record.ViewRecord{recs[:5], recs[5:]} {
@@ -273,7 +273,7 @@ func TestAppendFramesSplitsOnlyPastMaxBody(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	l := openLog(t, dir, Options{Policy: PolicyOff})
+	l := openLog(t, dir, Options{})
 	for _, bad := range [][]byte{frames[:len(frames)-1], frames[:len(frames)-sizes[3]+2], append(frames[:len(frames):len(frames)], 7)} {
 		if err := l.AppendFrames(bad, int64(len(recs)), 0); err == nil {
 			t.Fatalf("AppendFrames took %d bytes that do not end on a frame boundary", len(bad))
@@ -337,7 +337,7 @@ func TestTornTailRecoveredOnOpen(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			l := openLog(t, dir, Options{Policy: PolicyBatch})
+			l := openLog(t, dir, Options{})
 			recs := genRecords(300)
 			for lo := 0; lo < 300; lo += 100 {
 				if err := l.AppendBatch(partition(recs[lo:lo+100], 4), 0); err != nil {
@@ -357,7 +357,7 @@ func TestTornTailRecoveredOnOpen(t *testing.T) {
 			// truncated away, counted, and the log is immediately
 			// appendable again at the right sequence.
 			reg := obs.NewRegistry()
-			l2 := openLog(t, dir, Options{Policy: PolicyBatch, Metrics: reg})
+			l2 := openLog(t, dir, Options{Metrics: reg})
 			if n := reg.Snapshot().Counters["wal_torn_tail_total"]; n != 1 {
 				t.Fatalf("wal_torn_tail_total = %d, want 1", n)
 			}
@@ -395,7 +395,7 @@ func TestReplayCorruptClosedSegmentIsHardError(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			// Tiny segments: three appends land in separate files.
-			l := openLog(t, dir, Options{Policy: PolicyBatch, SegmentBytes: 1})
+			l := openLog(t, dir, Options{SegmentBytes: 1})
 			recs := genRecords(300)
 			for lo := 0; lo < 300; lo += 100 {
 				if err := l.AppendBatch(partition(recs[lo:lo+100], 4), 0); err != nil {

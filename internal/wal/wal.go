@@ -11,13 +11,9 @@
 // of the partitioned engine before this one still replay) — under the
 // monotonic-sequence framing discipline the obs event pipeline uses to
 // make a truncated prefix detectable. A batch
-// costs one write and, by the fsync policy, at most one fsync:
-// PolicyBatch syncs before the append returns (an acknowledged batch
-// survives kill -9 and power loss), PolicyInterval group-commits on a
-// background cadence (ack precedes durability by at most one interval),
-// and PolicyOff never syncs (the OS page cache still survives a process
-// kill, but not a kernel crash). Replay hands each batch back whole,
-// whatever parts it was written in.
+// costs one write and one fsync, both before the append returns, so an
+// acknowledged batch survives kill -9 and power loss. Replay hands each
+// batch back whole, whatever parts it was written in.
 //
 // Two failures make the log stop rather than guess. A write that fails
 // part-way is cut back out of the segment, so the next record never
@@ -51,8 +47,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
-
 	"sync"
 
 	"vmp/internal/obs"
@@ -64,56 +58,19 @@ import (
 // ErrClosed is returned by appends after Close.
 var ErrClosed = errors.New("wal: log closed")
 
-// Policy selects when appended records are fsynced.
+// Policy is ignored: every append is fsynced before it returns.
 type Policy int
 
-const (
-	// PolicyBatch syncs the active segment before AppendBatch returns:
-	// an acknowledged batch is durable against kill -9 and power loss.
-	PolicyBatch Policy = iota
-	// PolicyInterval group-commits: appends return after write(), and
-	// a background loop syncs the active segment every SyncEvery. The
-	// acknowledgement-to-durability window is at most one interval.
-	PolicyInterval
-	// PolicyOff never syncs. Appends still write() synchronously, so
-	// the data survives a process kill in the OS page cache; a kernel
-	// crash or power loss inside the cache window loses it.
-	PolicyOff
-)
-
-// ParsePolicy parses the -wal-fsync flag vocabulary.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "batch":
-		return PolicyBatch, nil
-	case "interval":
-		return PolicyInterval, nil
-	case "off":
-		return PolicyOff, nil
-	}
-	return 0, fmt.Errorf("wal: unknown fsync policy %q (want batch, interval, or off)", s)
-}
-
-func (p Policy) String() string {
-	switch p {
-	case PolicyBatch:
-		return "batch"
-	case PolicyInterval:
-		return "interval"
-	case PolicyOff:
-		return "off"
-	}
-	return "unknown"
-}
+// PolicyBatch is ignored, as Options.Policy is.
+const PolicyBatch Policy = 0
 
 // Options parameterizes a Log. The zero value of every field gets a
-// sensible default: PolicyBatch, 25 ms group-commit cadence, 16 MiB
-// segments, the wall clock, a fresh registry, and a disabled tracer.
+// sensible default: 16 MiB segments, the wall clock, a fresh registry,
+// and a disabled tracer.
 type Options struct {
 	Dir          string         // log directory, created if absent
 	Shards       int            // ignored: the log is one stream whatever the engine's shard count
-	Policy       Policy         // fsync policy
-	SyncEvery    time.Duration  // group-commit cadence for PolicyInterval
+	Policy       Policy         // ignored: every append is fsynced before it returns
 	SegmentBytes int64          // active-segment rotation threshold
 	ChunkRecords int            // view records per log record; a larger batch spans several
 	Clock        simclock.Clock // time source for fsync latency
@@ -122,9 +79,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 25 * time.Millisecond
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 16 << 20
 	}
@@ -170,7 +124,7 @@ func createSegment(path string) (segFile, error) {
 }
 
 // Log is a write-ahead log rooted at one directory. Append methods are
-// safe for concurrent use with Sync, Commit, and Replay; the live
+// safe for concurrent use with Commit and Replay; the live
 // engine additionally serializes AppendBatch and Bounds under its
 // admission lock, which is what makes a Bounds reading coherent with
 // the batches flushed into an epoch.
@@ -185,7 +139,6 @@ type Log struct {
 	mu         sync.Mutex
 	segs       []segmentInfo // closed segments and, last, the active one
 	f          segFile       // active segment (the last of segs); nil when none is open
-	dirty      bool          // written since the last fsync
 	nextSeq    uint64
 	failed     error      // set once by a failed fsync or an uncut torn write; refuses every later append
 	ckpts      []ckptInfo // on-disk checkpoints, ascending by id
@@ -205,9 +158,6 @@ type Log struct {
 	ckptRecords int64
 	sinceCkpt   int64
 
-	quit chan struct{} // stops the PolicyInterval sync loop
-	done chan struct{}
-
 	enc *wire.Encoder
 	buf []byte // record encode buffer, reused across appends
 
@@ -218,7 +168,7 @@ type Log struct {
 	ckptsSkip *obs.Counter // wal_checkpoint_skipped_total: commits the log had not earned a checkpoint for
 	fsyncs    *obs.Counter // wal_fsync_total: fsync syscalls issued
 	tornTails *obs.Counter // wal_torn_tail_total: torn tails recovered
-	errors    *obs.Counter // wal_errors_total: appends refused or failed, and background sync failures
+	errors    *obs.Counter // wal_errors_total: appends refused or failed
 	fsyncSec  *obs.Histogram
 	backSegs  *obs.Gauge // wal_backlog_segments: live segment files
 	backBytes *obs.Gauge // wal_backlog_bytes: bytes not yet folded into a checkpoint
@@ -228,11 +178,11 @@ type Log struct {
 // loads the latest checkpoint's bound, indexes the segments, scans the
 // final one to find the last durable sequence — truncating any torn
 // tail left by a crash mid-append, so new appends never land after
-// garbage — and starts the group-commit loop when the policy asks for
-// one. A directory still holding the shard-NNNN/ subdirectories of the
-// per-shard layout is refused: their records are acknowledged data this
-// log would not replay. Open does not replay; call Replay before the
-// first append to stream surviving records back.
+// garbage. It starts no goroutine. A directory still holding the
+// shard-NNNN/ subdirectories of the per-shard layout is refused: their
+// records are acknowledged data this log would not replay. Open does
+// not replay; call Replay before the first append to stream surviving
+// records back.
 func Open(opts Options) (*Log, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -264,11 +214,6 @@ func Open(opts Options) (*Log, error) {
 	}
 	if err := l.scanDir(); err != nil {
 		return nil, err
-	}
-	if opts.Policy == PolicyInterval {
-		l.quit = make(chan struct{})
-		l.done = make(chan struct{})
-		go l.syncLoop()
 	}
 	return l, nil
 }
@@ -397,9 +342,9 @@ func (l *Log) Bounds() []uint64 {
 
 // AppendBatch appends the non-empty parts of one admitted batch as one
 // record (see appendBatch for the oversized case) with one write, and
-// under PolicyBatch fsyncs it before returning. An error means nothing
-// should be acknowledged: the caller rejects the batch and the client
-// retries it whole.
+// fsyncs it before returning. An error means nothing should be
+// acknowledged: the caller rejects the batch and the client retries it
+// whole.
 func (l *Log) AppendBatch(parts [][]record.ViewRecord, parent obs.SpanID) error {
 	return l.append(parts, nil, 0, parent)
 }
@@ -429,10 +374,10 @@ func (l *Log) append(parts [][]record.ViewRecord, frames []byte, records int64, 
 	return nil
 }
 
-// appendLocked copies frames, or else encodes parts, writes and
-// (PolicyBatch) syncs one batch, and returns its record and byte
-// counts. Sequences are consumed only by a write that landed whole.
-// Caller holds mu.
+// appendLocked copies frames, or else encodes parts, writes and syncs
+// one batch, closes the segment once it is full, and returns the
+// batch's record and byte counts. Sequences are consumed only by a
+// write that landed whole. Caller holds mu.
 func (l *Log) appendLocked(parts [][]record.ViewRecord, frames []byte, records int64, parent obs.SpanID) (int64, int64, error) {
 	if l.closed {
 		return 0, 0, ErrClosed
@@ -466,18 +411,17 @@ func (l *Log) appendLocked(parts [][]record.ViewRecord, frames []byte, records i
 		return 0, 0, l.cutTornWrite(active, err)
 	}
 	l.nextSeq = next
-	l.dirty = true
 	active.last = next - 1
 	active.size += bytes
 	l.sinceCkpt += bytes
-	if l.opts.Policy == PolicyBatch {
-		if err := l.syncLocked(parent); err != nil {
-			return 0, 0, err
-		}
+	if err := l.syncLocked(parent); err != nil {
+		return 0, 0, err
 	}
 	if active.size >= l.opts.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
-			return 0, 0, err
+		err := l.f.Close()
+		l.f = nil // the next append starts a fresh segment
+		if err != nil {
+			return 0, 0, fmt.Errorf("wal: closing segment: %w", err)
 		}
 	}
 	return records, bytes, nil
@@ -501,79 +445,44 @@ func (l *Log) cutTornWrite(active *segmentInfo, werr error) error {
 }
 
 // openSegment creates and opens a fresh active segment named after
-// the next sequence the log will assign. Unless the policy is off, the
-// directory is fsynced before the segment is used: the append that
-// asked for it is acknowledged on the strength of the file's fsync,
-// which says nothing of the file's name. If that fails the segment is
-// withdrawn, and the next append starts over. Not a wal_fsync_total
-// fsync: that counter is one per acknowledged batch.
+// the next sequence the log will assign. The directory is fsynced
+// before the segment is used: the append that asked for it is
+// acknowledged on the strength of the file's fsync, which says nothing
+// of the file's name. If that fails the segment is withdrawn, and the
+// next append starts over. Not a wal_fsync_total fsync: that counter is
+// one per acknowledged batch.
 func (l *Log) openSegment() error {
 	path := filepath.Join(l.dir, fmt.Sprintf("seg-%016x.wal", l.nextSeq))
 	f, err := l.create(path)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if l.opts.Policy != PolicyOff {
-		if err := l.syncDir(l.dir); err != nil {
-			_ = f.Close()       // the sync error is the one worth reporting
-			_ = os.Remove(path) // left behind, it fails the next create, and Open clears it
-			return err
-		}
+	if err := l.syncDir(l.dir); err != nil {
+		_ = f.Close()       // the sync error is the one worth reporting
+		_ = os.Remove(path) // left behind, it fails the next create, and Open clears it
+		return err
 	}
 	l.f = f
 	l.segs = append(l.segs, segmentInfo{path: path, first: l.nextSeq, last: l.nextSeq - 1})
 	return nil
 }
 
-// rotateLocked closes the active segment so the next append starts a
-// fresh one; a final sync flushes whatever the policy had not yet.
-func (l *Log) rotateLocked() error {
-	if l.dirty && l.opts.Policy != PolicyOff {
-		if err := l.syncActive(); err != nil {
-			return err
-		}
-	}
-	err := l.f.Close()
-	l.f = nil
-	if err != nil {
-		return fmt.Errorf("wal: closing segment: %w", err)
-	}
-	return nil
-}
-
-// syncActive fsyncs the active segment and clears the dirty flag. A
+// syncLocked fsyncs the active segment under a wal.fsync span. A
 // failure is final for this Log: the kernel may have dropped the dirty
 // pages and marked them clean, so a retried fsync can succeed without
 // the data being on disk. Caller holds mu.
-func (l *Log) syncActive() error {
+func (l *Log) syncLocked(parent obs.SpanID) error {
+	sp := l.tracer.Start("wal.fsync", parent)
 	start := l.clock.Now()
 	if err := l.f.Sync(); err != nil {
+		sp.End(obs.KV("error", 1))
 		l.failed = fmt.Errorf("wal: fsync: %w; the log refuses appends until reopened", err)
 		l.tracer.Emit("wal_failed")
 		return l.failed
 	}
-	l.dirty = false
 	l.fsyncs.Add(1)
 	l.fsyncSec.Observe(l.clock.Now().Sub(start).Seconds())
-	return nil
-}
-
-// syncLocked fsyncs the active segment, if it is dirty, under a
-// wal.fsync span. Caller holds mu.
-func (l *Log) syncLocked(parent obs.SpanID) error {
-	if l.failed != nil {
-		return l.failed
-	}
-	sp := l.tracer.Start("wal.fsync", parent)
-	n := int64(0)
-	if l.f != nil && l.dirty {
-		if err := l.syncActive(); err != nil {
-			sp.End(obs.KV("error", 1))
-			return err
-		}
-		n = 1
-	}
-	sp.End(obs.KV("files", n))
+	sp.End(obs.KV("files", 1))
 	return nil
 }
 
@@ -603,67 +512,24 @@ func (l *Log) PublishGauges() {
 	l.backBytes.Set(bytes)
 }
 
-// Sync forces an fsync of the active segment if it is dirty — the
-// group-commit step, also usable directly by tests and shutdown paths.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncLocked(0)
-}
-
-// syncLoop is the PolicyInterval group-commit daemon: every SyncEvery
-// it fsyncs whatever the appenders dirtied. The ticker is operational
-// heartbeat, not study time, so the real ticker is correct here —
-// determinism-sensitive tests call Sync directly instead.
-func (l *Log) syncLoop() {
-	defer close(l.done)
-	tick := time.NewTicker(l.opts.SyncEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-l.quit:
-			return
-		case <-tick.C:
-			if err := l.Sync(); err != nil {
-				// The failure is sticky (see syncActive): appends are
-				// refused from here on and there is nothing left to
-				// sync. Count it so operators see a sick disk.
-				l.errors.Add(1)
-				l.tracer.Emit("wal_sync_error")
-				return
-			}
-		}
-	}
-}
-
-// Close stops the group-commit loop, syncs the active segment if it is
-// dirty, and closes it. The log directory remains valid for a later
-// Open. Close is idempotent; appends after it return ErrClosed. A log
-// that had stopped on a write or fsync failure reports that failure.
+// Close closes the active segment; every append was fsynced before it
+// returned, so there is nothing left to sync. The log directory remains
+// valid for a later Open. Close is idempotent; appends after it return
+// ErrClosed. A log that had stopped on a write or fsync failure reports
+// that failure.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
-	l.mu.Unlock()
-	if l.quit != nil {
-		close(l.quit)
-		<-l.done
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	first := l.failed
-	if l.f == nil {
-		return first
+	if l.f != nil {
+		if err := l.f.Close(); err != nil && first == nil {
+			first = fmt.Errorf("wal: closing segment: %w", err)
+		}
+		l.f = nil
 	}
-	if first == nil && l.dirty && l.opts.Policy != PolicyOff {
-		first = l.syncActive()
-	}
-	if err := l.f.Close(); err != nil && first == nil {
-		first = fmt.Errorf("wal: closing segment: %w", err)
-	}
-	l.f = nil
 	return first
 }

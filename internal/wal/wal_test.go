@@ -114,7 +114,7 @@ func checkpointFiles(t *testing.T, dir string) []string {
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	l := openLog(t, dir, Options{Policy: PolicyBatch, Metrics: reg})
+	l := openLog(t, dir, Options{Metrics: reg})
 	recs := genRecords(1000)
 	for lo := 0; lo < len(recs); lo += 100 {
 		if err := l.AppendBatch(partition(recs[lo:lo+100], 4), 0); err != nil {
@@ -133,13 +133,13 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("counters = %v", snap.Counters)
 	}
 	if snap.Counters["wal_fsync_total"] == 0 {
-		t.Fatal("PolicyBatch appended without fsyncing")
+		t.Fatal("appended without fsyncing")
 	}
 }
 
 func TestReplayIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	l := openLog(t, dir, Options{Policy: PolicyOff})
+	l := openLog(t, dir, Options{})
 	recs := genRecords(600)
 	if err := l.AppendBatch(partition(recs, 4), 0); err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestReplayIdempotent(t *testing.T) {
 
 func TestReopenContinuesSequences(t *testing.T) {
 	dir := t.TempDir()
-	l := openLog(t, dir, Options{Policy: PolicyBatch})
+	l := openLog(t, dir, Options{})
 	recs := genRecords(400)
 	if err := l.AppendBatch(partition(recs, 4), 0); err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestReopenContinuesSequences(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2 := openLog(t, dir, Options{Policy: PolicyBatch})
+	l2 := openLog(t, dir, Options{})
 	if got := l2.Bounds(); !slices.Equal(got, before) {
 		t.Fatalf("reopen bounds = %v, want %v", got, before)
 	}
@@ -193,7 +193,7 @@ func TestReopenContinuesSequences(t *testing.T) {
 func TestCommitCheckpointsAndTruncates(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	l := openLog(t, dir, Options{Policy: PolicyBatch, Metrics: reg})
+	l := openLog(t, dir, Options{Metrics: reg})
 	recs := genRecords(800)
 	for lo := 0; lo < len(recs); lo += 200 {
 		if err := l.AppendBatch(partition(recs[lo:lo+200], 4), 0); err != nil {
@@ -252,7 +252,7 @@ func TestCommitCheckpointsAndTruncates(t *testing.T) {
 
 func TestCommitBoundsSurviveReopen(t *testing.T) {
 	dir := t.TempDir()
-	l := openLog(t, dir, Options{Policy: PolicyBatch})
+	l := openLog(t, dir, Options{})
 	recs := genRecords(300)
 	if err := l.AppendBatch(partition(recs, 4), 0); err != nil {
 		t.Fatal(err)
@@ -267,7 +267,7 @@ func TestCommitBoundsSurviveReopen(t *testing.T) {
 	// After truncation no segment files exist: the reopened log must
 	// take its sequence floor from the checkpoint, or fresh appends
 	// would be filtered as checkpoint-covered on the next replay.
-	l2 := openLog(t, dir, Options{Policy: PolicyBatch})
+	l2 := openLog(t, dir, Options{})
 	if got := l2.Bounds(); !slices.Equal(got, before) {
 		t.Fatalf("reopen bounds = %v, want %v", got, before)
 	}
@@ -291,7 +291,7 @@ func TestCommitBoundsSurviveReopen(t *testing.T) {
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	const threshold = 8 << 10
-	l := openLog(t, dir, Options{Policy: PolicyOff, SegmentBytes: threshold})
+	l := openLog(t, dir, Options{SegmentBytes: threshold})
 	recs := genRecords(4000)
 	grew := int64(0) // bytes in the active segment
 	for lo := 0; lo < len(recs); lo += 100 {
@@ -351,14 +351,14 @@ func TestSegmentRotation(t *testing.T) {
 
 // TestAppendBatchOneRecordOneWriteOneFsync is the single stream's cost
 // contract: however many shard parts a batch has, it consumes one
-// sequence, costs one write to one file and — under PolicyBatch — adds
-// exactly one to wal_fsync_total.
+// sequence, costs one write to one file and adds exactly one to
+// wal_fsync_total.
 func TestAppendBatchOneRecordOneWriteOneFsync(t *testing.T) {
 	for _, k := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("parts=%d", k), func(t *testing.T) {
 			dir := t.TempDir()
 			reg := obs.NewRegistry()
-			l := openLog(t, dir, Options{Policy: PolicyBatch, Metrics: reg})
+			l := openLog(t, dir, Options{Metrics: reg})
 			calls := countFileCalls(l)
 			// Eight shard slots, k of them non-empty.
 			parts := make([][]record.ViewRecord, 8)
@@ -392,7 +392,7 @@ func TestAppendBatchOneRecordOneWriteOneFsync(t *testing.T) {
 // TestReplayDeliversBatchesWhole: one callback per acknowledged batch,
 // carrying the records of all its parts, in append order.
 func TestReplayDeliversBatchesWhole(t *testing.T) {
-	l := openLog(t, t.TempDir(), Options{Policy: PolicyOff})
+	l := openLog(t, t.TempDir(), Options{})
 	recs := genRecords(700)
 	batches := [][]record.ViewRecord{recs[:100], recs[100:350], recs[350:351], recs[351:]}
 	for i, b := range batches {
@@ -422,7 +422,7 @@ func TestReplayDeliversBatchesWhole(t *testing.T) {
 // complete.
 func TestOversizedBatchSpansRecords(t *testing.T) {
 	reg := obs.NewRegistry()
-	l := openLog(t, t.TempDir(), Options{Policy: PolicyBatch, ChunkRecords: 50, Metrics: reg})
+	l := openLog(t, t.TempDir(), Options{ChunkRecords: 50, Metrics: reg})
 	calls := countFileCalls(l)
 	recs := genRecords(330)
 	if err := l.AppendBatch(partition(recs, 3), 0); err != nil { // parts of 110: frames of 50, 50, 10
@@ -496,7 +496,7 @@ func TestOpenRefusesPerShardLayout(t *testing.T) {
 // TestCommitWantsOneBound: the bounds vector is the stream's single
 // sequence; anything else is a caller from the per-shard days.
 func TestCommitWantsOneBound(t *testing.T) {
-	l := openLog(t, t.TempDir(), Options{Policy: PolicyOff})
+	l := openLog(t, t.TempDir(), Options{})
 	if got := l.Bounds(); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("empty log bounds = %v, want [0]", got)
 	}
@@ -512,48 +512,6 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	}
 	if err := l.AppendBatch(partition(genRecords(8), 4), 0); err != ErrClosed {
 		t.Fatalf("append after close = %v, want ErrClosed", err)
-	}
-}
-
-func TestIntervalPolicyCloseIsClean(t *testing.T) {
-	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	l := openLog(t, dir, Options{Policy: PolicyInterval, SyncEvery: time.Millisecond, Metrics: reg})
-	recs := genRecords(200)
-	if err := l.AppendBatch(partition(recs, 4), 0); err != nil {
-		t.Fatal(err)
-	}
-	// The group-commit loop runs on a real ticker; poll briefly for at
-	// least one background sync, then Close must stop the loop and
-	// leave everything durable.
-	for i := 0; i < 1000 && reg.Snapshot().Counters["wal_fsync_total"] == 0; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if reg.Snapshot().Counters["wal_fsync_total"] == 0 {
-		t.Fatal("group-commit loop never synced")
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2 := openLog(t, dir, Options{Policy: PolicyBatch})
-	got, _ := replayAll(t, l2)
-	if !bytes.Equal(canonBytes(t, got), canonBytes(t, recs)) {
-		t.Fatal("interval-policy log lost records across close/reopen")
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	for s, want := range map[string]Policy{"batch": PolicyBatch, "interval": PolicyInterval, "off": PolicyOff} {
-		got, err := ParsePolicy(s)
-		if err != nil || got != want {
-			t.Fatalf("ParsePolicy(%q) = %v, %v", s, got, err)
-		}
-		if got.String() != s {
-			t.Fatalf("Policy(%q).String() = %q", s, got.String())
-		}
-	}
-	if _, err := ParsePolicy("sometimes"); err == nil {
-		t.Fatal("ParsePolicy accepted garbage")
 	}
 }
 
@@ -579,7 +537,7 @@ func TestAppendStagesTraced(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
 			tr := obs.NewTracer(simclock.NewManual(simclock.StudyStart), 64)
-			l := openLog(t, dir, Options{Policy: PolicyBatch, Trace: tr})
+			l := openLog(t, dir, Options{Trace: tr})
 			if err := c.append(l); err != nil {
 				t.Fatal(err)
 			}
@@ -621,22 +579,20 @@ func TestAppendStagesTraced(t *testing.T) {
 }
 
 // TestAppendBatchDoesNotAllocate: with tracing off, the steady-state
-// append — encode into the reused buffer, one write, and under
-// PolicyBatch one fsync — allocates nothing.
+// append — encode into the reused buffer, one write, one fsync —
+// allocates nothing.
 func TestAppendBatchDoesNotAllocate(t *testing.T) {
-	for _, policy := range []Policy{PolicyOff, PolicyBatch} {
-		l := openLog(t, t.TempDir(), Options{Policy: policy})
-		parts := partition(genRecords(400), 8)
-		if err := l.AppendBatch(parts, 0); err != nil { // sizes the buffers, creates the segment
+	l := openLog(t, t.TempDir(), Options{})
+	parts := partition(genRecords(400), 8)
+	if err := l.AppendBatch(parts, 0); err != nil { // sizes the buffers, creates the segment
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := l.AppendBatch(parts, 0); err != nil {
 			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(50, func() {
-			if err := l.AppendBatch(parts, 0); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != 0 {
-			t.Fatalf("policy %v: AppendBatch allocates %.1f times per batch", policy, allocs)
-		}
+	}); allocs != 0 {
+		t.Fatalf("AppendBatch allocates %.1f times per batch", allocs)
 	}
 }
 
@@ -647,17 +603,15 @@ func TestAppendFramesDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, policy := range []Policy{PolicyOff, PolicyBatch} {
-		l := openLog(t, t.TempDir(), Options{Policy: policy})
-		if err := l.AppendFrames(frames, 400, 0); err != nil { // sizes the buffer, creates the segment
+	l := openLog(t, t.TempDir(), Options{})
+	if err := l.AppendFrames(frames, 400, 0); err != nil { // sizes the buffer, creates the segment
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := l.AppendFrames(frames, 400, 0); err != nil {
 			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(50, func() {
-			if err := l.AppendFrames(frames, 400, 0); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != 0 {
-			t.Fatalf("policy %v: AppendFrames allocates %.1f times per batch", policy, allocs)
-		}
+	}); allocs != 0 {
+		t.Fatalf("AppendFrames allocates %.1f times per batch", allocs)
 	}
 }
