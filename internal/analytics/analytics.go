@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"vmp/internal/device"
-	"vmp/internal/manifest"
 	"vmp/internal/simclock"
 	"vmp/internal/stats"
 	"vmp/internal/telemetry"
@@ -37,14 +36,8 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 }
 
 // Dim extracts the dimension value(s) a view record contributes to: a
-// protocol name, a platform name, or the CDN(s) that served it.
+// platform name, a device model, or the CDN(s) that served it.
 type Dim func(*telemetry.ViewRecord) []string
-
-// ProtocolDim attributes a record to the streaming protocol inferred
-// from its manifest URL (Table 1), exactly as the paper does.
-func ProtocolDim(r *telemetry.ViewRecord) []string {
-	return []string{manifest.InferProtocol(r.URL).String()}
-}
 
 // PlatformDim attributes a record to its platform category.
 func PlatformDim(r *telemetry.ViewRecord) []string {

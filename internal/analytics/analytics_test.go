@@ -6,9 +6,17 @@ import (
 	"time"
 
 	"vmp/internal/device"
+	"vmp/internal/manifest"
 	"vmp/internal/simclock"
 	"vmp/internal/telemetry"
 )
+
+// protocolDim attributes a record to the streaming protocol inferred
+// from its manifest URL (Table 1): the row-at-a-time reference of the
+// Dataset's ProtocolCol.
+func protocolDim(r *telemetry.ViewRecord) []string {
+	return []string{manifest.InferProtocol(r.URL).String()}
+}
 
 // mk builds a minimal record.
 func mk(pub string, day int, url, dev string, cdns []string, viewSec, weight float64, live bool) telemetry.ViewRecord {
@@ -52,7 +60,7 @@ func twoSnapDataset() (*telemetry.Dataset, simclock.Schedule) {
 
 func TestShareOfPublishers(t *testing.T) {
 	s, sched := twoSnapDataset()
-	ts := ShareOfPublishers(s, sched, ProtocolDim)
+	ts := ShareOfPublishers(s, sched, protocolDim)
 	// Snapshot 0: both publishers have HLS views -> 100%; DASH only p2.
 	if got := ts.Series["HLS"][0]; got != 100 {
 		t.Errorf("HLS pubs snap0 = %v, want 100", got)
@@ -68,7 +76,7 @@ func TestShareOfPublishers(t *testing.T) {
 
 func TestShareOfViewHours(t *testing.T) {
 	s, sched := twoSnapDataset()
-	ts := ShareOfViewHours(s, sched, ProtocolDim, nil)
+	ts := ShareOfViewHours(s, sched, protocolDim, nil)
 	// Snapshot 0: 4 equal view-hours, 3 HLS 1 DASH.
 	if got := ts.Series["HLS"][0]; got != 75 {
 		t.Errorf("HLS VH snap0 = %v, want 75", got)
@@ -84,7 +92,7 @@ func TestShareOfViewHours(t *testing.T) {
 
 func TestShareOfViewHoursExclusion(t *testing.T) {
 	s, sched := twoSnapDataset()
-	ts := ShareOfViewHours(s, sched, ProtocolDim, map[string]bool{"p2": true})
+	ts := ShareOfViewHours(s, sched, protocolDim, map[string]bool{"p2": true})
 	if got := ts.First("HLS"); got != 100 {
 		t.Errorf("HLS VH excluding p2 = %v, want 100", got)
 	}
@@ -112,7 +120,7 @@ func TestShareOfViewsWeighted(t *testing.T) {
 		mk("p1", 0, "http://c/a.m3u8", "Roku", []string{"A"}, 60, 9, false),
 		mk("p1", 0, "http://c/b.mpd", "Roku", []string{"A"}, 60, 1, false),
 	)
-	ts := ShareOfViews(s, sched, ProtocolDim, nil)
+	ts := ShareOfViews(s, sched, protocolDim, nil)
 	if got := ts.Series["HLS"][0]; got != 90 {
 		t.Errorf("weighted HLS view share = %v, want 90", got)
 	}
@@ -120,7 +128,7 @@ func TestShareOfViewsWeighted(t *testing.T) {
 
 func TestTimeSeriesAccessors(t *testing.T) {
 	s, sched := twoSnapDataset()
-	ts := ShareOfViewHours(s, sched, ProtocolDim, nil)
+	ts := ShareOfViewHours(s, sched, protocolDim, nil)
 	if ts.First("HLS") != 75 || ts.Latest("HLS") != 50 {
 		t.Errorf("First/Latest = %v/%v", ts.First("HLS"), ts.Latest("HLS"))
 	}
@@ -168,7 +176,7 @@ func TestTopPublishersTieBreakByName(t *testing.T) {
 func TestInstancesPerPublisher(t *testing.T) {
 	s, sched := twoSnapDataset()
 	recs := s.Window(sched[0])
-	h := InstancesPerPublisher(recs, ProtocolDim)
+	h := InstancesPerPublisher(recs, protocolDim)
 	// p1: {HLS} = 1 instance; p2: {HLS, DASH} = 2.
 	p1, v1 := h.At(1)
 	p2, v2 := h.At(2)
@@ -206,7 +214,7 @@ func TestInstancesByBucket(t *testing.T) {
 		mk("p2", 0, "http://c/b.m3u8", "Roku", []string{"A"}, 3600, 50, false),
 		mk("p2", 0, "http://c/c.mpd", "Roku", []string{"A"}, 3600, 50, false),
 	)
-	bb := InstancesByBucket(s.Window(sched[0]), ProtocolDim, 2, 7)
+	bb := InstancesByBucket(s.Window(sched[0]), protocolDim, 2, 7)
 	if got := bb.Buckets[0][1]; got != 50 {
 		t.Errorf("bucket0 count1 = %v, want 50", got)
 	}
@@ -220,7 +228,7 @@ func TestInstancesByBucket(t *testing.T) {
 
 func TestAverageInstances(t *testing.T) {
 	s, sched := twoSnapDataset()
-	avg := AverageInstances(s, sched, ProtocolDim)
+	avg := AverageInstances(s, sched, protocolDim)
 	// Snapshot 0: p1 has 1 protocol, p2 has 2 → mean 1.5. VH equal →
 	// weighted 1.5 too.
 	if avg.Mean[0] != 1.5 {
@@ -243,7 +251,7 @@ func TestWeightedAverageRespondsToVH(t *testing.T) {
 		mk("big", 0, "http://c/b.mpd", "Roku", []string{"A"}, 3600, 1000, false),
 		mk("small", 0, "http://c/c.m3u8", "Roku", []string{"A"}, 3600, 1, false),
 	)
-	avg := AverageInstances(s, sched, ProtocolDim)
+	avg := AverageInstances(s, sched, protocolDim)
 	if avg.Mean[0] != 1.5 {
 		t.Errorf("mean = %v", avg.Mean[0])
 	}
@@ -261,7 +269,7 @@ func TestSupporterShareCDF(t *testing.T) {
 		mk("p2", 0, "http://c/c.mpd", "Roku", []string{"A"}, 3600, 1, false),
 		mk("p3", 0, "http://c/d.m3u8", "Roku", []string{"A"}, 3600, 1, false),
 	)
-	cdf := SupporterShareCDF(s.Window(sched[0]), ProtocolDim, "DASH")
+	cdf := SupporterShareCDF(s.Window(sched[0]), protocolDim, "DASH")
 	if len(cdf.X) != 2 {
 		t.Fatalf("CDF over supporters should have 2 points, got %v", cdf.X)
 	}

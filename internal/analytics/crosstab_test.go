@@ -16,7 +16,7 @@ func TestCrossTabBasics(t *testing.T) {
 		mk("p1", 0, "http://c/b.mpd", "Roku", []string{"A"}, 3600, 1, false),
 		mk("p1", 0, "http://c/c.m3u8", "Roku", []string{"A"}, 3600, 2, false),
 	}
-	ct := Cross(recs, deviceNameDim, ProtocolDim)
+	ct := Cross(recs, deviceNameDim, protocolDim)
 	if ct.Total != 4 {
 		t.Fatalf("total = %v, want 4 view-hours", ct.Total)
 	}
@@ -59,7 +59,7 @@ func TestCrossTabMultiValueSplit(t *testing.T) {
 	recs := []telemetry.ViewRecord{
 		mk("p1", 0, "http://c/a.m3u8", "Roku", []string{"A", "B"}, 3600, 1, false),
 	}
-	ct := Cross(recs, CDNDim, ProtocolDim)
+	ct := Cross(recs, CDNDim, protocolDim)
 	if got := ct.At("A", "HLS"); got != 0.5 {
 		t.Fatalf("A×HLS = %v, want 0.5 (split across 2 CDNs)", got)
 	}
@@ -74,7 +74,7 @@ func TestCrossTabMultiValueSplit(t *testing.T) {
 func TestCrossTabAppleHLSOnly(t *testing.T) {
 	e := ecosystem.New(ecosystem.Config{SnapshotStride: 59})
 	recs := e.GenerateSnapshot(e.Schedule.Latest())
-	ct := Cross(recs, deviceNameDim, ProtocolDim)
+	ct := Cross(recs, deviceNameDim, protocolDim)
 	for _, dev := range []string{"iPhone", "iPad", "AppleTV"} {
 		if share := ct.RowShare(dev, "HLS"); share != 1 {
 			t.Errorf("%s HLS share = %v, want 1.0 (Apple devices are HLS-only)", dev, share)
@@ -87,7 +87,7 @@ func TestCrossTabAppleHLSOnly(t *testing.T) {
 }
 
 func TestCrossTabEmpty(t *testing.T) {
-	ct := Cross(nil, deviceNameDim, ProtocolDim)
+	ct := Cross(nil, deviceNameDim, protocolDim)
 	if ct.Total != 0 || len(ct.RowKeys) != 0 {
 		t.Fatal("empty input should yield an empty table")
 	}

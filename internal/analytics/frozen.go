@@ -297,6 +297,94 @@ func InstancesByBucketDataset(ds *telemetry.Dataset, snap simclock.Snapshot, col
 	return bb
 }
 
+// valueID returns the ID of col's value name, or -1 when no record has
+// it.
+func valueID(col *telemetry.DimColumn, name string) int32 {
+	for id := range int32(col.Cardinality()) {
+		if col.Name(id) == name {
+			return id
+		}
+	}
+	return -1
+}
+
+// SupporterShareCDFDataset is SupporterShareCDF over one snapshot of a
+// frozen dataset, for col's value key. Each publisher's sums run in
+// record order, as the reference's do, so every share is its to the bit.
+func SupporterShareCDFDataset(ds *telemetry.Dataset, snap simclock.Snapshot, col *telemetry.DimColumn, key string) CDF {
+	want := valueID(col, key)
+	nPubs := ds.NumPublishers()
+	total := make([]float64, nPubs)
+	keyed := make([]float64, nPubs)
+	supports := make([]bool, nPubs)
+	lo, hi := ds.WindowBounds(snap)
+	for i := lo; i < hi; i++ {
+		p, vh := ds.PublisherID(i), ds.ViewHoursAt(i)
+		total[p] += vh
+		ids := col.IDs(i)
+		for _, k := range ids {
+			if k == want {
+				keyed[p] += vh / float64(len(ids))
+				supports[p] = true
+			}
+		}
+	}
+	var shares []float64
+	for p, ok := range supports {
+		if ok && total[p] > 0 {
+			shares = append(shares, 100*keyed[p]/total[p])
+		}
+	}
+	return FromECDF(stats.NewECDF(shares))
+}
+
+// CrossDataset is Cross over one snapshot of a frozen dataset, rowCol's
+// values by colCol's. Each cell sums in record order, as the
+// reference's does, so every cell is its to the bit.
+func CrossDataset(ds *telemetry.Dataset, snap simclock.Snapshot, rowCol, colCol *telemetry.DimColumn) *CrossTab {
+	nCols := colCol.Cardinality()
+	cells := make([]float64, rowCol.Cardinality()*nCols)
+	seen := make([]bool, len(cells))
+	ct := &CrossTab{ViewHours: make(map[string]map[string]float64)}
+	lo, hi := ds.WindowBounds(snap)
+	for i := lo; i < hi; i++ {
+		rows, cols := rowCol.IDs(i), colCol.IDs(i)
+		if len(rows) == 0 || len(cols) == 0 {
+			continue
+		}
+		vh := ds.ViewHoursAt(i)
+		ct.Total += vh
+		share := vh / float64(len(rows)*len(cols))
+		for _, r := range rows {
+			for _, c := range cols {
+				cell := int(r)*nCols + int(c)
+				cells[cell] += share
+				seen[cell] = true
+			}
+		}
+	}
+	colSeen := make([]bool, nCols)
+	for cell, ok := range seen {
+		if !ok {
+			continue
+		}
+		r, c := cell/nCols, cell%nCols
+		row, col := rowCol.Name(int32(r)), colCol.Name(int32(c))
+		if ct.ViewHours[row] == nil {
+			ct.ViewHours[row] = map[string]float64{}
+			ct.RowKeys = append(ct.RowKeys, row)
+		}
+		ct.ViewHours[row][col] = cells[cell]
+		if !colSeen[c] {
+			colSeen[c] = true
+			ct.ColKeys = append(ct.ColKeys, col)
+		}
+	}
+	sort.Strings(ct.RowKeys)
+	sort.Strings(ct.ColKeys)
+	return ct
+}
+
 // RankedPublisher is one row of a publisher ranking. The JSON names are
 // the serving plane's (/v1/query/top-publishers).
 type RankedPublisher struct {

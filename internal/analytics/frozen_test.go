@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"vmp/internal/simclock"
@@ -47,7 +48,7 @@ func TestAnalyzeDimMatchesLegacy(t *testing.T) {
 		col  *telemetry.DimColumn
 		dim  Dim
 	}{
-		{"protocol", ds.ProtocolCol(), ProtocolDim},
+		{"protocol", ds.ProtocolCol(), protocolDim},
 		{"platform", ds.PlatformCol(), PlatformDim},
 		{"cdn", ds.CDNCol(), CDNDim},
 	}
@@ -83,10 +84,10 @@ func TestShareOfDatasetExclusion(t *testing.T) {
 		t.Fatal("p2 missing from dataset")
 	}
 	got := ShareOfViewHoursDataset(ds, sched, ds.ProtocolCol(), exclude)
-	want := ShareOfViewHours(ds, sched, ProtocolDim, map[string]bool{"p2": true})
+	want := ShareOfViewHours(ds, sched, protocolDim, map[string]bool{"p2": true})
 	requireSeriesEqual(t, "excl-viewhours", got, want)
 
-	wantV := ShareOfViews(ds, sched, ProtocolDim, map[string]bool{"p2": true})
+	wantV := ShareOfViews(ds, sched, protocolDim, map[string]bool{"p2": true})
 	for si, snap := range sched {
 		lo, hi := ds.WindowBounds(snap)
 		gotV := ShareOverRows(ds, ds.ProtocolCol(), lo, hi, exclude, true)
@@ -190,4 +191,43 @@ func TestAnalyzeDimWeightedRecords(t *testing.T) {
 	requireSeriesEqual(t, "weighted/cdn/publishers", bundle.Publishers, ShareOfPublishers(ds, sched, CDNDim))
 	pb := AnalyzeDim(ds, sched, ds.PlatformCol())
 	requireSeriesEqual(t, "weighted/platform/views", pb.Views, ShareOfViews(ds, sched, PlatformDim, nil))
+}
+
+// TestSupporterShareAndCrossDatasetMatchReference holds Fig 4 and the
+// cross-tab, ported to the Dataset's columns, to their row-at-a-time
+// references bit for bit: both sum in record order. Multi-CDN views,
+// an unknown device and a value no record has included.
+func TestSupporterShareAndCrossDatasetMatchReference(t *testing.T) {
+	two, sched := twoSnapDataset()
+	weighted := dataset(
+		mk("p1", 0, "http://c/a.m3u8", "Roku", []string{"A", "B", "C"}, 1800, 7, false),
+		mk("p1", 0, "http://c/a.mpd", "iPhone", []string{"A"}, 900, 2, false),
+		mk("p2", 1, "http://c/b.mpd", "iPhone", []string{"B"}, 5400, 3, false),
+		mk("p3", 1, "http://c/c.m3u8", "UnknownDevice", nil, 3600, 0, false),
+	)
+	for _, ds := range []*telemetry.Dataset{two, weighted} {
+		for _, snap := range sched {
+			recs := ds.Window(snap)
+			for _, key := range []string{"DASH", "HLS", "RTMP"} {
+				got := SupporterShareCDFDataset(ds, snap, ds.ProtocolCol(), key)
+				if want := SupporterShareCDF(recs, protocolDim, key); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s supporters: %+v, want %+v", snap.Label(), key, got, want)
+				}
+			}
+			for _, key := range []string{"A", "B"} {
+				got := SupporterShareCDFDataset(ds, snap, ds.CDNCol(), key)
+				if want := SupporterShareCDF(recs, CDNDim, key); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s CDN %s supporters: %+v, want %+v", snap.Label(), key, got, want)
+				}
+			}
+			got := CrossDataset(ds, snap, ds.PlatformCol(), ds.ProtocolCol())
+			if want := Cross(recs, PlatformDim, protocolDim); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s platform x protocol: %+v, want %+v", snap.Label(), got, want)
+			}
+			got = CrossDataset(ds, snap, ds.CDNCol(), ds.ProtocolCol())
+			if want := Cross(recs, CDNDim, protocolDim); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s CDN x protocol: %+v, want %+v", snap.Label(), got, want)
+			}
+		}
+	}
 }

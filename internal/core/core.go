@@ -249,10 +249,11 @@ func (s *Study) Fig3c() *analytics.AveragesSeries {
 // via DASH and via HLS.
 func (s *Study) Fig4() map[string]analytics.CDF {
 	return memo(s, "fig4", func() map[string]analytics.CDF {
-		recs := s.latest()
+		ds := s.Dataset()
+		snap := s.Schedule().Latest()
 		return map[string]analytics.CDF{
-			"DASH": analytics.SupporterShareCDF(recs, analytics.ProtocolDim, "DASH"),
-			"HLS":  analytics.SupporterShareCDF(recs, analytics.ProtocolDim, "HLS"),
+			"DASH": analytics.SupporterShareCDFDataset(ds, snap, ds.ProtocolCol(), "DASH"),
+			"HLS":  analytics.SupporterShareCDFDataset(ds, snap, ds.ProtocolCol(), "HLS"),
 		}
 	})
 }
@@ -489,6 +490,7 @@ func (s *Study) Macro() analytics.MacroStats {
 // packaging choices and device reach (Apple rows are 100% HLS).
 func (s *Study) ProtocolPlatformCross() *analytics.CrossTab {
 	return memo(s, "crosstab", func() *analytics.CrossTab {
-		return analytics.Cross(s.latest(), analytics.PlatformDim, analytics.ProtocolDim)
+		ds := s.Dataset()
+		return analytics.CrossDataset(ds, s.Schedule().Latest(), ds.PlatformCol(), ds.ProtocolCol())
 	})
 }

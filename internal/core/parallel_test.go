@@ -3,11 +3,21 @@ package core
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"vmp/internal/analytics"
 	"vmp/internal/device"
+	"vmp/internal/manifest"
+	"vmp/internal/telemetry"
 )
+
+// protocolDim attributes a record to the streaming protocol inferred
+// from its manifest URL: the row-at-a-time reference of ProtocolCol.
+func protocolDim(r *telemetry.ViewRecord) []string {
+	return []string{manifest.InferProtocol(r.URL).String()}
+}
 
 // TestRenderAllParallelByteIdentical is the determinism guarantee of
 // the parallel engine: for the documented seed, the full study rendered
@@ -28,6 +38,24 @@ func TestRenderAllParallelByteIdentical(t *testing.T) {
 	}
 	if serial.Len() == 0 {
 		t.Fatal("empty study output")
+	}
+}
+
+// TestRunAllDispatchOrder holds RunAll's start order to what it is
+// for: every figure once, Figs 15 and 18 — the two longest — first.
+func TestRunAllDispatchOrder(t *testing.T) {
+	ids := make([]string, len(dispatchOrder))
+	for k, i := range dispatchOrder {
+		ids[k] = FigureIDs[i]
+	}
+	if len(ids) < 2 || ids[0] != "15" || ids[1] != "18" {
+		t.Fatalf("RunAll starts with %v, want 15 and 18 first", ids[:min(len(ids), 2)])
+	}
+	want := slices.Clone(FigureIDs)
+	slices.Sort(ids)
+	slices.Sort(want)
+	if !slices.Equal(ids, want) {
+		t.Fatalf("RunAll dispatches %v, not a permutation of FigureIDs %v", ids, want)
 	}
 }
 
@@ -65,8 +93,8 @@ func TestFrozenFiguresMatchLegacy(t *testing.T) {
 	s := study(t)
 	ds, sched := s.Dataset(), s.Schedule()
 
-	seriesMatch(t, "fig2a", s.Fig2a(), analytics.ShareOfPublishers(ds, sched, analytics.ProtocolDim))
-	seriesMatch(t, "fig2b", s.Fig2b(), analytics.ShareOfViewHours(ds, sched, analytics.ProtocolDim, nil))
+	seriesMatch(t, "fig2a", s.Fig2a(), analytics.ShareOfPublishers(ds, sched, protocolDim))
+	seriesMatch(t, "fig2b", s.Fig2b(), analytics.ShareOfViewHours(ds, sched, protocolDim, nil))
 	seriesMatch(t, "fig6c", s.Fig6c(), analytics.ShareOfViews(ds, sched, analytics.PlatformDim, nil))
 	seriesMatch(t, "fig11b", s.Fig11b(), analytics.ShareOfViewHours(ds, sched, analytics.CDNDim, nil))
 	seriesMatch(t, "fig10a", s.Fig10(device.Browser),
@@ -85,7 +113,7 @@ func TestFrozenFiguresMatchLegacy(t *testing.T) {
 	}
 
 	latest := ds.Window(sched.Latest())
-	wantHist := analytics.InstancesPerPublisher(latest, analytics.ProtocolDim)
+	wantHist := analytics.InstancesPerPublisher(latest, protocolDim)
 	gotHist := s.Fig3a()
 	if len(gotHist.Counts) != len(wantHist.Counts) {
 		t.Fatalf("fig3a counts %v, want %v", gotHist.Counts, wantHist.Counts)
@@ -103,6 +131,17 @@ func TestFrozenFiguresMatchLegacy(t *testing.T) {
 		gotMacro.DistinctGeos != wantMacro.DistinctGeos ||
 		!relEq(gotMacro.ViewHours, wantMacro.ViewHours) {
 		t.Errorf("macro = %+v, want %+v", gotMacro, wantMacro)
+	}
+
+	// Fig 4 and the cross-tab sum in record order, as their references
+	// do: equal to the bit.
+	for _, key := range []string{"DASH", "HLS"} {
+		if got, want := s.Fig4()[key], analytics.SupporterShareCDF(latest, protocolDim, key); !reflect.DeepEqual(got, want) {
+			t.Errorf("fig4 %s = %+v, want %+v", key, got, want)
+		}
+	}
+	if got, want := s.ProtocolPlatformCross(), analytics.Cross(latest, analytics.PlatformDim, protocolDim); !reflect.DeepEqual(got, want) {
+		t.Errorf("crosstab = %+v, want %+v", got, want)
 	}
 }
 

@@ -1,9 +1,12 @@
 package ecosystem
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"vmp/internal/simclock"
+	"vmp/internal/telemetry"
 )
 
 // TestGenerateSnapshotAllocsPerRecord bounds what generation allocates
@@ -23,5 +26,25 @@ func TestGenerateSnapshotAllocsPerRecord(t *testing.T) {
 	t.Logf("%.0f allocations for %d records: %.2f per record", allocs, records, perRecord)
 	if perRecord > 2 {
 		t.Fatalf("GenerateSnapshot allocates %.2f times per record, want <= 2", perRecord)
+	}
+}
+
+// TestGenerateStoreAllocatesOneRowArray bounds what a whole store
+// allocates per record it holds, in rows of telemetry.ViewRecord: the
+// one array every record is sampled straight into is one row, and the
+// sort keys, strings and CDN lists about a third of another. A second
+// array — per-slot samples gathered into the store, or a sorted copy —
+// is a second row, and about 2.4 rows were measured with one.
+func TestGenerateStoreAllocatesOneRowArray(t *testing.T) {
+	e := New(Config{SnapshotStride: 12})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := e.GenerateStore().Len()
+	runtime.ReadMemStats(&after)
+	row := float64(unsafe.Sizeof(telemetry.ViewRecord{}))
+	rows := float64(after.TotalAlloc-before.TotalAlloc) / float64(n) / row
+	t.Logf("%d records, %.0f B allocated per record: %.2f rows of %.0f B", n, rows*row, rows, row)
+	if rows > 1.6 {
+		t.Fatalf("GenerateStore allocates %.2f rows per record, want <= 1.6: one row array", rows)
 	}
 }

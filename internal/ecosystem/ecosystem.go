@@ -94,16 +94,25 @@ func New(cfg Config) *Ecosystem {
 
 // GenerateStore runs the sampler over every publisher and snapshot and
 // returns the assembled view-record store: the synthetic counterpart of
-// the paper's dataset. GOMAXPROCS workers each take one publisher at a
-// time, the largest first, and sample its every snapshot into the slot
-// of its (snapshot, publisher) pair with the publisher's string tables
-// (pubStrings). The result is identical to serial generation: every
-// record's content depends only on (seed, publisher, snapshot).
-// telemetry.GatherStore then sorts the slots' records into one
-// canonically ordered array on as many workers.
+// the paper's dataset. Every (snapshot, publisher) pair owns one range
+// of a single record array, sampleSize rows long, snapshot-major.
+// GOMAXPROCS workers each take one publisher at a time, the largest
+// first, and sample its every snapshot straight into its ranges with
+// the publisher's string tables (pubStrings). The result is identical
+// to serial generation: every record's content depends only on (seed,
+// publisher, snapshot). A view the sampler drops leaves a zero row at
+// the end of its range, which telemetry.NewStore's in-place canonical
+// sort puts first and leaves out.
 func (e *Ecosystem) GenerateStore() *telemetry.Store {
 	pubs := len(e.Publishers)
-	slots := make([][]telemetry.ViewRecord, len(e.Schedule)*pubs)
+	offs := make([]int, len(e.Schedule)*pubs+1)
+	for s, snap := range e.Schedule {
+		for i, p := range e.Publishers {
+			k := s*pubs + i
+			offs[k+1] = offs[k] + sampleSize(p, snap)
+		}
+	}
+	recs := make([]telemetry.ViewRecord, offs[len(offs)-1])
 	order := make([]int, pubs)
 	for i := range order {
 		order[i] = i
@@ -121,7 +130,8 @@ func (e *Ecosystem) GenerateStore() *telemetry.Store {
 			for i := range jobs {
 				strs.reset(e.Publishers[i])
 				for s, snap := range e.Schedule {
-					slots[s*pubs+i] = e.samplePublisherSnapshot(&strs, snap)
+					lo, hi := offs[s*pubs+i], offs[s*pubs+i+1]
+					e.samplePublisherSnapshot(recs[lo:lo:hi], &strs, snap)
 				}
 			}
 		}()
@@ -131,19 +141,24 @@ func (e *Ecosystem) GenerateStore() *telemetry.Store {
 	}
 	close(jobs)
 	wg.Wait()
-	return telemetry.GatherStore(slots)
+	return telemetry.NewStore(recs)
 }
 
 // GenerateSnapshot samples just one snapshot window across the
-// population.
+// population, publisher by publisher, into one array sized as
+// GenerateStore sizes a snapshot's ranges.
 func (e *Ecosystem) GenerateSnapshot(snap simclock.Snapshot) []telemetry.ViewRecord {
-	slots := make([][]telemetry.ViewRecord, len(e.Publishers))
-	strs := pubStrings{agents: e.agents}
-	for i, p := range e.Publishers {
-		strs.reset(p)
-		slots[i] = e.samplePublisherSnapshot(&strs, snap)
+	n := 0
+	for _, p := range e.Publishers {
+		n += sampleSize(p, snap)
 	}
-	return slices.Concat(slots...)
+	recs := make([]telemetry.ViewRecord, 0, n)
+	strs := pubStrings{agents: e.agents}
+	for _, p := range e.Publishers {
+		strs.reset(p)
+		recs = e.samplePublisherSnapshot(recs, &strs, snap)
+	}
+	return recs
 }
 
 // Inventory is the per-publisher management-plane metadata at one

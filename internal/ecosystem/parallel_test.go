@@ -62,3 +62,31 @@ func TestParallelGenerationMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreHasNoDroppedRows holds the store to the records the sampler
+// kept: a view it drops leaves an unfilled row in the generation's
+// array, and no such row — no publisher, the zero time — may reach the
+// store. The store holds exactly what sampling each snapshot on its own
+// keeps, and fewer rows than were reserved, or the test shows nothing.
+func TestStoreHasNoDroppedRows(t *testing.T) {
+	e := New(Config{SnapshotStride: 12})
+	kept, reserved := 0, 0
+	for _, snap := range e.Schedule {
+		kept += len(e.GenerateSnapshot(snap))
+		for _, p := range e.Publishers {
+			reserved += sampleSize(p, snap)
+		}
+	}
+	if kept >= reserved {
+		t.Fatalf("the sampler dropped no view (%d kept of %d reserved): nothing to leave out", kept, reserved)
+	}
+	s := e.GenerateStore()
+	for i, r := range s.All() {
+		if r.Publisher == "" || r.Timestamp.IsZero() {
+			t.Fatalf("record %d of %d is an unfilled row: %+v", i, s.Len(), r)
+		}
+	}
+	if s.Len() != kept {
+		t.Fatalf("store holds %d records, sampling each snapshot keeps %d (of %d reserved)", s.Len(), kept, reserved)
+	}
+}

@@ -147,53 +147,73 @@ func snapshotMid(snap simclock.Snapshot) time.Time {
 	return snap.Start.Add(time.Duration(snap.Days) * simclock.Day / 2)
 }
 
-// samplePublisherSnapshot emits the sampled view records for the
-// publisher t belongs to in one snapshot window.
-func (e *Ecosystem) samplePublisherSnapshot(t *pubStrings, snap simclock.Snapshot) []telemetry.ViewRecord {
-	p := t.p
-	mid := snapshotMid(snap)
-	vh := p.DailyViewHoursAt(mid) * float64(snap.Days)
-	src := e.root.Split("sample-" + p.ID + "-" + snap.Label())
+// sampleMix is what one publisher's sample of one snapshot window is
+// drawn over: the platforms it plays on with their view-count weights,
+// how many views it draws (n) and how many real views each stands for.
+type sampleMix struct {
+	mid         time.Time
+	platforms   []device.Platform
+	platWeights []float64
+	n           int
+	weight      float64
+}
 
+// mixOf returns p's sample mix in snap. Its n is 0 where the sample
+// draws nothing: p plays on no platform then, or on none with any
+// view-hour weight.
+func mixOf(p *Publisher, snap simclock.Snapshot) sampleMix {
+	mid := snapshotMid(snap)
 	platforms := p.PlatformsAt(mid)
 	if len(platforms) == 0 {
-		return nil
+		return sampleMix{}
 	}
 	// platformWeightAt gives view-HOUR weights; dividing by the
 	// platform's mean view duration converts them to view-count
 	// weights so that, after durations are sampled, each platform's
 	// share of view-hours matches its configured weight.
-	vhWeights := make([]float64, len(platforms))
 	platWeights := make([]float64, len(platforms))
 	var vhTotal, viewTotal float64
 	for i, pl := range platforms {
-		vhWeights[i] = p.platformWeightAt(pl, mid)
-		platWeights[i] = vhWeights[i] / meanDurationHours(pl)
-		vhTotal += vhWeights[i]
+		vhWeight := p.platformWeightAt(pl, mid)
+		platWeights[i] = vhWeight / meanDurationHours(pl)
+		vhTotal += vhWeight
 		viewTotal += platWeights[i]
 	}
 	if vhTotal == 0 {
-		return nil
+		return sampleMix{}
 	}
 	// E[duration] under the view mix converts view-hours into the real
 	// view count the sample represents.
-	meanDur := vhTotal / viewTotal
-	realViews := vh / meanDur
+	vh := p.DailyViewHoursAt(mid) * float64(snap.Days)
+	realViews := vh / (vhTotal / viewTotal)
 	n := sampleCount(vh)
-	weight := realViews / float64(n)
+	return sampleMix{mid: mid, platforms: platforms, platWeights: platWeights, n: n, weight: realViews / float64(n)}
+}
 
-	c := newSnapshotChoices(t, mid, platforms, platWeights, e.ladderFor(p), e.catalogZipf(p))
-	records := make([]telemetry.ViewRecord, 0, n)
-	for i := 0; i < n; i++ {
-		vsrc := src.Splitf("view", i)
-		rec, ok := e.sampleView(c, snap, vsrc)
+// sampleSize returns how many records p's sample of snap holds at most:
+// one per view drawn. A drawn view sampleView drops holds none.
+func sampleSize(p *Publisher, snap simclock.Snapshot) int { return mixOf(p, snap).n }
+
+// samplePublisherSnapshot appends the sampled view records of the
+// publisher t belongs to in one snapshot window to dst, whose spare
+// capacity must hold sampleSize of them: it never grows dst's array.
+func (e *Ecosystem) samplePublisherSnapshot(dst []telemetry.ViewRecord, t *pubStrings, snap simclock.Snapshot) []telemetry.ViewRecord {
+	p := t.p
+	m := mixOf(p, snap)
+	if m.n == 0 {
+		return dst
+	}
+	src := e.root.Split("sample-" + p.ID + "-" + snap.Label())
+	c := newSnapshotChoices(t, m.mid, m.platforms, m.platWeights, e.ladderFor(p), e.catalogZipf(p))
+	for i := 0; i < m.n; i++ {
+		rec, ok := e.sampleView(c, snap, src.Splitf("view", i))
 		if !ok {
 			continue
 		}
-		rec.Weight = weight
-		records = append(records, rec)
+		rec.Weight = m.weight
+		dst = append(dst, rec)
 	}
-	return records
+	return dst
 }
 
 // meanDurationHours is E[duration] for the platform's log-normal.

@@ -302,9 +302,8 @@ func CanonicalSort(recs []ViewRecord) {
 }
 
 // Gather returns the records of parts in CanonicalSort order, in one
-// new slice of exactly their number: the generator's per-snapshot,
-// per-publisher samples or a cut's pending batches become one sorted
-// generation input. The keys are sorted as CanonicalSort sorts them,
+// new slice of exactly their number: a cut's pending batches become one
+// sorted delta. The keys are sorted as CanonicalSort sorts them,
 // and each row is then copied once, straight from its part, on as many
 // workers, each filling one contiguous range of the result. The parts
 // are only read, and may be in any order and overlap in time.

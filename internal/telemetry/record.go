@@ -15,21 +15,24 @@ import "vmp/internal/telemetry/record"
 type ViewRecord = record.ViewRecord
 
 // Store is a record set in CanonicalSort order before its columns
-// exist: what the generator or a decoded JSONL file hands to
-// NewDataset. It is not a second dataset type — it answers nothing but
-// its length and its rows; every query runs over the Dataset built on
-// the same array.
+// exist: the generator's array or a decoded JSONL file, sorted in place
+// by NewStore, for NewDataset to freeze. It is not a second dataset
+// type — it answers nothing but its length and its rows; every query
+// runs over the Dataset built on the same array.
 type Store struct{ records []ViewRecord }
 
-// NewStore takes ownership of recs and puts them in canonical order.
+// NewStore takes ownership of recs and puts them in canonical order, in
+// place. Rows with no publisher at the zero time — those the generator
+// reserved for views it then dropped — sort first and are left out: the
+// store holds the rest of the array.
 func NewStore(recs []ViewRecord) *Store {
 	CanonicalSort(recs)
-	return &Store{records: recs}
+	dropped := 0
+	for dropped < len(recs) && recs[dropped].Publisher == "" && recs[dropped].Timestamp.IsZero() {
+		dropped++
+	}
+	return &Store{records: recs[dropped:]}
 }
-
-// GatherStore returns the store of the records of parts, which it only
-// reads, in one array of exactly their number (Gather).
-func GatherStore(parts [][]ViewRecord) *Store { return &Store{records: Gather(parts)} }
 
 // Len returns the number of records stored.
 func (s *Store) Len() int { return len(s.records) }
