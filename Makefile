@@ -161,6 +161,33 @@ loc:
 	done; \
 	printf '%-30s %9d %9d\n' total $$N $$T
 
+# coverage-census runs the shipped workflows from coverage-instrumented
+# builds into one GOCOVERDIR and prints every function none of them ran
+# (0.0 %). It does not gate. The workflows: TestScenarios (whose vmpd,
+# vmpgen, vmpstudy, vmptop and example builds inherit GOFLAGS, and whose
+# processes inherit GOCOVERDIR), the two scorecard commands, and
+# vmpstudy's csv, -input, -share and -top modes on a vmpgen -stride 24
+# file. A SIGKILLed process writes no counters, so what only the crash
+# scenarios run reads 0 % here.
+.PHONY: coverage-census
+coverage-census: export GOFLAGS = -cover -coverpkg=vmp/...
+coverage-census:
+	@tmp="$$(mktemp -d)" && trap 'rm -rf "$$tmp"' EXIT && \
+	mkdir "$$tmp/cov" && export GOCOVERDIR="$$tmp/cov" && \
+	$(GO) build -o "$$tmp/" ./cmd/vmpstudy ./cmd/vmpgen && \
+	$(GO) test -c -o "$$tmp/scenario.test" ./internal/scenario && \
+	(cd internal/scenario && "$$tmp/scenario.test" -test.run '^TestScenarios$$' -test.count=1) && \
+	"$$tmp/vmpstudy" -scorecard -o "$$tmp/scorecard.md" && \
+	"$$tmp/vmpstudy" -figure all -o "$$tmp/full_study_output.txt" && \
+	"$$tmp/vmpstudy" -format csv -figure 2b -o "$$tmp/2b.csv" && \
+	"$$tmp/vmpgen" -stride 24 -o "$$tmp/views.jsonl" && \
+	"$$tmp/vmpstudy" -input "$$tmp/views.jsonl" -o "$$tmp/input.txt" && \
+	"$$tmp/vmpstudy" -input "$$tmp/views.jsonl" -share protocol -o "$$tmp/share.txt" && \
+	"$$tmp/vmpstudy" -input "$$tmp/views.jsonl" -top 10 -o "$$tmp/top.txt" && \
+	n="$$(ls "$$tmp/cov" | wc -l)" && \
+	$(GO) tool covdata func -i "$$tmp/cov" | awk -v n="$$n" \
+		'$$NF == "0.0%" {print; z++} $$1 == "total" {t = $$NF} END {printf "coverage-census: %d functions at 0.0%%, %s of statements, %d covdata files\n", z, t, n}'
+
 # census fails when a non-test package under internal/ is imported by
 # no command, no example and not the benchmark module: code outside
 # the shipped roots backs nothing the study or the serving plane runs,

@@ -1,8 +1,10 @@
 // Root benchmarks: in-package microscopes on the study stages that
 // `bash bench/run.sh`'s study_offline workload times, each naming the
 // bench/catalog.go metric it looks at, plus the ablations DESIGN.md §5
-// calls out. Every one computes on every iteration. Where a figure has
-// a headline number, it is attached via b.ReportMetric.
+// calls out (the dedup-tolerance one sits in internal/syndication,
+// beside the Fig 18 ladders it reads). Every one computes on every
+// iteration. Where a figure has a headline number, it is attached via
+// b.ReportMetric.
 package vmp_test
 
 import (
@@ -75,38 +77,6 @@ func BenchmarkDatasetGeneration(b *testing.B) {
 
 // --- Ablation benches (DESIGN.md §5) ---
 
-// BenchmarkAblationDedupTolerance sweeps the dedup tolerance on the
-// Fig 18 origin and reports the savings percentage at each setting.
-func BenchmarkAblationDedupTolerance(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		tol  float64
-	}{{"exact", 0}, {"tol2.5%", 0.025}, {"tol5%", 0.05}, {"tol10%", 0.10}, {"tol20%", 0.20}} {
-		b.Run(c.name, func(b *testing.B) {
-			origin := cdnsim.NewOrigin()
-			o, s1, s2 := syndication.Fig18Ladders()
-			push := func(pub string, l manifest.Ladder) {
-				m := map[int]int64{}
-				for _, r := range l {
-					m[r.BitrateKbps] = int64(r.BitrateKbps) * 450000
-				}
-				for t := 0; t < 100; t++ {
-					origin.Push(pub, string(rune('a'+t%26))+string(rune('0'+t/26)), m)
-				}
-			}
-			push("O", o)
-			push("S1", s1)
-			push("S2", s2)
-			var saved int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				saved = origin.DedupSavings(c.tol)
-			}
-			b.ReportMetric(100*float64(saved)/float64(origin.TotalBytes()), "%saved")
-		})
-	}
-}
-
 // BenchmarkAblationEdgeCache sweeps the edge cache size and reports
 // the hit ratio a fixed Zipf workload achieves.
 func BenchmarkAblationEdgeCache(b *testing.B) {
@@ -114,16 +84,20 @@ func BenchmarkAblationEdgeCache(b *testing.B) {
 		mb := mb
 		b.Run(byteSizeName(mb), func(b *testing.B) {
 			zipf := dist.NewZipf(5000, 0.9)
+			const requests = 20000
 			var ratio float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cache := cdnsim.NewEdgeCache(mb << 20)
 				src := dist.NewSource(9)
-				for j := 0; j < 20000; j++ {
+				hits := 0
+				for j := 0; j < requests; j++ {
 					obj := zipf.Draw(src)
-					cache.Serve(chunkName(obj), 2<<20)
+					if cache.Serve(chunkName(obj), 2<<20) {
+						hits++
+					}
 				}
-				ratio = cache.HitRatio()
+				ratio = float64(hits) / requests
 			}
 			b.ReportMetric(100*ratio, "%hit")
 		})

@@ -118,9 +118,7 @@ func main() {
 	server := live.NewServer(engine)
 	srv := newHTTPServer(*addr, server.Handler())
 	log.Printf("vmpd: listening on %s (%s epochs)", *addr, *epoch)
-	err := graceful.RunNotify(srv, nil, drainTimeout, nil, func(phase string) {
-		tracer.Emit("graceful_" + phase)
-	})
+	err := graceful.Run(srv, nil, drainTimeout, nil)
 	cancel()
 	// Close cuts a final epoch over everything the drained handlers
 	// admitted, so the dump sees every accepted record exactly once.
@@ -213,7 +211,7 @@ const (
 
 // What no script, test, example or README invocation ever set, and so
 // is not a flag: the shutdown drain deadline for in-flight requests,
-// the span/event ring behind /v1/trace, and the sampler's cadence and
+// the span ring behind /v1/trace, and the sampler's cadence and
 // the registry snapshots it retains for /v1/series. The backpressure
 // hint and the WAL's segment size are live.Config's and wal.Options'
 // defaults (500 ms, 16 MiB).

@@ -435,31 +435,52 @@ func SupporterShareCDF(recs []telemetry.ViewRecord, dim Dim, key string) CDF {
 	return FromECDF(stats.NewECDF(shares))
 }
 
-// DurationCDFs computes Fig 8: per-platform CDFs of individual view
-// durations in hours. Records are expanded by their sampling weights so
-// the CDF is over views, matching the paper's census.
-func DurationCDFs(recs []telemetry.ViewRecord) map[string]CDF {
-	type sample struct{ durs, weights []float64 }
-	byPlatform := map[string]*sample{}
-	for i := range recs {
-		keys := PlatformDim(&recs[i])
-		if len(keys) == 0 {
+// Durations is Fig 8 over one snapshot, by platform: the CDF of
+// individual view durations in hours, and the percentage of sampled
+// view records longer than 0.2 h.
+type Durations struct {
+	CDFs    map[string]CDF
+	LongPct map[string]float64
+}
+
+// DurationCDFs computes Fig 8 over one snapshot of a frozen dataset in
+// one pass, in record order, over its platform column. Records are
+// expanded by their sampling weights so the CDF is over views,
+// matching the paper's census; the > 0.2 h share counts sampled
+// records.
+func DurationCDFs(ds *telemetry.Dataset, snap simclock.Snapshot) *Durations {
+	type sample struct {
+		durs, weights []float64
+		long          float64
+	}
+	col := ds.PlatformCol()
+	byPlatform := make([]sample, col.Cardinality())
+	lo, hi := ds.WindowBounds(snap)
+	for i := lo; i < hi; i++ {
+		ids := col.IDs(i)
+		if len(ids) == 0 {
 			continue
 		}
-		s := byPlatform[keys[0]]
-		if s == nil {
-			s = &sample{}
-			byPlatform[keys[0]] = s
+		s := &byPlatform[ids[0]]
+		sec := ds.Record(i).ViewSec
+		s.durs = append(s.durs, sec/3600)
+		s.weights = append(s.weights, ds.ViewsAt(i))
+		if sec > 0.2*3600 {
+			s.long++
 		}
-		s.durs = append(s.durs, recs[i].ViewSec/3600)
-		s.weights = append(s.weights, recs[i].Views())
 	}
-	out := map[string]CDF{}
-	for pl, s := range byPlatform {
+	d := &Durations{CDFs: map[string]CDF{}, LongPct: map[string]float64{}}
+	for id := range byPlatform {
+		s := &byPlatform[id]
+		if len(s.durs) == 0 {
+			continue
+		}
+		pl := col.Name(int32(id))
 		xs, ps := stats.NewWeightedECDF(s.durs, s.weights).Points()
-		out[pl] = CDF{X: xs, P: ps}
+		d.CDFs[pl] = CDF{X: xs, P: ps}
+		d.LongPct[pl] = 100 * s.long / float64(len(s.durs))
 	}
-	return out
+	return d
 }
 
 // MacroStats is the §3 "macroscopic context": the aggregate scale of

@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -288,7 +289,8 @@ func TestDurationCDFs(t *testing.T) {
 		mk("p1", 0, "http://c/b.m3u8", "Roku", []string{"A"}, 5400, 1, false),
 		mk("p1", 0, "http://c/c.m3u8", "iPhone", []string{"A"}, 360, 1, false),
 	)
-	cdfs := DurationCDFs(s.Window(sched[0]))
+	d := DurationCDFs(s, sched[0])
+	cdfs := d.CDFs
 	set, ok := cdfs["SetTop"]
 	if !ok || len(set.X) != 2 {
 		t.Fatalf("SetTop CDF = %+v", set)
@@ -298,6 +300,10 @@ func TestDurationCDFs(t *testing.T) {
 	}
 	if _, ok := cdfs["Mobile"]; !ok {
 		t.Fatal("Mobile CDF missing")
+	}
+	// Both set-top views last over 0.2 h, the mobile one does not.
+	if want := map[string]float64{"SetTop": 100, "Mobile": 0}; !reflect.DeepEqual(d.LongPct, want) {
+		t.Fatalf("LongPct = %v, want %v", d.LongPct, want)
 	}
 }
 

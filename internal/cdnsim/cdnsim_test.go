@@ -163,9 +163,6 @@ func TestIntegratedBeatsToleranceDedup(t *testing.T) {
 	if rep.IntegratedPct <= 0 || rep.IntegratedPct > 100 {
 		t.Fatalf("integrated pct %v out of range", rep.IntegratedPct)
 	}
-	if rep.String() == "" {
-		t.Fatal("empty report string")
-	}
 }
 
 func TestEdgeCacheLRU(t *testing.T) {
@@ -208,12 +205,6 @@ func TestEdgeCacheStats(t *testing.T) {
 	c.Serve("b", 10)
 	if c.hits != 1 || c.misses != 2 {
 		t.Fatalf("stats = %d/%d, want 1/2", c.hits, c.misses)
-	}
-	if r := c.HitRatio(); r < 0.33 || r > 0.34 {
-		t.Fatalf("HitRatio = %v, want 1/3", r)
-	}
-	if NewEdgeCache(10).HitRatio() != 0 {
-		t.Fatal("fresh cache hit ratio should be 0")
 	}
 }
 

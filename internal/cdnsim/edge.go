@@ -71,14 +71,3 @@ func (c *EdgeCache) Serve(key string, bytes int64) (hit bool) {
 	c.used += bytes
 	return false
 }
-
-// HitRatio returns hits/(hits+misses), or 0 before any traffic.
-func (c *EdgeCache) HitRatio() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
-}

@@ -6,7 +6,6 @@ package cdnsim
 
 import (
 	"cmp"
-	"fmt"
 	"maps"
 	"slices"
 	"strings"
@@ -235,10 +234,4 @@ func (o *Origin) Savings(ownerOf map[string]string) SavingsReport {
 		r.IntegratedPct = 100 * float64(r.Integrated) / t
 	}
 	return r
-}
-
-// String summarizes the report in Fig. 18's terms.
-func (r SavingsReport) String() string {
-	return fmt.Sprintf("total=%dB exact=%dB(%.1f%%) 5%%=%dB(%.1f%%) 10%%=%dB(%.1f%%) integrated=%dB(%.1f%%)",
-		r.TotalBytes, r.Exact, r.ExactPct, r.Tol5, r.Tol5Pct, r.Tol10, r.Tol10Pct, r.Integrated, r.IntegratedPct)
 }

@@ -302,10 +302,11 @@ func (s *Study) Fig7() *analytics.TimeSeries {
 	return s.platformBundle().Publishers
 }
 
-// Fig8: CDF of individual view duration per platform, latest snapshot.
-func (s *Study) Fig8() map[string]analytics.CDF {
-	return memo(s, "fig8", func() map[string]analytics.CDF {
-		return analytics.DurationCDFs(s.latest())
+// Fig8: CDF of individual view duration per platform, and the share of
+// views over 0.2 h, latest snapshot.
+func (s *Study) Fig8() *analytics.Durations {
+	return memo(s, "fig8", func() *analytics.Durations {
+		return analytics.DurationCDFs(s.Dataset(), s.Schedule().Latest())
 	})
 }
 

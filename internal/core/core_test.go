@@ -157,7 +157,7 @@ func TestFig6and7(t *testing.T) {
 }
 
 func TestFig8(t *testing.T) {
-	cdfs := study(t).Fig8()
+	cdfs := study(t).Fig8().CDFs
 	for _, pl := range []string{"Browser", "Mobile", "SetTop"} {
 		if _, ok := cdfs[pl]; !ok {
 			t.Errorf("Fig8 missing %s", pl)

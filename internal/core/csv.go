@@ -62,7 +62,7 @@ func (s *Study) RenderCSV(w io.Writer, id string) error {
 	case "7":
 		return timeSeriesCSV(cw, s.Fig7())
 	case "8":
-		return cdfMapCSV(cw, s.Fig8())
+		return cdfMapCSV(cw, s.Fig8().CDFs)
 	case "9a":
 		return histogramCSV(cw, s.Fig9a())
 	case "9b":

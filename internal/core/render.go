@@ -84,22 +84,11 @@ func (s *Study) renderFigure(w io.Writer, id string) error {
 	case "7":
 		renderTimeSeries(w, "Fig 7: % of publishers supporting each platform", s.Fig7())
 	case "8":
-		renderCDFMap(w, "Fig 8: CDF of view duration (hours) per platform", s.Fig8(), nil)
-		recs := s.latest()
-		over, count := map[string]float64{}, map[string]float64{}
-		for i := range recs {
-			keys := analytics.PlatformDim(&recs[i])
-			if len(keys) == 0 {
-				continue
-			}
-			count[keys[0]]++
-			if recs[i].ViewSec > 0.2*3600 {
-				over[keys[0]]++
-			}
-		}
+		d := s.Fig8()
+		renderCDFMap(w, "Fig 8: CDF of view duration (hours) per platform", d.CDFs, nil)
 		for _, pl := range []string{"Mobile", "Browser", "SetTop"} {
-			if count[pl] > 0 {
-				fmt.Fprintf(w, "  views > 0.2h on %-8s: %5.1f%%\n", pl, 100*over[pl]/count[pl])
+			if pct, ok := d.LongPct[pl]; ok {
+				fmt.Fprintf(w, "  views > 0.2h on %-8s: %5.1f%%\n", pl, pct)
 			}
 		}
 	case "9a":

@@ -17,17 +17,13 @@ import (
 	"time"
 )
 
-// RunNotify serves srv until the process receives SIGINT or SIGTERM
-// (or stop closes, which tests use in place of a signal), then shuts
-// the server down, waiting up to drainTimeout for in-flight requests.
-// ln may be nil, in which case srv listens on srv.Addr. RunNotify
-// returns nil after a clean drain; a listener failure or an expired
-// drain deadline is returned as an error. notify (if non-nil) is
-// called with "drain_begin" when a shutdown request arrives and
-// "drain_end" after the drain completes, before RunNotify returns.
-// Daemons use it to land shutdown phases in their structured event
-// log so a trace dump shows where drain time went.
-func RunNotify(srv *http.Server, ln net.Listener, drainTimeout time.Duration, stop <-chan struct{}, notify func(phase string)) error {
+// Run serves srv until the process receives SIGINT or SIGTERM (or stop
+// closes, which tests use in place of a signal), then shuts the server
+// down, waiting up to drainTimeout for in-flight requests. ln may be
+// nil, in which case srv listens on srv.Addr. Run returns nil after a
+// clean drain; a listener failure or an expired drain deadline is
+// returned as an error.
+func Run(srv *http.Server, ln net.Listener, drainTimeout time.Duration, stop <-chan struct{}) error {
 	errc := make(chan error, 1)
 	go func() {
 		var err error
@@ -54,17 +50,10 @@ func RunNotify(srv *http.Server, ln net.Listener, drainTimeout time.Duration, st
 	case <-stop:
 	}
 
-	if notify != nil {
-		notify("drain_begin")
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		return err
 	}
-	err := <-errc
-	if notify != nil {
-		notify("drain_end")
-	}
-	return err
+	return <-errc
 }

@@ -37,7 +37,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	srv := &http.Server{Handler: mux}
 	stop := make(chan struct{})
 	runDone := make(chan error, 1)
-	go func() { runDone <- RunNotify(srv, ln, 5*time.Second, stop, nil) }()
+	go func() { runDone <- Run(srv, ln, 5*time.Second, stop) }()
 
 	reqDone := make(chan error, 1)
 	go func() {
@@ -55,7 +55,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	close(stop)
 
 	if err := <-runDone; err != nil {
-		t.Fatalf("RunNotify = %v", err)
+		t.Fatalf("Run = %v", err)
 	}
 	if err := <-reqDone; err != nil {
 		t.Fatalf("in-flight request = %v", err)
@@ -65,16 +65,16 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	}
 }
 
-// serving counts the goroutines RunNotify started to run Serve.
+// serving counts the goroutines Run started to run Serve.
 func serving() int {
 	buf := make([]byte, 1<<20)
-	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "graceful.RunNotify.func1(")
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "graceful.Run.func1(")
 }
 
 // TestDrainDeadline expects an over-deadline handler to surface as a
-// RunNotify error instead of hanging shutdown forever, and the serve
-// goroutine not to outlive RunNotify: Shutdown closed its listener, so Serve
-// returns, and its result must land in errc even though RunNotify, past its
+// Run error instead of hanging shutdown forever, and the serve
+// goroutine not to outlive Run: Shutdown closed its listener, so Serve
+// returns, and its result must land in errc even though Run, past its
 // deadline, no longer reads it.
 func TestDrainDeadline(t *testing.T) {
 	mux := http.NewServeMux()
@@ -88,7 +88,7 @@ func TestDrainDeadline(t *testing.T) {
 	srv := &http.Server{Handler: mux}
 	stop := make(chan struct{})
 	runDone := make(chan error, 1)
-	go func() { runDone <- RunNotify(srv, ln, 50*time.Millisecond, stop, nil) }()
+	go func() { runDone <- Run(srv, ln, 50*time.Millisecond, stop) }()
 
 	go func() {
 		resp, err := http.Post("http://"+ln.Addr().String()+"/stuck", "text/plain", nil)
@@ -99,24 +99,24 @@ func TestDrainDeadline(t *testing.T) {
 	<-started
 	close(stop)
 	if err := <-runDone; err == nil {
-		t.Fatal("RunNotify returned nil despite a stuck handler")
+		t.Fatal("Run returned nil despite a stuck handler")
 	}
 	defer close(release)
 	for i := 0; serving() > 0; i++ {
 		if i == 200 { // ~2 s of 10 ms sleeps
-			t.Fatal("the serve goroutine is still running after RunNotify returned")
+			t.Fatal("the serve goroutine is still running after Run returned")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-// TestListenerFailure expects RunNotify to return promptly when the address
+// TestListenerFailure expects Run to return promptly when the address
 // can't be served.
 func TestListenerFailure(t *testing.T) {
 	ln := listen(t)
 	defer ln.Close()
 	srv := &http.Server{Addr: ln.Addr().String(), Handler: http.NewServeMux()}
-	if err := RunNotify(srv, nil, time.Second, nil, nil); err == nil {
-		t.Fatal("RunNotify on an occupied port returned nil")
+	if err := Run(srv, nil, time.Second, nil); err == nil {
+		t.Fatal("Run on an occupied port returned nil")
 	}
 }

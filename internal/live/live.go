@@ -109,9 +109,11 @@ type Generation struct {
 	Dataset *telemetry.Dataset
 }
 
-// recordsPerBatch is QueueDepth's unit, wal.Options.ChunkRecords'
-// default: a ceiling of N is N×recordsPerBatch view records waiting for
-// a cut. (A log record is no longer capped at it: AppendFrames is not.)
+// recordsPerBatch is QueueDepth's unit: a ceiling of N is
+// N×recordsPerBatch view records waiting for a cut. It is also the most
+// view records the WAL encodes into one log record; a larger batch
+// spans several, and a binary POST's frames are logged as one record
+// whatever their count.
 const recordsPerBatch = 1 << 14
 
 // Engine is the live serving engine. All methods are safe for
@@ -278,7 +280,6 @@ func (e *Engine) IngestFrames(recs []telemetry.ViewRecord, frames []byte, parent
 		e.ingestMu.Unlock()
 		e.backpressured.Add(n)
 		sp.End(obs.KV("records", n), obs.KV("backpressured", n))
-		e.tracer.Emit("batch_rejected", obs.KV("records", n))
 		return Result{Backpressured: len(recs), RetryAfter: e.cfg.RetryAfter}, nil
 	}
 	if e.wal != nil {
@@ -298,7 +299,6 @@ func (e *Engine) IngestFrames(recs []telemetry.ViewRecord, frames []byte, parent
 			e.ingestMu.Unlock()
 			e.walErrors.Add(1)
 			sp.End(obs.KV("records", n), obs.KV("wal_error", 1))
-			e.tracer.Emit("wal_append_error", obs.KV("records", n))
 			return Result{}, fmt.Errorf("live: wal append: %w", err)
 		}
 	}
@@ -309,7 +309,6 @@ func (e *Engine) IngestFrames(recs []telemetry.ViewRecord, frames []byte, parent
 	e.ingested.Add(n)
 	e.batchSizes.Observe(float64(n))
 	sp.End(obs.KV("records", n))
-	e.tracer.Emit("batch_admitted", obs.KV("records", n))
 	return Result{Accepted: len(recs)}, nil
 }
 
@@ -333,7 +332,6 @@ func (e *Engine) cut(final bool) *Generation {
 	prev := e.gen.Load()
 	start := e.clock.Now()
 	sp := e.tracer.Start("epoch.cut", 0)
-	e.tracer.Emit("epoch_cut", obs.KV("epoch", prev.Epoch+1))
 	fsp := e.tracer.Start("epoch.flush", sp.ID())
 	// Admission is held off across the bounds reading and the pending
 	// take: the generation cut here contains exactly the records at or
@@ -377,8 +375,6 @@ func (e *Engine) cut(final bool) *Generation {
 	e.genEpoch.Set(g.Epoch)
 	e.genAgeMS.Set(0)
 	e.snapLatency.Observe(e.clock.Now().Sub(start).Seconds())
-	e.tracer.Emit("generation_published",
-		obs.KV("epoch", g.Epoch), obs.KV("records", int64(g.Records)), obs.KV("delta", int64(n)))
 	if w != nil {
 		e.checkpoint(w, g, bounds, sp.ID(), sizes)
 	}
@@ -394,9 +390,9 @@ func (e *Engine) cut(final bool) *Generation {
 type checkpointCounter interface{ Checkpoints() int64 }
 
 // checkpoint hands the published generation to the WAL under an
-// epoch.checkpoint span. A failed commit is counted, not fatal: the
-// WAL keeps its segments and the previous checkpoint, so it grows but
-// loses nothing.
+// epoch.checkpoint span. A failed commit is counted, and ends the span
+// with error=1, but is not fatal: the WAL keeps its segments and the
+// previous checkpoint, so it grows but loses nothing.
 func (e *Engine) checkpoint(w WAL, g *Generation, bounds []uint64, parent obs.SpanID, sizes []obs.Attr) {
 	sp := e.tracer.Start("epoch.checkpoint", parent)
 	cc, counts := w.(checkpointCounter)
@@ -404,12 +400,13 @@ func (e *Engine) checkpoint(w WAL, g *Generation, bounds []uint64, parent obs.Sp
 	if counts {
 		before = cc.Checkpoints()
 	}
+	sizes = sizes[:len(sizes):len(sizes)] // full, so an append copies instead of writing into the caller's array
 	if err := w.Commit(g.Epoch, g.Dataset.All(), bounds, sp.ID()); err != nil {
 		e.walErrors.Add(1)
-		e.tracer.Emit("wal_commit_error", obs.KV("epoch", g.Epoch))
+		sizes = append(sizes, obs.KV("error", 1))
 	}
 	if counts {
-		sizes = append(sizes[:len(sizes):len(sizes)], obs.KV("written", cc.Checkpoints()-before))
+		sizes = append(sizes, obs.KV("written", cc.Checkpoints()-before))
 	}
 	sp.End(sizes...)
 }

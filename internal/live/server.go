@@ -90,7 +90,7 @@ func NewServer(e *Engine) *Server {
 //	GET  /v1/metrics              — obs registry snapshot (JSON)
 //	GET  /metrics                 — same registry, Prometheus text format
 //	GET  /v1/series               — in-process time series (snapshots + rates)
-//	GET  /v1/trace                — recent spans, per-stage latency, event tail
+//	GET  /v1/trace                — recent spans, per-stage latency
 //	GET  /healthz                 — liveness
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -146,8 +146,6 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) {
 		}
 		s.scanErrors.Add(1)
 		s.rejected.Add(int64(len(batch)))
-		s.tracer.Emit("batch_rejected",
-			obs.KV("records", int64(len(batch)+bad)), obs.KV("scan_error", 1))
 		root.End(obs.KV("rejected", int64(len(batch)+bad)), obs.KV("scan_error", 1))
 		http.Error(w, fmt.Sprintf("read error: %v", err), status)
 		return

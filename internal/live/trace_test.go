@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"testing"
 
 	"vmp/internal/obs"
@@ -59,21 +60,22 @@ func TestEngineTraceDeterministic(t *testing.T) {
 			t.Fatalf("stage %s: count %d, want %d (stages: %+v)", name, got[name], want, snap.Stages)
 		}
 	}
-	// The event log carries the admissions and the publication.
-	var admitted, published int
-	for _, ev := range snap.Events {
-		switch ev.Type {
-		case "batch_admitted":
-			admitted++
-		case "generation_published":
-			published++
-			if ev.Attrs["records"] != 100 || ev.Attrs["delta"] != 100 {
-				t.Fatalf("generation_published attrs: %+v", ev.Attrs)
-			}
+	// The spans carry the admissions and the publication: each admit
+	// its records, the cut the epoch and size it published, its stages
+	// the delta.
+	for _, sp := range snap.Spans {
+		var want map[string]int64
+		switch sp.Name {
+		case "ingest.admit":
+			want = map[string]int64{"records": 25}
+		case "epoch.cut":
+			want = map[string]int64{"epoch": 1, "records": 100}
+		case "epoch.flush", "epoch.sort", "epoch.merge":
+			want = map[string]int64{"delta": 100, "records": 100}
 		}
-	}
-	if admitted != 4 || published != 1 {
-		t.Fatalf("events: %d admitted, %d published (%+v)", admitted, published, snap.Events)
+		if !reflect.DeepEqual(sp.Attrs, want) {
+			t.Fatalf("%s attrs: %v, want %v", sp.Name, sp.Attrs, want)
+		}
 	}
 }
 
@@ -117,6 +119,9 @@ func TestCutStagesTraced(t *testing.T) {
 		if sp.Attrs["delta"] != want[cut].delta || sp.Attrs["records"] != want[cut].records {
 			t.Fatalf("cut %d %s: attrs %v, want delta %d records %d", cut, sp.Name, sp.Attrs, want[cut].delta, want[cut].records)
 		}
+		if _, failed := sp.Attrs["error"]; failed {
+			t.Fatalf("cut %d %s: error attr on a commit that succeeded: %v", cut, sp.Name, sp.Attrs)
+		}
 		written, ok := sp.Attrs["written"]
 		if isCkpt := sp.Name == "epoch.checkpoint"; ok != isCkpt || (isCkpt && written != want[cut].written) {
 			t.Fatalf("cut %d %s: written=%d (present %v), want %d on epoch.checkpoint only", cut, sp.Name, written, ok, want[cut].written)
@@ -129,9 +134,9 @@ func TestCutStagesTraced(t *testing.T) {
 	}
 }
 
-// TestIngestBackpressureTraced checks the rejection path emits a
-// batch_rejected event and ends the admit span with the backpressure
-// attribute.
+// TestIngestBackpressureTraced checks the rejection path ends the
+// admit span with the refused batch's size as its backpressure
+// attribute, and the admitted batch's span with none.
 func TestIngestBackpressureTraced(t *testing.T) {
 	tr := obs.NewTracer(simclock.NewManual(simclock.StudyStart), 64)
 	e := newTestEngine(t, Config{QueueDepth: 1, Trace: tr})
@@ -145,19 +150,18 @@ func TestIngestBackpressureTraced(t *testing.T) {
 		t.Fatalf("batch at the ceiling: %+v, %v", res, err)
 	}
 	snap := tr.Snapshot()
-	var ev, sp bool
-	for _, e := range snap.Events {
-		if e.Type == "batch_rejected" {
-			ev = true
-		}
+	want := []map[string]int64{
+		{"records": recordsPerBatch},
+		{"records": 200, "backpressured": 200},
 	}
+	var got []map[string]int64
 	for _, s := range snap.Spans {
-		if s.Name == "ingest.admit" && s.Attrs["backpressured"] > 0 {
-			sp = true
+		if s.Name == "ingest.admit" {
+			got = append(got, s.Attrs)
 		}
 	}
-	if !ev || !sp {
-		t.Fatalf("rejection not traced (event=%v span=%v): %+v", ev, sp, snap)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ingest.admit attrs %v, want %v", got, want)
 	}
 }
 
@@ -216,13 +220,15 @@ func TestServerTraceEndpoint(t *testing.T) {
 	if names["ingest.scan"].Attrs["records"] != 50 {
 		t.Fatalf("ingest.scan attrs: %+v", names["ingest.scan"])
 	}
-	types := map[string]bool{}
-	for _, ev := range snap.Events {
-		types[ev.Type] = true
-	}
-	for _, want := range []string{"batch_admitted", "epoch_cut", "generation_published"} {
-		if !types[want] {
-			t.Fatalf("missing event %q in /v1/trace (have %v)", want, types)
+	// What an admission and a publication decided is on their spans.
+	for name, want := range map[string]map[string]int64{
+		"ingest.batch": {"accepted": 50, "rejected": 0},
+		"ingest.admit": {"records": 50},
+		"epoch.cut":    {"epoch": 1, "records": 50},
+		"epoch.merge":  {"delta": 50, "records": 50},
+	} {
+		if got := names[name].Attrs; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s attrs %v, want %v", name, got, want)
 		}
 	}
 

@@ -528,19 +528,23 @@ func TestWALCommitTruncatesOnEpoch(t *testing.T) {
 
 func g2gen(e *Engine) *Generation { return e.Generation() }
 
-// errWAL fails every append, to pin the rejection contract.
+// errWAL fails every append and every commit, to pin the rejection
+// contract.
 type errWAL struct{}
 
 func (w *errWAL) AppendBatch([][]telemetry.ViewRecord, obs.SpanID) error {
 	return errors.New("disk on fire")
 }
-func (w *errWAL) Bounds() []uint64                                                 { return make([]uint64, 1) }
-func (w *errWAL) Commit(int64, []telemetry.ViewRecord, []uint64, obs.SpanID) error { return nil }
+func (w *errWAL) Bounds() []uint64 { return make([]uint64, 1) }
+func (w *errWAL) Commit(int64, []telemetry.ViewRecord, []uint64, obs.SpanID) error {
+	return errors.New("disk on fire")
+}
 
 // TestWALAppendErrorRejectsBatchWhole: a WAL append failure must
 // reject the batch with nothing enqueued (503 over HTTP, counted), so
 // the client's retry cannot duplicate records, and its ingest.batch
-// span must say the WAL failed, not that the engine was closed.
+// span must say the WAL failed, not that the engine was closed. A
+// failed commit is counted too, and ends epoch.checkpoint with error=1.
 func TestWALAppendErrorRejectsBatchWhole(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(simclock.NewManual(simclock.StudyStart), 64)
@@ -566,9 +570,23 @@ func TestWALAppendErrorRejectsBatchWhole(t *testing.T) {
 	if batches != 1 {
 		t.Fatalf("%d ingest.batch spans, want 1", batches)
 	}
-	e.AttachWAL(nil)
 	if g := e.Snapshot(); g.Records != 0 {
 		t.Fatalf("%d records enqueued despite WAL failure", g.Records)
+	}
+	if n := reg.Snapshot().Counters["live_wal_errors_total"]; n != 2 {
+		t.Fatalf("live_wal_errors_total = %d after a failed commit, want 2", n)
+	}
+	var ckpts int
+	for _, sp := range tr.Snapshot().Spans {
+		if sp.Name == "epoch.checkpoint" {
+			ckpts++
+			if sp.Attrs["error"] != 1 {
+				t.Fatalf("epoch.checkpoint attrs = %v after a failed commit, want error=1", sp.Attrs)
+			}
+		}
+	}
+	if ckpts != 1 {
+		t.Fatalf("%d epoch.checkpoint spans, want 1", ckpts)
 	}
 }
 

@@ -1,15 +1,14 @@
 // Package obs is the serving plane's observability substrate: atomic
 // counters, gauges, and fixed-bucket histograms behind a named
 // registry (this file), plus a batch-scoped tracing layer — spans
-// with parent links and a structured event log in bounded lock-free
-// rings (trace.go) — exposed as deterministic JSON (map keys
-// serialize sorted) on shared HTTP handlers (obs.Mount). It is
-// deliberately tiny — the operational counterpart of the study's
-// figure suite, not a metrics framework — and everything here is safe
-// for concurrent use on the ingest hot path: Observe, Add, Start, and
-// Emit are lock-free, reading a snapshot never blocks a writer, and a
-// disabled tracer costs one atomic load and zero allocations per
-// instrumentation site.
+// with parent links in a bounded lock-free ring (trace.go) — exposed
+// as deterministic JSON (map keys serialize sorted) on shared HTTP
+// handlers (obs.Mount). It is deliberately tiny — the operational
+// counterpart of the study's figure suite, not a metrics framework —
+// and everything here is safe for concurrent use on the ingest hot
+// path: Observe, Add, Start and End are lock-free, reading a snapshot
+// never blocks a writer, and a disabled tracer costs one atomic load
+// and zero allocations per instrumentation site.
 package obs
 
 import (

@@ -1,27 +1,25 @@
 package obs
 
 // This file is the request/batch-scoped half of the observability
-// substrate: lightweight spans with parent links and a structured
-// event log, both appended lock-free into bounded rings. Metrics
-// (obs.go) answer "how much, how fast, in aggregate"; spans answer
-// "where did THIS batch spend its time" — admission, queue,
-// consume, epoch flush, sort, merge — and events record
-// the discrete decisions (batch admitted/rejected, epoch cut,
-// generation published) with WAL-style monotonic sequence numbers.
+// substrate: lightweight spans with parent links, appended lock-free
+// into a bounded ring. Metrics (obs.go) answer "how much, how fast, in
+// aggregate"; spans answer "where did THIS batch spend its time" —
+// admission, WAL append, epoch flush, sort, merge, checkpoint — and
+// their attributes carry each stage's outcome (records admitted,
+// backpressured, a WAL error, the epoch a cut published).
 //
 // The contracts the serving plane relies on:
 //
-//   - Disabled tracing is free on the hot path: Start and Emit reduce
-//     to one atomic load and allocate nothing (the variadic attr slice
+//   - Disabled tracing is free on the hot path: Start reduces to one
+//     atomic load and allocates nothing (the variadic attr slice of End
 //     never escapes, so call sites keep it on the stack).
-//   - Appends are lock-free and safe under -race: a completed span or
-//     event is a fully built record published into its ring slot with
-//     one atomic.Pointer.Store, never mutated afterwards.
-//   - Snapshots are deterministic: spans sort by ID, events by
-//     sequence, per-stage aggregates by name, and every map in the
-//     JSON form serializes with sorted keys — under a
-//     simclock.ManualClock a repeated run renders byte-identical
-//     trace JSON.
+//   - Appends are lock-free and safe under -race: a completed span is a
+//     fully built record published into its ring slot with one
+//     atomic.Pointer.Store, never mutated afterwards.
+//   - Snapshots are deterministic: spans sort by ID, per-stage
+//     aggregates by name, and every map in the JSON form serializes
+//     with sorted keys — under a simclock.ManualClock a repeated run
+//     renders byte-identical trace JSON.
 
 import (
 	"encoding/json"
@@ -36,7 +34,7 @@ import (
 // SpanID identifies a span within one Tracer; 0 means "no parent".
 type SpanID uint64
 
-// Attr is one integer-valued span or event attribute (record counts,
+// Attr is one integer-valued span attribute (record counts,
 // epoch numbers, byte sizes — the vocabulary of this pipeline is
 // counts, so attributes are int64 and stay allocation-free).
 type Attr struct {
@@ -58,32 +56,21 @@ type spanRecord struct {
 	attrs  []Attr
 }
 
-// eventRecord is one structured log entry, immutable after Store.
-type eventRecord struct {
-	seq   uint64
-	at    time.Time
-	typ   string
-	attrs []Attr
-}
-
-// Tracer is the span and event sink. All methods are safe for
-// concurrent use and safe on a nil receiver (a nil Tracer is a
-// disabled one), so instrumented code never branches on "is tracing
-// configured".
+// Tracer is the span sink. All methods are safe for concurrent use and
+// safe on a nil receiver (a nil Tracer is a disabled one), so
+// instrumented code never branches on "is tracing configured".
 type Tracer struct {
 	clock   simclock.Clock
 	enabled atomic.Bool
 	spanSeq atomic.Uint64 // span IDs, assigned at Start
 	spanIdx atomic.Uint64 // ring write cursor, advanced at End
-	evSeq   atomic.Uint64 // event sequence numbers (WAL-style)
 	spans   []atomic.Pointer[spanRecord]
-	events  []atomic.Pointer[eventRecord]
 }
 
 // NewTracer returns an enabled tracer timed by clock (nil means the
-// wall clock) whose span and event rings each hold capacity entries
-// (values < 1 default to 1024). Use SetEnabled(false) for a tracer
-// that keeps the endpoints mountable but records nothing.
+// wall clock) whose span ring holds capacity entries (values < 1
+// default to 1024). Use SetEnabled(false) for a tracer that keeps the
+// endpoints mountable but records nothing.
 func NewTracer(clock simclock.Clock, capacity int) *Tracer {
 	if clock == nil {
 		clock = simclock.Wall()
@@ -92,16 +79,15 @@ func NewTracer(clock simclock.Clock, capacity int) *Tracer {
 		capacity = 1024
 	}
 	t := &Tracer{
-		clock:  clock,
-		spans:  make([]atomic.Pointer[spanRecord], capacity),
-		events: make([]atomic.Pointer[eventRecord], capacity),
+		clock: clock,
+		spans: make([]atomic.Pointer[spanRecord], capacity),
 	}
 	t.enabled.Store(true)
 	return t
 }
 
 // SetEnabled turns recording on or off. Disabling does not clear the
-// rings; the snapshot keeps serving what was already captured.
+// ring; the snapshot keeps serving what was already captured.
 func (t *Tracer) SetEnabled(on bool) {
 	if t != nil {
 		t.enabled.Store(on)
@@ -160,23 +146,6 @@ func (s Span) End(attrs ...Attr) {
 	s.tr.spans[i%uint64(len(s.tr.spans))].Store(rec)
 }
 
-// Emit appends one structured event. The sequence number is monotonic
-// for the tracer's lifetime even after the ring wraps, so a consumer
-// tailing the log can detect dropped entries the way a WAL reader
-// detects a truncated prefix. Disabled tracers record nothing and
-// allocate nothing.
-func (t *Tracer) Emit(typ string, attrs ...Attr) {
-	if t == nil || !t.enabled.Load() {
-		return
-	}
-	rec := &eventRecord{seq: t.evSeq.Add(1), at: t.clock.Now(), typ: typ}
-	if len(attrs) > 0 {
-		rec.attrs = make([]Attr, len(attrs))
-		copy(rec.attrs, attrs)
-	}
-	t.events[(rec.seq-1)%uint64(len(t.events))].Store(rec)
-}
-
 // SpanJSON is one completed span in the /v1/trace payload.
 type SpanJSON struct {
 	ID     uint64           `json:"id"`
@@ -185,14 +154,6 @@ type SpanJSON struct {
 	Start  string           `json:"start"`
 	DurUS  int64            `json:"dur_us"`
 	Attrs  map[string]int64 `json:"attrs,omitempty"`
-}
-
-// EventJSON is one structured log entry in the /v1/trace payload.
-type EventJSON struct {
-	Seq   uint64           `json:"seq"`
-	Time  string           `json:"time"`
-	Type  string           `json:"type"`
-	Attrs map[string]int64 `json:"attrs,omitempty"`
 }
 
 // StageStat aggregates the retained spans of one stage name — the
@@ -206,16 +167,14 @@ type StageStat struct {
 	MaxUS int64  `json:"max_us"`
 }
 
-// TraceSnapshot is the /v1/trace payload. SpansTotal and EventsTotal
-// are lifetime counters; when they exceed len(Spans)/len(Events) the
-// rings have wrapped and only the most recent entries are retained.
+// TraceSnapshot is the /v1/trace payload. SpansTotal is a lifetime
+// counter; when it exceeds len(Spans) the ring has wrapped and only the
+// most recent spans are retained.
 type TraceSnapshot struct {
-	Enabled     bool        `json:"enabled"`
-	SpansTotal  uint64      `json:"spans_total"`
-	EventsTotal uint64      `json:"events_total"`
-	Stages      []StageStat `json:"stages"`
-	Spans       []SpanJSON  `json:"spans"`
-	Events      []EventJSON `json:"events"`
+	Enabled    bool        `json:"enabled"`
+	SpansTotal uint64      `json:"spans_total"`
+	Stages     []StageStat `json:"stages"`
+	Spans      []SpanJSON  `json:"spans"`
 }
 
 // traceTime renders an instant the one canonical way.
@@ -234,22 +193,20 @@ func attrMap(attrs []Attr) map[string]int64 {
 	return m
 }
 
-// Snapshot reads the rings. Concurrent appends may land between slot
-// reads; each retained record is individually complete (published
-// whole behind its atomic pointer). Spans sort by ID, events by
-// sequence, stages by name. Safe on a nil tracer.
+// Snapshot reads the ring. Concurrent appends may land between slot
+// reads; each retained span is individually complete (published whole
+// behind its atomic pointer). Spans sort by ID, stages by name. Safe on
+// a nil tracer.
 func (t *Tracer) Snapshot() TraceSnapshot {
 	s := TraceSnapshot{
 		Stages: []StageStat{},
 		Spans:  []SpanJSON{},
-		Events: []EventJSON{},
 	}
 	if t == nil {
 		return s
 	}
 	s.Enabled = t.enabled.Load()
 	s.SpansTotal = t.spanIdx.Load()
-	s.EventsTotal = t.evSeq.Load()
 
 	var recs []*spanRecord
 	for i := range t.spans {
@@ -289,22 +246,6 @@ func (t *Tracer) Snapshot() TraceSnapshot {
 	for _, name := range stageNames {
 		s.Stages = append(s.Stages, *byStage[name])
 	}
-
-	var evs []*eventRecord
-	for i := range t.events {
-		if r := t.events[i].Load(); r != nil {
-			evs = append(evs, r)
-		}
-	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].seq < evs[j].seq })
-	for _, r := range evs {
-		s.Events = append(s.Events, EventJSON{
-			Seq:   r.seq,
-			Time:  traceTime(r.at),
-			Type:  r.typ,
-			Attrs: attrMap(r.attrs),
-		})
-	}
 	return s
 }
 
@@ -318,7 +259,7 @@ func (t *Tracer) StageStats() []StageStat { return t.Snapshot().Stages }
 //	GET /v1/metrics — registry snapshot (counters, gauges, histograms) as JSON
 //	GET /metrics    — the same registry in Prometheus text exposition format
 //	GET /v1/series  — the in-process time series (recent registry snapshots + rates)
-//	GET /v1/trace   — recent spans, per-stage latency, event tail
+//	GET /v1/trace   — recent spans, per-stage latency
 //
 // A nil series mounts an empty ring, so the endpoint shape is the same
 // whether or not the daemon runs a Sampler.

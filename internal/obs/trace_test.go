@@ -26,7 +26,6 @@ func TestSpanParentLinks(t *testing.T) {
 	child := tr.Start("ingest.scan", root.ID())
 	child.End(KV("records", 3))
 	root.End(KV("accepted", 3))
-	tr.Emit("batch_admitted", KV("records", 3))
 
 	s := tr.Snapshot()
 	if !s.Enabled {
@@ -48,8 +47,8 @@ func TestSpanParentLinks(t *testing.T) {
 	if s.Spans[0].DurUS <= 0 {
 		t.Fatalf("auto-advance clock should yield positive duration, got %d", s.Spans[0].DurUS)
 	}
-	if len(s.Events) != 1 || s.Events[0].Type != "batch_admitted" || s.Events[0].Seq != 1 {
-		t.Fatalf("bad events: %+v", s.Events)
+	if s.Spans[0].Attrs["accepted"] != 3 || len(s.Spans[0].Attrs) != 1 {
+		t.Fatalf("root attrs lost: %+v", s.Spans[0].Attrs)
 	}
 	if len(s.Stages) != 2 || s.Stages[0].Name != "ingest.batch" || s.Stages[1].Name != "ingest.scan" {
 		t.Fatalf("stages not sorted by name: %+v", s.Stages)
@@ -61,33 +60,30 @@ func TestNilAndDisabledTracer(t *testing.T) {
 	nilTr.SetEnabled(true) // must not panic
 	sp := nilTr.Start("x", 0)
 	sp.End(KV("k", 1))
-	nilTr.Emit("e")
 	s := nilTr.Snapshot()
-	if len(s.Spans) != 0 || len(s.Events) != 0 || s.Enabled {
+	if len(s.Spans) != 0 || s.Enabled {
 		t.Fatalf("nil tracer snapshot not empty: %+v", s)
 	}
 
 	tr := NewTracer(testClock(), 4)
 	tr.SetEnabled(false)
-	tr.Start("x", 0).End()
-	tr.Emit("e")
+	tr.Start("x", 0).End(KV("k", 1))
 	s = tr.Snapshot()
-	if s.SpansTotal != 0 || s.EventsTotal != 0 {
+	if s.SpansTotal != 0 || len(s.Spans) != 0 {
 		t.Fatalf("disabled tracer recorded: %+v", s)
 	}
 }
 
 // TestDisabledZeroAlloc pins the hot-path contract: with tracing off,
-// an instrumentation site (Start + End with attrs, plus an Emit) does
-// not allocate. The variadic attr slices must stay on the caller's
-// stack, which End/Emit guarantee by copying only when recording.
+// an instrumentation site (Start + End with attrs) does not allocate.
+// The variadic attr slice must stay on the caller's stack, which End
+// guarantees by copying only when recording.
 func TestDisabledZeroAlloc(t *testing.T) {
 	tr := NewTracer(testClock(), 16)
 	tr.SetEnabled(false)
 	allocs := testing.AllocsPerRun(1000, func() {
 		sp := tr.Start("ingest.admit", 0)
 		sp.End(KV("records", 500), KV("shards", 8))
-		tr.Emit("batch_admitted", KV("records", 500))
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracing allocated %.1f per op, want 0", allocs)
@@ -97,19 +93,20 @@ func TestDisabledZeroAlloc(t *testing.T) {
 func TestRingWrap(t *testing.T) {
 	tr := NewTracer(testClock(), 4)
 	for i := 0; i < 10; i++ {
-		tr.Start("s", 0).End()
-		tr.Emit("e", KV("i", int64(i)))
+		tr.Start("s", 0).End(KV("i", int64(i)))
 	}
 	s := tr.Snapshot()
-	if s.SpansTotal != 10 || s.EventsTotal != 10 {
-		t.Fatalf("lifetime counters: %d spans, %d events", s.SpansTotal, s.EventsTotal)
+	if s.SpansTotal != 10 {
+		t.Fatalf("lifetime counter: %d spans", s.SpansTotal)
 	}
-	if len(s.Spans) != 4 || len(s.Events) != 4 {
-		t.Fatalf("ring should retain 4, got %d spans, %d events", len(s.Spans), len(s.Events))
+	if len(s.Spans) != 4 {
+		t.Fatalf("ring should retain 4, got %d spans", len(s.Spans))
 	}
 	// The retained entries are the most recent, in order.
-	if s.Events[0].Seq != 7 || s.Events[3].Seq != 10 {
-		t.Fatalf("wrong tail retained: %+v", s.Events)
+	for k, sp := range s.Spans {
+		if sp.ID != uint64(7+k) || sp.Attrs["i"] != int64(6+k) {
+			t.Fatalf("wrong tail retained: %+v", s.Spans)
+		}
 	}
 }
 
@@ -122,12 +119,10 @@ func TestTraceDeterministic(t *testing.T) {
 		root := tr.Start("ingest.batch", 0)
 		scan := tr.Start("ingest.scan", root.ID())
 		scan.End(KV("records", 500), KV("bad", 2))
-		tr.Emit("batch_admitted", KV("records", 500), KV("shards", 8))
 		root.End(KV("accepted", 500))
 		cut := tr.Start("epoch.cut", 0)
-		tr.Emit("epoch_cut", KV("epoch", 1))
+		tr.Start("epoch.merge", cut.ID()).End(KV("delta", 500), KV("records", 500))
 		cut.End(KV("epoch", 1), KV("records", 500))
-		tr.Emit("generation_published", KV("epoch", 1), KV("records", 500))
 		out, err := json.Marshal(tr.Snapshot())
 		if err != nil {
 			t.Fatal(err)
@@ -140,8 +135,8 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestConcurrentTrace exercises the lock-free rings under -race:
-// writers append spans and events while a reader snapshots.
+// TestConcurrentTrace exercises the lock-free ring under -race:
+// writers append spans while a reader snapshots.
 func TestConcurrentTrace(t *testing.T) {
 	tr := NewTracer(testClock(), 128)
 	const writers, perWriter, minSnaps = 8, 200, 20
@@ -175,10 +170,9 @@ func TestConcurrentTrace(t *testing.T) {
 			// span before this writer's next atomic would order the
 			// span's writes before the snapshot's reads.
 			for i := 0; i < perWriter || snaps.Load() < minSnaps; i++ {
-				sp := tr.Start("shard.consume", 0)
-				sp.End(KV("records", int64(i)))
+				sp := tr.Start("ingest.admit", 0)
+				sp.End(KV("records", int64(i)), KV("writer", int64(w)))
 				runtime.Gosched()
-				tr.Emit("batch_admitted", KV("shard", int64(w)))
 				written.Add(1)
 			}
 		}(w)
@@ -187,11 +181,16 @@ func TestConcurrentTrace(t *testing.T) {
 	close(stop)
 	<-readerDone
 	s := tr.Snapshot()
-	if n := written.Load(); s.SpansTotal != n || s.EventsTotal != n {
-		t.Fatalf("lost appends: %d spans, %d events of %d each", s.SpansTotal, s.EventsTotal, n)
+	if n := written.Load(); s.SpansTotal != n {
+		t.Fatalf("lost appends: %d spans of %d", s.SpansTotal, n)
 	}
-	if len(s.Spans) != 128 || len(s.Events) != 128 {
-		t.Fatalf("full rings should retain capacity: %d spans, %d events", len(s.Spans), len(s.Events))
+	if len(s.Spans) != 128 {
+		t.Fatalf("a full ring should retain its capacity: %d spans", len(s.Spans))
+	}
+	for _, sp := range s.Spans {
+		if len(sp.Attrs) != 2 {
+			t.Fatalf("span %d published without its attrs: %+v", sp.ID, sp)
+		}
 	}
 }
 
@@ -204,7 +203,6 @@ func TestTraceHandlerJSON(t *testing.T) {
 	root := tr.Start("ingest.batch", 0)
 	tr.Start("ingest.scan", root.ID()).End(KV("records", 10), KV("bad", 1))
 	root.End(KV("accepted", 10), KV("bad", 1))
-	tr.Emit("batch_admitted", KV("records", 10))
 
 	mux := http.NewServeMux()
 	Mount(mux, NewRegistry(), tr, nil)
@@ -230,7 +228,7 @@ func TestTraceHandlerJSON(t *testing.T) {
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, body)
 	}
-	if snap.SpansTotal != 2 || len(snap.Events) != 1 {
+	if snap.SpansTotal != 2 || len(snap.Spans) != 2 || snap.Spans[0].Attrs["accepted"] != 10 {
 		t.Fatalf("payload content: %+v", snap)
 	}
 	// encoding/json serializes map keys sorted; pin that the attr maps
@@ -287,8 +285,15 @@ func TestMount(t *testing.T) {
 	}
 	var trace TraceSnapshot
 	getJSON(t, srv.URL+"/v1/trace", &trace)
-	if trace.SpansTotal != 1 || trace.Spans[0].Name != "epoch.cut" {
+	if trace.SpansTotal != 1 || trace.Spans[0].Name != "epoch.cut" || trace.Spans[0].Attrs["epoch"] != 1 {
 		t.Fatalf("/v1/trace: %+v", trace)
+	}
+	// Spans are the one trace record: the payload has these four keys
+	// and no other.
+	var keys map[string]json.RawMessage
+	getJSON(t, srv.URL+"/v1/trace", &keys)
+	if len(keys) != 4 || keys["enabled"] == nil || keys["spans_total"] == nil || keys["stages"] == nil || keys["spans"] == nil {
+		t.Fatalf("/v1/trace keys: %v", keys)
 	}
 }
 

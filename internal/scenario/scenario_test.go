@@ -463,7 +463,8 @@ var promLine = regexp.MustCompile(`^(# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|ga
 // /metrics is Prometheus text 0.0.4 (every line a TYPE comment or a
 // sample) with the ingest counter and ack histogram, /v1/series
 // reaches the ingest counter, vmptop -once renders its ingest and
-// runtime rows, and /v1/trace recorded the cut and its publication.
+// runtime rows, and /v1/trace recorded the cut and the merge that
+// built the generation it published.
 func observed(t *testing.T, b *boot) {
 	m := b.metrics(t)
 	ackP50(t, m, "jsonl")
@@ -491,7 +492,7 @@ func observed(t *testing.T, b *boot) {
 		t.Errorf("vmptop -once: %v; want ingest and runtime rows:\n%s", err, out)
 	}
 	trace := string(b.ask(t, "GET", "/v1/trace"))
-	for _, want := range []string{`"name":"epoch.cut"`, `"type":"generation_published"`} {
+	for _, want := range []string{`"name":"epoch.cut"`, `"name":"epoch.merge"`} {
 		if !strings.Contains(trace, want) {
 			t.Errorf("/v1/trace has no %s", want)
 		}

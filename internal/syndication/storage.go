@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vmp/internal/cdnsim"
-	"vmp/internal/manifest"
 )
 
 // The Fig 18 experiment: a popular video catalogue served by its owner
@@ -113,10 +112,4 @@ func titleLadder(ladder []int, sec float64) []cdnsim.Rendition {
 		out[kbps] = int64(float64(kbps) * 1000 * sec / 8)
 	}
 	return cdnsim.SortLadder(out)
-}
-
-// Fig18Ladders exposes the three ladders as manifest.Ladder values for
-// documentation and rendering.
-func Fig18Ladders() (owner, synd1, synd2 manifest.Ladder) {
-	return ladder(storageOwnerLadder...), ladder(storageSynd1Ladder...), ladder(storageSynd2Ladder...)
 }

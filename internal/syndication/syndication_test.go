@@ -132,10 +132,35 @@ func TestStorageExperimentBadConfig(t *testing.T) {
 	}
 }
 
-func TestFig18Ladders(t *testing.T) {
-	o, s1, s2 := Fig18Ladders()
-	if len(o) != 9 || len(s1) != 7 || len(s2) != 14 {
-		t.Fatalf("ladder sizes = %d/%d/%d, want 9/7/14", len(o), len(s1), len(s2))
+// BenchmarkAblationDedupTolerance sweeps the dedup tolerance on an
+// origin holding 100 titles of each Fig 18 ladder and reports the
+// savings percentage at each setting (DESIGN.md §5).
+func BenchmarkAblationDedupTolerance(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		tol  float64
+	}{{"exact", 0}, {"tol2.5%", 0.025}, {"tol5%", 0.05}, {"tol10%", 0.10}, {"tol20%", 0.20}} {
+		b.Run(c.name, func(b *testing.B) {
+			origin := cdnsim.NewOrigin()
+			push := func(pub string, ladder []int) {
+				m := map[int]int64{}
+				for _, kbps := range ladder {
+					m[kbps] = int64(kbps) * 450000
+				}
+				for t := 0; t < 100; t++ {
+					origin.Push(pub, string(rune('a'+t%26))+string(rune('0'+t/26)), m)
+				}
+			}
+			push("O", storageOwnerLadder)
+			push("S1", storageSynd1Ladder)
+			push("S2", storageSynd2Ladder)
+			var saved int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				saved = origin.DedupSavings(c.tol)
+			}
+			b.ReportMetric(100*float64(saved)/float64(origin.TotalBytes()), "%saved")
+		})
 	}
 }
 

@@ -71,7 +71,7 @@ func TestBacklogAndGauges(t *testing.T) {
 // just the active files' write offsets.
 func TestBacklogCountsClosedSegments(t *testing.T) {
 	dir := t.TempDir()
-	l := openLog(t, dir, Options{SegmentBytes: 1024})
+	l := openLog(t, dir, Options{segmentBytes: 1024})
 	recs := genRecords(2000)
 	for lo := 0; lo < len(recs); lo += 100 {
 		if err := l.AppendBatch(partition(recs[lo:lo+100], 2), 0); err != nil {

@@ -152,7 +152,7 @@ func TestOpenRestoresCheckpointDebt(t *testing.T) {
 // Open's scan, torn tail cut off, without a stat per call.
 func TestBacklogAfterReopen(t *testing.T) {
 	dir := t.TempDir()
-	l := openLog(t, dir, Options{SegmentBytes: 4096})
+	l := openLog(t, dir, Options{segmentBytes: 4096})
 	recs := genRecords(1500)
 	for lo := 0; lo < len(recs); lo += 100 {
 		if err := l.AppendBatch(partition(recs[lo:lo+100], 2), 0); err != nil {
@@ -173,7 +173,7 @@ func TestBacklogAfterReopen(t *testing.T) {
 	if err := os.WriteFile(tail, append(data, 0xde, 0xad, 0xbe), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l2 := openLog(t, dir, Options{SegmentBytes: 4096})
+	l2 := openLog(t, dir, Options{segmentBytes: 4096})
 	segs, n := l2.Backlog()
 	if segs != len(files) || n != segmentBytes(t, dir) {
 		t.Fatalf("backlog after reopen = %d segments, %d bytes; disk has %d, %d", segs, n, len(files), segmentBytes(t, dir))

@@ -296,7 +296,7 @@ func TestDirectoryIsSyncedBeforeASegmentIsUsed(t *testing.T) {
 		dir := t.TempDir()
 		reg := obs.NewRegistry()
 		// One batch fills a segment, so every append creates one.
-		l := openLog(t, dir, Options{SegmentBytes: 1, Metrics: reg})
+		l := openLog(t, dir, Options{segmentBytes: 1, Metrics: reg})
 		fl := countFileCalls(l)
 		dirSyncs := 0
 		l.syncDir = func(path string) error {

@@ -40,8 +40,10 @@ func (s ReplayStats) Delivered() int64 { return s.CheckpointRecords + s.SegmentR
 // keeps, which Engine.Ingest does.
 //
 // A torn final record in the last segment — the signature of a crash
-// mid-append — stops replay cleanly at the last good sequence, counted
-// and logged, never a panic or an error. Any other inconsistency (a
+// mid-append — stops replay cleanly at the last good sequence, counted,
+// never a panic or an error. The wal.replay span carries where the tail
+// was cut (torn_offset, torn_last_seq), whether this replay stopped at
+// it or Open cut it before the first replay. Any other inconsistency (a
 // sequence gap, corruption inside a closed segment, a CRC-valid record
 // that does not parse) is a hard error: the log is not trustworthy and
 // the operator must decide.
@@ -55,24 +57,35 @@ func (l *Log) Replay(fn func(recs []record.ViewRecord) error, parent obs.SpanID)
 	for i := range decs {
 		decs[i] = wire.NewDecoder()
 	}
-	stats, units, err := l.replay(decs, fn)
+	stats, units, torn, err := l.replay(decs, fn)
 	if err != nil {
 		sp.End(obs.KV("error", 1))
 		return stats, err
 	}
 	l.replayed.Add(stats.Delivered())
-	sp.End(
+	attrs := []obs.Attr{
 		obs.KV("checkpoint_records", stats.CheckpointRecords),
 		obs.KV("segment_records", stats.SegmentRecords),
 		obs.KV("skipped", stats.SkippedRecords),
 		obs.KV("torn_tails", int64(stats.TornTails)),
 		obs.KV("workers", int64(len(decs))),
 		obs.KV("units", units),
-	)
+	}
+	if torn != nil {
+		attrs = append(attrs, obs.KV("torn_offset", torn.off), obs.KV("torn_last_seq", int64(torn.last)))
+	}
+	sp.End(attrs...)
 	return stats, nil
 }
 
-func (l *Log) replay(decs []*wire.Decoder, fn func(recs []record.ViewRecord) error) (stats ReplayStats, units int64, err error) {
+// tornTail is where a torn final record was cut off: its offset in the
+// segment, and the last good sequence before it.
+type tornTail struct {
+	off  int64
+	last uint64
+}
+
+func (l *Log) replay(decs []*wire.Decoder, fn func(recs []record.ViewRecord) error) (stats ReplayStats, units int64, tail *tornTail, err error) {
 	// Snapshot the file lists under mu, and take what Open verified;
 	// the reads below run unlocked.
 	l.mu.Lock()
@@ -85,6 +98,7 @@ func (l *Log) replay(decs []*wire.Decoder, fn func(recs []record.ViewRecord) err
 	segs := append([]segmentInfo(nil), l.segs...)
 	bootCkpt, bootSeg, bootTail := l.bootCkpt, l.bootSeg, l.bootTail
 	l.bootCkpt, l.bootSeg, l.bootTail = nil, segmentInfo{}, nil
+	tail, l.bootTorn = l.bootTorn, nil
 	l.mu.Unlock()
 
 	deliver := func(u *unit, recs []record.ViewRecord) error {
@@ -104,15 +118,15 @@ func (l *Log) replay(decs []*wire.Decoder, fn func(recs []record.ViewRecord) err
 		h := bootCkpt
 		if h == nil {
 			if h, err = readCheckpoint(ckpt.path); err != nil {
-				return stats, units, err
+				return stats, units, tail, err
 			}
 		}
 		stats.Epoch = h.epoch
 		if err := decodeInOrder(decs, h.units, deliver); err != nil {
-			return stats, units, err
+			return stats, units, tail, err
 		}
 		if uint64(stats.CheckpointRecords) != h.total {
-			return stats, units, fmt.Errorf("wal: checkpoint %s: frames hold %d records, header declares %d", ckpt.path, stats.CheckpointRecords, h.total)
+			return stats, units, tail, fmt.Errorf("wal: checkpoint %s: frames hold %d records, header declares %d", ckpt.path, stats.CheckpointRecords, h.total)
 		}
 	}
 	for si, seg := range segs {
@@ -131,10 +145,10 @@ func (l *Log) replay(decs []*wire.Decoder, fn func(recs []record.ViewRecord) err
 		if final && seg == bootSeg {
 			us = bootTail // Open cut any torn tail off
 		} else if us, torn, err = segmentUnits(seg); err != nil {
-			return stats, units, err
+			return stats, units, tail, err
 		}
 		if err := decodeInOrder(decs, us, deliver); err != nil {
-			return stats, units, err
+			return stats, units, tail, err
 		}
 		last := seg.first + uint64(len(us)) - 1
 		if torn != nil {
@@ -142,17 +156,17 @@ func (l *Log) replay(decs []*wire.Decoder, fn func(recs []record.ViewRecord) err
 				// A torn record below the tail cannot be a crashed
 				// append: the next segment exists, so the log was
 				// written past this point.
-				return stats, units, fmt.Errorf("wal: %s: %s at offset %d in a non-final segment", seg.path, torn.Reason, torn.Off)
+				return stats, units, tail, fmt.Errorf("wal: %s: %s at offset %d in a non-final segment", seg.path, torn.Reason, torn.Off)
 			}
-			l.tracer.Emit("wal_replay_torn", obs.KV("offset", torn.Off), obs.KV("last_seq", int64(last)))
+			tail = &tornTail{off: torn.Off, last: last}
 			stats.TornTails++
 		} else if !final && last != seg.last {
 			// Ends on a record boundary, but short of the sequence the
 			// next segment's name says it was written up to.
-			return stats, units, fmt.Errorf("wal: %s: ends at sequence %d, the next segment starts at %d", seg.path, last, seg.last+1)
+			return stats, units, tail, fmt.Errorf("wal: %s: ends at sequence %d, the next segment starts at %d", seg.path, last, seg.last+1)
 		}
 	}
-	return stats, units, nil
+	return stats, units, tail, nil
 }
 
 // unit is one piece of the log's wire decode: a checkpoint frame, or

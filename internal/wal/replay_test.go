@@ -62,7 +62,7 @@ func TestReplayParallelEqualsSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One segment per batch from here on.
-	l = openLog(t, dir, Options{SegmentBytes: 1})
+	l = openLog(t, dir, Options{segmentBytes: 1})
 	for lo := ckptChunkRecords + 900; lo < len(recs); lo += 150 {
 		if err := l.AppendBatch(partition(recs[lo:lo+150], 3), 0); err != nil {
 			t.Fatal(err)
@@ -78,7 +78,7 @@ func TestReplayParallelEqualsSequential(t *testing.T) {
 
 	// The first replay takes the images Open verified; the rest read the
 	// files again. All must agree.
-	l = openLog(t, dir, Options{SegmentBytes: 1})
+	l = openLog(t, dir, Options{segmentBytes: 1})
 	if l.bootCkpt == nil || l.bootTail == nil {
 		t.Fatal("Open kept no checkpoint or tail image for the first replay")
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"vmp/internal/obs"
+	"vmp/internal/simclock"
 	"vmp/internal/telemetry/record"
 	"vmp/internal/wire"
 )
@@ -357,16 +358,25 @@ func TestTornTailRecoveredOnOpen(t *testing.T) {
 			// truncated away, counted, and the log is immediately
 			// appendable again at the right sequence.
 			reg := obs.NewRegistry()
-			l2 := openLog(t, dir, Options{Metrics: reg})
+			tr := obs.NewTracer(simclock.NewManual(simclock.StudyStart), 16)
+			l2 := openLog(t, dir, Options{Metrics: reg, Trace: tr})
 			if n := reg.Snapshot().Counters["wal_torn_tail_total"]; n != 1 {
 				t.Fatalf("wal_torn_tail_total = %d, want 1", n)
 			}
 			if got := l2.Bounds(); got[0] != 2 {
 				t.Fatalf("bounds after torn-tail recovery = %v, want [2]", got)
 			}
+			info, err := os.Stat(segs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
 			got, stats := replayAll(t, l2)
 			if stats.TornTails != 0 {
 				t.Fatalf("replay saw a torn tail Open should have truncated: %+v", stats)
+			}
+			// The first replay's span says where Open cut the tail.
+			if a := lastReplaySpan(t, tr); a["torn_offset"] != info.Size() || a["torn_last_seq"] != 2 || a["torn_tails"] != 0 {
+				t.Fatalf("wal.replay attrs after Open cut the tail at %d: %v", info.Size(), a)
 			}
 			if !bytes.Equal(canonBytes(t, got), canonBytes(t, recs[:200])) {
 				t.Fatal("replay after recovery is not the durable prefix")
@@ -377,6 +387,32 @@ func TestTornTailRecoveredOnOpen(t *testing.T) {
 			got2, _ := replayAll(t, l2)
 			if !bytes.Equal(canonBytes(t, got2), canonBytes(t, recs)) {
 				t.Fatal("append after torn-tail recovery lost records")
+			}
+			if a := lastReplaySpan(t, tr); a["torn_tails"] != 0 || a["torn_offset"] != 0 || a["torn_last_seq"] != 0 {
+				t.Fatalf("a later replay over an intact log reports a torn tail: %v", a)
+			}
+			// A torn record the replay itself stops at is on its span too.
+			segs = segmentFiles(t, dir)
+			final := segs[len(segs)-1]
+			info, err = os.Stat(final)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(final, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte{9, 0, 0}); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, stats := replayAll(t, l2); stats.TornTails != 1 {
+				t.Fatalf("replay over a half header: %+v", stats)
+			}
+			if a := lastReplaySpan(t, tr); a["torn_tails"] != 1 || a["torn_offset"] != info.Size() || a["torn_last_seq"] != 3 {
+				t.Fatalf("wal.replay attrs after stopping at %d: %v", info.Size(), a)
 			}
 		})
 	}
@@ -395,7 +431,7 @@ func TestReplayCorruptClosedSegmentIsHardError(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			// Tiny segments: three appends land in separate files.
-			l := openLog(t, dir, Options{SegmentBytes: 1})
+			l := openLog(t, dir, Options{segmentBytes: 1})
 			recs := genRecords(300)
 			for lo := 0; lo < 300; lo += 100 {
 				if err := l.AppendBatch(partition(recs[lo:lo+100], 4), 0); err != nil {
@@ -470,4 +506,19 @@ func maxSeqSeed(t testing.TB) []byte {
 	binary.LittleEndian.PutUint32(data[4:], crc32.Checksum(body, castagnoli))
 	copy(data[recordHeaderBytes:], body)
 	return data
+}
+
+// lastReplaySpan returns the attrs of tr's latest wal.replay span.
+func lastReplaySpan(t *testing.T, tr *obs.Tracer) map[string]int64 {
+	t.Helper()
+	var attrs map[string]int64
+	for _, sp := range tr.Snapshot().Spans {
+		if sp.Name == "wal.replay" {
+			attrs = sp.Attrs
+		}
+	}
+	if attrs == nil {
+		t.Fatal("no wal.replay span")
+	}
+	return attrs
 }

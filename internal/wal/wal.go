@@ -8,12 +8,12 @@
 // CRC32C-checksummed record carrying the log's next sequence number and
 // the batch as internal/wire binary frames — a binary POST's own, byte
 // for byte, or else encoded a frame per part (the several-part records
-// of the partitioned engine before this one still replay) — under the
-// monotonic-sequence framing discipline the obs event pipeline uses to
-// make a truncated prefix detectable. A batch
-// costs one write and one fsync, both before the append returns, so an
-// acknowledged batch survives kill -9 and power loss. Replay hands each
-// batch back whole, whatever parts it was written in.
+// of the partitioned engine before this one still replay). The
+// sequences are contiguous, so a gap or a truncated prefix is
+// detectable. A batch costs one write and one fsync, both before the
+// append returns, so an acknowledged batch survives kill -9 and power
+// loss. Replay hands each batch back whole, whatever parts it was
+// written in.
 //
 // Two failures make the log stop rather than guess. A write that fails
 // part-way is cut back out of the segment, so the next record never
@@ -35,7 +35,7 @@
 // telemetry.CanonicalSort makes replay order-insensitive — before the
 // HTTP listener opens. A torn final record (the expected aftermath of
 // a crash mid-append) stops replay cleanly at the last good sequence,
-// logged and counted, never with a panic. DESIGN.md §11 specifies the
+// counted and shown on the wal.replay span, never with a panic. DESIGN.md §11 specifies the
 // formats and the crash matrix.
 package wal
 
@@ -65,25 +65,27 @@ type Policy int
 const PolicyBatch Policy = 0
 
 // Options parameterizes a Log. The zero value of every field gets a
-// sensible default: 16 MiB segments, the wall clock, a fresh registry,
-// and a disabled tracer.
+// sensible default: the wall clock, a fresh registry, and a disabled
+// tracer. The two sizes are unexported: only this package's tests
+// shrink them.
 type Options struct {
-	Dir          string         // log directory, created if absent
-	Shards       int            // ignored: the log is one stream whatever the engine's shard count
-	Policy       Policy         // ignored: every append is fsynced before it returns
-	SegmentBytes int64          // active-segment rotation threshold
-	ChunkRecords int            // view records per log record; a larger batch spans several
-	Clock        simclock.Clock // time source for fsync latency
-	Metrics      *obs.Registry  // counter/histogram destination
-	Trace        *obs.Tracer    // span/event destination (nil = disabled)
+	Dir     string         // log directory, created if absent
+	Shards  int            // ignored: the log is one stream whatever the engine's shard count
+	Policy  Policy         // ignored: every append is fsynced before it returns
+	Clock   simclock.Clock // time source for fsync latency
+	Metrics *obs.Registry  // counter/histogram destination
+	Trace   *obs.Tracer    // span destination (nil = disabled)
+
+	segmentBytes int64 // active-segment rotation threshold; 16 MiB
+	chunkRecords int   // view records per encoded log record, 16 384; a larger batch spans several
 }
 
 func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 16 << 20
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = 16 << 20
 	}
-	if o.ChunkRecords <= 0 || o.ChunkRecords > wire.MaxFrameRecords {
-		o.ChunkRecords = 1 << 14
+	if o.chunkRecords <= 0 || o.chunkRecords > wire.MaxFrameRecords {
+		o.chunkRecords = 1 << 14
 	}
 	if o.Clock == nil {
 		o.Clock = simclock.Wall()
@@ -151,6 +153,9 @@ type Log struct {
 	bootCkpt *ckptHeader
 	bootSeg  segmentInfo
 	bootTail []unit
+	// bootTorn is the torn tail Open cut off, if any, for the first
+	// Replay's span.
+	bootTorn *tornTail
 
 	// The checkpoint cadence rule's inputs: what the latest checkpoint
 	// holds, and the segment bytes a replay must read on top of it.
@@ -308,7 +313,7 @@ func (l *Log) scanDir() error {
 }
 
 // recoverTail frames the log's final segment, truncates a torn tail —
-// counted, and logged as a wal_torn_tail event — and sets the
+// counted, and kept for the first Replay's span — and sets the
 // segment's last durable sequence (first-1 when empty) and surviving
 // size. Frames are CRC-checked, and decoded by the first Replay.
 func (l *Log) recoverTail(seg *segmentInfo) error {
@@ -323,7 +328,7 @@ func (l *Log) recoverTail(seg *segmentInfo) error {
 		}
 		seg.size = torn.Off
 		l.tornTails.Add(1)
-		l.tracer.Emit("wal_torn_tail", obs.KV("offset", torn.Off), obs.KV("last_seq", int64(seg.last)))
+		l.bootTorn = &tornTail{off: torn.Off, last: seg.last}
 	}
 	l.bootSeg, l.bootTail = *seg, units
 	return nil
@@ -391,7 +396,7 @@ func (l *Log) appendLocked(parts [][]record.ViewRecord, frames []byte, records i
 		l.buf, next, err = appendFrames(l.buf[:0], l.nextSeq, MaxRecordBytes, frames)
 	} else {
 		esp := l.tracer.Start("wal.encode", parent)
-		l.buf, next, records, err = appendBatch(l.buf[:0], l.enc, l.nextSeq, l.opts.ChunkRecords, parts)
+		l.buf, next, records, err = appendBatch(l.buf[:0], l.enc, l.nextSeq, l.opts.chunkRecords, parts)
 		esp.End(obs.KV("bytes", int64(len(l.buf))))
 	}
 	bytes := int64(len(l.buf))
@@ -417,7 +422,7 @@ func (l *Log) appendLocked(parts [][]record.ViewRecord, frames []byte, records i
 	if err := l.syncLocked(parent); err != nil {
 		return 0, 0, err
 	}
-	if active.size >= l.opts.SegmentBytes {
+	if active.size >= l.opts.segmentBytes {
 		err := l.f.Close()
 		l.f = nil // the next append starts a fresh segment
 		if err != nil {
@@ -438,7 +443,6 @@ func (l *Log) cutTornWrite(active *segmentInfo, werr error) error {
 		_ = l.f.Close() // sealed; the errors worth reporting are the two below
 		l.f = nil
 		l.failed = fmt.Errorf("wal: append failed (%w) and its torn tail could not be cut (%w); the log refuses appends until reopened", werr, terr)
-		l.tracer.Emit("wal_failed")
 		return l.failed
 	}
 	return fmt.Errorf("wal: append: %w", werr)
@@ -477,7 +481,6 @@ func (l *Log) syncLocked(parent obs.SpanID) error {
 	if err := l.f.Sync(); err != nil {
 		sp.End(obs.KV("error", 1))
 		l.failed = fmt.Errorf("wal: fsync: %w; the log refuses appends until reopened", err)
-		l.tracer.Emit("wal_failed")
 		return l.failed
 	}
 	l.fsyncs.Add(1)

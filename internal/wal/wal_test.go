@@ -285,13 +285,13 @@ func TestCommitBoundsSurviveReopen(t *testing.T) {
 }
 
 // TestSegmentRotation: the active segment is closed by the append that
-// takes it to SegmentBytes, never before, and the next append starts a
+// takes it to segmentBytes, never before, and the next append starts a
 // file named after its own first sequence — so the names alone say
 // which sequences each file holds, which is what Open and Commit go by.
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	const threshold = 8 << 10
-	l := openLog(t, dir, Options{SegmentBytes: threshold})
+	l := openLog(t, dir, Options{segmentBytes: threshold})
 	recs := genRecords(4000)
 	grew := int64(0) // bytes in the active segment
 	for lo := 0; lo < len(recs); lo += 100 {
@@ -417,12 +417,12 @@ func TestReplayDeliversBatchesWhole(t *testing.T) {
 	}
 }
 
-// TestOversizedBatchSpansRecords: a batch past ChunkRecords is carried
+// TestOversizedBatchSpansRecords: a batch past chunkRecords is carried
 // in several records — still one write and one fsync — and replays
 // complete.
 func TestOversizedBatchSpansRecords(t *testing.T) {
 	reg := obs.NewRegistry()
-	l := openLog(t, t.TempDir(), Options{ChunkRecords: 50, Metrics: reg})
+	l := openLog(t, t.TempDir(), Options{chunkRecords: 50, Metrics: reg})
 	calls := countFileCalls(l)
 	recs := genRecords(330)
 	if err := l.AppendBatch(partition(recs, 3), 0); err != nil { // parts of 110: frames of 50, 50, 10
@@ -444,7 +444,7 @@ func TestOversizedBatchSpansRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	if perCall > 50 {
-		t.Fatalf("a record of %d view records under ChunkRecords 50", perCall)
+		t.Fatalf("a record of %d view records under chunkRecords 50", perCall)
 	}
 	if !bytes.Equal(canonBytes(t, got), canonBytes(t, recs)) {
 		t.Fatal("replay of an oversized batch is not the batch")
