@@ -165,8 +165,9 @@ loc:
 # builds into one GOCOVERDIR and prints every function none of them ran
 # (0.0 %). It does not gate. The workflows: TestScenarios (whose vmpd,
 # vmpgen, vmpstudy, vmptop and example builds inherit GOFLAGS, and whose
-# processes inherit GOCOVERDIR), the two scorecard commands, and
-# vmpstudy's csv, -input, -share and -top modes on a vmpgen -stride 24
+# processes inherit GOCOVERDIR), the two scorecard commands, vmpstudy's
+# csv mode, a -stats run at stride 12 (the per-figure timing table on
+# stderr), and its -input, -share and -top modes on a vmpgen -stride 24
 # file. A SIGKILLed process writes no counters, so what only the crash
 # scenarios run reads 0 % here.
 .PHONY: coverage-census
@@ -180,6 +181,7 @@ coverage-census:
 	"$$tmp/vmpstudy" -scorecard -o "$$tmp/scorecard.md" && \
 	"$$tmp/vmpstudy" -figure all -o "$$tmp/full_study_output.txt" && \
 	"$$tmp/vmpstudy" -format csv -figure 2b -o "$$tmp/2b.csv" && \
+	"$$tmp/vmpstudy" -stats -figure all -stride 12 -o "$$tmp/stats.txt" 2>"$$tmp/stats.err" && \
 	"$$tmp/vmpgen" -stride 24 -o "$$tmp/views.jsonl" && \
 	"$$tmp/vmpstudy" -input "$$tmp/views.jsonl" -o "$$tmp/input.txt" && \
 	"$$tmp/vmpstudy" -input "$$tmp/views.jsonl" -share protocol -o "$$tmp/share.txt" && \

@@ -200,11 +200,16 @@ func TestEdgeCacheOversizeObject(t *testing.T) {
 
 func TestEdgeCacheStats(t *testing.T) {
 	c := NewEdgeCache(1000)
-	c.Serve("a", 10)
-	c.Serve("a", 10)
-	c.Serve("b", 10)
-	if c.hits != 1 || c.misses != 2 {
-		t.Fatalf("stats = %d/%d, want 1/2", c.hits, c.misses)
+	hits, misses := 0, 0
+	for _, key := range []string{"a", "a", "b"} {
+		if c.Serve(key, 10) {
+			hits++
+		} else {
+			misses++
+		}
+	}
+	if hits != 1 || misses != 2 {
+		t.Fatalf("stats = %d/%d, want 1/2", hits, misses)
 	}
 }
 

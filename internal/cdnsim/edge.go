@@ -15,8 +15,6 @@ type EdgeCache struct {
 	used     int64
 	order    *list.List               // front = most recently used
 	entries  map[string]*list.Element // key → element in order
-	hits     int64
-	misses   int64
 }
 
 type edgeEntry struct {
@@ -50,10 +48,8 @@ func (c *EdgeCache) Serve(key string, bytes int64) (hit bool) {
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
-		c.hits++
 		return true
 	}
-	c.misses++
 	if bytes > c.capacity {
 		return false
 	}

@@ -13,8 +13,9 @@ import (
 // Engine.Snapshot folding a fixed 2 500-record delta into a published
 // generation of 50 k, 200 k or 800 k records (no WAL: the checkpoint
 // is wal.commit_ms's). A cut whose comparing,
-// hashing and interning are proportional to the delta leaves only the
-// row copy to grow with the generation, so ns/op divided by the sizes'
+// hashing and interning are proportional to the delta, and which shares
+// the published rows, leaves only the copy of the columns and row
+// pointers to grow with the generation, so ns/op divided by the sizes'
 // ratio is the figure to watch. The engine is rebuilt, outside the
 // timer, whenever cuts have grown the generation a tenth past its
 // nominal size.

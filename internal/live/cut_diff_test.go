@@ -213,3 +213,48 @@ func TestCutMatchesRebuild(t *testing.T) {
 		}
 	}
 }
+
+// TestHeldGenerationSurvivesLaterCuts pins what a cut's row sharing may
+// not do: every later generation points at the rows a held one holds,
+// and none may write them. Generation N — a merged one, its rows
+// already shared with the first cut — is held while K more epochs are
+// cut whose deltas land before its first record, between its records
+// and after its last; N must still hold the same records and give the
+// same answers, and the newest generation must hold what NewDataset of
+// the union holds.
+func TestHeldGenerationSurvivesLaterCuts(t *testing.T) {
+	const k = 12
+	e := newTestEngine(t, Config{})
+	all := genRecords(400)
+	mustIngest(t, e, all[:300])
+	e.Snapshot()
+	mustIngest(t, e, all[300:])
+	held := e.Snapshot()
+	rows := held.Dataset.All()
+	answers, _ := diffQueries(t, held.Dataset)
+	for cut := 0; cut < k; cut++ {
+		delta := genRecords(60 + cut)
+		for i := range delta {
+			// Days -2 to 51 against the held rows' 0 to 49.
+			delta[i].Timestamp = simclock.DayTime(i%54 - 2).Add(time.Duration(cut) * time.Minute)
+			delta[i].VideoID = fmt.Sprintf("late-%d-%d", cut, i)
+			delta[i].CDNs = [][]string{{"A"}, {"late", "B"}, nil}[i%3]
+		}
+		mustIngest(t, e, delta)
+		all = append(all, delta...)
+		e.Snapshot()
+	}
+	if !reflect.DeepEqual(held.Dataset.All(), rows) {
+		t.Fatal("the held generation's records changed under later cuts")
+	}
+	again, _ := diffQueries(t, held.Dataset)
+	if !reflect.DeepEqual(again, answers) {
+		t.Fatal("the held generation's answers changed under later cuts")
+	}
+	requireSameDataset(t, -1, held.Dataset, rebuild(rows))
+	newest := e.Generation()
+	if newest.Epoch != 2+k || newest.Records != len(all) {
+		t.Fatalf("newest generation: epoch %d, %d records; want %d, %d", newest.Epoch, newest.Records, 2+k, len(all))
+	}
+	requireSameDataset(t, k, newest.Dataset, rebuild(all))
+}

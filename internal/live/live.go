@@ -48,7 +48,9 @@ var ErrClosed = errors.New("live: engine closed")
 // batches under, making the reading exact. Commit hands a
 // freshly published generation back so the WAL can checkpoint it and
 // truncate the segments it covers; a Commit error is counted, not
-// fatal — the WAL keeps growing but loses nothing.
+// fatal — the WAL keeps growing but loses nothing. A hook with
+// CommitRows (rowsCommitter) gets the generation's records as a func
+// instead, called only if it writes a checkpoint.
 type WAL interface {
 	AppendBatch(parts [][]telemetry.ViewRecord, parent obs.SpanID) error
 	Bounds() []uint64
@@ -315,9 +317,10 @@ func (e *Engine) IngestFrames(recs []telemetry.ViewRecord, frames []byte, parent
 // Snapshot cuts an epoch: it takes the pending batches, gathers them
 // into one canonically sorted array, merges that into the published
 // generation's Dataset, and publishes the result. Only the new records
-// are compared, hashed and interned; the published rows are carried
-// over by copy. Records admitted before Snapshot is called are always
-// included; records racing with it land in this epoch or the next.
+// are compared, hashed and interned; the published rows are shared, not
+// copied — the new generation points at them where they lie. Records
+// admitted before Snapshot is called are always included; records
+// racing with it land in this epoch or the next.
 // After Close it cuts nothing and returns the final generation.
 func (e *Engine) Snapshot() *Generation { return e.cut(false) }
 
@@ -356,7 +359,8 @@ func (e *Engine) cut(final bool) *Generation {
 	// Canonical order, not arrival order: the same record set produces
 	// the same generation — and byte-identical query answers — no
 	// matter how ingestion interleaved. Gather's array holds exactly n
-	// records: the first cut's Merge adopts it as the generation's, and
+	// records: the first cut's Merge adopts it as the generation's, a
+	// later one's points into it for as long as the engine runs, and
 	// every spare slot would be 328 resident bytes.
 	delta := telemetry.Gather(batches)
 	ssp.End(sizes...)
@@ -382,6 +386,13 @@ func (e *Engine) cut(final bool) *Generation {
 	return g
 }
 
+// rowsCommitter is a WAL that takes a generation's records as a func it
+// calls only when it writes a checkpoint (*wal.Log). A merged Dataset's
+// All copies every row, and most commits write nothing.
+type rowsCommitter interface {
+	CommitRows(epoch int64, rows func() []telemetry.ViewRecord, bounds []uint64, parent obs.SpanID) error
+}
+
 // checkpointCounter is implemented by a WAL that can tell how many
 // checkpoints it has written (*wal.Log does). Commit reports only
 // failure, and most commits write nothing — the log has to earn a
@@ -401,7 +412,13 @@ func (e *Engine) checkpoint(w WAL, g *Generation, bounds []uint64, parent obs.Sp
 		before = cc.Checkpoints()
 	}
 	sizes = sizes[:len(sizes):len(sizes)] // full, so an append copies instead of writing into the caller's array
-	if err := w.Commit(g.Epoch, g.Dataset.All(), bounds, sp.ID()); err != nil {
+	var err error
+	if rc, ok := w.(rowsCommitter); ok {
+		err = rc.CommitRows(g.Epoch, g.Dataset.All, bounds, sp.ID())
+	} else {
+		err = w.Commit(g.Epoch, g.Dataset.All(), bounds, sp.ID())
+	}
+	if err != nil {
 		e.walErrors.Add(1)
 		sizes = append(sizes, obs.KV("error", 1))
 	}

@@ -750,3 +750,47 @@ func TestRecoveredHeapMatchesLiveBuilt(t *testing.T) {
 		t.Errorf("a recovered generation holds %.0f B/record, the live-built one %.0f: more than 10%% over", recoveredB, liveB)
 	}
 }
+
+// newestCheckpoint returns the bytes of the one checkpoint in dir.
+func newestCheckpoint(t *testing.T, dir string) []byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("checkpoints in %s: %v (err %v), want one", dir, paths, err)
+	}
+	b, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestSharedRowCheckpointMatchesFlat: a checkpoint the engine writes
+// from a merged generation — rows shared with earlier cuts, handed to
+// the WAL by the lazy commit — is byte for byte the one a log writes
+// from NewDataset of the same records, at the same epoch and bounds.
+func TestSharedRowCheckpointMatchesFlat(t *testing.T) {
+	recs := genRecords(4000)
+	dir := t.TempDir()
+	wlog := openTestWAL(t, dir)
+	e := newTestEngine(t, Config{WAL: wlog})
+	mustIngest(t, e, recs[:500])
+	e.Snapshot() // the log's first commit checkpoints at once
+	for lo := 500; lo < len(recs); lo += 500 {
+		mustIngest(t, e, recs[lo:lo+500])
+	}
+	g := e.Snapshot()
+	if wlog.Checkpoints() != 2 {
+		t.Fatalf("%d checkpoints after the second cut, want 2: the test wants the merged generation written", wlog.Checkpoints())
+	}
+	shared := newestCheckpoint(t, dir)
+
+	flatDir := t.TempDir()
+	flat := openTestWAL(t, flatDir)
+	if err := flat.Commit(g.Epoch, rebuild(recs).All(), wlog.Bounds(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if want := newestCheckpoint(t, flatDir); !bytes.Equal(shared, want) {
+		t.Fatalf("the merged generation's checkpoint (%d bytes) differs from the flat one's (%d bytes)", len(shared), len(want))
+	}
+}

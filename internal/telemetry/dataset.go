@@ -134,13 +134,22 @@ func (c *DimColumn) copyRows(at int, src *DimColumn, lo, hi int) {
 
 // Dataset is an immutable, timestamp-sorted, read-optimized view of a
 // record set: the one substrate the figure suite and the served queries
-// run over. Window returns zero-copy sub-slices, per-record
-// Views/ViewHours are precomputed columns, and the dimension keys the
-// §4 analyses group by (publisher, protocol, platform, device model,
-// CDN) are interned to small integer IDs. A Dataset is safe for
-// concurrent use.
+// run over. Per-record Views/ViewHours are precomputed columns, and the
+// dimension keys the §4 analyses group by (publisher, protocol,
+// platform, device model, CDN) are interned to small integer IDs. A
+// Dataset is safe for concurrent use.
+//
+// Its rows take one of two forms. A flat Dataset (NewDataset, and a
+// Merge into an empty one) owns them in order in records, and Window
+// and All return zero-copy sub-slices of it. A merged Dataset shares
+// them: ref holds a pointer per row, in order, into the row arrays
+// earlier cuts published (the first cut's array, then each later cut's
+// sorted delta), which nothing writes again. Its Window and All return
+// a fresh copy; Record and the columns are what the queries read, and
+// they copy nothing in either form.
 type Dataset struct {
-	records   []ViewRecord
+	records   []ViewRecord  // the rows of a flat dataset; nil on a merged one
+	ref       []*ViewRecord // the rows of a merged dataset; nil on a flat one
 	views     []float64
 	viewHours []float64
 
@@ -179,23 +188,25 @@ func NewDataset(recs []ViewRecord) *Dataset {
 // Merge returns the dataset holding d's records and delta's, taking
 // ownership of delta, which must be in CanonicalSort order — as d's
 // records must be for the result to be. It is the epoch cut: the cost
-// of comparing, hashing and interning is proportional to delta, and d's
-// rows are carried over by bulk copy. A record of delta goes after the
-// records of d it compares equal to.
+// of comparing, hashing and interning is proportional to delta, d's
+// columns are carried over by bulk copy, and d's rows are not copied at
+// all: the result points at them, and at delta's, where they lie. A
+// record of delta goes after the records of d it compares equal to.
 //
 // IDs d handed out mean the same in the result; names first seen in
 // delta get the next IDs, in the order delta first meets them. That
 // numbering can differ from the one NewDataset would give the same
 // records, and no answer may depend on it: the analyses accumulate per
 // ID in record order and emit by name. d is not modified and the result
-// does not keep it reachable; with nothing to add, the result is d
-// itself.
+// does not keep it, or its columns, reachable — only the row arrays
+// both hold; with nothing to add, the result is d itself. Neither
+// argument's rows may be written afterwards.
 func (d *Dataset) Merge(delta []ViewRecord) *Dataset {
 	if len(delta) == 0 {
 		return d
 	}
 	nd, _ := d.freeze(delta)
-	if len(d.records) == 0 {
+	if d.Len() == 0 {
 		return nd
 	}
 	return d.interleave(nd)
@@ -400,10 +411,11 @@ func placeEntries(col *DimColumn, lo, hi int, at int32, ids []int32, names *rang
 // interleave returns the dataset of d's rows and nd's in CanonicalSort
 // order. nd holds the new rows, frozen on top of d's name tables, so its
 // IDs and tables are the result's; a row of nd goes after the rows of d
-// it compares equal to. Rows are copied in runs: a run of d's between
-// two new rows, a run of new rows between two of d's.
+// it compares equal to. Columns and row pointers are copied in runs: a
+// run of d's between two new rows, a run of new rows between two of
+// d's. The rows themselves stay where they are.
 func (d *Dataset) interleave(nd *Dataset) *Dataset {
-	n := len(d.records) + len(nd.records)
+	n := d.Len() + nd.Len()
 	col := func(old, added *DimColumn) *DimColumn {
 		return &DimColumn{
 			names: added.names, index: added.index,
@@ -411,7 +423,7 @@ func (d *Dataset) interleave(nd *Dataset) *Dataset {
 		}
 	}
 	out := &Dataset{
-		records:       make([]ViewRecord, n),
+		ref:           make([]*ViewRecord, n),
 		views:         make([]float64, n),
 		viewHours:     make([]float64, n),
 		pubIDs:        make([]int32, n),
@@ -423,40 +435,48 @@ func (d *Dataset) interleave(nd *Dataset) *Dataset {
 		model:         col(d.model, nd.model),
 		modelPlatform: nd.modelPlatform,
 	}
-	at, lo := 0, 0
+	at, lo, old := 0, 0, d.Len()
 	for i := 0; i < len(nd.records); {
-		hi := lo + mergePoint(d.records[lo:], &nd.records[i])
+		hi := d.mergePoint(lo, &nd.records[i])
 		j := i + 1
-		for j < len(nd.records) && (hi == len(d.records) || CompareRecords(&d.records[hi], &nd.records[j]) > 0) {
+		for j < len(nd.records) && (hi == old || CompareRecords(d.row(hi), &nd.records[j]) > 0) {
 			j++
 		}
 		at = out.copyRows(at, d, lo, hi)
 		at = out.copyRows(at, nd, i, j)
 		i, lo = j, hi
 	}
-	out.copyRows(at, d, lo, len(d.records))
+	out.copyRows(at, d, lo, old)
 	return out
 }
 
-// mergePoint returns how many leading records of the sorted run recs
-// do not sort after r. It gallops: a delta that lands in a few places
-// of a long base costs a few comparisons per landing, not a walk.
-func mergePoint(recs []ViewRecord, r *ViewRecord) int {
-	step := 1
-	for step < len(recs) && CompareRecords(&recs[step-1], r) <= 0 {
+// mergePoint returns the first row from lo that sorts after r, or Len()
+// if none does; d's rows from lo are a sorted run. It gallops: a delta
+// that lands in a few places of a long base costs a few comparisons per
+// landing, not a walk.
+func (d *Dataset) mergePoint(lo int, r *ViewRecord) int {
+	n, step := d.Len()-lo, 1
+	for step < n && CompareRecords(d.row(lo+step-1), r) <= 0 {
 		step *= 2
 	}
-	lo, hi := step/2, min(step, len(recs))
-	return lo + sort.Search(hi-lo, func(i int) bool { return CompareRecords(&recs[lo+i], r) > 0 })
+	from, to := lo+step/2, lo+min(step, n)
+	return from + sort.Search(to-from, func(i int) bool { return CompareRecords(d.row(from+i), r) > 0 })
 }
 
-// copyRows makes src's rows [lo, hi) the rows from at of d, a dataset
-// interleave is still writing, and returns the row after them.
+// copyRows makes src's rows [lo, hi) the rows from at of d, a merged
+// dataset interleave is still writing, and returns the row after them.
+// What it copies of a row is its pointer.
 func (d *Dataset) copyRows(at int, src *Dataset, lo, hi int) int {
 	if lo == hi {
 		return at
 	}
-	copy(d.records[at:], src.records[lo:hi])
+	if src.ref != nil {
+		copy(d.ref[at:], src.ref[lo:hi])
+	} else {
+		for k := range src.records[lo:hi] {
+			d.ref[at+k] = &src.records[lo+k]
+		}
+	}
 	copy(d.views[at:], src.views[lo:hi])
 	copy(d.viewHours[at:], src.viewHours[lo:hi])
 	copy(d.pubIDs[at:], src.pubIDs[lo:hi])
@@ -468,15 +488,43 @@ func (d *Dataset) copyRows(at int, src *Dataset, lo, hi int) int {
 }
 
 // Len returns the number of records.
-func (d *Dataset) Len() int { return len(d.records) }
+func (d *Dataset) Len() int {
+	if d.ref != nil {
+		return len(d.ref)
+	}
+	return len(d.records)
+}
+
+// row returns record i wherever it lies.
+func (d *Dataset) row(i int) *ViewRecord {
+	if d.ref != nil {
+		return d.ref[i]
+	}
+	return &d.records[i]
+}
 
 // Record returns record i as a read-only pointer (held by the frozen-*
-// rows of docs/mutants.md, like every view below).
-func (d *Dataset) Record(i int) *ViewRecord { return &d.records[i] }
+// rows of docs/mutants.md, like every view below). It copies nothing in
+// either form of the Dataset.
+func (d *Dataset) Record(i int) *ViewRecord { return d.row(i) }
 
-// All returns every record in timestamp order as a read-only view
-// (the frozen-* rows of docs/mutants.md).
-func (d *Dataset) All() []ViewRecord { return d.records }
+// All returns every record in timestamp order: a read-only view of a
+// flat Dataset's rows (the frozen-* rows of docs/mutants.md), and a
+// fresh copy, the caller's, of a merged one's.
+func (d *Dataset) All() []ViewRecord { return d.rows(0, d.Len()) }
+
+// rows returns records [lo, hi): a sub-slice of a flat Dataset's rows,
+// a new array of exactly hi-lo rows for a merged one.
+func (d *Dataset) rows(lo, hi int) []ViewRecord {
+	if d.ref == nil {
+		return d.records[lo:hi]
+	}
+	out := make([]ViewRecord, hi-lo)
+	for k, r := range d.ref[lo:hi] {
+		out[k] = *r
+	}
+	return out
+}
 
 // ViewsAt returns the precomputed Views() of record i.
 func (d *Dataset) ViewsAt(i int) float64 { return d.views[i] }
@@ -531,8 +579,8 @@ func (d *Dataset) buildDeviceCol(platform string) *DimColumn {
 			break
 		}
 	}
-	col := &DimColumn{names: d.model.names, offs: make([]int32, 1, len(d.records)+1)}
-	for i := range d.records {
+	col := &DimColumn{names: d.model.names, offs: make([]int32, 1, d.Len()+1)}
+	for i := range d.Len() {
 		for _, mid := range d.model.IDs(i) {
 			if d.modelPlatform[mid] == platformID {
 				col.ids = append(col.ids, mid)
@@ -546,19 +594,20 @@ func (d *Dataset) buildDeviceCol(platform string) *DimColumn {
 // WindowBounds returns the half-open record-index range [lo, hi) whose
 // timestamps fall inside the snapshot: two binary searches.
 func (d *Dataset) WindowBounds(snap simclock.Snapshot) (lo, hi int) {
-	lo = sort.Search(len(d.records), func(i int) bool {
-		return !d.records[i].Timestamp.Before(snap.Start)
+	lo = sort.Search(d.Len(), func(i int) bool {
+		return !d.row(i).Timestamp.Before(snap.Start)
 	})
 	end := snap.End()
-	hi = sort.Search(len(d.records), func(i int) bool {
-		return !d.records[i].Timestamp.Before(end)
+	hi = sort.Search(d.Len(), func(i int) bool {
+		return !d.row(i).Timestamp.Before(end)
 	})
 	return lo, hi
 }
 
-// Window returns the records inside the snapshot as a zero-copy
-// read-only sub-slice.
+// Window returns the records inside the snapshot: a zero-copy read-only
+// sub-slice of a flat Dataset's rows, a fresh copy of a merged one's
+// (see All).
 func (d *Dataset) Window(snap simclock.Snapshot) []ViewRecord {
 	lo, hi := d.WindowBounds(snap)
-	return d.records[lo:hi]
+	return d.rows(lo, hi)
 }

@@ -126,12 +126,12 @@ func serialMerge(d *Dataset, delta []ViewRecord) *Dataset {
 	b := newSerialBuilder(d, delta)
 	lo := 0
 	for i := range delta {
-		hi := lo + mergePoint(d.records[lo:], &delta[i])
+		hi := d.mergePoint(lo, &delta[i])
 		b.copyRows(lo, hi)
 		b.addRow(&delta[i])
 		lo = hi
 	}
-	b.copyRows(lo, len(d.records))
+	b.copyRows(lo, d.Len())
 	return b.dataset()
 }
 
@@ -212,7 +212,7 @@ type serialBuilder struct {
 }
 
 func newSerialBuilder(base *Dataset, delta []ViewRecord) *serialBuilder {
-	n := len(base.records) + len(delta)
+	n := base.Len() + len(delta)
 	cdns := 0
 	for i := range delta {
 		cdns += len(delta[i].CDNs)
@@ -224,7 +224,7 @@ func newSerialBuilder(base *Dataset, delta []ViewRecord) *serialBuilder {
 			viewHours: make([]float64, n),
 			pubIDs:    make([]int32, n),
 		},
-		own:           len(base.records) == 0,
+		own:           base.Len() == 0,
 		pubs:          extendNames(base.pubNames, base.pubIndex),
 		protocol:      extendSerialCol(base.protocol, n, len(delta)),
 		platform:      extendSerialCol(base.platform, n, len(delta)),
@@ -250,7 +250,9 @@ func (b *serialBuilder) copyRows(lo, hi int) {
 		return
 	}
 	at := b.row
-	copy(b.out.records[at:], b.base.records[lo:hi])
+	for i := lo; i < hi; i++ {
+		b.out.records[at+i-lo] = *b.base.Record(i)
+	}
 	copy(b.out.views[at:], b.base.views[lo:hi])
 	copy(b.out.viewHours[at:], b.base.viewHours[lo:hi])
 	copy(b.out.pubIDs[at:], b.base.pubIDs[lo:hi])
@@ -321,16 +323,17 @@ func (b *serialBuilder) dataset() *Dataset {
 	return d
 }
 
-// datasetDiff returns the first way got differs from want, or "": every
-// field deep-equal — IDs, names, offsets — and every names slice and
-// modelPlatform of the same capacity, so that the next merge onto
-// either grows it alike.
+// datasetDiff returns the first way got differs from want, or "": the
+// same rows, compared through All whichever form either Dataset holds
+// them in, every column deep-equal — IDs, names, offsets — and every
+// names slice and modelPlatform of the same capacity, so that the next
+// merge onto either grows it alike.
 func datasetDiff(got, want *Dataset) string {
 	pairs := []struct {
 		name      string
 		got, want any
 	}{
-		{"records", got.records, want.records},
+		{"records", got.All(), want.All()},
 		{"views", got.views, want.views},
 		{"viewHours", got.viewHours, want.viewHours},
 		{"pubNames", got.pubNames, want.pubNames},

@@ -27,9 +27,10 @@ func mergeDelta(round, n int) []ViewRecord {
 	return delta
 }
 
-// requireExactColumns fails unless every per-record column fills its
-// backing array: a cut must not carry append slack from one generation
-// into the next, where it would compound.
+// requireExactColumns fails unless every per-record column, and the
+// rows or row pointers, fill their backing array: a cut must not carry
+// append slack from one generation into the next, where it would
+// compound.
 func requireExactColumns(t *testing.T, d *Dataset) {
 	t.Helper()
 	exact := func(name string, length, capacity int) {
@@ -39,6 +40,10 @@ func requireExactColumns(t *testing.T, d *Dataset) {
 		}
 	}
 	exact("records", len(d.records), cap(d.records))
+	exact("ref", len(d.ref), cap(d.ref))
+	if (d.records == nil) == (d.ref == nil) && d.Len() > 0 {
+		t.Errorf("%d records held flat and %d by reference; a Dataset holds them one way", len(d.records), len(d.ref))
+	}
 	exact("views", len(d.views), cap(d.views))
 	exact("viewHours", len(d.viewHours), cap(d.viewHours))
 	exact("pubIDs", len(d.pubIDs), cap(d.pubIDs))
@@ -53,22 +58,28 @@ func requireExactColumns(t *testing.T, d *Dataset) {
 }
 
 // TestMergeDoesNotRetainPredecessor pins the cut's memory contract: a
-// merged Dataset holds no pointer into the one it was merged from, so
-// once the engine publishes generation N, generation N−1's columns are
-// garbage. A chain that kept its predecessors reachable — publishing
-// &builder.column, or keeping the base on the result — would hold
-// every generation ever cut, and no finalizer below would run.
+// merged Dataset holds no pointer into the columns of the one it was
+// merged from, so once the engine publishes generation N, generation
+// N−1's columns are garbage. A chain that kept its predecessors
+// reachable — publishing &builder.column, or keeping the base on the
+// result — would hold every generation ever cut, and no finalizer below
+// would run. The rows are another matter: generations share them on
+// purpose (every row array a cut published stays in use), so no row
+// is watched.
 func TestMergeDoesNotRetainPredecessor(t *testing.T) {
 	const merges = 50
 	var collected atomic.Int64
 	watch := func(d *Dataset) int64 {
 		runtime.SetFinalizer(d, func(*Dataset) { collected.Add(1) })
 		runtime.SetFinalizer(d.cdn, func(*DimColumn) { collected.Add(1) })
-		runtime.SetFinalizer(&d.records[0], func(*ViewRecord) { collected.Add(1) })
 		runtime.SetFinalizer(&d.views[0], func(*float64) { collected.Add(1) })
 		runtime.SetFinalizer(&d.pubIDs[0], func(*int32) { collected.Add(1) })
 		runtime.SetFinalizer(&d.cdn.ids[0], func(*int32) { collected.Add(1) })
 		runtime.SetFinalizer(&d.protocol.offs[0], func(*int32) { collected.Add(1) })
+		if d.ref == nil {
+			return 6
+		}
+		runtime.SetFinalizer(&d.ref[0], func(**ViewRecord) { collected.Add(1) })
 		return 7
 	}
 	cur := NewDataset(mergeDelta(0, 300))

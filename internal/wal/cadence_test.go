@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vmp/internal/obs"
+	"vmp/internal/telemetry/record"
 )
 
 // segmentBytes sums the on-disk segment sizes.
@@ -86,6 +87,57 @@ func TestCommitWritesOnlyWhenLogEarnsIt(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap.Counters["wal_checkpoints_total"] != 2 || snap.Counters["wal_checkpoint_skipped_total"] != skipped {
 		t.Fatalf("counters = %v, want 2 written and %d skipped", snap.Counters, skipped)
+	}
+}
+
+// TestCommitRowsAsksOnlyWhenEarned: the lazy commit asks for the
+// generation's records only for a checkpoint it writes. A commit the
+// log has not earned calls rows zero times, one it has earned once; the
+// checkpoints it writes are the ones Commit would.
+func TestCommitRowsAsksOnlyWhenEarned(t *testing.T) {
+	dir := t.TempDir()
+	l := openLog(t, dir, Options{})
+	all := genRecords(2000)
+	calls := 0
+	rows := func() []record.ViewRecord {
+		calls++
+		return all
+	}
+	if err := l.AppendBatch(partition(all, 4), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.CommitRows(1, rows, l.Bounds(), 0); err != nil || calls != 1 || l.Checkpoints() != 1 {
+		t.Fatalf("first commit: err %v, rows called %d times, %d checkpoints", err, calls, l.Checkpoints())
+	}
+	ckptSize := fileSize(t, checkpointFiles(t, dir)[0])
+	skipped := 0
+	for epoch := int64(2); l.Checkpoints() == 1; epoch++ {
+		if epoch > 1000 {
+			t.Fatal("the log never earned a second checkpoint")
+		}
+		more := genRecords(100)
+		if err := l.AppendBatch(partition(more, 4), 0); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, more...)
+		earned := segmentBytes(t, dir) >= ckptSize
+		before := calls
+		if err := l.CommitRows(epoch, rows, l.Bounds(), 0); err != nil {
+			t.Fatal(err)
+		}
+		if want := map[bool]int{false: 0, true: 1}[earned]; calls-before != want {
+			t.Fatalf("epoch %d, earned %v: rows called %d times, want %d", epoch, earned, calls-before, want)
+		}
+		if !earned {
+			skipped++
+		}
+	}
+	if skipped < 2 {
+		t.Fatalf("only %d commits went unearned; the schedule does not exercise the rule", skipped)
+	}
+	got, stats := replayAll(t, l)
+	if !bytes.Equal(canonBytes(t, got), canonBytes(t, all)) || stats.CheckpointRecords != int64(len(all)) {
+		t.Fatalf("replay after the lazy checkpoint: stats %+v, want all %d records from the checkpoint", stats, len(all))
 	}
 }
 

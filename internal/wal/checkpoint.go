@@ -204,29 +204,38 @@ func encodeCheckpoint(epoch int64, records []record.ViewRecord, bounds []uint64,
 // expected to be serialized by the caller (the engine's snapshot
 // lock); appends may run concurrently.
 func (l *Log) Commit(epoch int64, records []record.ViewRecord, bounds []uint64, parent obs.SpanID) error {
+	return l.CommitRows(epoch, func() []record.ViewRecord { return records }, bounds, parent)
+}
+
+// CommitRows is Commit for a generation whose records cost something to
+// hand over (a merged telemetry.Dataset's All is a copy): rows returns
+// them, and is called once when the log has earned a checkpoint and not
+// at all when it has not — which is most commits.
+func (l *Log) CommitRows(epoch int64, rows func() []record.ViewRecord, bounds []uint64, parent obs.SpanID) error {
 	sp := l.tracer.Start("wal.truncate", parent)
-	written, truncated, err := l.commit(epoch, records, bounds)
+	records, written, truncated, err := l.commit(epoch, rows, bounds)
 	if err != nil {
 		sp.End(obs.KV("error", 1))
 		return err
 	}
-	sp.End(obs.KV("epoch", epoch), obs.KV("records", int64(len(records))), obs.KV("written", written), obs.KV("truncated", truncated))
+	sp.End(obs.KV("epoch", epoch), obs.KV("records", records), obs.KV("written", written), obs.KV("truncated", truncated))
 	return nil
 }
 
-// commit returns whether it wrote a checkpoint (1 or 0, as a span
-// attribute) and how many log entries it truncated.
-func (l *Log) commit(epoch int64, records []record.ViewRecord, bounds []uint64) (written, truncated int64, err error) {
+// commit returns how many records the checkpoint it wrote holds (0 if
+// it wrote none), whether it wrote one (1 or 0, as a span attribute) and
+// how many log entries it truncated.
+func (l *Log) commit(epoch int64, rows func() []record.ViewRecord, bounds []uint64) (n, written, truncated int64, err error) {
 	l.mu.Lock()
 	if len(bounds) != 1 {
 		l.mu.Unlock()
-		return 0, 0, fmt.Errorf("wal: commit with %d bounds; the log is one stream and has one", len(bounds))
+		return 0, 0, 0, fmt.Errorf("wal: commit with %d bounds; the log is one stream and has one", len(bounds))
 	}
 	bound := bounds[0]
 	if l.sinceCkpt < l.ckptBytes {
 		l.mu.Unlock()
 		l.ckptsSkip.Add(1)
-		return 0, 0, nil
+		return 0, 0, 0, nil
 	}
 	id := l.nextCkptID
 	// Appends that race the write below stay counted. Those between the
@@ -241,13 +250,14 @@ func (l *Log) commit(epoch int64, records []record.ViewRecord, bounds []uint64) 
 
 	// Build and persist the new checkpoint without holding mu —
 	// appends continue while the generation is written out.
+	records := rows()
 	img, err := encodeCheckpoint(epoch, records, bounds, perRecord+perRecord/8)
 	if err != nil {
-		return 0, 0, fmt.Errorf("wal: encoding checkpoint: %w", err)
+		return 0, 0, 0, fmt.Errorf("wal: encoding checkpoint: %w", err)
 	}
 	path := filepath.Join(l.dir, fmt.Sprintf("checkpoint-%016x.ckpt", id))
 	if err := l.writeFileDurable(path, img); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	l.ckptsDone.Add(1)
 
@@ -297,7 +307,7 @@ func (l *Log) commit(epoch int64, records []record.ViewRecord, bounds []uint64) 
 		}
 	}
 	l.truncated.Add(truncated)
-	return 1, truncated, firstErr
+	return int64(len(records)), 1, truncated, firstErr
 }
 
 // writeFileDurable writes data at path atomically and durably: temp

@@ -17,7 +17,7 @@ type ReplayStats struct {
 	CheckpointRecords int64 // records delivered from the checkpoint
 	SegmentRecords    int64 // records delivered from segments
 	SkippedRecords    int64 // segment records filtered as checkpoint-covered
-	TornTails         int   // 1 if the final segment stopped at a torn record
+	TornTails         int   // 1 if the final segment stopped at a torn record, or Open cut one off before this first replay
 }
 
 // Delivered is the total record count handed to fn.
@@ -100,6 +100,9 @@ func (l *Log) replay(decs []*wire.Decoder, fn func(recs []record.ViewRecord) err
 	l.bootCkpt, l.bootSeg, l.bootTail = nil, segmentInfo{}, nil
 	tail, l.bootTorn = l.bootTorn, nil
 	l.mu.Unlock()
+	if tail != nil {
+		stats.TornTails++
+	}
 
 	deliver := func(u *unit, recs []record.ViewRecord) error {
 		units++

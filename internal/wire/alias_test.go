@@ -14,11 +14,11 @@ import (
 
 // TestDecodeReuseKeepsAdmittedBatchStable pins the decoder's ownership
 // contract from the admitting side. Live ingest admits a decoded batch by
-// shallow-copying the record structs (strings are immutable and the
-// CDN/bitrate views point into per-call arenas that are never reused),
-// then the decoder is fed a second, larger batch that rewrites and
-// grows every piece of reused scratch: the frame buffer, the record
-// slice, and the string-table scratch. If any admitted field secretly
+// shallow-copying the record structs (strings are immutable, and so
+// are the interned CDN lists and bitrate ladders), then the decoder is
+// fed a second, larger batch that rewrites and grows every piece of
+// reused scratch: the frame buffer, the record slice, the string-table
+// scratch and the list scratch. If any admitted field secretly
 // aliased decoder scratch, the second decode would rewrite it.
 func TestDecodeReuseKeepsAdmittedBatchStable(t *testing.T) {
 	dec := wire.NewDecoder()
@@ -125,11 +125,11 @@ func pinnedBy(recs *[]record.ViewRecord) int64 {
 }
 
 // TestArenasSizedToTheBatch pins what admitted records may keep alive.
-// Their CDN and bitrate lists are views into the decode call's arenas,
-// and a view pins the whole array: one decoder takes an 8,192-record
-// batch (a checkpoint frame, a bulk client) and then a 10-record one
-// (a WAL tail batch, a sensor), and the ten records must hold no more
-// list bytes than twice what their lists use — not an arena the size
+// Their CDN and bitrate lists are interned, each an array of its own of
+// exactly its length, whatever the decoder met before: one decoder
+// takes an 8,192-record batch (a checkpoint frame, a bulk client) and
+// then a 10-record one (a WAL tail batch, a sensor), and the ten
+// records must hold no more list bytes than their lists use — nothing
 // of the first batch's. The yardstick is what a deep clone allocates,
 // its lists one by one.
 func TestArenasSizedToTheBatch(t *testing.T) {
@@ -139,7 +139,7 @@ func TestArenasSizedToTheBatch(t *testing.T) {
 		used += int64(len(small[i].CDNs))*int64(unsafe.Sizeof("")) + int64(len(small[i].Bitrates))*int64(unsafe.Sizeof(0))
 	}
 	// Size-class rounding and whatever else the runtime allocates
-	// between two readings; the big batch's arenas are 400× this.
+	// between two readings.
 	const noise = 1 << 10
 	decoders := []struct {
 		name   string

@@ -24,24 +24,22 @@ var errTruncated = errors.New("wire: truncated frame")
 // JSON lines (ScanJSONL) — straight into the columnar
 // []record.ViewRecord layout: no intermediate per-record structs, no
 // per-field allocations. The record slice, body and line buffers, and
-// table scratch are reused across calls and distinct string values are
-// interned in a persistent cache, so a steady decode loop over similar
-// batches allocates only the per-call CDN/bitrate arenas — zero
-// allocations per record, in either encoding. A frame whose string
-// table is past bulkTable (a checkpoint's) adds one: its table, copied
-// whole.
-//
-// The arenas are sized to the batch being decoded, not to the largest
-// batch the decoder has seen: see fit.
+// table and list scratch are reused across calls; distinct string
+// values, CDN lists and bitrate ladders are interned in persistent
+// caches, so a steady decode loop over similar batches allocates
+// nothing per record, in either encoding. A frame whose string table is
+// past bulkTable (a checkpoint's) adds one allocation: its table,
+// copied whole.
 //
 // Ownership contract: the slice a decode returns (and the structs in
 // it), like Frames, is valid only until the next DecodeAll or ScanJSONL
 // call on the same decoder. The ingest path copies records (and the WAL
 // frames) out synchronously, which is what makes the reuse safe. What
 // a copied record still shares with the decoder is never rewritten:
-// interned strings are immutable and the CDN/bitrate arenas are
-// allocated per call. A Decoder is not safe for concurrent use; pool
-// decoders per request instead.
+// interned strings are immutable, and so are interned lists, each
+// capacity-capped (len == cap), so an append to one copies it. Records
+// of different calls share a list when they hold equal ones. A Decoder
+// is not safe for concurrent use; pool decoders per request instead.
 type Decoder struct {
 	body   []byte              // reused buffer DecodeAll reads the stream into, length prefixes included
 	frames []byte              // body after a DecodeAll that succeeded; nil after any other decode
@@ -51,15 +49,17 @@ type Decoder struct {
 	intern *[internSets]internSet
 	lenbuf [4]byte
 
-	// What the last call's arenas came to: where the next call's
-	// start, so a steady run of similar batches pays one allocation per
-	// arena per call, not one per growth step.
-	cdnHint, brHint int
+	// A list is read into scratch and then interned: what a record gets
+	// is the cache's copy, never the scratch.
+	cdnBuf   []string
+	brBuf    []int
+	cdnLists *listCache[string]
+	brLists  *listCache[int]
 }
 
 // NewDecoder returns an empty decoder.
 func NewDecoder() *Decoder {
-	return &Decoder{intern: new([internSets]internSet)}
+	return &Decoder{intern: new([internSets]internSet), cdnLists: new(listCache[string]), brLists: new(listCache[int])}
 }
 
 // The persistent string cache is set-associative: internSets sets of
@@ -124,6 +124,78 @@ const (
 	fnvPrime  = 1099511628211
 )
 
+// The list caches intern CDN lists and bitrate ladders as the string
+// cache interns strings: listSets sets of listWays slots, a slot a list
+// and a tag from its hash, fixed in size and chosen by the contents
+// alone. The ingest datasets hold about 130 distinct lists of each
+// kind, so a steady stream hits; a stream of unique ladders evicts and
+// cannot grow the decoder.
+const (
+	listSets = 1 << 8
+	listWays = 4
+)
+
+// listSet is one set of a list cache, its ways in recency order.
+type listSet[T comparable] struct {
+	tags  [listWays]uint32
+	lists [listWays][]T
+}
+
+type listCache[T comparable] [listSets]listSet[T]
+
+// intern returns the cached list equal to l, which is scratch and not
+// empty, and h its hash; on a miss it caches and returns a copy of
+// exactly l's length. The result is shared with every record that got
+// an equal list from this cache, so nothing may write it, and its
+// capacity is its length, so an append copies it.
+func (c *listCache[T]) intern(l []T, h uint64) []T {
+	// Finish the hash: the element-wise FNV rounds leave the low bits,
+	// which pick the set, blind to an element's high bits.
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	set, tag := &c[h%listSets], uint32(h>>32)
+	w := 0
+	for ; w < listWays; w++ {
+		if set.tags[w] == tag && slices.Equal(set.lists[w], l) {
+			break
+		}
+	}
+	var list []T
+	if w < listWays {
+		list = set.lists[w]
+	} else {
+		list, w = slices.Clip(slices.Clone(l)), listWays-1
+	}
+	copy(set.tags[1:w+1], set.tags[:w])
+	copy(set.lists[1:w+1], set.lists[:w])
+	set.tags[0], set.lists[0] = tag, list
+	return list
+}
+
+// cdnList interns a CDN list that is not empty. An empty one is the
+// caller's to give: nil, or an empty list that is not nil, which
+// encoding/json tells apart.
+func (d *Decoder) cdnList(l []string) []string {
+	h := uint64(fnvOffset)
+	for _, s := range l {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * fnvPrime
+		}
+		h = (h ^ 0xff) * fnvPrime // no UTF-8 string holds 0xff: ["ab"] and ["a","b"] differ
+	}
+	return d.cdnLists.intern(l, h)
+}
+
+// bitrateList is cdnList for a bitrate ladder.
+func (d *Decoder) bitrateList(l []int) []int {
+	h := uint64(fnvOffset)
+	for _, v := range l {
+		h = (h ^ uint64(v)) * fnvPrime
+	}
+	return d.brLists.intern(l, h)
+}
+
 // DecodeAll reads every frame from r and returns the decoded records.
 // The returned slice is valid until the decoder's next decode; see the
 // type comment. Any framing or layout violation — a truncated frame,
@@ -132,7 +204,6 @@ const (
 // a retry is exact.
 func (d *Decoder) DecodeAll(r io.Reader) ([]record.ViewRecord, error) {
 	d.recs, d.body, d.frames = d.recs[:0], d.body[:0], nil
-	st := d.newDecodeState()
 	for {
 		if _, err := io.ReadFull(r, d.lenbuf[:]); err != nil {
 			if err == io.EOF {
@@ -153,11 +224,10 @@ func (d *Decoder) DecodeAll(r io.Reader) ([]record.ViewRecord, error) {
 		if err := d.readPayload(r, int(n)); err != nil {
 			return nil, fmt.Errorf("%w: payload short of %d bytes: %w", errTruncated, n, err)
 		}
-		if err := d.decodeFrame(d.body[off+4:], &st); err != nil {
+		if err := d.decodeFrame(d.body[off+4:]); err != nil {
 			return nil, err
 		}
 	}
-	d.fit(&st)
 	d.frames = d.body
 	return d.recs, nil
 }
@@ -195,59 +265,6 @@ func (d *Decoder) readPayload(r io.Reader, n int) error {
 // it for the records returned, so what DecodeAll accepts is log format.
 func (d *Decoder) Frames() []byte { return d.frames }
 
-// decodeState holds the per-call arenas the variable-length record
-// fields sub-slice. They are freshly allocated each decode call —
-// never reused — because admitted records retain views into them.
-type decodeState struct {
-	cdns []string
-	brs  []int
-}
-
-func (d *Decoder) newDecodeState() decodeState {
-	return decodeState{
-		cdns: make([]string, 0, d.cdnHint),
-		brs:  make([]int, 0, d.brHint),
-	}
-}
-
-// fit ends a decode call, binary or JSONL: it is the one rule for what
-// the call's records may pin. The views admitted records keep hold a
-// whole arena alive, so an arena that started at the hint and is at
-// least half used stays; one that outgrew the hint (the records before
-// the growth step still point into the array it left) or that a much
-// larger earlier batch sized (a checkpoint frame before a WAL tail
-// batch, a bulk client before a sensor) is replaced by one array of
-// exactly the lists' size.
-func (d *Decoder) fit(st *decodeState) {
-	if cap(st.cdns) != d.cdnHint || cap(st.cdns) > 2*len(st.cdns) {
-		repack(d.recs, func(r *record.ViewRecord) *[]string { return &r.CDNs })
-	}
-	if cap(st.brs) != d.brHint || cap(st.brs) > 2*len(st.brs) {
-		repack(d.recs, func(r *record.ViewRecord) *[]int { return &r.Bitrates })
-	}
-	d.cdnHint, d.brHint = len(st.cdns), len(st.brs)
-}
-
-// repack moves the lists field picks out of recs into one new array of
-// exactly their total length, in record order. A nil list stays nil
-// and an empty one stays empty.
-func repack[T any](recs []record.ViewRecord, field func(*record.ViewRecord) *[]T) {
-	n := 0
-	for i := range recs {
-		n += len(*field(&recs[i]))
-	}
-	packed := make([]T, 0, n)
-	for i := range recs {
-		list := field(&recs[i])
-		if *list == nil {
-			continue
-		}
-		start := len(packed)
-		packed = append(packed, *list...)
-		*list = packed[start:len(packed):len(packed)]
-	}
-}
-
 // frameReader is a bounds-checked cursor over one frame payload.
 type frameReader struct {
 	b   []byte
@@ -275,7 +292,7 @@ func (fr *frameReader) take(n int) ([]byte, error) {
 }
 
 // decodeFrame parses one payload, appending its records to d.recs.
-func (d *Decoder) decodeFrame(payload []byte, st *decodeState) error {
+func (d *Decoder) decodeFrame(payload []byte) error {
 	fr := &frameReader{b: payload} // cursor stays on the stack (escape analysis; pinned by TestDecodeSteadyStateAllocs)
 	hdr, err := fr.take(4)
 	if err != nil {
@@ -387,7 +404,7 @@ func (d *Decoder) decodeFrame(payload []byte, st *decodeState) error {
 			out[i].CDNs = nil
 			continue
 		}
-		start := len(st.cdns)
+		list := d.cdnBuf[:0]
 		for j := 0; j < k; j++ {
 			id, err := fr.uvarint()
 			if err != nil {
@@ -396,9 +413,10 @@ func (d *Decoder) decodeFrame(payload []byte, st *decodeState) error {
 			if id >= uint64(tcount) {
 				return fmt.Errorf("wire: CDN ID %d out of table range %d", id, tcount)
 			}
-			st.cdns = append(st.cdns, names[id])
+			list = append(list, names[id])
 		}
-		out[i].CDNs = st.cdns[start : start+k : start+k]
+		d.cdnBuf = list
+		out[i].CDNs = d.cdnList(list)
 	}
 	// Bitrate ladders.
 	for i := 0; i < n; i++ {
@@ -414,15 +432,16 @@ func (d *Decoder) decodeFrame(payload []byte, st *decodeState) error {
 			out[i].Bitrates = nil
 			continue
 		}
-		start := len(st.brs)
+		list := d.brBuf[:0]
 		for j := 0; j < k; j++ {
 			u, err := fr.uvarint()
 			if err != nil {
 				return err
 			}
-			st.brs = append(st.brs, int(unzigzag(u)))
+			list = append(list, int(unzigzag(u)))
 		}
-		out[i].Bitrates = st.brs[start : start+k : start+k]
+		d.brBuf = list
+		out[i].Bitrates = d.bitrateList(list)
 	}
 	// Boolean bitset columns.
 	if err := readBitset(fr, out, func(r *record.ViewRecord, v bool) { r.Live = v }); err != nil {

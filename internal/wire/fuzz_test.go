@@ -76,7 +76,7 @@ func FuzzDecodeFrame(f *testing.F) {
 // is the model (oracleScanJSONL): whichever arm a line takes, the
 // records, their order and the bad count must be the model's, and
 // nothing panics. Each input is decoded twice on one decoder, so the
-// second pass runs over slots, arena hints and an intern cache the
+// second pass runs over slots, list scratch and intern caches the
 // first one dirtied.
 func FuzzScanJSONL(f *testing.F) {
 	f.Add(jsonlBody(f, canonicalCorpus()[:12]))

@@ -44,7 +44,6 @@ func ScanJSONL(r io.Reader) (batch []record.ViewRecord, bad int, err error) {
 // client whose lines all land there is correct but four times slower.
 func (d *Decoder) ScanJSONL(r io.Reader) (batch []record.ViewRecord, bad, fallback int, err error) {
 	d.recs, d.frames = d.recs[:0], nil
-	st := d.newDecodeState()
 	if d.line == nil {
 		d.line = make([]byte, 64*1024)
 	}
@@ -58,23 +57,28 @@ func (d *Decoder) ScanJSONL(r io.Reader) (batch []record.ViewRecord, bad, fallba
 		n := len(d.recs)
 		d.recs = append(d.recs, record.ViewRecord{})
 		rec := &d.recs[n]
-		nc, nb := len(st.cdns), len(st.brs)
-		ok := d.parseLine(line, rec, &st)
+		ok := d.parseLine(line, rec)
 		if !ok {
-			// json.Unmarshal appends into whatever slices its target
-			// already holds, so it gets a zeroed slot — and the arenas
-			// lose what the abandoned parse put there.
+			// json.Unmarshal writes into whatever slices its target
+			// already holds — an abandoned parse's lists are interned
+			// and shared — so it gets a zeroed slot, and its own lists
+			// are interned after it like the fast arm's (an empty one
+			// it makes has no capacity).
 			fallback++
-			st.cdns, st.brs = st.cdns[:nc], st.brs[:nb]
 			*rec = record.ViewRecord{}
 			ok = json.Unmarshal(line, rec) == nil
+			if len(rec.CDNs) > 0 {
+				rec.CDNs = d.cdnList(rec.CDNs)
+			}
+			if len(rec.Bitrates) > 0 {
+				rec.Bitrates = d.bitrateList(rec.Bitrates)
+			}
 		}
 		if !ok || rec.Publisher == "" {
 			bad++
 			d.recs = d.recs[:n]
 		}
 	}
-	d.fit(&st)
 	return d.recs, bad, fallback, sc.Err()
 }
 
@@ -113,11 +117,11 @@ const (
 // JSON-grammar numbers; true or false; null or an array for the two
 // lists; ts in RFC 3339 UTC. It reports false on anything else —
 // including every line json.Unmarshal would reject — and may by then
-// have written part of *rec and appended to st; the caller undoes both.
+// have written part of *rec, which the caller undoes.
 // When it reports true, *rec is reflect.DeepEqual to what
 // json.Unmarshal makes of the line (TestScanJSONLMatchesEncodingJSON,
 // FuzzScanJSONL).
-func (d *Decoder) parseLine(line []byte, rec *record.ViewRecord, st *decodeState) bool {
+func (d *Decoder) parseLine(line []byte, rec *record.ViewRecord) bool {
 	c := lineCursor{b: line}
 	if !c.eat('{') {
 		return false
@@ -169,10 +173,10 @@ func (d *Decoder) parseLine(line []byte, rec *record.ViewRecord, st *decodeState
 			rec.SDKVersion, ok = d.internStr(&c)
 		case "cdns":
 			bit = keyCDNs
-			rec.CDNs, ok = d.cdnList(&c, st)
+			rec.CDNs, ok = d.scanCDNs(&c)
 		case "bitrates":
 			bit = keyBitrates
-			rec.Bitrates, ok = c.bitrateList(st)
+			rec.Bitrates, ok = d.scanBitrates(&c)
 		case "isp":
 			bit = keyISP
 			rec.ISP, ok = d.internStr(&c)
@@ -234,21 +238,21 @@ func (d *Decoder) internStr(c *lineCursor) (string, bool) {
 	return d.internBytes(b), true
 }
 
-// cdnList reads null (a nil list, as json.Unmarshal leaves it) or an
-// array of strings into a capacity-capped view of the CDN arena; []
-// is an empty list that is not nil, which is how json tells the two
-// apart and how vmpd's dump re-encodes them.
-func (d *Decoder) cdnList(c *lineCursor, st *decodeState) ([]string, bool) {
+// scanCDNs reads null (a nil list, as json.Unmarshal leaves it) or an
+// array of strings, interned as a list (Decoder.cdnList); [] is an
+// empty list that is not nil, which is how json tells the two apart and
+// how vmpd's dump re-encodes them.
+func (d *Decoder) scanCDNs(c *lineCursor) ([]string, bool) {
 	if c.word("null") {
 		return nil, true
 	}
 	if !c.eat('[') {
 		return nil, false
 	}
-	start := len(st.cdns)
+	list := d.cdnBuf[:0]
 	c.skipSpace()
 	for !c.eat(']') {
-		if len(st.cdns) > start && !c.eat(',') {
+		if len(list) > 0 && !c.eat(',') {
 			return nil, false
 		}
 		c.skipSpace()
@@ -256,10 +260,14 @@ func (d *Decoder) cdnList(c *lineCursor, st *decodeState) ([]string, bool) {
 		if !ok {
 			return nil, false
 		}
-		st.cdns = append(st.cdns, s)
+		list = append(list, s)
 		c.skipSpace()
 	}
-	return st.cdns[start:len(st.cdns):len(st.cdns)], true
+	d.cdnBuf = list
+	if len(list) == 0 {
+		return []string{}, true // not the scratch, which may be nil and has capacity
+	}
+	return d.cdnList(list), true
 }
 
 // lineCursor is a bounds-checked cursor over one JSONL line. Its
@@ -405,20 +413,20 @@ func (c *lineCursor) float() (float64, bool) {
 	return v, err == nil
 }
 
-// bitrateList is cdnList for the bitrate arena. json.Unmarshal fills an
-// int from an integer literal only (2.0 and 1e2 are type errors, a
+// scanBitrates is scanCDNs for a bitrate ladder. json.Unmarshal fills
+// an int from an integer literal only (2.0 and 1e2 are type errors, a
 // 20-digit literal overflows); those are its to reject.
-func (c *lineCursor) bitrateList(st *decodeState) ([]int, bool) {
+func (d *Decoder) scanBitrates(c *lineCursor) ([]int, bool) {
 	if c.word("null") {
 		return nil, true
 	}
 	if !c.eat('[') {
 		return nil, false
 	}
-	start := len(st.brs)
+	list := d.brBuf[:0]
 	c.skipSpace()
 	for !c.eat(']') {
-		if len(st.brs) > start && !c.eat(',') {
+		if len(list) > 0 && !c.eat(',') {
 			return nil, false
 		}
 		c.skipSpace()
@@ -430,10 +438,14 @@ func (c *lineCursor) bitrateList(st *decodeState) ([]int, bool) {
 		if err != nil {
 			return nil, false
 		}
-		st.brs = append(st.brs, v)
+		list = append(list, v)
 		c.skipSpace()
 	}
-	return st.brs[start:len(st.brs):len(st.brs)], true
+	d.brBuf = list
+	if len(list) == 0 {
+		return []int{}, true
+	}
+	return d.bitrateList(list), true
 }
 
 // timestamp reads "YYYY-MM-DDTHH:MM:SS[.f{1,9}]Z", the form
