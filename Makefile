@@ -166,9 +166,10 @@ loc:
 # (0.0 %). It does not gate. The workflows: TestScenarios (whose vmpd,
 # vmpgen, vmpstudy, vmptop and example builds inherit GOFLAGS, and whose
 # processes inherit GOCOVERDIR), the two scorecard commands, vmpstudy's
-# csv mode, a -stats run at stride 12 (the per-figure timing table on
-# stderr), and its -input, -share and -top modes on a vmpgen -stride 24
-# file. A SIGKILLed process writes no counters, so what only the crash
+# csv mode on one figure of each csv shape (2b, 3a, 3b, 3c, 4,
+# crosstab, cdn-segregation), a -stats run at stride 12 (the per-figure
+# timing table on stderr), and its -input, -share and -top modes on a
+# vmpgen -stride 24 file. A SIGKILLed process writes no counters, so what only the crash
 # scenarios run reads 0 % here.
 .PHONY: coverage-census
 coverage-census: export GOFLAGS = -cover -coverpkg=vmp/...
@@ -180,7 +181,9 @@ coverage-census:
 	(cd internal/scenario && "$$tmp/scenario.test" -test.run '^TestScenarios$$' -test.count=1) && \
 	"$$tmp/vmpstudy" -scorecard -o "$$tmp/scorecard.md" && \
 	"$$tmp/vmpstudy" -figure all -o "$$tmp/full_study_output.txt" && \
-	"$$tmp/vmpstudy" -format csv -figure 2b -o "$$tmp/2b.csv" && \
+	for f in 2b 3a 3b 3c 4 crosstab cdn-segregation; do \
+		"$$tmp/vmpstudy" -format csv -figure $$f -o "$$tmp/$$f.csv" || exit 1; \
+	done && \
 	"$$tmp/vmpstudy" -stats -figure all -stride 12 -o "$$tmp/stats.txt" 2>"$$tmp/stats.err" && \
 	"$$tmp/vmpgen" -stride 24 -o "$$tmp/views.jsonl" && \
 	"$$tmp/vmpstudy" -input "$$tmp/views.jsonl" -o "$$tmp/input.txt" && \

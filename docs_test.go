@@ -4,12 +4,16 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"vmp/internal/live"
 )
 
 // TestDocsNameOnlyMakeTargetsThatExist fails when README.md, DESIGN.md
@@ -100,6 +104,75 @@ func TestReadmeNamesEveryFlag(t *testing.T) {
 	for _, m := range regexp.MustCompile("(?m)^\\| `-([^`]+)` \\|").FindAllSubmatch(readme, -1) {
 		if name := string(m[1]); !registered[name] {
 			t.Errorf("README.md has a flag-table row for -%s, which no cmd/*/main.go registers", name)
+		}
+	}
+}
+
+// TestReadmeNamesEveryServedPath fails when live.Server or obs.Mount
+// registers an HTTP path README.md never names: an endpoint the reader
+// cannot find in the README is one only the source tells them about.
+// The other way round, every /v1/ path README.md names must be one they
+// register, and the daemon's handler must serve it (answer anything but
+// 404): a retired endpoint's instructions go with it.
+func TestReadmeNamesEveryServedPath(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A path README.md names is a whole run of path characters, after
+	// a host:port or on its own: /v1/metrics names /v1/metrics, not
+	// /metrics.
+	named := map[string]bool{}
+	for _, m := range regexp.MustCompile(`[\w.:-]*(/[\w/-]+)`).FindAllSubmatch(readme, -1) {
+		named[string(m[1])] = true
+	}
+	registered := map[string]bool{}
+	for _, path := range []string{"internal/live/server.go", "internal/obs/trace.go"} {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || (sel.Sel.Name != "Handle" && sel.Sel.Name != "HandleFunc") {
+				return true
+			}
+			lit, ok := call.Args[0].(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true
+			}
+			route, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			registered[route] = true
+			if !named[route] {
+				t.Errorf("%s registers %s, which README.md never names", path, route)
+			}
+			return true
+		})
+	}
+	if len(registered) < 10 {
+		t.Fatalf("found %d registered paths; the parse no longer sees them", len(registered))
+	}
+	e := live.NewEngine(live.Config{})
+	defer e.Close()
+	h := live.NewServer(e).Handler()
+	for route := range named {
+		if !strings.HasPrefix(route, "/v1/") {
+			continue
+		}
+		if !registered[route] {
+			t.Errorf("README.md names %s, which neither live.Server nor obs.Mount registers", route)
+			continue
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, route, nil))
+		if rec.Result().StatusCode == http.StatusNotFound {
+			t.Errorf("README.md names %s, which the daemon's handler answers 404", route)
 		}
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"vmp/internal/analytics"
 	"vmp/internal/ecosystem"
 	"vmp/internal/live"
-	"vmp/internal/manifest"
 	"vmp/internal/telemetry"
 )
 
@@ -77,15 +76,12 @@ func main() {
 	}
 
 	fmt.Println("\nview-hour share by protocol:")
-	total := 0.0
+	lo, hi := ds.WindowBounds(snap)
 	byProto := map[string]float64{}
-	recs := ds.Window(snap)
-	for i := range recs {
-		vh := recs[i].ViewHours()
-		total += vh
-		byProto[manifest.InferProtocol(recs[i].URL).String()] += vh
+	for _, sh := range analytics.ShareOverRows(ds, ds.ProtocolCol(), lo, hi, nil, false) {
+		byProto[sh.Key] = sh.Pct
 	}
 	for _, p := range []string{"HLS", "DASH", "SmoothStreaming", "HDS"} {
-		fmt.Printf("  %-16s %5.1f%%\n", p, 100*byProto[p]/total)
+		fmt.Printf("  %-16s %5.1f%%\n", p, byProto[p])
 	}
 }

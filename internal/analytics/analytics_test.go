@@ -176,7 +176,7 @@ func TestTopPublishersTieBreakByName(t *testing.T) {
 
 func TestInstancesPerPublisher(t *testing.T) {
 	s, sched := twoSnapDataset()
-	recs := s.Window(sched[0])
+	recs := window(s, s.All(), sched[0])
 	h := InstancesPerPublisher(recs, protocolDim)
 	// p1: {HLS} = 1 instance; p2: {HLS, DASH} = 2.
 	p1, v1 := h.At(1)
@@ -215,7 +215,7 @@ func TestInstancesByBucket(t *testing.T) {
 		mk("p2", 0, "http://c/b.m3u8", "Roku", []string{"A"}, 3600, 50, false),
 		mk("p2", 0, "http://c/c.mpd", "Roku", []string{"A"}, 3600, 50, false),
 	)
-	bb := InstancesByBucket(s.Window(sched[0]), protocolDim, 2, 7)
+	bb := InstancesByBucket(window(s, s.All(), sched[0]), protocolDim, 2, 7)
 	if got := bb.Buckets[0][1]; got != 50 {
 		t.Errorf("bucket0 count1 = %v, want 50", got)
 	}
@@ -270,7 +270,7 @@ func TestSupporterShareCDF(t *testing.T) {
 		mk("p2", 0, "http://c/c.mpd", "Roku", []string{"A"}, 3600, 1, false),
 		mk("p3", 0, "http://c/d.m3u8", "Roku", []string{"A"}, 3600, 1, false),
 	)
-	cdf := SupporterShareCDF(s.Window(sched[0]), protocolDim, "DASH")
+	cdf := SupporterShareCDF(window(s, s.All(), sched[0]), protocolDim, "DASH")
 	if len(cdf.X) != 2 {
 		t.Fatalf("CDF over supporters should have 2 points, got %v", cdf.X)
 	}
@@ -320,7 +320,7 @@ func TestSegregation(t *testing.T) {
 	c1 := mk("pubC", 0, "http://c/f.m3u8", "Roku", []string{"A"}, 60, 1, true)
 	c2 := mk("pubC", 0, "http://c/g.m3u8", "Roku", []string{"A"}, 60, 1, false)
 	s := dataset(a1, a2, a3, b1, b2, c1, c2)
-	st := Segregation(s.Window(sched[0]))
+	st := Segregation(window(s, s.All(), sched[0]))
 	if st.EligiblePublishers != 2 {
 		t.Fatalf("eligible = %d, want 2", st.EligiblePublishers)
 	}
@@ -333,12 +333,19 @@ func TestSegregation(t *testing.T) {
 	if st.FullySegregated != 1 {
 		t.Errorf("FullySegregated = %d, want 1", st.FullySegregated)
 	}
+	if got := SegregationDataset(s, sched[0]); got != st {
+		t.Errorf("SegregationDataset = %+v, want the reference's %+v", got, st)
+	}
 }
 
 func TestSegregationEmpty(t *testing.T) {
 	st := Segregation(nil)
 	if st.EligiblePublishers != 0 || st.VoDOnlyFrac != 0 {
 		t.Fatal("empty input should yield zero stats")
+	}
+	sched := simclock.MakeSchedule(14, 2)[:1]
+	if got := SegregationDataset(dataset(), sched[0]); got != (SegregationStats{}) {
+		t.Fatalf("SegregationDataset over no records = %+v, want zero stats", got)
 	}
 }
 

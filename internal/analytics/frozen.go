@@ -1,11 +1,11 @@
 package analytics
 
 // The §4 analyses over a telemetry.Dataset — immutable, timestamp-
-// sorted, with interned dimension IDs — so windows are zero-copy row
-// ranges and accumulation is ID-indexed slice arithmetic. The functions
-// in analytics.go are the row-at-a-time reference these are tested
-// against (integer-derived percentages exactly; sums the reference
-// accumulates in map order agree to rounding).
+// sorted, with interned dimension IDs — so windows are row ranges
+// [lo, hi) and accumulation is ID-indexed slice arithmetic. They are the
+// one kernel per figure; reference_test.go holds the row-at-a-time
+// references they are tested against (integer-derived percentages
+// exactly; sums a reference accumulates in map order agree to rounding).
 //
 // Two kernels here are shared with the serving plane (internal/live),
 // so a figure and a query answer are the same function of the same
@@ -193,8 +193,10 @@ func AnalyzeDim(ds *telemetry.Dataset, sched simclock.Schedule, col *telemetry.D
 	return b
 }
 
-// ShareOfViewHoursDataset is ShareOfViewHours over a frozen dataset;
-// exclude is a publisher-ID-indexed mask (nil excludes nothing).
+// ShareOfViewHoursDataset computes, per snapshot, each value of col's
+// percentage of view-hours (Figs 2c, 6b, 10), leaving out the records of
+// the publishers set in the ID-indexed mask exclude (nil excludes
+// nothing).
 func ShareOfViewHoursDataset(ds *telemetry.Dataset, sched simclock.Schedule, col *telemetry.DimColumn, exclude []bool) *TimeSeries {
 	ts := newTimeSeries(sched)
 	for si, snap := range sched {
@@ -237,8 +239,8 @@ func windowInstances(ds *telemetry.Dataset, snap simclock.Snapshot, col *telemet
 	return pubOrder, pubCount, pubVH, totalVH
 }
 
-// InstancesPerPublisherDataset is InstancesPerPublisher over one
-// snapshot of a frozen dataset.
+// InstancesPerPublisherDataset computes the instance-count histogram of
+// col over one snapshot (Figs 3a, 9a, 12a).
 func InstancesPerPublisherDataset(ds *telemetry.Dataset, snap simclock.Snapshot, col *telemetry.DimColumn) *Histogram {
 	pubOrder, pubCount, pubVH, totalVH := windowInstances(ds, snap, col)
 	maxCount := 0
@@ -271,8 +273,9 @@ func InstancesPerPublisherDataset(ds *telemetry.Dataset, snap simclock.Snapshot,
 	return h
 }
 
-// InstancesByBucketDataset is InstancesByBucket over one snapshot of a
-// frozen dataset.
+// InstancesByBucketDataset computes the bucketed breakdown of col over
+// one snapshot (Figs 3b, 9b, 12b). snapshotDays converts window
+// view-hours to daily view-hours for bucketing.
 func InstancesByBucketDataset(ds *telemetry.Dataset, snap simclock.Snapshot, col *telemetry.DimColumn, snapshotDays, numBuckets int) *BucketBreakdown {
 	if snapshotDays <= 0 {
 		snapshotDays = 1
@@ -308,9 +311,11 @@ func valueID(col *telemetry.DimColumn, name string) int32 {
 	return -1
 }
 
-// SupporterShareCDFDataset is SupporterShareCDF over one snapshot of a
-// frozen dataset, for col's value key. Each publisher's sums run in
-// record order, as the reference's do, so every share is its to the bit.
+// SupporterShareCDFDataset computes Fig 4 over one snapshot: across
+// publishers with at least one view on col's value key, the
+// distribution of the percentage of each publisher's view-hours
+// attributed to it. Each publisher's sums run in record order, as the
+// reference's do, so every share is its to the bit.
 func SupporterShareCDFDataset(ds *telemetry.Dataset, snap simclock.Snapshot, col *telemetry.DimColumn, key string) CDF {
 	want := valueID(col, key)
 	nPubs := ds.NumPublishers()
@@ -338,9 +343,11 @@ func SupporterShareCDFDataset(ds *telemetry.Dataset, snap simclock.Snapshot, col
 	return FromECDF(stats.NewECDF(shares))
 }
 
-// CrossDataset is Cross over one snapshot of a frozen dataset, rowCol's
-// values by colCol's. Each cell sums in record order, as the
-// reference's does, so every cell is its to the bit.
+// CrossDataset computes the cross-tabulation of rowCol's values by
+// colCol's over one snapshot. A record with several values on a
+// dimension splits its view-hours evenly across the combinations. Each
+// cell sums in record order, as the reference's does, so every cell is
+// its to the bit.
 func CrossDataset(ds *telemetry.Dataset, snap simclock.Snapshot, rowCol, colCol *telemetry.DimColumn) *CrossTab {
 	nCols := colCol.Cardinality()
 	cells := make([]float64, rowCol.Cardinality()*nCols)
@@ -430,8 +437,8 @@ func RankPublishers(ds *telemetry.Dataset, lo, hi int) (rows []RankedPublisher, 
 }
 
 // TopPublisherMask returns a publisher-ID-indexed mask of the n
-// publishers with the most view-hours inside the snapshot, the frozen
-// counterpart of TopPublishersByViewHours for the exclusion analyses.
+// publishers with the most view-hours inside the snapshot, for the
+// exclusion analyses.
 func TopPublisherMask(ds *telemetry.Dataset, snap simclock.Snapshot, n int) []bool {
 	lo, hi := ds.WindowBounds(snap)
 	rows, _ := RankPublishers(ds, lo, hi)
@@ -443,7 +450,8 @@ func TopPublisherMask(ds *telemetry.Dataset, snap simclock.Snapshot, n int) []bo
 	return mask
 }
 
-// MacroDataset is Macro over one snapshot of a frozen dataset.
+// MacroDataset computes the macroscopic stats over one snapshot.
+// snapshotDays converts window view-hours to a daily rate.
 func MacroDataset(ds *telemetry.Dataset, snap simclock.Snapshot, snapshotDays int) MacroStats {
 	if snapshotDays <= 0 {
 		snapshotDays = 1
@@ -470,4 +478,60 @@ func MacroDataset(ds *telemetry.Dataset, snap simclock.Snapshot, snapshotDays in
 	m.DistinctGeos = len(geos)
 	m.DailyViewHours = m.ViewHours / float64(snapshotDays)
 	return m
+}
+
+// SegregationDataset computes §4.3's live/VoD segregation over one
+// snapshot: per publisher, which of its CDNs served live views and
+// which VoD, read from the CDN column and each record's Live flag.
+func SegregationDataset(ds *telemetry.Dataset, snap simclock.Snapshot) SegregationStats {
+	const live, vod = 1, 2
+	col := ds.CDNCol()
+	nCDNs := col.Cardinality()
+	use := make([]uint8, ds.NumPublishers()*nCDNs) // publisher × CDN → live|vod bits
+	lo, hi := ds.WindowBounds(snap)
+	for i := lo; i < hi; i++ {
+		bit := uint8(vod)
+		if ds.Record(i).Live {
+			bit = live
+		}
+		row := use[int(ds.PublisherID(i))*nCDNs:]
+		for _, c := range col.IDs(i) {
+			row[c] |= bit
+		}
+	}
+	var s SegregationStats
+	var vodOnly, liveOnly int
+	for p := 0; p < len(use); p += nCDNs {
+		cdns, seen, only, mixed := 0, uint8(0), uint8(0), false // only: the kinds some CDN served alone
+		for _, u := range use[p : p+nCDNs] {
+			switch u {
+			case 0:
+				continue
+			case live, vod:
+				only |= u
+			default:
+				mixed = true
+			}
+			cdns++
+			seen |= u
+		}
+		if cdns < 2 || seen != live|vod {
+			continue
+		}
+		s.EligiblePublishers++
+		if only&vod != 0 {
+			vodOnly++
+		}
+		if only&live != 0 {
+			liveOnly++
+		}
+		if !mixed {
+			s.FullySegregated++
+		}
+	}
+	if s.EligiblePublishers > 0 {
+		s.VoDOnlyFrac = float64(vodOnly) / float64(s.EligiblePublishers)
+		s.LiveOnlyFrac = float64(liveOnly) / float64(s.EligiblePublishers)
+	}
+	return s
 }

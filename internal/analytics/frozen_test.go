@@ -1,10 +1,13 @@
 package analytics
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
+	"vmp/internal/ecosystem"
 	"vmp/internal/simclock"
 	"vmp/internal/telemetry"
 )
@@ -105,7 +108,7 @@ func TestShareOfDatasetExclusion(t *testing.T) {
 func TestInstancesDatasetMatchesLegacy(t *testing.T) {
 	ds, sched := twoSnapDataset()
 	for _, snap := range sched {
-		recs := ds.Window(snap)
+		recs := window(ds, ds.All(), snap)
 		got := InstancesPerPublisherDataset(ds, snap, ds.CDNCol())
 		want := InstancesPerPublisher(recs, CDNDim)
 		if len(got.Counts) != len(want.Counts) {
@@ -144,7 +147,7 @@ func TestTopPublisherMaskMatchesLegacy(t *testing.T) {
 	ds, sched := twoSnapDataset()
 	for _, snap := range sched {
 		for n := 0; n <= 3; n++ {
-			want := TopPublishersByViewHours(ds.Window(snap), n)
+			want := TopPublishersByViewHours(window(ds, ds.All(), snap), n)
 			mask := TopPublisherMask(ds, snap, n)
 			got := map[string]bool{}
 			for id, in := range mask {
@@ -164,11 +167,40 @@ func TestTopPublisherMaskMatchesLegacy(t *testing.T) {
 	}
 }
 
+// TestRankPublishersTieBreakByName: publishers with equal view-hours
+// rank by name, not by the order their first records arrive in. The
+// six tied publishers' records run p6 first, p1 last, so a ranking by
+// view-hours alone puts them in that order.
+func TestRankPublishersTieBreakByName(t *testing.T) {
+	var recs []telemetry.ViewRecord
+	for k, pub := range []string{"p6", "p5", "p4", "p3", "p2", "p1"} {
+		r := mk(pub, 0, "http://c/a.m3u8", "Roku", []string{"A"}, 3600, 1, false)
+		r.Timestamp = r.Timestamp.Add(time.Duration(k) * time.Minute)
+		recs = append(recs, r)
+	}
+	ds := dataset(recs...)
+	rows, _ := RankPublishers(ds, 0, ds.Len())
+	var got []string
+	for _, r := range rows {
+		got = append(got, r.Publisher)
+	}
+	if want := []string{"p1", "p2", "p3", "p4", "p5", "p6"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("a six-way tie ranks %v, want %v", got, want)
+	}
+	snap := simclock.MakeSchedule(14, 2)[0]
+	mask := TopPublisherMask(ds, snap, 3)
+	for _, pub := range []string{"p1", "p2", "p3"} {
+		if id, _ := ds.PublisherIDOf(pub); !mask[id] {
+			t.Errorf("top 3 of the tie leaves out %s", pub)
+		}
+	}
+}
+
 func TestMacroDatasetMatchesLegacy(t *testing.T) {
 	ds, sched := twoSnapDataset()
 	for _, snap := range sched {
 		got := MacroDataset(ds, snap, snap.Days)
-		want := Macro(ds.Window(snap), snap.Days)
+		want := Macro(window(ds, ds.All(), snap), snap.Days)
 		if got.Publishers != want.Publishers || got.SampledViews != want.SampledViews ||
 			got.DistinctGeos != want.DistinctGeos ||
 			!approxEq(got.ViewsRepresented, want.ViewsRepresented) ||
@@ -207,7 +239,7 @@ func TestSupporterShareAndCrossDatasetMatchReference(t *testing.T) {
 	)
 	for _, ds := range []*telemetry.Dataset{two, weighted} {
 		for _, snap := range sched {
-			recs := ds.Window(snap)
+			recs := window(ds, ds.All(), snap)
 			for _, key := range []string{"DASH", "HLS", "RTMP"} {
 				got := SupporterShareCDFDataset(ds, snap, ds.ProtocolCol(), key)
 				if want := SupporterShareCDF(recs, protocolDim, key); !reflect.DeepEqual(got, want) {
@@ -228,6 +260,30 @@ func TestSupporterShareAndCrossDatasetMatchReference(t *testing.T) {
 			if want := Cross(recs, CDNDim, protocolDim); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s CDN x protocol: %+v, want %+v", snap.Label(), got, want)
 			}
+		}
+	}
+}
+
+// TestSegregationDatasetMatchesReference holds §4.3's column kernel to
+// the row-at-a-time Segregation on generated records — live and VoD
+// views, multi-CDN views — at two seeds and two strides, over the
+// latest snapshot as the study reads it.
+func TestSegregationDatasetMatchesReference(t *testing.T) {
+	for _, seed := range []uint64{ecosystem.DefaultSeed, 7} {
+		for _, stride := range []int{24, 59} {
+			t.Run(fmt.Sprintf("seed%d/stride%d", seed, stride), func(t *testing.T) {
+				e := ecosystem.New(ecosystem.Config{Seed: seed, SnapshotStride: stride})
+				ds := telemetry.NewDataset(e.GenerateStore().All())
+				snap := e.Schedule.Latest()
+				got := SegregationDataset(ds, snap)
+				want := Segregation(window(ds, ds.All(), snap))
+				if want.EligiblePublishers == 0 {
+					t.Fatal("no eligible publishers: the records do not exercise the kernel")
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("SegregationDataset = %+v, want %+v", got, want)
+				}
+			})
 		}
 	}
 }

@@ -144,12 +144,6 @@ func memo[T any](s *Study, key string, f func() T) T {
 // Schedule returns the study's snapshot schedule.
 func (s *Study) Schedule() simclock.Schedule { return s.Eco.Schedule }
 
-// latest returns the records of the latest snapshot as a zero-copy
-// read-only view of the frozen dataset.
-func (s *Study) latest() []telemetry.ViewRecord {
-	return s.Dataset().Window(s.Schedule().Latest())
-}
-
 // bundle memoizes the fused per-dimension analysis (publisher shares,
 // view-hour shares, view shares, instance averages in one pass).
 func (s *Study) bundle(key string, col func(*telemetry.Dataset) *telemetry.DimColumn) *analytics.DimBundle {
@@ -376,7 +370,7 @@ func (s *Study) Fig12c() *analytics.AveragesSeries {
 // CDNSegregation reproduces §4.3's live/VoD segregation numbers.
 func (s *Study) CDNSegregation() analytics.SegregationStats {
 	return memo(s, "cdn-segregation", func() analytics.SegregationStats {
-		return analytics.Segregation(s.latest())
+		return analytics.SegregationDataset(s.Dataset(), s.Schedule().Latest())
 	})
 }
 

@@ -596,7 +596,7 @@ func TestGenerateStoreStride(t *testing.T) {
 	// Every scheduled snapshot should have records.
 	ds := telemetry.NewDataset(store.All())
 	for _, snap := range e.Schedule {
-		if len(ds.Window(snap)) == 0 {
+		if lo, hi := ds.WindowBounds(snap); lo == hi {
 			t.Fatalf("snapshot %s has no records", snap.Label())
 		}
 	}

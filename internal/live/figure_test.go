@@ -24,10 +24,11 @@ func TestQueryEqualsFigure(t *testing.T) {
 	col := len(study.Schedule()) - 1
 
 	e := newTestEngine(t, Config{})
-	mustIngest(t, e, ds.Window(latest))
+	lo, hi := ds.WindowBounds(latest)
+	mustIngest(t, e, ds.All()[lo:hi])
 	gen := e.Snapshot().Dataset
-	if gen.Len() == 0 || gen.Len() != len(ds.Window(latest)) {
-		t.Fatalf("generation holds %d records, the latest snapshot %d", gen.Len(), len(ds.Window(latest)))
+	if gen.Len() == 0 || gen.Len() != hi-lo {
+		t.Fatalf("generation holds %d records, the latest snapshot %d", gen.Len(), hi-lo)
 	}
 
 	requireColumn := func(name string, resp *ShareResponse, fig *analytics.TimeSeries) {

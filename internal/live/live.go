@@ -49,8 +49,8 @@ var ErrClosed = errors.New("live: engine closed")
 // freshly published generation back so the WAL can checkpoint it and
 // truncate the segments it covers; a Commit error is counted, not
 // fatal — the WAL keeps growing but loses nothing. A hook with
-// CommitRows (rowsCommitter) gets the generation's records as a func
-// instead, called only if it writes a checkpoint.
+// CommitRows (rowsCommitter) gets the generation's records a chunk at a
+// time instead, and only if it writes a checkpoint.
 type WAL interface {
 	AppendBatch(parts [][]telemetry.ViewRecord, parent obs.SpanID) error
 	Bounds() []uint64
@@ -386,11 +386,12 @@ func (e *Engine) cut(final bool) *Generation {
 	return g
 }
 
-// rowsCommitter is a WAL that takes a generation's records as a func it
-// calls only when it writes a checkpoint (*wal.Log). A merged Dataset's
-// All copies every row, and most commits write nothing.
+// rowsCommitter is a WAL that takes a generation's records as their
+// number and a func that copies a chunk of them into a buffer it
+// supplies, called only when it writes a checkpoint (*wal.Log). A
+// Dataset's All copies every row, and most commits write nothing.
 type rowsCommitter interface {
-	CommitRows(epoch int64, rows func() []telemetry.ViewRecord, bounds []uint64, parent obs.SpanID) error
+	CommitRows(epoch int64, n int, fill func(dst []telemetry.ViewRecord, lo int), bounds []uint64, parent obs.SpanID) error
 }
 
 // checkpointCounter is implemented by a WAL that can tell how many
@@ -414,7 +415,12 @@ func (e *Engine) checkpoint(w WAL, g *Generation, bounds []uint64, parent obs.Sp
 	sizes = sizes[:len(sizes):len(sizes)] // full, so an append copies instead of writing into the caller's array
 	var err error
 	if rc, ok := w.(rowsCommitter); ok {
-		err = rc.CommitRows(g.Epoch, g.Dataset.All, bounds, sp.ID())
+		ds := g.Dataset
+		err = rc.CommitRows(g.Epoch, ds.Len(), func(dst []telemetry.ViewRecord, lo int) {
+			for k := range dst {
+				dst[k] = *ds.Record(lo + k)
+			}
+		}, bounds, sp.ID())
 	} else {
 		err = w.Commit(g.Epoch, g.Dataset.All(), bounds, sp.ID())
 	}

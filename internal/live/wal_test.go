@@ -681,14 +681,16 @@ func heapAlloc() uint64 {
 }
 
 // TestRecoveredHeapMatchesLiveBuilt: a daemon that recovers must not
-// hold more memory than the one that crashed. The rows of a generation
-// keep views into the arenas their decode call allocated, so what a
-// generation weighs depends on how its batches were decoded — and
-// replay decodes 8,192-record checkpoint frames and then 500-record
-// tail batches on the same decoders. With arenas sized by the decoder's
-// high-water mark every tail batch pinned a checkpoint frame's worth
-// (recovered heap was twice the live one); sized to the batch, the two
-// generations weigh the same.
+// hold more memory than the one that crashed. A generation's rows share
+// their strings, CDN lists and bitrate ladders with the decoders' caches:
+// each distinct value is interned once, and every record that holds an
+// equal one points at the same copy, which nothing writes. So what a
+// row keeps does not depend on the call that decoded it — and replay
+// decodes 8,192-record checkpoint frames and then 500-record tail
+// batches, where the live daemon decoded 500-record POSTs only. Were a
+// row to keep part of a per-call buffer, the recovered generation would
+// weigh more (it once weighed twice the live one); interned, the two
+// weigh the same.
 func TestRecoveredHeapMatchesLiveBuilt(t *testing.T) {
 	const n, batch = 30_000, 500
 	recs := genRecords(n)

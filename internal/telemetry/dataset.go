@@ -139,17 +139,13 @@ func (c *DimColumn) copyRows(at int, src *DimColumn, lo, hi int) {
 // platform, device model, CDN) are interned to small integer IDs. A
 // Dataset is safe for concurrent use.
 //
-// Its rows take one of two forms. A flat Dataset (NewDataset, and a
-// Merge into an empty one) owns them in order in records, and Window
-// and All return zero-copy sub-slices of it. A merged Dataset shares
-// them: ref holds a pointer per row, in order, into the row arrays
-// earlier cuts published (the first cut's array, then each later cut's
-// sorted delta), which nothing writes again. Its Window and All return
-// a fresh copy; Record and the columns are what the queries read, and
-// they copy nothing in either form.
+// Its rows are held one way: ref holds a pointer per row, in order,
+// into the row arrays it was given — NewDataset's, or the first cut's
+// and then each later cut's sorted delta — which nothing writes again.
+// Record and the columns are what the figures and the queries read, and
+// they copy nothing; All is a fresh copy.
 type Dataset struct {
-	records   []ViewRecord  // the rows of a flat dataset; nil on a merged one
-	ref       []*ViewRecord // the rows of a merged dataset; nil on a flat one
+	ref       []*ViewRecord
 	views     []float64
 	viewHours []float64
 
@@ -168,9 +164,9 @@ type Dataset struct {
 }
 
 // NewDataset builds a frozen dataset over recs, taking ownership of the
-// slice: the columns are built beside it, the rows are not copied.
-// Records are put in CanonicalSort order if they are not in it already,
-// so every Dataset can be merged into.
+// slice: the columns are built beside it, and the rows are not copied —
+// the dataset points at them. Records are put in CanonicalSort order if
+// they are not in it already, so every Dataset can be merged into.
 func NewDataset(recs []ViewRecord) *Dataset {
 	empty := &DimColumn{offs: []int32{0}}
 	base := &Dataset{protocol: empty, platform: empty, cdn: empty, model: empty}
@@ -212,7 +208,7 @@ func (d *Dataset) Merge(delta []ViewRecord) *Dataset {
 	return d.interleave(nd)
 }
 
-// freeze builds the dataset whose records are rows, interning names on
+// freeze builds the dataset of rows, pointing at them, interning names on
 // top of d's tables. The rows are split into contiguous ranges, one per
 // worker (workers): each range fills its rows' views, view-hours and
 // protocol, resolves their devices and interns their publishers,
@@ -225,8 +221,9 @@ func (d *Dataset) freeze(rows []ViewRecord) (*Dataset, bool) {
 	n := len(rows)
 	f := freezer{
 		base: d,
+		rows: rows,
 		out: &Dataset{
-			records:   rows,
+			ref:       make([]*ViewRecord, n),
 			views:     make([]float64, n),
 			viewHours: make([]float64, n),
 			pubIDs:    make([]int32, n),
@@ -251,10 +248,11 @@ func (d *Dataset) freeze(rows []ViewRecord) (*Dataset, bool) {
 	return f.out, sorted
 }
 
-// freezer is one freeze under way: d's tables below it, the dataset it
-// fills, and its ranges.
+// freezer is one freeze under way: d's tables below it, the rows it
+// freezes, the dataset it fills, and its ranges.
 type freezer struct {
 	base   *Dataset
+	rows   []ViewRecord
 	out    *Dataset
 	ranges []freezeRange
 }
@@ -295,12 +293,13 @@ func (f *freezer) build(r *freezeRange, lo, hi int) {
 	for p := range r.protoIDs {
 		r.protoIDs[p] = -1
 	}
-	rows := out.records
+	rows := f.rows
 	for i := lo; i < hi; i++ {
 		rec := &rows[i]
 		if i > 0 && r.sorted && CompareRecords(&rows[i-1], rec) > 0 {
 			r.sorted = false
 		}
+		out.ref[i] = rec
 		out.views[i] = rec.Views()
 		out.viewHours[i] = rec.ViewHours()
 		out.pubIDs[i] = r.pubs.intern(rec.Publisher)
@@ -436,10 +435,10 @@ func (d *Dataset) interleave(nd *Dataset) *Dataset {
 		modelPlatform: nd.modelPlatform,
 	}
 	at, lo, old := 0, 0, d.Len()
-	for i := 0; i < len(nd.records); {
-		hi := d.mergePoint(lo, &nd.records[i])
+	for i := 0; i < nd.Len(); {
+		hi := d.mergePoint(lo, nd.ref[i])
 		j := i + 1
-		for j < len(nd.records) && (hi == old || CompareRecords(d.row(hi), &nd.records[j]) > 0) {
+		for j < nd.Len() && (hi == old || CompareRecords(d.ref[hi], nd.ref[j]) > 0) {
 			j++
 		}
 		at = out.copyRows(at, d, lo, hi)
@@ -456,11 +455,11 @@ func (d *Dataset) interleave(nd *Dataset) *Dataset {
 // landing, not a walk.
 func (d *Dataset) mergePoint(lo int, r *ViewRecord) int {
 	n, step := d.Len()-lo, 1
-	for step < n && CompareRecords(d.row(lo+step-1), r) <= 0 {
+	for step < n && CompareRecords(d.ref[lo+step-1], r) <= 0 {
 		step *= 2
 	}
 	from, to := lo+step/2, lo+min(step, n)
-	return from + sort.Search(to-from, func(i int) bool { return CompareRecords(d.row(from+i), r) > 0 })
+	return from + sort.Search(to-from, func(i int) bool { return CompareRecords(d.ref[from+i], r) > 0 })
 }
 
 // copyRows makes src's rows [lo, hi) the rows from at of d, a merged
@@ -470,13 +469,7 @@ func (d *Dataset) copyRows(at int, src *Dataset, lo, hi int) int {
 	if lo == hi {
 		return at
 	}
-	if src.ref != nil {
-		copy(d.ref[at:], src.ref[lo:hi])
-	} else {
-		for k := range src.records[lo:hi] {
-			d.ref[at+k] = &src.records[lo+k]
-		}
-	}
+	copy(d.ref[at:], src.ref[lo:hi])
 	copy(d.views[at:], src.views[lo:hi])
 	copy(d.viewHours[at:], src.viewHours[lo:hi])
 	copy(d.pubIDs[at:], src.pubIDs[lo:hi])
@@ -488,39 +481,17 @@ func (d *Dataset) copyRows(at int, src *Dataset, lo, hi int) int {
 }
 
 // Len returns the number of records.
-func (d *Dataset) Len() int {
-	if d.ref != nil {
-		return len(d.ref)
-	}
-	return len(d.records)
-}
-
-// row returns record i wherever it lies.
-func (d *Dataset) row(i int) *ViewRecord {
-	if d.ref != nil {
-		return d.ref[i]
-	}
-	return &d.records[i]
-}
+func (d *Dataset) Len() int { return len(d.ref) }
 
 // Record returns record i as a read-only pointer (held by the frozen-*
-// rows of docs/mutants.md, like every view below). It copies nothing in
-// either form of the Dataset.
-func (d *Dataset) Record(i int) *ViewRecord { return d.row(i) }
+// rows of docs/mutants.md, like every view below). It copies nothing.
+func (d *Dataset) Record(i int) *ViewRecord { return d.ref[i] }
 
-// All returns every record in timestamp order: a read-only view of a
-// flat Dataset's rows (the frozen-* rows of docs/mutants.md), and a
-// fresh copy, the caller's, of a merged one's.
-func (d *Dataset) All() []ViewRecord { return d.rows(0, d.Len()) }
-
-// rows returns records [lo, hi): a sub-slice of a flat Dataset's rows,
-// a new array of exactly hi-lo rows for a merged one.
-func (d *Dataset) rows(lo, hi int) []ViewRecord {
-	if d.ref == nil {
-		return d.records[lo:hi]
-	}
-	out := make([]ViewRecord, hi-lo)
-	for k, r := range d.ref[lo:hi] {
+// All returns a fresh copy, the caller's, of every record in timestamp
+// order.
+func (d *Dataset) All() []ViewRecord {
+	out := make([]ViewRecord, len(d.ref))
+	for k, r := range d.ref {
 		out[k] = *r
 	}
 	return out
@@ -553,7 +524,7 @@ func (d *Dataset) PublisherIDOf(name string) (int32, bool) {
 func (d *Dataset) ProtocolCol() *DimColumn { return d.protocol }
 
 // PlatformCol returns the platform dimension (empty for records whose
-// device model is unknown, mirroring analytics.PlatformDim).
+// device model is not in the device registry).
 func (d *Dataset) PlatformCol() *DimColumn { return d.platform }
 
 // CDNCol returns the CDN dimension (every CDN used during the view).
@@ -595,19 +566,11 @@ func (d *Dataset) buildDeviceCol(platform string) *DimColumn {
 // timestamps fall inside the snapshot: two binary searches.
 func (d *Dataset) WindowBounds(snap simclock.Snapshot) (lo, hi int) {
 	lo = sort.Search(d.Len(), func(i int) bool {
-		return !d.row(i).Timestamp.Before(snap.Start)
+		return !d.ref[i].Timestamp.Before(snap.Start)
 	})
 	end := snap.End()
 	hi = sort.Search(d.Len(), func(i int) bool {
-		return !d.row(i).Timestamp.Before(end)
+		return !d.ref[i].Timestamp.Before(end)
 	})
 	return lo, hi
-}
-
-// Window returns the records inside the snapshot: a zero-copy read-only
-// sub-slice of a flat Dataset's rows, a fresh copy of a merged one's
-// (see All).
-func (d *Dataset) Window(snap simclock.Snapshot) []ViewRecord {
-	lo, hi := d.WindowBounds(snap)
-	return d.rows(lo, hi)
 }

@@ -31,7 +31,7 @@ func TestFreezeSortedAndColumns(t *testing.T) {
 	if ds.Len() != s.Len() {
 		t.Fatalf("Len = %d, want %d", ds.Len(), s.Len())
 	}
-	if &ds.All()[0] != &s.All()[0] {
+	if ds.Record(0) != &s.All()[0] {
 		t.Fatal("the dataset copied the store's rows: a study must hold one row array")
 	}
 	for i := 1; i < ds.Len(); i++ {
@@ -89,7 +89,8 @@ func TestDatasetWindowMatchesStore(t *testing.T) {
 				want = append(want, r)
 			}
 		}
-		if got := ds.Window(snap); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		lo, hi := ds.WindowBounds(snap)
+		if got := ds.All()[lo:hi]; len(want) == 0 || !reflect.DeepEqual(got, want) {
 			t.Errorf("window %s: %d records, want the store's %d inside it", snap.Label(), len(got), len(want))
 		}
 	}
@@ -99,9 +100,8 @@ func TestDatasetWindowZeroAlloc(t *testing.T) {
 	s, sched := frozenStore()
 	ds := NewDataset(s.All())
 	snap := sched[0]
-	ds.Window(snap) // warm the memoized bounds
 	allocs := testing.AllocsPerRun(100, func() {
-		if ds.Window(snap) == nil {
+		if lo, hi := ds.WindowBounds(snap); lo == hi {
 			t.Fatal("empty window")
 		}
 		// The per-row accessors the scans are built from, and the two
@@ -111,7 +111,7 @@ func TestDatasetWindowZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs > 0 {
-		t.Errorf("Dataset.Window and the row accessors allocate %.1f objects/op on the warm path, want 0", allocs)
+		t.Errorf("Dataset.WindowBounds and the row accessors allocate %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -200,8 +200,7 @@ func (c *serialCol) column() *DimColumn {
 type serialBuilder struct {
 	base *Dataset
 	out  *Dataset
-	row  int  // rows written so far
-	own  bool // out.records is the new records' own slice: the predecessor was empty
+	row  int // rows written so far
 
 	pubs                           nameTable
 	protocol, platform, cdn, model serialCol
@@ -220,11 +219,11 @@ func newSerialBuilder(base *Dataset, delta []ViewRecord) *serialBuilder {
 	b := &serialBuilder{
 		base: base,
 		out: &Dataset{
+			ref:       make([]*ViewRecord, n),
 			views:     make([]float64, n),
 			viewHours: make([]float64, n),
 			pubIDs:    make([]int32, n),
 		},
-		own:           base.Len() == 0,
 		pubs:          extendNames(base.pubNames, base.pubIndex),
 		protocol:      extendSerialCol(base.protocol, n, len(delta)),
 		platform:      extendSerialCol(base.platform, n, len(delta)),
@@ -236,11 +235,6 @@ func newSerialBuilder(base *Dataset, delta []ViewRecord) *serialBuilder {
 	for p := range b.protoIDs {
 		b.protoIDs[p] = -1
 	}
-	if b.own {
-		b.out.records = delta
-	} else {
-		b.out.records = make([]ViewRecord, n)
-	}
 	return b
 }
 
@@ -250,9 +244,7 @@ func (b *serialBuilder) copyRows(lo, hi int) {
 		return
 	}
 	at := b.row
-	for i := lo; i < hi; i++ {
-		b.out.records[at+i-lo] = *b.base.Record(i)
-	}
+	copy(b.out.ref[at:], b.base.ref[lo:hi])
 	copy(b.out.views[at:], b.base.views[lo:hi])
 	copy(b.out.viewHours[at:], b.base.viewHours[lo:hi])
 	copy(b.out.pubIDs[at:], b.base.pubIDs[lo:hi])
@@ -266,9 +258,7 @@ func (b *serialBuilder) copyRows(lo, hi int) {
 // addRow appends a new record.
 func (b *serialBuilder) addRow(r *ViewRecord) {
 	at := b.row
-	if !b.own {
-		b.out.records[at] = *r
-	}
+	b.out.ref[at] = r
 	b.out.views[at] = r.Views()
 	b.out.viewHours[at] = r.ViewHours()
 	b.out.pubIDs[at], _ = b.pubs.intern(r.Publisher)
@@ -324,8 +314,7 @@ func (b *serialBuilder) dataset() *Dataset {
 }
 
 // datasetDiff returns the first way got differs from want, or "": the
-// same rows, compared through All whichever form either Dataset holds
-// them in, every column deep-equal — IDs, names, offsets — and every
+// same rows, compared through All, every column deep-equal — IDs, names, offsets — and every
 // names slice and modelPlatform of the same capacity, so that the next
 // merge onto either grows it alike.
 func datasetDiff(got, want *Dataset) string {

@@ -28,7 +28,7 @@ func mergeDelta(round, n int) []ViewRecord {
 }
 
 // requireExactColumns fails unless every per-record column, and the
-// rows or row pointers, fill their backing array: a cut must not carry
+// row pointers, fill their backing array: a cut must not carry
 // append slack from one generation into the next, where it would
 // compound.
 func requireExactColumns(t *testing.T, d *Dataset) {
@@ -39,11 +39,7 @@ func requireExactColumns(t *testing.T, d *Dataset) {
 			t.Errorf("%s: len %d, cap %d", name, length, capacity)
 		}
 	}
-	exact("records", len(d.records), cap(d.records))
 	exact("ref", len(d.ref), cap(d.ref))
-	if (d.records == nil) == (d.ref == nil) && d.Len() > 0 {
-		t.Errorf("%d records held flat and %d by reference; a Dataset holds them one way", len(d.records), len(d.ref))
-	}
 	exact("views", len(d.views), cap(d.views))
 	exact("viewHours", len(d.viewHours), cap(d.viewHours))
 	exact("pubIDs", len(d.pubIDs), cap(d.pubIDs))
@@ -76,9 +72,6 @@ func TestMergeDoesNotRetainPredecessor(t *testing.T) {
 		runtime.SetFinalizer(&d.pubIDs[0], func(*int32) { collected.Add(1) })
 		runtime.SetFinalizer(&d.cdn.ids[0], func(*int32) { collected.Add(1) })
 		runtime.SetFinalizer(&d.protocol.offs[0], func(*int32) { collected.Add(1) })
-		if d.ref == nil {
-			return 6
-		}
 		runtime.SetFinalizer(&d.ref[0], func(**ViewRecord) { collected.Add(1) })
 		return 7
 	}

@@ -58,15 +58,14 @@ func TestStoreWindow(t *testing.T) {
 	}
 	ds := NewDataset(all)
 	sched := simclock.DefaultSchedule()
-	w0 := ds.Window(sched[0]) // days 0-1
-	if len(w0) != 2 {
-		t.Fatalf("window 0 has %d records, want 2", len(w0))
+	if lo, hi := ds.WindowBounds(sched[0]); hi-lo != 2 { // days 0-1
+		t.Fatalf("window 0 has %d records, want 2", hi-lo)
 	}
-	w1 := ds.Window(sched[1]) // days 14-15
-	if len(w1) != 2 {
-		t.Fatalf("window 1 has %d records, want 2", len(w1))
+	lo, hi := ds.WindowBounds(sched[1]) // days 14-15
+	if hi-lo != 2 {
+		t.Fatalf("window 1 has %d records, want 2", hi-lo)
 	}
-	if !w1[0].Timestamp.Before(w1[1].Timestamp) {
+	if !ds.Record(lo).Timestamp.Before(ds.Record(lo + 1).Timestamp) {
 		t.Error("window records not time-ordered")
 	}
 }
@@ -86,8 +85,8 @@ func TestStoreConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			ds := NewDataset(s.All())
-			if got := len(ds.Window(simclock.DefaultSchedule()[0])); got != 32 {
-				t.Errorf("window 0 has %d records, want 32", got)
+			if lo, hi := ds.WindowBounds(simclock.DefaultSchedule()[0]); hi-lo != 32 {
+				t.Errorf("window 0 has %d records, want 32", hi-lo)
 			}
 		}()
 	}

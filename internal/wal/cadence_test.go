@@ -92,21 +92,22 @@ func TestCommitWritesOnlyWhenLogEarnsIt(t *testing.T) {
 
 // TestCommitRowsAsksOnlyWhenEarned: the lazy commit asks for the
 // generation's records only for a checkpoint it writes. A commit the
-// log has not earned calls rows zero times, one it has earned once; the
-// checkpoints it writes are the ones Commit would.
+// log has not earned calls fill zero times, one it has earned once per
+// chunk of ckptChunkRecords (once here); the checkpoints it writes are
+// the ones Commit would.
 func TestCommitRowsAsksOnlyWhenEarned(t *testing.T) {
 	dir := t.TempDir()
 	l := openLog(t, dir, Options{})
 	all := genRecords(2000)
 	calls := 0
-	rows := func() []record.ViewRecord {
+	fill := func(dst []record.ViewRecord, lo int) {
 		calls++
-		return all
+		copy(dst, all[lo:])
 	}
 	if err := l.AppendBatch(partition(all, 4), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.CommitRows(1, rows, l.Bounds(), 0); err != nil || calls != 1 || l.Checkpoints() != 1 {
+	if err := l.CommitRows(1, len(all), fill, l.Bounds(), 0); err != nil || calls != 1 || l.Checkpoints() != 1 {
 		t.Fatalf("first commit: err %v, rows called %d times, %d checkpoints", err, calls, l.Checkpoints())
 	}
 	ckptSize := fileSize(t, checkpointFiles(t, dir)[0])
@@ -122,7 +123,7 @@ func TestCommitRowsAsksOnlyWhenEarned(t *testing.T) {
 		all = append(all, more...)
 		earned := segmentBytes(t, dir) >= ckptSize
 		before := calls
-		if err := l.CommitRows(epoch, rows, l.Bounds(), 0); err != nil {
+		if err := l.CommitRows(epoch, len(all), fill, l.Bounds(), 0); err != nil {
 			t.Fatal(err)
 		}
 		if want := map[bool]int{false: 0, true: 1}[earned]; calls-before != want {
@@ -138,6 +139,55 @@ func TestCommitRowsAsksOnlyWhenEarned(t *testing.T) {
 	got, stats := replayAll(t, l)
 	if !bytes.Equal(canonBytes(t, got), canonBytes(t, all)) || stats.CheckpointRecords != int64(len(all)) {
 		t.Fatalf("replay after the lazy checkpoint: stats %+v, want all %d records from the checkpoint", stats, len(all))
+	}
+}
+
+// TestCommitRowsFillsOneChunkAtATime: an earned CommitRows asks for a
+// generation of more than two chunks one chunk at a time — at most
+// ckptChunkRecords rows, in order, always into the same buffer — so it
+// never holds a copy of more than one chunk, and the checkpoint it
+// writes is byte for byte the one Commit writes from a slice of the
+// same records.
+func TestCommitRowsFillsOneChunkAtATime(t *testing.T) {
+	all := genRecords(2*ckptChunkRecords + 300)
+	commit := func(how func(l *Log) error) []byte {
+		t.Helper()
+		dir := t.TempDir()
+		l := openLog(t, dir, Options{})
+		if err := l.AppendBatch(partition(all, 4), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := how(l); err != nil || l.Checkpoints() != 1 {
+			t.Fatalf("commit: err %v, %d checkpoints", err, l.Checkpoints())
+		}
+		img, err := os.ReadFile(checkpointFiles(t, dir)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	want := commit(func(l *Log) error { return l.Commit(1, all, l.Bounds(), 0) })
+	var buf *record.ViewRecord
+	next := 0
+	got := commit(func(l *Log) error {
+		return l.CommitRows(1, len(all), func(dst []record.ViewRecord, lo int) {
+			if len(dst) == 0 || len(dst) > ckptChunkRecords || lo != next {
+				t.Fatalf("asked for rows [%d, %d), want a chunk of at most %d from %d", lo, lo+len(dst), ckptChunkRecords, next)
+			}
+			if buf == nil {
+				buf = &dst[0]
+			} else if &dst[0] != buf {
+				t.Fatalf("the chunk from %d is a new buffer; one is reused", lo)
+			}
+			copy(dst, all[lo:])
+			next = lo + len(dst)
+		}, l.Bounds(), 0)
+	})
+	if next != len(all) {
+		t.Fatalf("filled %d of %d records", next, len(all))
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the chunked checkpoint (%d bytes) differs from Commit's (%d bytes)", len(got), len(want))
 	}
 }
 

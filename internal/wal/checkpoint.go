@@ -153,29 +153,27 @@ func readCheckpoint(path string) (*ckptHeader, error) {
 	return h, nil
 }
 
-// encodeCheckpoint builds the full checkpoint file image in a buffer
-// presized for perRecord bytes a record.
-func encodeCheckpoint(epoch int64, records []record.ViewRecord, bounds []uint64, perRecord int64) ([]byte, error) {
+// encodeCheckpoint builds the full checkpoint file image of n records
+// in a buffer presized for perRecord bytes a record. chunk(lo, hi)
+// returns records [lo, hi); it is asked for one frame's worth, at most
+// ckptChunkRecords, at a time, in order, and its result is not kept
+// past the next call.
+func encodeCheckpoint(epoch int64, n int, chunk func(lo, hi int) []record.ViewRecord, bounds []uint64, perRecord int64) ([]byte, error) {
 	enc := wire.NewEncoder()
-	buf := make([]byte, 0, 1<<16+int64(len(records))*perRecord)
+	buf := make([]byte, 0, 1<<16+int64(n)*perRecord)
 	buf = append(buf, ckptMagic...)
 	buf = append(buf, ckptVersion)
 	buf = binary.AppendUvarint(buf, uint64(epoch))
-	buf = binary.AppendUvarint(buf, uint64(len(records)))
+	buf = binary.AppendUvarint(buf, uint64(n))
 	buf = binary.AppendUvarint(buf, uint64(len(bounds)))
 	for _, b := range bounds {
 		buf = binary.AppendUvarint(buf, b)
 	}
-	for len(records) > 0 {
-		n := len(records)
-		if n > ckptChunkRecords {
-			n = ckptChunkRecords
-		}
+	for lo := 0; lo < n; lo += ckptChunkRecords {
 		var err error
-		if buf, err = enc.AppendFrame(buf, records[:n]); err != nil {
+		if buf, err = enc.AppendFrame(buf, chunk(lo, min(lo+ckptChunkRecords, n))); err != nil {
 			return nil, err
 		}
-		records = records[n:]
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli)), nil
 }
@@ -204,16 +202,31 @@ func encodeCheckpoint(epoch int64, records []record.ViewRecord, bounds []uint64,
 // expected to be serialized by the caller (the engine's snapshot
 // lock); appends may run concurrently.
 func (l *Log) Commit(epoch int64, records []record.ViewRecord, bounds []uint64, parent obs.SpanID) error {
-	return l.CommitRows(epoch, func() []record.ViewRecord { return records }, bounds, parent)
+	return l.commitChunks(epoch, len(records), func(lo, hi int) []record.ViewRecord { return records[lo:hi] }, bounds, parent)
 }
 
-// CommitRows is Commit for a generation whose records cost something to
-// hand over (a merged telemetry.Dataset's All is a copy): rows returns
-// them, and is called once when the log has earned a checkpoint and not
-// at all when it has not — which is most commits.
-func (l *Log) CommitRows(epoch int64, rows func() []record.ViewRecord, bounds []uint64, parent obs.SpanID) error {
+// CommitRows is Commit for a generation whose records are not one slice
+// (a telemetry.Dataset holds a pointer per row): n is their number, and
+// fill copies records [lo, lo+len(dst)) into dst. The log calls fill
+// only when it writes a checkpoint — which most commits do not — and
+// then one chunk of at most ckptChunkRecords rows at a time, into one
+// buffer it reuses, so the generation is never copied whole.
+func (l *Log) CommitRows(epoch int64, n int, fill func(dst []record.ViewRecord, lo int), bounds []uint64, parent obs.SpanID) error {
+	var buf []record.ViewRecord
+	return l.commitChunks(epoch, n, func(lo, hi int) []record.ViewRecord {
+		if buf == nil {
+			buf = make([]record.ViewRecord, min(n, ckptChunkRecords))
+		}
+		fill(buf[:hi-lo], lo)
+		return buf[:hi-lo]
+	}, bounds, parent)
+}
+
+// commitChunks is Commit of n records that chunk hands over a frame's
+// worth at a time (see encodeCheckpoint), under a wal.truncate span.
+func (l *Log) commitChunks(epoch int64, n int, chunk func(lo, hi int) []record.ViewRecord, bounds []uint64, parent obs.SpanID) error {
 	sp := l.tracer.Start("wal.truncate", parent)
-	records, written, truncated, err := l.commit(epoch, rows, bounds)
+	records, written, truncated, err := l.commit(epoch, n, chunk, bounds)
 	if err != nil {
 		sp.End(obs.KV("error", 1))
 		return err
@@ -225,7 +238,7 @@ func (l *Log) CommitRows(epoch int64, rows func() []record.ViewRecord, bounds []
 // commit returns how many records the checkpoint it wrote holds (0 if
 // it wrote none), whether it wrote one (1 or 0, as a span attribute) and
 // how many log entries it truncated.
-func (l *Log) commit(epoch int64, rows func() []record.ViewRecord, bounds []uint64) (n, written, truncated int64, err error) {
+func (l *Log) commit(epoch int64, n int, chunk func(lo, hi int) []record.ViewRecord, bounds []uint64) (records, written, truncated int64, err error) {
 	l.mu.Lock()
 	if len(bounds) != 1 {
 		l.mu.Unlock()
@@ -250,8 +263,7 @@ func (l *Log) commit(epoch int64, rows func() []record.ViewRecord, bounds []uint
 
 	// Build and persist the new checkpoint without holding mu —
 	// appends continue while the generation is written out.
-	records := rows()
-	img, err := encodeCheckpoint(epoch, records, bounds, perRecord+perRecord/8)
+	img, err := encodeCheckpoint(epoch, n, chunk, bounds, perRecord+perRecord/8)
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("wal: encoding checkpoint: %w", err)
 	}
@@ -267,7 +279,7 @@ func (l *Log) commit(epoch int64, rows func() []record.ViewRecord, bounds []uint
 	l.ckpts = []ckptInfo{{id: id, path: path}}
 	l.nextCkptID = id + 1
 	l.cpBound = bound
-	l.ckptBytes, l.ckptRecords = int64(len(img)), int64(len(records))
+	l.ckptBytes, l.ckptRecords = int64(len(img)), int64(n)
 	l.sinceCkpt -= covered
 	l.bootCkpt, l.bootSeg, l.bootTail = nil, segmentInfo{}, nil // Open's images no longer describe the log
 
@@ -307,7 +319,7 @@ func (l *Log) commit(epoch int64, rows func() []record.ViewRecord, bounds []uint
 		}
 	}
 	l.truncated.Add(truncated)
-	return int64(len(records)), 1, truncated, firstErr
+	return int64(n), 1, truncated, firstErr
 }
 
 // writeFileDurable writes data at path atomically and durably: temp

@@ -481,7 +481,8 @@ func TestOpenRefusesPerShardLayout(t *testing.T) {
 	// The same for a checkpoint whose bounds are per shard: nothing in
 	// it says where this stream's sequences stand.
 	dir = t.TempDir()
-	img, err := encodeCheckpoint(1, genRecords(10), []uint64{3, 1, 4, 1}, ckptBytesPerRecord)
+	recs := genRecords(10)
+	img, err := encodeCheckpoint(1, len(recs), func(lo, hi int) []record.ViewRecord { return recs[lo:hi] }, []uint64{3, 1, 4, 1}, ckptBytesPerRecord)
 	if err != nil {
 		t.Fatal(err)
 	}
