@@ -161,51 +161,8 @@ loc:
 	done; \
 	printf '%-30s %9d %9d\n' total $$N $$T
 
-# coverage-census runs the shipped workflows from coverage-instrumented
-# builds into one GOCOVERDIR and prints every function none of them ran
-# (0.0 %). It does not gate. The workflows: TestScenarios (whose vmpd,
-# vmpgen, vmpstudy, vmptop and example builds inherit GOFLAGS, and whose
-# processes inherit GOCOVERDIR), the two scorecard commands, vmpstudy's
-# csv mode on one figure of each csv shape (2b, 3a, 3b, 3c, 4,
-# crosstab, cdn-segregation), a -stats run at stride 12 (the per-figure
-# timing table on stderr), and its -input, -share and -top modes on a
-# vmpgen -stride 24 file. A SIGKILLed process writes no counters, so what only the crash
-# scenarios run reads 0 % here.
-.PHONY: coverage-census
-coverage-census: export GOFLAGS = -cover -coverpkg=vmp/...
-coverage-census:
-	@tmp="$$(mktemp -d)" && trap 'rm -rf "$$tmp"' EXIT && \
-	mkdir "$$tmp/cov" && export GOCOVERDIR="$$tmp/cov" && \
-	$(GO) build -o "$$tmp/" ./cmd/vmpstudy ./cmd/vmpgen && \
-	$(GO) test -c -o "$$tmp/scenario.test" ./internal/scenario && \
-	(cd internal/scenario && "$$tmp/scenario.test" -test.run '^TestScenarios$$' -test.count=1) && \
-	"$$tmp/vmpstudy" -scorecard -o "$$tmp/scorecard.md" && \
-	"$$tmp/vmpstudy" -figure all -o "$$tmp/full_study_output.txt" && \
-	for f in 2b 3a 3b 3c 4 crosstab cdn-segregation; do \
-		"$$tmp/vmpstudy" -format csv -figure $$f -o "$$tmp/$$f.csv" || exit 1; \
-	done && \
-	"$$tmp/vmpstudy" -stats -figure all -stride 12 -o "$$tmp/stats.txt" 2>"$$tmp/stats.err" && \
-	"$$tmp/vmpgen" -stride 24 -o "$$tmp/views.jsonl" && \
-	"$$tmp/vmpstudy" -input "$$tmp/views.jsonl" -o "$$tmp/input.txt" && \
-	"$$tmp/vmpstudy" -input "$$tmp/views.jsonl" -share protocol -o "$$tmp/share.txt" && \
-	"$$tmp/vmpstudy" -input "$$tmp/views.jsonl" -top 10 -o "$$tmp/top.txt" && \
-	n="$$(ls "$$tmp/cov" | wc -l)" && \
-	$(GO) tool covdata func -i "$$tmp/cov" | awk -v n="$$n" \
-		'$$NF == "0.0%" {print; z++} $$1 == "total" {t = $$NF} END {printf "coverage-census: %d functions at 0.0%%, %s of statements, %d covdata files\n", z, t, n}'
-
-# census fails when a non-test package under internal/ is imported by
-# no command, no example and not the benchmark module: code outside
-# the shipped roots backs nothing the study or the serving plane runs,
-# and goes (tests alone do not keep a package alive).
+# census fails on code no shipped workflow runs, unless docs/census.md
+# (its workflows, rules and list) names it; ≈ 80 s on 2 vCPUs.
 .PHONY: census
 census:
-	@roots="$$( { $(GO) list -deps ./cmd/... ./examples/... && $(GO) list -C bench -deps ./...; } | sort -u)" || exit 1; \
-	orphans=""; \
-	for p in $$($(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/...); do \
-		echo "$$roots" | grep -qxF "$$p" || orphans="$$orphans $$p"; \
-	done; \
-	if [ -n "$$orphans" ]; then \
-		echo "census: no command, example or bench/ imports:"; \
-		for p in $$orphans; do echo "  $$p"; done; \
-		exit 1; \
-	fi
+	GO="$(GO)" sh scripts/census.sh

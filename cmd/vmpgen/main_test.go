@@ -6,7 +6,11 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -225,5 +229,32 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 func TestNewDriverRejectsUnknownEncoding(t *testing.T) {
 	if _, err := newDriver("protobuf", false, 0); err == nil {
 		t.Fatal("unknown -encode accepted")
+	}
+}
+
+// TestFatalExitsOnAnUnwritableOutput runs main in a child process with
+// an -o it cannot create: vmpgen must exit 1 through fatal, naming
+// itself on stderr, and write nothing.
+func TestFatalExitsOnAnUnwritableOutput(t *testing.T) {
+	if out := os.Getenv("VMPGEN_TEST_OUT"); out != "" {
+		os.Args = []string{"vmpgen", "-stride", "59", "-o", out}
+		main()
+		return
+	}
+	out := filepath.Join(t.TempDir(), "missing", "views.jsonl")
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestFatalExitsOnAnUnwritableOutput$")
+	cmd.Env = append(os.Environ(), "VMPGEN_TEST_OUT="+out)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("vmpgen -o %s: %v, want exit status 1", out, err)
+	}
+	if !strings.HasPrefix(stderr.String(), "vmpgen: ") {
+		t.Fatalf("stderr = %q, want a line starting \"vmpgen: \"", stderr.String())
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("stat %s: %v, want it absent", out, err)
 	}
 }

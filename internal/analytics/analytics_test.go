@@ -3,6 +3,7 @@ package analytics
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -59,9 +60,34 @@ func twoSnapDataset() (*telemetry.Dataset, simclock.Schedule) {
 	), sched
 }
 
+// publisherMask returns the ID-indexed mask of the named publishers.
+func publisherMask(t *testing.T, ds *telemetry.Dataset, names ...string) []bool {
+	t.Helper()
+	mask := make([]bool, ds.NumPublishers())
+	for _, name := range names {
+		id, ok := ds.PublisherIDOf(name)
+		if !ok {
+			t.Fatalf("%s missing from dataset", name)
+		}
+		mask[id] = true
+	}
+	return mask
+}
+
+// maskNames returns the names of the publishers set in mask.
+func maskNames(ds *telemetry.Dataset, mask []bool) []string {
+	var names []string
+	for id, ok := range mask {
+		if ok {
+			names = append(names, ds.PublisherName(int32(id)))
+		}
+	}
+	return names
+}
+
 func TestShareOfPublishers(t *testing.T) {
 	s, sched := twoSnapDataset()
-	ts := ShareOfPublishers(s, sched, protocolDim)
+	ts := AnalyzeDim(s, sched, s.ProtocolCol()).Publishers
 	// Snapshot 0: both publishers have HLS views -> 100%; DASH only p2.
 	if got := ts.Series["HLS"][0]; got != 100 {
 		t.Errorf("HLS pubs snap0 = %v, want 100", got)
@@ -77,7 +103,7 @@ func TestShareOfPublishers(t *testing.T) {
 
 func TestShareOfViewHours(t *testing.T) {
 	s, sched := twoSnapDataset()
-	ts := ShareOfViewHours(s, sched, protocolDim, nil)
+	ts := ShareOfViewHoursDataset(s, sched, s.ProtocolCol(), nil)
 	// Snapshot 0: 4 equal view-hours, 3 HLS 1 DASH.
 	if got := ts.Series["HLS"][0]; got != 75 {
 		t.Errorf("HLS VH snap0 = %v, want 75", got)
@@ -93,7 +119,7 @@ func TestShareOfViewHours(t *testing.T) {
 
 func TestShareOfViewHoursExclusion(t *testing.T) {
 	s, sched := twoSnapDataset()
-	ts := ShareOfViewHours(s, sched, protocolDim, map[string]bool{"p2": true})
+	ts := ShareOfViewHoursDataset(s, sched, s.ProtocolCol(), publisherMask(t, s, "p2"))
 	if got := ts.First("HLS"); got != 100 {
 		t.Errorf("HLS VH excluding p2 = %v, want 100", got)
 	}
@@ -104,7 +130,7 @@ func TestShareOfViewHoursExclusion(t *testing.T) {
 
 func TestMultiCDNViewSplitsViewHours(t *testing.T) {
 	s, sched := twoSnapDataset()
-	ts := ShareOfViewHours(s, sched, CDNDim, nil)
+	ts := ShareOfViewHoursDataset(s, sched, s.CDNCol(), nil)
 	// Snapshot 1: p1's 2h view split A/B (1h each); p2: 1h B, 1h C.
 	// Totals: A=1, B=2, C=1 of 4.
 	if got := ts.Latest("A"); got != 25 {
@@ -121,7 +147,7 @@ func TestShareOfViewsWeighted(t *testing.T) {
 		mk("p1", 0, "http://c/a.m3u8", "Roku", []string{"A"}, 60, 9, false),
 		mk("p1", 0, "http://c/b.mpd", "Roku", []string{"A"}, 60, 1, false),
 	)
-	ts := ShareOfViews(s, sched, protocolDim, nil)
+	ts := AnalyzeDim(s, sched, s.ProtocolCol()).Views
 	if got := ts.Series["HLS"][0]; got != 90 {
 		t.Errorf("weighted HLS view share = %v, want 90", got)
 	}
@@ -129,7 +155,7 @@ func TestShareOfViewsWeighted(t *testing.T) {
 
 func TestTimeSeriesAccessors(t *testing.T) {
 	s, sched := twoSnapDataset()
-	ts := ShareOfViewHours(s, sched, protocolDim, nil)
+	ts := ShareOfViewHoursDataset(s, sched, s.ProtocolCol(), nil)
 	if ts.First("HLS") != 75 || ts.Latest("HLS") != 50 {
 		t.Errorf("First/Latest = %v/%v", ts.First("HLS"), ts.Latest("HLS"))
 	}
@@ -142,42 +168,40 @@ func TestTimeSeriesAccessors(t *testing.T) {
 }
 
 func TestTopPublishersByViewHours(t *testing.T) {
-	s, _ := twoSnapDataset()
-	top := TopPublishersByViewHours(s.All(), 1)
-	if len(top) != 1 || !top["p2"] {
-		// p2: 1+1+1+1 = 4h; p1: 1+1+2 = 4h — tie broken by name? p1
-		// has 4h too. Recompute: p1 records 3600+3600+7200 = 4h;
-		// p2 = 3600*4 = 4h. Tie → lexicographic p1 first.
-		if !top["p1"] {
-			t.Fatalf("top = %v", top)
-		}
+	s, sched := twoSnapDataset()
+	// p1: 3600+3600+7200 s = 4 h; p2: 4 × 3600 s = 4 h. The tie ranks
+	// by name.
+	rows, total := RankPublishers(s, 0, s.Len())
+	if len(rows) != 2 || rows[0].Publisher != "p1" || rows[1].Publisher != "p2" || total != 4+4 {
+		t.Fatalf("ranking = %+v of %v h, want p1 then p2 of 8 h", rows, total)
 	}
-	if got := TopPublishersByViewHours(s.All(), 10); len(got) != 2 {
+	// Snapshot 1 ties too: 2 h each.
+	if top := maskNames(s, TopPublisherMask(s, sched[1], 1)); !reflect.DeepEqual(top, []string{"p1"}) {
+		t.Fatalf("top 1 = %v, want [p1]", top)
+	}
+	if got := maskNames(s, TopPublisherMask(s, sched[1], 10)); len(got) != 2 {
 		t.Fatalf("asking for more than exist should return all: %v", got)
 	}
 }
 
 // TestTopPublishersTieBreakByName: publishers with equal view-hours
-// rank by name, so the top n of a tie is the same set on every call,
-// whatever order the per-publisher map is walked in. Asked 50 times,
-// since a walk that ignores the tie-break still lands on the right set
-// some of the time.
+// rank by name, whatever order they were first seen in.
 func TestTopPublishersTieBreakByName(t *testing.T) {
+	sched := simclock.MakeSchedule(14, 2)[:1]
 	var recs []telemetry.ViewRecord
 	for _, pub := range []string{"p6", "p5", "p4", "p3", "p2", "p1"} {
 		recs = append(recs, mk(pub, 0, "http://c/a.m3u8", "Roku", []string{"A"}, 3600, 1, false))
 	}
-	for i := 0; i < 50; i++ {
-		if top := TopPublishersByViewHours(recs, 3); len(top) != 3 || !top["p1"] || !top["p2"] || !top["p3"] {
-			t.Fatalf("call %d: top 3 of a six-way tie = %v, want p1, p2, p3", i, top)
-		}
+	s := dataset(recs...)
+	top := maskNames(s, TopPublisherMask(s, sched[0], 3))
+	if slices.Sort(top); !slices.Equal(top, []string{"p1", "p2", "p3"}) {
+		t.Fatalf("top 3 of a six-way tie = %v, want p1, p2, p3", top)
 	}
 }
 
 func TestInstancesPerPublisher(t *testing.T) {
 	s, sched := twoSnapDataset()
-	recs := window(s, s.All(), sched[0])
-	h := InstancesPerPublisher(recs, protocolDim)
+	h := InstancesPerPublisherDataset(s, sched[0], s.ProtocolCol())
 	// p1: {HLS} = 1 instance; p2: {HLS, DASH} = 2.
 	p1, v1 := h.At(1)
 	p2, v2 := h.At(2)
@@ -215,7 +239,7 @@ func TestInstancesByBucket(t *testing.T) {
 		mk("p2", 0, "http://c/b.m3u8", "Roku", []string{"A"}, 3600, 50, false),
 		mk("p2", 0, "http://c/c.mpd", "Roku", []string{"A"}, 3600, 50, false),
 	)
-	bb := InstancesByBucket(window(s, s.All(), sched[0]), protocolDim, 2, 7)
+	bb := InstancesByBucketDataset(s, sched[0], s.ProtocolCol(), 2, 7)
 	if got := bb.Buckets[0][1]; got != 50 {
 		t.Errorf("bucket0 count1 = %v, want 50", got)
 	}
@@ -229,7 +253,7 @@ func TestInstancesByBucket(t *testing.T) {
 
 func TestAverageInstances(t *testing.T) {
 	s, sched := twoSnapDataset()
-	avg := AverageInstances(s, sched, protocolDim)
+	avg := AnalyzeDim(s, sched, s.ProtocolCol()).Averages
 	// Snapshot 0: p1 has 1 protocol, p2 has 2 → mean 1.5. VH equal →
 	// weighted 1.5 too.
 	if avg.Mean[0] != 1.5 {
@@ -252,7 +276,7 @@ func TestWeightedAverageRespondsToVH(t *testing.T) {
 		mk("big", 0, "http://c/b.mpd", "Roku", []string{"A"}, 3600, 1000, false),
 		mk("small", 0, "http://c/c.m3u8", "Roku", []string{"A"}, 3600, 1, false),
 	)
-	avg := AverageInstances(s, sched, protocolDim)
+	avg := AnalyzeDim(s, sched, s.ProtocolCol()).Averages
 	if avg.Mean[0] != 1.5 {
 		t.Errorf("mean = %v", avg.Mean[0])
 	}
@@ -270,7 +294,7 @@ func TestSupporterShareCDF(t *testing.T) {
 		mk("p2", 0, "http://c/c.mpd", "Roku", []string{"A"}, 3600, 1, false),
 		mk("p3", 0, "http://c/d.m3u8", "Roku", []string{"A"}, 3600, 1, false),
 	)
-	cdf := SupporterShareCDF(window(s, s.All(), sched[0]), protocolDim, "DASH")
+	cdf := SupporterShareCDFDataset(s, sched[0], s.ProtocolCol(), "DASH")
 	if len(cdf.X) != 2 {
 		t.Fatalf("CDF over supporters should have 2 points, got %v", cdf.X)
 	}
@@ -349,17 +373,27 @@ func TestSegregationEmpty(t *testing.T) {
 	}
 }
 
+// colNames returns the names of col's values on row i.
+func colNames(col *telemetry.DimColumn, i int) []string {
+	var names []string
+	for _, id := range col.IDs(i) {
+		names = append(names, col.Name(id))
+	}
+	return names
+}
+
 func TestDeviceDim(t *testing.T) {
 	r := mk("p", 0, "http://c/a.m3u8", "Roku", []string{"A"}, 60, 1, false)
-	if got := DeviceDim(device.SetTop)(&r); len(got) != 1 || got[0] != "Roku" {
-		t.Fatalf("DeviceDim(SetTop) = %v", got)
+	s := dataset(r)
+	if got := colNames(s.DeviceCol(device.SetTop.String()), 0); len(got) != 1 || got[0] != "Roku" {
+		t.Fatalf("DeviceCol(SetTop) = %v", got)
 	}
-	if got := DeviceDim(device.Mobile)(&r); got != nil {
-		t.Fatalf("DeviceDim(Mobile) on a Roku record = %v, want nil", got)
+	if got := colNames(s.DeviceCol(device.Mobile.String()), 0); got != nil {
+		t.Fatalf("DeviceCol(Mobile) on a Roku record = %v, want nil", got)
 	}
 	bad := r
 	bad.Device = "Unknown9000"
-	if got := PlatformDim(&bad); got != nil {
-		t.Fatal("unknown devices should contribute nothing")
+	if got := colNames(dataset(bad).PlatformCol(), 0); got != nil {
+		t.Fatalf("PlatformCol on an unknown device = %v: unknown devices should contribute nothing", got)
 	}
 }

@@ -4,32 +4,34 @@ import (
 	"math"
 	"testing"
 
+	"vmp/internal/device"
 	"vmp/internal/ecosystem"
-	"vmp/internal/telemetry"
+	"vmp/internal/simclock"
 )
 
-func deviceNameDim(r *telemetry.ViewRecord) []string { return []string{r.Device} }
+// oneSnap is the one-snapshot schedule the hand-built tables fall in.
+var oneSnap = simclock.MakeSchedule(14, 2)[0]
 
 func TestCrossTabBasics(t *testing.T) {
-	recs := []telemetry.ViewRecord{
+	ds := dataset(
 		mk("p1", 0, "http://c/a.m3u8", "iPhone", []string{"A"}, 3600, 1, false),
 		mk("p1", 0, "http://c/b.mpd", "Roku", []string{"A"}, 3600, 1, false),
 		mk("p1", 0, "http://c/c.m3u8", "Roku", []string{"A"}, 3600, 2, false),
-	}
-	ct := Cross(recs, deviceNameDim, protocolDim)
+	)
+	ct := CrossDataset(ds, oneSnap, ds.PlatformCol(), ds.ProtocolCol())
 	if ct.Total != 4 {
 		t.Fatalf("total = %v, want 4 view-hours", ct.Total)
 	}
-	if got := ct.At("iPhone", "HLS"); got != 1 {
-		t.Errorf("iPhone×HLS = %v, want 1", got)
+	if got := ct.At("Mobile", "HLS"); got != 1 {
+		t.Errorf("Mobile×HLS = %v, want 1", got)
 	}
-	if got := ct.At("Roku", "DASH"); got != 1 {
-		t.Errorf("Roku×DASH = %v, want 1", got)
+	if got := ct.At("SetTop", "DASH"); got != 1 {
+		t.Errorf("SetTop×DASH = %v, want 1", got)
 	}
-	if got := ct.RowShare("Roku", "HLS"); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("Roku HLS row share = %v, want 2/3", got)
+	if got := ct.RowShare("SetTop", "HLS"); math.Abs(got-2.0/3) > 1e-12 {
+		t.Errorf("SetTop HLS row share = %v, want 2/3", got)
 	}
-	if ct.At("Xbox", "HLS") != 0 || ct.RowShare("Xbox", "HLS") != 0 {
+	if ct.At("Console", "HLS") != 0 || ct.RowShare("Console", "HLS") != 0 {
 		t.Error("missing cells should read 0")
 	}
 }
@@ -56,10 +58,8 @@ func TestCrossTabSharesFoldInKeyOrder(t *testing.T) {
 }
 
 func TestCrossTabMultiValueSplit(t *testing.T) {
-	recs := []telemetry.ViewRecord{
-		mk("p1", 0, "http://c/a.m3u8", "Roku", []string{"A", "B"}, 3600, 1, false),
-	}
-	ct := Cross(recs, CDNDim, protocolDim)
+	ds := dataset(mk("p1", 0, "http://c/a.m3u8", "Roku", []string{"A", "B"}, 3600, 1, false))
+	ct := CrossDataset(ds, oneSnap, ds.CDNCol(), ds.ProtocolCol())
 	if got := ct.At("A", "HLS"); got != 0.5 {
 		t.Fatalf("A×HLS = %v, want 0.5 (split across 2 CDNs)", got)
 	}
@@ -73,21 +73,31 @@ func TestCrossTabMultiValueSplit(t *testing.T) {
 // served over HLS.
 func TestCrossTabAppleHLSOnly(t *testing.T) {
 	e := ecosystem.New(ecosystem.Config{SnapshotStride: 59})
-	recs := e.GenerateSnapshot(e.Schedule.Latest())
-	ct := Cross(recs, deviceNameDim, protocolDim)
-	for _, dev := range []string{"iPhone", "iPad", "AppleTV"} {
-		if share := ct.RowShare(dev, "HLS"); share != 1 {
-			t.Errorf("%s HLS share = %v, want 1.0 (Apple devices are HLS-only)", dev, share)
+	snap := e.Schedule.Latest()
+	ds := dataset(e.GenerateSnapshot(snap)...)
+	cross := func(pl device.Platform) *CrossTab {
+		return CrossDataset(ds, snap, ds.DeviceCol(pl.String()), ds.ProtocolCol())
+	}
+	for _, c := range []struct {
+		pl   device.Platform
+		devs []string
+	}{{device.Mobile, []string{"iPhone", "iPad"}}, {device.SetTop, []string{"AppleTV"}}} {
+		ct := cross(c.pl)
+		for _, dev := range c.devs {
+			if share := ct.RowShare(dev, "HLS"); share != 1 {
+				t.Errorf("%s HLS share = %v, want 1.0 (Apple devices are HLS-only)", dev, share)
+			}
 		}
 	}
 	// Silverlight is SmoothStreaming-only.
-	if share := ct.RowShare("Silverlight", "SmoothStreaming"); share != 1 {
+	if share := cross(device.Browser).RowShare("Silverlight", "SmoothStreaming"); share != 1 {
 		t.Errorf("Silverlight Smooth share = %v, want 1.0", share)
 	}
 }
 
 func TestCrossTabEmpty(t *testing.T) {
-	ct := Cross(nil, deviceNameDim, protocolDim)
+	ds := dataset()
+	ct := CrossDataset(ds, oneSnap, ds.PlatformCol(), ds.ProtocolCol())
 	if ct.Total != 0 || len(ct.RowKeys) != 0 {
 		t.Fatal("empty input should yield an empty table")
 	}

@@ -11,12 +11,12 @@ import (
 
 func TestOriginPushAndTotal(t *testing.T) {
 	o := NewOrigin()
-	o.Push("pub1", "c1", map[int]int64{800: 1000, 1600: 2000})
+	o.PushLadder("pub1", "c1", SortLadder(map[int]int64{800: 1000, 1600: 2000}))
 	if got := o.TotalBytes(); got != 3000 {
 		t.Fatalf("TotalBytes = %d, want 3000", got)
 	}
 	// Re-pushing the same rendition replaces it.
-	o.Push("pub1", "c1", map[int]int64{800: 1500})
+	o.PushLadder("pub1", "c1", SortLadder(map[int]int64{800: 1500}))
 	if got := o.TotalBytes(); got != 3500 {
 		t.Fatalf("TotalBytes after replace = %d, want 3500", got)
 	}
@@ -24,19 +24,18 @@ func TestOriginPushAndTotal(t *testing.T) {
 		t.Fatalf("copies = %d, want 2", len(o.copies))
 	}
 	// Non-positive sizes are ignored.
-	o.Push("pub1", "c1", map[int]int64{400: 0})
+	o.PushLadder("pub1", "c1", SortLadder(map[int]int64{400: 0}))
 	if len(o.copies) != 2 {
 		t.Fatal("zero-byte rendition admitted")
 	}
 }
 
 // TestReserveKeepsStoredCopies: reserving room after pushes keeps every
-// copy findable, so a re-push still replaces rather than duplicates,
-// and a ladder SortLadder sorted once stores as its map would.
+// copy findable, so a re-push still replaces rather than duplicates.
 func TestReserveKeepsStoredCopies(t *testing.T) {
 	ladder := map[int]int64{1600: 2000, 800: 1000, 400: 0}
 	o := NewOrigin()
-	o.Push("pub1", "c1", ladder)
+	o.PushLadder("pub1", "c1", SortLadder(ladder))
 	o.Reserve(100)
 	o.PushLadder("pub1", "c1", SortLadder(map[int]int64{800: 1500}))
 	o.PushLadder("pub2", "c1", SortLadder(ladder))
@@ -54,15 +53,15 @@ func TestReserveKeepsStoredCopies(t *testing.T) {
 func TestDedupExactMatch(t *testing.T) {
 	o := NewOrigin()
 	// Two publishers store the same title at an identical bitrate.
-	o.Push("owner", "c1", map[int]int64{800: 1000})
-	o.Push("synd", "c1", map[int]int64{800: 900})
+	o.PushLadder("owner", "c1", SortLadder(map[int]int64{800: 1000}))
+	o.PushLadder("synd", "c1", SortLadder(map[int]int64{800: 900}))
 	if got := o.DedupSavings(0); got != 900 {
 		t.Fatalf("exact dedup = %d, want 900 (the smaller copy)", got)
 	}
 	// Different content must never merge.
 	o2 := NewOrigin()
-	o2.Push("owner", "c1", map[int]int64{800: 1000})
-	o2.Push("synd", "c2", map[int]int64{800: 900})
+	o2.PushLadder("owner", "c1", SortLadder(map[int]int64{800: 1000}))
+	o2.PushLadder("synd", "c2", SortLadder(map[int]int64{800: 900}))
 	if got := o2.DedupSavings(0.10); got != 0 {
 		t.Fatalf("cross-content dedup = %d, want 0", got)
 	}
@@ -70,9 +69,9 @@ func TestDedupExactMatch(t *testing.T) {
 
 func TestDedupTolerance(t *testing.T) {
 	o := NewOrigin()
-	o.Push("owner", "c1", map[int]int64{1000: 1000})
-	o.Push("synd", "c1", map[int]int64{1040: 900})  // within 5%
-	o.Push("synd2", "c1", map[int]int64{1200: 800}) // within 10% of 1100? 1200/1040=1.15 of rep
+	o.PushLadder("owner", "c1", SortLadder(map[int]int64{1000: 1000}))
+	o.PushLadder("synd", "c1", SortLadder(map[int]int64{1040: 900}))  // within 5%
+	o.PushLadder("synd2", "c1", SortLadder(map[int]int64{1200: 800})) // within 10% of 1100? 1200/1040=1.15 of rep
 	if got := o.DedupSavings(0); got != 0 {
 		t.Fatalf("exact dedup merged unequal bitrates: %d", got)
 	}
@@ -98,7 +97,7 @@ func TestDedupMonotoneInTolerance(t *testing.T) {
 			kbps := int(src.Uniform(150, 8000))
 			ladder[kbps] = int64(kbps) * 1000
 		}
-		o.Push(fmt.Sprintf("pub%d", p), "c1", ladder)
+		o.PushLadder(fmt.Sprintf("pub%d", p), "c1", SortLadder(ladder))
 	}
 	prev := int64(-1)
 	for _, tol := range []float64{0, 0.02, 0.05, 0.10, 0.20, 0.50} {
@@ -116,8 +115,8 @@ func TestDedupMonotoneInTolerance(t *testing.T) {
 func TestDedupKeepsLargerCopy(t *testing.T) {
 	// The higher-quality (larger) copy must be the survivor.
 	o := NewOrigin()
-	o.Push("a", "c1", map[int]int64{1000: 500})
-	o.Push("b", "c1", map[int]int64{1000: 2000})
+	o.PushLadder("a", "c1", SortLadder(map[int]int64{1000: 500}))
+	o.PushLadder("b", "c1", SortLadder(map[int]int64{1000: 2000}))
 	if got := o.DedupSavings(0); got != 500 {
 		t.Fatalf("dedup reclaimed %d, want 500 (keep the 2000-byte copy)", got)
 	}
@@ -125,9 +124,9 @@ func TestDedupKeepsLargerCopy(t *testing.T) {
 
 func TestIntegratedSavings(t *testing.T) {
 	o := NewOrigin()
-	o.Push("owner", "c1", map[int]int64{800: 1000, 1600: 2000})
-	o.Push("s1", "c1", map[int]int64{750: 900})
-	o.Push("s2", "c1", map[int]int64{820: 950, 1700: 1800})
+	o.PushLadder("owner", "c1", SortLadder(map[int]int64{800: 1000, 1600: 2000}))
+	o.PushLadder("s1", "c1", SortLadder(map[int]int64{750: 900}))
+	o.PushLadder("s2", "c1", SortLadder(map[int]int64{820: 950, 1700: 1800}))
 	owners := map[string]string{"c1": "owner"}
 	if got := o.IntegratedSavings(owners); got != 900+950+1800 {
 		t.Fatalf("integrated savings = %d, want 3650", got)
@@ -146,14 +145,14 @@ func TestIntegratedBeatsToleranceDedup(t *testing.T) {
 	for c := 0; c < 10; c++ {
 		cid := fmt.Sprintf("c%d", c)
 		owners[cid] = "owner"
-		o.Push("owner", cid, map[int]int64{800: 8000, 1600: 16000, 3200: 32000})
+		o.PushLadder("owner", cid, SortLadder(map[int]int64{800: 8000, 1600: 16000, 3200: 32000}))
 		for s := 0; s < 2; s++ {
 			ladder := map[int]int64{}
 			for r := 0; r < 5; r++ {
 				kbps := int(src.Uniform(300, 5000))
 				ladder[kbps] = int64(kbps) * 10
 			}
-			o.Push(fmt.Sprintf("synd%d", s), cid, ladder)
+			o.PushLadder(fmt.Sprintf("synd%d", s), cid, SortLadder(ladder))
 		}
 	}
 	rep := o.Savings(owners)
@@ -314,7 +313,7 @@ func TestSavingsBoundedProperty(t *testing.T) {
 				kbps := int(src.Uniform(100, 4000))
 				ladder[kbps] = int64(src.Uniform(1000, 100000))
 			}
-			o.Push(fmt.Sprintf("pub%d", p), "c", ladder)
+			o.PushLadder(fmt.Sprintf("pub%d", p), "c", SortLadder(ladder))
 		}
 		rep := o.Savings(owners)
 		return rep.Exact <= rep.TotalBytes && rep.Tol10 <= rep.TotalBytes &&
@@ -333,7 +332,7 @@ func TestOriginConcurrentPush(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				o.Push(fmt.Sprintf("pub%d", g), fmt.Sprintf("c%d", i), map[int]int64{800: 10})
+				o.PushLadder(fmt.Sprintf("pub%d", g), fmt.Sprintf("c%d", i), SortLadder(map[int]int64{800: 10}))
 			}
 		}(g)
 	}

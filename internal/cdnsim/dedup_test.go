@@ -68,7 +68,7 @@ func randomOrigin(src *dist.Source) *Origin {
 		for r := src.Intn(6); r >= 0; r-- {
 			ladder[rungs[src.Intn(len(rungs))]] = sizes[src.Intn(len(sizes))]
 		}
-		o.Push(pub, content, ladder)
+		o.PushLadder(pub, content, SortLadder(ladder))
 	}
 	return o
 }

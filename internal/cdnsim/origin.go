@@ -74,17 +74,12 @@ func (o *Origin) Reserve(n int) {
 	o.copies = slices.Grow(o.copies, n)
 }
 
-// Push stores one publisher's rendition ladder for one piece of
-// content. bitrateBytes maps each stored video bitrate (Kbps) to the
-// bytes that rendition occupies (bitrate × duration / 8, as computed by
-// the packaging layer). Pushing the same (publisher, content, bitrate)
-// again replaces the copy, as re-packaging would.
-func (o *Origin) Push(publisher, contentID string, bitrateBytes map[int]int64) {
-	o.PushLadder(publisher, contentID, SortLadder(bitrateBytes))
-}
-
-// PushLadder is Push of a ladder SortLadder has already sorted.
-// Renditions of no bytes are not stored.
+// PushLadder stores one publisher's rendition ladder for one piece of
+// content, as SortLadder sorted it: each rendition's video bitrate
+// (Kbps) and the bytes it occupies (bitrate × duration / 8, as computed
+// by the packaging layer). Pushing the same (publisher, content,
+// bitrate) again replaces the copy, as re-packaging would. Renditions
+// of no bytes are not stored.
 func (o *Origin) PushLadder(publisher, contentID string, ladder []Rendition) {
 	o.mu.Lock()
 	defer o.mu.Unlock()

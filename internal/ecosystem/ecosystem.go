@@ -2,7 +2,6 @@ package ecosystem
 
 import (
 	"cmp"
-	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -222,37 +221,4 @@ func (e *Ecosystem) InventoryAt(t time.Time) []Inventory {
 		out = append(out, inv)
 	}
 	return out
-}
-
-// Validate sanity-checks the generated population; it returns an error
-// describing the first structural violation found. Tests call this
-// before trusting a population.
-func (e *Ecosystem) Validate() error {
-	if len(e.Publishers) == 0 {
-		return fmt.Errorf("ecosystem: empty population")
-	}
-	latest := e.Schedule.Latest()
-	for _, p := range e.Publishers {
-		if p.DailyVH <= 0 {
-			return fmt.Errorf("ecosystem: %s has non-positive view-hours", p.ID)
-		}
-		if len(p.ProtocolsAt(latest.Start)) == 0 {
-			return fmt.Errorf("ecosystem: %s supports no protocol at the latest snapshot", p.ID)
-		}
-		if len(p.PlatformsAt(latest.Start)) == 0 {
-			return fmt.Errorf("ecosystem: %s supports no platform at the latest snapshot", p.ID)
-		}
-		if len(p.CDNsAt(latest.Start)) == 0 {
-			return fmt.Errorf("ecosystem: %s has no active CDN at the latest snapshot", p.ID)
-		}
-		for _, name := range p.cdnNames {
-			if _, ok := e.CDNs.ByName(name); !ok {
-				return fmt.Errorf("ecosystem: %s assigned unknown CDN %q", p.ID, name)
-			}
-		}
-		if p.IsSyndicator && len(p.SyndicatesTo) > 0 {
-			return fmt.Errorf("ecosystem: %s is both owner and full syndicator", p.ID)
-		}
-	}
-	return nil
 }

@@ -16,11 +16,38 @@ func testEco(t *testing.T) *Ecosystem {
 	t.Helper()
 	if testEcoCache == nil {
 		testEcoCache = New(Config{SnapshotStride: 8})
-		if err := testEcoCache.Validate(); err != nil {
-			t.Fatal(err)
-		}
+		checkPopulation(t, testEcoCache)
 	}
 	return testEcoCache
+}
+
+// checkPopulation fails t at the first structural violation in e's
+// population, before any test trusts it.
+func checkPopulation(t *testing.T, e *Ecosystem) {
+	t.Helper()
+	if len(e.Publishers) == 0 {
+		t.Fatal("empty population")
+	}
+	latest := e.Schedule.Latest()
+	for _, p := range e.Publishers {
+		switch {
+		case p.DailyVH <= 0:
+			t.Fatalf("%s has non-positive view-hours", p.ID)
+		case len(p.ProtocolsAt(latest.Start)) == 0:
+			t.Fatalf("%s supports no protocol at the latest snapshot", p.ID)
+		case len(p.PlatformsAt(latest.Start)) == 0:
+			t.Fatalf("%s supports no platform at the latest snapshot", p.ID)
+		case len(p.CDNsAt(latest.Start)) == 0:
+			t.Fatalf("%s has no active CDN at the latest snapshot", p.ID)
+		case p.IsSyndicator && len(p.SyndicatesTo) > 0:
+			t.Fatalf("%s is both owner and full syndicator", p.ID)
+		}
+		for _, name := range p.cdnNames {
+			if _, ok := e.CDNs.ByName(name); !ok {
+				t.Fatalf("%s assigned unknown CDN %q", p.ID, name)
+			}
+		}
+	}
 }
 
 func TestPopulationShape(t *testing.T) {

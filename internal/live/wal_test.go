@@ -255,12 +255,19 @@ func TestGoldenMultiFrameSegmentRecovers(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "seg-0000000000000001.wal"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// The control decodes the records by hand, not through the log: a
+	// u32 length, a u32 CRC, then the body — a uvarint sequence and the
+	// record's wire frames.
 	control := newTestEngine(t, Config{})
-	if _, err := wal.DecodeSegment(data, wire.NewDecoder(), func(_ uint64, recs []telemetry.ViewRecord) error {
+	for rest := data; len(rest) > 0; {
+		end := 8 + int(binary.LittleEndian.Uint32(rest))
+		_, sn := binary.Uvarint(rest[8:end])
+		recs, err := wire.NewDecoder().DecodeAll(bytes.NewReader(rest[8+sn : end]))
+		if err != nil {
+			t.Fatal(err)
+		}
 		mustIngest(t, control, recs)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+		rest = rest[end:]
 	}
 	control.Snapshot()
 

@@ -14,6 +14,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -231,24 +232,11 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		r.histograms[name] = h
 		return h
 	}
-	if !boundsEqual(h.bounds, bounds) {
+	if !slices.Equal(h.bounds, bounds) {
 		panic(fmt.Sprintf("obs: histogram %q re-registered with different bounds (%v, was %v)",
 			name, bounds, h.bounds))
 	}
 	return h
-}
-
-// boundsEqual reports whether two bound slices are element-wise equal.
-func boundsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Snapshot is the registry's point-in-time reading, the /v1/metrics

@@ -148,7 +148,7 @@ func BenchmarkAblationDedupTolerance(b *testing.B) {
 					m[kbps] = int64(kbps) * 450000
 				}
 				for t := 0; t < 100; t++ {
-					origin.Push(pub, string(rune('a'+t%26))+string(rune('0'+t/26)), m)
+					origin.PushLadder(pub, string(rune('a'+t%26))+string(rune('0'+t/26)), cdnsim.SortLadder(m))
 				}
 			}
 			push("O", storageOwnerLadder)

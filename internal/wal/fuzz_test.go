@@ -14,12 +14,14 @@ import (
 	"vmp/internal/wire"
 )
 
-// FuzzDecodeSegment throws arbitrary bytes at the segment record
-// decoder, mirroring wire's FuzzDecodeFrame. The invariants: never
-// panic, never deliver records out of proportion to the input, a torn
-// classification always points inside the input at a record boundary
-// the scan actually reached, and everything before a torn tail is
-// delivered — the crash-recovery contract replay is built on.
+// FuzzDecodeSegment throws arbitrary bytes at scanSegment, the framing
+// Open and Replay run over every segment, mirroring wire's
+// FuzzDecodeFrame (which fuzzes the frames it hands over). The
+// invariants: never panic, hand over records in increasing offset
+// order with their frames inside the input, a torn classification
+// always points inside the input at a record boundary the scan
+// actually reached, and everything before a torn tail is handed over —
+// the crash-recovery contract replay is built on.
 func FuzzDecodeSegment(f *testing.F) {
 	intact := buildSegment(f, testChunk, one(genRecords(9)[:4]), one(genRecords(9)[4:]))
 	f.Add(intact)
@@ -33,32 +35,33 @@ func FuzzDecodeSegment(f *testing.F) {
 	f.Add(buildSegment(f, 6, partition(genRecords(9), 3)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		delivered := 0
-		entries := 0
-		torn, err := DecodeSegment(data, wire.NewDecoder(), func(seq uint64, recs []record.ViewRecord) error {
-			delivered += len(recs)
-			entries++
+		var offs []int64
+		torn, err := scanSegment(data, func(_ uint64, off int64, frames []byte) error {
+			if len(offs) > 0 && off <= offs[len(offs)-1] {
+				t.Fatalf("record at offset %d after one at %d", off, offs[len(offs)-1])
+			}
+			if end := off + recordHeaderBytes + int64(len(frames)); end > int64(len(data)) {
+				t.Fatalf("record at offset %d runs to %d, past the input's %d bytes", off, end, len(data))
+			}
+			offs = append(offs, off)
 			return nil
 		})
 		if err != nil {
 			return
 		}
-		if delivered > len(data) {
-			t.Fatalf("delivered %d records from %d input bytes: over-allocation guard failed", delivered, len(data))
-		}
 		if torn != nil {
-			if torn.Off < 0 || torn.Off > int64(len(data)) {
-				t.Fatalf("torn offset %d outside input of %d bytes", torn.Off, len(data))
+			if torn.off < 0 || torn.off > int64(len(data)) {
+				t.Fatalf("torn offset %d outside input of %d bytes", torn.off, len(data))
 			}
-			// Re-scanning the intact prefix must deliver the same
-			// entries and report no tear: the tear was the tail.
+			// Re-scanning the intact prefix must hand over the same
+			// records and report no tear: the tear was the tail.
 			n2 := 0
-			torn2, err2 := DecodeSegment(data[:torn.Off], wire.NewDecoder(), func(uint64, []record.ViewRecord) error {
+			torn2, err2 := scanSegment(data[:torn.off], func(uint64, int64, []byte) error {
 				n2++
 				return nil
 			})
-			if err2 != nil || torn2 != nil || n2 != entries {
-				t.Fatalf("prefix rescan: %d entries (want %d), torn %v, err %v", n2, entries, torn2, err2)
+			if err2 != nil || torn2 != nil || n2 != len(offs) {
+				t.Fatalf("prefix rescan: %d records (want %d), torn %v, err %v", n2, len(offs), torn2, err2)
 			}
 		}
 	})

@@ -144,7 +144,7 @@ func (l *Log) replay(decs []*wire.Decoder, fn func(recs []record.ViewRecord) err
 			continue
 		}
 		var us []unit
-		var torn *Torn
+		var torn *tornRecord
 		if final && seg == bootSeg {
 			us = bootTail // Open cut any torn tail off
 		} else if us, torn, err = segmentUnits(seg); err != nil {
@@ -159,9 +159,9 @@ func (l *Log) replay(decs []*wire.Decoder, fn func(recs []record.ViewRecord) err
 				// A torn record below the tail cannot be a crashed
 				// append: the next segment exists, so the log was
 				// written past this point.
-				return stats, units, tail, fmt.Errorf("wal: %s: %s at offset %d in a non-final segment", seg.path, torn.Reason, torn.Off)
+				return stats, units, tail, fmt.Errorf("wal: %s: %s at offset %d in a non-final segment", seg.path, torn.reason, torn.off)
 			}
-			tail = &tornTail{off: torn.Off, last: last}
+			tail = &tornTail{off: torn.off, last: last}
 			stats.TornTails++
 		} else if !final && last != seg.last {
 			// Ends on a record boundary, but short of the sequence the

@@ -1,10 +1,15 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -141,31 +146,108 @@ func TestReplayParallelEqualsSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := scanSegment(data, func(_ uint64, _ int64, frames []byte) error {
+		var want string
+		if _, err := scanSegment(data, func(seq uint64, off int64, frames []byte) error {
 			frames[4] ^= 0xff
+			_, err := wire.NewDecoder().DecodeAll(bytes.NewReader(frames))
+			if err == nil {
+				t.Fatal("the damaged record still decodes")
+			}
+			want = unit{seq: seq, off: off}.decodeErr(err).Error()
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 		sealRecord(data, 0)
-		_, want := DecodeSegment(data, wire.NewDecoder(), nil)
-		if want == nil {
-			t.Fatal("the damaged record still decodes")
-		}
 		if err := os.WriteFile(segs[j], data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		for _, procs := range []int{1, 4} {
 			before := runtime.NumGoroutine()
 			got, _, err := replayBatches(l, procs, 0)
-			if err == nil || err.Error() != want.Error() {
-				t.Fatalf("GOMAXPROCS %d: replay error %v, want %v", procs, err, want)
+			if err == nil || err.Error() != want {
+				t.Fatalf("GOMAXPROCS %d: replay error %v, want %s", procs, err, want)
 			}
 			// Everything before the broken record, and nothing after.
 			if n := 2 + 2 + j - 1; len(got) != n || !reflect.DeepEqual(got, seq[:n]) {
 				t.Fatalf("GOMAXPROCS %d: %d batches delivered before the decode error, want the first %d", procs, len(got), n)
 			}
 			noGoroutineLeft(t, before)
+		}
+	})
+}
+
+// TestReplayNamesTheUndecodableUnit: frames that pass their CRC but do
+// not decode are corruption no torn write explains, and Replay fails
+// naming where they are — a segment record by its sequence and offset,
+// a checkpoint frame by the checkpoint's path.
+func TestReplayNamesTheUndecodableUnit(t *testing.T) {
+	recs := genRecords(20)
+	t.Run("segment record", func(t *testing.T) {
+		dir := t.TempDir()
+		l := openLog(t, dir, Options{})
+		for lo := 0; lo < len(recs); lo += 10 {
+			if err := l.AppendBatch(partition(recs[lo:lo+10], 1), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seg := segmentFiles(t, dir)[0]
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Break the frame magic of the second record (sequence 2) and
+		// reseal its CRC.
+		var second int64
+		if _, err := scanSegment(data, func(seq uint64, off int64, frames []byte) error {
+			if seq == 2 {
+				second = off
+				frames[4] ^= 0xff
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sealRecord(data[:second+recordHeaderBytes+int64(binary.LittleEndian.Uint32(data[second:]))], int(second))
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = openLog(t, dir, Options{}).Replay(func([]record.ViewRecord) error { return nil }, 0)
+		if want := fmt.Sprintf("wal: record seq 2 at offset %d: ", second); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("replay error %v, want one starting %q", err, want)
+		}
+	})
+	t.Run("checkpoint frame", func(t *testing.T) {
+		dir := t.TempDir()
+		l := openLog(t, dir, Options{})
+		if err := l.Commit(1, recs, l.Bounds(), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ckpt := checkpointFiles(t, dir)[0]
+		data, err := os.ReadFile(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Break the first frame's magic and recompute the file's CRC.
+		h, err := parseCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.frames[4] ^= 0xff
+		body := data[:len(data)-4]
+		binary.LittleEndian.PutUint32(data[len(body):], crc32.Checksum(body, castagnoli))
+		if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = openLog(t, dir, Options{}).Replay(func([]record.ViewRecord) error { return nil }, 0)
+		if want := "wal: checkpoint " + ckpt + ": "; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("replay error %v, want one starting %q", err, want)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -41,68 +40,51 @@ const (
 // castagnoli is the CRC32C table; hardware-accelerated on amd64/arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Torn describes a segment tail the decoder could not use: the offset
+// tornRecord is a segment tail the scan could not use: the offset
 // where intact records end and why the rest is unusable. A torn tail
 // is the expected aftermath of a crash mid-append; replay stops
 // cleanly at the last good record rather than failing the boot.
-type Torn struct {
-	Off    int64  // byte offset of the first unusable record
-	Reason string // "partial header", "partial body", "crc mismatch", "oversized length", "zero length"
+type tornRecord struct {
+	off    int64  // byte offset of the first unusable record
+	reason string // "partial header", "partial body", "crc mismatch", "oversized length", "zero length"
 }
 
-// DecodeSegment scans one segment's bytes, invoking fn for each intact
-// record in order. The record slice passed to fn obeys dec's reuse
-// contract: it is valid only until the next record is decoded, so fn
-// must copy what it keeps.
+// scanSegment frames one segment's bytes, handing fn each intact
+// record's sequence, offset and frame bytes in order.
 //
-// A truncated or CRC-failing tail returns a non-nil *Torn with a nil
-// error: every record before it was delivered, and the caller decides
-// whether a torn tail is routine (crash recovery) or fatal. An error
-// is returned only for corruption a torn write cannot explain — a
-// record whose CRC verifies but whose contents do not parse — or when
-// fn fails.
-func DecodeSegment(data []byte, dec *wire.Decoder, fn func(seq uint64, recs []record.ViewRecord) error) (*Torn, error) {
-	return scanSegment(data, func(seq uint64, off int64, frames []byte) error {
-		recs, err := dec.DecodeAll(bytes.NewReader(frames))
-		if err != nil {
-			return unit{seq: seq, off: off}.decodeErr(err)
-		}
-		if fn == nil {
-			return nil
-		}
-		return fn(seq, recs)
-	})
-}
-
-// scanSegment is DecodeSegment without the decode: it hands fn each
-// intact record's sequence, offset and frame bytes.
-func scanSegment(data []byte, fn func(seq uint64, off int64, frames []byte) error) (*Torn, error) {
+// A truncated or CRC-failing tail returns a non-nil *tornRecord with a
+// nil error: every record before it was handed over, and the caller
+// decides whether a torn tail is routine (crash recovery) or fatal. An
+// error is returned only for corruption a torn write cannot explain —
+// a record whose CRC verifies but whose sequence does not parse — or
+// when fn fails. Decoding the frames is the caller's (decodeInOrder).
+func scanSegment(data []byte, fn func(seq uint64, off int64, frames []byte) error) (*tornRecord, error) {
 	off := int64(0)
 	for int64(len(data))-off > 0 {
 		rest := data[off:]
 		if len(rest) < recordHeaderBytes {
-			return &Torn{Off: off, Reason: "partial header"}, nil
+			return &tornRecord{off: off, reason: "partial header"}, nil
 		}
 		n := int64(binary.LittleEndian.Uint32(rest))
 		if n > MaxRecordBytes {
 			// A garbage length field cannot be CRC-checked; it reads as
 			// a torn write, which on the final record it always is.
-			return &Torn{Off: off, Reason: "oversized length"}, nil
+			return &tornRecord{off: off, reason: "oversized length"}, nil
 		}
 		if n == 0 {
 			// The appender never writes an empty body (every record
 			// holds a sequence and a frame), but a zero-filled tail —
 			// preallocated blocks a crash left unwritten — decodes as
 			// one, and its CRC check passes vacuously. Torn, not valid.
-			return &Torn{Off: off, Reason: "zero length"}, nil
+			return &tornRecord{off: off, reason: "zero length"}, nil
 		}
 		if int64(len(rest))-recordHeaderBytes < n {
-			return &Torn{Off: off, Reason: "partial body"}, nil
+			return &tornRecord{off: off, reason: "partial body"}, nil
 		}
 		sum := binary.LittleEndian.Uint32(rest[4:])
 		body := rest[recordHeaderBytes : recordHeaderBytes+n]
 		if crc32.Checksum(body, castagnoli) != sum {
-			return &Torn{Off: off, Reason: "crc mismatch"}, nil
+			return &tornRecord{off: off, reason: "crc mismatch"}, nil
 		}
 		seq, sn := binary.Uvarint(body)
 		if sn <= 0 {
@@ -120,7 +102,7 @@ func scanSegment(data []byte, fn func(seq uint64, off int64, frames []byte) erro
 
 // segmentUnits reads and frames one segment: its records as decode
 // units, in sequence from the first its name gives, and its torn tail.
-func segmentUnits(seg segmentInfo) (units []unit, torn *Torn, err error) {
+func segmentUnits(seg segmentInfo) (units []unit, torn *tornRecord, err error) {
 	data, err := os.ReadFile(seg.path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)

@@ -42,17 +42,17 @@ func one(recs []record.ViewRecord) [][]record.ViewRecord { return [][]record.Vie
 
 const testChunk = 1 << 14
 
-// decodeCount runs DecodeSegment and returns how many records were
-// delivered and the torn tail, failing on hard errors.
-func decodeCount(t *testing.T, data []byte) (int, *Torn) {
+// scanCount runs scanSegment and returns how many records it framed
+// and the torn tail, failing on hard errors.
+func scanCount(t *testing.T, data []byte) (int, *tornRecord) {
 	t.Helper()
 	n := 0
-	torn, err := DecodeSegment(data, wire.NewDecoder(), func(seq uint64, recs []record.ViewRecord) error {
-		n += len(recs)
+	torn, err := scanSegment(data, func(uint64, int64, []byte) error {
+		n++
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("DecodeSegment: %v", err)
+		t.Fatalf("scanSegment: %v", err)
 	}
 	return n, torn
 }
@@ -62,8 +62,8 @@ func TestDecodeSegmentDamageMatrix(t *testing.T) {
 	// Every record is a batch of three frames with an empty part among
 	// them, the shape AppendBatch writes.
 	data := buildSegment(t, testChunk, partition(recs[:10], 3), append(partition(recs[10:20], 2), nil), partition(recs[20:], 3))
-	intactN, torn := decodeCount(t, data)
-	if torn != nil || intactN != 30 {
+	intactN, torn := scanCount(t, data)
+	if torn != nil || intactN != 3 {
 		t.Fatalf("intact segment: %d records, torn %v", intactN, torn)
 	}
 	// The offset of the final record, for prefix assertions.
@@ -79,64 +79,55 @@ func TestDecodeSegmentDamageMatrix(t *testing.T) {
 		name   string
 		mutate func([]byte) []byte
 		reason string
-		prefix int // records still delivered
+		prefix int // segment records still handed over
 	}{
-		{"truncated header", func(b []byte) []byte { return b[:lastOff+3] }, "partial header", 20},
-		{"truncated body", func(b []byte) []byte { return b[:len(b)-5] }, "partial body", 20},
-		{"corrupt crc", func(b []byte) []byte { b[len(b)-3] ^= 0x40; return b }, "crc mismatch", 20},
+		{"truncated header", func(b []byte) []byte { return b[:lastOff+3] }, "partial header", 2},
+		{"truncated body", func(b []byte) []byte { return b[:len(b)-5] }, "partial body", 2},
+		{"corrupt crc", func(b []byte) []byte { b[len(b)-3] ^= 0x40; return b }, "crc mismatch", 2},
 		{"oversized length", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[lastOff:], uint32(MaxRecordBytes+1))
 			return b
-		}, "oversized length", 20},
+		}, "oversized length", 2},
 		{"zeroed tail", func(b []byte) []byte {
 			for i := lastOff; i < int64(len(b)); i++ {
 				b[i] = 0
 			}
 			return b
-		}, "zero length", 20},
+		}, "zero length", 2},
 	}
 	for _, d := range damage {
 		t.Run(d.name, func(t *testing.T) {
 			b := d.mutate(append([]byte(nil), data...))
-			n, torn := decodeCount(t, b)
+			n, torn := scanCount(t, b)
 			if torn == nil {
 				t.Fatal("damage not detected")
 			}
-			if torn.Reason != d.reason {
-				t.Fatalf("reason = %q, want %q", torn.Reason, d.reason)
+			if torn.reason != d.reason {
+				t.Fatalf("reason = %q, want %q", torn.reason, d.reason)
 			}
-			if torn.Off != lastOff {
-				t.Fatalf("torn offset = %d, want %d", torn.Off, lastOff)
+			if torn.off != lastOff {
+				t.Fatalf("torn offset = %d, want %d", torn.off, lastOff)
 			}
 			if n != d.prefix {
-				t.Fatalf("delivered %d records before the tear, want %d", n, d.prefix)
+				t.Fatalf("handed over %d records before the tear, want %d", n, d.prefix)
 			}
 		})
 	}
 }
 
 func TestDecodeSegmentCRCValidCorruptionIsHardError(t *testing.T) {
-	// A record whose CRC verifies but whose body does not parse cannot
-	// be a torn write — the appender never produced it — so it must be
-	// a hard error, not a clean stop.
+	// A record whose CRC verifies but whose sequence does not parse
+	// cannot be a torn write — the appender never produced it — so it
+	// must be a hard error, not a clean stop. (A valid sequence followed
+	// by frames that do not decode fails Replay instead:
+	// TestReplayNamesTheUndecodableUnit.)
 	body := bytes.Repeat([]byte{0x80}, 12) // unterminated varint: bad sequence
 	data := make([]byte, recordHeaderBytes+len(body))
 	binary.LittleEndian.PutUint32(data, uint32(len(body)))
 	binary.LittleEndian.PutUint32(data[4:], crc32.Checksum(body, castagnoli))
 	copy(data[recordHeaderBytes:], body)
-	if _, err := DecodeSegment(data, wire.NewDecoder(), nil); err == nil {
+	if _, err := scanSegment(data, func(uint64, int64, []byte) error { return nil }); err == nil {
 		t.Fatal("bad sequence varint under a valid CRC was not a hard error")
-	}
-
-	// Same for a valid sequence followed by an undecodable frame.
-	body = binary.AppendUvarint(nil, 7)
-	body = append(body, []byte{4, 0, 0, 0, 'X', 'X', 9, 9}...)
-	data = make([]byte, recordHeaderBytes+len(body))
-	binary.LittleEndian.PutUint32(data, uint32(len(body)))
-	binary.LittleEndian.PutUint32(data[4:], crc32.Checksum(body, castagnoli))
-	copy(data[recordHeaderBytes:], body)
-	if _, err := DecodeSegment(data, wire.NewDecoder(), nil); err == nil {
-		t.Fatal("undecodable frame under a valid CRC was not a hard error")
 	}
 }
 
@@ -178,10 +169,12 @@ func TestGoldenSegment(t *testing.T) {
 		}
 		var seqs []uint64
 		n := 0
-		torn, err := DecodeSegment(want, wire.NewDecoder(), func(seq uint64, recs []record.ViewRecord) error {
+		dec := wire.NewDecoder()
+		torn, err := scanSegment(want, func(seq uint64, _ int64, frames []byte) error {
 			seqs = append(seqs, seq)
+			recs, err := dec.DecodeAll(bytes.NewReader(frames))
 			n += len(recs)
-			return nil
+			return err
 		})
 		if err != nil || torn != nil || n != 12 {
 			t.Fatalf("%s decodes to %d records, torn %v, err %v", g.file, n, torn, err)
@@ -254,20 +247,25 @@ func TestAppendFramesSplitsOnlyPastMaxBody(t *testing.T) {
 		t.Fatalf("appendFrames: next sequence %d, err %v; want two records", next, err)
 	}
 	var logged []byte
+	dec := wire.NewDecoder()
+	n := 0
 	if torn, err := scanSegment(data, func(seq uint64, _ int64, body []byte) error {
 		if len(body) > maxBody-1 {
 			return fmt.Errorf("record %d carries %d frame bytes past a %d-byte body cap", seq, len(body), maxBody)
 		}
 		logged = append(logged, body...)
-		return nil
+		// Each record must decode on its own: Replay decodes them apart.
+		got, err := dec.DecodeAll(bytes.NewReader(body))
+		n += len(got)
+		return err
 	}); err != nil || torn != nil {
 		t.Fatalf("scan: torn %v, err %v", torn, err)
 	}
 	if !bytes.Equal(logged, frames) {
 		t.Fatal("the records' frames are not the stream handed over")
 	}
-	if n, torn := decodeCount(t, data); n != len(recs) || torn != nil {
-		t.Fatalf("the records decode to %d view records, torn %v", n, torn)
+	if n != len(recs) {
+		t.Fatalf("the records decode to %d view records, want %d", n, len(recs))
 	}
 	if got, _, err := appendFrames([]byte("kept"), 1, sizes[0], frames[sizes[0]:]); err == nil || string(got) != "kept" {
 		t.Fatalf("a frame larger than the body cap: err %v, dst %q", err, got)
@@ -302,9 +300,15 @@ func TestGoldenCorruptSegment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to create)", err)
 	}
-	n, torn := decodeCount(t, data)
-	if torn == nil || torn.Reason != "crc mismatch" {
-		t.Fatalf("torn = %+v, want crc mismatch", torn)
+	n := 0
+	dec := wire.NewDecoder()
+	torn, err := scanSegment(data, func(_ uint64, _ int64, frames []byte) error {
+		recs, err := dec.DecodeAll(bytes.NewReader(frames))
+		n += len(recs)
+		return err
+	})
+	if err != nil || torn == nil || torn.reason != "crc mismatch" {
+		t.Fatalf("torn = %+v, err %v; want crc mismatch", torn, err)
 	}
 	if n != 5 {
 		t.Fatalf("delivered %d records from the corrupt segment, want the 5-record prefix", n)

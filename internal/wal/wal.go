@@ -323,12 +323,12 @@ func (l *Log) recoverTail(seg *segmentInfo) error {
 	}
 	seg.last = seg.first - 1 + uint64(len(units))
 	if torn != nil {
-		if err := os.Truncate(seg.path, torn.Off); err != nil {
+		if err := os.Truncate(seg.path, torn.off); err != nil {
 			return fmt.Errorf("wal: truncating torn tail of %s: %w", seg.path, err)
 		}
-		seg.size = torn.Off
+		seg.size = torn.off
 		l.tornTails.Add(1)
-		l.bootTorn = &tornTail{off: torn.Off, last: seg.last}
+		l.bootTorn = &tornTail{off: torn.off, last: seg.last}
 	}
 	l.bootSeg, l.bootTail = *seg, units
 	return nil
