@@ -88,7 +88,9 @@ bench-wal:
 
 # bench-cut sweeps the epoch cut over the generation's size (bench/'s
 # live.cut_ms_per_krec): one Engine.Snapshot folding 2 500 new records
-# into 50 k, 200 k and 800 k published ones. Then the cut nothing is
+# into 50 k, 200 k and 800 k published ones, and its cold case cuts the
+# benchmark's 109 k records, pending in 200-record batches, into an
+# empty engine (ingest_jsonl's refresh_p50_ms). Then the cut nothing is
 # folded into — a first cut, a boot preload, a recovery, an offline
 # Study.Dataset(): sort, gather and freeze of the benchmark's 110 k
 # records from empty (telemetry.sort_ms and telemetry.freeze_ms), ns

@@ -2,14 +2,17 @@ package live
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"vmp/internal/ecosystem"
 	"vmp/internal/simclock"
 	"vmp/internal/telemetry"
 )
 
 // BenchmarkEpochCut is the in-package microscope for bench/'s
-// live.cut_ms_per_krec, swept over the generation's size: one op is one
+// live.cut_ms_per_krec, swept over the generation's size (and, in its
+// cold case below, for the cut from empty): one op is one
 // Engine.Snapshot folding a fixed 2 500-record delta into a published
 // generation of 50 k, 200 k or 800 k records (no WAL: the checkpoint
 // is wal.commit_ms's). A cut whose comparing,
@@ -54,4 +57,31 @@ func BenchmarkEpochCut(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(size), "ns/gen-record")
 		})
 	}
+	// cold is the microscope for ingest_jsonl's refresh_p50_ms and
+	// live.cut_ms: the benchmark's dataset (seed 1809, stride 12, about
+	// 109 k records) pending in 200-record batches, as its two
+	// connections post them, cut into an empty generation — every first
+	// boot, -load and crash recovery makes this cut. The engine is fresh
+	// and filled outside the timer, and the heap collected, every op.
+	b.Run("cold", func(b *testing.B) {
+		const batch = 200
+		recs := ecosystem.New(ecosystem.Config{Seed: 1809, SnapshotStride: 12}).GenerateStore().All()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			e := NewEngine(Config{Clock: simclock.NewManual(simclock.StudyStart)})
+			for lo := 0; lo < len(recs); lo += batch {
+				if res, err := e.Ingest(recs[lo:min(lo+batch, len(recs))]); err != nil || res.Backpressured != 0 {
+					b.Fatalf("ingest at %d: %+v, %v", lo, res, err)
+				}
+			}
+			runtime.GC()
+			b.StartTimer()
+			e.Snapshot()
+			b.StopTimer()
+			e.Close()
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(recs)), "ns/record")
+	})
 }

@@ -71,7 +71,7 @@ func BenchmarkQuery(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				ds := base.Merge([]telemetry.ViewRecord{recs[size]})
+				ds := base.Merge([]*telemetry.ViewRecord{&recs[size]})
 				b.StartTimer()
 				mix(b, ds)
 			}

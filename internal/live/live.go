@@ -2,8 +2,9 @@
 // always-on backend the paper's management plane runs as, layered on
 // the frozen columnar telemetry.Dataset.
 //
-// Admitted batches are appended, under the admission lock, to a pending
-// list the next epoch cut takes. Admission is explicit: a batch that
+// Admitted batches are copied, under the admission lock, into
+// engine-owned slabs, and their place there appended to a pending list
+// the next epoch cut takes. Admission is explicit: a batch that
 // finds the un-cut backlog at its ceiling (Config.QueueDepth) is
 // rejected whole with a retry-after hint and counted — never silently
 // dropped, never partially applied — and only a cut makes room.
@@ -118,6 +119,12 @@ type Generation struct {
 // whatever their count.
 const recordsPerBatch = 1 << 14
 
+// slabRows is how many rows one admission slab holds. A ViewRecord is
+// 328 bytes, so a slab is 1,024 × 328 = 335,872 B: exactly 41 pages of
+// 8 KiB, and the allocator, which rounds a large object up to whole
+// pages, adds nothing to it (TestSlabsAreFullAndPageExact).
+const slabRows = 1 << 10
+
 // Engine is the live serving engine. All methods are safe for
 // concurrent use.
 type Engine struct {
@@ -126,20 +133,27 @@ type Engine struct {
 	tracer *obs.Tracer
 
 	// ingestMu serializes admission: held across the ceiling check, the
-	// WAL append and the pending append, it makes admission atomic — a
-	// batch is logged and pending or rejected whole, so retries never
-	// duplicate records. It also serializes admission against the epoch
-	// cut: Snapshot holds it across the WAL bounds reading and the
-	// pending take, so a generation contains exactly the records at or
-	// below the bounds it commits.
+	// WAL append and the copy into the open slab, it makes admission
+	// atomic — a batch is logged and pending or rejected whole, so
+	// retries never duplicate records. It also serializes admission
+	// against the epoch cut: Snapshot holds it across the WAL bounds
+	// reading and the pending take, so a generation contains exactly the
+	// records at or below the bounds it commits.
 	ingestMu sync.Mutex
 	closed   bool                      // guarded by ingestMu
 	wal      WAL                       // guarded by ingestMu; nil when durability is off
 	walParts [1][]telemetry.ViewRecord // guarded by ingestMu; AppendBatch's argument
-	// pending holds the admitted batches — their slice headers; the
-	// records were copied once, at admission — until the next cut takes
-	// them, and uncut counts their records against the ceiling.
+	// slab is the open admission slab: the rows admitted into it so far,
+	// then room for slabRows in all. A row is written once, by keep, and
+	// never again: a cut that takes the slab's head leaves the slab open,
+	// and later batches fill its tail.
+	slab []telemetry.ViewRecord // guarded by ingestMu
+	// pending holds where the admitted records lie — one sub-slice of a
+	// slab per batch and slab, reaching to the slab's end, which nothing
+	// appends to — until the next cut takes them; batches counts the
+	// batches they came in and uncut their records, against the ceiling.
 	pending [][]telemetry.ViewRecord // guarded by ingestMu
+	batches int                      // guarded by ingestMu
 	uncut   int                      // guarded by ingestMu
 
 	// snapMu serializes epoch cuts; stopped is set by Close's, after
@@ -240,8 +254,9 @@ type Result struct {
 // the caller retries the identical batch without duplication. The
 // check precedes the append, so a batch of any size gets in once there
 // is room, and only a cut (Snapshot) makes room. Ingest never waits for
-// room and never blocks queries. The engine keeps its own copy of recs;
-// the caller may reuse the slice once Ingest returns.
+// room and never blocks queries. The engine keeps its own copy of an
+// accepted recs, in its slabs; the caller may reuse the slice once
+// Ingest returns.
 func (e *Engine) Ingest(recs []telemetry.ViewRecord) (Result, error) {
 	return e.IngestSpan(recs, 0)
 }
@@ -261,17 +276,16 @@ type frameAppender interface {
 
 // IngestFrames is IngestSpan for recs decoded from frames (a wire
 // binary stream, wire.Decoder.Frames), which a frameAppender WAL logs
-// as they are rather than encode recs under the admission lock.
+// as they are rather than encode recs under the admission lock. recs is
+// read only until it returns: an accepted batch is copied into the
+// engine's slabs (keep), under the admission lock and after the WAL
+// append, so a refused or failed batch costs no copy at all.
 func (e *Engine) IngestFrames(recs []telemetry.ViewRecord, frames []byte, parent obs.SpanID) (Result, error) {
 	if len(recs) == 0 {
 		return Result{}, nil
 	}
 	sp := e.tracer.Start("ingest.admit", parent)
 	n := int64(len(recs))
-	// The one copy the engine owes its caller (an HTTP handler's recs
-	// are decoder scratch), made before the lock to keep the hold short.
-	batch := make([]telemetry.ViewRecord, len(recs))
-	copy(batch, recs)
 	e.ingestMu.Lock()
 	if e.closed {
 		e.ingestMu.Unlock()
@@ -293,7 +307,7 @@ func (e *Engine) IngestFrames(recs []telemetry.ViewRecord, frames []byte, parent
 		if fa, ok := e.wal.(frameAppender); ok && frames != nil {
 			err = fa.AppendFrames(frames, n, sp.ID())
 		} else {
-			e.walParts[0] = batch
+			e.walParts[0] = recs
 			err = e.wal.AppendBatch(e.walParts[:], sp.ID())
 			e.walParts[0] = nil
 		}
@@ -304,9 +318,10 @@ func (e *Engine) IngestFrames(recs []telemetry.ViewRecord, frames []byte, parent
 			return Result{}, fmt.Errorf("live: wal append: %w", err)
 		}
 	}
-	e.pending = append(e.pending, batch)
-	e.uncut += len(batch)
-	e.queueDepth.Set(int64(len(e.pending)))
+	e.keep(recs)
+	e.batches++
+	e.uncut += len(recs)
+	e.queueDepth.Set(int64(e.batches))
 	e.ingestMu.Unlock()
 	e.ingested.Add(n)
 	e.batchSizes.Observe(float64(n))
@@ -314,13 +329,30 @@ func (e *Engine) IngestFrames(recs []telemetry.ViewRecord, frames []byte, parent
 	return Result{Accepted: len(recs)}, nil
 }
 
-// Snapshot cuts an epoch: it takes the pending batches, gathers them
-// into one canonically sorted array, merges that into the published
+// keep is the one copy the engine owes its caller (an HTTP handler's
+// recs are decoder scratch): it copies recs into the open slab, opening
+// a new one each time it fills, and appends each piece to the pending
+// list. The caller holds ingestMu.
+func (e *Engine) keep(recs []telemetry.ViewRecord) {
+	for len(recs) > 0 {
+		if len(e.slab) == cap(e.slab) {
+			e.slab = make([]telemetry.ViewRecord, 0, slabRows)
+		}
+		at := len(e.slab)
+		e.slab = append(e.slab, recs[:min(len(recs), cap(e.slab)-at)]...)
+		e.pending = append(e.pending, e.slab[at:])
+		recs = recs[len(e.slab)-at:]
+	}
+}
+
+// Snapshot cuts an epoch: it takes the pending batches, sorts pointers
+// to their records canonically, merges those into the published
 // generation's Dataset, and publishes the result. Only the new records
-// are compared, hashed and interned; the published rows are shared, not
-// copied — the new generation points at them where they lie. Records
-// admitted before Snapshot is called are always included; records
-// racing with it land in this epoch or the next.
+// are compared, hashed and interned, and no row is copied: the new
+// generation points at the published rows, and at the new ones in the
+// slabs admission copied them into. Records admitted before Snapshot is
+// called are always included; records racing with it land in this
+// epoch or the next.
 // After Close it cuts nothing and returns the final generation.
 func (e *Engine) Snapshot() *Generation { return e.cut(false) }
 
@@ -348,7 +380,7 @@ func (e *Engine) cut(final bool) *Generation {
 		bounds = w.Bounds()
 	}
 	batches, n := e.pending, e.uncut
-	e.pending, e.uncut = nil, 0
+	e.pending, e.batches, e.uncut = nil, 0, 0
 	e.queueDepth.Set(0)
 	e.ingestMu.Unlock()
 	// Every stage span of the cut carries the same two sizes, so a
@@ -358,10 +390,9 @@ func (e *Engine) cut(final bool) *Generation {
 	ssp := e.tracer.Start("epoch.sort", sp.ID())
 	// Canonical order, not arrival order: the same record set produces
 	// the same generation — and byte-identical query answers — no
-	// matter how ingestion interleaved. Gather's array holds exactly n
-	// records: the first cut's Merge adopts it as the generation's, a
-	// later one's points into it for as long as the engine runs, and
-	// every spare slot would be 328 resident bytes.
+	// matter how ingestion interleaved. Gather sorts keys and returns
+	// pointers to the rows where admission put them; the first cut's
+	// Merge adopts its slice as the generation's ref.
 	delta := telemetry.Gather(batches)
 	ssp.End(sizes...)
 	msp := e.tracer.Start("epoch.merge", sp.ID())

@@ -337,23 +337,6 @@ func TestIngestSnapshotCloseConserveRecords(t *testing.T) {
 	t.Logf("accepted %d, refused %d", accepted.Load(), refused.Load())
 }
 
-// TestFirstCutAdoptsExactCapacity pins the sizing rule behind
-// heap_bytes_per_record: Dataset.Merge adopts the first delta's array
-// as the generation's record array, spare capacity included, so the
-// cut must build that delta at exactly the drained length.
-func TestFirstCutAdoptsExactCapacity(t *testing.T) {
-	e := newTestEngine(t, Config{})
-	recs := genRecords(1300)
-	for _, n := range []int{500, 1, 299, 500} { // uneven batches
-		mustIngest(t, e, recs[:n])
-		recs = recs[n:]
-	}
-	all := e.Snapshot().Dataset.All()
-	if len(all) != 1300 || cap(all) != len(all) {
-		t.Fatalf("first generation: len %d cap %d, want both 1300", len(all), cap(all))
-	}
-}
-
 // TestIngestAllocs holds admission to its budget: one copy of the
 // batch, plus whatever the pending list amortizes. The partitioned
 // engine this one replaced spent 83 allocations here.

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"vmp/internal/obs"
@@ -37,11 +37,16 @@ type Server struct {
 	// window-key slots were all taken (uncached).
 	memo [telemetry.DerivedUncached + 1]*obs.Counter
 
-	// decoders recycles wire decoders across ingest requests, binary
-	// and JSONL alike; a decoder's scratch is only reused after
-	// IngestFrames has copied the batch (and the WAL the frames), which
-	// happens before the handler returns it to the pool.
-	decoders sync.Pool
+	// decoders is a free list of wire decoders, binary and JSONL
+	// alike, holding up to GOMAXPROCS: a request takes one, or builds
+	// one if the list is empty, and puts it back, or drops it if the
+	// list is full. A decoder's scratch is only reused after IngestFrames
+	// has copied the batch (and the WAL the frames), which happens
+	// before the handler puts it back. A used decoder holds about 1 MB;
+	// a sync.Pool would keep its objects through one collection as
+	// victims, so what it held would depend on when the collector last
+	// ran, where the list holds at most GOMAXPROCS, whenever one reads.
+	decoders chan *wire.Decoder
 }
 
 // queryLatencyBounds are the per-endpoint latency buckets, in seconds.
@@ -73,8 +78,27 @@ func NewServer(e *Engine) *Server {
 	for _, ep := range []string{"share", "top-publishers", "window"} {
 		s.qLatency[ep] = reg.Histogram("live_query_"+ep+"_seconds", queryLatencyBounds)
 	}
-	s.decoders.New = func() any { return wire.NewDecoder() }
+	s.decoders = make(chan *wire.Decoder, runtime.GOMAXPROCS(0))
 	return s
+}
+
+// decoder takes a decoder off the free list, or builds one.
+func (s *Server) decoder() *wire.Decoder {
+	select {
+	case dec := <-s.decoders:
+		return dec
+	default:
+		return wire.NewDecoder()
+	}
+}
+
+// release puts dec back on the free list, or drops it if the list is
+// full.
+func (s *Server) release(dec *wire.Decoder) {
+	select {
+	case s.decoders <- dec:
+	default:
+	}
 }
 
 // Handler returns the serving plane's HTTP surface:
@@ -115,8 +139,8 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) {
 	ack := obs.StartWatch(s.engine.clock)
 	root := s.tracer.Start("ingest.batch", 0)
 	ssp := s.tracer.Start("ingest.scan", root.ID())
-	dec := s.decoders.Get().(*wire.Decoder)
-	defer s.decoders.Put(dec)
+	dec := s.decoder()
+	defer s.release(dec)
 	// Two bounds, one constant: MaxBytesReader on what the connection
 	// delivers, DecodeBody on what that inflates to.
 	r.Body = http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)

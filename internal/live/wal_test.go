@@ -362,7 +362,7 @@ func TestOneFramePerBatch(t *testing.T) {
 }
 
 // TestPooledDecoderLogsOnlyItsOwnFrames drives one decoder — the
-// server's pool can hand out no other — through a binary POST, a JSONL
+// server's free list holds no other — through a binary POST, a JSONL
 // POST, a corrupt binary POST (400) and a binary POST, with a WAL
 // attached. A binary POST's log record is the decoder's Frames, so a
 // decoder that kept a stream past its request would log the first
@@ -374,8 +374,7 @@ func TestPooledDecoderLogsOnlyItsOwnFrames(t *testing.T) {
 	wlog := openTestWAL(t, dir)
 	e := newTestEngine(t, Config{WAL: wlog})
 	s := NewServer(e)
-	dec := wire.NewDecoder()
-	s.decoders.New = func() any { return dec }
+	oneDecoder(s)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	post := func(contentType string, body []byte) int {
@@ -677,7 +676,7 @@ func TestWALCrashAfterSkippedCheckpoints(t *testing.T) {
 	}
 }
 
-// heapAlloc is the live heap after a full collection (two, so that a
+// heapAlloc is the live heap after a full collection (two, so that any
 // sync.Pool's victims are gone as well).
 func heapAlloc() uint64 {
 	runtime.GC()

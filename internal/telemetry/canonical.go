@@ -301,21 +301,23 @@ func CanonicalSort(recs []ViewRecord) {
 	}
 }
 
-// Gather returns the records of parts in CanonicalSort order, in one
-// new slice of exactly their number: a cut's pending batches become one
-// sorted delta. The keys are sorted as CanonicalSort sorts them,
-// and each row is then copied once, straight from its part, on as many
-// workers, each filling one contiguous range of the result. The parts
-// are only read, and may be in any order and overlap in time.
-func Gather(parts [][]ViewRecord) []ViewRecord {
+// Gather returns pointers to the records of parts in CanonicalSort
+// order, in one new slice of exactly their number: a cut's pending
+// batches become one sorted delta without a row being copied. The keys
+// are sorted as CanonicalSort sorts them, and each row's pointer is
+// then written once, on as many workers, each filling one contiguous
+// range of the result. The parts are only read, and may be in any order
+// and overlap in time; the result points into them, so their rows must
+// not be written while it is in use.
+func Gather(parts [][]ViewRecord) []*ViewRecord {
 	s, n := newRowSet(parts)
 	keys := sortedKeys(s, n)
-	out := make([]ViewRecord, n)
+	out := make([]*ViewRecord, n)
 	w := workers(n)
 	parallel(w, func(k int) {
 		lo, hi := span(n, w, k)
 		for i := lo; i < hi; i++ {
-			out[i] = *s.at(keys[i].row)
+			out[i] = s.at(keys[i].row)
 		}
 	})
 	return out
@@ -323,10 +325,10 @@ func Gather(parts [][]ViewRecord) []ViewRecord {
 
 // minRowsPerWorker is how many rows a sort, gather or freeze gives each
 // worker at least. On two cores a freeze gains from a second worker from
-// about 4,000 rows and a gather, memory-bound, barely at all (DESIGN.md
-// §8 has the sweep); the margin keeps a serve_mixed warm cut (about
-// 2,500 records) on one goroutine, off the core a query is using: two
-// workers take 8,192 rows.
+// about 4,000 rows, and a gather, which writes one pointer a row, barely
+// at all (DESIGN.md §8 has the sweep); the margin keeps a serve_mixed
+// warm cut (about 2,500 records) on one goroutine, off the core a query
+// is using: two workers take 8,192 rows.
 const minRowsPerWorker = 4096
 
 // workers returns how many workers n rows are split over: at most

@@ -229,9 +229,23 @@ func TestParallelSortAndGatherMatchReference(t *testing.T) {
 				parts = append(parts, recs[lo:hi])
 				lo = hi
 			}
-			gathered := Gather(parts)
-			if len(gathered) != cap(gathered) {
-				t.Fatalf("Gather of %d records: len %d, cap %d", n, len(gathered), cap(gathered))
+			ptrs := Gather(parts)
+			if len(ptrs) != cap(ptrs) {
+				t.Fatalf("Gather of %d records: len %d, cap %d", n, len(ptrs), cap(ptrs))
+			}
+			// Every pointer is to a row of the parts, each row once:
+			// Gather copies no row.
+			rows := make(map[*ViewRecord]bool, n)
+			for i := range recs {
+				rows[&recs[i]] = true
+			}
+			gathered := make([]ViewRecord, len(ptrs))
+			for i, p := range ptrs {
+				if !rows[p] {
+					t.Fatalf("Gather of %d records: position %d points at no row of the parts, or at one twice", n, i)
+				}
+				delete(rows, p)
+				gathered[i] = *p
 			}
 			requireSameOrder(t, fmt.Sprintf("Gather, GOMAXPROCS %d, %d records in %d parts", procs, n, len(parts)), gathered, want)
 		}

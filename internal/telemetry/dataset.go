@@ -140,8 +140,9 @@ func (c *DimColumn) copyRows(at int, src *DimColumn, lo, hi int) {
 // Dataset is safe for concurrent use.
 //
 // Its rows are held one way: ref holds a pointer per row, in order,
-// into the row arrays it was given — NewDataset's, or the first cut's
-// and then each later cut's sorted delta — which nothing writes again.
+// into the rows it was given — NewDataset's array, or the rows each cut
+// gathered pointers to where admission had put them — which nothing
+// writes again.
 // Record and the columns are what the figures and the queries read, and
 // they copy nothing; All is a fresh copy.
 type Dataset struct {
@@ -173,20 +174,26 @@ func NewDataset(recs []ViewRecord) *Dataset {
 	if len(recs) == 0 {
 		return base
 	}
-	if d, sorted := base.freeze(recs); sorted {
+	ref := make([]*ViewRecord, len(recs))
+	for i := range recs {
+		ref[i] = &recs[i]
+	}
+	if d, sorted := base.freeze(ref); sorted {
 		return d
 	}
+	// Sorting recs in place keeps ref[i] pointing at row i.
 	CanonicalSort(recs)
-	d, _ := base.freeze(recs)
+	d, _ := base.freeze(ref)
 	return d
 }
 
-// Merge returns the dataset holding d's records and delta's, taking
-// ownership of delta, which must be in CanonicalSort order — as d's
-// records must be for the result to be. It is the epoch cut: the cost
-// of comparing, hashing and interning is proportional to delta, d's
-// columns are carried over by bulk copy, and d's rows are not copied at
-// all: the result points at them, and at delta's, where they lie. A
+// Merge returns the dataset holding d's records and the ones delta
+// points at, taking ownership of delta, which must be in CanonicalSort
+// order (Gather's result) — as d's records must be for the result to
+// be. It is the epoch cut: the cost of comparing, hashing and interning
+// is proportional to delta, d's columns are carried over by bulk copy,
+// and no row is copied at all: the result points at d's rows and at
+// delta's where they lie, and on the first cut delta is its ref. A
 // record of delta goes after the records of d it compares equal to.
 //
 // IDs d handed out mean the same in the result; names first seen in
@@ -194,10 +201,10 @@ func NewDataset(recs []ViewRecord) *Dataset {
 // numbering can differ from the one NewDataset would give the same
 // records, and no answer may depend on it: the analyses accumulate per
 // ID in record order and emit by name. d is not modified and the result
-// does not keep it, or its columns, reachable — only the row arrays
-// both hold; with nothing to add, the result is d itself. Neither
+// does not keep it, or its columns, reachable — only the rows both
+// point at; with nothing to add, the result is d itself. Neither
 // argument's rows may be written afterwards.
-func (d *Dataset) Merge(delta []ViewRecord) *Dataset {
+func (d *Dataset) Merge(delta []*ViewRecord) *Dataset {
 	if len(delta) == 0 {
 		return d
 	}
@@ -208,8 +215,8 @@ func (d *Dataset) Merge(delta []ViewRecord) *Dataset {
 	return d.interleave(nd)
 }
 
-// freeze builds the dataset of rows, pointing at them, interning names on
-// top of d's tables. The rows are split into contiguous ranges, one per
+// freeze builds the dataset of rows, adopting the slice as its ref,
+// interning names on top of d's tables. The rows are split into contiguous ranges, one per
 // worker (workers): each range fills its rows' views, view-hours and
 // protocol, resolves their devices and interns their publishers,
 // platforms, models and CDNs into tables of its own on top of d's, which
@@ -217,13 +224,12 @@ func (d *Dataset) Merge(delta []ViewRecord) *Dataset {
 // range order, which is the numbering one build over all rows gives,
 // and the ranges put their variable-length entries in place, renumbered,
 // side by side. It also reports whether rows are in CanonicalSort order.
-func (d *Dataset) freeze(rows []ViewRecord) (*Dataset, bool) {
+func (d *Dataset) freeze(rows []*ViewRecord) (*Dataset, bool) {
 	n := len(rows)
 	f := freezer{
 		base: d,
-		rows: rows,
 		out: &Dataset{
-			ref:       make([]*ViewRecord, n),
+			ref:       rows,
 			views:     make([]float64, n),
 			viewHours: make([]float64, n),
 			pubIDs:    make([]int32, n),
@@ -248,11 +254,10 @@ func (d *Dataset) freeze(rows []ViewRecord) (*Dataset, bool) {
 	return f.out, sorted
 }
 
-// freezer is one freeze under way: d's tables below it, the rows it
-// freezes, the dataset it fills, and its ranges.
+// freezer is one freeze under way: d's tables below it, the dataset it
+// fills (its ref the rows it freezes), and its ranges.
 type freezer struct {
 	base   *Dataset
-	rows   []ViewRecord
 	out    *Dataset
 	ranges []freezeRange
 }
@@ -293,13 +298,12 @@ func (f *freezer) build(r *freezeRange, lo, hi int) {
 	for p := range r.protoIDs {
 		r.protoIDs[p] = -1
 	}
-	rows := f.rows
+	rows := out.ref
 	for i := lo; i < hi; i++ {
-		rec := &rows[i]
-		if i > 0 && r.sorted && CompareRecords(&rows[i-1], rec) > 0 {
+		rec := rows[i]
+		if i > 0 && r.sorted && CompareRecords(rows[i-1], rec) > 0 {
 			r.sorted = false
 		}
-		out.ref[i] = rec
 		out.views[i] = rec.Views()
 		out.viewHours[i] = rec.ViewHours()
 		out.pubIDs[i] = r.pubs.intern(rec.Publisher)

@@ -429,7 +429,7 @@ func TestFreezeMatchesSerialBuilder(t *testing.T) {
 				t.Fatalf("%s, GOMAXPROCS %d, NewDataset: %s", name, procs, diff)
 			}
 			requireExactColumns(t, got)
-			merged := baseDS.Merge(exactCopy(delta))
+			merged := baseDS.Merge(pointers(exactCopy(delta)))
 			if diff := datasetDiff(merged, wantMerged); diff != "" {
 				t.Fatalf("%s, GOMAXPROCS %d, Merge into %d records: %s", name, procs, len(base), diff)
 			}

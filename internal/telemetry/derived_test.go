@@ -108,7 +108,7 @@ func TestDerivedFollowsTheDataset(t *testing.T) {
 	if _, how := ds.Merge(nil).Derived(testKey(1), func() any { return 1 }); how != DerivedHit {
 		t.Fatalf("after Merge(nil): how=%v, want a hit", how)
 	}
-	next := ds.Merge([]ViewRecord{{Timestamp: simclock.DayTime(1), Publisher: "q", ViewSec: 60, Weight: 1}})
+	next := ds.Merge([]*ViewRecord{{Timestamp: simclock.DayTime(1), Publisher: "q", ViewSec: 60, Weight: 1}})
 	if v, how := next.Derived(testKey(1), func() any { return 2 }); how != DerivedMiss || v != 2 {
 		t.Fatalf("after a merge: value %v how=%v, want a fresh 2", v, how)
 	}

@@ -6,4 +6,5 @@ var (
 	SerialNewDataset = serialNewDataset
 	SerialMerge      = serialMerge
 	DatasetDiff      = datasetDiff
+	Pointers         = pointers
 )

@@ -27,6 +27,16 @@ func mergeDelta(round, n int) []ViewRecord {
 	return delta
 }
 
+// pointers returns a pointer to each of recs, in order: a delta as
+// Gather returns one, for Merge.
+func pointers(recs []ViewRecord) []*ViewRecord {
+	out := make([]*ViewRecord, len(recs))
+	for i := range recs {
+		out[i] = &recs[i]
+	}
+	return out
+}
+
 // requireExactColumns fails unless every per-record column, and the
 // row pointers, fill their backing array: a cut must not carry
 // append slack from one generation into the next, where it would
@@ -80,7 +90,7 @@ func TestMergeDoesNotRetainPredecessor(t *testing.T) {
 	watched := int64(0)
 	for round := 1; round <= merges; round++ {
 		watched += watch(cur)
-		cur = cur.Merge(mergeDelta(round, 300))
+		cur = cur.Merge(pointers(mergeDelta(round, 300)))
 		requireExactColumns(t, cur)
 	}
 	if cur.Len() != 300*(merges+1) {
@@ -104,12 +114,12 @@ func TestMergeDoesNotRetainPredecessor(t *testing.T) {
 func TestMergeSharesUntouchedNameTables(t *testing.T) {
 	base := NewDataset(mergeDelta(0, 30))
 	again := mergeDelta(0, 30)
-	same := base.Merge(again)
+	same := base.Merge(pointers(again))
 	if &same.pubNames[0] != &base.pubNames[0] || &same.cdn.names[0] != &base.cdn.names[0] {
 		t.Error("a merge with no new names copied the name tables")
 	}
 	pubs, cdns := base.NumPublishers(), base.CDNCol().Cardinality()
-	grown := base.Merge(mergeDelta(1, 30))
+	grown := base.Merge(pointers(mergeDelta(1, 30)))
 	if grown.NumPublishers() != pubs+1 || grown.CDNCol().Cardinality() != cdns+1 {
 		t.Fatalf("merge with a new publisher and CDN: %d publishers, %d CDNs", grown.NumPublishers(), grown.CDNCol().Cardinality())
 	}

@@ -52,7 +52,7 @@ func TestFreezeMatchesSerialBuilderOnEcosystem(t *testing.T) {
 		if diff := telemetry.DatasetDiff(telemetry.NewDataset(exact(all)), wantAll); diff != "" {
 			t.Fatalf("GOMAXPROCS %d, NewDataset of %d records: %s", procs, len(all), diff)
 		}
-		if diff := telemetry.DatasetDiff(base.Merge(exact(added)), wantMerged); diff != "" {
+		if diff := telemetry.DatasetDiff(base.Merge(telemetry.Pointers(exact(added))), wantMerged); diff != "" {
 			t.Fatalf("GOMAXPROCS %d, %d records merged into %d: %s", procs, len(added), len(kept), diff)
 		}
 	}
@@ -62,8 +62,8 @@ func TestFreezeMatchesSerialBuilderOnEcosystem(t *testing.T) {
 // cut, boot preload, crash recovery and offline Study.Dataset() — that
 // depend on the record count alone: CanonicalSort in place (bench's
 // telemetry.sort_ms probe), Gather of the two connections' batches into
-// one sorted array (the cut's epoch.sort, and the generator's tail
-// inside core.generate_ms), then the freeze, Merge onto the empty
+// one sorted slice of row pointers (the cut's epoch.sort), then the
+// freeze, Merge onto the empty
 // dataset (core.freeze_ms and telemetry.freeze_ms). `make bench-cut`
 // runs it at -cpu 1,2; DESIGN.md §8 quotes its ns/record.
 func BenchmarkRebuild(b *testing.B) {

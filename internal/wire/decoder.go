@@ -39,7 +39,7 @@ var errTruncated = errors.New("wire: truncated frame")
 // interned strings are immutable, and so are interned lists, each
 // capacity-capped (len == cap), so an append to one copies it. Records
 // of different calls share a list when they hold equal ones. A Decoder
-// is not safe for concurrent use; pool decoders per request instead.
+// is not safe for concurrent use; give each request one of its own.
 type Decoder struct {
 	body   []byte              // reused buffer DecodeAll reads the stream into, length prefixes included
 	frames []byte              // body after a DecodeAll that succeeded; nil after any other decode
